@@ -19,19 +19,17 @@ eigenvalue pinch delta and a spectral constant of the Laplacian.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
 from . import donaldson as don
+from . import kernels
 from .bergman import HermitianForm, MetricField
 from .bundles import SectionBasis, h_ref_field, q_field, section_basis, split
+from .kernels import SingularGram
 from .quadrature import QuadratureGrid, build_grid_p1
-
-
-class SingularGram(ValueError):
-    pass
 
 
 class Diverged(RuntimeError):
@@ -109,51 +107,31 @@ def _det_normalize(H: np.ndarray) -> np.ndarray:
     return H * np.exp(-logdet / n)
 
 
-def _p_field(basis: SectionBasis, grid: QuadratureGrid, H: np.ndarray) -> np.ndarray:
-    """Pointwise N x N projector-like field P(x) = Q h_H^{-1} Q*."""
-    q = q_field(basis, grid.nodes)  # (M, N, r)
-    h = np.einsum("mni,nk,mkj->mij", q.conj(), H, q)
-    h = 0.5 * (h + np.conj(np.swapaxes(h, -1, -2)))
-    lam = np.linalg.eigvalsh(h)
-    if lam.min() <= 0:
-        raise SingularGram("degenerate Fubini-Study metric along the grid")
-    hinv = np.linalg.inv(h)
-    return np.einsum("mni,mij,mkj->mnk", q, hinv, q.conj())
-
-
-def _b_matrix(basis: SectionBasis, grid: QuadratureGrid, H: np.ndarray) -> np.ndarray:
+def _b_matrix(basis: SectionBasis, grid: QuadratureGrid, H: np.ndarray, q=None):
     """B(H) = (1/Vol_L) int Q h_H^{-1} Q* dV, so that balance reads
-    B(H) = (r/N) H^{-1}."""
-    p = _p_field(basis, grid, H)
-    b = np.einsum("m,mnk->nk", grid.weights / grid.volume, p)
-    return 0.5 * (b + b.conj().T)
+    B(H) = (r/N) H^{-1}; with it log det h_H and h_H^{-1} at every node."""
+    return kernels.b_matrix(basis, grid.nodes, grid.weights / grid.volume, H, q)
 
 
 def center_of_mass(basis: SectionBasis, grid: QuadratureGrid, H: np.ndarray) -> np.ndarray:
     """M(H) = sigma B(H) sigma* with sigma = H^{1/2}; trace r exactly."""
-    sq = _sqrtm_psd(H)
-    b = _b_matrix(basis, grid, H)
+    sq = _sqrtm_psd(H)[2]
+    b = _b_matrix(basis, grid, H)[0]
     m = sq @ b @ sq
     return 0.5 * (m + m.conj().T)
 
 
-def _sqrtm_psd(H: np.ndarray) -> np.ndarray:
+def _sqrtm_psd(H: np.ndarray):
+    """Eigen-decomposition (lam, v) and square root of H."""
     lam, v = np.linalg.eigh(H)
     if lam.min() <= 0:
         raise SingularGram("form is not positive definite")
-    return (v * np.sqrt(lam)) @ v.conj().T
+    return lam, v, (v * np.sqrt(lam)) @ v.conj().T
 
 
 def m2_value(basis: SectionBasis, grid: QuadratureGrid, H: np.ndarray) -> float:
     """Log-determinant energy of h_H against the reference h_ref = Q*Q."""
-    q = q_field(basis, grid.nodes)
-    h = np.einsum("mni,nk,mkj->mij", q.conj(), H, q)
-    href = np.einsum("mni,mnj->mij", q.conj(), q)
-    s1, ld1 = np.linalg.slogdet(0.5 * (h + np.conj(np.swapaxes(h, -1, -2))))
-    s0, ld0 = np.linalg.slogdet(0.5 * (href + np.conj(np.swapaxes(href, -1, -2))))
-    if s1.min() <= 0 or s0.min() <= 0:
-        raise SingularGram("non-positive determinant in m2 integrand")
-    return grid.integrate(ld1 - ld0) / grid.volume
+    return don.m2_don(basis, grid, HermitianForm(np.asarray(H, dtype=complex)))
 
 
 def _spread(H: np.ndarray) -> float:
@@ -161,19 +139,16 @@ def _spread(H: np.ndarray) -> float:
     return float(np.log(lam[-1] / lam[0]))
 
 
-def _state(basis, grid, H, iteration, flag="running") -> BalanceState:
-    r, n = basis.rank, basis.dimension
-    m = center_of_mass(basis, grid, H)
-    resid = float(np.linalg.norm(m - (r / n) * np.eye(n), "fro"))
-    return BalanceState(
-        H=H,
-        iteration=iteration,
-        center_of_mass=m,
-        residual=resid,
-        m2=m2_value(basis, grid, H),
-        spread=_spread(H),
-        flag=flag,
-    )
+def _solver_parts(basis, grid, H, ld0, q=None):
+    """What a solver step needs at the form H, from one pass over the node
+    blocks: h_H^{-1} per node, B(H), _sqrtm_psd(H), the hermitian residual
+    M(H) - (r/N) I with M(H) = H^{1/2} B(H) H^{1/2}, and m2 against the
+    reference log-dets ld0."""
+    b, ld, hinv = _b_matrix(basis, grid, H, q)
+    eig = _sqrtm_psd(H)
+    n = basis.dimension
+    s = eig[2] @ b @ eig[2] - (basis.rank / n) * np.eye(n)
+    return hinv, b, eig, 0.5 * (s + s.conj().T), grid.integrate(ld - ld0) / grid.volume
 
 
 @lru_cache(maxsize=1)
@@ -191,19 +166,21 @@ def _t_convention_self_test() -> bool:
 
 
 def t_operator(
-    basis: SectionBasis, grid: QuadratureGrid, H: np.ndarray, _self_test: bool = True
+    basis: SectionBasis, grid: QuadratureGrid, H: np.ndarray, _self_test: bool = True,
+    *, b: np.ndarray | None = None,
 ) -> np.ndarray:
     """One step of the balancing fixed-point map.
 
     The Gram matrix of the sections in h_H is inverted (the form lives on
     the dual section space) so that fixed points solve B(H) = (r/N) H^{-1},
     i.e. are exactly the zeros of the m2 gradient; the result is
-    det-normalized.
+    det-normalized.  ``b`` is B(H) when the caller has computed it already.
     """
     if _self_test:
         _t_convention_self_test()
     r, n = basis.rank, basis.dimension
-    b = _b_matrix(basis, grid, H)
+    if b is None:
+        b = _b_matrix(basis, grid, H)[0]
     lam = np.linalg.eigvalsh(b)
     if lam.min() <= 1e-300:
         raise SingularGram("center-of-mass Gram matrix is singular")
@@ -257,33 +234,24 @@ def t_iterate(
     H = _det_normalize(np.asarray(H0, dtype=complex))
     history = []
     t0 = time.perf_counter()
-    state = _state(basis, grid, H, 0)
+    ld0 = kernels.logdet(h_ref_field(basis, grid))
+    _, b, _, s, m2 = _solver_parts(basis, grid, H, ld0)
+    state = _state_from(basis, grid, H, 0, s, m2)
     for it in range(max_iter + 1):
         history.append(
             HistoryRow(it, state.residual, state.m2, state.spread,
                        1e3 * (time.perf_counter() - t0))
         )
         if state.residual < tol:
-            return _replace_flag(state, "converged"), history
+            return replace(state, flag="converged"), history
         if _divergence_hit(history):
-            return _replace_flag(state, "diverged"), history
+            return replace(state, flag="diverged"), history
         if it == max_iter:
             break
-        H = t_operator(basis, grid, H, _self_test=False)
-        state = _state(basis, grid, H, it + 1)
-    return _replace_flag(state, "max_iter"), history
-
-
-def _replace_flag(state: BalanceState, flag: str) -> BalanceState:
-    return BalanceState(
-        H=state.H,
-        iteration=state.iteration,
-        center_of_mass=state.center_of_mass,
-        residual=state.residual,
-        m2=state.m2,
-        spread=state.spread,
-        flag=flag,
-    )
+        H = t_operator(basis, grid, H, _self_test=False, b=b)
+        _, b, _, s, m2 = _solver_parts(basis, grid, H, ld0)
+        state = _state_from(basis, grid, H, it + 1, s, m2)
+    return replace(state, flag="max_iter"), history
 
 
 def _herm_basis(n: int):
@@ -306,6 +274,23 @@ def _herm_basis(n: int):
         e[a + 1, a + 1] = -s
         out.append(e)
     return out
+
+
+def _b_derivatives(basis, grid, q, hinv, dh):
+    """dB = -(1/Vol) int P dH P for a stack dH of shape (D, N, N), with P
+    from the chart values q and h^{-1} per node.
+
+    The tensor t4[(i, k), (l, j)] = sum_x w P_ik P_lj is one GEMM per
+    node block, and the contraction with every dH is one more.
+    """
+    n = basis.dimension
+    w = grid.weights / grid.volume
+    t4 = np.zeros((n * n, n * n), dtype=complex)
+    for sl, qb in kernels.blocks(basis, grid.nodes, q):
+        pf = kernels.p_field(qb, hinv[sl]).reshape(-1, n * n)
+        t4 += (w[sl, None] * pf).T @ pf
+    t4 = t4.reshape(n, n, n, n).transpose(1, 2, 0, 3).reshape(n * n, n * n)
+    return -(dh.reshape(-1, n * n) @ t4).reshape(dh.shape)
 
 
 def _sqrt_frechet(lam, v, dh):
@@ -339,36 +324,16 @@ def lm_minimize(
     threshold with a long monotone m2 decrease) is flagged, not raised.
     """
     H = _det_normalize(np.asarray(H0, dtype=complex))
-    n, r = basis.dimension, basis.rank
-    target = (r / n) * np.eye(n)
-    directions = _herm_basis(n)
+    n = basis.dimension
+    directions = np.asarray(_herm_basis(n))
     lam_damp = 1e-3
     history = []
     t0 = time.perf_counter()
     q = q_field(basis, grid.nodes)
-    w = grid.weights / grid.volume
-    href = np.einsum("mni,mnj->mij", q.conj(), q)
-    ld0 = np.linalg.slogdet(0.5 * (href + np.conj(np.swapaxes(href, -1, -2))))[1]
-
-    def residual_parts(Hc):
-        hf = np.einsum("mni,nk,mkj->mij", q.conj(), Hc, q)
-        hf = 0.5 * (hf + np.conj(np.swapaxes(hf, -1, -2)))
-        if not np.isfinite(hf).all():
-            raise SingularGram("fibre metric overflowed")
-        ev = np.linalg.eigvalsh(hf)
-        if ev.min() <= 0:
-            raise SingularGram("degenerate Fubini-Study metric along the grid")
-        m2 = grid.integrate(np.log(ev).sum(axis=-1) - ld0) / grid.volume
-        p = np.einsum("mni,mij,mkj->mnk", q, np.linalg.inv(hf), q.conj())
-        b = np.einsum("m,mnk->nk", w, p)
-        b = 0.5 * (b + b.conj().T)
-        lamH, vH = np.linalg.eigh(Hc)
-        sq = (vH * np.sqrt(lamH)) @ vH.conj().T
-        s = sq @ b @ sq - target
-        s = 0.5 * (s + s.conj().T)
-        return p, b, (lamH, vH, sq), s, m2
-
-    p, b, eig, s, m2_cur = residual_parts(H)
+    ld0 = kernels.logdet(h_ref_field(basis, grid))
+    # A singular or overflowing trial form only increases the damping.
+    rejected = (SingularGram, kernels.NonFiniteChart)
+    hinv, b, eig, s, m2_cur = _solver_parts(basis, grid, H, ld0, q)
     state = _state_from(basis, grid, H, 0, s, m2_cur)
     fallback_streak = 0
     for it in range(max_iter + 1):
@@ -377,9 +342,9 @@ def lm_minimize(
                        1e3 * (time.perf_counter() - t0))
         )
         if state.residual < tol:
-            return _replace_flag(state, "converged"), history
+            return replace(state, flag="converged"), history
         if _divergence_hit(history):
-            return _replace_flag(state, "diverged"), history
+            return replace(state, flag="diverged"), history
         if it == max_iter:
             break
 
@@ -391,15 +356,11 @@ def lm_minimize(
         lm_tries = 0
         jtj = jtr = None
         if probe_lm:
-            t4 = np.einsum("m,mik,mlj->ijkl", w, p, p, optimize=True)
-            cols = []
-            for delta in directions:
-                dh = 0.5 * (delta @ H + H @ delta)
-                db = -np.einsum("ijkl,kl->ij", t4, dh)
-                dsq = _sqrt_frechet(lamH, vH, dh)
-                ds = dsq @ b @ sq + sq @ db @ sq + sq @ b @ dsq
-                cols.append(np.concatenate([ds.real.ravel(), ds.imag.ravel()]))
-            jac = np.stack(cols, axis=-1)
+            dh = 0.5 * (directions @ H + H @ directions)
+            db = _b_derivatives(basis, grid, q, hinv, dh)
+            dsq = _sqrt_frechet(lamH, vH, dh)
+            ds = (dsq @ b @ sq + sq @ db @ sq + sq @ b @ dsq).reshape(len(dh), -1)
+            jac = np.concatenate([ds.real, ds.imag], axis=1).T
             rvec = np.concatenate([s.real.ravel(), s.imag.ravel()])
             jtj = jac.T @ jac
             jtr = jac.T @ rvec
@@ -414,12 +375,12 @@ def lm_minimize(
             if not np.isfinite(step).all():
                 lam_damp = min(lam_damp * 10.0, 1e12)
                 continue
-            a = sum(c * d for c, d in zip(step, directions))
+            a = np.tensordot(step, directions, axes=1)
             expa = _expm_herm(0.5 * a)
             try:
                 H_try = _det_normalize(expa @ H @ expa)
-                parts_try = residual_parts(H_try)
-            except SingularGram:
+                parts_try = _solver_parts(basis, grid, H_try, ld0, q)
+            except rejected:
                 lam_damp = min(lam_damp * 10.0, 1e12)
                 continue
             # Accept only steps that also do not increase the energy, so
@@ -428,7 +389,7 @@ def lm_minimize(
             m2_ok = parts_try[4] <= m2_cur + 1e-13 * (1.0 + abs(m2_cur))
             if better_resid and m2_ok:
                 H = H_try
-                p, b, eig, s, m2_cur = parts_try
+                hinv, b, eig, s, m2_cur = parts_try
                 lam_damp = max(lam_damp / 3.0, 1e-12)
                 accepted = True
                 fallback_streak = 0
@@ -448,21 +409,21 @@ def lm_minimize(
                 try:
                     move = _expm_herm(eta * zeta)
                     H_try = _det_normalize(sq @ move @ sq)
-                    parts_try = residual_parts(H_try)
-                except SingularGram:
+                    parts_try = _solver_parts(basis, grid, H_try, ld0, q)
+                except rejected:
                     eta *= 0.5
                     continue
                 if parts_try[4] < m2_cur:
                     H = H_try
-                    p, b, eig, s, m2_cur = parts_try
+                    hinv, b, eig, s, m2_cur = parts_try
                     accepted = True
                     fallback_streak += 1
                     break
                 eta *= 0.5
         state = _state_from(basis, grid, H, it + 1, s, m2_cur)
         if not accepted:
-            return _replace_flag(state, "stalled"), history
-    return _replace_flag(state, "max_iter"), history
+            return replace(state, flag="stalled"), history
+    return replace(state, flag="max_iter"), history
 
 
 def _state_from(basis, grid, H, iteration, s, m2) -> BalanceState:
@@ -609,8 +570,8 @@ def delta_diagnostic(h_min: MetricField, h_he: MetricField, grid: QuadratureGrid
     lamb, vb = np.linalg.eigh(bvals)
     if lamb.min() <= 0:
         raise ValueError("reference metric must be positive definite")
-    isq = np.einsum("mij,mj,mkj->mik", vb, 1.0 / np.sqrt(lamb), vb.conj())
-    ratio = np.einsum("mij,mjk,mkl->mil", isq, a, isq)
+    isq = (vb / np.sqrt(lamb)[:, None, :]) @ vb.conj().transpose(0, 2, 1)
+    ratio = isq @ a @ isq
     ratio = 0.5 * (ratio + np.conj(np.swapaxes(ratio, -1, -2)))
     lam, vr = np.linalg.eigh(ratio)
     if lam.min() <= 0:
@@ -643,8 +604,7 @@ def donaldson_value_line(basis: SectionBasis, grid: QuadratureGrid, H: np.ndarra
     if basis.bundle.kind != "split_p1" or basis.rank != 1:
         raise MissingHE("endpoint formula implemented for line bundles on P1")
     mu = float(basis.bundle.sheaf().degree)
-    q = q_field(basis, grid.nodes)
-    h_raw = np.einsum("mni,nk,mkj->mij", q.conj(), H, q).real[:, 0, 0]
+    h_raw = kernels.field(basis, grid.nodes, np.asarray(H, dtype=complex)).real[:, 0, 0]
     h_he_raw = h_he.values.real[:, 0, 0]
     v = -(np.log(h_raw) - np.log(h_he_raw))
     f1 = don.curvature_field(

@@ -19,6 +19,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
+from . import kernels
 from .bundles import SectionBasis, q_field, h_ref_field
 from .quadrature import QuadratureGrid
 
@@ -84,12 +85,16 @@ class OnePS:
     def dim(self) -> int:
         return self.generator.shape[0]
 
-    def form_at(self, t: float) -> HermitianForm:
-        """The path form H(t) = e^{2 zeta t}."""
-        lam = np.concatenate(
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """The weight of each eigenvector column."""
+        return np.concatenate(
             [np.full(s.stop - s.start, w) for w, s in zip(self.weights, self.slices)]
         )
-        m = (self.vectors * np.exp(2.0 * lam * t)) @ self.vectors.conj().T
+
+    def form_at(self, t: float) -> HermitianForm:
+        """The path form H(t) = e^{2 zeta t}."""
+        m = (self.vectors * np.exp(2.0 * self.eigenvalues * t)) @ self.vectors.conj().T
         return HermitianForm(0.5 * (m + m.conj().T), provenance=f"exp(t={t})")
 
     def flag_basis(self, i: int) -> np.ndarray:
@@ -185,9 +190,7 @@ class MetricField:
 
 def fs_metric(basis: SectionBasis, grid: QuadratureGrid, form: HermitianForm) -> MetricField:
     """Fibrewise metric h(x) = Q(x)* H Q(x)."""
-    q = q_field(basis, grid.nodes)
-    h = np.einsum("mni,nk,mkj->mij", q.conj(), form.matrix, q)
-    h = 0.5 * (h + np.conj(np.swapaxes(h, -1, -2)))
+    h = kernels.field(basis, grid.nodes, form.matrix)
     if np.linalg.eigvalsh(h)[:, 0].min() < 1e-300:
         raise DegenerateMetric("fibre metric underflowed to singular")
     return MetricField(grid=grid, values=h)
@@ -202,14 +205,8 @@ def bergman_path(basis: SectionBasis, grid: QuadratureGrid, ps: OnePS, t: float)
     """
     if t < 0:
         raise ValueError("path time must be nonnegative")
-    lam = np.concatenate(
-        [np.full(s.stop - s.start, w) for w, s in zip(ps.weights, ps.slices)]
-    )
-    half = np.exp(lam * t)[:, None] * ps.vectors.conj().T  # (N, N)
-    q = q_field(basis, grid.nodes)
-    b = np.einsum("kn,mnr->mkr", half, q)
-    h = np.einsum("mki,mkj->mij", b.conj(), b)
-    h = 0.5 * (h + np.conj(np.swapaxes(h, -1, -2)))
+    half = np.exp(ps.eigenvalues * t)[:, None] * ps.vectors.conj().T
+    h = kernels.field(basis, grid.nodes, factor=half)
     if np.linalg.eigvalsh(h)[:, 0].min() < 1e-300:
         raise DegenerateMetric("path metric underflowed to singular")
     return MetricField(grid=grid, values=h)
@@ -238,14 +235,11 @@ def weight_filtration(
     q = q_field(basis, pts)  # (M, N, r)
     ranks = []
     for i in range(len(ps.weights)):
-        flag = ps.flag_basis(i)  # (N, d_i)
-        img = np.einsum("nd,mnr->mdr", flag, q)  # values of flag sections
-        per_sample = []
-        for m in range(img.shape[0]):
-            s = np.linalg.svd(img[m], compute_uv=False)
-            per_sample.append(int((s > svd_tol * max(s[0], 1e-300)).sum()))
-        top = max(per_sample)
-        if sum(r == top for r in per_sample) < 0.25 * len(per_sample):
+        # singular values of the fibre images of the flag sections
+        s = np.linalg.svd(kernels.act(ps.flag_basis(i).T, q), compute_uv=False)
+        per_sample = (s > svd_tol * np.maximum(s[:, :1], 1e-300)).sum(axis=1)
+        top = int(per_sample.max())
+        if (per_sample == top).sum() < 0.25 * len(per_sample):
             raise DegenerateSamples(
                 f"generic rank attained at too few samples for level {i}"
             )
@@ -385,8 +379,15 @@ def subgeodesic_residual(
     lhs_half = lhs_of(fd_step / 2.0)
     err_full = np.linalg.norm(lhs - rhs)
     err_half = np.linalg.norm(lhs_half - rhs)
+    # Roundoff floor of the central difference: g sums terms of size
+    # |Q|^2 |S| |u| / lam_min(h), the frame change h^{1/2} (.) h^{-1/2}
+    # costs sqrt(cond h), and the quotient divides by the step.  Within a
+    # few floors of it the error is noise and its decay says nothing.
+    lam_h = np.linalg.eigvalsh(h)
+    floor = (np.finfo(float).eps * np.linalg.norm(q_x) ** 2 * np.linalg.norm(s)
+             * np.linalg.norm(u) * np.sqrt(lam_h[-1] / lam_h[0]) / lam_h[0] / fd_step)
     # second-order FD: halving the step should cut the error ~4x
-    if err_full > 1e-9 and err_half > 0.5 * err_full:
+    if err_full > 32.0 * floor and err_half > 0.5 * err_full:
         raise StepTooLarge(
             f"no second-order decay: {err_full:.3e} -> {err_half:.3e}"
         )

@@ -18,6 +18,7 @@ from math import comb, sqrt
 import numpy as np
 
 from . import exactsheaf as xs
+from . import kernels
 from .quadrature import QuadratureGrid, build_grid_p2
 
 
@@ -247,8 +248,7 @@ def dq_dz_field(basis: SectionBasis, nodes: np.ndarray) -> np.ndarray:
 def evaluate_q(basis: SectionBasis, x) -> np.ndarray:
     """Single-point evaluation matrix Q(x), shape (N, r); raises
     RankDeficient when the evaluation is not surjective at x."""
-    nodes = np.asarray([x]) if basis.bundle.kind == "split_p1" else np.asarray([x])
-    q = q_field(basis, nodes)[0]
+    q = q_field(basis, np.asarray([x]))[0]
     if np.linalg.matrix_rank(q, tol=1e-10 * max(1.0, np.abs(q).max())) < basis.rank:
         raise RankDeficient(f"evaluation map not surjective at {x}")
     return q
@@ -256,6 +256,4 @@ def evaluate_q(basis: SectionBasis, x) -> np.ndarray:
 
 def h_ref_field(basis: SectionBasis, grid: QuadratureGrid) -> np.ndarray:
     """Reference metric h_ref(x) = Q(x)* Q(x) at every node, (M, r, r)."""
-    q = q_field(basis, grid.nodes)
-    h = np.einsum("mni,mnj->mij", q.conj(), q)
-    return 0.5 * (h + np.conj(np.swapaxes(h, -1, -2)))
+    return kernels.field(basis, grid.nodes)

@@ -12,10 +12,11 @@ Gieseker stability.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 
 class MissingDegree(ValueError):
@@ -61,13 +62,18 @@ def h0_tangent_p2(m: int) -> int:
 
 @dataclass(frozen=True)
 class SheafData:
-    """Exact rank/degree/section-count data of a torsion-free sheaf."""
+    """Exact rank/degree/section-count data of a torsion-free sheaf.
+
+    Section counts come from ``h0_rule`` (a closed form k -> h0, set for
+    the catalog sheaves) at every level, else from ``h0_table``.
+    """
 
     rank: int
     degree: Optional[Fraction]
     space_tag: str
     h0_table: dict = field(default_factory=dict)
     label: str = ""
+    h0_rule: Optional[Callable[[int], int]] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.rank < 1:
@@ -76,40 +82,36 @@ class SheafData:
             object.__setattr__(self, "degree", _frac(self.degree))
 
     def h0_at(self, k: int) -> int:
+        if self.h0_rule is not None:
+            return self.h0_rule(k)
         try:
             return self.h0_table[k]
         except KeyError:
             raise MissingDegree(f"no h0 data at level {k} for {self.label or 'sheaf'}")
 
 
-def line_p1(d: int, levels: Sequence[int] = range(-8, 40)) -> SheafData:
-    return SheafData(
-        rank=1,
-        degree=Fraction(d),
-        space_tag="P1",
-        h0_table={k: h0_p1(d + k) for k in levels},
-        label=f"O({d})",
-    )
+def _h0_split_p1(degrees: tuple, k: int) -> int:
+    return sum(h0_p1(d + k) for d in degrees)
 
 
-def split_p1(degrees: Sequence[int], levels: Sequence[int] = range(-8, 40)) -> SheafData:
-    degrees = list(degrees)
+def line_p1(d: int) -> SheafData:
+    return split_p1([d])
+
+
+def split_p1(degrees: Sequence[int]) -> SheafData:
+    degrees = tuple(degrees)
     return SheafData(
         rank=len(degrees),
         degree=Fraction(sum(degrees)),
         space_tag="P1",
-        h0_table={k: sum(h0_p1(d + k) for d in degrees) for k in levels},
         label="O(" + ")+O(".join(str(d) for d in degrees) + ")",
+        h0_rule=functools.partial(_h0_split_p1, degrees),
     )
 
 
-def tangent_p2(levels: Sequence[int] = range(-1, 20)) -> SheafData:
+def tangent_p2() -> SheafData:
     return SheafData(
-        rank=2,
-        degree=Fraction(3),
-        space_tag="P2",
-        h0_table={k: h0_tangent_p2(k) for k in levels},
-        label="T_P2",
+        rank=2, degree=Fraction(3), space_tag="P2", label="T_P2", h0_rule=h0_tangent_p2
     )
 
 
@@ -416,13 +418,21 @@ def filtration_to_dict(filt: FiltrationSpec) -> dict:
             {
                 "rank": s.rank,
                 "degree": None if s.degree is None else frac_str(s.degree),
-                "h0_table": {str(k): v for k, v in sorted(s.h0_table.items())},
+                "h0_table": _h0_entries(s, filt.level),
             }
             for s in filt.steps
         ],
         "v_dims": list(filt.v_dims),
         "level": filt.level,
     }
+
+
+def _h0_entries(sheaf: SheafData, level: int) -> dict:
+    """The explicit h0 table of a sheaf, plus its closed form at ``level``."""
+    table = dict(sheaf.h0_table)
+    if sheaf.h0_rule is not None:
+        table[level] = sheaf.h0_rule(level)
+    return {str(k): v for k, v in sorted(table.items())}
 
 
 def filtration_from_dict(data: dict, space_tag: str = "P1") -> FiltrationSpec:

@@ -92,9 +92,6 @@ class QuadratureGrid:
             raise NonFiniteIntegrand(int(np.argmax(bad)))
         return pairwise_sum(values * self.weights)
 
-    def integrate_f(self, f) -> float:
-        return self.integrate(np.asarray([f(x) for x in self.nodes], dtype=float))
-
 
 def build_grid_p1(n_radial: int = 8, n_angular: int = 32, depth: int = 20) -> QuadratureGrid:
     """Tensor grid on the chart of P^1.

@@ -139,3 +139,29 @@ def test_subgeodesic_residual_catalog(rng):
         assert resid < 1e-6
         assert min_eig >= -1e-12
         assert np.abs(rhs - rhs.conj().T).max() < 1e-10
+
+
+def criterion5_draws(seed):
+    """The (basis, ps, t, x) draws of acceptance criterion 5's loop."""
+    rng = np.random.default_rng(seed)
+    catalog = (((0,), 1), ((2,), 1), ((0, 2), 3), ((1, 1), 2))
+    cases = [bd.section_basis(bd.split(*d), k) for d, k in catalog]
+    for i in range(200):
+        basis = cases[i % len(cases)]
+        ps = bg.random_two_weight_ps(basis.dimension, rng)
+        yield basis, ps, float(rng.uniform(0.1, 3.0)), complex(rng.normal(), rng.normal())
+
+
+def test_subgeodesic_guard_ignores_roundoff_floor():
+    # draw 196 of this seed has a finite-difference error of 4e-9 at the
+    # default step, all of it roundoff, which does not halve with the step
+    for basis, ps, t, x in criterion5_draws(24):
+        _, _, resid, _ = bg.subgeodesic_residual(basis, ps, t, x)
+        assert resid <= 1e-5
+
+
+def test_subgeodesic_guard_rejects_large_step():
+    basis, ps, t, x = list(criterion5_draws(5))[20]
+    bg.subgeodesic_residual(basis, ps, t, x)
+    with pytest.raises(bg.StepTooLarge):
+        bg.subgeodesic_residual(basis, ps, t, x, fd_step=0.5)

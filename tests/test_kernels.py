@@ -1,0 +1,206 @@
+"""Every function routed through the evaluation core against a plain
+einsum reference, on random positive forms."""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from bml import balance as bl
+from bml import bergman as bg
+from bml import bundles as bd
+from bml import donaldson as don
+from bml import kernels
+from bml.quadrature import NonFiniteIntegrand, build_grid_p1
+
+TOL = 1e-12
+
+
+def rel(a, b) -> float:
+    return float(np.abs(np.asarray(a) - np.asarray(b)).max() / np.abs(np.asarray(b)).max())
+
+
+def sandwich(a, mat, b):
+    return np.einsum("mni,nk,mkj->mij", a.conj(), mat, b)
+
+
+def herm(h):
+    return 0.5 * (h + np.conj(np.swapaxes(h, -1, -2)))
+
+
+def h_ref(q):
+    return herm(np.einsum("mni,mnj->mij", q.conj(), q))
+
+
+def positive_form(n, rng):
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    h = g @ g.conj().T + n * np.eye(n)
+    return h / np.exp(np.linalg.slogdet(h)[1] / n)
+
+
+@pytest.fixture(scope="module")
+def coarse():
+    """M = 288, less than one block."""
+    return build_grid_p1(n_radial=3, n_angular=8, depth=6)
+
+
+@pytest.fixture(params=[1, 3, 20], ids=lambda k: f"k{k}")
+def split_basis(request):
+    return bd.section_basis(bd.split(0, 2), request.param)
+
+
+@pytest.fixture(params=["light", "coarse"])
+def grid(request, grid_p1, coarse):
+    """The light grid has M = 2304, not a multiple of the block size."""
+    return grid_p1 if request.param == "light" else coarse
+
+
+def test_grid_sizes(grid_p1, coarse):
+    assert grid_p1.nodes.size % kernels.BLOCK != 0 and grid_p1.nodes.size > kernels.BLOCK
+    assert coarse.nodes.size < kernels.BLOCK
+
+
+def test_fs_metric_and_h_ref(split_basis, grid, rng):
+    H = positive_form(split_basis.dimension, rng)
+    q = bd.q_field(split_basis, grid.nodes)
+    got = bg.fs_metric(split_basis, grid, bg.HermitianForm(H)).values
+    assert rel(got, herm(sandwich(q, H, q))) < TOL
+    assert rel(bd.h_ref_field(split_basis, grid), h_ref(q)) < TOL
+
+
+def test_euler_basis(grid_p2, rng):
+    basis = bd.section_basis(bd.euler_tp2(), 1)
+    H = positive_form(basis.dimension, rng)
+    q = bd.q_field(basis, grid_p2.nodes)
+    got = bg.fs_metric(basis, grid_p2, bg.HermitianForm(H)).values
+    assert rel(got, herm(sandwich(q, H, q))) < TOL
+    assert rel(bd.h_ref_field(basis, grid_p2), h_ref(q)) < TOL
+
+
+def test_bergman_path(split_basis, grid, rng):
+    ps = bg.random_two_weight_ps(split_basis.dimension, rng)
+    t = 1.7
+    q = bd.q_field(split_basis, grid.nodes)
+    half = np.exp(ps.eigenvalues * t)[:, None] * ps.vectors.conj().T
+    b = np.einsum("kn,mnr->mkr", half, q)
+    want = herm(np.einsum("mki,mkj->mij", b.conj(), b))
+    assert rel(bg.bergman_path(split_basis, grid, ps, t).values, want) < TOL
+
+
+def test_m2_along_path(split_basis, grid, rng):
+    ps = bg.random_two_weight_ps(split_basis.dimension, rng)
+    ts = [0.5, 1.5, 3.0]
+    q = bd.q_field(split_basis, grid.nodes)
+    ld0 = np.linalg.slogdet(h_ref(q))[1]
+    want = []
+    for t in ts:
+        h = herm(sandwich(q, ps.form_at(t).matrix, q))
+        want.append(grid.integrate(np.linalg.slogdet(h)[1] - ld0) / grid.volume)
+    assert rel(don.m2_along_path(split_basis, grid, ps, ts), want) < TOL
+
+
+def curvature_reference(basis, H, z):
+    q, d = bd.q_field(basis, z), bd.dq_dz_field(basis, z)
+    ht_inv = np.linalg.inv(np.swapaxes(sandwich(q, H, q), -1, -2))
+    dz_ht = np.einsum("mni,nk,mkj->mij", d, H.T, q.conj())
+    dzbar_ht = np.einsum("mni,nk,mkj->mij", q, H.T, d.conj())
+    dzdzbar_ht = np.einsum("mni,nk,mkj->mij", d, H.T, d.conj())
+    term = (dzdzbar_ht - dz_ht @ ht_inv @ dzbar_ht) @ ht_inv
+    fs_part = basis.level / (1.0 + np.abs(z) ** 2) ** 2
+    return -(fs_part[:, None, None] * np.eye(basis.rank)[None] - term) / np.pi
+
+
+def test_curvature_and_m1_rate(split_basis, grid, rng):
+    ps = bg.random_two_weight_ps(split_basis.dimension, rng)
+    t = 0.8
+    H = ps.form_at(t).matrix
+    z = grid.nodes
+    f = curvature_reference(split_basis, H, z)
+    assert rel(don._curvature_analytic(split_basis, bg.HermitianForm(H), z), f) < TOL
+
+    q = bd.q_field(split_basis, z)
+    hdot = sandwich(q, H @ (2.0 * ps.generator), q)
+    g_dot = -np.swapaxes(np.linalg.inv(sandwich(q, H, q)) @ hdot, -1, -2)
+    f_fs = np.pi * (1.0 + np.abs(z) ** 2)[:, None, None] ** 2 * f
+    integrand = np.einsum("mij,mji->m", g_dot, f_fs).real
+    want = grid.integrate(integrand)
+    got = don.m1_rate(split_basis, grid, ps, t, method="analytic")
+    assert abs(got - want) < TOL * grid.integrate(np.abs(integrand))
+
+
+def test_honest_metric_eval(split_basis, rng):
+    H = positive_form(split_basis.dimension, rng)
+    z = rng.normal(size=50) + 1j * rng.normal(size=50)
+    q = bd.q_field(split_basis, z)
+    tw = (1.0 + np.abs(z) ** 2) ** split_basis.level
+    want = tw[:, None, None] * np.linalg.inv(np.swapaxes(sandwich(q, H, q), -1, -2))
+    got = don._honest_metric_eval(split_basis, bg.HermitianForm(H))(z)
+    assert rel(got, want) < TOL
+
+
+def test_b_matrix_p_field_and_m2_value(split_basis, grid, rng):
+    H = positive_form(split_basis.dimension, rng)
+    q = bd.q_field(split_basis, grid.nodes)
+    h = herm(sandwich(q, H, q))
+    p = np.einsum("mni,mij,mkj->mnk", q, np.linalg.inv(h), q.conj())
+    b_want = herm(np.einsum("m,mnk->nk", grid.weights / grid.volume, p))
+    for held in (None, q):
+        b, ld, hinv = bl._b_matrix(split_basis, grid, H, held)
+        assert rel(b, b_want) < TOL
+        assert rel(ld, np.linalg.slogdet(h)[1]) < TOL
+        assert rel(kernels.p_field(q, hinv), p) < TOL
+    ld0 = np.linalg.slogdet(h_ref(q))[1]
+    m2 = grid.integrate(np.linalg.slogdet(h)[1] - ld0) / grid.volume
+    assert rel(bl.m2_value(split_basis, grid, H), m2) < TOL
+
+
+def test_lm_b_derivatives(grid, rng):
+    basis = bd.section_basis(bd.split(0, 2), 1)
+    n = basis.dimension
+    H = positive_form(n, rng)
+    q = bd.q_field(basis, grid.nodes)
+    hinv = np.linalg.inv(herm(sandwich(q, H, q)))
+    p = np.einsum("mni,mij,mkj->mnk", q, hinv, q.conj())
+    t4 = np.einsum("m,mik,mlj->ijkl", grid.weights / grid.volume, p, p)
+    dh = np.asarray([positive_form(n, rng) for _ in range(5)])
+    want = -np.einsum("ijkl,dkl->dij", t4, dh)
+    assert rel(bl._b_derivatives(basis, grid, q, hinv, dh), want) < TOL
+
+
+def test_block_size_does_not_move_results(grid_p1, monkeypatch, rng):
+    basis = bd.section_basis(bd.split(0, 2), 3)
+    ps = bg.random_two_weight_ps(basis.dimension, rng)
+    ts = [0.5, 2.0]
+    whole = don.m2_along_path(basis, grid_p1, ps, ts)
+    h = bg.fs_metric(basis, grid_p1, ps.form_at(1.0)).values
+    monkeypatch.setattr(kernels, "BLOCK", 700)
+    assert rel(don.m2_along_path(basis, grid_p1, ps, ts), whole) < TOL
+    assert rel(bg.fs_metric(basis, grid_p1, ps.form_at(1.0)).values, h) < TOL
+
+
+def test_repeated_calls_are_byte_identical(grid_p1, rng):
+    basis = bd.section_basis(bd.split(0, 2), 3)
+    ps = bg.random_two_weight_ps(basis.dimension, rng)
+    first = don.m2_along_path(basis, grid_p1, ps, [1.0, 4.0])
+    assert first.tobytes() == don.m2_along_path(basis, grid_p1, ps, [1.0, 4.0]).tobytes()
+    H = ps.form_at(0.7).matrix
+    b = bl._b_matrix(basis, grid_p1, H)[0]
+    assert b.tobytes() == bl._b_matrix(basis, grid_p1, H)[0].tobytes()
+    rate = don.m1_rate(basis, grid_p1, ps, 0.7, method="analytic")
+    assert rate == don.m1_rate(basis, grid_p1, ps, 0.7, method="analytic")
+
+
+def test_overflowing_chart_names_the_node(grid_p1_fine):
+    # from k = 37 the sandwich at the outermost ring (|z| = 7267) overflows
+    basis = bd.section_basis(bd.split(0, 2), 37)
+    ps = bg.two_step_one_ps(basis, [1], (38 / 40, -1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(kernels.NonFiniteChart) as info:
+            don.m2_along_path(basis, grid_p1_fine, ps, np.linspace(1.25, 15.0, 12))
+    err = info.value
+    assert isinstance(err, NonFiniteIntegrand)
+    assert err.index == 10208
+    assert err.z == grid_p1_fine.nodes[10208]
+    assert err.u == pytest.approx(grid_p1_fine.moment[10208], rel=1e-12)
+    assert "10208" in str(err)
