@@ -20,16 +20,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
 from . import donaldson as don
 from . import kernels
 from .bergman import HermitianForm, MetricField
-from .bundles import SectionBasis, h_ref_field, q_field, section_basis, split
+from .bundles import SectionBasis, h_ref_field, q_field
 from .kernels import SingularGram
-from .quadrature import QuadratureGrid, build_grid_p1
+from .quadrature import QuadratureGrid
 
 
 class Diverged(RuntimeError):
@@ -49,6 +48,10 @@ class MissingHE(ValueError):
 # ratio threshold 1e3 converts to log(1e3) on the stored field.
 SPREAD_RATIO_LIMIT = 1.0e3
 M2_DECREASE_RUN = 50
+# LM relative acceptance margin and stationarity threshold (see
+# lm_minimize): steps and probes that move only roundoff are not taken.
+LM_DECREASE_MARGIN = 1e-9
+LM_STATIONARY = 1e-10
 
 
 @dataclass(frozen=True)
@@ -70,11 +73,17 @@ class BalanceState:
 
 @dataclass(frozen=True)
 class HistoryRow:
+    """One iterate of a solver, with the kind of step taken from it
+    (t | lm | fallback, none when the run stopped there) and the number
+    of LM trials rejected while looking for that step."""
+
     iteration: int
     residual: float
     m2: float
     spread: float
     wallclock_ms: float
+    step: str = "none"
+    rejected: int = 0
 
 
 @dataclass(frozen=True)
@@ -151,23 +160,8 @@ def _solver_parts(basis, grid, H, ld0, q=None):
     return hinv, b, eig, 0.5 * (s + s.conj().T), grid.integrate(ld - ld0) / grid.volume
 
 
-@lru_cache(maxsize=1)
-def _t_convention_self_test() -> bool:
-    """Pin the direction of the T-map: on the symmetric configuration the
-    identity must be a fixed point and a zero of the m2 gradient."""
-    grid = build_grid_p1(n_radial=4, n_angular=8, depth=6)
-    basis = section_basis(split(2), 0)
-    H = np.eye(basis.dimension)
-    Hp = t_operator(basis, grid, H, _self_test=False)
-    assert np.linalg.norm(Hp - H) < 1e-10
-    zeta = np.diag([1.0, 0.0, -1.0])
-    assert abs(m2_gradient(basis, grid, H, zeta)) < 1e-10
-    return True
-
-
 def t_operator(
-    basis: SectionBasis, grid: QuadratureGrid, H: np.ndarray, _self_test: bool = True,
-    *, b: np.ndarray | None = None,
+    basis: SectionBasis, grid: QuadratureGrid, H: np.ndarray, *, b: np.ndarray | None = None,
 ) -> np.ndarray:
     """One step of the balancing fixed-point map.
 
@@ -176,8 +170,6 @@ def t_operator(
     i.e. are exactly the zeros of the m2 gradient; the result is
     det-normalized.  ``b`` is B(H) when the caller has computed it already.
     """
-    if _self_test:
-        _t_convention_self_test()
     r, n = basis.rank, basis.dimension
     if b is None:
         b = _b_matrix(basis, grid, H)[0]
@@ -228,14 +220,14 @@ def t_iterate(
     """Run the T-operator to convergence or divergence.
 
     Returns (final BalanceState, history) where history rows carry
-    (iter, residual, m2, spread, wallclock_ms).
+    (iter, residual, m2, spread, wallclock_ms, step, rejected).
     """
-    _t_convention_self_test()
     H = _det_normalize(np.asarray(H0, dtype=complex))
     history = []
     t0 = time.perf_counter()
+    q = q_field(basis, grid.nodes)
     ld0 = kernels.logdet(h_ref_field(basis, grid))
-    _, b, _, s, m2 = _solver_parts(basis, grid, H, ld0)
+    _, b, _, s, m2 = _solver_parts(basis, grid, H, ld0, q)
     state = _state_from(basis, grid, H, 0, s, m2)
     for it in range(max_iter + 1):
         history.append(
@@ -248,8 +240,9 @@ def t_iterate(
             return replace(state, flag="diverged"), history
         if it == max_iter:
             break
-        H = t_operator(basis, grid, H, _self_test=False, b=b)
-        _, b, _, s, m2 = _solver_parts(basis, grid, H, ld0)
+        history[-1] = replace(history[-1], step="t")
+        H = t_operator(basis, grid, H, b=b)
+        _, b, _, s, m2 = _solver_parts(basis, grid, H, ld0, q)
         state = _state_from(basis, grid, H, it + 1, s, m2)
     return replace(state, flag="max_iter"), history
 
@@ -320,6 +313,13 @@ def lm_minimize(
     only ever needed at A = 0 where it is available in closed form:
     dB = -(1/Vol) int P dH P with P = Q h^{-1} Q*.
 
+    A trial step is accepted only when it cuts the Frobenius residual by
+    more than the relative margin LM_DECREASE_MARGIN without raising m2,
+    so steps that move roundoff alone are rejected.  When the model has
+    no descent direction, |J^T r| <= LM_STATIONARY |J|_F |r|, the damping
+    ladder is skipped and the iteration goes straight to the m2 descent
+    fallback, as it does after every trial was rejected.
+
     Returns (final BalanceState, history); divergence (spread ratio past
     threshold with a long monotone m2 decrease) is flagged, not raised.
     """
@@ -349,7 +349,7 @@ def lm_minimize(
             break
 
         lamH, vH, sq = eig
-        accepted = False
+        accepted = None
         # After a run of fallback steps the least-squares model is known
         # to be unproductive; only re-probe it occasionally.
         probe_lm = not (fallback_streak >= 3 and it % 10 != 0)
@@ -364,8 +364,11 @@ def lm_minimize(
             rvec = np.concatenate([s.real.ravel(), s.imag.ravel()])
             jtj = jac.T @ jac
             jtr = jac.T @ rvec
-            lm_tries = 12 if np.isfinite(jtj).all() and np.isfinite(jtr).all() else 0
-        for _ in range(lm_tries):
+            descent = np.isfinite(jtj).all() and np.isfinite(jtr).all() and (
+                np.linalg.norm(jtr) > LM_STATIONARY * np.linalg.norm(jac) * np.linalg.norm(rvec))
+            lm_tries = 12 if descent else 0
+        n_rejected = lm_tries
+        for tried in range(lm_tries):
             lhs = jtj + lam_damp * (np.diag(np.diag(jtj)) + 1e-14 * np.eye(jtj.shape[0]))
             try:
                 step = np.linalg.solve(lhs, -jtr)
@@ -385,13 +388,14 @@ def lm_minimize(
                 continue
             # Accept only steps that also do not increase the energy, so
             # runs without a balanced form keep a monotone m2 signature.
-            better_resid = np.linalg.norm(parts_try[3], "fro") < np.linalg.norm(s, "fro")
+            better_resid = np.linalg.norm(parts_try[3], "fro") < (
+                (1.0 - LM_DECREASE_MARGIN) * np.linalg.norm(s, "fro"))
             m2_ok = parts_try[4] <= m2_cur + 1e-13 * (1.0 + abs(m2_cur))
             if better_resid and m2_ok:
                 H = H_try
                 hinv, b, eig, s, m2_cur = parts_try
                 lam_damp = max(lam_damp / 3.0, 1e-12)
-                accepted = True
+                n_rejected, accepted = tried, "lm"
                 fallback_streak = 0
                 break
             lam_damp = min(lam_damp * 4.0, 1e12)
@@ -416,10 +420,11 @@ def lm_minimize(
                 if parts_try[4] < m2_cur:
                     H = H_try
                     hinv, b, eig, s, m2_cur = parts_try
-                    accepted = True
+                    accepted = "fallback"
                     fallback_streak += 1
                     break
                 eta *= 0.5
+        history[-1] = replace(history[-1], step=accepted or "none", rejected=n_rejected)
         state = _state_from(basis, grid, H, it + 1, s, m2_cur)
         if not accepted:
             return replace(state, flag="stalled"), history

@@ -4,6 +4,7 @@ import pytest
 from bml import balance as bl
 from bml import bergman as bg
 from bml import bundles as bd
+from bml import quadrature as qd
 
 
 def random_form(n, rng):
@@ -17,6 +18,17 @@ def test_center_of_mass_trace(grid_p1, rng):
     m = bl.center_of_mass(basis, grid_p1, H)
     # tr M(H) = rank exactly, for every positive form
     assert np.trace(m).real == pytest.approx(basis.rank, rel=1e-12)
+
+
+def test_t_convention_on_symmetric_configuration():
+    """The direction of the T-map: on split(2), k=0, the identity is a
+    fixed point of T and a zero of the m2 gradient."""
+    grid = qd.build_grid_p1(n_radial=4, n_angular=8, depth=6)
+    basis = bd.section_basis(bd.split(2), 0)
+    H = np.eye(basis.dimension)
+    assert np.linalg.norm(bl.t_operator(basis, grid, H) - H) < 1e-10
+    zeta = np.diag([1.0, 0.0, -1.0])
+    assert abs(bl.m2_gradient(basis, grid, H, zeta)) < 1e-10
 
 
 def test_t_operator_fixes_balanced_point(grid_p1):
@@ -33,15 +45,50 @@ def test_t_iterate_converges_line_bundle(grid_p1, rng):
     assert state.flag == "converged"
     assert state.residual < 1e-10
     assert history[-1].iteration == state.iteration
+    assert [row.step for row in history] == ["t"] * state.iteration + ["none"]
 
 
 def test_lm_agrees_with_t(grid_p1, rng):
     basis = bd.section_basis(bd.split(3), 2)
     H0 = random_form(basis.dimension, rng)
     st_t, _ = bl.t_iterate(basis, grid_p1, H0, tol=1e-10)
-    st_lm, _ = bl.lm_minimize(basis, grid_p1, H0, tol=1e-10)
+    st_lm, hist_lm = bl.lm_minimize(basis, grid_p1, H0, tol=1e-10)
     assert st_lm.flag == "converged"
+    # a stable bundle never needs the m2-descent fallback
+    assert [row.step for row in hist_lm] == ["lm"] * st_lm.iteration + ["none"]
     assert np.linalg.norm(st_t.H - st_lm.H) < 1e-6
+
+
+@pytest.mark.parametrize("guard", [True, False])
+def test_lm_divergence_ignores_roundoff(monkeypatch, guard):
+    """The divergent LM solve on O(0)+O(2) takes the same path from I and
+    from starts perturbed at roundoff level.  The acceptance margin alone
+    keeps steps that move roundoff from being accepted; the stationarity
+    guard also keeps the damping ladder from being probed there."""
+    if not guard:
+        monkeypatch.setattr(bl, "LM_STATIONARY", 0.0)
+    grid = qd.build_grid_p1(n_radial=3, n_angular=8, depth=6)
+    basis = bd.section_basis(bd.split(0, 2), 3)
+    n = basis.dimension
+    calls = []
+    parts = bl._solver_parts
+    monkeypatch.setattr(bl, "_solver_parts", lambda *a, **k: calls.append(1) or parts(*a, **k))
+    starts = [np.eye(n)]
+    for seed in (1, 2, 3):
+        e = np.random.default_rng(seed).normal(size=(n, n))
+        starts.append(np.eye(n) + 1e-14 * (e + e.T))
+    iterations = set()
+    for H0 in starts:
+        calls.clear()
+        state, history = bl.lm_minimize(basis, grid, H0, tol=1e-10, max_iter=200)
+        assert state.flag == "diverged"
+        assert bl.divergence_detect(history) == "unstable-like"
+        assert bl.iterate_slope(history, weight_range=5.0 / 3.0) == pytest.approx(-2.0 / 3.0, abs=1e-9)
+        if guard:
+            assert len(calls) <= 2 * state.iteration
+        assert max(row.rejected for row in history) <= 12
+        iterations.add(state.iteration)
+    assert len(iterations) == 1
 
 
 def test_unstable_bundle_diverges(grid_p1):
