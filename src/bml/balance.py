@@ -74,8 +74,9 @@ class BalanceState:
 @dataclass(frozen=True)
 class HistoryRow:
     """One iterate of a solver, with the kind of step taken from it
-    (t | lm | fallback, none when the run stopped there) and the number
-    of LM trials rejected while looking for that step."""
+    (t | lm | fallback, none when the run stopped there), the number of
+    LM trials rejected while looking for that step, and the LM damping
+    in use at the iterate (0.0 for T-steps)."""
 
     iteration: int
     residual: float
@@ -84,6 +85,7 @@ class HistoryRow:
     wallclock_ms: float
     step: str = "none"
     rejected: int = 0
+    damping: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -220,13 +222,13 @@ def t_iterate(
     """Run the T-operator to convergence or divergence.
 
     Returns (final BalanceState, history) where history rows carry
-    (iter, residual, m2, spread, wallclock_ms, step, rejected).
+    (iter, residual, m2, spread, wallclock_ms, step, rejected, damping).
     """
     H = _det_normalize(np.asarray(H0, dtype=complex))
     history = []
     t0 = time.perf_counter()
     q = q_field(basis, grid.nodes)
-    ld0 = kernels.logdet(h_ref_field(basis, grid))
+    ld0 = kernels.logdet(h_ref_field(basis, grid, q))
     _, b, _, s, m2 = _solver_parts(basis, grid, H, ld0, q)
     state = _state_from(basis, grid, H, 0, s, m2)
     for it in range(max_iter + 1):
@@ -330,7 +332,7 @@ def lm_minimize(
     history = []
     t0 = time.perf_counter()
     q = q_field(basis, grid.nodes)
-    ld0 = kernels.logdet(h_ref_field(basis, grid))
+    ld0 = kernels.logdet(h_ref_field(basis, grid, q))
     # A singular or overflowing trial form only increases the damping.
     rejected = (SingularGram, kernels.NonFiniteChart)
     hinv, b, eig, s, m2_cur = _solver_parts(basis, grid, H, ld0, q)
@@ -339,7 +341,7 @@ def lm_minimize(
     for it in range(max_iter + 1):
         history.append(
             HistoryRow(it, state.residual, state.m2, state.spread,
-                       1e3 * (time.perf_counter() - t0))
+                       1e3 * (time.perf_counter() - t0), damping=lam_damp)
         )
         if state.residual < tol:
             return replace(state, flag="converged"), history

@@ -254,6 +254,7 @@ def evaluate_q(basis: SectionBasis, x) -> np.ndarray:
     return q
 
 
-def h_ref_field(basis: SectionBasis, grid: QuadratureGrid) -> np.ndarray:
-    """Reference metric h_ref(x) = Q(x)* Q(x) at every node, (M, r, r)."""
-    return kernels.field(basis, grid.nodes)
+def h_ref_field(basis: SectionBasis, grid: QuadratureGrid, q=None) -> np.ndarray:
+    """Reference metric h_ref(x) = Q(x)* Q(x) at every node, (M, r, r);
+    ``q`` holds the chart values when the caller keeps them."""
+    return kernels.field(basis, grid.nodes, q=q)

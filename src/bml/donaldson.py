@@ -51,19 +51,34 @@ def m2_don(basis: SectionBasis, grid: QuadratureGrid, form: HermitianForm) -> fl
 def m2_along_path(
     basis: SectionBasis, grid: QuadratureGrid, ps: OnePS, ts: Sequence[float]
 ) -> np.ndarray:
-    """M2 sampled at the given path times, sharing the Q evaluations."""
-    lam = ps.eigenvalues
+    """M2 sampled at the given path times, sharing the Q evaluations.
+
+    With V the eigenvectors of the generator, grouped by its distinct
+    weights w_d, and G_d = (V_d* Q)* (V_d* Q) the r x r Gram block of
+    weight group d, the path metric and the reference are
+
+        h(t) = sum_d e^{2 w_d t} G_d,    h_ref = Q*Q = sum_d G_d
+
+    (V is unitary).  Per node block the D Gram blocks are formed once
+    and every h(t_j), with h_ref as t_0 = 0, comes from one GEMM against
+    the (D, T+1) table e^{2 w_d t_j}; only the log-dets remain per time.
+    Each G_d is bounded by h_ref, so a block overflows only where the
+    reference or a path metric does, and NonFiniteChart names the node.
+    """
+    times = np.concatenate([[0.0], np.asarray(ts, dtype=float).ravel()])
+    with np.errstate(over="ignore"):
+        table = np.exp(2.0 * np.outer(ps.weights, times))
     vh = ps.vectors.conj().T
-    vals = np.empty((len(ts), len(grid.nodes)))
+    r = basis.rank
+    vals = np.empty((len(times), len(grid.nodes)))
     for sl, q in kernels.blocks(basis, grid.nodes):
-        qt = q.transpose(0, 2, 1)
-        ld_ref = kernels.logdet(kernels.fibre(kernels.pair(qt, qt), grid.nodes, sl))
         vq = kernels.act(vh, q)
-        for i, t in enumerate(ts):
-            b = np.exp(lam * t) * vq
-            h = kernels.fibre(kernels.pair(b, b), grid.nodes, sl)
-            vals[i, sl] = kernels.logdet(h) - ld_ref
-    return np.asarray([grid.integrate(v) / grid.volume for v in vals])
+        grams = np.stack([kernels.pair(vq[:, :, s], vq[:, :, s]) for s in ps.slices])
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = (table.T @ grams.reshape(len(ps.slices), -1)).reshape(len(times), -1, r, r)
+        for j in range(len(times)):
+            vals[j, sl] = kernels.logdet(kernels.fibre(h[j], grid.nodes, sl))
+    return np.asarray([grid.integrate(v - vals[0]) / grid.volume for v in vals[1:]])
 
 
 # ---------------------------------------------------------------------------
@@ -116,9 +131,12 @@ def curvature_field(
         f_dens = _curvature_fd(_honest_metric_eval(basis, form), z, step)
     else:
         raise ValueError(f"unknown method {method!r}")
-    # convert the dx dy density to a density against the FS measure
-    jac = np.pi * (1.0 + np.abs(z) ** 2) ** 2
-    return jac[:, None, None] * f_dens
+    return _fs_jacobian(z)[:, None, None] * f_dens
+
+
+def _fs_jacobian(z: np.ndarray) -> np.ndarray:
+    """Converts a dx dy density to a density against the FS measure."""
+    return np.pi * (1.0 + np.abs(z) ** 2) ** 2
 
 
 def _connection_fd(g_eval, z, step):
@@ -146,27 +164,31 @@ def _curvature_fd(g_eval, z, step):
 
 
 def _curvature_analytic(basis: SectionBasis, form: HermitianForm, z: np.ndarray):
-    """Closed-form curvature density via the holomorphic derivatives of Q.
-
-    With h = Q* H Q, a = Q* H dQ and c = dQ* H dQ, the curvature term of
-    the honest metric is (c - a* h^{-1} a)^T (h^T)^{-1}.  The difference
-    cancels heavily at large |z|; inverting h^T, rather than transposing
-    h^{-1}, measured 10-100x closer to an extended-precision reference
-    at k = 20.
-    """
-    k = basis.level
+    """Closed-form curvature density via the holomorphic derivatives of Q,
+    block by block (see _curvature_block)."""
     out = np.empty((len(z), basis.rank, basis.rank), dtype=complex)
     for sl, q in kernels.blocks(basis, z):
-        d = bundles.dq_dz_field(basis, z[sl])
-        hd = kernels.act(form.matrix, d)
         h = kernels.fibre(kernels.sandwich(q, form.matrix, q), z, sl)
-        ht_inv = np.linalg.inv(h.transpose(0, 2, 1))
-        a_t = kernels.pair(q.transpose(0, 2, 1), hd).transpose(0, 2, 1)
-        c_t = kernels.pair(d.transpose(0, 2, 1), hd).transpose(0, 2, 1)
-        term = (c_t - a_t @ ht_inv @ a_t.conj().transpose(0, 2, 1)) @ ht_inv
-        fs_part = k / (1.0 + np.abs(z[sl]) ** 2) ** 2
-        out[sl] = (term - fs_part[:, None, None] * np.eye(basis.rank)) / np.pi
+        out[sl] = _curvature_block(basis, form, z[sl], q, np.linalg.inv(h.transpose(0, 2, 1)))
     return out
+
+
+def _curvature_block(basis: SectionBasis, form: HermitianForm, z, q, ht_inv):
+    """Curvature density on one node block from the chart values q there
+    and (h^T)^{-1}, h = Q* H Q.
+
+    With a = Q* H dQ and c = dQ* H dQ, the curvature term of the honest
+    metric is (c - a* h^{-1} a)^T (h^T)^{-1}.  The difference cancels
+    heavily at large |z|; inverting h^T, rather than transposing h^{-1},
+    measured 10-100x closer to an extended-precision reference at k = 20.
+    """
+    d = bundles.dq_dz_field(basis, z)
+    hd = kernels.act(form.matrix, d)
+    a_t = kernels.pair(q.transpose(0, 2, 1), hd).transpose(0, 2, 1)
+    c_t = kernels.pair(d.transpose(0, 2, 1), hd).transpose(0, 2, 1)
+    term = (c_t - a_t @ ht_inv @ a_t.conj().transpose(0, 2, 1)) @ ht_inv
+    fs_part = basis.level / (1.0 + np.abs(z) ** 2) ** 2
+    return (term - fs_part[:, None, None] * np.eye(basis.rank)) / np.pi
 
 
 def richardson_check_curvature(
@@ -202,17 +224,29 @@ def m1_rate(
     method: str = "fd",
 ) -> float:
     """d/dt of the curvature-pairing energy at path time t:
-    int_X tr( g^{-1} dg/dt . F[g] )."""
+    int_X tr( g^{-1} dg/dt . F[g] ).  With method="analytic" the
+    curvature is evaluated in the same node blocks, from the same Q and h."""
     form = ps.form_at(t)
     hu = form.matrix @ (2.0 * ps.generator)
-    f = curvature_field(basis, grid, form, fd_step=fd_step, method=method)
-    integrand = np.empty(len(grid.nodes))
-    for sl, q in kernels.blocks(basis, grid.nodes):
-        h = kernels.fibre(kernels.sandwich(q, form.matrix, q), grid.nodes, sl)
+    z = grid.nodes
+    f = None
+    if method != "analytic":
+        f = curvature_field(basis, grid, form, fd_step=fd_step, method=method)
+    elif grid.space_tag != "P1":
+        raise NotImplementedError("curvature implemented on the P1 catalog")
+    integrand = np.empty(len(z))
+    for sl, q in kernels.blocks(basis, z):
+        h = kernels.fibre(kernels.sandwich(q, form.matrix, q), z, sl)
+        ht_inv = np.linalg.inv(h.transpose(0, 2, 1))
         hdot = kernels.sandwich(q, hu, q)
+        if f is None:
+            f_sl = _curvature_block(basis, form, z[sl], q, ht_inv)
+            f_sl *= _fs_jacobian(z[sl])[:, None, None]
+        else:
+            f_sl = f[sl]
         # honest-path logarithmic derivative: g^{-1} dg/dt = -(h^{-1} hdot)^T,
-        # so tr(g^{-1} dg/dt F) = -tr(h^{-1} hdot F^T)
-        integrand[sl] = -np.einsum("mij,mij->m", np.linalg.inv(h) @ hdot, f[sl]).real
+        # so tr(g^{-1} dg/dt F) = -tr(h^{-1} hdot F^T), h^{-1} = (ht_inv)^T
+        integrand[sl] = -np.einsum("mij,mij->m", ht_inv.transpose(0, 2, 1) @ hdot, f_sl).real
     return grid.integrate(integrand)
 
 

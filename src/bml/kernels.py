@@ -71,15 +71,16 @@ def fibre(h: np.ndarray, nodes, sl: slice) -> np.ndarray:
     return 0.5 * (h + h.conj().transpose(0, 2, 1))
 
 
-def field(basis, nodes, mat=None, factor=None) -> np.ndarray:
+def field(basis, nodes, mat=None, factor=None, q=None) -> np.ndarray:
     """Q* mat Q at every node, shape (M, r, r): Q*Q without ``mat``, and
-    (F Q)*(F Q), positive by construction, for a square-root ``factor`` F."""
+    (F Q)*(F Q), positive by construction, for a square-root ``factor`` F.
+    ``q`` holds the chart values when the caller keeps them."""
     out = np.empty((len(nodes), basis.rank, basis.rank), dtype=complex)
-    for sl, q in blocks(basis, nodes):
+    for sl, qb in blocks(basis, nodes, q):
         if mat is not None:
-            h = sandwich(q, mat, q)
+            h = sandwich(qb, mat, qb)
         else:
-            x = q.transpose(0, 2, 1) if factor is None else act(factor, q)
+            x = qb.transpose(0, 2, 1) if factor is None else act(factor, qb)
             h = pair(x, x)
         out[sl] = fibre(h, nodes, sl)
     return out

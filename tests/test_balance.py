@@ -46,6 +46,7 @@ def test_t_iterate_converges_line_bundle(grid_p1, rng):
     assert state.residual < 1e-10
     assert history[-1].iteration == state.iteration
     assert [row.step for row in history] == ["t"] * state.iteration + ["none"]
+    assert all(row.damping == 0.0 for row in history)
 
 
 def test_lm_agrees_with_t(grid_p1, rng):
@@ -56,6 +57,8 @@ def test_lm_agrees_with_t(grid_p1, rng):
     assert st_lm.flag == "converged"
     # a stable bundle never needs the m2-descent fallback
     assert [row.step for row in hist_lm] == ["lm"] * st_lm.iteration + ["none"]
+    # every iterate records the damping its step was searched with
+    assert all(np.isfinite(row.damping) and row.damping > 0.0 for row in hist_lm)
     assert np.linalg.norm(st_t.H - st_lm.H) < 1e-6
 
 

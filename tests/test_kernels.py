@@ -87,16 +87,93 @@ def test_bergman_path(split_basis, grid, rng):
     assert rel(bg.bergman_path(split_basis, grid, ps, t).values, want) < TOL
 
 
+def m2_reference(basis, grid, ps, ts):
+    q = bd.q_field(basis, grid.nodes)
+    ld0 = np.linalg.slogdet(h_ref(q))[1]
+    return np.asarray([
+        grid.integrate(np.linalg.slogdet(herm(sandwich(q, ps.form_at(t).matrix, q)))[1] - ld0)
+        / grid.volume for t in ts
+    ])
+
+
+def weight_kind_ps(kind, n, rng):
+    """A 1-PS with one weight, three distinct weights in a random unitary
+    frame, or n distinct weights (a generic generator)."""
+    u = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+    if kind == "single":
+        lam = np.zeros(n)
+    elif kind == "three":
+        m = np.array([1, (n - 1) // 2, n - 1 - (n - 1) // 2])
+        lam = np.repeat([1.0, 0.3, -(1.0 + 0.3 * m[1]) / m[2]], m)
+    else:
+        lam = rng.normal(size=n)
+        lam -= lam.mean()
+    ps = bg.one_ps((u * lam) @ u.conj().T)
+    assert len(ps.weights) == {"single": 1, "three": 3, "generic": n}[kind]
+    return ps
+
+
+def check_m2_along_path(basis, grid, ps, ts):
+    got = don.m2_along_path(basis, grid, ps, ts)
+    want = m2_reference(basis, grid, ps, ts)
+    if len(ps.weights) == 1:
+        # h(t) = h_ref along a path with a single weight
+        assert np.abs(got).max() < TOL and np.abs(want).max() < TOL
+    else:
+        assert rel(got, want) < TOL
+
+
 def test_m2_along_path(split_basis, grid, rng):
     ps = bg.random_two_weight_ps(split_basis.dimension, rng)
-    ts = [0.5, 1.5, 3.0]
-    q = bd.q_field(split_basis, grid.nodes)
-    ld0 = np.linalg.slogdet(h_ref(q))[1]
-    want = []
-    for t in ts:
-        h = herm(sandwich(q, ps.form_at(t).matrix, q))
-        want.append(grid.integrate(np.linalg.slogdet(h)[1] - ld0) / grid.volume)
-    assert rel(don.m2_along_path(split_basis, grid, ps, ts), want) < TOL
+    check_m2_along_path(split_basis, grid, ps, [0.5, 1.5, 3.0])
+
+
+@pytest.mark.parametrize("kind", ["single", "three", "generic"])
+def test_m2_along_path_weight_kinds(kind, split_basis, grid, rng):
+    ps = weight_kind_ps(kind, split_basis.dimension, rng)
+    check_m2_along_path(split_basis, grid, ps, [0.5, 1.5, 3.0])
+
+
+@pytest.mark.parametrize("kind", ["single", "three", "generic"])
+def test_m2_along_path_euler_basis(kind, grid_p2, rng):
+    basis = bd.section_basis(bd.euler_tp2(), 1)
+    ps = weight_kind_ps(kind, basis.dimension, rng)
+    check_m2_along_path(basis, grid_p2, ps, [0.5, 1.5, 3.0])
+
+
+def test_m2_along_path_times(grid_p1, rng):
+    basis = bd.section_basis(bd.split(0, 2), 3)
+    ps = bg.random_two_weight_ps(basis.dimension, rng)
+    empty = don.m2_along_path(basis, grid_p1, ps, [])
+    assert empty.shape == (0,) and empty.dtype == float
+    ts = [3.0, 0.5, 3.0, 1.5, 0.5]
+    got = don.m2_along_path(basis, grid_p1, ps, ts)
+    assert rel(got, m2_reference(basis, grid_p1, ps, ts)) < TOL
+    # each time is evaluated on its own: order and repeats do not matter
+    assert rel(got[[2, 4]], got[[0, 1]]) < 1e-15
+    assert rel(don.m2_along_path(basis, grid_p1, ps, sorted(set(ts))), got[[1, 3, 0]]) < TOL
+
+
+def test_m2_along_path_work_shape(grid_p1, monkeypatch, rng):
+    """Chart values once and one Gram product per weight per node block,
+    however many times are sampled."""
+    basis = bd.section_basis(bd.split(0, 2), 3)
+    ps = weight_kind_ps("three", basis.dimension, rng)
+    n_blocks = -(-grid_p1.nodes.size // kernels.BLOCK)
+    calls = {"q_field": 0, "pair": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(bd, "q_field", counted("q_field", bd.q_field))
+    monkeypatch.setattr(kernels, "pair", counted("pair", kernels.pair))
+    for ts in ([1.0], np.linspace(0.5, 12.0, 24)):
+        calls.update(q_field=0, pair=0)
+        don.m2_along_path(basis, grid_p1, ps, ts)
+        assert calls == {"q_field": n_blocks, "pair": n_blocks * len(ps.weights)}
 
 
 def curvature_reference(basis, H, z):
