@@ -30,7 +30,7 @@ def main():
     )
     m_na = xs.m_na(filt)
     ts = np.linspace(1.5, 15.0, 10)
-    m1 = don.m1_curve(basis, grid, ps, ts, n_path=64, method="analytic")
+    m1 = don.m1_curve(basis, grid, ps, ts, n_path=64)
     m2 = don.m2_along_path(basis, grid, ps, ts)
     mdon = m1 + float(xs.mu(filt.ambient)) * m2
     print(" t        M1          M2          M^Don")
@@ -44,7 +44,7 @@ def main():
     basis0 = bd.section_basis(bd.split(0), 2, orthonormal=False)
     ps0 = bg.one_ps(np.diag([0.5, -1.0, 0.5]))
     ts0 = np.linspace(0.0, 20.0, 9)
-    vals = don.m1_curve(basis0, grid, ps0, ts0, n_path=64, method="analytic")
+    vals = don.m1_curve(basis0, grid, ps0, ts0, n_path=64)
     for t, v in zip(ts0, vals):
         print(f"t = {t:5.1f}   M^Don = {v:9.5f}")
     print(f"sup |M^Don| = {np.abs(vals).max():.5f}  (stays below 1)")

@@ -36,7 +36,7 @@ from .bergman import (
     bergman_path,
 )
 from .quadrature import QuadratureGrid, build_grid, build_grid_p1, build_grid_p2
-from .donaldson import m2_along_path, m1_curve, m_don, asymptotic_slope_fit
+from .donaldson import m2_along_path, m1_curve, asymptotic_slope_fit
 from .balance import (
     BalanceState,
     t_iterate,
@@ -75,7 +75,6 @@ __all__ = [
     "build_grid_p2",
     "m2_along_path",
     "m1_curve",
-    "m_don",
     "asymptotic_slope_fit",
     "BalanceState",
     "t_iterate",

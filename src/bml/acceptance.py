@@ -189,7 +189,7 @@ def criterion_4() -> CriterionResult:
     grid = _grid_default()
     mu_e = 1.0
     ts = np.linspace(1.5, 15.0, 10)
-    m1 = don.m1_curve(basis, grid, ps, ts, n_path=64, method="analytic")
+    m1 = don.m1_curve(basis, grid, ps, ts, n_path=64)
     m2 = don.m2_along_path(basis, grid, ps, ts)
     mdon = m1 + mu_e * m2
     fit = don.asymptotic_slope_fit(ts, mdon, t_min=9.0, predicted=-10.0 / 3.0)
@@ -201,7 +201,7 @@ def criterion_4() -> CriterionResult:
     basis0 = bd.section_basis(bd.split(0), 2, orthonormal=False)
     ps0 = bg.one_ps(np.diag([0.5, -1.0, 0.5]))
     ts0 = np.linspace(0.0, 20.0, 9)
-    mdon0 = don.m1_curve(basis0, grid, ps0, ts0, n_path=64, method="analytic")
+    mdon0 = don.m1_curve(basis0, grid, ps0, ts0, n_path=64)
     bounded_ok = float(np.abs(mdon0).max()) <= 1.0
     passed = slope_ok and bounded_ok
     detail = (

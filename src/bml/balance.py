@@ -31,11 +31,6 @@ from .kernels import SingularGram
 from .quadrature import QuadratureGrid
 
 
-class Diverged(RuntimeError):
-    """Eigenvalue spread blew up with monotone m2 decrease: instability
-    evidence, not a numerical failure."""
-
-
 class Inconclusive(ValueError):
     pass
 
@@ -615,8 +610,7 @@ def donaldson_value_line(basis: SectionBasis, grid: QuadratureGrid, H: np.ndarra
     h_he_raw = h_he.values.real[:, 0, 0]
     v = -(np.log(h_raw) - np.log(h_he_raw))
     f1 = don.curvature_field(
-        basis, grid, HermitianForm(matrix=np.asarray(H, dtype=complex)),
-        method="analytic",
+        basis, grid, HermitianForm(matrix=np.asarray(H, dtype=complex))
     ).real[:, 0, 0]
     f0 = mu  # constant curvature density of the HE metric, exact
     m1 = 0.5 * grid.integrate(v * (f0 + f1))

@@ -1,11 +1,10 @@
-"""Fubini-Study metrics, one-parameter degenerations and their limits.
+"""Fubini-Study metrics, one-parameter degenerations and their filtrations.
 
 A hermitian form H on the section space induces the fibre metric
 h(x) = Q(x)* H Q(x).  A trace-free hermitian generator zeta drives the
 path H(t) = e^{2 zeta t}; as t grows the path degenerates along the
-weight filtration of zeta, and conjugating by the weight exponential in
-an adapted frame produces a finite renormalized limit on the locus where
-the filtration stays locally free.  This module also provides the two
+weight filtration of zeta, whose generic graded fibre ranks
+weight_filtration measures.  This module also provides the two
 pointwise operator identities that make these paths subgeodesics: the
 pairwise commutation of the sandwiched moment matrices and the
 factorization of the second time-derivative as F*F >= 0.
@@ -14,13 +13,11 @@ factorization of the second time-derivative as F*F >= 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 import scipy.linalg
 
 from . import kernels
-from .bundles import SectionBasis, q_field, h_ref_field
+from .bundles import SectionBasis, q_field
 from .quadrature import QuadratureGrid
 
 
@@ -33,6 +30,10 @@ class DegenerateSamples(ValueError):
 
 
 class StepTooLarge(ValueError):
+    pass
+
+
+class NotPositiveDefinite(ValueError):
     pass
 
 
@@ -52,7 +53,7 @@ class HermitianForm:
             raise ValueError("form must be hermitian")
         m = 0.5 * (m + m.conj().T)
         if np.linalg.eigvalsh(m).min() <= 0:
-            raise ValueError("form must be positive definite")
+            raise NotPositiveDefinite("form must be positive definite")
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -93,9 +94,21 @@ class OnePS:
         )
 
     def form_at(self, t: float) -> HermitianForm:
-        """The path form H(t) = e^{2 zeta t}."""
+        """The path form H(t) = e^{2 zeta t}.
+
+        In a frame that mixes the weight groups H(t) stops being
+        numerically positive definite once e^{2 spread t} nears 1/eps.
+        """
         m = (self.vectors * np.exp(2.0 * self.eigenvalues * t)) @ self.vectors.conj().T
-        return HermitianForm(0.5 * (m + m.conj().T), provenance=f"exp(t={t})")
+        try:
+            return HermitianForm(0.5 * (m + m.conj().T), provenance=f"exp(t={t})")
+        except NotPositiveDefinite as err:
+            spread = self.weights[0] - self.weights[-1]
+            raise NotPositiveDefinite(
+                f"H(t) is not numerically positive definite at t={t}: weight spread "
+                f"{spread:.6g} gives 2*spread*t = {2.0 * spread * t:.4g} "
+                f"(-ln eps = {-np.log(np.finfo(float).eps):.4g})"
+            ) from err
 
     def flag_basis(self, i: int) -> np.ndarray:
         """Columns spanning the flag step of the first i+1 weight groups."""
@@ -177,15 +190,13 @@ class MetricField:
 
     grid: QuadratureGrid
     values: np.ndarray  # (M, r, r)
-    mask: Optional[np.ndarray] = None  # True where the node is valid
 
     @property
     def rank(self) -> int:
         return self.values.shape[-1]
 
     def min_eigenvalue(self) -> float:
-        vals = self.values if self.mask is None else self.values[self.mask]
-        return float(np.linalg.eigvalsh(vals)[:, 0].min())
+        return float(np.linalg.eigvalsh(self.values)[:, 0].min())
 
 
 def fs_metric(basis: SectionBasis, grid: QuadratureGrid, form: HermitianForm) -> MetricField:
@@ -248,54 +259,6 @@ def weight_filtration(
     graded = [ranks[0]] + [b - a for a, b in zip(ranks, ranks[1:])]
     surviving = tuple(i for i, g in enumerate(graded) if g > 0)
     return ranks, v_dims, surviving
-
-
-def renormalized_metric(
-    basis: SectionBasis,
-    grid: QuadratureGrid,
-    ps: OnePS,
-    t: float,
-    pivot_tol: float = 1e-8,
-) -> MetricField:
-    """Path metric conjugated into finite range: e^{-wt} h_t e^{-wt} in a
-    per-node frame adapted to the fibre images of the flag steps.
-
-    Nodes where the adapted frame meets a small pivot (the filtration
-    degenerates there) are masked out rather than reported.
-    """
-    r = basis.rank
-    q = q_field(basis, grid.nodes)
-    href = h_ref_field(basis, grid)
-    h_t = bergman_path(basis, grid, ps, t).values
-    m = q.shape[0]
-    out = np.zeros((m, r, r), dtype=complex)
-    mask = np.zeros(m, dtype=bool)
-    for node in range(m):
-        frame_cols = []
-        frame_wts = []
-        hr = href[node]
-        for i, w in enumerate(ps.weights):
-            flag = ps.flag_basis(i)
-            img = (flag.T @ q[node]).T  # (r, d_i): fibre image columns
-            for col in img.T:
-                v = col.copy()
-                for u in frame_cols:
-                    v -= u * (u.conj() @ hr @ v)
-                nrm = np.sqrt(max((v.conj() @ hr @ v).real, 0.0))
-                ref = np.sqrt(max((col.conj() @ hr @ col).real, 1e-300))
-                if nrm > pivot_tol * ref:
-                    frame_cols.append(v / nrm)
-                    frame_wts.append(w)
-            if len(frame_cols) == r:
-                break
-        if len(frame_cols) < r:
-            continue
-        s = np.stack(frame_cols, axis=1)
-        d = np.exp(-t * np.asarray(frame_wts))
-        conj = s.conj().T @ h_t[node] @ s
-        out[node] = d[:, None] * conj * d[None, :]
-        mask[node] = True
-    return MetricField(grid=grid, values=out, mask=mask)
 
 
 # ---------------------------------------------------------------------------

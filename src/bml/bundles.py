@@ -26,10 +26,6 @@ class LevelBelowRegularity(ValueError):
     pass
 
 
-class RankDeficient(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class BundlePresentation:
     kind: str  # "split_p1" | "euler_tp2"
@@ -243,15 +239,6 @@ def dq_dz_field(basis: SectionBasis, nodes: np.ndarray) -> np.ndarray:
         pw[:, 1:] = m[1:] * z[:, None] ** (m[1:] - 1)
         out[:, offset : offset + coeffs.size, col] = coeffs[None, :] * pw
     return out
-
-
-def evaluate_q(basis: SectionBasis, x) -> np.ndarray:
-    """Single-point evaluation matrix Q(x), shape (N, r); raises
-    RankDeficient when the evaluation is not surjective at x."""
-    q = q_field(basis, np.asarray([x]))[0]
-    if np.linalg.matrix_rank(q, tol=1e-10 * max(1.0, np.abs(q).max())) < basis.rank:
-        raise RankDeficient(f"evaluation map not surjective at {x}")
-    return q
 
 
 def h_ref_field(basis: SectionBasis, grid: QuadratureGrid, q=None) -> np.ndarray:

@@ -123,7 +123,7 @@ def run_asymptote(cfg: ExperimentConfig, out_dir=None) -> dict:
     m2_pred = xs.m2_slope_prediction(filt)
     mu_e = xs.mu(filt.ambient)
     ts = _times(cfg)
-    m1 = don.m1_curve(basis, grid, ps, ts, method="analytic")
+    m1 = don.m1_curve(basis, grid, ps, ts)
     m2 = don.m2_along_path(basis, grid, ps, ts)
     mdon = m1 + float(mu_e) * m2
     fit_don = don.asymptotic_slope_fit(ts, mdon, t_min=0.6 * cfg.t_end, predicted=float(m_na))

@@ -31,10 +31,6 @@ class UnsupportedBundle(ValueError):
     pass
 
 
-class BoundTooSmall(ValueError):
-    pass
-
-
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
@@ -334,68 +330,6 @@ def regularity_catalog(bundle) -> int:
     if kind == "euler_tp2":
         return -1
     raise UnsupportedBundle(f"unknown catalog bundle {bundle!r}")
-
-
-def k0_level(bundle) -> int:
-    """Effective level max(reg(E), reg(F_max))."""
-    kind = getattr(bundle, "kind", None) or bundle
-    if isinstance(kind, (list, tuple)):
-        return max(regularity_catalog(kind), -max(kind))
-    # the tangent bundle is stable, so it is its own maximal subsheaf
-    return regularity_catalog(bundle)
-
-
-# ---------------------------------------------------------------------------
-# Rational approximation of real weights
-
-
-def _best_fraction_in(lo: float, hi: float, target: float, bound: int):
-    """Closest fraction to ``target`` with denominator <= bound lying in
-    the open interval (lo, hi); None if the interval contains none."""
-    best = None
-    for q in range(1, bound + 1):
-        p_lo = math.floor(lo * q) - 1
-        p_hi = math.ceil(hi * q) + 1
-        for p in range(p_lo, p_hi + 1):
-            cand = Fraction(p, q)
-            c = float(cand)
-            if not (lo < c < hi):
-                continue
-            key = (abs(c - target), cand.denominator)
-            if best is None or key < best[0]:
-                best = (key, cand)
-    return None if best is None else best[1]
-
-
-def rationalize_weights(real_weights: Sequence[float], denominator_bound: int):
-    """Approximate strictly decreasing real weights by rationals w~ with
-    denominators <= bound such that w~ is strictly decreasing and the
-    differences w - w~ are strictly decreasing as well.
-
-    Inputs that are already rational within the bound are returned
-    unchanged (the difference condition is vacuous at zero error).
-    """
-    ws = [float(w) for w in real_weights]
-    if not all(a > b for a, b in zip(ws, ws[1:])):
-        raise ValueError("weights must be strictly decreasing")
-    exact = [Fraction(w).limit_denominator(denominator_bound) for w in ws]
-    if all(float(e) == w for e, w in zip(exact, ws)):
-        return exact
-    out = []
-    prev_val = math.inf
-    prev_diff = math.inf
-    for w in ws:
-        lo = max(w - prev_diff, w - 1.0)
-        hi = min(prev_val, w + 1.0)
-        cand = _best_fraction_in(lo, hi, w, denominator_bound)
-        if cand is None:
-            raise BoundTooSmall(
-                f"no admissible rational near {w} with denominator <= {denominator_bound}"
-            )
-        out.append(cand)
-        prev_val = float(cand)
-        prev_diff = w - prev_val
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,20 @@ def test_form_at_matches_expm(rng):
         assert np.abs(ps.form_at(t).matrix - expected).max() < 1e-11 * np.linalg.norm(expected)
 
 
+def test_form_at_names_loss_of_definiteness():
+    # weights 1, 0, -1 in a random frame: once e^{2 spread t} nears 1/eps
+    # the smallest eigenvalue of H(t) is roundoff of either sign
+    rng = np.random.default_rng(9)
+    u, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    ps = bg.one_ps((u * np.array([1.0, 0.0, -1.0])) @ u.conj().T)
+    ps.form_at(8.0)
+    with pytest.raises(bg.NotPositiveDefinite, match=r"at t=.*weight spread 2 gives"):
+        for t in np.arange(8.0, 16.0, 0.25):
+            ps.form_at(t)
+    with pytest.raises(bg.NotPositiveDefinite, match="positive definite"):
+        bg.HermitianForm(np.diag([1.0, -1.0]))
+
+
 def test_two_step_requires_trace_free():
     basis = catalog_basis()
     with pytest.raises(ValueError, match="trace-free"):
@@ -91,19 +105,6 @@ def test_weight_filtration_catalog(rng):
     assert ranks == [1, 2]
     assert v_dims == [6, 10]
     assert surviving == (0, 1)
-
-
-def test_renormalized_metric_stays_bounded(grid_p1):
-    basis = catalog_basis()
-    ps = catalog_ps(basis)
-    small = bg.renormalized_metric(basis, grid_p1, ps, 3.0)
-    assert small.mask.all()
-    eigs = np.linalg.eigvalsh(small.values[small.mask])
-    assert eigs[:, 0].min() > 0
-    large = bg.renormalized_metric(basis, grid_p1, ps, 8.0)
-    big_eigs = np.linalg.eigvalsh(large.values[large.mask])
-    # the conjugated path stays within a fixed band while the raw path blows up
-    assert big_eigs[:, -1].max() < 10.0 * eigs[:, -1].max()
 
 
 def test_commutator_small_for_two_weights(rng):

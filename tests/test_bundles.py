@@ -32,14 +32,6 @@ def test_q_field_shapes(grid_p1):
     assert q.shape == (grid_p1.nodes.size, 10, 2)
 
 
-def test_evaluate_q_matches_field():
-    basis = bd.section_basis(bd.split(1, 1), 2)
-    x = 0.7 - 0.3j
-    a = bd.evaluate_q(basis, x)
-    b = bd.q_field(basis, np.asarray([x]))[0]
-    assert np.allclose(a, b)
-
-
 def test_dq_dz_matches_finite_difference():
     basis = bd.section_basis(bd.split(0, 2), 3)
     z = np.asarray([0.4 + 0.9j, -1.3 + 0.2j])

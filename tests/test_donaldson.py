@@ -38,57 +38,101 @@ def test_m1_closed_form(grid_p1_fine):
     # for this self-dual path the curvature pairing equals the log-det energy
     basis, ps = line_pair()
     ts = [0.5, 1.0, 2.0]
-    vals = don.m1_curve(basis, grid_p1_fine, ps, ts, n_path=48, method="analytic")
+    vals = don.m1_curve(basis, grid_p1_fine, ps, ts, n_path=48)
     for t, v in zip(ts, vals):
         assert v == pytest.approx(closed_form(t), abs=1e-6)
 
 
 def test_curvature_degree_analytic(grid_p1):
     basis, _ = catalog_pair()
-    f = don.curvature_field(basis, grid_p1, bg.identity_form(basis.dimension), method="analytic")
+    f = don.curvature_field(basis, grid_p1, bg.identity_form(basis.dimension))
     deg = grid_p1.integrate(np.trace(f, axis1=1, axis2=2).real)
     assert deg == pytest.approx(2.0, abs=1e-9)
 
 
-def test_curvature_fd_matches_analytic(grid_p1):
+def honest_metric(basis, H, z):
+    """The metric on E itself: (h^T)^{-1} (1+|z|^2)^k with h = Q* H Q."""
+    q = bd.q_field(basis, z)
+    h = np.einsum("mni,nk,mkj->mij", q.conj(), H, q)
+    tw = (1.0 + np.abs(z) ** 2) ** basis.level
+    return tw[:, None, None] * np.linalg.inv(np.swapaxes(h, -1, -2))
+
+
+def d4(f, z, step, direction):
+    """Fourth-order central difference of f at z along direction (1 or 1j)."""
+    s = direction * step
+    return (8.0 * (f(z + s) - f(z - s)) - (f(z + 2 * s) - f(z - 2 * s))) / (12.0 * step[:, None, None])
+
+
+def curvature_fd(basis, H, z, rel_step=1e-3):
+    """Curvature density against the FS measure by nested differences:
+    A = g^{-1} dg/dz, F = -(dA/dzbar) / pi, with a chart-relative step."""
+    step = rel_step * (1.0 + np.abs(z))
+
+    def g(w):
+        return honest_metric(basis, H, w)
+
+    def connection(w):
+        return np.linalg.inv(g(w)) @ (0.5 * (d4(g, w, step, 1) - 1j * d4(g, w, step, 1j)))
+
+    a_zbar = 0.5 * (d4(connection, z, step, 1) + 1j * d4(connection, z, step, 1j))
+    return -((1.0 + np.abs(z) ** 2) ** 2)[:, None, None] * a_zbar
+
+
+@pytest.fixture(scope="module")
+def fd_reference(grid_p1):
+    """The catalog pair at t = 0.5 with its finite-difference curvature:
+    the one check of the closed form that shares none of its algebra."""
     basis, ps = catalog_pair()
-    form = ps.form_at(0.5)
-    fa = don.curvature_field(basis, grid_p1, form, method="analytic")
-    ff = don.curvature_field(basis, grid_p1, form, method="fd")
-    scale = np.abs(fa).max()
-    assert np.abs(fa - ff).max() < 1e-4 * scale
+    H = ps.form_at(0.5).matrix
+    return basis, ps, H, curvature_fd(basis, H, grid_p1.nodes)
 
 
-def test_richardson_check(grid_p1):
-    basis, _ = catalog_pair()
-    deg = don.richardson_check_curvature(
-        basis, grid_p1, bg.identity_form(basis.dimension), fd_step=1e-3
-    )
-    assert deg == pytest.approx(2.0, abs=1e-6)
+def test_curvature_fd_matches_analytic(grid_p1, fd_reference):
+    basis, ps, H, ff = fd_reference
+    fa = don.curvature_field(basis, grid_p1, ps.form_at(0.5))
+    assert np.abs(fa - ff).max() < 1e-4 * np.abs(fa).max()
 
 
-def test_m1_rate_fd_matches_analytic(grid_p1):
-    basis, ps = catalog_pair()
-    a = don.m1_rate(basis, grid_p1, ps, 0.8, method="analytic")
-    b = don.m1_rate(basis, grid_p1, ps, 0.8, method="fd")
-    assert a == pytest.approx(b, rel=1e-6)
+def test_m1_rate_fd_matches_analytic(grid_p1, fd_reference):
+    basis, ps, H, ff = fd_reference
+    q = bd.q_field(basis, grid_p1.nodes)
+    h = np.einsum("mni,nk,mkj->mij", q.conj(), H, q)
+    hdot = np.einsum("mni,nk,mkj->mij", q.conj(), H @ (2.0 * ps.generator), q)
+    # tr(g^{-1} dg/dt F) = -tr(h^{-1} hdot F^T) for the honest g = (h^T)^{-1}
+    integrand = -np.einsum("mij,mij->m", np.linalg.solve(h, hdot), ff).real
+    want = grid_p1.integrate(integrand)
+    assert don.m1_rate(basis, grid_p1, ps, 0.5) == pytest.approx(want, rel=1e-6)
+
+
+def test_curvature_method_accepts_only_analytic(grid_p1):
+    basis, ps = line_pair()
+    with pytest.raises(ValueError, match="fd"):
+        don.curvature_field(basis, grid_p1, ps.form_at(0.5), method="fd")
+    with pytest.raises(ValueError, match="fd"):
+        don.m1_curve(basis, grid_p1, ps, [1.0], method="fd")
+
+
+def test_m1_curve_keeps_the_callers_order(grid_p1):
+    basis, ps = line_pair()
+    forward = don.m1_curve(basis, grid_p1, ps, [1.0, 2.0], n_path=16)
+    assert forward[0] < forward[1]
+    # same sorted times, so the same Gauss nodes: exact agreement
+    assert np.array_equal(don.m1_curve(basis, grid_p1, ps, [2.0, 1.0], n_path=16), forward[::-1])
+    # M1 = M2 on this self-dual path, so the two curves pair time by time
+    m2 = don.m2_along_path(basis, grid_p1, ps, [2.0, 1.0])
+    assert np.allclose(m2, forward[::-1], rtol=1e-8)
+    # 24 // 3 = 16 // 2 Gauss nodes per segment, and a repeat adds no segment
+    repeated = don.m1_curve(basis, grid_p1, ps, [2.0, 1.0, 2.0], n_path=24)
+    assert np.array_equal(repeated, forward[[1, 0, 1]])
+    with pytest.raises(ValueError, match="nonnegative"):
+        don.m1_curve(basis, grid_p1, ps, [1.0, -0.5])
 
 
 def test_curvature_requires_p1(grid_p2):
     basis = bd.section_basis(bd.euler_tp2(), 1)
     with pytest.raises(NotImplementedError):
         don.curvature_field(basis, grid_p2, bg.identity_form(basis.dimension))
-
-
-def test_m_don_composition(grid_p1):
-    from fractions import Fraction
-
-    basis, ps = catalog_pair()
-    t = 2.0
-    combined = don.m_don(basis, grid_p1, ps, t, Fraction(1), n_path=32, method="analytic")
-    m1 = don.m1_don(basis, grid_p1, ps, t, n_path=32, method="analytic")
-    m2 = don.m2_along_path(basis, grid_p1, ps, [t])[0]
-    assert combined == pytest.approx(m1 + m2, abs=1e-12)
 
 
 def test_m2_slope_catalog(grid_p1):

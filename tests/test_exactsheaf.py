@@ -137,25 +137,6 @@ def test_regularity_catalog():
     assert xs.regularity_catalog((0, 2)) == 0
     assert xs.regularity_catalog((2,)) == -2
     assert xs.regularity_catalog("euler_tp2") == -1
-    assert xs.k0_level((0, 2)) == 0
-
-
-def test_rationalize_exact_inputs_unchanged():
-    out = xs.rationalize_weights([0.5, -0.25], 8)
-    assert out == [Fraction(1, 2), Fraction(-1, 4)]
-
-
-def test_rationalize_preserves_order():
-    ws = [2.0 / 3.0 + 1e-11, -1.0 + 1e-11]
-    out = xs.rationalize_weights(ws, 12)
-    assert all(a > b for a, b in zip(out, out[1:]))
-    diffs = [w - float(o) for w, o in zip(ws, out)]
-    assert all(a > b for a, b in zip(diffs, diffs[1:]))
-
-
-def test_rationalize_bound_too_small():
-    with pytest.raises(xs.BoundTooSmall):
-        xs.rationalize_weights([0.123456789, 0.123456788], 2)
 
 
 @given(st.fractions(max_denominator=1000))

@@ -201,18 +201,8 @@ def test_curvature_and_m1_rate(split_basis, grid, rng):
     f_fs = np.pi * (1.0 + np.abs(z) ** 2)[:, None, None] ** 2 * f
     integrand = np.einsum("mij,mji->m", g_dot, f_fs).real
     want = grid.integrate(integrand)
-    got = don.m1_rate(split_basis, grid, ps, t, method="analytic")
+    got = don.m1_rate(split_basis, grid, ps, t)
     assert abs(got - want) < TOL * grid.integrate(np.abs(integrand))
-
-
-def test_honest_metric_eval(split_basis, rng):
-    H = positive_form(split_basis.dimension, rng)
-    z = rng.normal(size=50) + 1j * rng.normal(size=50)
-    q = bd.q_field(split_basis, z)
-    tw = (1.0 + np.abs(z) ** 2) ** split_basis.level
-    want = tw[:, None, None] * np.linalg.inv(np.swapaxes(sandwich(q, H, q), -1, -2))
-    got = don._honest_metric_eval(split_basis, bg.HermitianForm(H))(z)
-    assert rel(got, want) < TOL
 
 
 def test_b_matrix_p_field_and_m2_value(split_basis, grid, rng):
@@ -263,8 +253,8 @@ def test_repeated_calls_are_byte_identical(grid_p1, rng):
     H = ps.form_at(0.7).matrix
     b = bl._b_matrix(basis, grid_p1, H)[0]
     assert b.tobytes() == bl._b_matrix(basis, grid_p1, H)[0].tobytes()
-    rate = don.m1_rate(basis, grid_p1, ps, 0.7, method="analytic")
-    assert rate == don.m1_rate(basis, grid_p1, ps, 0.7, method="analytic")
+    rate = don.m1_rate(basis, grid_p1, ps, 0.7)
+    assert rate == don.m1_rate(basis, grid_p1, ps, 0.7)
 
 
 def test_overflowing_chart_names_the_node(grid_p1_fine):
