@@ -99,7 +99,7 @@ def curvature_field(
     method: str = "analytic",
 ) -> np.ndarray:
     """Chern curvature density of the honest metric, shape (M, r, r), in
-    closed form from the holomorphic derivatives of Q (see _curvature_block).
+    closed form from the holomorphic derivatives of Q (see _curvature_frame).
 
     Normalized as a density against the quadrature measure:
     grid.integrate(trace of the result) equals the degree of E.
@@ -108,66 +108,127 @@ def curvature_field(
     if grid.space_tag != "P1":
         raise NotImplementedError("curvature implemented on the P1 catalog")
     z = np.asarray(grid.nodes)
-    return _fs_jacobian(z)[:, None, None] * _curvature_analytic(basis, form, z)
-
-
-def _fs_jacobian(z: np.ndarray) -> np.ndarray:
-    """Converts a dx dy density to a density against the FS measure."""
-    return np.pi * (1.0 + np.abs(z) ** 2) ** 2
-
-
-def _curvature_analytic(basis: SectionBasis, form: HermitianForm, z: np.ndarray):
-    """Closed-form curvature density via the holomorphic derivatives of Q,
-    block by block (see _curvature_block)."""
     out = np.empty((len(z), basis.rank, basis.rank), dtype=complex)
     for sl, q in kernels.blocks(basis, z):
-        h = kernels.fibre(kernels.sandwich(q, form.matrix, q), z, sl)
-        out[sl] = _curvature_block(basis, form, z[sl], q, np.linalg.inv(h.transpose(0, 2, 1)))
+        out[sl] = _curvature_block(basis, form, z, sl, q)
     return out
 
 
-def _curvature_block(basis: SectionBasis, form: HermitianForm, z, q, ht_inv):
-    """Curvature density on one node block from the chart values q there
-    and (h^T)^{-1}, h = Q* H Q.
-
-    With a = Q* H dQ and c = dQ* H dQ, the curvature term of the honest
-    metric is (c - a* h^{-1} a)^T (h^T)^{-1}.  The difference cancels
-    heavily at large |z|; inverting h^T, rather than transposing h^{-1},
-    measured 10-100x closer to an extended-precision reference at k = 20.
-    """
-    d = bundles.dq_dz_field(basis, z)
+def _curvature_block(basis: SectionBasis, form: HermitianForm, z, sl: slice, q):
+    """curvature_field on one node block, from its chart values q."""
+    d = bundles.dq_dz_field(basis, z[sl])
     hd = kernels.act(form.matrix, d)
-    a_t = kernels.pair(q.transpose(0, 2, 1), hd).transpose(0, 2, 1)
-    c_t = kernels.pair(d.transpose(0, 2, 1), hd).transpose(0, 2, 1)
-    term = (c_t - a_t @ ht_inv @ a_t.conj().transpose(0, 2, 1)) @ ht_inv
-    fs_part = basis.level / (1.0 + np.abs(z) ** 2) ** 2
-    return (term - fs_part[:, None, None] * np.eye(basis.rank)) / np.pi
+    hac = (
+        kernels.fibre(kernels.sandwich(q, form.matrix, q), z, sl),
+        kernels.pair(q.transpose(0, 2, 1), hd),
+        kernels.pair(d.transpose(0, 2, 1), hd),
+    )
+    del d, hd
+    w, l, k = _curvature_frame(basis.level, z[sl], *(x.transpose(1, 2, 0) for x in hac))
+    f_t = kernels.mul(kernels.mul(kernels.ct(w), k), kernels.ct(l))
+    return (1.0 + np.abs(z[sl]) ** 2)[:, None, None] ** 2 * f_t.transpose(2, 1, 0)
+
+
+def _curvature_frame(level: int, z, h, a, c):
+    """The curvature of the honest metric on one node block, in the frame
+    that whitens h, from (r, r, B) stacks of h = Q* H Q, a = Q* H dQ and
+    c = dQ* H dQ.
+
+    The honest metric is g = (1 + |z|^2)^k (h^T)^{-1}; its curvature
+    density against dx dy is F = (h^{-1} S - fs)^T / pi with the Schur
+    complement S = c - a* h^{-1} a and fs = k / (1 + |z|^2)^2.  With the
+    Cholesky whitening W = L^{-1}, h = L L*, this returns (W, L, K) for
+    the hermitian
+
+        K = W S W* - fs,    S = c - (W a)* (W a),    pi F^T = W* K L*,
+
+    so no inverse of h is formed and (h^T)^{-1} = conj(W* W) exactly.
+    """
+    w, l = kernels.whiten(h)
+    wa = kernels.mul(w, a)
+    k = kernels.mul(kernels.mul(w, c - kernels.mul(kernels.ct(wa), wa)), kernels.ct(w))
+    fs = level / (1.0 + np.abs(z) ** 2) ** 2
+    for i in range(len(k)):
+        k[i, i] -= fs
+    return w, l, k
 
 
 # ---------------------------------------------------------------------------
 # Curvature pairing M1
 
+# nodes per rotation V* Q in _path_jets: a block's Q and dQ are then the
+# only sizable temporaries beside the held blocks
+_ROTATE = 256
 
-def m1_rate(basis: SectionBasis, grid: QuadratureGrid, ps: OnePS, t: float) -> float:
-    """d/dt of the curvature-pairing energy at path time t:
-    int_X tr( g^{-1} dg/dt . F[g] ), with the curvature evaluated in the
-    same node blocks, from the same Q and h."""
+
+def _path_jets(basis: SectionBasis, grid: QuadratureGrid, ps: OnePS) -> list:
+    """The per-weight 1-jet blocks of the chart along ps, per node block.
+
+    With V_d the eigenvectors of weight w_d, B_d = V_d* Q and
+    D_d = V_d* dQ/dz, the blocks G_d = B_d* B_d, A_d = B_d* D_d and
+    C_d = D_d* D_d give every factor of the M1 integrand at path time t:
+
+        h = sum_d e^{2 w_d t} G_d,   hdot = sum_d 2 w_d e^{2 w_d t} G_d,
+        a = sum_d e^{2 w_d t} A_d,   c = sum_d e^{2 w_d t} C_d.
+
+    Returns (slice, stack) per node block, the stack of shape
+    (D, 3, r, r, B) holding G_d, A_d, C_d with the node index last.
+    """
     if grid.space_tag != "P1":
         raise NotImplementedError("curvature implemented on the P1 catalog")
-    form = ps.form_at(t)
-    hu = form.matrix @ (2.0 * ps.generator)
     z = grid.nodes
-    integrand = np.empty(len(z))
+    vh = ps.vectors.conj().T
+    r = basis.rank
+    jets = []
     for sl, q in kernels.blocks(basis, z):
-        h = kernels.fibre(kernels.sandwich(q, form.matrix, q), z, sl)
-        ht_inv = np.linalg.inv(h.transpose(0, 2, 1))
-        hdot = kernels.sandwich(q, hu, q)
-        f_sl = _curvature_block(basis, form, z[sl], q, ht_inv)
-        f_sl *= _fs_jacobian(z[sl])[:, None, None]
-        # honest-path logarithmic derivative: g^{-1} dg/dt = -(h^{-1} hdot)^T,
-        # so tr(g^{-1} dg/dt F) = -tr(h^{-1} hdot F^T), h^{-1} = (ht_inv)^T
-        integrand[sl] = -np.einsum("mij,mij->m", ht_inv.transpose(0, 2, 1) @ hdot, f_sl).real
+        d = bundles.dq_dz_field(basis, z[sl])
+        stack = np.empty((len(ps.slices), 3, r, r, len(q)), dtype=complex)
+        for part in (slice(i, i + _ROTATE) for i in range(0, len(q), _ROTATE)):
+            vq, vd = kernels.act(vh, q[part]), kernels.act(vh, d[part])
+            for i, s in enumerate(ps.slices):
+                b, db = vq[:, :, s], vd[:, :, s]
+                stack[i, 0, ..., part] = kernels.pair(b, b).transpose(1, 2, 0)
+                stack[i, 1, ..., part] = kernels.pair(b, db).transpose(1, 2, 0)
+                stack[i, 2, ..., part] = kernels.pair(db, db).transpose(1, 2, 0)
+        jets.append((sl, stack))
+    return jets
+
+
+def m1_rate(
+    basis: SectionBasis, grid: QuadratureGrid, ps: OnePS, t: float, *, jets=None
+) -> float:
+    """d/dt of the curvature-pairing energy at path time t:
+    int_X tr( g^{-1} dg/dt . F[g] ) on the honest metric g.
+
+    ``jets`` holds the blocks of _path_jets when the caller keeps them;
+    per node block only a D-term combination and the whitened r x r
+    algebra remain.  Since g^{-1} dg/dt = -(h^{-1} hdot)^T, the integrand
+    is -(1 + |z|^2)^2 tr(X K) with X = W hdot W* and K from
+    _curvature_frame.
+    """
+    if jets is None:
+        jets = _path_jets(basis, grid, ps)
+    weights = np.asarray(ps.weights)
+    with np.errstate(over="ignore"):
+        e = np.exp(2.0 * weights * t)
+    e_dot = 2.0 * weights * e
+    integrand = np.empty(len(grid.nodes))
+    for sl, stack in jets:
+        integrand[sl] = _rate_block(basis.level, grid.nodes, sl, stack, e, e_dot)
     return grid.integrate(integrand)
+
+
+def _rate_block(level: int, z, sl: slice, stack, e, e_dot):
+    """The m1_rate integrand on one node block of jets, for the time
+    factors e = e^{2 w_d t} and e_dot = 2 w_d e^{2 w_d t}."""
+    n_w, _, r, _, b = stack.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        hac = kernels.finite((e @ stack.reshape(n_w, -1)).reshape(3, r, r, b), z, sl)
+        hdot = (e_dot @ stack[:, 0].reshape(n_w, -1)).reshape(r, r, b)
+    w, _, k = _curvature_frame(level, z[sl], *hac)
+    del hac
+    x = kernels.mul(kernels.mul(w, hdot), kernels.ct(w))
+    return -(1.0 + np.abs(z[sl]) ** 2) ** 2 * kernels.trace_mul(x, k).real
 
 
 def m1_curve(
@@ -180,12 +241,14 @@ def m1_curve(
 ) -> np.ndarray:
     """M1 at each requested time, in the order given, as the cumulative
     t-integral of the rate over a shared Gauss-Legendre subdivision of
-    [0, max(ts)] at the sorted times."""
+    [0, max(ts)] at the sorted times, n_path // (distinct times) nodes per
+    segment.  The jet blocks are formed once and dropped on return."""
     _only_analytic(method)
     ts = np.asarray(ts, dtype=float).ravel()
     if (ts < 0).any():
         raise ValueError("path time must be nonnegative")
-    x, w = np.polynomial.legendre.leggauss(max(4, n_path // max(1, len(ts))))
+    x, w = np.polynomial.legendre.leggauss(max(4, n_path // max(1, len(np.unique(ts)))))
+    jets = _path_jets(basis, grid, ps) if (ts > 0).any() else None
     out = np.empty(len(ts))
     total = 0.0
     lo = 0.0
@@ -193,7 +256,7 @@ def m1_curve(
         t = ts[i]
         if t > lo:
             nodes = 0.5 * (t - lo) * (x + 1.0) + lo
-            rates = [m1_rate(basis, grid, ps, tv) for tv in nodes]
+            rates = [m1_rate(basis, grid, ps, tv, jets=jets) for tv in nodes]
             total += 0.5 * (t - lo) * float(np.dot(w, rates))
             lo = t
         out[i] = total

@@ -61,13 +61,21 @@ def sandwich(a: np.ndarray, mat: np.ndarray, b: np.ndarray) -> np.ndarray:
     return pair(a.transpose(0, 2, 1), act(mat, b))
 
 
-def fibre(h: np.ndarray, nodes, sl: slice) -> np.ndarray:
-    """Hermitian part of a block of sandwiches; NonFiniteChart names the
-    first node whose sandwich overflowed."""
-    bad = ~np.isfinite(h).all(axis=(1, 2))
+def finite(x: np.ndarray, nodes, sl: slice) -> np.ndarray:
+    """x, a stack of per-node values with the node index last, unchanged
+    when every entry is finite; otherwise NonFiniteChart names the first
+    node with an overflowed entry."""
+    bad = ~np.isfinite(x).reshape(-1, x.shape[-1]).all(axis=0)
     if bad.any():
         i = sl.start + int(np.argmax(bad))
         raise NonFiniteChart(i, nodes[i])
+    return x
+
+
+def fibre(h: np.ndarray, nodes, sl: slice) -> np.ndarray:
+    """Hermitian part of a block of sandwiches; NonFiniteChart names the
+    first node whose sandwich overflowed."""
+    finite(h.transpose(1, 2, 0), nodes, sl)
     return 0.5 * (h + h.conj().transpose(0, 2, 1))
 
 
@@ -117,3 +125,50 @@ def b_matrix(basis, nodes, w, H, q=None):
 def p_field(q: np.ndarray, hinv: np.ndarray) -> np.ndarray:
     """P(x) = Q h^{-1} Q* per node, shape (B, N, N)."""
     return (q @ hinv) @ q.conj().transpose(0, 2, 1)
+
+
+# ---------------------------------------------------------------------------
+# r x r algebra vectorized over nodes
+#
+# A stack of shape (r, r, B) holds one r x r matrix per node, node index
+# last.  numpy sends a stacked complex `@` or `inv` to BLAS/LAPACK once
+# per node; here the loops run over the small index and every operation
+# is one vector operation over the B nodes.
+
+
+def mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x y per node for (r, r, B) stacks."""
+    out = x[:, :1] * y[None, 0]
+    for k in range(1, x.shape[1]):
+        out += x[:, k : k + 1] * y[None, k]
+    return out
+
+
+def ct(x: np.ndarray) -> np.ndarray:
+    """x* per node for an (r, r, B) stack."""
+    return x.conj().transpose(1, 0, 2)
+
+
+def trace_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """tr(x y) per node for (r, r, B) stacks."""
+    return (x * y.transpose(1, 0, 2)).sum(axis=(0, 1))
+
+
+def whiten(h: np.ndarray):
+    """Cholesky whitening per node of an (r, r, B) stack of hermitian
+    matrices, read from their lower triangles: (W, L) with h = L L* and
+    W = L^{-1}, both lower triangular, so that W h W* = 1 and
+    h^{-1} = W* W.  SingularGram if some h is not numerically positive."""
+    r = h.shape[0]
+    l = np.zeros_like(h)
+    for j in range(r):
+        d = h[j, j].real - (np.abs(l[j, :j]) ** 2).sum(axis=0)
+        if not (d > 0).all():
+            raise SingularGram("fibre metric lost positivity")
+        l[j, j] = np.sqrt(d)
+        l[j + 1 :, j] = (h[j + 1 :, j] - (l[j + 1 :, :j] * l[j, :j].conj()).sum(axis=1)) / l[j, j]
+    w = np.zeros_like(h)
+    for i in range(r):
+        w[i, :i] = -(l[i, :i, None] * w[:i, :i]).sum(axis=0) / l[i, i]
+        w[i, i] = 1.0 / l[i, i]
+    return w, l

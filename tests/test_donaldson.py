@@ -122,9 +122,11 @@ def test_m1_curve_keeps_the_callers_order(grid_p1):
     # M1 = M2 on this self-dual path, so the two curves pair time by time
     m2 = don.m2_along_path(basis, grid_p1, ps, [2.0, 1.0])
     assert np.allclose(m2, forward[::-1], rtol=1e-8)
-    # 24 // 3 = 16 // 2 Gauss nodes per segment, and a repeat adds no segment
-    repeated = don.m1_curve(basis, grid_p1, ps, [2.0, 1.0, 2.0], n_path=24)
-    assert np.array_equal(repeated, forward[[1, 0, 1]])
+    # the Gauss rule counts distinct times, and a repeat adds no segment
+    repeated = don.m1_curve(basis, grid_p1, ps, [2.0, 1.0, 2.0, 1.0], n_path=16)
+    assert np.array_equal(repeated, forward[[1, 0, 1, 0]])
+    with_zero = don.m1_curve(basis, grid_p1, ps, [0.0, 2.0, 0.0, 1.0], n_path=24)
+    assert np.array_equal(with_zero, [0.0, forward[1], 0.0, forward[0]])
     with pytest.raises(ValueError, match="nonnegative"):
         don.m1_curve(basis, grid_p1, ps, [1.0, -0.5])
 

@@ -154,6 +154,14 @@ def test_m2_along_path_times(grid_p1, rng):
     assert rel(don.m2_along_path(basis, grid_p1, ps, sorted(set(ts))), got[[1, 3, 0]]) < TOL
 
 
+def counted(calls, name, fn):
+    """fn, adding one to calls[name] per call."""
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 def test_m2_along_path_work_shape(grid_p1, monkeypatch, rng):
     """Chart values once and one Gram product per weight per node block,
     however many times are sampled."""
@@ -161,15 +169,8 @@ def test_m2_along_path_work_shape(grid_p1, monkeypatch, rng):
     ps = weight_kind_ps("three", basis.dimension, rng)
     n_blocks = -(-grid_p1.nodes.size // kernels.BLOCK)
     calls = {"q_field": 0, "pair": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(bd, "q_field", counted("q_field", bd.q_field))
-    monkeypatch.setattr(kernels, "pair", counted("pair", kernels.pair))
+    monkeypatch.setattr(bd, "q_field", counted(calls, "q_field", bd.q_field))
+    monkeypatch.setattr(kernels, "pair", counted(calls, "pair", kernels.pair))
     for ts in ([1.0], np.linspace(0.5, 12.0, 24)):
         calls.update(q_field=0, pair=0)
         don.m2_along_path(basis, grid_p1, ps, ts)
@@ -187,22 +188,61 @@ def curvature_reference(basis, H, z):
     return -(fs_part[:, None, None] * np.eye(basis.rank)[None] - term) / np.pi
 
 
-def test_curvature_and_m1_rate(split_basis, grid, rng):
-    ps = bg.random_two_weight_ps(split_basis.dimension, rng)
-    t = 0.8
+def m1_rate_reference(basis, grid, ps, t):
+    """The M1 rate from H(t) and the generator, with inverses of h."""
     H = ps.form_at(t).matrix
     z = grid.nodes
-    f = curvature_reference(split_basis, H, z)
-    assert rel(don._curvature_analytic(split_basis, bg.HermitianForm(H), z), f) < TOL
-
-    q = bd.q_field(split_basis, z)
+    q = bd.q_field(basis, z)
     hdot = sandwich(q, H @ (2.0 * ps.generator), q)
     g_dot = -np.swapaxes(np.linalg.inv(sandwich(q, H, q)) @ hdot, -1, -2)
-    f_fs = np.pi * (1.0 + np.abs(z) ** 2)[:, None, None] ** 2 * f
+    f_fs = np.pi * (1.0 + np.abs(z) ** 2)[:, None, None] ** 2 * curvature_reference(basis, H, z)
     integrand = np.einsum("mij,mji->m", g_dot, f_fs).real
-    want = grid.integrate(integrand)
-    got = don.m1_rate(split_basis, grid, ps, t)
-    assert abs(got - want) < TOL * grid.integrate(np.abs(integrand))
+    return grid.integrate(integrand), grid.integrate(np.abs(integrand))
+
+
+def check_curvature_and_m1_rate(basis, grid, ps, t):
+    H = ps.form_at(t).matrix
+    z = grid.nodes
+    # compared as densities against dx dy, as the reference is: against
+    # the FS measure the entries at the outer nodes grow like (1 + |z|^2)^2
+    # and one-ulp changes of h, a or c move them by about 1e-10 of the
+    # largest, in either algebra
+    f = don.curvature_field(basis, grid, bg.HermitianForm(H))
+    jacobian = np.pi * (1.0 + np.abs(z) ** 2)[:, None, None] ** 2
+    assert rel(f / jacobian, curvature_reference(basis, H, z)) < TOL
+
+    want, scale = m1_rate_reference(basis, grid, ps, t)
+    got = don.m1_rate(basis, grid, ps, t)
+    # a single weight has hdot = 0: both rates vanish and scale is 0
+    assert abs(got - want) <= TOL * scale
+    # held jet blocks give the very same number
+    assert don.m1_rate(basis, grid, ps, t, jets=don._path_jets(basis, grid, ps)) == got
+
+
+def test_curvature_and_m1_rate(split_basis, grid, rng):
+    check_curvature_and_m1_rate(split_basis, grid, bg.random_two_weight_ps(split_basis.dimension, rng), 0.8)
+
+
+@pytest.mark.parametrize("kind", ["single", "three", "generic"])
+def test_curvature_and_m1_rate_weight_kinds(kind, split_basis, grid, rng):
+    check_curvature_and_m1_rate(split_basis, grid, weight_kind_ps(kind, split_basis.dimension, rng), 0.8)
+
+
+def test_m1_curve_work_shape(grid_p1, monkeypatch, rng):
+    """Chart values and their derivatives once per node block, whatever
+    the number of Gauss nodes, one rate per Gauss node, and no H(t)."""
+    basis = bd.section_basis(bd.split(0, 2), 3)
+    ps = weight_kind_ps("three", basis.dimension, rng)
+    n_blocks = -(-grid_p1.nodes.size // kernels.BLOCK)
+    calls = {"q_field": 0, "dq_dz_field": 0, "m1_rate": 0, "form_at": 0}
+    monkeypatch.setattr(bd, "q_field", counted(calls, "q_field", bd.q_field))
+    monkeypatch.setattr(bd, "dq_dz_field", counted(calls, "dq_dz_field", bd.dq_dz_field))
+    monkeypatch.setattr(don, "m1_rate", counted(calls, "m1_rate", don.m1_rate))
+    monkeypatch.setattr(bg.OnePS, "form_at", counted(calls, "form_at", bg.OnePS.form_at))
+    for ts, n_path, n_gauss in (([2.0], 4, 4), ([1.0, 3.0], 24, 24)):
+        calls.update(q_field=0, dq_dz_field=0, m1_rate=0, form_at=0)
+        don.m1_curve(basis, grid_p1, ps, ts, n_path=n_path)
+        assert calls == {"q_field": n_blocks, "dq_dz_field": n_blocks, "m1_rate": n_gauss, "form_at": 0}
 
 
 def test_b_matrix_p_field_and_m2_value(split_basis, grid, rng):
