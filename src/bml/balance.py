@@ -115,7 +115,8 @@ def _det_normalize(H: np.ndarray) -> np.ndarray:
 
 def _b_matrix(basis: SectionBasis, grid: QuadratureGrid, H: np.ndarray, q=None):
     """B(H) = (1/Vol_L) int Q h_H^{-1} Q* dV, so that balance reads
-    B(H) = (r/N) H^{-1}; with it log det h_H and h_H^{-1} at every node."""
+    B(H) = (r/N) H^{-1}; with it log det h_H and the whitening W of h_H
+    (h_H^{-1} = W* W) at every node."""
     return kernels.b_matrix(basis, grid.nodes, grid.weights / grid.volume, H, q)
 
 
@@ -147,14 +148,14 @@ def _spread(H: np.ndarray) -> float:
 
 def _solver_parts(basis, grid, H, ld0, q=None):
     """What a solver step needs at the form H, from one pass over the node
-    blocks: h_H^{-1} per node, B(H), _sqrtm_psd(H), the hermitian residual
-    M(H) - (r/N) I with M(H) = H^{1/2} B(H) H^{1/2}, and m2 against the
-    reference log-dets ld0."""
-    b, ld, hinv = _b_matrix(basis, grid, H, q)
+    blocks: the whitening W of h_H per node, B(H), _sqrtm_psd(H), the
+    hermitian residual M(H) - (r/N) I with M(H) = H^{1/2} B(H) H^{1/2},
+    and m2 against the reference log-dets ld0."""
+    b, ld, wh = _b_matrix(basis, grid, H, q)
     eig = _sqrtm_psd(H)
     n = basis.dimension
     s = eig[2] @ b @ eig[2] - (basis.rank / n) * np.eye(n)
-    return hinv, b, eig, 0.5 * (s + s.conj().T), grid.integrate(ld - ld0) / grid.volume
+    return wh, b, eig, 0.5 * (s + s.conj().T), grid.integrate(ld - ld0) / grid.volume
 
 
 def t_operator(
@@ -223,7 +224,7 @@ def t_iterate(
     history = []
     t0 = time.perf_counter()
     q = q_field(basis, grid.nodes)
-    ld0 = kernels.logdet(h_ref_field(basis, grid, q))
+    ld0 = kernels.logdet(h_ref_field(basis, grid, q).transpose(1, 2, 0))
     _, b, _, s, m2 = _solver_parts(basis, grid, H, ld0, q)
     state = _state_from(basis, grid, H, 0, s, m2)
     for it in range(max_iter + 1):
@@ -266,9 +267,10 @@ def _herm_basis(n: int):
     return out
 
 
-def _b_derivatives(basis, grid, q, hinv, dh):
+def _b_derivatives(basis, grid, q, wh, dh):
     """dB = -(1/Vol) int P dH P for a stack dH of shape (D, N, N), with P
-    from the chart values q and h^{-1} per node.
+    from the chart values q and the whitening W of h per node, an
+    (r, r, M) stack.
 
     The tensor t4[(i, k), (l, j)] = sum_x w P_ik P_lj is one GEMM per
     node block, and the contraction with every dH is one more.
@@ -277,7 +279,7 @@ def _b_derivatives(basis, grid, q, hinv, dh):
     w = grid.weights / grid.volume
     t4 = np.zeros((n * n, n * n), dtype=complex)
     for sl, qb in kernels.blocks(basis, grid.nodes, q):
-        pf = kernels.p_field(qb, hinv[sl]).reshape(-1, n * n)
+        pf = kernels.p_field(qb, wh[..., sl]).reshape(-1, n * n)
         t4 += (w[sl, None] * pf).T @ pf
     t4 = t4.reshape(n, n, n, n).transpose(1, 2, 0, 3).reshape(n * n, n * n)
     return -(dh.reshape(-1, n * n) @ t4).reshape(dh.shape)
@@ -327,10 +329,10 @@ def lm_minimize(
     history = []
     t0 = time.perf_counter()
     q = q_field(basis, grid.nodes)
-    ld0 = kernels.logdet(h_ref_field(basis, grid, q))
+    ld0 = kernels.logdet(h_ref_field(basis, grid, q).transpose(1, 2, 0))
     # A singular or overflowing trial form only increases the damping.
     rejected = (SingularGram, kernels.NonFiniteChart)
-    hinv, b, eig, s, m2_cur = _solver_parts(basis, grid, H, ld0, q)
+    wh, b, eig, s, m2_cur = _solver_parts(basis, grid, H, ld0, q)
     state = _state_from(basis, grid, H, 0, s, m2_cur)
     fallback_streak = 0
     for it in range(max_iter + 1):
@@ -354,7 +356,7 @@ def lm_minimize(
         jtj = jtr = None
         if probe_lm:
             dh = 0.5 * (directions @ H + H @ directions)
-            db = _b_derivatives(basis, grid, q, hinv, dh)
+            db = _b_derivatives(basis, grid, q, wh, dh)
             dsq = _sqrt_frechet(lamH, vH, dh)
             ds = (dsq @ b @ sq + sq @ db @ sq + sq @ b @ dsq).reshape(len(dh), -1)
             jac = np.concatenate([ds.real, ds.imag], axis=1).T
@@ -390,7 +392,7 @@ def lm_minimize(
             m2_ok = parts_try[4] <= m2_cur + 1e-13 * (1.0 + abs(m2_cur))
             if better_resid and m2_ok:
                 H = H_try
-                hinv, b, eig, s, m2_cur = parts_try
+                wh, b, eig, s, m2_cur = parts_try
                 lam_damp = max(lam_damp / 3.0, 1e-12)
                 n_rejected, accepted = tried, "lm"
                 fallback_streak = 0
@@ -416,7 +418,7 @@ def lm_minimize(
                     continue
                 if parts_try[4] < m2_cur:
                     H = H_try
-                    hinv, b, eig, s, m2_cur = parts_try
+                    wh, b, eig, s, m2_cur = parts_try
                     accepted = "fallback"
                     fallback_streak += 1
                     break

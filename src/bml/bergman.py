@@ -21,10 +21,6 @@ from .bundles import SectionBasis, q_field
 from .quadrature import QuadratureGrid
 
 
-class DegenerateMetric(ValueError):
-    pass
-
-
 class DegenerateSamples(ValueError):
     pass
 
@@ -200,10 +196,9 @@ class MetricField:
 
 
 def fs_metric(basis: SectionBasis, grid: QuadratureGrid, form: HermitianForm) -> MetricField:
-    """Fibrewise metric h(x) = Q(x)* H Q(x)."""
+    """Fibrewise metric h(x) = Q(x)* H Q(x), checked positive by whiten."""
     h = kernels.field(basis, grid.nodes, form.matrix)
-    if np.linalg.eigvalsh(h)[:, 0].min() < 1e-300:
-        raise DegenerateMetric("fibre metric underflowed to singular")
+    kernels.whiten(h.transpose(1, 2, 0))
     return MetricField(grid=grid, values=h)
 
 
@@ -212,14 +207,13 @@ def bergman_path(basis: SectionBasis, grid: QuadratureGrid, ps: OnePS, t: float)
 
     Assembled from the square-root factor e^{zeta t} V* Q so the result is
     positive semidefinite by construction even when the weight spread
-    makes the form e^{2 zeta t} numerically singular.
+    makes the form e^{2 zeta t} numerically singular; whiten checks it.
     """
     if t < 0:
         raise ValueError("path time must be nonnegative")
     half = np.exp(ps.eigenvalues * t)[:, None] * ps.vectors.conj().T
     h = kernels.field(basis, grid.nodes, factor=half)
-    if np.linalg.eigvalsh(h)[:, 0].min() < 1e-300:
-        raise DegenerateMetric("path metric underflowed to singular")
+    kernels.whiten(h.transpose(1, 2, 0))
     return MetricField(grid=grid, values=h)
 
 

@@ -43,9 +43,9 @@ class InsufficientSamples(ValueError):
 
 def m2_don(basis: SectionBasis, grid: QuadratureGrid, form: HermitianForm) -> float:
     """Normalized log-det energy of h_H against h_ref."""
-    h = fs_metric(basis, grid, form).values
-    href = h_ref_field(basis, grid)
-    return grid.integrate(kernels.logdet(h) - kernels.logdet(href)) / grid.volume
+    ld = [kernels.logdet(h.transpose(1, 2, 0))
+          for h in (fs_metric(basis, grid, form).values, h_ref_field(basis, grid))]
+    return grid.integrate(ld[0] - ld[1]) / grid.volume
 
 
 def m2_along_path(
@@ -61,9 +61,9 @@ def m2_along_path(
 
     (V is unitary).  Per node block the D Gram blocks are formed once
     and every h(t_j), with h_ref as t_0 = 0, comes from one GEMM against
-    the (D, T+1) table e^{2 w_d t_j}; only the log-dets remain per time.
-    Each G_d is bounded by h_ref, so a block overflows only where the
-    reference or a path metric does, and NonFiniteChart names the node.
+    the (D, T+1) table e^{2 w_d t_j}, and one whitening gives all their
+    log-dets.  Each G_d is bounded by h_ref, so a block overflows only
+    where the reference or a path metric does: NonFiniteChart names it.
     """
     times = np.concatenate([[0.0], np.asarray(ts, dtype=float).ravel()])
     with np.errstate(over="ignore"):
@@ -75,9 +75,9 @@ def m2_along_path(
         vq = kernels.act(vh, q)
         grams = np.stack([kernels.pair(vq[:, :, s], vq[:, :, s]) for s in ps.slices])
         with np.errstate(over="ignore", invalid="ignore"):
-            h = (table.T @ grams.reshape(len(ps.slices), -1)).reshape(len(times), -1, r, r)
-        for j in range(len(times)):
-            vals[j, sl] = kernels.logdet(kernels.fibre(h[j], grid.nodes, sl))
+            h = (table.T @ grams.transpose(0, 2, 3, 1).reshape(len(ps.slices), -1))
+        h = h.reshape(len(times), r, r, -1)
+        vals[:, sl] = kernels.logdet(kernels.finite(h, grid.nodes, sl).transpose(1, 2, 0, 3))
     return np.asarray([grid.integrate(v - vals[0]) / grid.volume for v in vals[1:]])
 
 
@@ -101,32 +101,21 @@ def curvature_field(
     """Chern curvature density of the honest metric, shape (M, r, r), in
     closed form from the holomorphic derivatives of Q (see _curvature_frame).
 
+    h, a and c are the jet blocks of _path_jets for the square root
+    F = Lambda^{1/2} V* of H = V Lambda V* as one weight group (F*F = H).
+
     Normalized as a density against the quadrature measure:
     grid.integrate(trace of the result) equals the degree of E.
     """
     _only_analytic(method)
-    if grid.space_tag != "P1":
-        raise NotImplementedError("curvature implemented on the P1 catalog")
+    lam, v = np.linalg.eigh(form.matrix)
     z = np.asarray(grid.nodes)
     out = np.empty((len(z), basis.rank, basis.rank), dtype=complex)
-    for sl, q in kernels.blocks(basis, z):
-        out[sl] = _curvature_block(basis, form, z, sl, q)
+    for sl, stack in _path_jets(basis, grid, np.sqrt(lam)[:, None] * v.conj().T, (slice(None),)):
+        w, l, k = _curvature_frame(basis.level, z[sl], *kernels.finite(stack[0], z, sl))
+        f_t = kernels.mul(kernels.mul(kernels.ct(w), k), kernels.ct(l))
+        out[sl] = (1.0 + np.abs(z[sl]) ** 2)[:, None, None] ** 2 * f_t.transpose(2, 1, 0)
     return out
-
-
-def _curvature_block(basis: SectionBasis, form: HermitianForm, z, sl: slice, q):
-    """curvature_field on one node block, from its chart values q."""
-    d = bundles.dq_dz_field(basis, z[sl])
-    hd = kernels.act(form.matrix, d)
-    hac = (
-        kernels.fibre(kernels.sandwich(q, form.matrix, q), z, sl),
-        kernels.pair(q.transpose(0, 2, 1), hd),
-        kernels.pair(d.transpose(0, 2, 1), hd),
-    )
-    del d, hd
-    w, l, k = _curvature_frame(basis.level, z[sl], *(x.transpose(1, 2, 0) for x in hac))
-    f_t = kernels.mul(kernels.mul(kernels.ct(w), k), kernels.ct(l))
-    return (1.0 + np.abs(z[sl]) ** 2)[:, None, None] ** 2 * f_t.transpose(2, 1, 0)
 
 
 def _curvature_frame(level: int, z, h, a, c):
@@ -161,12 +150,14 @@ def _curvature_frame(level: int, z, h, a, c):
 _ROTATE = 256
 
 
-def _path_jets(basis: SectionBasis, grid: QuadratureGrid, ps: OnePS) -> list:
-    """The per-weight 1-jet blocks of the chart along ps, per node block.
+def _path_jets(basis: SectionBasis, grid: QuadratureGrid, rotation, slices) -> list:
+    """The per-weight 1-jet blocks of the chart, per node block, for the
+    rows ``slices`` of a ``rotation`` R.
 
-    With V_d the eigenvectors of weight w_d, B_d = V_d* Q and
-    D_d = V_d* dQ/dz, the blocks G_d = B_d* B_d, A_d = B_d* D_d and
-    C_d = D_d* D_d give every factor of the M1 integrand at path time t:
+    Along a 1-PS R = V* and the slices are its weight groups: with V_d
+    the eigenvectors of weight w_d, B_d = V_d* Q and D_d = V_d* dQ/dz,
+    the blocks G_d = B_d* B_d, A_d = B_d* D_d and C_d = D_d* D_d give
+    every factor of the M1 integrand at path time t:
 
         h = sum_d e^{2 w_d t} G_d,   hdot = sum_d 2 w_d e^{2 w_d t} G_d,
         a = sum_d e^{2 w_d t} A_d,   c = sum_d e^{2 w_d t} C_d.
@@ -177,15 +168,14 @@ def _path_jets(basis: SectionBasis, grid: QuadratureGrid, ps: OnePS) -> list:
     if grid.space_tag != "P1":
         raise NotImplementedError("curvature implemented on the P1 catalog")
     z = grid.nodes
-    vh = ps.vectors.conj().T
     r = basis.rank
     jets = []
     for sl, q in kernels.blocks(basis, z):
         d = bundles.dq_dz_field(basis, z[sl])
-        stack = np.empty((len(ps.slices), 3, r, r, len(q)), dtype=complex)
+        stack = np.empty((len(slices), 3, r, r, len(q)), dtype=complex)
         for part in (slice(i, i + _ROTATE) for i in range(0, len(q), _ROTATE)):
-            vq, vd = kernels.act(vh, q[part]), kernels.act(vh, d[part])
-            for i, s in enumerate(ps.slices):
+            vq, vd = kernels.act(rotation, q[part]), kernels.act(rotation, d[part])
+            for i, s in enumerate(slices):
                 b, db = vq[:, :, s], vd[:, :, s]
                 stack[i, 0, ..., part] = kernels.pair(b, b).transpose(1, 2, 0)
                 stack[i, 1, ..., part] = kernels.pair(b, db).transpose(1, 2, 0)
@@ -207,7 +197,7 @@ def m1_rate(
     _curvature_frame.
     """
     if jets is None:
-        jets = _path_jets(basis, grid, ps)
+        jets = _path_jets(basis, grid, ps.vectors.conj().T, ps.slices)
     weights = np.asarray(ps.weights)
     with np.errstate(over="ignore"):
         e = np.exp(2.0 * weights * t)
@@ -248,7 +238,7 @@ def m1_curve(
     if (ts < 0).any():
         raise ValueError("path time must be nonnegative")
     x, w = np.polynomial.legendre.leggauss(max(4, n_path // max(1, len(np.unique(ts)))))
-    jets = _path_jets(basis, grid, ps) if (ts > 0).any() else None
+    jets = _path_jets(basis, grid, ps.vectors.conj().T, ps.slices) if (ts > 0).any() else None
     out = np.empty(len(ts))
     total = 0.0
     lo = 0.0

@@ -3,10 +3,15 @@
 Chart values Q(x), an N x r matrix per node, come from `bundles.q_field`
 one block of BLOCK nodes at a time and are dropped with the block.
 Within a block Q is stacked as a (B*r, N) matrix, so an N x N form acts
-on every node in one GEMM and what is left per node is a batched r x r
-product.  Per-node results are written into full-length arrays before
-any quadrature sum, so the pairwise summation order, and with it every
-output, does not depend on the block size.
+on every node in one GEMM and what is left per node is r x r algebra on
+node-last (r, r, B) stacks.  Per-node results are written into
+full-length arrays before any quadrature sum, so the pairwise summation
+order, and with it every output, does not depend on the block size.
+
+The fibre metric has one factorization, the Cholesky `whiten` h = L L*,
+W = L^{-1}: log det h = 2 sum_j log L_jj, P = Q h^{-1} Q* = Y Y* with
+Y = Q W*, and SingularGram on loss of positivity.  `finite` names an
+overflowed node before any factorization.
 """
 
 from __future__ import annotations
@@ -72,17 +77,11 @@ def finite(x: np.ndarray, nodes, sl: slice) -> np.ndarray:
     return x
 
 
-def fibre(h: np.ndarray, nodes, sl: slice) -> np.ndarray:
-    """Hermitian part of a block of sandwiches; NonFiniteChart names the
-    first node whose sandwich overflowed."""
-    finite(h.transpose(1, 2, 0), nodes, sl)
-    return 0.5 * (h + h.conj().transpose(0, 2, 1))
-
-
 def field(basis, nodes, mat=None, factor=None, q=None) -> np.ndarray:
-    """Q* mat Q at every node, shape (M, r, r): Q*Q without ``mat``, and
-    (F Q)*(F Q), positive by construction, for a square-root ``factor`` F.
-    ``q`` holds the chart values when the caller keeps them."""
+    """Q* mat Q at every node, hermitian, shape (M, r, r): Q*Q without
+    ``mat``, and (F Q)*(F Q), positive by construction, for a square-root
+    ``factor`` F.  ``q`` holds the chart values when the caller keeps
+    them; NonFiniteChart names the first node whose sandwich overflowed."""
     out = np.empty((len(nodes), basis.rank, basis.rank), dtype=complex)
     for sl, qb in blocks(basis, nodes, q):
         if mat is not None:
@@ -90,50 +89,54 @@ def field(basis, nodes, mat=None, factor=None, q=None) -> np.ndarray:
         else:
             x = qb.transpose(0, 2, 1) if factor is None else act(factor, qb)
             h = pair(x, x)
-        out[sl] = fibre(h, nodes, sl)
+        finite(h.transpose(1, 2, 0), nodes, sl)
+        out[sl] = 0.5 * (h + h.conj().transpose(0, 2, 1))
     return out
 
 
-def logdet(h: np.ndarray) -> np.ndarray:
-    """log det per node of a block of positive hermitian matrices."""
-    sign, ld = np.linalg.slogdet(h)
-    if (sign.real <= 0).any():
-        raise SingularGram("fibre metric lost positivity")
-    return ld
-
-
 def b_matrix(basis, nodes, w, H, q=None):
-    """sum_x w(x) Q h^{-1} Q* with h = Q* H Q, one GEMM of the stacked
-    (B*r, N) layouts of w Q h^{-1} and Q per block; with it log det h and
-    h^{-1} at every node.  ``q`` holds the chart values when the caller
-    keeps them."""
+    """sum_x w(x) Y Y* (see p_root), one GEMM of the stacked (B*r, N)
+    layouts of w Y^T and Y^T per block; with it log det h and W at every
+    node, (M,) and (r, r, M).  ``q`` holds the chart values if kept."""
     n, r = basis.dimension, basis.rank
     b = np.zeros((n, n), dtype=complex)
     ld = np.empty(len(nodes))
-    hinv = np.empty((len(nodes), r, r), dtype=complex)
+    wh = np.empty((r, r, len(nodes)), dtype=complex)
     for sl, qb in blocks(basis, nodes, q):
-        h = fibre(sandwich(qb, H, qb), nodes, sl)
-        lam = np.linalg.eigvalsh(h)
-        if lam.min() <= 0:
-            raise SingularGram("degenerate Fubini-Study metric along the grid")
-        hinv[sl], ld[sl] = np.linalg.inv(h), np.log(lam).sum(axis=-1)
-        y = (w[sl, None, None] * (qb @ hinv[sl])).transpose(0, 2, 1).reshape(-1, n)
-        b += y.T @ qb.transpose(0, 2, 1).reshape(-1, n).conj()
-    return 0.5 * (b + b.conj().T), ld, hinv
+        wh[..., sl], l = whiten(finite(sandwich(qb, H, qb).transpose(1, 2, 0), nodes, sl))
+        ld[sl] = _logdet(l)
+        y = p_root(qb, wh[..., sl])
+        b += (w[sl, None, None] * y).reshape(-1, n).T @ y.reshape(-1, n).conj()
+    return 0.5 * (b + b.conj().T), ld, wh
 
 
-def p_field(q: np.ndarray, hinv: np.ndarray) -> np.ndarray:
-    """P(x) = Q h^{-1} Q* per node, shape (B, N, N)."""
-    return (q @ hinv) @ q.conj().transpose(0, 2, 1)
+def p_root(q: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Y^T per node, shape (B, r, N), with Y = Q W* for chart values q of
+    shape (B, N, r) and an (r, r, B) stack W from whiten: since
+    h^{-1} = W* W, the P-field is P = Q h^{-1} Q* = Y Y*."""
+    qt = q.transpose(0, 2, 1)
+    y = np.empty_like(qt)
+    for i in range(len(w)):
+        # W is lower triangular: (Q W*)_{:, i} = sum_{j <= i} Q_{:, j} conj(W_ij)
+        y[:, i] = w[i, 0].conj()[:, None] * qt[:, 0]
+        for j in range(1, i + 1):
+            y[:, i] += w[i, j].conj()[:, None] * qt[:, j]
+    return y
+
+
+def p_field(q: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """P(x) = Q h^{-1} Q* = Y Y* per node, shape (B, N, N) (see p_root)."""
+    y = p_root(q, w)
+    return y.transpose(0, 2, 1) @ y.conj()
 
 
 # ---------------------------------------------------------------------------
 # r x r algebra vectorized over nodes
 #
 # A stack of shape (r, r, B) holds one r x r matrix per node, node index
-# last.  numpy sends a stacked complex `@` or `inv` to BLAS/LAPACK once
-# per node; here the loops run over the small index and every operation
-# is one vector operation over the B nodes.
+# last.  numpy sends a stacked complex `@` or factorization to
+# BLAS/LAPACK once per node; here the loops run over the small index and
+# every operation is one vector operation over the B nodes.
 
 
 def mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -158,7 +161,8 @@ def whiten(h: np.ndarray):
     """Cholesky whitening per node of an (r, r, B) stack of hermitian
     matrices, read from their lower triangles: (W, L) with h = L L* and
     W = L^{-1}, both lower triangular, so that W h W* = 1 and
-    h^{-1} = W* W.  SingularGram if some h is not numerically positive."""
+    h^{-1} = W* W; SingularGram if some h is not numerically positive.
+    Further trailing axes, such as (times, nodes), batch alike."""
     r = h.shape[0]
     l = np.zeros_like(h)
     for j in range(r):
@@ -172,3 +176,12 @@ def whiten(h: np.ndarray):
         w[i, :i] = -(l[i, :i, None] * w[:i, :i]).sum(axis=0) / l[i, i]
         w[i, i] = 1.0 / l[i, i]
     return w, l
+
+
+def _logdet(l: np.ndarray) -> np.ndarray:  # log det h = 2 sum_j log L_jj, h = L L*
+    return 2.0 * sum(np.log(l[j, j].real) for j in range(len(l)))
+
+
+def logdet(h: np.ndarray) -> np.ndarray:
+    """log det per node of an (r, r, B) stack, from whiten."""
+    return _logdet(whiten(h)[1])

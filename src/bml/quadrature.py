@@ -38,7 +38,7 @@ def pairwise_sum(values: np.ndarray) -> float:
     while n > 1:
         m = n // 2
         v[:m] += v[n - m : n]
-        n = n - m if 2 * m == n else n - m
+        n -= m
     return float(v[0]) if v.size else 0.0
 
 

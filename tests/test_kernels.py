@@ -216,7 +216,19 @@ def check_curvature_and_m1_rate(basis, grid, ps, t):
     # a single weight has hdot = 0: both rates vanish and scale is 0
     assert abs(got - want) <= TOL * scale
     # held jet blocks give the very same number
-    assert don.m1_rate(basis, grid, ps, t, jets=don._path_jets(basis, grid, ps)) == got
+    jets = don._path_jets(basis, grid, ps.vectors.conj().T, ps.slices)
+    assert don.m1_rate(basis, grid, ps, t, jets=jets) == got
+
+
+def test_curvature_outer_ring(split_basis, grid_p1, rng):
+    """curvature_field against the FS measure, node by node: there the
+    entries at the outer ring are the largest, not 1e-15 of them."""
+    H = bg.random_two_weight_ps(split_basis.dimension, rng).form_at(0.8).matrix
+    z = grid_p1.nodes
+    got = don.curvature_field(split_basis, grid_p1, bg.HermitianForm(H))
+    want = np.pi * (1.0 + np.abs(z) ** 2)[:, None, None] ** 2 * curvature_reference(split_basis, H, z)
+    err = np.abs(got - want).max(axis=(1, 2)) / np.abs(want).max(axis=(1, 2))
+    assert err.max() < 1e-7
 
 
 def test_curvature_and_m1_rate(split_basis, grid, rng):
@@ -252,10 +264,10 @@ def test_b_matrix_p_field_and_m2_value(split_basis, grid, rng):
     p = np.einsum("mni,mij,mkj->mnk", q, np.linalg.inv(h), q.conj())
     b_want = herm(np.einsum("m,mnk->nk", grid.weights / grid.volume, p))
     for held in (None, q):
-        b, ld, hinv = bl._b_matrix(split_basis, grid, H, held)
+        b, ld, wh = bl._b_matrix(split_basis, grid, H, held)
         assert rel(b, b_want) < TOL
         assert rel(ld, np.linalg.slogdet(h)[1]) < TOL
-        assert rel(kernels.p_field(q, hinv), p) < TOL
+        assert rel(kernels.p_field(q, wh), p) < TOL
     ld0 = np.linalg.slogdet(h_ref(q))[1]
     m2 = grid.integrate(np.linalg.slogdet(h)[1] - ld0) / grid.volume
     assert rel(bl.m2_value(split_basis, grid, H), m2) < TOL
@@ -271,7 +283,59 @@ def test_lm_b_derivatives(grid, rng):
     t4 = np.einsum("m,mik,mlj->ijkl", grid.weights / grid.volume, p, p)
     dh = np.asarray([positive_form(n, rng) for _ in range(5)])
     want = -np.einsum("ijkl,dkl->dij", t4, dh)
-    assert rel(bl._b_derivatives(basis, grid, q, hinv, dh), want) < TOL
+    wh = kernels.whiten(herm(sandwich(q, H, q)).transpose(1, 2, 0))[0]
+    assert rel(bl._b_derivatives(basis, grid, q, wh, dh), want) < TOL
+
+
+def test_fibre_algebra_has_one_factorization(coarse, monkeypatch, rng):
+    """Every per-node log-det, inverse and positivity check of the fibre
+    metric goes through kernels.whiten: no stacked (ndim >= 3) call of a
+    LAPACK factorization is left; N x N calls do not count."""
+    basis = bd.section_basis(bd.split(0, 2), 3)
+    n = basis.dimension
+    ps = bg.random_two_weight_ps(n, rng)
+    form = bg.HermitianForm(positive_form(n, rng))
+    calls = {"slogdet": 0, "inv": 0, "eigvalsh": 0, "eigh": 0}
+
+    def stacked_only(name, fn):
+        """fn, counting only its calls on stacks of matrices."""
+        count = counted(calls, name, fn)
+        return lambda a, *args, **kwargs: (count if np.ndim(a) >= 3 else fn)(a, *args, **kwargs)
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, stacked_only(name, getattr(np.linalg, name)))
+    don.m2_along_path(basis, coarse, ps, [0.5, 2.0])
+    don.m1_curve(basis, coarse, ps, [1.0], n_path=4)
+    don.curvature_field(basis, coarse, form)
+    bg.fs_metric(basis, coarse, form)
+    bg.bergman_path(basis, coarse, ps, 1.0)
+    don.m2_don(basis, coarse, form)
+    bl._b_matrix(basis, coarse, form.matrix)
+    bl.t_iterate(basis, coarse, np.eye(n), max_iter=2)
+    bl.lm_minimize(basis, coarse, np.eye(n), max_iter=2)
+    assert calls == {"slogdet": 0, "inv": 0, "eigvalsh": 0, "eigh": 0}
+
+
+@pytest.mark.parametrize("factorize", [kernels.whiten, kernels.logdet], ids=["whiten", "logdet"])
+@pytest.mark.parametrize("node", [0, 4, 9])
+def test_fibre_factorization_names_its_failures(factorize, node, rng):
+    """A rank-deficient node raises SingularGram; an overflowed one is
+    named by the finite check that precedes every factorization."""
+    g = rng.normal(size=(10, 2, 2)) + 1j * rng.normal(size=(10, 2, 2))
+    h = g @ g.conj().transpose(0, 2, 1) + np.eye(2)
+    nodes = rng.normal(size=120) + 1j * rng.normal(size=120)
+    sl = slice(100, 110)
+    factorize(kernels.finite(h.transpose(1, 2, 0), nodes, sl))
+    singular = h.copy()
+    singular[node] = [[1.0, 2.0], [2.0, 4.0]]  # rank one, exactly
+    with pytest.raises(kernels.SingularGram):
+        factorize(kernels.finite(singular.transpose(1, 2, 0), nodes, sl))
+    overflowed = h.copy()
+    overflowed[node, 1, 0] = np.inf
+    with pytest.raises(kernels.NonFiniteChart) as info:
+        factorize(kernels.finite(overflowed.transpose(1, 2, 0), nodes, sl))
+    assert info.value.index == 100 + node
+    assert info.value.z == nodes[100 + node]
 
 
 def test_block_size_does_not_move_results(grid_p1, monkeypatch, rng):
