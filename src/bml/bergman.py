@@ -8,13 +8,20 @@ weight_filtration measures.  This module also provides the two
 pointwise operator identities that make these paths subgeodesics: the
 pairwise commutation of the sandwiched moment matrices and the
 factorization of the second time-derivative as F*F >= 0.
+
+The path metric and both identities are computed in the eigenframe of
+the generator, zeta = V Lambda V*, from the square-root factor
+sigma(t) = e^{Lambda t} V* of H(t) = sigma* sigma: with A = sigma Q,
+h = A*A and Q* H(t) u^j Q = A* (2 Lambda)^j A for u = 2 zeta, so the
+form is never assembled and nothing is inverted.  `OnePS.form_at`, which
+does assemble it, loses positivity to roundoff once e^{2 spread t}
+nears 1/eps; the factor does not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 import numpy as np
-import scipy.linalg
 
 from . import kernels
 from .bundles import SectionBasis, q_field
@@ -196,24 +203,29 @@ class MetricField:
 
 
 def fs_metric(basis: SectionBasis, grid: QuadratureGrid, form: HermitianForm) -> MetricField:
-    """Fibrewise metric h(x) = Q(x)* H Q(x), checked positive by whiten."""
+    """Fibrewise metric h(x) = Q(x)* H Q(x), checked positive by cholesky."""
     h = kernels.field(basis, grid.nodes, form.matrix)
-    kernels.whiten(h.transpose(1, 2, 0))
+    kernels.cholesky(h.transpose(1, 2, 0))
     return MetricField(grid=grid, values=h)
+
+
+def _root(ps: OnePS, t: float) -> np.ndarray:
+    """sigma(t) = e^{Lambda t} V*, so that H(t) = sigma* sigma and
+    sigma u = 2 Lambda sigma for u = 2 zeta."""
+    return np.exp(ps.eigenvalues * t)[:, None] * ps.vectors.conj().T
 
 
 def bergman_path(basis: SectionBasis, grid: QuadratureGrid, ps: OnePS, t: float) -> MetricField:
     """Metric along the degeneration path at time t.
 
-    Assembled from the square-root factor e^{zeta t} V* Q so the result is
+    Assembled from the square-root factor sigma(t) Q (see _root) so it is
     positive semidefinite by construction even when the weight spread
-    makes the form e^{2 zeta t} numerically singular; whiten checks it.
+    makes the form e^{2 zeta t} numerically singular; cholesky checks it.
     """
     if t < 0:
         raise ValueError("path time must be nonnegative")
-    half = np.exp(ps.eigenvalues * t)[:, None] * ps.vectors.conj().T
-    h = kernels.field(basis, grid.nodes, factor=half)
-    kernels.whiten(h.transpose(1, 2, 0))
+    h = kernels.field(basis, grid.nodes, factor=_root(ps, t))
+    kernels.cholesky(h.transpose(1, 2, 0))
     return MetricField(grid=grid, values=h)
 
 
@@ -256,11 +268,7 @@ def weight_filtration(
 
 
 # ---------------------------------------------------------------------------
-# Subgeodesic operator identities
-
-
-def _sandwich(q_x: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    return q_x.conj().T @ mat @ q_x
+# Subgeodesic operator identities, on A(t) = sigma(t) Q(x) (see _root)
 
 
 def commutator_residual(basis: SectionBasis, ps: OnePS, t: float, x) -> float:
@@ -274,13 +282,15 @@ def commutator_residual(basis: SectionBasis, ps: OnePS, t: float, x) -> float:
     for generators acting as a constant scalar on each summand block of a
     split bundle.  Generators with three or more weights in generic
     position do not commute, and the residual measures the failure.
+    The frame is the whitening W of h_ref = Q*Q (SingularGram if Q(x)
+    drops rank); it differs from h_ref^{-1/2} by a unitary, which the
+    normalized commutators do not see.
     """
     q_x = q_field(basis, np.asarray([x]))[0]
-    href = q_x.conj().T @ q_x
-    q_x = q_x @ np.linalg.inv(scipy.linalg.sqrtm(href))
-    s = ps.form_at(t).matrix
-    u = 2.0 * ps.generator
-    mats = [_sandwich(q_x, s), _sandwich(q_x, s @ u), _sandwich(q_x, s @ u @ u)]
+    w = kernels.whiten((q_x.conj().T @ q_x)[..., None])[0][..., 0]
+    c = _root(ps, t) @ q_x @ w.conj().T
+    u = 2.0 * ps.eigenvalues[:, None]
+    mats = [c.conj().T @ c, c.conj().T @ (u * c), c.conj().T @ (u * u * c)]
     worst = 0.0
     for i in range(3):
         for j in range(i + 1, 3):
@@ -304,32 +314,27 @@ def subgeodesic_residual(
     With A = sigma Q, h = A*A and G = h^{-1} A* u A, the algebraic
     identity gives h^{1/2} G' h^{-1/2} = F*F for F = (u A - A G) h^{-1/2};
     the left side is measured by central finite differences and the right
-    side is assembled analytically.  Returns (lhs, rhs, residual,
+    side is assembled analytically, with the hermitian h^{1/2} and
+    h^{-1/2} from one eigh of h.  Returns (lhs, rhs, residual,
     min_eig_rhs); raises StepTooLarge when halving the step fails the
     second-order Richardson check.
     """
     q_x = q_field(basis, np.asarray([x]))[0]
-    u = 2.0 * ps.generator
+    u = 2.0 * ps.eigenvalues[:, None]
 
-    def g_of(tv: float) -> np.ndarray:
-        s = ps.form_at(tv).matrix
-        h = _sandwich(q_x, s)
-        return np.linalg.solve(h, _sandwich(q_x, s @ u))
+    def a_g(tv: float):
+        a = _root(ps, tv) @ q_x
+        return a, np.linalg.solve(a.conj().T @ a, a.conj().T @ (u * a))
 
     def lhs_of(step: float) -> np.ndarray:
-        gdot = (g_of(t + step) - g_of(t - step)) / (2.0 * step)
-        h = _sandwich(q_x, ps.form_at(t).matrix)
-        hs = scipy.linalg.sqrtm(h)
-        return hs @ gdot @ np.linalg.inv(hs)
+        gdot = (a_g(t + step)[1] - a_g(t - step)[1]) / (2.0 * step)
+        return h_half @ gdot @ h_inv_half
 
-    s = ps.form_at(t).matrix
-    h = _sandwich(q_x, s)
-    # factor S = sigma* sigma, with sigma hermitian here
-    sigma = scipy.linalg.sqrtm(s)
-    a = sigma @ q_x
-    g = np.linalg.solve(h, a.conj().T @ (u @ a))
-    h_inv_half = np.linalg.inv(scipy.linalg.sqrtm(h))
-    f = (u @ a - a @ g) @ h_inv_half
+    a, g = a_g(t)
+    lam_h, v_h = np.linalg.eigh(a.conj().T @ a)
+    h_half = (v_h * np.sqrt(lam_h)) @ v_h.conj().T
+    h_inv_half = (v_h / np.sqrt(lam_h)) @ v_h.conj().T
+    f = (u * a - a @ g) @ h_inv_half
     rhs = f.conj().T @ f
 
     lhs = lhs_of(fd_step)
@@ -340,8 +345,9 @@ def subgeodesic_residual(
     # |Q|^2 |S| |u| / lam_min(h), the frame change h^{1/2} (.) h^{-1/2}
     # costs sqrt(cond h), and the quotient divides by the step.  Within a
     # few floors of it the error is noise and its decay says nothing.
-    lam_h = np.linalg.eigvalsh(h)
-    floor = (np.finfo(float).eps * np.linalg.norm(q_x) ** 2 * np.linalg.norm(s)
+    # Frobenius norms are unitarily invariant: |S| = |e^{2 Lambda t}|.
+    s_norm = np.linalg.norm(np.exp(2.0 * ps.eigenvalues * t))
+    floor = (np.finfo(float).eps * np.linalg.norm(q_x) ** 2 * s_norm
              * np.linalg.norm(u) * np.sqrt(lam_h[-1] / lam_h[0]) / lam_h[0] / fd_step)
     # second-order FD: halving the step should cut the error ~4x
     if err_full > 32.0 * floor and err_half > 0.5 * err_full:

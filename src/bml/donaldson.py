@@ -61,8 +61,8 @@ def m2_along_path(
 
     (V is unitary).  Per node block the D Gram blocks are formed once
     and every h(t_j), with h_ref as t_0 = 0, comes from one GEMM against
-    the (D, T+1) table e^{2 w_d t_j}, and one whitening gives all their
-    log-dets.  Each G_d is bounded by h_ref, so a block overflows only
+    the (D, T+1) table e^{2 w_d t_j}, and one Cholesky pass gives all
+    their log-dets.  Each G_d is bounded by h_ref, so a block overflows only
     where the reference or a path metric does: NonFiniteChart names it.
     """
     times = np.concatenate([[0.0], np.asarray(ts, dtype=float).ravel()])

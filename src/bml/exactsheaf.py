@@ -16,11 +16,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
-
-
-class MissingDegree(ValueError):
-    pass
+from typing import Callable, Sequence
 
 
 class EmptyCandidates(ValueError):
@@ -60,30 +56,22 @@ def h0_tangent_p2(m: int) -> int:
 class SheafData:
     """Exact rank/degree/section-count data of a torsion-free sheaf.
 
-    Section counts come from ``h0_rule`` (a closed form k -> h0, set for
-    the catalog sheaves) at every level, else from ``h0_table``.
+    Section counts come from ``h0_rule``, a closed form k -> h0.
     """
 
     rank: int
-    degree: Optional[Fraction]
+    degree: Fraction
     space_tag: str
-    h0_table: dict = field(default_factory=dict)
+    h0_rule: Callable[[int], int] = field(compare=False, repr=False)
     label: str = ""
-    h0_rule: Optional[Callable[[int], int]] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
-        if self.degree is not None:
-            object.__setattr__(self, "degree", _frac(self.degree))
+        object.__setattr__(self, "degree", _frac(self.degree))
 
     def h0_at(self, k: int) -> int:
-        if self.h0_rule is not None:
-            return self.h0_rule(k)
-        try:
-            return self.h0_table[k]
-        except KeyError:
-            raise MissingDegree(f"no h0 data at level {k} for {self.label or 'sheaf'}")
+        return self.h0_rule(k)
 
 
 def _h0_split_p1(degrees: tuple, k: int) -> int:
@@ -113,8 +101,6 @@ def tangent_p2() -> SheafData:
 
 def mu(sheaf: SheafData) -> Fraction:
     """Slope degree/rank, exactly."""
-    if sheaf.degree is None:
-        raise MissingDegree(f"{sheaf.label or 'sheaf'} has no exact degree")
     return sheaf.degree / sheaf.rank
 
 
@@ -343,46 +329,3 @@ def frac_str(x: Fraction) -> str:
 
 def parse_frac(s) -> Fraction:
     return _frac(s) if not isinstance(s, str) else Fraction(s)
-
-
-def filtration_to_dict(filt: FiltrationSpec) -> dict:
-    return {
-        "weights": [frac_str(w) for w in filt.weights],
-        "steps": [
-            {
-                "rank": s.rank,
-                "degree": None if s.degree is None else frac_str(s.degree),
-                "h0_table": _h0_entries(s, filt.level),
-            }
-            for s in filt.steps
-        ],
-        "v_dims": list(filt.v_dims),
-        "level": filt.level,
-    }
-
-
-def _h0_entries(sheaf: SheafData, level: int) -> dict:
-    """The explicit h0 table of a sheaf, plus its closed form at ``level``."""
-    table = dict(sheaf.h0_table)
-    if sheaf.h0_rule is not None:
-        table[level] = sheaf.h0_rule(level)
-    return {str(k): v for k, v in sorted(table.items())}
-
-
-def filtration_from_dict(data: dict, space_tag: str = "P1") -> FiltrationSpec:
-    steps = tuple(
-        SheafData(
-            rank=s["rank"],
-            degree=None if s.get("degree") is None else parse_frac(s["degree"]),
-            space_tag=space_tag,
-            h0_table={int(k): v for k, v in s.get("h0_table", {}).items()},
-        )
-        for s in data["steps"]
-    )
-    return FiltrationSpec(
-        weights=tuple(parse_frac(w) for w in data["weights"]),
-        steps=steps,
-        v_dims=tuple(data["v_dims"]),
-        ambient=steps[-1],
-        level=int(data["level"]),
-    )

@@ -8,10 +8,10 @@ node-last (r, r, B) stacks.  Per-node results are written into
 full-length arrays before any quadrature sum, so the pairwise summation
 order, and with it every output, does not depend on the block size.
 
-The fibre metric has one factorization, the Cholesky `whiten` h = L L*,
-W = L^{-1}: log det h = 2 sum_j log L_jj, P = Q h^{-1} Q* = Y Y* with
-Y = Q W*, and SingularGram on loss of positivity.  `finite` names an
-overflowed node before any factorization.
+The fibre metric has one factorization, the Cholesky h = L L* of
+`cholesky`, with W = L^{-1} from `whiten`: log det h = 2 sum_j log L_jj,
+P = Q h^{-1} Q* = Y Y* with Y = Q W*, and SingularGram on loss of
+positivity.  `finite` names an overflowed node before any factorization.
 """
 
 from __future__ import annotations
@@ -157,11 +157,10 @@ def trace_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x * y.transpose(1, 0, 2)).sum(axis=(0, 1))
 
 
-def whiten(h: np.ndarray):
-    """Cholesky whitening per node of an (r, r, B) stack of hermitian
-    matrices, read from their lower triangles: (W, L) with h = L L* and
-    W = L^{-1}, both lower triangular, so that W h W* = 1 and
-    h^{-1} = W* W; SingularGram if some h is not numerically positive.
+def cholesky(h: np.ndarray) -> np.ndarray:
+    """Cholesky factor per node of an (r, r, B) stack of hermitian
+    matrices, read from their lower triangles: L lower triangular with
+    h = L L*; SingularGram if some h is not numerically positive.
     Further trailing axes, such as (times, nodes), batch alike."""
     r = h.shape[0]
     l = np.zeros_like(h)
@@ -171,8 +170,15 @@ def whiten(h: np.ndarray):
             raise SingularGram("fibre metric lost positivity")
         l[j, j] = np.sqrt(d)
         l[j + 1 :, j] = (h[j + 1 :, j] - (l[j + 1 :, :j] * l[j, :j].conj()).sum(axis=1)) / l[j, j]
+    return l
+
+
+def whiten(h: np.ndarray):
+    """(W, L) per node with L = cholesky(h) and W = L^{-1}, both lower
+    triangular, so that W h W* = 1 and h^{-1} = W* W."""
+    l = cholesky(h)
     w = np.zeros_like(h)
-    for i in range(r):
+    for i in range(len(l)):
         w[i, :i] = -(l[i, :i, None] * w[:i, :i]).sum(axis=0) / l[i, i]
         w[i, i] = 1.0 / l[i, i]
     return w, l
@@ -183,5 +189,5 @@ def _logdet(l: np.ndarray) -> np.ndarray:  # log det h = 2 sum_j log L_jj, h = L
 
 
 def logdet(h: np.ndarray) -> np.ndarray:
-    """log det per node of an (r, r, B) stack, from whiten."""
-    return _logdet(whiten(h)[1])
+    """log det per node of an (r, r, B) stack, from its Cholesky factor."""
+    return _logdet(cholesky(h))

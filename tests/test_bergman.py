@@ -5,6 +5,8 @@ import scipy.linalg
 from bml import bergman as bg
 from bml import bundles as bd
 
+from test_kernels import counted
+
 
 def catalog_basis():
     return bd.section_basis(bd.split(0, 2), 3)
@@ -151,6 +153,87 @@ def criterion5_draws(seed):
         basis = cases[i % len(cases)]
         ps = bg.random_two_weight_ps(basis.dimension, rng)
         yield basis, ps, float(rng.uniform(0.1, 3.0)), complex(rng.normal(), rng.normal())
+
+
+def reference_rhs(basis, ps, t, x):
+    """F*F assembled from the path form itself: sigma = sqrtm(H(t)),
+    A = sigma Q, h^{-1/2} = inv(sqrtm(h)), one sandwich per product."""
+    q = bd.q_field(basis, np.asarray([x]))[0]
+    s = ps.form_at(t).matrix
+    u = 2.0 * ps.generator
+    a = scipy.linalg.sqrtm(s) @ q
+    h = q.conj().T @ s @ q
+    g = np.linalg.solve(h, a.conj().T @ (u @ a))
+    f = (u @ a - a @ g) @ np.linalg.inv(scipy.linalg.sqrtm(h))
+    return f.conj().T @ f
+
+
+def definition_rhs(basis, ps, t, x):
+    """F*F from the definitions: A = expm(zeta t) Q, h^{-1/2} by eigh."""
+    q = bd.q_field(basis, np.asarray([x]))[0]
+    a = scipy.linalg.expm(t * ps.generator) @ q
+    u = 2.0 * ps.generator
+    h = a.conj().T @ a
+    g = np.linalg.solve(h, a.conj().T @ u @ a)
+    lam, v = np.linalg.eigh(h)
+    f = (u @ a - a @ g) @ ((v / np.sqrt(lam)) @ v.conj().T)
+    return f.conj().T @ f
+
+
+def reference_commutator(basis, ps, t, x):
+    """The commutator residual in the frame inv(sqrtm(h_ref)), with the
+    moment matrices sandwiched from S = H(t) and u = 2 zeta."""
+    q = bd.q_field(basis, np.asarray([x]))[0]
+    q = q @ np.linalg.inv(scipy.linalg.sqrtm(q.conj().T @ q))
+    s = ps.form_at(t).matrix
+    u = 2.0 * ps.generator
+    mats = [q.conj().T @ m @ q for m in (s, s @ u, s @ u @ u)]
+    return max(np.linalg.norm(a @ b - b @ a) / (np.linalg.norm(a) * np.linalg.norm(b))
+               for i, a in enumerate(mats) for b in mats[i + 1:])
+
+
+def test_subgeodesic_rhs_matches_references():
+    for basis, ps, t, x in list(criterion5_draws(5))[:40]:
+        rhs = bg.subgeodesic_residual(basis, ps, t, x)[1]
+        for want in (reference_rhs(basis, ps, t, x), definition_rhs(basis, ps, t, x)):
+            assert np.linalg.norm(rhs - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_commutator_matches_reference(rng):
+    basis = catalog_basis()
+    for _ in range(25):
+        ps = bg.random_two_weight_ps(basis.dimension, rng)
+        t = float(rng.uniform(0.2, 2.0))
+        x = complex(rng.normal(), rng.normal())
+        assert abs(bg.commutator_residual(basis, ps, t, x) - reference_commutator(basis, ps, t, x)) <= 1e-12
+    # the three-weight generator of test_commutator_large_for_three_generic_weights
+    rng = np.random.default_rng(12345)
+    n = basis.dimension
+    lam = np.concatenate([np.full(3, 1.0), np.full(4, 0.1), np.full(3, -1.0)])
+    lam -= lam.mean()
+    u, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    ps = bg.one_ps((u * lam) @ u.conj().T)
+    want = reference_commutator(basis, ps, 1.0, 0.6 + 0.2j)
+    assert abs(bg.commutator_residual(basis, ps, 1.0, 0.6 + 0.2j) - want) <= 1e-10 * want
+
+
+def test_identities_never_assemble_the_form(monkeypatch, rng):
+    """Both identities work on e^{Lambda t} V* Q: no path form, no inverse."""
+    calls = {"form_at": 0, "inv": 0}
+    monkeypatch.setattr(bg.OnePS, "form_at", counted(calls, "form_at", bg.OnePS.form_at))
+    monkeypatch.setattr(np.linalg, "inv", counted(calls, "inv", np.linalg.inv))
+    for basis, ps, t, x in list(criterion5_draws(5))[:8]:
+        bg.subgeodesic_residual(basis, ps, t, x)
+        bg.commutator_residual(basis, ps, t, x)
+    assert calls == {"form_at": 0, "inv": 0}
+
+
+def test_commutator_past_the_form_positivity_limit():
+    # spread 5/3: from t = 11, e^{2 spread t} exceeds 1/eps and H(t) is no
+    # longer numerically positive; nothing in the identity is singular
+    basis = catalog_basis()
+    ps = bg.random_two_weight_ps(basis.dimension, np.random.default_rng(12))
+    assert bg.commutator_residual(basis, ps, 12.0, 0.6 + 0.2j) < 1e-10
 
 
 def test_subgeodesic_guard_ignores_roundoff_floor():

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -103,3 +107,11 @@ def test_inline_ps_parsing():
     assert cli._parse_ps_flag("diag:1,-1") == {"type": "diag", "weights": ["1", "-1"]}
     with pytest.raises(cli.ConfigError):
         cli._parse_ps_flag("spiral:1")
+
+
+def test_import_does_not_load_scipy():
+    """scipy is a test-only dependency: the package itself runs on numpy."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, bml; assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

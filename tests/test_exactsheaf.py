@@ -145,21 +145,7 @@ def test_frac_str_roundtrip(x):
     assert xs.parse_frac(xs.frac_str(x)) == x
 
 
-def test_filtration_serialization_roundtrip():
-    filt = catalog_filtration()
-    data = xs.filtration_to_dict(filt)
-    back = xs.filtration_from_dict(data)
-    assert back.weights == filt.weights
-    assert back.v_dims == filt.v_dims
-    assert back.level == filt.level
-    assert [s.rank for s in back.steps] == [s.rank for s in filt.steps]
-    assert [s.h0_at(filt.level) for s in back.steps] == [s.h0_at(filt.level) for s in filt.steps]
-    assert xs.m_na(back) == xs.m_na(filt)
-
-
 def test_catalog_h0_closed_form():
     assert xs.split_p1([0, 2]).h0_at(40) == 84
     assert xs.line_p1(2).h0_at(-9) == 0
     assert xs.tangent_p2().h0_at(30) == xs.h0_tangent_p2(30)
-    with pytest.raises(xs.MissingDegree):
-        xs.SheafData(rank=1, degree=0, space_tag="P1", h0_table={0: 1}).h0_at(1)
