@@ -224,7 +224,7 @@ def t_iterate(
     history = []
     t0 = time.perf_counter()
     q = q_field(basis, grid.nodes)
-    ld0 = kernels.logdet(h_ref_field(basis, grid, q).transpose(1, 2, 0))
+    ld0 = kernels.logdet(kernels.field(basis, grid.nodes, q=q))
     _, b, _, s, m2 = _solver_parts(basis, grid, H, ld0, q)
     state = _state_from(basis, grid, H, 0, s, m2)
     for it in range(max_iter + 1):
@@ -279,8 +279,8 @@ def _b_derivatives(basis, grid, q, wh, dh):
     w = grid.weights / grid.volume
     t4 = np.zeros((n * n, n * n), dtype=complex)
     for sl, qb in kernels.blocks(basis, grid.nodes, q):
-        pf = kernels.p_field(qb, wh[..., sl]).reshape(-1, n * n)
-        t4 += (w[sl, None] * pf).T @ pf
+        pf = kernels.p_field(qb, wh[..., sl]).reshape(n * n, -1)
+        t4 += (pf * w[sl]) @ pf.T
     t4 = t4.reshape(n, n, n, n).transpose(1, 2, 0, 3).reshape(n * n, n * n)
     return -(dh.reshape(-1, n * n) @ t4).reshape(dh.shape)
 
@@ -329,7 +329,7 @@ def lm_minimize(
     history = []
     t0 = time.perf_counter()
     q = q_field(basis, grid.nodes)
-    ld0 = kernels.logdet(h_ref_field(basis, grid, q).transpose(1, 2, 0))
+    ld0 = kernels.logdet(kernels.field(basis, grid.nodes, q=q))
     # A singular or overflowing trial form only increases the damping.
     rejected = (SingularGram, kernels.NonFiniteChart)
     wh, b, eig, s, m2_cur = _solver_parts(basis, grid, H, ld0, q)
@@ -608,7 +608,7 @@ def donaldson_value_line(basis: SectionBasis, grid: QuadratureGrid, H: np.ndarra
     if basis.bundle.kind != "split_p1" or basis.rank != 1:
         raise MissingHE("endpoint formula implemented for line bundles on P1")
     mu = float(basis.bundle.sheaf().degree)
-    h_raw = kernels.field(basis, grid.nodes, np.asarray(H, dtype=complex)).real[:, 0, 0]
+    h_raw = kernels.field(basis, grid.nodes, np.asarray(H, dtype=complex)).real[0, 0]
     h_he_raw = h_he.values.real[:, 0, 0]
     v = -(np.log(h_raw) - np.log(h_he_raw))
     f1 = don.curvature_field(

@@ -205,8 +205,8 @@ class MetricField:
 def fs_metric(basis: SectionBasis, grid: QuadratureGrid, form: HermitianForm) -> MetricField:
     """Fibrewise metric h(x) = Q(x)* H Q(x), checked positive by cholesky."""
     h = kernels.field(basis, grid.nodes, form.matrix)
-    kernels.cholesky(h.transpose(1, 2, 0))
-    return MetricField(grid=grid, values=h)
+    kernels.cholesky(h)
+    return MetricField(grid=grid, values=h.transpose(2, 0, 1))
 
 
 def _root(ps: OnePS, t: float) -> np.ndarray:
@@ -225,8 +225,8 @@ def bergman_path(basis: SectionBasis, grid: QuadratureGrid, ps: OnePS, t: float)
     if t < 0:
         raise ValueError("path time must be nonnegative")
     h = kernels.field(basis, grid.nodes, factor=_root(ps, t))
-    kernels.cholesky(h.transpose(1, 2, 0))
-    return MetricField(grid=grid, values=h)
+    kernels.cholesky(h)
+    return MetricField(grid=grid, values=h.transpose(2, 0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +253,7 @@ def weight_filtration(
     ranks = []
     for i in range(len(ps.weights)):
         # singular values of the fibre images of the flag sections
-        s = np.linalg.svd(kernels.act(ps.flag_basis(i).T, q), compute_uv=False)
+        s = np.linalg.svd(q.transpose(0, 2, 1) @ ps.flag_basis(i), compute_uv=False)
         per_sample = (s > svd_tol * np.maximum(s[:, :1], 1e-300)).sum(axis=1)
         top = int(per_sample.max())
         if (per_sample == top).sum() < 0.25 * len(per_sample):

@@ -244,4 +244,4 @@ def dq_dz_field(basis: SectionBasis, nodes: np.ndarray) -> np.ndarray:
 def h_ref_field(basis: SectionBasis, grid: QuadratureGrid, q=None) -> np.ndarray:
     """Reference metric h_ref(x) = Q(x)* Q(x) at every node, (M, r, r);
     ``q`` holds the chart values when the caller keeps them."""
-    return kernels.field(basis, grid.nodes, q=q)
+    return kernels.field(basis, grid.nodes, q=q).transpose(2, 0, 1)

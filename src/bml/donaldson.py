@@ -28,8 +28,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import bundles, kernels
-from .bergman import HermitianForm, OnePS, fs_metric
-from .bundles import SectionBasis, h_ref_field
+from .bergman import HermitianForm, OnePS
+from .bundles import SectionBasis
 from .quadrature import QuadratureGrid
 
 
@@ -43,8 +43,7 @@ class InsufficientSamples(ValueError):
 
 def m2_don(basis: SectionBasis, grid: QuadratureGrid, form: HermitianForm) -> float:
     """Normalized log-det energy of h_H against h_ref."""
-    ld = [kernels.logdet(h.transpose(1, 2, 0))
-          for h in (fs_metric(basis, grid, form).values, h_ref_field(basis, grid))]
+    ld = [kernels.logdet(kernels.field(basis, grid.nodes, mat)) for mat in (form.matrix, None)]
     return grid.integrate(ld[0] - ld[1]) / grid.volume
 
 
@@ -60,24 +59,23 @@ def m2_along_path(
         h(t) = sum_d e^{2 w_d t} G_d,    h_ref = Q*Q = sum_d G_d
 
     (V is unitary).  Per node block the D Gram blocks are formed once
-    and every h(t_j), with h_ref as t_0 = 0, comes from one GEMM against
-    the (D, T+1) table e^{2 w_d t_j}, and one Cholesky pass gives all
-    their log-dets.  Each G_d is bounded by h_ref, so a block overflows only
-    where the reference or a path metric does: NonFiniteChart names it.
+    and every h(t_j), with h_ref as t_0 = 0, comes from the (D, T+1)
+    table e^{2 w_d t_j} in one GEMM per matrix entry, and one Cholesky
+    pass gives all their log-dets.  Each G_d is bounded by h_ref, so a
+    block overflows only where the reference or a path metric does:
+    NonFiniteChart names it.
     """
     times = np.concatenate([[0.0], np.asarray(ts, dtype=float).ravel()])
     with np.errstate(over="ignore"):
         table = np.exp(2.0 * np.outer(ps.weights, times))
     vh = ps.vectors.conj().T
-    r = basis.rank
     vals = np.empty((len(times), len(grid.nodes)))
     for sl, q in kernels.blocks(basis, grid.nodes):
         vq = kernels.act(vh, q)
-        grams = np.stack([kernels.pair(vq[:, :, s], vq[:, :, s]) for s in ps.slices])
+        grams = np.stack([kernels.pair(vq[s], vq[s]) for s in ps.slices], axis=2)
         with np.errstate(over="ignore", invalid="ignore"):
-            h = (table.T @ grams.transpose(0, 2, 3, 1).reshape(len(ps.slices), -1))
-        h = h.reshape(len(times), r, r, -1)
-        vals[:, sl] = kernels.logdet(kernels.finite(h, grid.nodes, sl).transpose(1, 2, 0, 3))
+            h = table.T @ grams  # (r, r, T+1, B)
+        vals[:, sl] = kernels.logdet(kernels.finite(h, grid.nodes, sl))
     return np.asarray([grid.integrate(v - vals[0]) / grid.volume for v in vals[1:]])
 
 
@@ -110,12 +108,12 @@ def curvature_field(
     _only_analytic(method)
     lam, v = np.linalg.eigh(form.matrix)
     z = np.asarray(grid.nodes)
-    out = np.empty((len(z), basis.rank, basis.rank), dtype=complex)
+    f_t = np.empty((basis.rank, basis.rank, len(z)), dtype=complex)
     for sl, stack in _path_jets(basis, grid, np.sqrt(lam)[:, None] * v.conj().T, (slice(None),)):
         w, l, k = _curvature_frame(basis.level, z[sl], *kernels.finite(stack[0], z, sl))
-        f_t = kernels.mul(kernels.mul(kernels.ct(w), k), kernels.ct(l))
-        out[sl] = (1.0 + np.abs(z[sl]) ** 2)[:, None, None] ** 2 * f_t.transpose(2, 1, 0)
-    return out
+        f_t[..., sl] = kernels.mul(kernels.mul(kernels.ct(w), k), kernels.ct(l))
+        f_t[..., sl] *= (1.0 + np.abs(z[sl]) ** 2) ** 2
+    return f_t.transpose(2, 1, 0)
 
 
 def _curvature_frame(level: int, z, h, a, c):
@@ -145,10 +143,6 @@ def _curvature_frame(level: int, z, h, a, c):
 # ---------------------------------------------------------------------------
 # Curvature pairing M1
 
-# nodes per rotation V* Q in _path_jets: a block's Q and dQ are then the
-# only sizable temporaries beside the held blocks
-_ROTATE = 256
-
 
 def _path_jets(basis: SectionBasis, grid: QuadratureGrid, rotation, slices) -> list:
     """The per-weight 1-jet blocks of the chart, per node block, for the
@@ -171,15 +165,14 @@ def _path_jets(basis: SectionBasis, grid: QuadratureGrid, rotation, slices) -> l
     r = basis.rank
     jets = []
     for sl, q in kernels.blocks(basis, z):
-        d = bundles.dq_dz_field(basis, z[sl])
-        stack = np.empty((len(slices), 3, r, r, len(q)), dtype=complex)
-        for part in (slice(i, i + _ROTATE) for i in range(0, len(q), _ROTATE)):
-            vq, vd = kernels.act(rotation, q[part]), kernels.act(rotation, d[part])
-            for i, s in enumerate(slices):
-                b, db = vq[:, :, s], vd[:, :, s]
-                stack[i, 0, ..., part] = kernels.pair(b, b).transpose(1, 2, 0)
-                stack[i, 1, ..., part] = kernels.pair(b, db).transpose(1, 2, 0)
-                stack[i, 2, ..., part] = kernels.pair(db, db).transpose(1, 2, 0)
+        vq = kernels.act(rotation, q)
+        vd = kernels.act(rotation, kernels.node_last(bundles.dq_dz_field(basis, z[sl])))
+        stack = np.empty((len(slices), 3, r, r, q.shape[-1]), dtype=complex)
+        for i, s in enumerate(slices):
+            b, db = vq[s], vd[s]
+            stack[i, 0] = kernels.pair(b, b)
+            stack[i, 1] = kernels.pair(b, db)
+            stack[i, 2] = kernels.pair(db, db)
         jets.append((sl, stack))
     return jets
 

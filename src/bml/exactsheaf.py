@@ -190,36 +190,16 @@ def weight_grading(filt: FiltrationSpec) -> WeightGrading:
     return WeightGrading(j=j, integer_weights=iw, surviving_indices=surv)
 
 
-def _step_at_grade(filt: FiltrationSpec, iw: tuple, q: int) -> int:
-    """Index i of the filtration step active at integer grade q.
-
-    The step below weight level i spans grades q >= -iw[i]; the active
-    step at q is the deepest one already switched on.
-    """
-    active = -1
-    for i, w in enumerate(iw):
-        if -w <= q:
-            active = i
-    return active
-
-
 def m_na(filt: FiltrationSpec) -> Fraction:
-    """Non-Archimedean slope (2/j) sum_q rk(E_q) (mu(E) - mu(E_q)).
+    """Non-Archimedean slope (2/j) sum_q rk(E_q) (mu(E) - mu(E_q)) over
+    the integer grades q.  Step E_i is active on j (w_i - w_{i+1}) grades
+    and the last step, E itself, contributes nothing, so the sum is
 
-    The integer-grade sum runs over its finite support; grades where the
-    active step is zero or all of E contribute nothing.
+        2 sum_{i < nu-1} (w_i - w_{i+1}) rk(E_i) (mu(E) - mu(E_i)).
     """
-    grading = weight_grading(filt)
-    iw = grading.integer_weights
-    mu_e = mu(filt.ambient)
-    total = Fraction(0)
-    for q in range(-iw[0], -iw[-1]):
-        i = _step_at_grade(filt, iw, q)
-        if i < 0:
-            continue
-        step = filt.steps[i]
-        total += step.rank * (mu_e - mu(step))
-    return Fraction(2, grading.j) * total
+    ws, mu_e = filt.weights, mu(filt.ambient)
+    steps = zip(ws, ws[1:], filt.steps)
+    return 2 * sum(((a - b) * e.rank * (mu_e - mu(e)) for a, b, e in steps), Fraction(0))
 
 
 def j_na(grading: WeightGrading, weights: Sequence) -> Fraction:
@@ -230,24 +210,20 @@ def j_na(grading: WeightGrading, weights: Sequence) -> Fraction:
 
 def m2_slope_prediction(filt: FiltrationSpec) -> Fraction:
     """Exact predicted asymptotic slope of the log-det energy M2 along
-    the one-parameter degeneration defined by ``filt``."""
-    grading = weight_grading(filt)
-    iw = grading.integer_weights
-    r = filt.ambient.rank
-    h0 = filt.h0_ambient()
-    total = Fraction(0)
-    for q in range(-iw[0], -iw[-1]):
-        i = _step_at_grade(filt, iw, q)
-        if i < 0:
-            continue
-        rk = filt.steps[i].rank
-        v = filt.v_dims[i]
-        total += rk * (Fraction(h0, r) - Fraction(v, rk))
-    return Fraction(2, grading.j) * Fraction(r, h0) * total
+    the one-parameter degeneration defined by ``filt``: the sum over the
+    integer grades q of (2/j) (r/h0) rk(E_q) (h0/r - v_q/rk(E_q)), taken
+    step by step as for m_na,
+
+        2 (r/h0) sum_{i < nu-1} (w_i - w_{i+1}) (rk(E_i) h0/r - v_i).
+    """
+    ws, r, h0 = filt.weights, filt.ambient.rank, filt.h0_ambient()
+    steps = zip(ws, ws[1:], filt.steps, filt.v_dims)
+    total = sum(((a - b) * (Fraction(e.rank * h0, r) - v) for a, b, e, v in steps), Fraction(0))
+    return 2 * Fraction(r, h0) * total
 
 
 def weight_sum_identity(filt: FiltrationSpec) -> tuple:
-    """Return (lhs, rhs): lhs = sum_i w_i rk(gr_i E), rhs = the brute-force
+    """Return (lhs, rhs): lhs = sum_i w_i rk(gr_i E), rhs = the predicted
     M2 slope.  The trace-free constraint forces rhs = 2 lhs exactly."""
     lhs = sum(
         (w * g for w, g in zip(filt.weights, filt.graded_ranks())), Fraction(0)
@@ -305,15 +281,18 @@ def regularity_catalog(bundle) -> int:
     The tangent bundle of P^2: twisting the Euler sequence and chasing
     the long exact sequence gives H^1(T(-2)) = H^2(T(-3)) = 0 while
     H^1(T(-3)) is one-dimensional, so reg = -1.
+
+    ``bundle`` is the degree tuple or list of a split bundle, the tag
+    "euler_tp2" or a SheafData on P^2; anything else, a presentation
+    included, raises UnsupportedBundle.
     """
-    kind = getattr(bundle, "kind", None) or bundle
-    if isinstance(kind, (list, tuple)):
-        return max(-d for d in kind)
-    if isinstance(kind, SheafData):
-        if kind.space_tag == "P2":
+    if isinstance(bundle, (list, tuple)):
+        return max(-d for d in bundle)
+    if isinstance(bundle, SheafData):
+        if bundle.space_tag == "P2":
             return -1
         raise UnsupportedBundle("regularity known only for catalog bundles")
-    if kind == "euler_tp2":
+    if bundle == "euler_tp2":
         return -1
     raise UnsupportedBundle(f"unknown catalog bundle {bundle!r}")
 

@@ -1,12 +1,17 @@
 """The evaluation core of the fibre sandwich h = Q* H Q on a node set.
 
 Chart values Q(x), an N x r matrix per node, come from `bundles.q_field`
-one block of BLOCK nodes at a time and are dropped with the block.
-Within a block Q is stacked as a (B*r, N) matrix, so an N x N form acts
-on every node in one GEMM and what is left per node is r x r algebra on
-node-last (r, r, B) stacks.  Per-node results are written into
-full-length arrays before any quadrature sum, so the pairwise summation
-order, and with it every output, does not depend on the block size.
+one block of at most BLOCK nodes at a time and are dropped with the
+block.  Inside the core every per-node value has one layout, the node
+index last: a block of chart values or of their z-derivatives is an
+(N, r, B) stack, section index first, and a sandwich is an (r, r, B)
+stack.  An N x N form acts on every node of a block in one GEMM (`act`),
+a weight group of a 1-PS is a row slice of that product, and what is
+left per node is r x r algebra whose loops run over the small indices,
+each step one vector operation over the B nodes.  Per-node outputs are
+written into full-length arrays before any quadrature sum and do not
+depend on the block size; B(H), the one sum over nodes accumulated per
+block, moves in its last bits with BLOCK.
 
 The fibre metric has one factorization, the Cholesky h = L L* of
 `cholesky`, with W = L^{-1} from `whiten`: log det h = 2 sum_j log L_jj,
@@ -39,31 +44,44 @@ class NonFiniteChart(NonFiniteIntegrand):
         self.index, self.z, self.u = index, z, u
 
 
+def node_last(x: np.ndarray) -> np.ndarray:
+    """Chart values or their z-derivatives, (B, N, r) as `bundles` gives
+    them, in the layout of the core: (N, r, B), node index last."""
+    return np.ascontiguousarray(x.transpose(1, 2, 0))
+
+
 def blocks(basis, nodes, q=None):
-    """(slice, Q) for consecutive blocks of at most BLOCK nodes; Q is
-    evaluated per block unless the caller holds all of it in ``q``."""
+    """(slice, Q) for consecutive blocks of at most BLOCK nodes, Q of
+    shape (N, r, B); Q is evaluated per block unless the caller holds all
+    of it, (M, N, r), in ``q``."""
     for start in range(0, len(nodes), BLOCK):
         sl = slice(start, min(start + BLOCK, len(nodes)))
-        yield sl, bundles.q_field(basis, nodes[sl]) if q is None else q[sl]
+        yield sl, node_last(bundles.q_field(basis, nodes[sl]) if q is None else q[sl])
 
 
 def act(mat: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """(mat Q(x))^T per node, shape (B, r, K) for a K x N ``mat``: one
-    GEMM against the stacked (B*r, N) layout of Q."""
-    b, n, r = q.shape
+    """mat Q(x) per node, shape (K, r, B) for a K x N ``mat``: one GEMM
+    against Q as an N x (r B) matrix.  Row slices are weight groups."""
+    n, r, b = q.shape
     with np.errstate(over="ignore", invalid="ignore"):
-        return (q.transpose(0, 2, 1).reshape(b * r, n) @ mat.T).reshape(b, r, -1)
+        return (mat @ q.reshape(n, -1)).reshape(-1, r, b)
 
 
 def pair(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x(x)* y(x) per node for stacked factors of shape (B, r, N)."""
+    """x(x)* y(x) per node, shape (r, r, B), for stacked factors of shape
+    (K, r, B): one vector reduction over the section index per entry."""
+    xc = x.conj()
+    out = np.empty((x.shape[1], y.shape[1], x.shape[2]), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        return x.conj() @ y.transpose(0, 2, 1)
+        for i in range(out.shape[0]):
+            for j in range(out.shape[1]):
+                out[i, j] = (xc[:, i] * y[:, j]).sum(axis=0)
+    return out
 
 
 def sandwich(a: np.ndarray, mat: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a(x)* mat b(x) per node for blocks a, b of shape (B, N, r)."""
-    return pair(a.transpose(0, 2, 1), act(mat, b))
+    """a(x)* mat b(x) per node, (r, r, B), for chart blocks a, b."""
+    return pair(a, act(mat, b))
 
 
 def finite(x: np.ndarray, nodes, sl: slice) -> np.ndarray:
@@ -78,56 +96,58 @@ def finite(x: np.ndarray, nodes, sl: slice) -> np.ndarray:
 
 
 def field(basis, nodes, mat=None, factor=None, q=None) -> np.ndarray:
-    """Q* mat Q at every node, hermitian, shape (M, r, r): Q*Q without
+    """Q* mat Q at every node, hermitian, shape (r, r, M): Q*Q without
     ``mat``, and (F Q)*(F Q), positive by construction, for a square-root
     ``factor`` F.  ``q`` holds the chart values when the caller keeps
     them; NonFiniteChart names the first node whose sandwich overflowed."""
-    out = np.empty((len(nodes), basis.rank, basis.rank), dtype=complex)
+    out = np.empty((basis.rank, basis.rank, len(nodes)), dtype=complex)
     for sl, qb in blocks(basis, nodes, q):
         if mat is not None:
             h = sandwich(qb, mat, qb)
         else:
-            x = qb.transpose(0, 2, 1) if factor is None else act(factor, qb)
+            x = qb if factor is None else act(factor, qb)
             h = pair(x, x)
-        finite(h.transpose(1, 2, 0), nodes, sl)
-        out[sl] = 0.5 * (h + h.conj().transpose(0, 2, 1))
+        out[..., sl] = 0.5 * (finite(h, nodes, sl) + ct(h))
     return out
 
 
 def b_matrix(basis, nodes, w, H, q=None):
-    """sum_x w(x) Y Y* (see p_root), one GEMM of the stacked (B*r, N)
-    layouts of w Y^T and Y^T per block; with it log det h and W at every
-    node, (M,) and (r, r, M).  ``q`` holds the chart values if kept."""
+    """sum_x w(x) Y Y* (see p_root), one GEMM of Y as an N x (r B)
+    matrix per block; with it log det h and W at every node, (M,) and
+    (r, r, M).  ``q`` holds the chart values if kept.  The sum is
+    accumulated per block, so it moves in its last bits with BLOCK."""
     n, r = basis.dimension, basis.rank
     b = np.zeros((n, n), dtype=complex)
     ld = np.empty(len(nodes))
     wh = np.empty((r, r, len(nodes)), dtype=complex)
     for sl, qb in blocks(basis, nodes, q):
-        wh[..., sl], l = whiten(finite(sandwich(qb, H, qb).transpose(1, 2, 0), nodes, sl))
+        wh[..., sl], l = whiten(finite(sandwich(qb, H, qb), nodes, sl))
         ld[sl] = _logdet(l)
         y = p_root(qb, wh[..., sl])
-        b += (w[sl, None, None] * y).reshape(-1, n).T @ y.reshape(-1, n).conj()
+        b += (y * w[sl]).reshape(n, -1) @ y.reshape(n, -1).conj().T
     return 0.5 * (b + b.conj().T), ld, wh
 
 
 def p_root(q: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Y^T per node, shape (B, r, N), with Y = Q W* for chart values q of
-    shape (B, N, r) and an (r, r, B) stack W from whiten: since
-    h^{-1} = W* W, the P-field is P = Q h^{-1} Q* = Y Y*."""
-    qt = q.transpose(0, 2, 1)
-    y = np.empty_like(qt)
+    """Y = Q W* per node, shape (N, r, B), for chart values q and an
+    (r, r, B) stack W from whiten: since h^{-1} = W* W, the P-field is
+    P = Q h^{-1} Q* = Y Y*."""
+    y = np.empty_like(q)
     for i in range(len(w)):
         # W is lower triangular: (Q W*)_{:, i} = sum_{j <= i} Q_{:, j} conj(W_ij)
-        y[:, i] = w[i, 0].conj()[:, None] * qt[:, 0]
+        y[:, i] = w[i, 0].conj() * q[:, 0]
         for j in range(1, i + 1):
-            y[:, i] += w[i, j].conj()[:, None] * qt[:, j]
+            y[:, i] += w[i, j].conj() * q[:, j]
     return y
 
 
 def p_field(q: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """P(x) = Q h^{-1} Q* = Y Y* per node, shape (B, N, N) (see p_root)."""
+    """P(x) = Q h^{-1} Q* = Y Y* per node, shape (N, N, B) (see p_root)."""
     y = p_root(q, w)
-    return y.transpose(0, 2, 1) @ y.conj()
+    p = y[:, None, 0] * y[None, :, 0].conj()
+    for i in range(1, y.shape[1]):
+        p += y[:, None, i] * y[None, :, i].conj()
+    return p
 
 
 # ---------------------------------------------------------------------------

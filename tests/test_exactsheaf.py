@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bml import bundles as bd
 from bml import exactsheaf as xs
 
 
@@ -116,6 +117,51 @@ def test_two_step_closed_form_randomized():
         assert xs.m_na(filt) == closed
 
 
+def grade_sums(filt: xs.FiltrationSpec) -> tuple:
+    """(m_na, m2_slope_prediction) as the sums over integer grades q that
+    define them: the step active at q is the deepest i with -j w_i <= q."""
+    grading = xs.weight_grading(filt)
+    iw = grading.integer_weights
+    r, h0, mu_e = filt.ambient.rank, filt.h0_ambient(), xs.mu(filt.ambient)
+    m_na = m2 = Fraction(0)
+    for q in range(-iw[0], -iw[-1]):
+        i = max(i for i, w in enumerate(iw) if -w <= q)
+        step = filt.steps[i]
+        m_na += step.rank * (mu_e - xs.mu(step))
+        m2 += step.rank * (Fraction(h0, r) - Fraction(filt.v_dims[i], step.rank))
+    return Fraction(2, grading.j) * m_na, Fraction(2, grading.j) * Fraction(r, h0) * m2
+
+
+def criterion_1_filtrations() -> list:
+    """The 1,000 random and the 200 two-step filtrations of criterion 1,
+    drawn from its seed in its order."""
+    from bml.acceptance import _random_filtration
+
+    rng = np.random.default_rng(20260823)
+    out = [_random_filtration(rng) for _ in range(1000)]
+    for _ in range(200):
+        n_sum = int(rng.integers(2, 5))
+        degs = tuple(int(rng.integers(-2, 5)) for _ in range(n_sum))
+        r1 = int(rng.integers(1, n_sum))
+        ambient = xs.split_p1(degs)
+        k = xs.regularity_catalog(degs) + 1
+        v1 = sum(xs.h0_p1(d + k) for d in degs[:r1])
+        v2 = ambient.h0_at(k)
+        top = max(v1, v2 - v1)
+        out.append(xs.FiltrationSpec(
+            weights=(Fraction(v2 - v1, top), Fraction(-v1, top)),
+            steps=(xs.split_p1(degs[:r1]), ambient), v_dims=(v1, v2), ambient=ambient, level=k,
+        ))
+    return out
+
+
+def test_step_sums_equal_grade_sums():
+    filts = criterion_1_filtrations()
+    assert len(filts) == 1200 and len({f.nu for f in filts}) == 3
+    for filt in filts + [catalog_filtration(), xs.trivial_filtration(xs.split_p1([0, 2]), 3)]:
+        assert (xs.m_na(filt), xs.m2_slope_prediction(filt)) == grade_sums(filt)
+
+
 def test_stability_verdicts():
     ambient = xs.split_p1([0, 2])
     sub = xs.line_p1(2)
@@ -137,6 +183,10 @@ def test_regularity_catalog():
     assert xs.regularity_catalog((0, 2)) == 0
     assert xs.regularity_catalog((2,)) == -2
     assert xs.regularity_catalog("euler_tp2") == -1
+    assert xs.regularity_catalog(xs.tangent_p2()) == -1
+    for presentation in (bd.euler_tp2(), bd.split(0, 2)):
+        with pytest.raises(xs.UnsupportedBundle):
+            xs.regularity_catalog(presentation)
 
 
 @given(st.fractions(max_denominator=1000))

@@ -267,7 +267,7 @@ def test_b_matrix_p_field_and_m2_value(split_basis, grid, rng):
         b, ld, wh = bl._b_matrix(split_basis, grid, H, held)
         assert rel(b, b_want) < TOL
         assert rel(ld, np.linalg.slogdet(h)[1]) < TOL
-        assert rel(kernels.p_field(q, wh), p) < TOL
+        assert rel(kernels.p_field(q.transpose(1, 2, 0), wh), p.transpose(1, 2, 0)) < TOL
     ld0 = np.linalg.slogdet(h_ref(q))[1]
     m2 = grid.integrate(np.linalg.slogdet(h)[1] - ld0) / grid.volume
     assert rel(bl.m2_value(split_basis, grid, H), m2) < TOL
@@ -339,14 +339,32 @@ def test_fibre_factorization_names_its_failures(factorize, node, rng):
 
 
 def test_block_size_does_not_move_results(grid_p1, monkeypatch, rng):
+    """Every kernel path gives byte-identical per-node outputs at every
+    block size; B(H), summed over nodes per block, moves in its last bits."""
     basis = bd.section_basis(bd.split(0, 2), 3)
     ps = bg.random_two_weight_ps(basis.dimension, rng)
-    ts = [0.5, 2.0]
-    whole = don.m2_along_path(basis, grid_p1, ps, ts)
-    h = bg.fs_metric(basis, grid_p1, ps.form_at(1.0)).values
-    monkeypatch.setattr(kernels, "BLOCK", 700)
-    assert rel(don.m2_along_path(basis, grid_p1, ps, ts), whole) < TOL
-    assert rel(bg.fs_metric(basis, grid_p1, ps.form_at(1.0)).values, h) < TOL
+    form = ps.form_at(1.0)
+
+    def outputs():
+        b, ld, wh = bl._b_matrix(basis, grid_p1, form.matrix)
+        per_node = [
+            don.m2_along_path(basis, grid_p1, ps, [0.5, 2.0]),
+            don.m1_curve(basis, grid_p1, ps, [1.0], n_path=4),
+            don.curvature_field(basis, grid_p1, form),
+            bg.fs_metric(basis, grid_p1, form).values,
+            bg.bergman_path(basis, grid_p1, ps, 1.0).values,
+            bd.h_ref_field(basis, grid_p1),
+            ld,
+            wh,
+        ]
+        return b, [x.tobytes() for x in per_node]
+
+    b, whole = outputs()
+    for block in (100, 700, 4096):
+        monkeypatch.setattr(kernels, "BLOCK", block)
+        b_block, per_node = outputs()
+        assert per_node == whole, block
+        assert rel(b_block, b) < 1e-14, block
 
 
 def test_repeated_calls_are_byte_identical(grid_p1, rng):
