@@ -18,7 +18,6 @@ eigenvalue pinch delta and a spectral constant of the Laplacian.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -77,7 +76,6 @@ class HistoryRow:
     residual: float
     m2: float
     spread: float
-    wallclock_ms: float
     step: str = "none"
     rejected: int = 0
     damping: float = 0.0
@@ -122,10 +120,8 @@ def _b_matrix(basis: SectionBasis, grid: QuadratureGrid, H: np.ndarray, q=None):
 
 def center_of_mass(basis: SectionBasis, grid: QuadratureGrid, H: np.ndarray) -> np.ndarray:
     """M(H) = sigma B(H) sigma* with sigma = H^{1/2}; trace r exactly."""
-    sq = _sqrtm_psd(H)[2]
-    b = _b_matrix(basis, grid, H)[0]
-    m = sq @ b @ sq
-    return 0.5 * (m + m.conj().T)
+    n = basis.dimension
+    return _solver_parts(basis, grid, H, 0.0)[3] + (basis.rank / n) * np.eye(n)
 
 
 def _sqrtm_psd(H: np.ndarray):
@@ -138,12 +134,9 @@ def _sqrtm_psd(H: np.ndarray):
 
 def m2_value(basis: SectionBasis, grid: QuadratureGrid, H: np.ndarray) -> float:
     """Log-determinant energy of h_H against the reference h_ref = Q*Q."""
-    return don.m2_don(basis, grid, HermitianForm(np.asarray(H, dtype=complex)))
-
-
-def _spread(H: np.ndarray) -> float:
-    lam = np.linalg.eigvalsh(H)
-    return float(np.log(lam[-1] / lam[0]))
+    H = HermitianForm(np.asarray(H, dtype=complex)).matrix
+    ld = [kernels.logdet(kernels.field(basis, grid.nodes, mat)) for mat in (H, None)]
+    return grid.integrate(ld[0] - ld[1]) / grid.volume
 
 
 def _solver_parts(basis, grid, H, ld0, q=None):
@@ -177,18 +170,6 @@ def t_operator(
     return _det_normalize((r / n) * np.linalg.inv(b))
 
 
-def m2_gradient(basis: SectionBasis, grid: QuadratureGrid, H: np.ndarray, zeta: np.ndarray) -> float:
-    """First variation of m2 along the path H_t = sigma* e^{2 zeta t} sigma,
-    sigma = H^{1/2}: equals 2 tr(zeta M(H))."""
-    zeta = np.asarray(zeta, dtype=complex)
-    if np.abs(zeta - zeta.conj().T).max() > 1e-12:
-        raise ValueError("direction must be hermitian")
-    if abs(np.trace(zeta).real) > 1e-10:
-        raise ValueError("direction must be trace-free")
-    m = center_of_mass(basis, grid, H)
-    return float(2.0 * np.trace(zeta @ m).real)
-
-
 # ---------------------------------------------------------------------------
 # Iteration drivers
 
@@ -218,20 +199,16 @@ def t_iterate(
     """Run the T-operator to convergence or divergence.
 
     Returns (final BalanceState, history) where history rows carry
-    (iter, residual, m2, spread, wallclock_ms, step, rejected, damping).
+    (iter, residual, m2, spread, step, rejected, damping).
     """
     H = _det_normalize(np.asarray(H0, dtype=complex))
     history = []
-    t0 = time.perf_counter()
     q = q_field(basis, grid.nodes)
     ld0 = kernels.logdet(kernels.field(basis, grid.nodes, q=q))
-    _, b, _, s, m2 = _solver_parts(basis, grid, H, ld0, q)
-    state = _state_from(basis, grid, H, 0, s, m2)
+    _, b, eig, s, m2 = _solver_parts(basis, grid, H, ld0, q)
+    state = _state_from(basis, H, 0, eig, s, m2)
     for it in range(max_iter + 1):
-        history.append(
-            HistoryRow(it, state.residual, state.m2, state.spread,
-                       1e3 * (time.perf_counter() - t0))
-        )
+        history.append(HistoryRow(it, state.residual, state.m2, state.spread))
         if state.residual < tol:
             return replace(state, flag="converged"), history
         if _divergence_hit(history):
@@ -240,8 +217,8 @@ def t_iterate(
             break
         history[-1] = replace(history[-1], step="t")
         H = t_operator(basis, grid, H, b=b)
-        _, b, _, s, m2 = _solver_parts(basis, grid, H, ld0, q)
-        state = _state_from(basis, grid, H, it + 1, s, m2)
+        _, b, eig, s, m2 = _solver_parts(basis, grid, H, ld0, q)
+        state = _state_from(basis, H, it + 1, eig, s, m2)
     return replace(state, flag="max_iter"), history
 
 
@@ -327,19 +304,15 @@ def lm_minimize(
     directions = np.asarray(_herm_basis(n))
     lam_damp = 1e-3
     history = []
-    t0 = time.perf_counter()
     q = q_field(basis, grid.nodes)
     ld0 = kernels.logdet(kernels.field(basis, grid.nodes, q=q))
     # A singular or overflowing trial form only increases the damping.
     rejected = (SingularGram, kernels.NonFiniteChart)
     wh, b, eig, s, m2_cur = _solver_parts(basis, grid, H, ld0, q)
-    state = _state_from(basis, grid, H, 0, s, m2_cur)
+    state = _state_from(basis, H, 0, eig, s, m2_cur)
     fallback_streak = 0
     for it in range(max_iter + 1):
-        history.append(
-            HistoryRow(it, state.residual, state.m2, state.spread,
-                       1e3 * (time.perf_counter() - t0), damping=lam_damp)
-        )
+        history.append(HistoryRow(it, state.residual, state.m2, state.spread, damping=lam_damp))
         if state.residual < tol:
             return replace(state, flag="converged"), history
         if _divergence_hit(history):
@@ -424,14 +397,15 @@ def lm_minimize(
                     break
                 eta *= 0.5
         history[-1] = replace(history[-1], step=accepted or "none", rejected=n_rejected)
-        state = _state_from(basis, grid, H, it + 1, s, m2_cur)
+        state = _state_from(basis, H, it + 1, eig, s, m2_cur)
         if not accepted:
             return replace(state, flag="stalled"), history
     return replace(state, flag="max_iter"), history
 
 
-def _state_from(basis, grid, H, iteration, s, m2) -> BalanceState:
-    """BalanceState reusing already-computed residual and energy values."""
+def _state_from(basis, H, iteration, eig, s, m2) -> BalanceState:
+    """BalanceState reusing already-computed eigenvalues, residual and
+    energy values; eig is _sqrtm_psd(H)."""
     r, n = basis.rank, basis.dimension
     return BalanceState(
         H=H,
@@ -439,7 +413,7 @@ def _state_from(basis, grid, H, iteration, s, m2) -> BalanceState:
         center_of_mass=s + (r / n) * np.eye(n),
         residual=float(np.linalg.norm(s, "fro")),
         m2=float(m2),
-        spread=_spread(H),
+        spread=float(np.log(eig[0][-1] / eig[0][0])),
         flag="running",
     )
 
@@ -491,19 +465,15 @@ def iterate_slope(history, weight_range: float, tail: float = 0.4):
 # Delta diagnostics
 
 
-def hermitian_einstein_catalog(basis: SectionBasis, grid: QuadratureGrid, allow_tp2: bool = False) -> MetricField:
+def hermitian_einstein_catalog(basis: SectionBasis, grid: QuadratureGrid) -> MetricField:
     """Catalog Hermitian-Einstein reference at the working level.
 
     For direct sums of line bundles on P^1 the L2-orthonormal reference
     h_ref = Q*Q is itself the (projectively) Hermitian-Einstein metric,
-    since each summand has constant curvature.  The tangent-bundle
-    reference (the Fubini-Study-induced metric, Hermitian-Einstein for
-    the Kaehler-Einstein metric of P^2) is exposed behind a flag: at a
-    finite level it is only an orthonormalized approximation of the true
-    HE normalization, so pinch diagnostics against it carry a small
-    level-dependent bias.
+    since each summand has constant curvature.  Other bundles raise
+    MissingHE.
     """
-    if basis.bundle.kind != "split_p1" and not allow_tp2:
+    if basis.bundle.kind != "split_p1":
         raise MissingHE("no catalog Hermitian-Einstein metric for this bundle")
     return MetricField(grid=grid, values=h_ref_field(basis, grid))
 
@@ -561,13 +531,14 @@ def _pinch_coefficient(delta: float) -> float:
 
 
 def delta_diagnostic(h_min: MetricField, h_he: MetricField, grid: QuadratureGrid,
-                     spectral_c: float | None = None) -> DeltaDiagnostic:
+                     spectral_c: float) -> DeltaDiagnostic:
     """Eigenvalue-pinch diagnostic of a minimizer against the HE reference.
 
     delta is the infimum over nodes of lambda_min/lambda_max of
     h_min h_HE^{-1}; v is the matrix logarithm of the symmetrized ratio,
     v_bar its trace average, and the lower bound is
-    pinch(delta) * C^{-1} * ||v - v_bar||^2.
+    pinch(delta) * C^{-1} * ||v - v_bar||^2 with C = ``spectral_c``, the
+    first value of spectral_constant(grid).
     """
     a = h_min.values
     bvals = h_he.values
@@ -586,11 +557,10 @@ def delta_diagnostic(h_min: MetricField, h_he: MetricField, grid: QuadratureGrid
     tr_v = logs.sum(axis=-1)
     v_bar = grid.integrate(tr_v) / (r * grid.volume)
     v_norm2 = grid.integrate(((logs - v_bar) ** 2).sum(axis=-1))
-    c = spectral_c if spectral_c is not None else spectral_constant(grid)[0]
-    bound = _pinch_coefficient(delta) * v_norm2 / c
+    bound = _pinch_coefficient(delta) * v_norm2 / spectral_c
     return DeltaDiagnostic(
         delta=delta, v_bar=float(v_bar), v_norm2=float(v_norm2),
-        spectral_constant=float(c), lower_bound=float(bound),
+        spectral_constant=float(spectral_c), lower_bound=float(bound),
     )
 
 

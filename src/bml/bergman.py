@@ -48,7 +48,6 @@ class HermitianForm:
     """Positive-definite hermitian form on the section space."""
 
     matrix: np.ndarray
-    provenance: str = "explicit"
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -58,14 +57,6 @@ class HermitianForm:
         if np.linalg.eigvalsh(m).min() <= 0:
             raise NotPositiveDefinite("form must be positive definite")
         object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-def identity_form(n: int) -> HermitianForm:
-    return HermitianForm(np.eye(n), provenance="identity")
 
 
 @dataclass(frozen=True)
@@ -86,10 +77,6 @@ class OnePS:
     scale: float = 1.0
 
     @property
-    def dim(self) -> int:
-        return self.generator.shape[0]
-
-    @property
     def eigenvalues(self) -> np.ndarray:
         """The weight of each eigenvector column."""
         return np.concatenate(
@@ -104,7 +91,7 @@ class OnePS:
         """
         m = (self.vectors * np.exp(2.0 * self.eigenvalues * t)) @ self.vectors.conj().T
         try:
-            return HermitianForm(0.5 * (m + m.conj().T), provenance=f"exp(t={t})")
+            return HermitianForm(0.5 * (m + m.conj().T))
         except NotPositiveDefinite as err:
             spread = self.weights[0] - self.weights[-1]
             raise NotPositiveDefinite(
@@ -197,9 +184,6 @@ class MetricField:
     @property
     def rank(self) -> int:
         return self.values.shape[-1]
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.values)[:, 0].min())
 
 
 def fs_metric(basis: SectionBasis, grid: QuadratureGrid, form: HermitianForm) -> MetricField:

@@ -10,7 +10,6 @@ on configuration or runtime errors.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
@@ -23,7 +22,7 @@ from . import bundles as bd
 from . import donaldson as don
 from . import exactsheaf as xs
 from . import reporting as rep
-from .config import ConfigError, ExperimentConfig, config_to_dict, parse_config
+from .config import ConfigError, ExperimentConfig, config_to_dict, parse_config, read_config
 
 
 class ExperimentFailed(RuntimeError):
@@ -53,22 +52,19 @@ def _two_step_filtration(cfg: ExperimentConfig) -> xs.FiltrationSpec:
 
 
 def _out_path(cfg: ExperimentConfig, out_dir, name: str) -> str:
-    base = out_dir or cfg.out or "."
-    os.makedirs(base, exist_ok=True)
-    return os.path.join(base, name)
+    return os.path.join(out_dir or cfg.out or ".", name)
 
 
-def _times(cfg: ExperimentConfig) -> np.ndarray:
-    return np.linspace(cfg.t_end / cfg.samples, cfg.t_end, cfg.samples)
+def _path_setup(cfg: ExperimentConfig):
+    """(basis, grid, 1-PS, two-step filtration, sample times) of a path experiment."""
+    basis = cfg.section_basis()
+    ts = np.linspace(cfg.t_end / cfg.samples, cfg.t_end, cfg.samples)
+    return basis, cfg.build_grid(), cfg.ps.build(basis), _two_step_filtration(cfg), ts
 
 
 def run_slope(cfg: ExperimentConfig, out_dir=None) -> dict:
-    basis = cfg.section_basis()
-    grid = cfg.build_grid()
-    ps = cfg.ps.build(basis)
-    filt = _two_step_filtration(cfg)
+    basis, grid, ps, filt, ts = _path_setup(cfg)
     predicted = xs.m2_slope_prediction(filt)
-    ts = _times(cfg)
     m2 = don.m2_along_path(basis, grid, ps, ts)
     fit = don.asymptotic_slope_fit(ts, m2, t_min=0.6 * cfg.t_end, predicted=float(predicted))
     rep.write_csv(
@@ -115,14 +111,10 @@ def run_mna(cfg: ExperimentConfig, out_dir=None) -> dict:
 
 
 def run_asymptote(cfg: ExperimentConfig, out_dir=None) -> dict:
-    basis = cfg.section_basis()
-    grid = cfg.build_grid()
-    ps = cfg.ps.build(basis)
-    filt = _two_step_filtration(cfg)
+    basis, grid, ps, filt, ts = _path_setup(cfg)
     m_na = xs.m_na(filt)
     m2_pred = xs.m2_slope_prediction(filt)
     mu_e = xs.mu(filt.ambient)
-    ts = _times(cfg)
     m1 = don.m1_curve(basis, grid, ps, ts)
     m2 = don.m2_along_path(basis, grid, ps, ts)
     mdon = m1 + float(mu_e) * m2
@@ -293,11 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.config is not None:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        else:
-            raw = {}
+        raw = read_config(args.config) if args.config is not None else {}
         raw["kind"] = args.kind
         raw = _apply_overrides(raw, args)
         cfg = parse_config(raw)

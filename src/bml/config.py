@@ -3,7 +3,8 @@
 Configs are JSON-compatible dictionaries; every rational parameter is a
 "p/q" string so exact values survive serialization.  ``parse_config``
 validates and freezes an ExperimentConfig, ``config_to_dict`` inverts it
-exactly (round-trip is tested), and ``load_config`` reads a JSON file.
+exactly (round-trip is tested), and ``read_config`` reads the raw object
+from a JSON file.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Optional
 
 from . import bundles as bd
 from . import bergman as bg
-from .exactsheaf import frac_str, parse_frac
+from .exactsheaf import frac_str
 
 EXPERIMENT_KINDS = ("verify", "slope", "mna", "asymptote", "balance", "subgeodesic")
 
@@ -105,7 +106,7 @@ def _parse_ps(raw) -> PSSpec:
     if kind not in ("two_step", "diag"):
         raise ConfigError("ps.type", f"unknown generator type {kind!r}")
     try:
-        weights = tuple(parse_frac(w) if isinstance(w, str) else Fraction(w) for w in raw["weights"])
+        weights = tuple(Fraction(w) for w in raw["weights"])
     except (KeyError, ValueError) as exc:
         raise ConfigError("ps.weights", str(exc)) from exc
     sub = tuple(int(i) for i in raw.get("sub", ()))
@@ -165,10 +166,13 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     }
 
 
-def load_config(path: str) -> ExperimentConfig:
+def read_config(path: str) -> dict:
+    """The raw config object of a JSON file, for parse_config."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError("<file>", f"invalid JSON: {exc}") from exc
-    return parse_config(raw)
+    if not isinstance(raw, dict):
+        raise ConfigError("<root>", "config must be a JSON object")
+    return raw

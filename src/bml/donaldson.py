@@ -41,12 +41,6 @@ class InsufficientSamples(ValueError):
 # Log-det energy
 
 
-def m2_don(basis: SectionBasis, grid: QuadratureGrid, form: HermitianForm) -> float:
-    """Normalized log-det energy of h_H against h_ref."""
-    ld = [kernels.logdet(kernels.field(basis, grid.nodes, mat)) for mat in (form.matrix, None)]
-    return grid.integrate(ld[0] - ld[1]) / grid.volume
-
-
 def m2_along_path(
     basis: SectionBasis, grid: QuadratureGrid, ps: OnePS, ts: Sequence[float]
 ) -> np.ndarray:

@@ -149,23 +149,12 @@ class FiltrationSpec:
         if max(abs(w) for w in ws) > 1:
             raise ValueError("weight operator norm must be <= 1")
 
-    @property
-    def nu(self) -> int:
-        return len(self.weights)
-
     def graded_ranks(self) -> list:
         ranks = [s.rank for s in self.steps]
         return [ranks[0]] + [b - a for a, b in zip(ranks, ranks[1:])]
 
     def h0_ambient(self) -> int:
         return self.v_dims[-1]
-
-
-def trivial_filtration(ambient: SheafData, level: int) -> FiltrationSpec:
-    h0 = ambient.h0_at(level)
-    return FiltrationSpec(
-        weights=(Fraction(0),), steps=(ambient,), v_dims=(h0,), ambient=ambient, level=level
-    )
 
 
 def j_of_zeta(weights: Sequence) -> int:
@@ -304,7 +293,3 @@ def regularity_catalog(bundle) -> int:
 def frac_str(x: Fraction) -> str:
     x = _frac(x)
     return f"{x.numerator}" if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-def parse_frac(s) -> Fraction:
-    return _frac(s) if not isinstance(s, str) else Fraction(s)

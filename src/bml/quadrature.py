@@ -15,7 +15,7 @@ for omega in c1(O(1)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,15 +72,10 @@ class QuadratureGrid:
     nodes: np.ndarray
     weights: np.ndarray
     moment: np.ndarray
-    params: dict = field(default_factory=dict)
 
     @property
     def volume(self) -> float:
         return 1.0 if self.space_tag == "P1" else 0.5
-
-    @property
-    def dim(self) -> int:
-        return 1 if self.space_tag == "P1" else 2
 
     def integrate(self, values) -> float:
         """Weighted sum of per-node integrand values."""
@@ -114,7 +109,6 @@ def build_grid_p1(n_radial: int = 8, n_angular: int = 32, depth: int = 20) -> Qu
         nodes=z,
         weights=w,
         moment=um,
-        params={"n_radial": n_radial, "n_angular": n_angular, "depth": depth},
     )
 
 
@@ -162,7 +156,6 @@ def build_grid_p2(n_simplex: int = 6, n_angular: int = 12, depth: int = 8) -> Qu
         nodes=nodes,
         weights=w,
         moment=moment,
-        params={"n_simplex": n_simplex, "n_angular": n_angular, "depth": depth},
     )
 
 

@@ -1,8 +1,8 @@
 """Deterministic CSV/JSON report emission.
 
-CSV tables use a fixed column order and repr-exact floats; JSON
-summaries serialize Fractions as "p/q" strings and are byte-identical
-across reruns with the same seed (keys sorted, no wallclock data).
+CSV tables use a fixed column order and repr-exact floats, JSON summaries
+sorted keys and "p/q" Fractions; both are byte-identical across reruns
+with the same seed (no artifact carries wall-clock data).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from fractions import Fraction
 from .exactsheaf import frac_str
 
 SLOPE_COLUMNS = ("t", "M1", "M2", "MDon", "pred_num", "pred_den")
-BALANCE_COLUMNS = ("iter", "residual", "m2", "spread", "wallclock_ms")
+BALANCE_COLUMNS = ("iter", "residual", "m2", "spread")
 
 
 def _ensure_dir(path: str) -> None:
@@ -86,4 +86,4 @@ def slope_rows(ts, m1=None, m2=None, mdon=None, prediction: Fraction | None = No
 
 def balance_rows(history):
     for row in history:
-        yield (row.iteration, row.residual, row.m2, row.spread, row.wallclock_ms)
+        yield (row.iteration, row.residual, row.m2, row.spread)

@@ -12,6 +12,12 @@ def random_form(n, rng):
     return a @ a.conj().T + 0.5 * np.eye(n)
 
 
+def first_variation(basis, grid, H, zeta):
+    """d/dt of m2 along H_t = sigma e^{2 zeta t} sigma, sigma = H^{1/2},
+    at t = 0: 2 tr(zeta M(H))."""
+    return float(2.0 * np.trace(zeta @ bl.center_of_mass(basis, grid, H)).real)
+
+
 def test_center_of_mass_trace(grid_p1, rng):
     basis = bd.section_basis(bd.split(0, 2), 3)
     H = random_form(basis.dimension, rng)
@@ -28,7 +34,7 @@ def test_t_convention_on_symmetric_configuration():
     H = np.eye(basis.dimension)
     assert np.linalg.norm(bl.t_operator(basis, grid, H) - H) < 1e-10
     zeta = np.diag([1.0, 0.0, -1.0])
-    assert abs(bl.m2_gradient(basis, grid, H, zeta)) < 1e-10
+    assert abs(first_variation(basis, grid, H, zeta)) < 1e-10
 
 
 def test_t_operator_fixes_balanced_point(grid_p1):
@@ -111,7 +117,7 @@ def test_m2_gradient_matches_finite_difference(grid_p1, rng):
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     z = 0.5 * (z + z.conj().T)
     z -= (np.trace(z).real / n) * np.eye(n)
-    grad = bl.m2_gradient(basis, grid_p1, H, z)
+    grad = first_variation(basis, grid_p1, H, z)
     eps = 1e-6
     import scipy.linalg
 
@@ -127,7 +133,7 @@ def test_m2_gradient_matches_finite_difference(grid_p1, rng):
 def test_destabilizing_gradient_value(grid_p1):
     basis = bd.section_basis(bd.split(0, 2), 3)
     ps = bg.two_step_one_ps(basis, [1], (2.0 / 3.0, -1.0))
-    grad = bl.m2_gradient(basis, grid_p1, np.eye(basis.dimension), ps.generator)
+    grad = first_variation(basis, grid_p1, np.eye(basis.dimension), ps.generator)
     assert grad == pytest.approx(-2.0 / 3.0, abs=1e-10)
 
 
@@ -159,7 +165,7 @@ def test_spectral_constant(grid_p1):
 def test_delta_diagnostic_trivial(grid_p1):
     basis = bd.section_basis(bd.split(2), 1)
     he = bl.hermitian_einstein_catalog(basis, grid_p1)
-    diag = bl.delta_diagnostic(he, he, grid_p1)
+    diag = bl.delta_diagnostic(he, he, grid_p1, spectral_c=bl.spectral_constant(grid_p1)[0])
     assert diag.delta == pytest.approx(1.0, abs=1e-12)
     assert diag.lower_bound == pytest.approx(0.0, abs=1e-12)
 
@@ -171,7 +177,7 @@ def test_delta_inequality_perturbed(grid_p1):
     w = np.linspace(0.5, -0.5, n)
     H = np.diag(np.exp(w - w.mean()))
     h = bg.fs_metric(basis, grid_p1, bg.HermitianForm(matrix=H.astype(complex)))
-    diag = bl.delta_diagnostic(h, he, grid_p1)
+    diag = bl.delta_diagnostic(h, he, grid_p1, spectral_c=bl.spectral_constant(grid_p1)[0])
     value = bl.donaldson_value_line(basis, grid_p1, H, he)
     assert diag.lower_bound > 0
     assert value >= diag.lower_bound - 1e-9

@@ -91,6 +91,27 @@ def test_balance_stable_bundle(tmp_path, capsys):
     assert (tmp_path / "balance_lm.csv").exists()
 
 
+def test_non_object_config_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "list.json"
+    cfg.write_text("[1, 2]")
+    assert cli.main(["mna", "--config", str(cfg)]) == 1
+    assert "config must be a JSON object" in capsys.readouterr().err
+
+
+def test_balance_csv_deterministic(tmp_path):
+    """Every artifact of `bml balance`, the per-iterate CSVs included, is
+    byte-identical across reruns."""
+    cfg = write_cfg(tmp_path, {"kind": "balance", "grid": LIGHT_GRID})
+    args = ["balance", "--config", cfg, "--bundle", "split_p1:2", "--k", "2"]
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert cli.main(args + ["--out", str(out1)]) == 0
+    assert cli.main(args + ["--out", str(out2)]) == 0
+    names = sorted(p.name for p in out1.iterdir())
+    assert names == ["balance.json", "balance_lm.csv", "balance_t.csv"]
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
 def test_json_output_deterministic(tmp_path):
     args = ["mna", "--bundle", "split_p1:0,2", "--k", "3", "--ps", "two_step:1:2/3,-1"]
     out1, out2 = tmp_path / "a", tmp_path / "b"

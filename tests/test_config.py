@@ -83,9 +83,12 @@ def test_ps_build_diag_dimension_check():
 def test_load_config(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(sample_raw()))
-    cfg = cf.load_config(str(path))
-    assert cfg.samples == 10
+    assert cf.read_config(str(path)) == sample_raw()
+    assert cf.parse_config(cf.read_config(str(path))).samples == 10
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(cf.ConfigError, match="JSON"):
-        cf.load_config(str(bad))
+        cf.read_config(str(bad))
+    bad.write_text("[1, 2]")
+    with pytest.raises(cf.ConfigError, match="config must be a JSON object"):
+        cf.read_config(str(bad))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bml import balance as bl
 from bml import bergman as bg
 from bml import bundles as bd
 from bml import donaldson as don
@@ -23,7 +24,7 @@ def catalog_pair():
 
 def test_m2_vanishes_at_identity(grid_p1):
     basis, _ = catalog_pair()
-    assert don.m2_don(basis, grid_p1, bg.identity_form(basis.dimension)) == pytest.approx(0.0, abs=1e-12)
+    assert bl.m2_value(basis, grid_p1, np.eye(basis.dimension)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_m2_closed_form(grid_p1_fine):
@@ -45,7 +46,7 @@ def test_m1_closed_form(grid_p1_fine):
 
 def test_curvature_degree_analytic(grid_p1):
     basis, _ = catalog_pair()
-    f = don.curvature_field(basis, grid_p1, bg.identity_form(basis.dimension))
+    f = don.curvature_field(basis, grid_p1, bg.HermitianForm(np.eye(basis.dimension)))
     deg = grid_p1.integrate(np.trace(f, axis1=1, axis2=2).real)
     assert deg == pytest.approx(2.0, abs=1e-9)
 
@@ -134,7 +135,7 @@ def test_m1_curve_keeps_the_callers_order(grid_p1):
 def test_curvature_requires_p1(grid_p2):
     basis = bd.section_basis(bd.euler_tp2(), 1)
     with pytest.raises(NotImplementedError):
-        don.curvature_field(basis, grid_p2, bg.identity_form(basis.dimension))
+        don.curvature_field(basis, grid_p2, bg.HermitianForm(np.eye(basis.dimension)))
 
 
 def test_m2_slope_catalog(grid_p1):

@@ -309,7 +309,7 @@ def test_fibre_algebra_has_one_factorization(coarse, monkeypatch, rng):
     don.curvature_field(basis, coarse, form)
     bg.fs_metric(basis, coarse, form)
     bg.bergman_path(basis, coarse, ps, 1.0)
-    don.m2_don(basis, coarse, form)
+    bl.m2_value(basis, coarse, form.matrix)
     bl._b_matrix(basis, coarse, form.matrix)
     bl.t_iterate(basis, coarse, np.eye(n), max_iter=2)
     bl.lm_minimize(basis, coarse, np.eye(n), max_iter=2)

@@ -46,5 +46,5 @@ def test_slope_rows_blanks():
 def test_balance_rows():
     from bml.balance import HistoryRow
 
-    rows = list(rep.balance_rows([HistoryRow(0, 1.0, -0.5, 0.1, 3.0)]))
-    assert rows == [(0, 1.0, -0.5, 0.1, 3.0)]
+    rows = list(rep.balance_rows([HistoryRow(0, 1.0, -0.5, 0.1)]))
+    assert rows == [(0, 1.0, -0.5, 0.1)]
