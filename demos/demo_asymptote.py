@@ -21,13 +21,7 @@ def main():
 
     basis = bd.section_basis(bd.split(0, 2), 3)
     ps = bg.two_step_one_ps(basis, [1], (2.0 / 3.0, -1.0))
-    filt = xs.FiltrationSpec(
-        weights=("2/3", "-1"),
-        steps=(xs.line_p1(2), xs.split_p1([0, 2])),
-        v_dims=(6, 10),
-        ambient=xs.split_p1([0, 2]),
-        level=3,
-    )
+    filt = xs.two_step_filtration([2], [0, 2], 3, ("2/3", "-1"))
     m_na = xs.m_na(filt)
     ts = np.linspace(1.5, 15.0, 10)
     m1 = don.m1_curve(basis, grid, ps, ts, n_path=64)

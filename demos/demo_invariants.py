@@ -11,16 +11,9 @@ from bml import exactsheaf as xs
 
 
 def main():
-    ambient = xs.split_p1([0, 2])
-    sub = xs.line_p1(2)
     k = 3
-    filt = xs.FiltrationSpec(
-        weights=(Fraction(2, 3), Fraction(-1)),
-        steps=(sub, ambient),
-        v_dims=(sub.h0_at(k), ambient.h0_at(k)),
-        ambient=ambient,
-        level=k,
-    )
+    filt = xs.two_step_filtration([2], [0, 2], k, (Fraction(2, 3), Fraction(-1)))
+    sub, ambient = filt.steps
     print(f"bundle: {ambient.label}, sub: {sub.label}, level k = {k}")
     print(f"mu(E) = {xs.mu(ambient)},  mu(F) = {xs.mu(sub)}")
     grading = xs.weight_grading(filt)

@@ -19,13 +19,7 @@ def main():
     grid = build_grid_p1(n_radial=6, n_angular=16, depth=12)
     ps = bg.two_step_one_ps(basis, [1], (2.0 / 3.0, -1.0))
 
-    filt = xs.FiltrationSpec(
-        weights=("2/3", "-1"),
-        steps=(xs.line_p1(2), xs.split_p1([0, 2])),
-        v_dims=(6, 10),
-        ambient=xs.split_p1([0, 2]),
-        level=3,
-    )
+    filt = xs.two_step_filtration([2], [0, 2], 3, ("2/3", "-1"))
     predicted = xs.m2_slope_prediction(filt)
 
     ts = np.linspace(1.0, 15.0, 12)

@@ -25,7 +25,7 @@ from .exactsheaf import (
     m2_slope_prediction,
     weight_sum_identity,
 )
-from .bundles import BundlePresentation, SectionBasis, split, euler_tp2, section_basis
+from .bundles import SectionBasis, split, euler_tp2, section_basis
 from .bergman import (
     HermitianForm,
     OnePS,
@@ -57,7 +57,6 @@ __all__ = [
     "j_na",
     "m2_slope_prediction",
     "weight_sum_identity",
-    "BundlePresentation",
     "SectionBasis",
     "split",
     "euler_tp2",

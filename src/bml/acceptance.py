@@ -66,7 +66,7 @@ def _random_filtration(rng: np.random.Generator) -> xs.FiltrationSpec:
         nu = int(rng.integers(1, min(n_sum, 3) + 1))
         ranks = sorted(int(rng.integers(1, n_sum + 1)) for _ in range(nu - 1)) + [n_sum]
         steps = tuple(xs.split_p1(degs[:r]) for r in ranks)
-        k = xs.regularity_catalog(degs) + int(rng.integers(0, 3))
+        k = ambient.regularity() + int(rng.integers(0, 3))
         h0 = ambient.h0_at(k)
         if h0 <= nu:
             continue
@@ -115,16 +115,12 @@ def criterion_1() -> CriterionResult:
         degs = tuple(int(rng.integers(-2, 5)) for _ in range(n_sum))
         r1 = int(rng.integers(1, n_sum))
         ambient = xs.split_p1(degs)
-        sub = xs.split_p1(degs[:r1])
-        k = xs.regularity_catalog(degs) + 1
-        v1 = sum(xs.h0_p1(d + k) for d in degs[:r1])
-        v2 = ambient.h0_at(k)
-        m1, m2 = v1, v2 - v1
-        top = max(m1, m2)
-        w1, w2 = Fraction(m2, top), Fraction(-m1, top)
-        filt = xs.FiltrationSpec(
-            weights=(w1, w2), steps=(sub, ambient), v_dims=(v1, v2), ambient=ambient, level=k
-        )
+        k = ambient.regularity() + 1
+        v1, v2 = xs.split_p1(degs[:r1]).h0_at(k), ambient.h0_at(k)
+        top = max(v1, v2 - v1)
+        w1, w2 = Fraction(v2 - v1, top), Fraction(-v1, top)
+        filt = xs.two_step_filtration(degs[:r1], degs, k, (w1, w2))
+        sub = filt.steps[0]
         closed = 2 * (w1 - w2) * sub.rank * (xs.mu(ambient) - xs.mu(sub))
         if xs.m_na(filt) != closed:
             two_step_ok = False

@@ -577,7 +577,7 @@ def donaldson_value_line(basis: SectionBasis, grid: QuadratureGrid, H: np.ndarra
     """
     if basis.bundle.kind != "split_p1" or basis.rank != 1:
         raise MissingHE("endpoint formula implemented for line bundles on P1")
-    mu = float(basis.bundle.sheaf().degree)
+    mu = float(basis.bundle.degree)
     h_raw = kernels.field(basis, grid.nodes, np.asarray(H, dtype=complex)).real[0, 0]
     h_he_raw = h_he.values.real[:, 0, 0]
     v = -(np.log(h_raw) - np.log(h_he_raw))

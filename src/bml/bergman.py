@@ -67,14 +67,13 @@ class OnePS:
     order (ties merged at tolerance 1e-9); ``vectors[:, i]`` spans the
     eigenspaces, grouped so that columns ``slices[i]`` belong to
     ``weights[i]``.  Construction rescales the generator so its operator
-    norm is at most one and records the factor.
+    norm is at most one.
     """
 
     generator: np.ndarray
     weights: tuple
     slices: tuple
     vectors: np.ndarray
-    scale: float = 1.0
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -105,7 +104,7 @@ class OnePS:
         return self.vectors[:, : self.slices[i].stop]
 
 
-def one_ps(zeta: np.ndarray, normalize: bool = True) -> OnePS:
+def one_ps(zeta: np.ndarray) -> OnePS:
     zeta = np.asarray(zeta, dtype=complex)
     n = zeta.shape[0]
     if np.abs(zeta - zeta.conj().T).max() > 1e-12 * max(1.0, np.abs(zeta).max()):
@@ -113,10 +112,8 @@ def one_ps(zeta: np.ndarray, normalize: bool = True) -> OnePS:
     zeta = 0.5 * (zeta + zeta.conj().T)
     if abs(np.trace(zeta).real) > 1e-12 * n * max(1.0, np.abs(zeta).max()):
         raise ValueError("generator must be trace-free")
-    scale = 1.0
     norm = np.abs(np.linalg.eigvalsh(zeta)).max() if np.abs(zeta).max() > 0 else 0.0
-    if normalize and norm > 1.0 + 1e-12:
-        scale = norm
+    if norm > 1.0 + 1e-12:
         zeta = zeta / norm
     lam, vec = np.linalg.eigh(zeta)
     order = np.argsort(-lam)
@@ -134,7 +131,6 @@ def one_ps(zeta: np.ndarray, normalize: bool = True) -> OnePS:
         weights=tuple(weights),
         slices=tuple(slices),
         vectors=vec,
-        scale=scale,
     )
 
 
@@ -216,13 +212,11 @@ def bergman_path(basis: SectionBasis, grid: QuadratureGrid, ps: OnePS, t: float)
 # ---------------------------------------------------------------------------
 # Weight filtrations
 
+# relative singular-value cutoff of a numeric fibre rank
+_SVD_TOL = 1e-8
 
-def weight_filtration(
-    basis: SectionBasis,
-    ps: OnePS,
-    sample_points,
-    svd_tol: float = 1e-8,
-):
+
+def weight_filtration(basis: SectionBasis, ps: OnePS, sample_points):
     """Generic fibre ranks of the flag steps of the weight filtration.
 
     For each weight level the sections in the flag step are evaluated at
@@ -238,7 +232,7 @@ def weight_filtration(
     for i in range(len(ps.weights)):
         # singular values of the fibre images of the flag sections
         s = np.linalg.svd(q.transpose(0, 2, 1) @ ps.flag_basis(i), compute_uv=False)
-        per_sample = (s > svd_tol * np.maximum(s[:, :1], 1e-300)).sum(axis=1)
+        per_sample = (s > _SVD_TOL * np.maximum(s[:, :1], 1e-300)).sum(axis=1)
         top = int(per_sample.max())
         if (per_sample == top).sum() < 0.25 * len(per_sample):
             raise DegenerateSamples(

@@ -1,10 +1,10 @@
-"""Explicit bundle presentations with section bases and evaluation maps.
+"""Section bases and evaluation maps of the catalog bundles.
 
-A presentation pins down a concrete bundle from the catalog — a direct sum
-of line bundles on P^1 or the tangent bundle of P^2 presented as the Euler
-quotient of O(1)^3 — together with a deterministic basis of the twisted
-section space H^0(E(k)) and the pointwise evaluation matrix Q(x), an
-N x r complex matrix in a fixed chart frame.  All Fubini-Study-type
+For a catalog bundle (an ``exactsheaf.SheafData``: a direct sum of line
+bundles on P^1 or the tangent bundle of P^2 presented as the Euler
+quotient of O(1)^3) this module builds a deterministic basis of the
+twisted section space H^0(E(k)) and the pointwise evaluation matrix Q(x),
+an N x r complex matrix in a fixed chart frame.  All Fubini-Study-type
 metrics downstream are built from Q by sandwiching a hermitian form on
 the section space: h(x) = Q(x)* H Q(x).
 """
@@ -26,45 +26,12 @@ class LevelBelowRegularity(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class BundlePresentation:
-    kind: str  # "split_p1" | "euler_tp2"
-    degrees: tuple = ()
-
-    def __post_init__(self):
-        if self.kind not in ("split_p1", "euler_tp2"):
-            raise ValueError(f"unknown bundle kind {self.kind!r}")
-        object.__setattr__(self, "degrees", tuple(self.degrees))
-
-    @property
-    def rank(self) -> int:
-        return len(self.degrees) if self.kind == "split_p1" else 2
-
-    @property
-    def space_tag(self) -> str:
-        return "P1" if self.kind == "split_p1" else "P2"
-
-    @property
-    def degree(self) -> int:
-        return sum(self.degrees) if self.kind == "split_p1" else 3
-
-    def sheaf(self) -> xs.SheafData:
-        if self.kind == "split_p1":
-            return xs.split_p1(self.degrees)
-        return xs.tangent_p2()
-
-    def regularity(self) -> int:
-        if self.kind == "split_p1":
-            return xs.regularity_catalog(self.degrees)
-        return xs.regularity_catalog("euler_tp2")
+def split(*degrees: int) -> xs.SheafData:
+    return xs.split_p1(degrees)
 
 
-def split(*degrees: int) -> BundlePresentation:
-    return BundlePresentation(kind="split_p1", degrees=degrees)
-
-
-def euler_tp2() -> BundlePresentation:
-    return BundlePresentation(kind="euler_tp2")
+def euler_tp2() -> xs.SheafData:
+    return xs.tangent_p2()
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +48,7 @@ class SectionBasis:
     metric, which makes H = identity the symmetric configuration.
     """
 
-    bundle: BundlePresentation
+    bundle: xs.SheafData
     level: int
     dimension: int
     # split_p1: per-column list of (row_offset, coeffs); euler_tp2: exact
@@ -93,7 +60,7 @@ class SectionBasis:
         return self.bundle.rank
 
 
-def section_basis(bundle: BundlePresentation, k: int, orthonormal: bool = True) -> SectionBasis:
+def section_basis(bundle: xs.SheafData, k: int, orthonormal: bool = True) -> SectionBasis:
     if k < bundle.regularity():
         raise LevelBelowRegularity(
             f"level {k} is below the regularity {bundle.regularity()}"
@@ -110,8 +77,7 @@ def section_basis(bundle: BundlePresentation, k: int, orthonormal: bool = True) 
             cols.append((offset, coeffs))
             offset += d + 1
         n = offset
-        expected = sum(xs.h0_p1(a + k) for a in bundle.degrees)
-        assert n == expected
+        assert n == bundle.h0_at(k)
         return SectionBasis(bundle=bundle, level=k, dimension=n, data=tuple(cols))
     return _euler_basis(k, orthonormal)
 
@@ -241,7 +207,6 @@ def dq_dz_field(basis: SectionBasis, nodes: np.ndarray) -> np.ndarray:
     return out
 
 
-def h_ref_field(basis: SectionBasis, grid: QuadratureGrid, q=None) -> np.ndarray:
-    """Reference metric h_ref(x) = Q(x)* Q(x) at every node, (M, r, r);
-    ``q`` holds the chart values when the caller keeps them."""
-    return kernels.field(basis, grid.nodes, q=q).transpose(2, 0, 1)
+def h_ref_field(basis: SectionBasis, grid: QuadratureGrid) -> np.ndarray:
+    """Reference metric h_ref(x) = Q(x)* Q(x) at every node, (M, r, r)."""
+    return kernels.field(basis, grid.nodes).transpose(2, 0, 1)

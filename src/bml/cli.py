@@ -18,7 +18,6 @@ import numpy as np
 
 from . import balance as bl
 from . import bergman as bg
-from . import bundles as bd
 from . import donaldson as don
 from . import exactsheaf as xs
 from . import reporting as rep
@@ -30,29 +29,24 @@ class ExperimentFailed(RuntimeError):
 
 
 def _two_step_filtration(cfg: ExperimentConfig) -> xs.FiltrationSpec:
-    bundle = cfg.bundle_presentation()
+    bundle = cfg.catalog_bundle()
     if bundle.kind != "split_p1" or cfg.ps.type != "two_step":
         raise ExperimentFailed("exact slope predictions need a two-step split-bundle path")
-    sub_degs = [bundle.degrees[i] for i in cfg.ps.sub]
-    rest = [d for i, d in enumerate(bundle.degrees) if i not in cfg.ps.sub]
-    if not rest:
+    if all(i in cfg.ps.sub for i in range(bundle.rank)):
         raise ExperimentFailed("two-step path must leave a complementary block")
-    sub_sheaf = xs.split_p1(sub_degs)
-    ambient = xs.split_p1(bundle.degrees)
-    w1, w2 = cfg.ps.weights
-    v1 = sum(xs.h0_p1(d + cfg.k) for d in sub_degs)
-    v2 = ambient.h0_at(cfg.k)
-    return xs.FiltrationSpec(
-        weights=(w1, w2),
-        steps=(sub_sheaf, ambient),
-        v_dims=(v1, v2),
-        ambient=ambient,
-        level=cfg.k,
-    )
+    sub_degrees = [bundle.degrees[i] for i in cfg.ps.sub]
+    return xs.two_step_filtration(sub_degrees, bundle.degrees, cfg.k, cfg.ps.weights)
 
 
 def _out_path(cfg: ExperimentConfig, out_dir, name: str) -> str:
     return os.path.join(out_dir or cfg.out or ".", name)
+
+
+def _summary(cfg: ExperimentConfig, out_dir, experiment: str, **fields) -> dict:
+    """The summary of a run with its config, also written to <experiment>.json."""
+    summary = {"experiment": experiment, "config": config_to_dict(cfg), **fields}
+    rep.write_json(_out_path(cfg, out_dir, f"{experiment}.json"), summary)
+    return summary
 
 
 def _path_setup(cfg: ExperimentConfig):
@@ -73,16 +67,13 @@ def run_slope(cfg: ExperimentConfig, out_dir=None) -> dict:
         rep.slope_rows(ts, m2=m2, prediction=predicted),
     )
     ok = abs(fit.slope - float(predicted)) <= cfg.tol * max(1.0, abs(float(predicted)))
-    summary = {
-        "experiment": "slope",
-        "config": config_to_dict(cfg),
-        "predicted_slope": predicted,
-        "fitted_slope": fit.slope,
-        "fit_residual": fit.residual,
-        "passed": bool(ok),
-    }
-    rep.write_json(_out_path(cfg, out_dir, "slope.json"), summary)
-    return summary
+    return _summary(
+        cfg, out_dir, "slope",
+        predicted_slope=predicted,
+        fitted_slope=fit.slope,
+        fit_residual=fit.residual,
+        passed=bool(ok),
+    )
 
 
 def run_mna(cfg: ExperimentConfig, out_dir=None) -> dict:
@@ -92,22 +83,19 @@ def run_mna(cfg: ExperimentConfig, out_dir=None) -> dict:
     lhs, rhs = xs.weight_sum_identity(filt)
     candidates = [filt.steps[0]]
     verdict, witness = xs.slope_stability_verdict(ambient, candidates)
-    summary = {
-        "experiment": "mna",
-        "config": config_to_dict(cfg),
-        "m_na": xs.m_na(filt),
-        "j_na": xs.j_na(grading, filt.weights),
-        "m2_slope_prediction": xs.m2_slope_prediction(filt),
-        "weight_sum_lhs": lhs,
-        "weight_sum_rhs": rhs,
-        "mu_ambient": xs.mu(ambient),
-        "mu_sub": xs.mu(filt.steps[0]),
-        "le_potier_sign": xs.le_potier_verdict(filt.steps[0], ambient, cfg.k),
-        "slope_verdict": verdict,
-        "passed": bool(rhs == 2 * lhs),
-    }
-    rep.write_json(_out_path(cfg, out_dir, "mna.json"), summary)
-    return summary
+    return _summary(
+        cfg, out_dir, "mna",
+        m_na=xs.m_na(filt),
+        j_na=xs.j_na(grading, filt.weights),
+        m2_slope_prediction=xs.m2_slope_prediction(filt),
+        weight_sum_lhs=lhs,
+        weight_sum_rhs=rhs,
+        mu_ambient=xs.mu(ambient),
+        mu_sub=xs.mu(filt.steps[0]),
+        le_potier_sign=xs.le_potier_verdict(filt.steps[0], ambient, cfg.k),
+        slope_verdict=verdict,
+        passed=bool(rhs == 2 * lhs),
+    )
 
 
 def run_asymptote(cfg: ExperimentConfig, out_dir=None) -> dict:
@@ -126,21 +114,18 @@ def run_asymptote(cfg: ExperimentConfig, out_dir=None) -> dict:
         rep.slope_rows(ts, m1=m1, m2=m2, mdon=mdon, prediction=m_na),
     )
     ok = abs(fit_don.slope - float(m_na)) <= cfg.tol * max(1.0, abs(float(m_na)))
-    summary = {
-        "experiment": "asymptote",
-        "config": config_to_dict(cfg),
-        "m_na": m_na,
-        "m2_slope_prediction": m2_pred,
-        "fitted_mdon_slope": fit_don.slope,
-        "fitted_m2_slope": fit_m2.slope,
-        "empirical_intercept_bound": float(np.min(mdon - float(m_na) * ts)),
-        "passed": bool(ok),
-    }
-    rep.write_json(_out_path(cfg, out_dir, "asymptote.json"), summary)
-    return summary
+    return _summary(
+        cfg, out_dir, "asymptote",
+        m_na=m_na,
+        m2_slope_prediction=m2_pred,
+        fitted_mdon_slope=fit_don.slope,
+        fitted_m2_slope=fit_m2.slope,
+        empirical_intercept_bound=float(np.min(mdon - float(m_na) * ts)),
+        passed=bool(ok),
+    )
 
 
-def _polystable_decoration(bundle: bd.BundlePresentation) -> str:
+def _polystable_decoration(bundle: xs.SheafData) -> str:
     if bundle.kind == "split_p1" and len(bundle.degrees) > 1 and len(set(bundle.degrees)) == 1:
         return "converged (polystable)"
     return "converged (stable)"
@@ -161,21 +146,18 @@ def run_balance(cfg: ExperimentConfig, out_dir=None) -> dict:
         # history; the solver flag is then authoritative
         verdict = "converged" if state_t.flag == "converged" else "inconclusive"
     if verdict == "converged":
-        verdict = _polystable_decoration(cfg.bundle_presentation())
-    summary = {
-        "experiment": "balance",
-        "config": config_to_dict(cfg),
-        "verdict": verdict,
-        "t_flag": state_t.flag,
-        "t_residual": state_t.residual,
-        "lm_flag": state_lm.flag,
-        "lm_residual": state_lm.residual,
-        "spread_ratio": state_t.spread_ratio,
-        "final_H": [[repr(complex(v)) for v in row] for row in state_t.H],
-        "passed": state_t.flag in ("converged", "diverged"),
-    }
-    rep.write_json(_out_path(cfg, out_dir, "balance.json"), summary)
-    return summary
+        verdict = _polystable_decoration(cfg.catalog_bundle())
+    return _summary(
+        cfg, out_dir, "balance",
+        verdict=verdict,
+        t_flag=state_t.flag,
+        t_residual=state_t.residual,
+        lm_flag=state_lm.flag,
+        lm_residual=state_lm.residual,
+        spread_ratio=state_t.spread_ratio,
+        final_H=[[repr(complex(v)) for v in row] for row in state_t.H],
+        passed=state_t.flag in ("converged", "diverged"),
+    )
 
 
 def run_subgeodesic(cfg: ExperimentConfig, out_dir=None) -> dict:
@@ -191,15 +173,12 @@ def run_subgeodesic(cfg: ExperimentConfig, out_dir=None) -> dict:
         worst = max(worst, resid)
         min_eig = min(min_eig, eig)
     ok = worst <= cfg.tol and min_eig >= -1e-12
-    summary = {
-        "experiment": "subgeodesic",
-        "config": config_to_dict(cfg),
-        "max_residual": worst,
-        "min_eigenvalue": float(min_eig),
-        "passed": bool(ok),
-    }
-    rep.write_json(_out_path(cfg, out_dir, "subgeodesic.json"), summary)
-    return summary
+    return _summary(
+        cfg, out_dir, "subgeodesic",
+        max_residual=worst,
+        min_eigenvalue=float(min_eig),
+        passed=bool(ok),
+    )
 
 
 def run_verify(cfg: ExperimentConfig, out_dir=None) -> dict:
@@ -208,17 +187,14 @@ def run_verify(cfg: ExperimentConfig, out_dir=None) -> dict:
     results = acceptance.run_all(include_stretch=False)
     for res in results:
         print(acceptance.format_line(res))
-    summary = {
-        "experiment": "verify",
-        "config": config_to_dict(cfg),
-        "results": [
+    return _summary(
+        cfg, out_dir, "verify",
+        results=[
             {"index": r.index, "name": r.name, "passed": r.passed, "detail": r.detail}
             for r in results
         ],
-        "passed": all(r.passed for r in results if r.gating),
-    }
-    rep.write_json(_out_path(cfg, out_dir, "verify.json"), summary)
-    return summary
+        passed=all(r.passed for r in results if r.gating),
+    )
 
 
 RUNNERS = {
@@ -231,38 +207,9 @@ RUNNERS = {
 }
 
 
-def _apply_overrides(raw: dict, args) -> dict:
-    if args.bundle is not None:
-        raw["bundle"] = args.bundle
-    if args.k is not None:
-        raw["k"] = args.k
-    if args.ps is not None:
-        raw["ps"] = _parse_ps_flag(args.ps)
-    if args.t_end is not None:
-        raw["t_end"] = args.t_end
-    if args.samples is not None:
-        raw["samples"] = args.samples
-    if args.tol is not None:
-        raw["tol"] = args.tol
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    return raw
-
-
-def _parse_ps_flag(text: str) -> dict:
-    """Inline form: 'two_step:1:2/3,-1' or 'diag:1,-1,0' or 'none'."""
-    if text == "none":
-        return {"type": "none"}
-    parts = text.split(":")
-    if parts[0] == "two_step" and len(parts) == 3:
-        return {
-            "type": "two_step",
-            "sub": [int(i) for i in parts[1].split(",")],
-            "weights": parts[2].split(","),
-        }
-    if parts[0] == "diag" and len(parts) == 2:
-        return {"type": "diag", "weights": parts[1].split(",")}
-    raise ConfigError("ps", f"cannot parse inline generator {text!r}")
+# config fields with an inline flag (``t_end`` is ``--t-end``); the strings
+# are read by parse_config like any config value
+OVERRIDES = ("bundle", "k", "ps", "t_end", "samples", "tol", "seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -270,25 +217,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="kind", required=True)
     for kind in RUNNERS:
         p = sub.add_parser(kind)
-        p.add_argument("--config", default=None, help="JSON config path")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--bundle", default=None)
-        p.add_argument("--k", type=int, default=None)
-        p.add_argument("--ps", default=None)
-        p.add_argument("--t-end", dest="t_end", type=float, default=None)
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--config", help="JSON config path")
+        p.add_argument("--out", help="output directory")
+        for name in OVERRIDES:
+            p.add_argument("--" + name.replace("_", "-"))
     return parser
+
+
+def _config_from_args(args) -> ExperimentConfig:
+    """The config file of ``args`` (if any) with its inline flags applied."""
+    raw = read_config(args.config) if args.config is not None else {}
+    raw["kind"] = args.kind
+    raw.update((name, getattr(args, name)) for name in OVERRIDES if getattr(args, name) is not None)
+    return parse_config(raw)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        raw = read_config(args.config) if args.config is not None else {}
-        raw["kind"] = args.kind
-        raw = _apply_overrides(raw, args)
-        cfg = parse_config(raw)
+        cfg = _config_from_args(args)
         summary = RUNNERS[args.kind](cfg, out_dir=args.out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,22 +1,24 @@
 """Experiment configuration: parsing, validation, round-trip serialization.
 
 Configs are JSON-compatible dictionaries; every rational parameter is a
-"p/q" string so exact values survive serialization.  ``parse_config``
-validates and freezes an ExperimentConfig, ``config_to_dict`` inverts it
-exactly (round-trip is tested), and ``read_config`` reads the raw object
-from a JSON file.
+"p/q" string so exact values survive serialization.  The fields of
+ExperimentConfig are the schema: ``parse_config`` reads the keys present,
+one reader per field, rejects unknown keys and freezes the result;
+``config_to_dict`` inverts it exactly (round-trip is tested), and
+``read_config`` reads the raw object from a JSON file.
 """
 
 from __future__ import annotations
 
+import copy
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Optional
 
 from . import bundles as bd
 from . import bergman as bg
-from .exactsheaf import frac_str
+from .exactsheaf import SheafData, frac_str
 
 EXPERIMENT_KINDS = ("verify", "slope", "mna", "asymptote", "balance", "subgeodesic")
 
@@ -57,6 +59,8 @@ class PSSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """The config schema: one field per key, defaults included."""
+
     kind: str
     bundle: str = "split_p1:0,2"
     k: int = 3
@@ -68,20 +72,19 @@ class ExperimentConfig:
     seed: int = 0
     out: Optional[str] = None
 
-    def bundle_presentation(self) -> bd.BundlePresentation:
+    def catalog_bundle(self) -> SheafData:
         return parse_bundle(self.bundle)
 
     def section_basis(self) -> bd.SectionBasis:
-        return bd.section_basis(self.bundle_presentation(), self.k)
+        return bd.section_basis(self.catalog_bundle(), self.k)
 
     def build_grid(self):
         from .quadrature import build_grid
 
-        space = self.bundle_presentation().space_tag
-        return build_grid(space, **self.grid)
+        return build_grid(self.catalog_bundle().space_tag, **self.grid)
 
 
-def parse_bundle(text: str) -> bd.BundlePresentation:
+def parse_bundle(text: str) -> SheafData:
     if text == "euler_tp2":
         return bd.euler_tp2()
     if text.startswith("split_p1:"):
@@ -89,14 +92,31 @@ def parse_bundle(text: str) -> bd.BundlePresentation:
             degrees = tuple(int(tok) for tok in text.split(":", 1)[1].split(","))
         except ValueError as exc:
             raise ConfigError("bundle", f"bad degree list in {text!r}") from exc
-        if not degrees:
-            raise ConfigError("bundle", "split bundle needs at least one degree")
         return bd.split(*degrees)
     raise ConfigError("bundle", f"unknown bundle string {text!r}")
 
 
+def _parse_ps_flag(text: str) -> dict:
+    """Inline form: 'two_step:1:2/3,-1' or 'diag:1,-1,0' or 'none'."""
+    if text == "none":
+        return {"type": "none"}
+    parts = text.split(":")
+    if parts[0] == "two_step" and len(parts) == 3:
+        return {
+            "type": "two_step",
+            "sub": [int(i) for i in parts[1].split(",")],
+            "weights": parts[2].split(","),
+        }
+    if parts[0] == "diag" and len(parts) == 2:
+        return {"type": "diag", "weights": parts[1].split(",")}
+    raise ConfigError("ps", f"cannot parse inline generator {text!r}")
+
+
 def _parse_ps(raw) -> PSSpec:
-    if raw is None or raw == "none" or raw == {"type": "none"}:
+    """A generator from its dict form or from its inline string form."""
+    if isinstance(raw, str):
+        raw = _parse_ps_flag(raw)
+    if raw is None:
         return PSSpec(type="none")
     if not isinstance(raw, dict) or "type" not in raw:
         raise ConfigError("ps", "expected a dict with a 'type' key")
@@ -117,53 +137,67 @@ def _parse_ps(raw) -> PSSpec:
     return PSSpec(type=kind, weights=weights, sub=sub)
 
 
-def parse_config(raw: dict) -> ExperimentConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("<root>", "config must be a JSON object")
-    kind = raw.get("kind")
-    if kind not in EXPERIMENT_KINDS:
-        raise ConfigError("kind", f"must be one of {EXPERIMENT_KINDS}")
-    cfg = ExperimentConfig(
-        kind=kind,
-        bundle=raw.get("bundle", "split_p1:0,2"),
-        k=int(raw.get("k", 3)),
-        grid=dict(raw.get("grid", {})),
-        ps=_parse_ps(raw.get("ps")),
-        t_end=float(raw.get("t_end", 15.0)),
-        samples=int(raw.get("samples", 12)),
-        tol=float(raw.get("tol", 1e-2)),
-        seed=int(raw.get("seed", 0)),
-        out=raw.get("out"),
-    )
-    bundle = cfg.bundle_presentation()  # validates the bundle string
-    reg = bundle.regularity()
-    if cfg.k < reg:
-        raise ConfigError("k", f"level {cfg.k} is below the catalog regularity {reg}")
-    if cfg.tol <= 0:
-        raise ConfigError("tol", "tolerances must be positive")
-    if cfg.t_end <= 0:
-        raise ConfigError("t_end", "path end time must be positive")
-    if cfg.samples < 2:
-        raise ConfigError("samples", "need at least two samples")
-    for key in cfg.grid:
+def _parse_grid(raw) -> dict:
+    grid = {key: int(value) for key, value in dict(raw).items()}
+    for key in grid:
         if key not in ("n_radial", "n_angular", "depth", "n_simplex"):
             raise ConfigError(f"grid.{key}", "unknown grid parameter")
+    return grid
+
+
+# one reader per ExperimentConfig field: raw JSON or CLI value -> field value;
+# the bundle string is checked by parsing it in parse_config
+_READERS = {
+    "kind": str,
+    "bundle": str,
+    "k": int,
+    "grid": _parse_grid,
+    "ps": _parse_ps,
+    "t_end": float,
+    "samples": int,
+    "tol": float,
+    "seed": int,
+    "out": lambda path: None if path is None else str(path),
+}
+
+
+def parse_config(raw: dict) -> ExperimentConfig:
+    """Validate a raw config.  Absent keys take the ExperimentConfig
+    defaults; an unknown key or an unreadable value is a ConfigError
+    naming the field."""
+    if not isinstance(raw, dict):
+        raise ConfigError("<root>", "config must be a JSON object")
+    if raw.get("kind") not in EXPERIMENT_KINDS:
+        raise ConfigError("kind", f"must be one of {EXPERIMENT_KINDS}")
+    values = {}
+    for key, value in raw.items():
+        if key not in _READERS:
+            raise ConfigError(key, "unknown config field")
+        try:
+            values[key] = _READERS[key](value)
+        except ConfigError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(key, f"cannot read {value!r}: {exc}") from exc
+    cfg = ExperimentConfig(**values)
+    bundle = cfg.catalog_bundle()
+    if cfg.k < bundle.regularity():
+        raise ConfigError("k", f"level {cfg.k} is below the catalog regularity {bundle.regularity()}")
+    if any(not 0 <= i < bundle.rank for i in cfg.ps.sub):
+        raise ConfigError("ps.sub", f"summand index out of range for {bundle.label}")
+    if not cfg.tol > 0:
+        raise ConfigError("tol", "tolerances must be positive")
+    if not 0 < cfg.t_end < float("inf"):
+        raise ConfigError("t_end", "path end time must be positive and finite")
+    if cfg.samples < 2:
+        raise ConfigError("samples", "need at least two samples")
     return cfg
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    return {
-        "kind": cfg.kind,
-        "bundle": cfg.bundle,
-        "k": cfg.k,
-        "grid": dict(cfg.grid),
-        "ps": cfg.ps.to_dict(),
-        "t_end": cfg.t_end,
-        "samples": cfg.samples,
-        "tol": cfg.tol,
-        "seed": cfg.seed,
-        "out": cfg.out,
-    }
+    raw = {f.name: copy.copy(getattr(cfg, f.name)) for f in fields(cfg)}
+    raw["ps"] = cfg.ps.to_dict()
+    return raw
 
 
 def read_config(path: str) -> dict:

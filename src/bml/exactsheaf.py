@@ -12,11 +12,10 @@ Gieseker stability.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 
 class EmptyCandidates(ValueError):
@@ -54,49 +53,67 @@ def h0_tangent_p2(m: int) -> int:
 
 @dataclass(frozen=True)
 class SheafData:
-    """Exact rank/degree/section-count data of a torsion-free sheaf.
+    """A catalog bundle: the direct sum of the O(d) for d in ``degrees``
+    on P^1 (``kind`` "split_p1") or the tangent bundle of P^2 (``kind``
+    "euler_tp2", no degrees).
 
-    Section counts come from ``h0_rule``, a closed form k -> h0.
+    Everything else derives from (kind, degrees); rank and degree are
+    fixed once at construction, so reading them is a field read.
     """
 
-    rank: int
-    degree: Fraction
-    space_tag: str
-    h0_rule: Callable[[int], int] = field(compare=False, repr=False)
-    label: str = ""
+    kind: str
+    degrees: tuple = ()
+    rank: int = field(init=False, repr=False, compare=False)
+    degree: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError("rank must be >= 1")
-        object.__setattr__(self, "degree", _frac(self.degree))
+        degrees = tuple(self.degrees)
+        if self.kind == "split_p1" and degrees:
+            rank, degree = len(degrees), Fraction(sum(degrees))
+        elif self.kind == "euler_tp2" and not degrees:
+            rank, degree = 2, Fraction(3)
+        else:
+            raise ValueError(f"no catalog bundle of kind {self.kind!r} with degrees {degrees}")
+        object.__setattr__(self, "degrees", degrees)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "degree", degree)
+
+    @property
+    def space_tag(self) -> str:
+        return "P1" if self.kind == "split_p1" else "P2"
+
+    @property
+    def label(self) -> str:
+        if self.kind == "euler_tp2":
+            return "T_P2"
+        return "O(" + ")+O(".join(str(d) for d in self.degrees) + ")"
 
     def h0_at(self, k: int) -> int:
-        return self.h0_rule(k)
+        if self.kind == "split_p1":
+            return sum(h0_p1(d + k) for d in self.degrees)
+        return h0_tangent_p2(k)
 
+    def regularity(self) -> int:
+        """Castelnuovo-Mumford regularity.
 
-def _h0_split_p1(degrees: tuple, k: int) -> int:
-    return sum(h0_p1(d + k) for d in degrees)
+        Split bundles on P^1: H^1(O(d-1)) = 0 iff d >= 0, so reg = max(-d_i).
+        The tangent bundle of P^2: twisting the Euler sequence and chasing
+        the long exact sequence gives H^1(T(-2)) = H^2(T(-3)) = 0 while
+        H^1(T(-3)) is one-dimensional, so reg = -1.
+        """
+        return max(-d for d in self.degrees) if self.kind == "split_p1" else -1
 
 
 def line_p1(d: int) -> SheafData:
-    return split_p1([d])
+    return SheafData("split_p1", (d,))
 
 
 def split_p1(degrees: Sequence[int]) -> SheafData:
-    degrees = tuple(degrees)
-    return SheafData(
-        rank=len(degrees),
-        degree=Fraction(sum(degrees)),
-        space_tag="P1",
-        label="O(" + ")+O(".join(str(d) for d in degrees) + ")",
-        h0_rule=functools.partial(_h0_split_p1, degrees),
-    )
+    return SheafData("split_p1", degrees)
 
 
 def tangent_p2() -> SheafData:
-    return SheafData(
-        rank=2, degree=Fraction(3), space_tag="P2", label="T_P2", h0_rule=h0_tangent_p2
-    )
+    return SheafData("euler_tp2")
 
 
 def mu(sheaf: SheafData) -> Fraction:
@@ -155,6 +172,16 @@ class FiltrationSpec:
 
     def h0_ambient(self) -> int:
         return self.v_dims[-1]
+
+
+def two_step_filtration(sub_degrees, degrees, k: int, weights) -> FiltrationSpec:
+    """The filtration O(sub_degrees) < O(degrees) of a split bundle on P^1
+    at level k, with its flag dimensions the section counts h0."""
+    sub, ambient = split_p1(sub_degrees), split_p1(degrees)
+    return FiltrationSpec(
+        weights=tuple(weights), steps=(sub, ambient),
+        v_dims=(sub.h0_at(k), ambient.h0_at(k)), ambient=ambient, level=k,
+    )
 
 
 def j_of_zeta(weights: Sequence) -> int:
@@ -261,29 +288,6 @@ def f_max_split(degrees: Sequence[int]) -> SheafData:
     sum of all summands of maximal degree (maximal slope, then rank)."""
     d = max(degrees)
     return split_p1([a for a in degrees if a == d])
-
-
-def regularity_catalog(bundle) -> int:
-    """Castelnuovo-Mumford regularity of a catalog bundle.
-
-    Split bundles on P^1: H^1(O(d-1)) = 0 iff d >= 0, so reg = max(-d_i).
-    The tangent bundle of P^2: twisting the Euler sequence and chasing
-    the long exact sequence gives H^1(T(-2)) = H^2(T(-3)) = 0 while
-    H^1(T(-3)) is one-dimensional, so reg = -1.
-
-    ``bundle`` is the degree tuple or list of a split bundle, the tag
-    "euler_tp2" or a SheafData on P^2; anything else, a presentation
-    included, raises UnsupportedBundle.
-    """
-    if isinstance(bundle, (list, tuple)):
-        return max(-d for d in bundle)
-    if isinstance(bundle, SheafData):
-        if bundle.space_tag == "P2":
-            return -1
-        raise UnsupportedBundle("regularity known only for catalog bundles")
-    if bundle == "euler_tp2":
-        return -1
-    raise UnsupportedBundle(f"unknown catalog bundle {bundle!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ def test_one_ps_rejects_bad_generators():
 
 def test_one_ps_normalization_and_clustering():
     ps = bg.one_ps(np.diag([4.0, 4.0, -8.0]))
-    assert ps.scale == pytest.approx(8.0)
     assert ps.weights == pytest.approx((0.5, -1.0))
     assert [s.stop - s.start for s in ps.slices] == [2, 1]
 
@@ -35,7 +34,8 @@ def test_form_at_matches_expm(rng):
     z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     z = 0.5 * (z + z.conj().T)
     z -= (np.trace(z).real / 4) * np.eye(4)
-    ps = bg.one_ps(z, normalize=False)
+    z /= np.abs(np.linalg.eigvalsh(z)).max()
+    ps = bg.one_ps(z)
     for t in (0.0, 0.7, 2.1):
         expected = scipy.linalg.expm(2.0 * t * z)
         assert np.abs(ps.form_at(t).matrix - expected).max() < 1e-11 * np.linalg.norm(expected)

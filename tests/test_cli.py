@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +9,9 @@ from pathlib import Path
 import pytest
 
 from bml import cli
+from bml import config as cf
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 LIGHT_GRID = {"n_radial": 4, "n_angular": 8, "depth": 8}
 
@@ -121,13 +126,57 @@ def test_json_output_deterministic(tmp_path):
 
 
 def test_inline_ps_parsing():
-    assert cli._parse_ps_flag("none") == {"type": "none"}
-    assert cli._parse_ps_flag("two_step:1:2/3,-1") == {
+    assert cf._parse_ps_flag("none") == {"type": "none"}
+    assert cf._parse_ps_flag("two_step:1:2/3,-1") == {
         "type": "two_step", "sub": [1], "weights": ["2/3", "-1"],
     }
-    assert cli._parse_ps_flag("diag:1,-1") == {"type": "diag", "weights": ["1", "-1"]}
-    with pytest.raises(cli.ConfigError):
-        cli._parse_ps_flag("spiral:1")
+    assert cf._parse_ps_flag("diag:1,-1") == {"type": "diag", "weights": ["1", "-1"]}
+    with pytest.raises(cf.ConfigError):
+        cf._parse_ps_flag("spiral:1")
+
+
+@pytest.mark.parametrize(
+    "raw, argv, field",
+    [
+        ({"kind": "mna", "tee_end": 3}, [], "tee_end"),
+        ({"kind": "mna", "samples": None}, [], "samples"),
+        ({"kind": "mna", "grid": {"n_radial": "x"}}, [], "grid"),
+        (None, ["--k", "abc"], "k"),
+        (None, ["--ps", "two_step:5:2/3,-1"], "ps.sub"),
+        (None, ["--t-end", "nan"], "t_end"),
+    ],
+)
+def test_bad_config_input_exits_one(tmp_path, capsys, raw, argv, field):
+    """An unknown key, a null value, an unreadable flag or grid size, a
+    summand index out of range and a non-finite time each exit 1 with a
+    ConfigError naming the field."""
+    if raw is not None:
+        argv = ["--config", write_cfg(tmp_path, raw)] + argv
+    assert cli.main(["mna", "--out", str(tmp_path)] + argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config field {field!r}"), err
+    assert not (tmp_path / "mna.json").exists()
+
+
+def _readme_command_line() -> str:
+    text = README.read_text(encoding="utf-8")
+    return text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_command_lines_parse():
+    """Every `bml ...` example of README's command-line section parses
+    into a valid config, and its flags are exactly the parser's."""
+    section = _readme_command_line()
+    examples = [line for line in section.splitlines() if line.startswith("bml ") and "<" not in line]
+    assert len(examples) >= 5
+    parser = cli.build_parser()
+    for line in examples:
+        args = parser.parse_args(shlex.split(line)[1:])
+        assert cli._config_from_args(args).kind == args.kind
+    documented = set(re.findall(r"(--[a-z][a-z-]*)", section))
+    sub = parser._subparsers._group_actions[0].choices["mna"]
+    flags = {opt for action in sub._actions for opt in action.option_strings} - {"-h", "--help"}
+    assert documented == flags
 
 
 def test_import_does_not_load_scipy():

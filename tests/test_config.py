@@ -1,8 +1,10 @@
+import dataclasses
 import json
 from fractions import Fraction
 
 import pytest
 
+from bml import cli
 from bml import config as cf
 
 
@@ -27,6 +29,23 @@ def test_parse_and_roundtrip():
     assert cfg.ps.weights == (Fraction(2, 3), Fraction(-1))
     again = cf.parse_config(cf.config_to_dict(cfg))
     assert again == cfg
+
+
+def test_every_field_roundtrips():
+    """A config with every field away from its default survives
+    config_to_dict -> parse_config, and every CLI flag is a config field."""
+    fields = {f.name: f for f in dataclasses.fields(cf.ExperimentConfig)}
+    cfg = cf.parse_config({
+        "kind": "asymptote", "bundle": "split_p1:1,1", "k": 2,
+        "grid": {"n_radial": 4}, "ps": "two_step:0:1/2,-1/2", "t_end": 9.5,
+        "samples": 7, "tol": 0.5, "seed": 4, "out": "runs",
+    })
+    for name, f in fields.items():
+        default = f.default_factory() if f.default_factory is not dataclasses.MISSING else f.default
+        assert getattr(cfg, name) != default, name
+    assert cf.parse_config(cf.config_to_dict(cfg)) == cfg
+    flags = {a.dest for a in cli.build_parser()._subparsers._group_actions[0].choices["slope"]._actions}
+    assert flags - {"help", "config"} <= set(fields)
 
 
 def test_defaults():

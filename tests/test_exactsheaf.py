@@ -103,7 +103,7 @@ def test_two_step_closed_form_randomized():
         r1 = int(rng.integers(1, len(degs)))
         ambient = xs.split_p1(degs)
         sub = xs.split_p1(degs[:r1])
-        k = xs.regularity_catalog(degs) + 1
+        k = ambient.regularity() + 1
         v1 = sum(xs.h0_p1(d + k) for d in degs[:r1])
         v2 = ambient.h0_at(k)
         m1, m2 = v1, v2 - v1
@@ -145,7 +145,7 @@ def criterion_1_filtrations() -> list:
         degs = tuple(int(rng.integers(-2, 5)) for _ in range(n_sum))
         r1 = int(rng.integers(1, n_sum))
         ambient = xs.split_p1(degs)
-        k = xs.regularity_catalog(degs) + 1
+        k = ambient.regularity() + 1
         v1 = sum(xs.h0_p1(d + k) for d in degs[:r1])
         v2 = ambient.h0_at(k)
         top = max(v1, v2 - v1)
@@ -183,14 +183,24 @@ def test_f_max_split():
     assert f.rank == 2 and f.degree == 4
 
 
-def test_regularity_catalog():
-    assert xs.regularity_catalog((0, 2)) == 0
-    assert xs.regularity_catalog((2,)) == -2
-    assert xs.regularity_catalog("euler_tp2") == -1
-    assert xs.regularity_catalog(xs.tangent_p2()) == -1
-    for presentation in (bd.euler_tp2(), bd.split(0, 2)):
-        with pytest.raises(xs.UnsupportedBundle):
-            xs.regularity_catalog(presentation)
+def test_sheaf_data():
+    """One catalog-bundle type: the bundles constructors and the
+    exactsheaf ones build the same value, and everything derives from
+    (kind, degrees)."""
+    pair, tangent = xs.split_p1([0, 2]), xs.tangent_p2()
+    assert bd.split(0, 2) == pair and bd.euler_tp2() == tangent
+    assert xs.line_p1(2) == xs.split_p1((2,)) == bd.split(2)
+    assert pair.regularity() == 0
+    assert xs.line_p1(2).regularity() == -2
+    assert tangent.regularity() == -1
+    assert (pair.rank, pair.degree, pair.space_tag, pair.label) == (2, 2, "P1", "O(0)+O(2)")
+    assert (tangent.rank, tangent.degree, tangent.space_tag, tangent.label) == (2, 3, "P2", "T_P2")
+    assert isinstance(pair.degree, Fraction)
+    assert [pair.h0_at(k) for k in range(4)] == [4, 6, 8, 10]
+    assert [tangent.h0_at(k) for k in range(-1, 3)] == [3, 8, 15, 24]
+    for kind, degrees in (("split_p1", ()), ("euler_tp2", (1,)), ("mystery", (0,))):
+        with pytest.raises(ValueError):
+            xs.SheafData(kind, degrees)
 
 
 @given(st.fractions(max_denominator=1000))
