@@ -29,7 +29,6 @@ from .bundles import SectionBasis, split, euler_tp2, section_basis
 from .bergman import (
     HermitianForm,
     OnePS,
-    MetricField,
     one_ps,
     two_step_one_ps,
     fs_metric,
@@ -63,7 +62,6 @@ __all__ = [
     "section_basis",
     "HermitianForm",
     "OnePS",
-    "MetricField",
     "one_ps",
     "two_step_one_ps",
     "fs_metric",

@@ -372,9 +372,9 @@ def criterion_9() -> CriterionResult:
 # 10. stretch: tangent-bundle balance on the surface grid (non-gating)
 
 
-def criterion_10(force: bool = False) -> CriterionResult:
+def criterion_10() -> CriterionResult:
     t0 = time.perf_counter()
-    if not force and os.environ.get("BML_RUN_STRETCH") != "1":
+    if os.environ.get("BML_RUN_STRETCH") != "1":
         return CriterionResult(
             10, "tangent-bundle balance (stretch)", True,
             "skipped (set BML_RUN_STRETCH=1 to run)", 0.0, gating=False,
@@ -404,7 +404,5 @@ ALL = (
 )
 
 
-def run_all(include_stretch: bool = False):
-    results = [fn() for fn in ALL]
-    results.append(criterion_10(force=include_stretch))
-    return results
+def run_all():
+    return [fn() for fn in ALL] + [criterion_10()]

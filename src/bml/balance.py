@@ -19,13 +19,14 @@ eigenvalue pinch delta and a spectral constant of the Laplacian.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import donaldson as don
 from . import kernels
-from .bergman import HermitianForm, MetricField
-from .bundles import SectionBasis, h_ref_field, q_field
+from .bergman import HermitianForm
+from .bundles import SectionBasis, h_ref_field
 from .kernels import SingularGram
 from .quadrature import QuadratureGrid
 
@@ -58,7 +59,7 @@ class BalanceState:
     residual: float
     m2: float
     spread: float  # log(lambda_max / lambda_min) of H
-    flag: str = "running"  # running | converged | diverged | max_iter
+    flag: str = "running"  # running | converged | diverged | max_iter | stalled
 
     @property
     def spread_ratio(self) -> float:
@@ -111,17 +112,17 @@ def _det_normalize(H: np.ndarray) -> np.ndarray:
     return H * np.exp(-logdet / n)
 
 
-def _b_matrix(basis: SectionBasis, grid: QuadratureGrid, H: np.ndarray, q=None):
+def _b_matrix(basis: SectionBasis, grid: QuadratureGrid, H: np.ndarray, chart=None):
     """B(H) = (1/Vol_L) int Q h_H^{-1} Q* dV, so that balance reads
     B(H) = (r/N) H^{-1}; with it log det h_H and the whitening W of h_H
     (h_H^{-1} = W* W) at every node."""
-    return kernels.b_matrix(basis, grid.nodes, grid.weights / grid.volume, H, q)
+    return kernels.b_matrix(basis, grid.nodes, grid.weights / grid.volume, H, chart)
 
 
 def center_of_mass(basis: SectionBasis, grid: QuadratureGrid, H: np.ndarray) -> np.ndarray:
     """M(H) = sigma B(H) sigma* with sigma = H^{1/2}; trace r exactly."""
     n = basis.dimension
-    return _solver_parts(basis, grid, H, 0.0)[3] + (basis.rank / n) * np.eye(n)
+    return _solver_parts(basis, grid, H, 0.0).s + (basis.rank / n) * np.eye(n)
 
 
 def _sqrtm_psd(H: np.ndarray):
@@ -139,16 +140,27 @@ def m2_value(basis: SectionBasis, grid: QuadratureGrid, H: np.ndarray) -> float:
     return grid.integrate(ld[0] - ld[1]) / grid.volume
 
 
-def _solver_parts(basis, grid, H, ld0, q=None):
-    """What a solver step needs at the form H, from one pass over the node
-    blocks: the whitening W of h_H per node, B(H), _sqrtm_psd(H), the
-    hermitian residual M(H) - (r/N) I with M(H) = H^{1/2} B(H) H^{1/2},
-    and m2 against the reference log-dets ld0."""
-    b, ld, wh = _b_matrix(basis, grid, H, q)
+class _Iterate(NamedTuple):
+    """A solver iterate: the form H, the whitening W of h_H per node,
+    B(H), _sqrtm_psd(H), the hermitian residual s = M(H) - (r/N) I with
+    M(H) = H^{1/2} B(H) H^{1/2}, and m2."""
+
+    H: np.ndarray
+    wh: np.ndarray
+    b: np.ndarray
+    eig: tuple
+    s: np.ndarray
+    m2: float
+
+
+def _solver_parts(basis, grid, H, ld0, chart=None) -> _Iterate:
+    """The iterate at the form H from one pass over the node blocks, with
+    m2 against the reference log-dets ld0."""
+    b, ld, wh = _b_matrix(basis, grid, H, chart)
     eig = _sqrtm_psd(H)
     n = basis.dimension
     s = eig[2] @ b @ eig[2] - (basis.rank / n) * np.eye(n)
-    return wh, b, eig, 0.5 * (s + s.conj().T), grid.integrate(ld - ld0) / grid.volume
+    return _Iterate(H, wh, b, eig, 0.5 * (s + s.conj().T), grid.integrate(ld - ld0) / grid.volume)
 
 
 def t_operator(
@@ -189,6 +201,47 @@ def _divergence_hit(history) -> bool:
     return _m2_decreasing([row.m2 for row in history[-(M2_DECREASE_RUN + 1):]])
 
 
+def _solve(basis, grid, H0, tol, max_iter, step, damping):
+    """The loop of both solvers over one chart of the grid, held for the
+    whole solve.  From the iterate x, ``step(x, history, evaluate, trial,
+    chart)`` returns (kind, rejected, damping, next iterate), the last
+    None when no step was found; ``evaluate(H)`` is the iterate at H and
+    ``trial(H)`` that at H det-normalized, or None when it is rejected.
+
+    Returns (final BalanceState, history): converged below ``tol``,
+    diverged (spread ratio past threshold with a long monotone m2
+    decrease), max_iter, or stalled when no step was found.
+    """
+    chart = list(kernels.blocks(basis, grid.nodes))
+    ld0 = kernels.logdet(kernels.field(basis, grid.nodes, chart=chart))
+
+    def evaluate(H):
+        return _solver_parts(basis, grid, H, ld0, chart)
+
+    def trial(H):
+        # A singular or overflowing trial form is rejected, not raised.
+        try:
+            return evaluate(_det_normalize(H))
+        except (SingularGram, kernels.NonFiniteChart):
+            return None
+
+    x = evaluate(_det_normalize(np.asarray(H0, dtype=complex)))
+    history = []
+    for it in range(max_iter + 1):
+        state = _state_from(basis, it, x)
+        history.append(HistoryRow(it, state.residual, state.m2, state.spread, damping=damping))
+        if state.residual < tol:
+            return replace(state, flag="converged"), history
+        if _divergence_hit(history):
+            return replace(state, flag="diverged"), history
+        if it == max_iter:
+            return replace(state, flag="max_iter"), history
+        kind, rejected, damping, x = step(x, history, evaluate, trial, chart)
+        history[-1] = replace(history[-1], step=kind, rejected=rejected)
+        if x is None:
+            return replace(state, iteration=it + 1, flag="stalled"), history
+
+
 def t_iterate(
     basis: SectionBasis,
     grid: QuadratureGrid,
@@ -201,25 +254,10 @@ def t_iterate(
     Returns (final BalanceState, history) where history rows carry
     (iter, residual, m2, spread, step, rejected, damping).
     """
-    H = _det_normalize(np.asarray(H0, dtype=complex))
-    history = []
-    q = q_field(basis, grid.nodes)
-    ld0 = kernels.logdet(kernels.field(basis, grid.nodes, q=q))
-    _, b, eig, s, m2 = _solver_parts(basis, grid, H, ld0, q)
-    state = _state_from(basis, H, 0, eig, s, m2)
-    for it in range(max_iter + 1):
-        history.append(HistoryRow(it, state.residual, state.m2, state.spread))
-        if state.residual < tol:
-            return replace(state, flag="converged"), history
-        if _divergence_hit(history):
-            return replace(state, flag="diverged"), history
-        if it == max_iter:
-            break
-        history[-1] = replace(history[-1], step="t")
-        H = t_operator(basis, grid, H, b=b)
-        _, b, eig, s, m2 = _solver_parts(basis, grid, H, ld0, q)
-        state = _state_from(basis, H, it + 1, eig, s, m2)
-    return replace(state, flag="max_iter"), history
+    def step(x, history, evaluate, trial, chart):
+        return "t", 0, 0.0, evaluate(t_operator(basis, grid, x.H, b=x.b))
+
+    return _solve(basis, grid, H0, tol, max_iter, step, 0.0)
 
 
 def _herm_basis(n: int):
@@ -244,9 +282,9 @@ def _herm_basis(n: int):
     return out
 
 
-def _b_derivatives(basis, grid, q, wh, dh):
+def _b_derivatives(basis, grid, chart, wh, dh):
     """dB = -(1/Vol) int P dH P for a stack dH of shape (D, N, N), with P
-    from the chart values q and the whitening W of h per node, an
+    from the held chart blocks and the whitening W of h per node, an
     (r, r, M) stack.
 
     The tensor t4[(i, k), (l, j)] = sum_x w P_ik P_lj is one GEMM per
@@ -255,7 +293,7 @@ def _b_derivatives(basis, grid, q, wh, dh):
     n = basis.dimension
     w = grid.weights / grid.volume
     t4 = np.zeros((n * n, n * n), dtype=complex)
-    for sl, qb in kernels.blocks(basis, grid.nodes, q):
+    for sl, qb in chart:
         pf = kernels.p_field(qb, wh[..., sl]).reshape(n * n, -1)
         t4 += (pf * w[sl]) @ pf.T
     t4 = t4.reshape(n, n, n, n).transpose(1, 2, 0, 3).reshape(n * n, n * n)
@@ -299,121 +337,75 @@ def lm_minimize(
     Returns (final BalanceState, history); divergence (spread ratio past
     threshold with a long monotone m2 decrease) is flagged, not raised.
     """
-    H = _det_normalize(np.asarray(H0, dtype=complex))
     n = basis.dimension
     directions = np.asarray(_herm_basis(n))
-    lam_damp = 1e-3
-    history = []
-    q = q_field(basis, grid.nodes)
-    ld0 = kernels.logdet(kernels.field(basis, grid.nodes, q=q))
-    # A singular or overflowing trial form only increases the damping.
-    rejected = (SingularGram, kernels.NonFiniteChart)
-    wh, b, eig, s, m2_cur = _solver_parts(basis, grid, H, ld0, q)
-    state = _state_from(basis, H, 0, eig, s, m2_cur)
-    fallback_streak = 0
-    for it in range(max_iter + 1):
-        history.append(HistoryRow(it, state.residual, state.m2, state.spread, damping=lam_damp))
-        if state.residual < tol:
-            return replace(state, flag="converged"), history
-        if _divergence_hit(history):
-            return replace(state, flag="diverged"), history
-        if it == max_iter:
-            break
 
-        lamH, vH, sq = eig
-        accepted = None
+    def step(x, history, evaluate, trial, chart):
+        lam_damp = history[-1].damping
+        lamH, vH, sq = x.eig
         # After a run of fallback steps the least-squares model is known
         # to be unproductive; only re-probe it occasionally.
-        probe_lm = not (fallback_streak >= 3 and it % 10 != 0)
-        lm_tries = 0
-        jtj = jtr = None
-        if probe_lm:
-            dh = 0.5 * (directions @ H + H @ directions)
-            db = _b_derivatives(basis, grid, q, wh, dh)
+        stuck = len(history) > 3 and all(row.step == "fallback" for row in history[-4:-1])
+        tries = 0
+        if not (stuck and history[-1].iteration % 10 != 0):
+            dh = 0.5 * (directions @ x.H + x.H @ directions)
+            db = _b_derivatives(basis, grid, chart, x.wh, dh)
             dsq = _sqrt_frechet(lamH, vH, dh)
-            ds = (dsq @ b @ sq + sq @ db @ sq + sq @ b @ dsq).reshape(len(dh), -1)
+            ds = (dsq @ x.b @ sq + sq @ db @ sq + sq @ x.b @ dsq).reshape(len(dh), -1)
             jac = np.concatenate([ds.real, ds.imag], axis=1).T
-            rvec = np.concatenate([s.real.ravel(), s.imag.ravel()])
+            rvec = np.concatenate([x.s.real.ravel(), x.s.imag.ravel()])
             jtj = jac.T @ jac
             jtr = jac.T @ rvec
             descent = np.isfinite(jtj).all() and np.isfinite(jtr).all() and (
                 np.linalg.norm(jtr) > LM_STATIONARY * np.linalg.norm(jac) * np.linalg.norm(rvec))
-            lm_tries = 12 if descent else 0
-        n_rejected = lm_tries
-        for tried in range(lm_tries):
+            tries = 12 if descent else 0
+        for tried in range(tries):
             lhs = jtj + lam_damp * (np.diag(np.diag(jtj)) + 1e-14 * np.eye(jtj.shape[0]))
+            y = None
             try:
-                step = np.linalg.solve(lhs, -jtr)
+                delta = np.linalg.solve(lhs, -jtr)
             except np.linalg.LinAlgError:
-                lam_damp = min(lam_damp * 10.0, 1e12)
-                continue
-            if not np.isfinite(step).all():
-                lam_damp = min(lam_damp * 10.0, 1e12)
-                continue
-            a = np.tensordot(step, directions, axes=1)
-            expa = _expm_herm(0.5 * a)
-            try:
-                H_try = _det_normalize(expa @ H @ expa)
-                parts_try = _solver_parts(basis, grid, H_try, ld0, q)
-            except rejected:
+                delta = None
+            if delta is not None and np.isfinite(delta).all():
+                expa = _expm_herm(0.5 * np.tensordot(delta, directions, axes=1))
+                y = trial(expa @ x.H @ expa)
+            if y is None:
                 lam_damp = min(lam_damp * 10.0, 1e12)
                 continue
             # Accept only steps that also do not increase the energy, so
             # runs without a balanced form keep a monotone m2 signature.
-            better_resid = np.linalg.norm(parts_try[3], "fro") < (
-                (1.0 - LM_DECREASE_MARGIN) * np.linalg.norm(s, "fro"))
-            m2_ok = parts_try[4] <= m2_cur + 1e-13 * (1.0 + abs(m2_cur))
-            if better_resid and m2_ok:
-                H = H_try
-                wh, b, eig, s, m2_cur = parts_try
-                lam_damp = max(lam_damp / 3.0, 1e-12)
-                n_rejected, accepted = tried, "lm"
-                fallback_streak = 0
-                break
+            if np.linalg.norm(y.s, "fro") < (1.0 - LM_DECREASE_MARGIN) * np.linalg.norm(x.s, "fro") and (
+                    y.m2 <= x.m2 + 1e-13 * (1.0 + abs(x.m2))):
+                return "lm", tried, max(lam_damp / 3.0, 1e-12), y
             lam_damp = min(lam_damp * 4.0, 1e12)
-        if not accepted:
-            # The residual landscape is flat along destabilizing directions
-            # (no balanced form exists there), so fall back to steepest
-            # descent of m2 itself: direction -(M - (tr M / N) I) in the
-            # sigma-frame.  On stable cases this never fires; on unstable
-            # ones it drives the characteristic spread growth.
-            m_now = sq @ b @ sq
-            zeta = -(m_now - (np.trace(m_now) / n) * np.eye(n))
-            zeta = 0.5 * (zeta + zeta.conj().T)
-            eta = 1.0
-            for _ in range(20):
-                try:
-                    move = _expm_herm(eta * zeta)
-                    H_try = _det_normalize(sq @ move @ sq)
-                    parts_try = _solver_parts(basis, grid, H_try, ld0, q)
-                except rejected:
-                    eta *= 0.5
-                    continue
-                if parts_try[4] < m2_cur:
-                    H = H_try
-                    wh, b, eig, s, m2_cur = parts_try
-                    accepted = "fallback"
-                    fallback_streak += 1
-                    break
-                eta *= 0.5
-        history[-1] = replace(history[-1], step=accepted or "none", rejected=n_rejected)
-        state = _state_from(basis, H, it + 1, eig, s, m2_cur)
-        if not accepted:
-            return replace(state, flag="stalled"), history
-    return replace(state, flag="max_iter"), history
+        # The residual landscape is flat along destabilizing directions
+        # (no balanced form exists there), so fall back to steepest
+        # descent of m2 itself: direction -(M - (tr M / N) I) in the
+        # sigma-frame.  On stable cases this never fires; on unstable
+        # ones it drives the characteristic spread growth.
+        m_now = sq @ x.b @ sq
+        zeta = -(m_now - (np.trace(m_now) / n) * np.eye(n))
+        zeta = 0.5 * (zeta + zeta.conj().T)
+        for halving in range(20):
+            y = trial(sq @ _expm_herm(0.5**halving * zeta) @ sq)
+            if y is not None and y.m2 < x.m2:
+                return "fallback", tries, lam_damp, y
+        return "none", tries, lam_damp, None
+
+    return _solve(basis, grid, H0, tol, max_iter, step, 1e-3)
 
 
-def _state_from(basis, H, iteration, eig, s, m2) -> BalanceState:
-    """BalanceState reusing already-computed eigenvalues, residual and
-    energy values; eig is _sqrtm_psd(H)."""
+def _state_from(basis, iteration, x: _Iterate) -> BalanceState:
+    """BalanceState of the iterate x, from its already-computed
+    eigenvalues, residual and energy."""
     r, n = basis.rank, basis.dimension
     return BalanceState(
-        H=H,
+        H=x.H,
         iteration=iteration,
-        center_of_mass=s + (r / n) * np.eye(n),
-        residual=float(np.linalg.norm(s, "fro")),
-        m2=float(m2),
-        spread=float(np.log(eig[0][-1] / eig[0][0])),
+        center_of_mass=x.s + (r / n) * np.eye(n),
+        residual=float(np.linalg.norm(x.s, "fro")),
+        m2=float(x.m2),
+        spread=float(np.log(x.eig[0][-1] / x.eig[0][0])),
         flag="running",
     )
 
@@ -422,14 +414,15 @@ def _state_from(basis, H, iteration, eig, s, m2) -> BalanceState:
 # Monitors and verdicts
 
 
-def convexity_monitor(values, tol: float = 1e-8) -> ConvexityReport:
-    """Second-difference check for uniformly spaced energy samples."""
+def convexity_monitor(values) -> ConvexityReport:
+    """Second-difference check for uniformly spaced energy samples, with
+    a roundoff allowance of 1e-8."""
     v = np.asarray(values, dtype=float)
     if v.size < 3:
         raise ValueError("need at least 3 uniformly spaced samples")
     second = v[2:] - 2.0 * v[1:-1] + v[:-2]
     mn = float(second.min())
-    return ConvexityReport(min_second_difference=mn, n_samples=v.size, passed=mn >= -tol)
+    return ConvexityReport(min_second_difference=mn, n_samples=v.size, passed=mn >= -1e-8)
 
 
 def divergence_detect(history) -> str:
@@ -450,12 +443,12 @@ def divergence_detect(history) -> str:
     raise Inconclusive("history matches neither convergence nor divergence pattern")
 
 
-def iterate_slope(history, weight_range: float, tail: float = 0.4):
+def iterate_slope(history, weight_range: float):
     """Fitted slope of m2 against the iterate-path time proxy
-    t = spread / (2 * weight_range), over the trailing fraction of the run."""
+    t = spread / (2 * weight_range), over the trailing 40% of the run."""
     t = np.asarray([row.spread for row in history]) / (2.0 * weight_range)
     m2 = np.asarray([row.m2 for row in history])
-    n0 = int((1.0 - tail) * len(t))
+    n0 = int(0.6 * len(t))
     a = np.stack([t[n0:], np.ones(len(t) - n0)], axis=-1)
     coef, *_ = np.linalg.lstsq(a, m2[n0:], rcond=None)
     return float(coef[0])
@@ -465,7 +458,7 @@ def iterate_slope(history, weight_range: float, tail: float = 0.4):
 # Delta diagnostics
 
 
-def hermitian_einstein_catalog(basis: SectionBasis, grid: QuadratureGrid) -> MetricField:
+def hermitian_einstein_catalog(basis: SectionBasis, grid: QuadratureGrid) -> np.ndarray:
     """Catalog Hermitian-Einstein reference at the working level.
 
     For direct sums of line bundles on P^1 the L2-orthonormal reference
@@ -475,21 +468,21 @@ def hermitian_einstein_catalog(basis: SectionBasis, grid: QuadratureGrid) -> Met
     """
     if basis.bundle.kind != "split_p1":
         raise MissingHE("no catalog Hermitian-Einstein metric for this bundle")
-    return MetricField(grid=grid, values=h_ref_field(basis, grid))
+    return h_ref_field(basis, grid)
 
 
-def spectral_constant(grid: QuadratureGrid, degree: int = 3):
+def spectral_constant(grid: QuadratureGrid):
     """First nonzero eigenvalue of the Laplacian on functions on P^1.
 
     Galerkin generalized eigensolve over the span of z^a zbar^b / (1+|z|^2)^d,
-    a, b <= d, which contains the low spherical harmonics exactly; the
+    a, b <= d = 3, which contains the low spherical harmonics exactly; the
     Fubini-Study form is normalized to unit volume.  Returns (C, spectrum).
     """
     if grid.space_tag != "P1":
         raise ValueError("spectral constant implemented for P1 grids")
     z = grid.nodes
     s = np.abs(z) ** 2
-    d = degree
+    d = 3
     phi, dphi = [], []
     base = (1.0 + s) ** (-d)
     for a in range(d + 1):
@@ -530,9 +523,10 @@ def _pinch_coefficient(delta: float) -> float:
     return float((delta - 1.0 - ld) / ld**2)
 
 
-def delta_diagnostic(h_min: MetricField, h_he: MetricField, grid: QuadratureGrid,
+def delta_diagnostic(h_min: np.ndarray, h_he: np.ndarray, grid: QuadratureGrid,
                      spectral_c: float) -> DeltaDiagnostic:
-    """Eigenvalue-pinch diagnostic of a minimizer against the HE reference.
+    """Eigenvalue-pinch diagnostic of a minimizer against the HE reference,
+    both per-node metrics of shape (M, r, r).
 
     delta is the infimum over nodes of lambda_min/lambda_max of
     h_min h_HE^{-1}; v is the matrix logarithm of the symmetrized ratio,
@@ -540,20 +534,18 @@ def delta_diagnostic(h_min: MetricField, h_he: MetricField, grid: QuadratureGrid
     pinch(delta) * C^{-1} * ||v - v_bar||^2 with C = ``spectral_c``, the
     first value of spectral_constant(grid).
     """
-    a = h_min.values
-    bvals = h_he.values
-    lamb, vb = np.linalg.eigh(bvals)
+    lamb, vb = np.linalg.eigh(h_he)
     if lamb.min() <= 0:
         raise ValueError("reference metric must be positive definite")
     isq = (vb / np.sqrt(lamb)[:, None, :]) @ vb.conj().transpose(0, 2, 1)
-    ratio = isq @ a @ isq
+    ratio = isq @ h_min @ isq
     ratio = 0.5 * (ratio + np.conj(np.swapaxes(ratio, -1, -2)))
     lam, vr = np.linalg.eigh(ratio)
     if lam.min() <= 0:
         raise ValueError("metric ratio must be positive definite")
     delta = float((lam[:, 0] / lam[:, -1]).min())
     logs = np.log(lam)
-    r = a.shape[-1]
+    r = h_min.shape[-1]
     tr_v = logs.sum(axis=-1)
     v_bar = grid.integrate(tr_v) / (r * grid.volume)
     v_norm2 = grid.integrate(((logs - v_bar) ** 2).sum(axis=-1))
@@ -565,7 +557,7 @@ def delta_diagnostic(h_min: MetricField, h_he: MetricField, grid: QuadratureGrid
 
 
 def donaldson_value_line(basis: SectionBasis, grid: QuadratureGrid, H: np.ndarray,
-                         h_he: MetricField) -> float:
+                         h_he: np.ndarray) -> float:
     """Combined energy of the FS metric h_H against the HE reference, for
     a line bundle on P^1.
 
@@ -579,7 +571,7 @@ def donaldson_value_line(basis: SectionBasis, grid: QuadratureGrid, H: np.ndarra
         raise MissingHE("endpoint formula implemented for line bundles on P1")
     mu = float(basis.bundle.degree)
     h_raw = kernels.field(basis, grid.nodes, np.asarray(H, dtype=complex)).real[0, 0]
-    h_he_raw = h_he.values.real[:, 0, 0]
+    h_he_raw = h_he.real[:, 0, 0]
     v = -(np.log(h_raw) - np.log(h_he_raw))
     f1 = don.curvature_field(
         basis, grid, HermitianForm(matrix=np.asarray(H, dtype=complex))

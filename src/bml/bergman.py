@@ -170,23 +170,12 @@ def random_two_weight_ps(n: int, rng: np.random.Generator) -> OnePS:
 # Metric fields
 
 
-@dataclass(frozen=True)
-class MetricField:
-    """Per-node positive hermitian fibre matrices on a quadrature grid."""
-
-    grid: QuadratureGrid
-    values: np.ndarray  # (M, r, r)
-
-    @property
-    def rank(self) -> int:
-        return self.values.shape[-1]
-
-
-def fs_metric(basis: SectionBasis, grid: QuadratureGrid, form: HermitianForm) -> MetricField:
-    """Fibrewise metric h(x) = Q(x)* H Q(x), checked positive by cholesky."""
+def fs_metric(basis: SectionBasis, grid: QuadratureGrid, form: HermitianForm) -> np.ndarray:
+    """Fibrewise metric h(x) = Q(x)* H Q(x), shape (M, r, r), checked
+    positive by cholesky."""
     h = kernels.field(basis, grid.nodes, form.matrix)
     kernels.cholesky(h)
-    return MetricField(grid=grid, values=h.transpose(2, 0, 1))
+    return h.transpose(2, 0, 1)
 
 
 def _root(ps: OnePS, t: float) -> np.ndarray:
@@ -195,8 +184,8 @@ def _root(ps: OnePS, t: float) -> np.ndarray:
     return np.exp(ps.eigenvalues * t)[:, None] * ps.vectors.conj().T
 
 
-def bergman_path(basis: SectionBasis, grid: QuadratureGrid, ps: OnePS, t: float) -> MetricField:
-    """Metric along the degeneration path at time t.
+def bergman_path(basis: SectionBasis, grid: QuadratureGrid, ps: OnePS, t: float) -> np.ndarray:
+    """Metric along the degeneration path at time t, shape (M, r, r).
 
     Assembled from the square-root factor sigma(t) Q (see _root) so it is
     positive semidefinite by construction even when the weight spread
@@ -206,7 +195,7 @@ def bergman_path(basis: SectionBasis, grid: QuadratureGrid, ps: OnePS, t: float)
         raise ValueError("path time must be nonnegative")
     h = kernels.field(basis, grid.nodes, factor=_root(ps, t))
     kernels.cholesky(h)
-    return MetricField(grid=grid, values=h.transpose(2, 0, 1))
+    return h.transpose(2, 0, 1)
 
 
 # ---------------------------------------------------------------------------

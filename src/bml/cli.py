@@ -184,7 +184,7 @@ def run_subgeodesic(cfg: ExperimentConfig, out_dir=None) -> dict:
 def run_verify(cfg: ExperimentConfig, out_dir=None) -> dict:
     from . import acceptance
 
-    results = acceptance.run_all(include_stretch=False)
+    results = acceptance.run_all()
     for res in results:
         print(acceptance.format_line(res))
     return _summary(

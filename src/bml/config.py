@@ -33,7 +33,7 @@ class ConfigError(ValueError):
 class PSSpec:
     """Serializable description of a 1-PS generator."""
 
-    type: str  # "two_step" | "diag" | "none"
+    type: str  # "two_step" | "none"
     weights: tuple = ()
     sub: tuple = ()
 
@@ -41,19 +41,12 @@ class PSSpec:
         out = {"type": self.type}
         if self.type != "none":
             out["weights"] = [frac_str(w) for w in self.weights]
-        if self.type == "two_step":
             out["sub"] = list(self.sub)
         return out
 
     def build(self, basis: bd.SectionBasis) -> bg.OnePS:
-        import numpy as np
-
         if self.type == "two_step":
             return bg.two_step_one_ps(basis, list(self.sub), [float(w) for w in self.weights])
-        if self.type == "diag":
-            if len(self.weights) != basis.dimension:
-                raise ConfigError("ps.weights", "diagonal weight count must equal the section dimension")
-            return bg.one_ps(np.diag([float(w) for w in self.weights]))
         raise ConfigError("ps.type", f"cannot build a path from {self.type!r}")
 
 
@@ -97,7 +90,7 @@ def parse_bundle(text: str) -> SheafData:
 
 
 def _parse_ps_flag(text: str) -> dict:
-    """Inline form: 'two_step:1:2/3,-1' or 'diag:1,-1,0' or 'none'."""
+    """Inline form: 'two_step:1:2/3,-1' or 'none'."""
     if text == "none":
         return {"type": "none"}
     parts = text.split(":")
@@ -107,8 +100,6 @@ def _parse_ps_flag(text: str) -> dict:
             "sub": [int(i) for i in parts[1].split(",")],
             "weights": parts[2].split(","),
         }
-    if parts[0] == "diag" and len(parts) == 2:
-        return {"type": "diag", "weights": parts[1].split(",")}
     raise ConfigError("ps", f"cannot parse inline generator {text!r}")
 
 
@@ -123,16 +114,16 @@ def _parse_ps(raw) -> PSSpec:
     kind = raw["type"]
     if kind == "none":
         return PSSpec(type="none")
-    if kind not in ("two_step", "diag"):
+    if kind != "two_step":
         raise ConfigError("ps.type", f"unknown generator type {kind!r}")
     try:
         weights = tuple(Fraction(w) for w in raw["weights"])
     except (KeyError, ValueError) as exc:
         raise ConfigError("ps.weights", str(exc)) from exc
     sub = tuple(int(i) for i in raw.get("sub", ()))
-    if kind == "two_step" and len(weights) != 2:
+    if len(weights) != 2:
         raise ConfigError("ps.weights", "two-step generator needs exactly two weights")
-    if kind == "two_step" and not sub:
+    if not sub:
         raise ConfigError("ps.sub", "two-step generator needs summand indices")
     return PSSpec(type=kind, weights=weights, sub=sub)
 
@@ -173,6 +164,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     for key, value in raw.items():
         if key not in _READERS:
             raise ConfigError(key, "unknown config field")
+        if raw["kind"] == "verify" and key not in ("kind", "out"):
+            raise ConfigError(key, "bml verify reads no config field but out")
         try:
             values[key] = _READERS[key](value)
         except ConfigError:
@@ -185,8 +178,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("k", f"level {cfg.k} is below the catalog regularity {bundle.regularity()}")
     if any(not 0 <= i < bundle.rank for i in cfg.ps.sub):
         raise ConfigError("ps.sub", f"summand index out of range for {bundle.label}")
-    if not cfg.tol > 0:
-        raise ConfigError("tol", "tolerances must be positive")
+    if not 0 < cfg.tol < float("inf"):
+        raise ConfigError("tol", "tolerances must be positive and finite")
     if not 0 < cfg.t_end < float("inf"):
         raise ConfigError("t_end", "path end time must be positive and finite")
     if cfg.samples < 2:

@@ -2,16 +2,17 @@
 
 Chart values Q(x), an N x r matrix per node, come from `bundles.q_field`
 one block of at most BLOCK nodes at a time and are dropped with the
-block.  Inside the core every per-node value has one layout, the node
-index last: a block of chart values or of their z-derivatives is an
-(N, r, B) stack, section index first, and a sandwich is an (r, r, B)
-stack.  An N x N form acts on every node of a block in one GEMM (`act`),
-a weight group of a 1-PS is a row slice of that product, and what is
-left per node is r x r algebra whose loops run over the small indices,
-each step one vector operation over the B nodes.  Per-node outputs are
-written into full-length arrays before any quadrature sum and do not
-depend on the block size; B(H), the one sum over nodes accumulated per
-block, moves in its last bits with BLOCK.
+block, unless the caller holds the list of blocks, its chart, as a
+balance solve does.  Inside the core every per-node value has one
+layout, the node index last: a block of chart values or of their
+z-derivatives is an (N, r, B) stack, section index first, and a
+sandwich is an (r, r, B) stack.  An N x N form acts on every node of a
+block in one GEMM (`act`), a weight group of a 1-PS is a row slice of
+that product, and what is left per node is r x r algebra whose loops
+run over the small indices, each step one vector operation over the B
+nodes.  Per-node outputs are written into full-length arrays before any
+quadrature sum and do not depend on the block size; B(H), the one sum
+over nodes accumulated per block, moves in its last bits with BLOCK.
 
 The fibre metric has one factorization, the Cholesky h = L L* of
 `cholesky`, with W = L^{-1} from `whiten`: log det h = 2 sum_j log L_jj,
@@ -50,13 +51,16 @@ def node_last(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x.transpose(1, 2, 0))
 
 
-def blocks(basis, nodes, q=None):
+def blocks(basis, nodes, chart=None):
     """(slice, Q) for consecutive blocks of at most BLOCK nodes, Q of
-    shape (N, r, B); Q is evaluated per block unless the caller holds all
-    of it, (M, N, r), in ``q``."""
+    shape (N, r, B) evaluated per block; ``chart``, the list of them from
+    an earlier call that the caller holds, is yielded unchanged."""
+    if chart is not None:
+        yield from chart
+        return
     for start in range(0, len(nodes), BLOCK):
         sl = slice(start, min(start + BLOCK, len(nodes)))
-        yield sl, node_last(bundles.q_field(basis, nodes[sl]) if q is None else q[sl])
+        yield sl, node_last(bundles.q_field(basis, nodes[sl]))
 
 
 def act(mat: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -95,13 +99,13 @@ def finite(x: np.ndarray, nodes, sl: slice) -> np.ndarray:
     return x
 
 
-def field(basis, nodes, mat=None, factor=None, q=None) -> np.ndarray:
+def field(basis, nodes, mat=None, factor=None, chart=None) -> np.ndarray:
     """Q* mat Q at every node, hermitian, shape (r, r, M): Q*Q without
     ``mat``, and (F Q)*(F Q), positive by construction, for a square-root
-    ``factor`` F.  ``q`` holds the chart values when the caller keeps
-    them; NonFiniteChart names the first node whose sandwich overflowed."""
+    ``factor`` F.  ``chart`` holds the blocks when the caller keeps them;
+    NonFiniteChart names the first node whose sandwich overflowed."""
     out = np.empty((basis.rank, basis.rank, len(nodes)), dtype=complex)
-    for sl, qb in blocks(basis, nodes, q):
+    for sl, qb in blocks(basis, nodes, chart):
         if mat is not None:
             h = sandwich(qb, mat, qb)
         else:
@@ -111,16 +115,16 @@ def field(basis, nodes, mat=None, factor=None, q=None) -> np.ndarray:
     return out
 
 
-def b_matrix(basis, nodes, w, H, q=None):
+def b_matrix(basis, nodes, w, H, chart=None):
     """sum_x w(x) Y Y* (see p_root), one GEMM of Y as an N x (r B)
     matrix per block; with it log det h and W at every node, (M,) and
-    (r, r, M).  ``q`` holds the chart values if kept.  The sum is
+    (r, r, M).  ``chart`` holds the blocks if kept.  The sum is
     accumulated per block, so it moves in its last bits with BLOCK."""
     n, r = basis.dimension, basis.rank
     b = np.zeros((n, n), dtype=complex)
     ld = np.empty(len(nodes))
     wh = np.empty((r, r, len(nodes)), dtype=complex)
-    for sl, qb in blocks(basis, nodes, q):
+    for sl, qb in blocks(basis, nodes, chart):
         wh[..., sl], l = whiten(finite(sandwich(qb, H, qb), nodes, sl))
         ld[sl] = _logdet(l)
         y = p_root(qb, wh[..., sl])

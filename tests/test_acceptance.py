@@ -53,12 +53,12 @@ def test_criterion_09_pinch_inequality():
     reason="long-running surface-grid check; set BML_RUN_STRETCH=1 to enable",
 )
 def test_criterion_10_stretch_surface_balance():
-    _report(ac.criterion_10(force=True))
+    _report(ac.criterion_10())
 
 
 def test_criterion_registry_shape():
     assert len(ac.ALL) == 9
-    skipped = ac.criterion_10(force=False)
+    skipped = ac.criterion_10()
     assert skipped.index == 10
     assert not skipped.gating
     assert "skipped" in skipped.detail or os.environ.get("BML_RUN_STRETCH") == "1"

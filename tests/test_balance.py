@@ -4,6 +4,7 @@ import pytest
 from bml import balance as bl
 from bml import bergman as bg
 from bml import bundles as bd
+from bml import kernels
 from bml import quadrature as qd
 
 
@@ -98,6 +99,42 @@ def test_lm_divergence_ignores_roundoff(monkeypatch, guard):
         assert max(row.rejected for row in history) <= 12
         iterations.add(state.iteration)
     assert len(iterations) == 1
+
+
+@pytest.mark.parametrize("solver", [bl.t_iterate, bl.lm_minimize], ids=["T", "LM"])
+def test_solver_stops_at_max_iter(grid_p1, rng, solver):
+    basis = bd.section_basis(bd.split(2), 2)
+    state, history = solver(basis, grid_p1, random_form(basis.dimension, rng), tol=1e-10, max_iter=3)
+    assert state.flag == "max_iter" and state.iteration == 3
+    assert [row.iteration for row in history] == [0, 1, 2, 3]
+    assert [row.step == "none" for row in history] == [False, False, False, True]
+    assert state.residual == history[-1].residual > 1e-10
+
+
+def test_lm_stalls_when_no_step_moves(grid_p1, monkeypatch):
+    """With the exponential map pinned to the identity no trial moves the
+    form: one fallback step gains roundoff, then the run stalls, and its
+    last row records the rejected tries and the damping they raised."""
+    monkeypatch.setattr(bl, "_expm_herm", lambda a: np.eye(len(a), dtype=complex))
+    basis = bd.section_basis(bd.split(3), 2)
+    H0 = np.diag(np.exp(np.linspace(0.3, -0.3, basis.dimension)))
+    state, history = bl.lm_minimize(basis, grid_p1, H0)
+    assert state.flag == "stalled" and state.iteration == 2
+    assert [(row.iteration, row.step, row.rejected, row.damping) for row in history] == [
+        (0, "fallback", 12, 1e-3), (1, "none", 12, 1e-3 * 4.0**12)]
+    assert state.residual == history[-1].residual
+
+
+@pytest.mark.parametrize("solver", [bl.t_iterate, bl.lm_minimize], ids=["T", "LM"])
+def test_solve_holds_one_chart(grid_p1, monkeypatch, rng, solver):
+    """A solve brings the chart values to the node-last layout once per
+    node block, however many forms it evaluates."""
+    calls = []
+    node_last = kernels.node_last
+    monkeypatch.setattr(kernels, "node_last", lambda x: calls.append(1) or node_last(x))
+    basis = bd.section_basis(bd.split(3), 2)
+    solver(basis, grid_p1, random_form(basis.dimension, rng), tol=1e-10, max_iter=3)
+    assert len(calls) == -(-grid_p1.nodes.size // kernels.BLOCK)
 
 
 def test_unstable_bundle_diverges(grid_p1):

@@ -130,9 +130,9 @@ def test_inline_ps_parsing():
     assert cf._parse_ps_flag("two_step:1:2/3,-1") == {
         "type": "two_step", "sub": [1], "weights": ["2/3", "-1"],
     }
-    assert cf._parse_ps_flag("diag:1,-1") == {"type": "diag", "weights": ["1", "-1"]}
-    with pytest.raises(cf.ConfigError):
-        cf._parse_ps_flag("spiral:1")
+    for text in ("spiral:1", "diag:1,-1"):
+        with pytest.raises(cf.ConfigError):
+            cf._parse_ps_flag(text)
 
 
 @pytest.mark.parametrize(
@@ -144,18 +144,22 @@ def test_inline_ps_parsing():
         (None, ["--k", "abc"], "k"),
         (None, ["--ps", "two_step:5:2/3,-1"], "ps.sub"),
         (None, ["--t-end", "nan"], "t_end"),
+        ({"kind": "subgeodesic"}, ["--tol", "inf"], "tol"),
+        ({"kind": "verify"}, ["--k", "7", "--bundle", "split_p1:1,1"], "bundle"),
     ],
 )
 def test_bad_config_input_exits_one(tmp_path, capsys, raw, argv, field):
     """An unknown key, a null value, an unreadable flag or grid size, a
-    summand index out of range and a non-finite time each exit 1 with a
-    ConfigError naming the field."""
+    summand index out of range, a non-finite time or tolerance, and a
+    field `bml verify` does not read each exit 1 with a ConfigError
+    naming the field."""
+    kind = (raw or {}).get("kind", "mna")
     if raw is not None:
         argv = ["--config", write_cfg(tmp_path, raw)] + argv
-    assert cli.main(["mna", "--out", str(tmp_path)] + argv) == 1
+    assert cli.main([kind, "--out", str(tmp_path)] + argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: config field {field!r}"), err
-    assert not (tmp_path / "mna.json").exists()
+    assert not (tmp_path / f"{kind}.json").exists()
 
 
 def _readme_command_line() -> str:

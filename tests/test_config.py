@@ -84,19 +84,13 @@ def test_ps_validation():
         cf._parse_ps("diag")
     with pytest.raises(cf.ConfigError, match="type"):
         cf._parse_ps({"type": "spiral"})
+    # a path experiment needs a two-step generator; no other type is read
+    with pytest.raises(cf.ConfigError, match="type"):
+        cf._parse_ps({"type": "diag", "weights": ["1", "-1"]})
     with pytest.raises(cf.ConfigError, match="weights"):
         cf._parse_ps({"type": "two_step", "weights": ["1"], "sub": [0]})
     with pytest.raises(cf.ConfigError, match="sub"):
         cf._parse_ps({"type": "two_step", "weights": ["1", "-1"]})
-
-
-def test_ps_build_diag_dimension_check():
-    cfg = cf.parse_config(
-        {"kind": "slope", "bundle": "split_p1:0", "k": 1,
-         "ps": {"type": "diag", "weights": ["1", "-1", "0"]}}
-    )
-    with pytest.raises(cf.ConfigError, match="dimension"):
-        cfg.ps.build(cfg.section_basis())
 
 
 def test_load_config(tmp_path):

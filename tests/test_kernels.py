@@ -63,16 +63,31 @@ def test_grid_sizes(grid_p1, coarse):
 def test_fs_metric_and_h_ref(split_basis, grid, rng):
     H = positive_form(split_basis.dimension, rng)
     q = bd.q_field(split_basis, grid.nodes)
-    got = bg.fs_metric(split_basis, grid, bg.HermitianForm(H)).values
+    got = bg.fs_metric(split_basis, grid, bg.HermitianForm(H))
     assert rel(got, herm(sandwich(q, H, q))) < TOL
     assert rel(bd.h_ref_field(split_basis, grid), h_ref(q)) < TOL
+
+
+@pytest.mark.parametrize("bundle, k", [(bd.split(0, 2), 3), (bd.euler_tp2(), 1), (bd.euler_tp2(), 2)],
+                         ids=["split-k3", "euler-k1", "euler-k2"])
+def test_chart_blocks_slice_the_whole_grid(grid_p1, grid_p2, bundle, k):
+    """Chart values evaluated one block at a time are the bytes of those
+    evaluated on the whole grid, so a held chart moves no result."""
+    grid = grid_p1 if bundle.kind == "split_p1" else grid_p2
+    basis = bd.section_basis(bundle, k)
+    whole = kernels.node_last(bd.q_field(basis, grid.nodes))
+    chart = list(kernels.blocks(basis, grid.nodes))
+    assert len(chart) == -(-len(grid.nodes) // kernels.BLOCK) > 1
+    for sl, qb in chart:
+        assert qb.tobytes() == whole[..., sl].tobytes()
+    assert list(kernels.blocks(basis, grid.nodes, chart)) == chart
 
 
 def test_euler_basis(grid_p2, rng):
     basis = bd.section_basis(bd.euler_tp2(), 1)
     H = positive_form(basis.dimension, rng)
     q = bd.q_field(basis, grid_p2.nodes)
-    got = bg.fs_metric(basis, grid_p2, bg.HermitianForm(H)).values
+    got = bg.fs_metric(basis, grid_p2, bg.HermitianForm(H))
     assert rel(got, herm(sandwich(q, H, q))) < TOL
     assert rel(bd.h_ref_field(basis, grid_p2), h_ref(q)) < TOL
 
@@ -84,7 +99,7 @@ def test_bergman_path(split_basis, grid, rng):
     half = np.exp(ps.eigenvalues * t)[:, None] * ps.vectors.conj().T
     b = np.einsum("kn,mnr->mkr", half, q)
     want = herm(np.einsum("mki,mkj->mij", b.conj(), b))
-    assert rel(bg.bergman_path(split_basis, grid, ps, t).values, want) < TOL
+    assert rel(bg.bergman_path(split_basis, grid, ps, t), want) < TOL
 
 
 def m2_reference(basis, grid, ps, ts):
@@ -263,8 +278,8 @@ def test_b_matrix_p_field_and_m2_value(split_basis, grid, rng):
     h = herm(sandwich(q, H, q))
     p = np.einsum("mni,mij,mkj->mnk", q, np.linalg.inv(h), q.conj())
     b_want = herm(np.einsum("m,mnk->nk", grid.weights / grid.volume, p))
-    for held in (None, q):
-        b, ld, wh = bl._b_matrix(split_basis, grid, H, held)
+    for chart in (None, list(kernels.blocks(split_basis, grid.nodes))):
+        b, ld, wh = bl._b_matrix(split_basis, grid, H, chart)
         assert rel(b, b_want) < TOL
         assert rel(ld, np.linalg.slogdet(h)[1]) < TOL
         assert rel(kernels.p_field(q.transpose(1, 2, 0), wh), p.transpose(1, 2, 0)) < TOL
@@ -284,7 +299,8 @@ def test_lm_b_derivatives(grid, rng):
     dh = np.asarray([positive_form(n, rng) for _ in range(5)])
     want = -np.einsum("ijkl,dkl->dij", t4, dh)
     wh = kernels.whiten(herm(sandwich(q, H, q)).transpose(1, 2, 0))[0]
-    assert rel(bl._b_derivatives(basis, grid, q, wh, dh), want) < TOL
+    chart = list(kernels.blocks(basis, grid.nodes))
+    assert rel(bl._b_derivatives(basis, grid, chart, wh, dh), want) < TOL
 
 
 def test_fibre_algebra_has_one_factorization(coarse, monkeypatch, rng):
@@ -351,8 +367,8 @@ def test_block_size_does_not_move_results(grid_p1, monkeypatch, rng):
             don.m2_along_path(basis, grid_p1, ps, [0.5, 2.0]),
             don.m1_curve(basis, grid_p1, ps, [1.0], n_path=4),
             don.curvature_field(basis, grid_p1, form),
-            bg.fs_metric(basis, grid_p1, form).values,
-            bg.bergman_path(basis, grid_p1, ps, 1.0).values,
+            bg.fs_metric(basis, grid_p1, form),
+            bg.bergman_path(basis, grid_p1, ps, 1.0),
             bd.h_ref_field(basis, grid_p1),
             ld,
             wh,
