@@ -32,7 +32,6 @@ from .bergman import (
     one_ps,
     two_step_one_ps,
     fs_metric,
-    bergman_path,
 )
 from .quadrature import QuadratureGrid, build_grid, build_grid_p1, build_grid_p2
 from .donaldson import m2_along_path, m1_curve, asymptotic_slope_fit
@@ -65,7 +64,6 @@ __all__ = [
     "one_ps",
     "two_step_one_ps",
     "fs_metric",
-    "bergman_path",
     "QuadratureGrid",
     "build_grid",
     "build_grid_p1",

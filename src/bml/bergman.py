@@ -9,13 +9,13 @@ pointwise operator identities that make these paths subgeodesics: the
 pairwise commutation of the sandwiched moment matrices and the
 factorization of the second time-derivative as F*F >= 0.
 
-The path metric and both identities are computed in the eigenframe of
-the generator, zeta = V Lambda V*, from the square-root factor
-sigma(t) = e^{Lambda t} V* of H(t) = sigma* sigma: with A = sigma Q,
-h = A*A and Q* H(t) u^j Q = A* (2 Lambda)^j A for u = 2 zeta, so the
-form is never assembled and nothing is inverted.  `OnePS.form_at`, which
-does assemble it, loses positivity to roundoff once e^{2 spread t}
-nears 1/eps; the factor does not.
+Both identities are computed in the eigenframe of the generator,
+zeta = V Lambda V*, from the square-root factor sigma(t) = e^{Lambda t} V*
+of H(t) = sigma* sigma: with A = sigma Q, h = A*A and
+Q* H(t) u^j Q = A* (2 Lambda)^j A for u = 2 zeta, so the form is never
+assembled and nothing is inverted.  `OnePS.form_at`, which does assemble
+it, loses positivity to roundoff once e^{2 spread t} nears 1/eps; the
+factor does not.
 """
 
 from __future__ import annotations
@@ -178,26 +178,6 @@ def fs_metric(basis: SectionBasis, grid: QuadratureGrid, form: HermitianForm) ->
     return h.transpose(2, 0, 1)
 
 
-def _root(ps: OnePS, t: float) -> np.ndarray:
-    """sigma(t) = e^{Lambda t} V*, so that H(t) = sigma* sigma and
-    sigma u = 2 Lambda sigma for u = 2 zeta."""
-    return np.exp(ps.eigenvalues * t)[:, None] * ps.vectors.conj().T
-
-
-def bergman_path(basis: SectionBasis, grid: QuadratureGrid, ps: OnePS, t: float) -> np.ndarray:
-    """Metric along the degeneration path at time t, shape (M, r, r).
-
-    Assembled from the square-root factor sigma(t) Q (see _root) so it is
-    positive semidefinite by construction even when the weight spread
-    makes the form e^{2 zeta t} numerically singular; cholesky checks it.
-    """
-    if t < 0:
-        raise ValueError("path time must be nonnegative")
-    h = kernels.field(basis, grid.nodes, factor=_root(ps, t))
-    kernels.cholesky(h)
-    return h.transpose(2, 0, 1)
-
-
 # ---------------------------------------------------------------------------
 # Weight filtrations
 
@@ -237,6 +217,15 @@ def weight_filtration(basis: SectionBasis, ps: OnePS, sample_points):
 # ---------------------------------------------------------------------------
 # Subgeodesic operator identities, on A(t) = sigma(t) Q(x) (see _root)
 
+# central finite-difference step of subgeodesic_residual's left side
+FD_STEP = 1e-4
+
+
+def _root(ps: OnePS, t: float) -> np.ndarray:
+    """sigma(t) = e^{Lambda t} V*, so that H(t) = sigma* sigma and
+    sigma u = 2 Lambda sigma for u = 2 zeta."""
+    return np.exp(ps.eigenvalues * t)[:, None] * ps.vectors.conj().T
+
 
 def commutator_residual(basis: SectionBasis, ps: OnePS, t: float, x) -> float:
     """Largest normalized commutator among the three sandwiched moment
@@ -269,13 +258,7 @@ def commutator_residual(basis: SectionBasis, ps: OnePS, t: float, x) -> float:
     return worst
 
 
-def subgeodesic_residual(
-    basis: SectionBasis,
-    ps: OnePS,
-    t: float,
-    x,
-    fd_step: float = 1e-4,
-):
+def subgeodesic_residual(basis: SectionBasis, ps: OnePS, t: float, x):
     """Check d/dt (h^{-1} dh/dt) = F* F at a point.
 
     With A = sigma Q, h = A*A and G = h^{-1} A* u A, the algebraic
@@ -304,8 +287,8 @@ def subgeodesic_residual(
     f = (u * a - a @ g) @ h_inv_half
     rhs = f.conj().T @ f
 
-    lhs = lhs_of(fd_step)
-    lhs_half = lhs_of(fd_step / 2.0)
+    lhs = lhs_of(FD_STEP)
+    lhs_half = lhs_of(FD_STEP / 2.0)
     err_full = np.linalg.norm(lhs - rhs)
     err_half = np.linalg.norm(lhs_half - rhs)
     # Roundoff floor of the central difference: g sums terms of size
@@ -315,7 +298,7 @@ def subgeodesic_residual(
     # Frobenius norms are unitarily invariant: |S| = |e^{2 Lambda t}|.
     s_norm = np.linalg.norm(np.exp(2.0 * ps.eigenvalues * t))
     floor = (np.finfo(float).eps * np.linalg.norm(q_x) ** 2 * s_norm
-             * np.linalg.norm(u) * np.sqrt(lam_h[-1] / lam_h[0]) / lam_h[0] / fd_step)
+             * np.linalg.norm(u) * np.sqrt(lam_h[-1] / lam_h[0]) / lam_h[0] / FD_STEP)
     # second-order FD: halving the step should cut the error ~4x
     if err_full > 32.0 * floor and err_half > 0.5 * err_full:
         raise StepTooLarge(

@@ -12,14 +12,13 @@ the section space: h(x) = Q(x)* H Q(x).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import comb, sqrt
+from math import comb, factorial, sqrt
 
 import numpy as np
 
 from . import exactsheaf as xs
 from . import kernels
-from .quadrature import QuadratureGrid, build_grid_p2
+from .quadrature import QuadratureGrid
 
 
 class LevelBelowRegularity(ValueError):
@@ -51,8 +50,8 @@ class SectionBasis:
     bundle: xs.SheafData
     level: int
     dimension: int
-    # split_p1: per-column list of (row_offset, coeffs); euler_tp2: exact
-    # coefficient tensor of shape (N, 3, n_monomials) plus exponent table
+    # split_p1: per-column list of (row_offset, coeffs); euler_tp2:
+    # (slot, (a1, a2), coefficient) per section (see _euler_basis)
     data: tuple
 
     @property
@@ -82,98 +81,33 @@ def section_basis(bundle: xs.SheafData, k: int, orthonormal: bool = True) -> Sec
     return _euler_basis(k, orthonormal)
 
 
-def _monomials_p2(d: int):
-    """Exponent table [(a1, a2)] for degree-d monomials Z0^(d-a1-a2) Z1^a1 Z2^a2,
-    graded-lexicographic and symmetric-friendly."""
-    return [(a1, a2) for a1 in range(d + 1) for a2 in range(d + 1 - a1)]
-
-
 def _euler_basis(k: int, orthonormal: bool) -> SectionBasis:
     """Basis of H^0(T_P2(k)) = H^0(O(k+1))^3 / Euler image of H^0(O(k)).
 
-    The complement of the Euler image is cut out exactly over the
-    rationals: row-reduce the image, then take the standard unit vectors
-    at the non-pivot coordinates.
+    The Euler image of f is (Z0 f, Z1 f, Z2 f); its first slot covers every
+    degree-(k+1) monomial that Z0 divides.  The complement: Z1^a1 Z2^a2
+    with a1 + a2 = k+1 in the first slot, then every monomial in the second
+    and in the third.  Their chart values z^a (-z1, -z2), z^a e1, z^a e2 are
+    orthogonal, by torus invariance, for the Gram form
+    int <Q, Q> (1+|z|^2)^-(k+2) over the FS measure of volume 1/2: z^a in
+    one slot has square norm N(a) = a1! a2! (k+2-a1-a2)! / (k+4)!, a
+    first-slot section N(a+e1) + N(a+e2).  ``data`` holds (slot, (a1, a2),
+    coefficient) per section.
     """
-    mono1 = _monomials_p2(k + 1)
-    mono0 = _monomials_p2(k)
-    n1, n0 = len(mono1), len(mono0)
-    dim = 3 * n1 - n0
-    idx1 = {m: i for i, m in enumerate(mono1)}
+    d = k + 1
+    mono = [(a1, a2) for a1 in range(d + 1) for a2 in range(d + 1 - a1)]
+    sections = [(0, (a1, d - a1)) for a1 in range(d + 1)]
+    sections += [(slot, a) for slot in (1, 2) for a in mono]
 
-    # Euler image: f -> (Z0 f, Z1 f, Z2 f) in monomial coordinates.
-    image = []
-    for (a1, a2) in mono0:
-        row = [Fraction(0)] * (3 * n1)
-        row[0 * n1 + idx1[(a1, a2)]] = Fraction(1)
-        row[1 * n1 + idx1[(a1 + 1, a2)]] = Fraction(1)
-        row[2 * n1 + idx1[(a1, a2 + 1)]] = Fraction(1)
-        image.append(row)
-    pivots = _rref_pivots(image)
-    free = [j for j in range(3 * n1) if j not in pivots]
-    assert len(free) == dim
+    def coefficient(slot, a1, a2):
+        # (k+4)! / (square norm), an exact integer ratio rounded once
+        num = factorial(a1) * factorial(a2)
+        num *= k + 3 if slot == 0 else factorial(k + 2 - a1 - a2)
+        return sqrt(factorial(k + 4) / num) if orthonormal else 1.0
 
-    coeff = np.zeros((dim, 3, n1))
-    for i, j in enumerate(free):
-        coeff[i, j // n1, j % n1] = 1.0
-    if orthonormal:
-        coeff = _gram_orthonormalize(coeff, mono1, k)
-    basis = SectionBasis(
-        bundle=euler_tp2(), level=k, dimension=dim, data=(coeff, tuple(mono1))
-    )
-    assert dim == xs.h0_tangent_p2(k)
-    return basis
-
-
-def _rref_pivots(rows):
-    """In-place exact Gauss elimination; returns the set of pivot columns."""
-    pivots = set()
-    r = 0
-    ncols = len(rows[0]) if rows else 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
-        pivots.add(c)
-        r += 1
-        if r == len(rows):
-            break
-    return pivots
-
-
-def _gram_orthonormalize(coeff: np.ndarray, mono1, k: int) -> np.ndarray:
-    """Orthonormalize the complement basis against a fixed positive Gram
-    form (chart values weighted by a Fubini-Study power), via Cholesky."""
-    grid = build_grid_p2(n_simplex=6, n_angular=8, depth=6)
-    q = _euler_q_field_from(coeff, mono1, grid.nodes)
-    s = 1.0 + np.abs(grid.nodes[:, 0]) ** 2 + np.abs(grid.nodes[:, 1]) ** 2
-    wt = grid.weights * s ** (-(k + 2))
-    gram = np.einsum("m,mir,mjr->ij", wt, q, q.conj())
-    gram = 0.5 * (gram + gram.conj().T)
-    chol = np.linalg.cholesky(gram)
-    new = np.linalg.solve(chol, coeff.reshape(coeff.shape[0], -1))
-    return new.real.reshape(coeff.shape) if np.abs(new.imag).max() < 1e-14 else new.reshape(coeff.shape)
-
-
-def _euler_q_field_from(coeff, mono1, nodes) -> np.ndarray:
-    """Chart values of Euler-quotient sections: the triple (f0, f1, f2)
-    evaluates to the tangent frame components (f1 - z1 f0, f2 - z2 f0)."""
-    z1, z2 = nodes[:, 0], nodes[:, 1]
-    vals = np.stack(
-        [z1**a1 * z2**a2 for (a1, a2) in mono1], axis=-1
-    )  # (M, n1)
-    f = np.einsum("icm,xm->xic", np.asarray(coeff, dtype=complex), vals)  # (M, N, 3)
-    q = np.empty(f.shape[:2] + (2,), dtype=complex)
-    q[..., 0] = f[..., 1] - z1[:, None] * f[..., 0]
-    q[..., 1] = f[..., 2] - z2[:, None] * f[..., 0]
-    return q
+    data = tuple((slot, a, coefficient(slot, *a)) for slot, a in sections)
+    assert len(data) == xs.h0_tangent_p2(k)
+    return SectionBasis(bundle=euler_tp2(), level=k, dimension=len(data), data=data)
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +123,12 @@ def q_field(basis: SectionBasis, nodes: np.ndarray) -> np.ndarray:
             pw = z[:, None] ** np.arange(coeffs.size)[None, :]
             out[:, offset : offset + coeffs.size, col] = coeffs[None, :] * pw
         return out
-    coeff, mono1 = basis.data
-    return _euler_q_field_from(coeff, mono1, np.asarray(nodes))
+    z = np.asarray(nodes)
+    slot, expo, coef = (np.asarray(c) for c in zip(*basis.data))
+    vals = coef * z[:, :1] ** expo[:, 0] * z[:, 1:] ** expo[:, 1]  # (M, N)
+    frame = np.zeros((len(z), 3, 2), dtype=complex)  # chart values of the slots
+    frame[:, 0], frame[:, 1, 0], frame[:, 2, 1] = -z, 1.0, 1.0
+    return vals[..., None] * frame[:, slot]
 
 
 def dq_dz_field(basis: SectionBasis, nodes: np.ndarray) -> np.ndarray:

@@ -120,7 +120,7 @@ def _parse_ps(raw) -> PSSpec:
         weights = tuple(Fraction(w) for w in raw["weights"])
     except (KeyError, ValueError) as exc:
         raise ConfigError("ps.weights", str(exc)) from exc
-    sub = tuple(int(i) for i in raw.get("sub", ()))
+    sub = tuple(_integer(i) for i in raw.get("sub", ()))
     if len(weights) != 2:
         raise ConfigError("ps.weights", "two-step generator needs exactly two weights")
     if not sub:
@@ -128,8 +128,21 @@ def _parse_ps(raw) -> PSSpec:
     return PSSpec(type=kind, weights=weights, sub=sub)
 
 
+def _integer(value) -> int:
+    """An int or a decimal string; a float or a bool would be truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _real(value) -> float:
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _parse_grid(raw) -> dict:
-    grid = {key: int(value) for key, value in dict(raw).items()}
+    grid = {key: _integer(value) for key, value in dict(raw).items()}
     for key in grid:
         if key not in ("n_radial", "n_angular", "depth", "n_simplex"):
             raise ConfigError(f"grid.{key}", "unknown grid parameter")
@@ -141,13 +154,13 @@ def _parse_grid(raw) -> dict:
 _READERS = {
     "kind": str,
     "bundle": str,
-    "k": int,
+    "k": _integer,
     "grid": _parse_grid,
     "ps": _parse_ps,
-    "t_end": float,
-    "samples": int,
-    "tol": float,
-    "seed": int,
+    "t_end": _real,
+    "samples": _integer,
+    "tol": _real,
+    "seed": _integer,
     "out": lambda path: None if path is None else str(path),
 }
 

@@ -99,18 +99,13 @@ def finite(x: np.ndarray, nodes, sl: slice) -> np.ndarray:
     return x
 
 
-def field(basis, nodes, mat=None, factor=None, chart=None) -> np.ndarray:
-    """Q* mat Q at every node, hermitian, shape (r, r, M): Q*Q without
-    ``mat``, and (F Q)*(F Q), positive by construction, for a square-root
-    ``factor`` F.  ``chart`` holds the blocks when the caller keeps them;
+def field(basis, nodes, mat=None, chart=None) -> np.ndarray:
+    """Q* mat Q at every node, hermitian, shape (r, r, M); Q*Q without
+    ``mat``.  ``chart`` holds the blocks when the caller keeps them;
     NonFiniteChart names the first node whose sandwich overflowed."""
     out = np.empty((basis.rank, basis.rank, len(nodes)), dtype=complex)
     for sl, qb in blocks(basis, nodes, chart):
-        if mat is not None:
-            h = sandwich(qb, mat, qb)
-        else:
-            x = qb if factor is None else act(factor, qb)
-            h = pair(x, x)
+        h = pair(qb, qb) if mat is None else sandwich(qb, mat, qb)
         out[..., sl] = 0.5 * (finite(h, nodes, sl) + ct(h))
     return out
 

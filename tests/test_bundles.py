@@ -3,6 +3,7 @@ import pytest
 
 from bml import bundles as bd
 from bml import exactsheaf as xs
+from bml.quadrature import build_grid_p2
 
 
 def test_split_dimensions():
@@ -24,6 +25,40 @@ def test_euler_basis_dimension():
         basis = bd.section_basis(bd.euler_tp2(), k)
         assert basis.dimension == xs.h0_tangent_p2(k)
         assert basis.rank == 2
+
+
+def _monomials(d):
+    return [(a1, a2) for a1 in range(d + 1) for a2 in range(d + 1 - a1)]
+
+
+@pytest.mark.parametrize("k", range(-1, 6))
+def test_euler_basis_complements_the_euler_image(k):
+    """The Euler image of H^0(O(k)), f -> (Z0 f, Z1 f, Z2 f), together with
+    the basis sections as unit vectors of H^0(O(k+1))^3 spans all of it."""
+    idx = {a: i for i, a in enumerate(_monomials(k + 1))}
+    n1 = len(idx)
+    rows = []
+    for a1, a2 in _monomials(k):
+        row = np.zeros(3 * n1)
+        row[[idx[a1, a2], n1 + idx[a1 + 1, a2], 2 * n1 + idx[a1, a2 + 1]]] = 1.0
+        rows.append(row)
+    for slot, a, _ in bd.section_basis(bd.euler_tp2(), k).data:
+        rows.append(np.eye(3 * n1)[slot * n1 + idx[a]])
+    assert len(rows) == 3 * n1
+    assert np.linalg.matrix_rank(np.array(rows)) == 3 * n1
+
+
+@pytest.mark.parametrize("k", [2, 6])
+def test_euler_basis_is_orthonormal(k):
+    """Against a 16-angle grid, which integrates the Gram form exactly at
+    these levels: int <Q_i, Q_j> (1+|z|^2)^-(k+2) over the FS measure."""
+    grid = build_grid_p2(n_simplex=6, n_angular=16, depth=1)
+    basis = bd.section_basis(bd.euler_tp2(), k)
+    s = 1.0 + np.abs(grid.nodes[:, 0]) ** 2 + np.abs(grid.nodes[:, 1]) ** 2
+    q = bd.q_field(basis, grid.nodes) * np.sqrt(grid.weights * s ** -(k + 2))[:, None, None]
+    x = q.transpose(1, 0, 2).reshape(basis.dimension, -1)
+    gram = x.conj() @ x.T
+    assert np.abs(gram - np.eye(basis.dimension)).max() < 1e-13
 
 
 def test_q_field_shapes(grid_p1):

@@ -146,13 +146,20 @@ def test_inline_ps_parsing():
         (None, ["--t-end", "nan"], "t_end"),
         ({"kind": "subgeodesic"}, ["--tol", "inf"], "tol"),
         ({"kind": "verify"}, ["--k", "7", "--bundle", "split_p1:1,1"], "bundle"),
+        ({"kind": "mna", "grid": {"n_radial": 2.7}}, [], "grid"),
+        ({"kind": "mna", "k": 3.9}, [], "k"),
+        ({"kind": "mna", "k": True}, [], "k"),
+        ({"kind": "mna", "samples": 12.5}, [], "samples"),
+        ({"kind": "mna", "seed": 1.5}, [], "seed"),
+        ({"kind": "subgeodesic", "tol": True}, [], "tol"),
     ],
 )
 def test_bad_config_input_exits_one(tmp_path, capsys, raw, argv, field):
     """An unknown key, a null value, an unreadable flag or grid size, a
-    summand index out of range, a non-finite time or tolerance, and a
-    field `bml verify` does not read each exit 1 with a ConfigError
-    naming the field."""
+    fractional or boolean integer or a boolean number (which would be
+    truncated or read as 1), a summand index out of range, a non-finite
+    time or tolerance, and a field `bml verify` does not read each exit 1
+    with a ConfigError naming the field."""
     kind = (raw or {}).get("kind", "mna")
     if raw is not None:
         argv = ["--config", write_cfg(tmp_path, raw)] + argv

@@ -92,16 +92,6 @@ def test_euler_basis(grid_p2, rng):
     assert rel(bd.h_ref_field(basis, grid_p2), h_ref(q)) < TOL
 
 
-def test_bergman_path(split_basis, grid, rng):
-    ps = bg.random_two_weight_ps(split_basis.dimension, rng)
-    t = 1.7
-    q = bd.q_field(split_basis, grid.nodes)
-    half = np.exp(ps.eigenvalues * t)[:, None] * ps.vectors.conj().T
-    b = np.einsum("kn,mnr->mkr", half, q)
-    want = herm(np.einsum("mki,mkj->mij", b.conj(), b))
-    assert rel(bg.bergman_path(split_basis, grid, ps, t), want) < TOL
-
-
 def m2_reference(basis, grid, ps, ts):
     q = bd.q_field(basis, grid.nodes)
     ld0 = np.linalg.slogdet(h_ref(q))[1]
@@ -324,7 +314,6 @@ def test_fibre_algebra_has_one_factorization(coarse, monkeypatch, rng):
     don.m1_curve(basis, coarse, ps, [1.0], n_path=4)
     don.curvature_field(basis, coarse, form)
     bg.fs_metric(basis, coarse, form)
-    bg.bergman_path(basis, coarse, ps, 1.0)
     bl.m2_value(basis, coarse, form.matrix)
     bl._b_matrix(basis, coarse, form.matrix)
     bl.t_iterate(basis, coarse, np.eye(n), max_iter=2)
@@ -368,7 +357,6 @@ def test_block_size_does_not_move_results(grid_p1, monkeypatch, rng):
             don.m1_curve(basis, grid_p1, ps, [1.0], n_path=4),
             don.curvature_field(basis, grid_p1, form),
             bg.fs_metric(basis, grid_p1, form),
-            bg.bergman_path(basis, grid_p1, ps, 1.0),
             bd.h_ref_field(basis, grid_p1),
             ld,
             wh,
