@@ -21,6 +21,8 @@ factor does not.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
+
 import numpy as np
 
 from . import kernels
@@ -67,13 +69,16 @@ class OnePS:
     order (ties merged at tolerance 1e-9); ``vectors[:, i]`` spans the
     eigenspaces, grouped so that columns ``slices[i]`` belong to
     ``weights[i]``.  Construction rescales the generator so its operator
-    norm is at most one.
+    norm is at most one.  For a diagonal generator ``vectors`` is the
+    permutation matrix of exact unit columns ``rows``, so that V* Q is
+    the row gather Q[rows]; ``rows`` is None for any other generator.
     """
 
     generator: np.ndarray
     weights: tuple
     slices: tuple
     vectors: np.ndarray
+    rows: Optional[np.ndarray] = None
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -112,12 +117,19 @@ def one_ps(zeta: np.ndarray) -> OnePS:
     zeta = 0.5 * (zeta + zeta.conj().T)
     if abs(np.trace(zeta).real) > 1e-12 * n * max(1.0, np.abs(zeta).max()):
         raise ValueError("generator must be trace-free")
-    norm = np.abs(np.linalg.eigvalsh(zeta)).max() if np.abs(zeta).max() > 0 else 0.0
+    diagonal = np.count_nonzero(zeta) == np.count_nonzero(zeta.diagonal())
+    lam = np.diag(zeta).real if diagonal else np.linalg.eigvalsh(zeta)
+    norm = np.abs(lam).max()
     if norm > 1.0 + 1e-12:
         zeta = zeta / norm
-    lam, vec = np.linalg.eigh(zeta)
-    order = np.argsort(-lam)
-    lam, vec = lam[order], vec[:, order]
+    if diagonal:  # the eigenframe is the stable sort permutation
+        rows = np.argsort(-np.diag(zeta).real, kind="stable")
+        lam, vec = np.diag(zeta).real[rows], np.eye(n, dtype=complex)[:, rows]
+    else:
+        rows = None
+        lam, vec = np.linalg.eigh(zeta)
+        order = np.argsort(-lam)
+        lam, vec = lam[order], vec[:, order]
     # cluster numerically equal eigenvalues into one weight
     weights, slices = [], []
     start = 0
@@ -131,6 +143,7 @@ def one_ps(zeta: np.ndarray) -> OnePS:
         weights=tuple(weights),
         slices=tuple(slices),
         vectors=vec,
+        rows=rows,
     )
 
 

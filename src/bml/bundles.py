@@ -114,35 +114,51 @@ def _euler_basis(k: int, orthonormal: bool) -> SectionBasis:
 # Evaluation maps
 
 
+def _powers(z: np.ndarray, n: int) -> np.ndarray:
+    """z^m for m < n, shape (n, M), each row the one before times z."""
+    pw = np.empty((n, len(z)), dtype=complex)
+    pw[:1] = 1.0
+    for m in range(1, n):
+        np.multiply(pw[m - 1], z, out=pw[m])
+    return pw
+
+
 def q_field(basis: SectionBasis, nodes: np.ndarray) -> np.ndarray:
-    """Evaluation matrices Q(x) for every node, shape (M, N, r)."""
-    if basis.bundle.kind == "split_p1":
-        z = np.asarray(nodes)
-        out = np.zeros((z.size, basis.dimension, basis.rank), dtype=complex)
-        for col, (offset, coeffs) in enumerate(basis.data):
-            pw = z[:, None] ** np.arange(coeffs.size)[None, :]
-            out[:, offset : offset + coeffs.size, col] = coeffs[None, :] * pw
-        return out
+    """Evaluation matrices Q(x) for every node, shape (M, N, r).
+
+    The values are built node-last, as an (N, r, M) array whose rows are
+    coefficient times z^m from the power recurrence of _powers, and
+    returned as its (M, N, r) transpose: `kernels.node_last` reads them
+    back without a copy."""
     z = np.asarray(nodes)
+    if basis.bundle.kind == "split_p1":
+        pw = _powers(z, max(c.size for _, c in basis.data))
+        out = np.zeros((basis.dimension, basis.rank, len(z)), dtype=complex)
+        for col, (offset, coeffs) in enumerate(basis.data):
+            d = coeffs.size
+            np.multiply(coeffs[:, None], pw[:d], out=out[offset : offset + d, col])
+        return out.transpose(2, 0, 1)
     slot, expo, coef = (np.asarray(c) for c in zip(*basis.data))
-    vals = coef * z[:, :1] ** expo[:, 0] * z[:, 1:] ** expo[:, 1]  # (M, N)
-    frame = np.zeros((len(z), 3, 2), dtype=complex)  # chart values of the slots
-    frame[:, 0], frame[:, 1, 0], frame[:, 2, 1] = -z, 1.0, 1.0
-    return vals[..., None] * frame[:, slot]
+    n = basis.level + 2  # exponents up to k+1
+    vals = coef[:, None] * _powers(z[:, 0], n)[expo[:, 0]] * _powers(z[:, 1], n)[expo[:, 1]]
+    frame = np.zeros((3, 2, len(z)), dtype=complex)  # chart values of the slots
+    frame[0], frame[1, 0], frame[2, 1] = -z.T, 1.0, 1.0
+    return (vals[:, None] * frame[slot]).transpose(2, 0, 1)
 
 
 def dq_dz_field(basis: SectionBasis, nodes: np.ndarray) -> np.ndarray:
-    """Holomorphic z-derivative of Q(x) on P^1, shape (M, N, r)."""
+    """Holomorphic z-derivative of Q(x) on P^1, shape (M, N, r), built
+    node-last as q_field is."""
     if basis.bundle.kind != "split_p1":
         raise NotImplementedError("analytic derivatives implemented on P1 only")
     z = np.asarray(nodes)
-    out = np.zeros((z.size, basis.dimension, basis.rank), dtype=complex)
+    pw = _powers(z, max(c.size for _, c in basis.data) - 1)
+    out = np.zeros((basis.dimension, basis.rank, len(z)), dtype=complex)
     for col, (offset, coeffs) in enumerate(basis.data):
-        m = np.arange(coeffs.size)
-        pw = np.zeros((z.size, coeffs.size), dtype=complex)
-        pw[:, 1:] = m[1:] * z[:, None] ** (m[1:] - 1)
-        out[:, offset : offset + coeffs.size, col] = coeffs[None, :] * pw
-    return out
+        d = coeffs.size
+        dc = np.arange(1, d) * coeffs[1:]  # d/dz z^m = m z^(m-1)
+        np.multiply(dc[:, None], pw[: d - 1], out=out[offset + 1 : offset + d, col])
+    return out.transpose(2, 0, 1)
 
 
 def h_ref_field(basis: SectionBasis, grid: QuadratureGrid) -> np.ndarray:

@@ -11,6 +11,7 @@ one reader per field, rejects unknown keys and freezes the result;
 from __future__ import annotations
 
 import copy
+import inspect
 import json
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
@@ -18,6 +19,7 @@ from typing import Optional
 
 from . import bundles as bd
 from . import bergman as bg
+from . import quadrature as qd
 from .exactsheaf import SheafData, frac_str
 
 EXPERIMENT_KINDS = ("verify", "slope", "mna", "asymptote", "balance", "subgeodesic")
@@ -72,9 +74,7 @@ class ExperimentConfig:
         return bd.section_basis(self.catalog_bundle(), self.k)
 
     def build_grid(self):
-        from .quadrature import build_grid
-
-        return build_grid(self.catalog_bundle().space_tag, **self.grid)
+        return qd.build_grid(self.catalog_bundle().space_tag, **self.grid)
 
 
 def parse_bundle(text: str) -> SheafData:
@@ -141,12 +141,14 @@ def _real(value) -> float:
     return float(value)
 
 
+# the grid keys of each space, read by parse_config: the keyword
+# arguments of its grid builder
+_GRID_KEYS = {space: tuple(inspect.signature(build).parameters)
+              for space, build in (("P1", qd.build_grid_p1), ("P2", qd.build_grid_p2))}
+
+
 def _parse_grid(raw) -> dict:
-    grid = {key: _integer(value) for key, value in dict(raw).items()}
-    for key in grid:
-        if key not in ("n_radial", "n_angular", "depth", "n_simplex"):
-            raise ConfigError(f"grid.{key}", "unknown grid parameter")
-    return grid
+    return {key: _integer(value) for key, value in dict(raw).items()}
 
 
 # one reader per ExperimentConfig field: raw JSON or CLI value -> field value;
@@ -189,6 +191,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
     bundle = cfg.catalog_bundle()
     if cfg.k < bundle.regularity():
         raise ConfigError("k", f"level {cfg.k} is below the catalog regularity {bundle.regularity()}")
+    for key in cfg.grid:
+        if key not in _GRID_KEYS[bundle.space_tag]:
+            raise ConfigError(f"grid.{key}", f"not a grid parameter on {bundle.space_tag}")
     if any(not 0 <= i < bundle.rank for i in cfg.ps.sub):
         raise ConfigError("ps.sub", f"summand index out of range for {bundle.label}")
     if not 0 < cfg.tol < float("inf"):

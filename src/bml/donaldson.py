@@ -52,25 +52,40 @@ def m2_along_path(
 
         h(t) = sum_d e^{2 w_d t} G_d,    h_ref = Q*Q = sum_d G_d
 
-    (V is unitary).  Per node block the D Gram blocks are formed once
-    and every h(t_j), with h_ref as t_0 = 0, comes from the (D, T+1)
-    table e^{2 w_d t_j} in one GEMM per matrix entry, and one Cholesky
-    pass gives all their log-dets.  Each G_d is bounded by h_ref, so a
-    block overflows only where the reference or a path metric does:
+    (V is unitary).  Per block of the chart, which arrives node-last from
+    `bundles.q_field`, V* Q is formed once: a permutation frame (that of
+    every diagonal generator, OnePS.rows) is the row gather Q[rows], any
+    other frame one GEMM (see _rotate).  The D Gram blocks follow, and
+    every h(t_j), with h_ref as t_0 = 0, comes from the (D, T+1) table
+    e^{2 w_d t_j} in one GEMM per matrix entry; one Cholesky pass gives
+    all their log-dets.  Each G_d is bounded by h_ref, so a block
+    overflows only where the reference or a path metric does:
     NonFiniteChart names it.
     """
     times = np.concatenate([[0.0], np.asarray(ts, dtype=float).ravel()])
     with np.errstate(over="ignore"):
         table = np.exp(2.0 * np.outer(ps.weights, times))
-    vh = ps.vectors.conj().T
+    frame = _frame(ps)
     vals = np.empty((len(times), len(grid.nodes)))
     for sl, q in kernels.blocks(basis, grid.nodes):
-        vq = kernels.act(vh, q)
+        vq = _rotate(frame, q)
         grams = np.stack([kernels.pair(vq[s], vq[s]) for s in ps.slices], axis=2)
         with np.errstate(over="ignore", invalid="ignore"):
             h = table.T @ grams  # (r, r, T+1, B)
         vals[:, sl] = kernels.logdet(kernels.finite(h, grid.nodes, sl))
     return np.asarray([grid.integrate(v - vals[0]) / grid.volume for v in vals[1:]])
+
+
+def _frame(ps: OnePS) -> np.ndarray:
+    """The rotation V* of the eigenframe, or its row index ``rows`` when
+    V is a permutation."""
+    return ps.vectors.conj().T if ps.rows is None else ps.rows
+
+
+def _rotate(rotation: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """rotation Q per node, (K, r, B), for a node-last chart block: the
+    row gather q[rotation] for an index array, one GEMM for a matrix."""
+    return q[rotation] if rotation.ndim == 1 else kernels.act(rotation, q)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +155,8 @@ def _curvature_frame(level: int, z, h, a, c):
 
 def _path_jets(basis: SectionBasis, grid: QuadratureGrid, rotation, slices) -> list:
     """The per-weight 1-jet blocks of the chart, per node block, for the
-    rows ``slices`` of a ``rotation`` R.
+    rows ``slices`` of a ``rotation`` R, a matrix or a row index (see
+    _rotate).
 
     Along a 1-PS R = V* and the slices are its weight groups: with V_d
     the eigenvectors of weight w_d, B_d = V_d* Q and D_d = V_d* dQ/dz,
@@ -159,8 +175,8 @@ def _path_jets(basis: SectionBasis, grid: QuadratureGrid, rotation, slices) -> l
     r = basis.rank
     jets = []
     for sl, q in kernels.blocks(basis, z):
-        vq = kernels.act(rotation, q)
-        vd = kernels.act(rotation, kernels.node_last(bundles.dq_dz_field(basis, z[sl])))
+        vq = _rotate(rotation, q)
+        vd = _rotate(rotation, kernels.node_last(bundles.dq_dz_field(basis, z[sl])))
         stack = np.empty((len(slices), 3, r, r, q.shape[-1]), dtype=complex)
         for i, s in enumerate(slices):
             b, db = vq[s], vd[s]
@@ -184,7 +200,7 @@ def m1_rate(
     _curvature_frame.
     """
     if jets is None:
-        jets = _path_jets(basis, grid, ps.vectors.conj().T, ps.slices)
+        jets = _path_jets(basis, grid, _frame(ps), ps.slices)
     weights = np.asarray(ps.weights)
     with np.errstate(over="ignore"):
         e = np.exp(2.0 * weights * t)
@@ -225,7 +241,7 @@ def m1_curve(
     if (ts < 0).any():
         raise ValueError("path time must be nonnegative")
     x, w = np.polynomial.legendre.leggauss(max(4, n_path // max(1, len(np.unique(ts)))))
-    jets = _path_jets(basis, grid, ps.vectors.conj().T, ps.slices) if (ts > 0).any() else None
+    jets = _path_jets(basis, grid, _frame(ps), ps.slices) if (ts > 0).any() else None
     out = np.empty(len(ts))
     total = 0.0
     lo = 0.0

@@ -6,10 +6,13 @@ block, unless the caller holds the list of blocks, its chart, as a
 balance solve does.  Inside the core every per-node value has one
 layout, the node index last: a block of chart values or of their
 z-derivatives is an (N, r, B) stack, section index first, and a
-sandwich is an (r, r, B) stack.  An N x N form acts on every node of a
-block in one GEMM (`act`), a weight group of a 1-PS is a row slice of
-that product, and what is left per node is r x r algebra whose loops
-run over the small indices, each step one vector operation over the B
+sandwich is an (r, r, B) stack.  `bundles` builds the chart in that
+layout and returns it as its (B, N, r) transpose, so `node_last` gets
+it back without a copy.  An N x N form acts on every node of a block in
+one GEMM (`act`); a weight group of a 1-PS is a row slice of that
+product, or of the row gather Q[rows] when the frame of the 1-PS is a
+permutation.  What is left per node is r x r algebra whose loops run
+over the small indices, each step one vector operation over the B
 nodes.  Per-node outputs are written into full-length arrays before any
 quadrature sum and do not depend on the block size; B(H), the one sum
 over nodes accumulated per block, moves in its last bits with BLOCK.
@@ -47,7 +50,8 @@ class NonFiniteChart(NonFiniteIntegrand):
 
 def node_last(x: np.ndarray) -> np.ndarray:
     """Chart values or their z-derivatives, (B, N, r) as `bundles` gives
-    them, in the layout of the core: (N, r, B), node index last."""
+    them, in the layout of the core: (N, r, B), node index last.  A view
+    of the array `bundles` built, unless ``x`` is laid out otherwise."""
     return np.ascontiguousarray(x.transpose(1, 2, 0))
 
 

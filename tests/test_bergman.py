@@ -30,6 +30,31 @@ def test_one_ps_normalization_and_clustering():
     assert [s.stop - s.start for s in ps.slices] == [2, 1]
 
 
+def test_one_ps_frame_of_a_diagonal_generator():
+    """A diagonal generator's frame is the stable sort permutation of its
+    diagonal, with exact unit columns; the path form is exactly diagonal."""
+    diag = np.array([0.25, -1.0, 0.5, 0.25, 0.0])
+    ps = bg.one_ps(np.diag(diag))
+    assert ps.rows.tolist() == [2, 0, 3, 4, 1]
+    assert np.array_equal(ps.vectors, np.eye(5)[:, ps.rows])
+    assert np.array_equal(ps.eigenvalues, diag[ps.rows])
+    assert ps.weights == (0.5, 0.25, 0.0, -1.0)
+    for t in (0.0, 0.7, 9.0):
+        assert np.array_equal(ps.form_at(t).matrix, np.diag(np.exp(2.0 * t * diag)))
+    # rescaled as any generator is; the frame is the same permutation
+    assert np.array_equal(bg.one_ps(np.diag(4.0 * diag)).rows, ps.rows)
+    assert bg.one_ps(np.diag(4.0 * diag)).weights == ps.weights
+
+
+@pytest.mark.parametrize("entry", [1e-3, 1e-17j])
+def test_one_ps_frame_of_an_off_diagonal_generator(entry):
+    zeta = np.diag([0.25, -1.0, 0.5, 0.25, 0.0]).astype(complex)
+    zeta[1, 3], zeta[3, 1] = entry, np.conj(entry)
+    ps = bg.one_ps(zeta)
+    assert ps.rows is None
+    assert np.abs(ps.vectors.conj().T @ ps.vectors - np.eye(5)).max() < 1e-14
+
+
 def test_form_at_matches_expm(rng):
     z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     z = 0.5 * (z + z.conj().T)

@@ -3,6 +3,7 @@ import pytest
 
 from bml import bundles as bd
 from bml import exactsheaf as xs
+from bml import kernels
 from bml.quadrature import build_grid_p2
 
 
@@ -65,6 +66,41 @@ def test_q_field_shapes(grid_p1):
     basis = bd.section_basis(bd.split(0, 2), 3)
     q = bd.q_field(basis, grid_p1.nodes)
     assert q.shape == (grid_p1.nodes.size, 10, 2)
+
+
+def _direct_chart(basis, z):
+    """Q and dQ/dz of a split basis from z ** m, in the (M, N, r) layout."""
+    q = np.zeros((z.size, basis.dimension, basis.rank), dtype=complex)
+    d = np.zeros_like(q)
+    for col, (offset, coeffs) in enumerate(basis.data):
+        m = np.arange(coeffs.size)
+        q[:, offset + m, col] = coeffs * z[:, None] ** m
+        d[:, offset + m[1:], col] = coeffs[1:] * m[1:] * z[:, None] ** (m[1:] - 1)
+    return q, d
+
+
+def test_chart_recurrence_matches_direct_powers(grid_p1_fine):
+    """At k = 36 on the default grid, where |z|^38 reaches 1e146, the
+    power recurrence agrees with z ** m entry by entry."""
+    basis = bd.section_basis(bd.split(0, 2), 36)
+    z = grid_p1_fine.nodes
+    for got, want in zip((bd.q_field(basis, z), bd.dq_dz_field(basis, z)), _direct_chart(basis, z)):
+        assert got.shape == want.shape
+        assert (np.abs(got - want) <= 1e-13 * np.abs(want)).all()
+
+
+@pytest.mark.parametrize("bundle", [bd.split(0, 2), bd.euler_tp2()], ids=["split", "euler"])
+def test_chart_arrives_node_last(bundle, grid_p1, grid_p2):
+    """q_field and dq_dz_field build the node-last layout of the core and
+    return its transpose, so kernels.node_last copies nothing."""
+    basis = bd.section_basis(bundle, 3)
+    nodes = (grid_p1 if bundle.space_tag == "P1" else grid_p2).nodes[:100]
+    fields = (bd.q_field, bd.dq_dz_field) if bundle.space_tag == "P1" else (bd.q_field,)
+    for field in fields:
+        x = field(basis, nodes)
+        assert x.shape == (100, basis.dimension, 2)
+        assert np.shares_memory(kernels.node_last(x), x)
+        assert kernels.node_last(x).flags.c_contiguous
 
 
 def test_dq_dz_matches_finite_difference():

@@ -152,14 +152,18 @@ def test_inline_ps_parsing():
         ({"kind": "mna", "samples": 12.5}, [], "samples"),
         ({"kind": "mna", "seed": 1.5}, [], "seed"),
         ({"kind": "subgeodesic", "tol": True}, [], "tol"),
+        ({"kind": "slope", "grid": {"n_simplex": 4}, "ps": "two_step:1:2/3,-1"}, [], "grid.n_simplex"),
+        ({"kind": "mna", "bundle": "euler_tp2", "grid": {"n_radial": 4}}, [], "grid.n_radial"),
+        ({"kind": "mna", "grid": {"n_rings": 4}}, [], "grid.n_rings"),
     ],
 )
 def test_bad_config_input_exits_one(tmp_path, capsys, raw, argv, field):
     """An unknown key, a null value, an unreadable flag or grid size, a
     fractional or boolean integer or a boolean number (which would be
     truncated or read as 1), a summand index out of range, a non-finite
-    time or tolerance, and a field `bml verify` does not read each exit 1
-    with a ConfigError naming the field."""
+    time or tolerance, a field `bml verify` does not read, and a grid key
+    of the other space or of none each exit 1 with a ConfigError naming
+    the field."""
     kind = (raw or {}).get("kind", "mna")
     if raw is not None:
         argv = ["--config", write_cfg(tmp_path, raw)] + argv

@@ -1,6 +1,7 @@
 """Every function routed through the evaluation core against a plain
 einsum reference, on random positive forms."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -180,6 +181,33 @@ def test_m2_along_path_work_shape(grid_p1, monkeypatch, rng):
         calls.update(q_field=0, pair=0)
         don.m2_along_path(basis, grid_p1, ps, ts)
         assert calls == {"q_field": n_blocks, "pair": n_blocks * len(ps.weights)}
+
+
+@pytest.mark.parametrize("k", [3, 36])
+def test_permutation_frame_is_a_row_gather(k, grid_p1, monkeypatch):
+    """For a diagonal generator V* Q is the row gather Q[rows]: M2 and the
+    jet blocks agree with the GEMM by V*, and kernels.act is not called;
+    without rows it is called once per node block for Q (and once more
+    for dQ/dz in the jets)."""
+    basis = bd.section_basis(bd.split(0, 2), k)
+    ps = bg.two_step_one_ps(basis, [1], ((k + 1) / (k + 3), -1.0))
+    gemm = dataclasses.replace(ps, rows=None)
+    n_blocks = -(-grid_p1.nodes.size // kernels.BLOCK)
+    calls = {"act": 0}
+    monkeypatch.setattr(kernels, "act", counted(calls, "act", kernels.act))
+    ts = [1.25, 6.0, 15.0]
+    m2 = {}
+    jets = {}
+    for name, p, acts in (("gather", ps, 0), ("gemm", gemm, n_blocks)):
+        calls.update(act=0)
+        m2[name] = don.m2_along_path(basis, grid_p1, p, ts)
+        assert calls == {"act": acts}
+        jets[name] = don._path_jets(basis, grid_p1, don._frame(p), p.slices)
+        assert calls == {"act": 3 * acts}
+    assert rel(m2["gather"], m2["gemm"]) <= 1e-14
+    for (sl, a), (sl_gemm, b) in zip(jets["gather"], jets["gemm"], strict=True):
+        assert sl == sl_gemm
+        assert rel(a, b) <= 1e-14
 
 
 def curvature_reference(basis, H, z):
