@@ -251,7 +251,7 @@ def criterion_6() -> CriterionResult:
         mode = i % 3
         if mode == 0:
             basis, sub = split_cases[i % len(split_cases)]
-            n1 = sum(basis.data[c][1].size for c in sub)
+            n1 = sum(len(basis.summand_rows(c)) for c in sub)
             n2 = basis.dimension - n1
             ps = bg.two_step_one_ps(basis, sub, (n2 / max(n1, n2), -n1 / max(n1, n2)))
         else:

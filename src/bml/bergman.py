@@ -151,17 +151,14 @@ def two_step_one_ps(basis: SectionBasis, sub_columns, weights) -> OnePS:
     """Block-diagonal two-step generator: the first weight on the section
     block of the named summands, the second on the complement.
 
-    ``sub_columns`` is a list of summand indices of a split bundle; the
-    corresponding monomial blocks of the deterministic basis ordering
-    get weight ``weights[0]``.
+    ``sub_columns`` is a list of summand indices of a split bundle, each
+    in [0, rank); their section rows (`SectionBasis.summand_rows`) get
+    weight ``weights[0]``.
     """
-    if basis.bundle.kind != "split_p1":
-        raise ValueError("two-step generators are defined for split bundles")
     w1, w2 = float(weights[0]), float(weights[1])
     diag = np.full(basis.dimension, w2)
     for col in sub_columns:
-        offset, coeffs = basis.data[col]
-        diag[offset : offset + coeffs.size] = w1
+        diag[basis.summand_rows(col)] = w1
     if abs(diag.sum()) > 1e-12 * basis.dimension:
         raise ValueError("weights are not trace-free for these block sizes")
     return one_ps(np.diag(diag))

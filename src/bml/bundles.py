@@ -3,10 +3,11 @@
 For a catalog bundle (an ``exactsheaf.SheafData``: a direct sum of line
 bundles on P^1 or the tangent bundle of P^2 presented as the Euler
 quotient of O(1)^3) this module builds a deterministic basis of the
-twisted section space H^0(E(k)) and the pointwise evaluation matrix Q(x),
-an N x r complex matrix in a fixed chart frame.  All Fubini-Study-type
-metrics downstream are built from Q by sandwiching a hermitian form on
-the section space: h(x) = Q(x)* H Q(x).
+twisted section space H^0(E(k)) as one table of monomial runs and the
+pointwise evaluation matrix Q(x), an N x r complex matrix in the chart
+frame that the table's columns name.  All Fubini-Study-type metrics
+downstream are built from Q by sandwiching a hermitian form on the
+section space: h(x) = Q(x)* H Q(x).
 """
 
 from __future__ import annotations
@@ -39,24 +40,31 @@ def euler_tp2() -> xs.SheafData:
 
 @dataclass(frozen=True)
 class SectionBasis:
-    """Deterministic basis of H^0(E(k)) with chart evaluation data.
-
-    For split bundles the elements are monomials placed summand-major and
-    graded; the optional orthonormalization rescales each monomial so
-    that the basis is L2-orthonormal for the standard Fubini-Study
-    metric, which makes H = identity the symmetric configuration.
-    """
+    """Deterministic basis of H^0(E(k)) as monomial runs (offset, coeffs,
+    exponent, column) in ``data``: section offset + i is coeffs[i]
+    z^exponent z_last^i in fibre column ``column``, z_last the last chart
+    coordinate.  Run c of a split bundle on P^1 is summand c, exponent
+    (0,); the optional orthonormalization makes the basis L2-orthonormal
+    for the standard Fubini-Study metric, so H = identity is the
+    symmetric configuration.  T_P2: see _euler_basis.  Only this module
+    reads ``data``; a summand's rows come from `summand_rows`."""
 
     bundle: xs.SheafData
     level: int
     dimension: int
-    # split_p1: per-column list of (row_offset, coeffs); euler_tp2:
-    # (slot, (a1, a2), coefficient) per section (see _euler_basis)
     data: tuple
 
     @property
     def rank(self) -> int:
         return self.bundle.rank
+
+    def summand_rows(self, c: int) -> range:
+        """The section rows of summand c of a split bundle."""
+        if self.bundle.kind != "split_p1":
+            raise ValueError(f"{self.bundle.label} is not a split bundle: it has no summand rows")
+        if not 0 <= c < self.rank:
+            raise ValueError(f"summand {c} is outside [0, {self.rank}) for {self.bundle.label}")
+        return range(self.data[c][0], self.data[c][0] + self.data[c][1].size)
 
 
 def section_basis(bundle: xs.SheafData, k: int, orthonormal: bool = True) -> SectionBasis:
@@ -65,19 +73,14 @@ def section_basis(bundle: xs.SheafData, k: int, orthonormal: bool = True) -> Sec
             f"level {k} is below the regularity {bundle.regularity()}"
         )
     if bundle.kind == "split_p1":
-        cols = []
-        offset = 0
-        for a in bundle.degrees:
+        runs, n = [], 0
+        for col, a in enumerate(bundle.degrees):
             d = a + k
-            if orthonormal:
-                coeffs = np.array([sqrt((d + 1) * comb(d, m)) for m in range(d + 1)])
-            else:
-                coeffs = np.ones(d + 1)
-            cols.append((offset, coeffs))
-            offset += d + 1
-        n = offset
+            coeffs = np.array([sqrt((d + 1) * comb(d, m)) for m in range(d + 1)]) if orthonormal else np.ones(d + 1)
+            runs.append((n, coeffs, (0,), col))
+            n += d + 1
         assert n == bundle.h0_at(k)
-        return SectionBasis(bundle=bundle, level=k, dimension=n, data=tuple(cols))
+        return SectionBasis(bundle=bundle, level=k, dimension=n, data=tuple(runs))
     return _euler_basis(k, orthonormal)
 
 
@@ -91,13 +94,11 @@ def _euler_basis(k: int, orthonormal: bool) -> SectionBasis:
     orthogonal, by torus invariance, for the Gram form
     int <Q, Q> (1+|z|^2)^-(k+2) over the FS measure of volume 1/2: z^a in
     one slot has square norm N(a) = a1! a2! (k+2-a1-a2)! / (k+4)!, a
-    first-slot section N(a+e1) + N(a+e2).  ``data`` holds (slot, (a1, a2),
-    coefficient) per section.
+    first-slot section N(a+e1) + N(a+e2).  A first-slot section is two
+    one-monomial runs, -z^(a+e1) in column 0 and -z^(a+e2) in column 1;
+    the second and third slots are runs over a2 at fixed a1.
     """
     d = k + 1
-    mono = [(a1, a2) for a1 in range(d + 1) for a2 in range(d + 1 - a1)]
-    sections = [(0, (a1, d - a1)) for a1 in range(d + 1)]
-    sections += [(slot, a) for slot in (1, 2) for a in mono]
 
     def coefficient(slot, a1, a2):
         # (k+4)! / (square norm), an exact integer ratio rounded once
@@ -105,9 +106,15 @@ def _euler_basis(k: int, orthonormal: bool) -> SectionBasis:
         num *= k + 3 if slot == 0 else factorial(k + 2 - a1 - a2)
         return sqrt(factorial(k + 4) / num) if orthonormal else 1.0
 
-    data = tuple((slot, a, coefficient(slot, *a)) for slot, a in sections)
-    assert len(data) == xs.h0_tangent_p2(k)
-    return SectionBasis(bundle=euler_tp2(), level=k, dimension=len(data), data=data)
+    runs = [(a1, np.array([-coefficient(0, a1, d - a1)]), (a1 + 1 - col, d - a1 + col), col)
+            for a1 in range(d + 1) for col in (0, 1)]
+    n = d + 1
+    for col in (0, 1):
+        for a1 in range(d + 1):
+            runs.append((n, np.array([coefficient(col + 1, a1, a2) for a2 in range(d + 1 - a1)]), (a1, 0), col))
+            n += d + 1 - a1
+    assert n == xs.h0_tangent_p2(k)
+    return SectionBasis(bundle=euler_tp2(), level=k, dimension=n, data=tuple(runs))
 
 
 # ---------------------------------------------------------------------------
@@ -123,42 +130,41 @@ def _powers(z: np.ndarray, n: int) -> np.ndarray:
     return pw
 
 
-def q_field(basis: SectionBasis, nodes: np.ndarray) -> np.ndarray:
-    """Evaluation matrices Q(x) for every node, shape (M, N, r).
-
-    The values are built node-last, as an (N, r, M) array whose rows are
-    coefficient times z^m from the power recurrence of _powers, and
-    returned as its (M, N, r) transpose: `kernels.node_last` reads them
-    back without a copy."""
+def _evaluate(basis: SectionBasis, runs, nodes) -> np.ndarray:
+    """The runs at every node as the (M, N, r) transpose of an (N, r, M)
+    array: per run, coeffs times a slice of the z_last powers of _powers
+    times a row of the other coordinates' powers."""
     z = np.asarray(nodes)
-    if basis.bundle.kind == "split_p1":
-        pw = _powers(z, max(c.size for _, c in basis.data))
-        out = np.zeros((basis.dimension, basis.rank, len(z)), dtype=complex)
-        for col, (offset, coeffs) in enumerate(basis.data):
-            d = coeffs.size
-            np.multiply(coeffs[:, None], pw[:d], out=out[offset : offset + d, col])
-        return out.transpose(2, 0, 1)
-    slot, expo, coef = (np.asarray(c) for c in zip(*basis.data))
-    n = basis.level + 2  # exponents up to k+1
-    vals = coef[:, None] * _powers(z[:, 0], n)[expo[:, 0]] * _powers(z[:, 1], n)[expo[:, 1]]
-    frame = np.zeros((3, 2, len(z)), dtype=complex)  # chart values of the slots
-    frame[0], frame[1, 0], frame[2, 1] = -z.T, 1.0, 1.0
-    return (vals[:, None] * frame[slot]).transpose(2, 0, 1)
+    zs = z.T if z.ndim > 1 else z[None]  # one row per chart coordinate
+    if len(zs) != len(runs[0][2]):
+        raise ValueError(f"nodes with {len(zs)} coordinates for a chart on {basis.bundle.space_tag}")
+    top = [1 + max(e[j] for _, _, e, _ in runs) for j in range(len(zs) - 1)]
+    top.append(max(e[-1] + c.size for _, c, e, _ in runs))
+    pw = [_powers(zs[j], n) for j, n in enumerate(top)]
+    out = np.zeros((basis.dimension, basis.rank, len(z)), dtype=complex)
+    for offset, coeffs, e, col in runs:
+        dst = out[offset : offset + coeffs.size, col]
+        np.multiply(coeffs[:, None], pw[-1][e[-1] : e[-1] + coeffs.size], out=dst)
+        for p, m in zip(pw, e[:-1]):
+            dst *= p[m]
+    return out.transpose(2, 0, 1)
+
+
+def q_field(basis: SectionBasis, nodes: np.ndarray) -> np.ndarray:
+    """Evaluation matrices Q(x) for every node, shape (M, N, r), built
+    node-last: `kernels.node_last` reads them back without a copy."""
+    return _evaluate(basis, basis.data, nodes)
 
 
 def dq_dz_field(basis: SectionBasis, nodes: np.ndarray) -> np.ndarray:
-    """Holomorphic z-derivative of Q(x) on P^1, shape (M, N, r), built
-    node-last as q_field is."""
-    if basis.bundle.kind != "split_p1":
-        raise NotImplementedError("analytic derivatives implemented on P1 only")
-    z = np.asarray(nodes)
-    pw = _powers(z, max(c.size for _, c in basis.data) - 1)
-    out = np.zeros((basis.dimension, basis.rank, len(z)), dtype=complex)
-    for col, (offset, coeffs) in enumerate(basis.data):
-        d = coeffs.size
-        dc = np.arange(1, d) * coeffs[1:]  # d/dz z^m = m z^(m-1)
-        np.multiply(dc[:, None], pw[: d - 1], out=out[offset + 1 : offset + d, col])
-    return out.transpose(2, 0, 1)
+    """dQ/dz_last (dQ/dz on P^1), shape (M, N, r): q_field of the runs of
+    m z_last^(m-1), each constant row left at 0."""
+    runs = []
+    for offset, coeffs, e, col in basis.data:
+        s = int(e[-1] == 0)  # the constant row, if the run starts at one
+        m = np.arange(s, coeffs.size) + e[-1]
+        runs.append((offset + s, coeffs[s:] * m, e[:-1] + (e[-1] - 1 + s,), col))
+    return _evaluate(basis, runs, nodes)
 
 
 def h_ref_field(basis: SectionBasis, grid: QuadratureGrid) -> np.ndarray:

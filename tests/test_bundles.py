@@ -1,3 +1,7 @@
+import ast
+from math import factorial, sqrt
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -32,6 +36,19 @@ def _monomials(d):
     return [(a1, a2) for a1 in range(d + 1) for a2 in range(d + 1 - a1)]
 
 
+def _euler_sections(basis):
+    """(slot, (a1, a2)) per section, read from the run table: a section
+    with runs in both columns is z^a (-z1, -z2), its column-0 monomial
+    z^(a+e1); one with a single run in column j is z^a e_(j+1)."""
+    terms = {}
+    for offset, coeffs, (e1, e2), col in basis.data:
+        for i in range(coeffs.size):
+            terms.setdefault(offset + i, []).append((col, (e1, e2 + i)))
+    for row in range(basis.dimension):
+        (col, (a1, a2)), *rest = sorted(terms[row])
+        yield (0, (a1 - 1, a2)) if rest else (col + 1, (a1, a2))
+
+
 @pytest.mark.parametrize("k", range(-1, 6))
 def test_euler_basis_complements_the_euler_image(k):
     """The Euler image of H^0(O(k)), f -> (Z0 f, Z1 f, Z2 f), together with
@@ -43,7 +60,7 @@ def test_euler_basis_complements_the_euler_image(k):
         row = np.zeros(3 * n1)
         row[[idx[a1, a2], n1 + idx[a1 + 1, a2], 2 * n1 + idx[a1, a2 + 1]]] = 1.0
         rows.append(row)
-    for slot, a, _ in bd.section_basis(bd.euler_tp2(), k).data:
+    for slot, a in _euler_sections(bd.section_basis(bd.euler_tp2(), k)):
         rows.append(np.eye(3 * n1)[slot * n1 + idx[a]])
     assert len(rows) == 3 * n1
     assert np.linalg.matrix_rank(np.array(rows)) == 3 * n1
@@ -72,7 +89,7 @@ def _direct_chart(basis, z):
     """Q and dQ/dz of a split basis from z ** m, in the (M, N, r) layout."""
     q = np.zeros((z.size, basis.dimension, basis.rank), dtype=complex)
     d = np.zeros_like(q)
-    for col, (offset, coeffs) in enumerate(basis.data):
+    for offset, coeffs, _, col in basis.data:
         m = np.arange(coeffs.size)
         q[:, offset + m, col] = coeffs * z[:, None] ** m
         d[:, offset + m[1:], col] = coeffs[1:] * m[1:] * z[:, None] ** (m[1:] - 1)
@@ -125,10 +142,121 @@ def test_orthonormal_line_bundle_is_balanced(grid_p1):
 
 def test_plain_monomial_basis_scaling():
     raw = bd.section_basis(bd.split(0), 2, orthonormal=False)
-    assert all(np.allclose(c, 1.0) for _, c in raw.data)
+    assert all(np.allclose(c, 1.0) for _, c, _, _ in raw.data)
 
 
 def test_h_ref_positive(grid_p1):
     basis = bd.section_basis(bd.split(0, 2), 3)
     href = bd.h_ref_field(basis, grid_p1)
     assert np.linalg.eigvalsh(href)[:, 0].min() > 0
+
+
+def _euler_reference(k, orthonormal, z):
+    """Q of the T_P2 basis from its closed form as sections: coefficient
+    times z^a times the chart frame of the slot, (-z1, -z2), e1 or e2."""
+    d = k + 1
+    sections = [(0, (a1, d - a1)) for a1 in range(d + 1)]
+    sections += [(slot, a) for slot in (1, 2) for a in _monomials(d)]
+    frame = np.zeros((3, 2, len(z)), dtype=complex)
+    frame[0], frame[1, 0], frame[2, 1] = -z.T, 1.0, 1.0
+    q = np.empty((len(z), len(sections), 2), dtype=complex)
+    for i, (slot, (a1, a2)) in enumerate(sections):
+        num = factorial(a1) * factorial(a2) * (k + 3 if slot == 0 else factorial(k + 2 - a1 - a2))
+        coef = sqrt(factorial(k + 4) / num) if orthonormal else 1.0
+        q[:, i] = (coef * z[:, 0] ** a1 * z[:, 1] ** a2 * frame[slot]).T
+    return q
+
+
+@pytest.mark.parametrize("orthonormal", [True, False])
+@pytest.mark.parametrize("k", range(-1, 6))
+def test_euler_chart_matches_the_section_formula(k, orthonormal, grid_p2):
+    """The run table of T_P2 evaluates to coefficient z^a frame[slot], entry
+    by entry to 1e-14 relative, with the same zeros."""
+    z = grid_p2.nodes
+    got = bd.q_field(bd.section_basis(bd.euler_tp2(), k, orthonormal=orthonormal), z)
+    want = _euler_reference(k, orthonormal, z)
+    assert got.shape == want.shape
+    assert (np.abs(got - want) <= 1e-14 * np.abs(want)).all()
+
+
+SPLIT_CASES = [((0, 2), 3), ((0, 2), 36), ((1, 1), 2), ((0,), 2), ((-1, 3), 5)]
+
+
+@pytest.mark.parametrize("degrees,k", SPLIT_CASES)
+def test_summand_rows_of_a_split_basis(degrees, k):
+    """A summand's rows are its h0 sections, consecutive and in order; the
+    run table's coefficient array of summand c has that many entries."""
+    basis = bd.section_basis(bd.split(*degrees), k)
+    start = 0
+    for c, a in enumerate(degrees):
+        rows = basis.summand_rows(c)
+        assert len(rows) == xs.h0_p1(a + k) == basis.data[c][1].size
+        assert rows.start == start
+        start = rows.stop
+    assert start == basis.dimension
+
+
+@pytest.mark.parametrize("bundle,k", [(bd.split(*d), k) for d, k in SPLIT_CASES]
+                         + [(bd.euler_tp2(), k) for k in range(-1, 6)])
+def test_runs_cover_each_section_once(bundle, k):
+    """Every section row is written by some run, and no (section, column)
+    entry by two."""
+    basis = bd.section_basis(bundle, k)
+    hits = np.zeros((basis.dimension, basis.rank), dtype=int)
+    for offset, coeffs, exponent, col in basis.data:
+        assert len(exponent) == (1 if bundle.space_tag == "P1" else 2)
+        assert 0 <= offset and offset + coeffs.size <= basis.dimension
+        hits[offset : offset + coeffs.size, col] += 1
+    assert hits.max() == 1
+    assert (hits.sum(axis=1) >= 1).all()
+
+
+def test_summand_rows_rejects_what_is_not_a_summand():
+    from bml import bergman as bg
+
+    basis = bd.section_basis(bd.split(0, 2), 3)
+    for c in (-1, basis.rank, -basis.rank):
+        with pytest.raises(ValueError, match=rf"summand {c} is outside \[0, 2\)"):
+            basis.summand_rows(c)
+    with pytest.raises(ValueError, match=r"summand -1 is outside"):
+        bg.two_step_one_ps(basis, [-1], (1.0, -1.0))
+    with pytest.raises(ValueError, match="not a split bundle"):
+        bd.section_basis(bd.euler_tp2(), 1).summand_rows(0)
+
+
+def test_chart_rejects_nodes_of_the_other_space(grid_p1, grid_p2):
+    """A P^1 basis on P^2 nodes, and the T_P2 basis on P^1 nodes, are named
+    errors, through q_field and through a solver quantity."""
+    from bml import balance
+
+    for bundle, grid, n in ((bd.split(0, 2), grid_p2, 2), (bd.euler_tp2(), grid_p1, 1)):
+        basis = bd.section_basis(bundle, 2)
+        match = rf"nodes with {n} coordinates for a chart on {bundle.space_tag}"
+        with pytest.raises(ValueError, match=match):
+            bd.q_field(basis, grid.nodes[:10])
+        with pytest.raises(ValueError, match=match):
+            bd.dq_dz_field(basis, grid.nodes[:10])
+        with pytest.raises(ValueError, match=match):
+            balance.m2_value(basis, grid, np.eye(basis.dimension))
+
+
+def test_euler_dq_dz_is_the_last_coordinate_derivative():
+    basis = bd.section_basis(bd.euler_tp2(), 2)
+    z = np.asarray([[0.4 + 0.9j, -1.3 + 0.2j], [0.1 - 0.5j, 0.7 + 0.3j]])
+    eps = np.array([0.0, 1e-6])
+    fd = (bd.q_field(basis, z + eps) - bd.q_field(basis, z - eps)) / 2e-6
+    assert np.abs(bd.dq_dz_field(basis, z) - fd).max() < 1e-7
+
+
+def test_only_bundles_reads_the_section_table():
+    """The run table is the format of `bundles` alone: no other module of
+    the package reads a ``.data`` attribute."""
+    src = Path(bd.__file__).parent
+    readers = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "bundles.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "data" and isinstance(node.ctx, ast.Load):
+                readers.append(f"{path.name}:{node.lineno}")
+    assert readers == []
