@@ -13,14 +13,18 @@ Both identities are computed in the eigenframe of the generator,
 zeta = V Lambda V*, from the square-root factor sigma(t) = e^{Lambda t} V*
 of H(t) = sigma* sigma: with A = sigma Q, h = A*A and
 Q* H(t) u^j Q = A* (2 Lambda)^j A for u = 2 zeta, so the form is never
-assembled and nothing is inverted.  `OnePS.form_at`, which does assemble
-it, loses positivity to roundoff once e^{2 spread t} nears 1/eps; the
-factor does not.
+assembled and nothing is inverted.  V* Q(x) is formed once per call
+(`_rotate`), and A(t) is its row scaling by e^{Lambda t}.  Since u is
+real, A* u^2 A = (uA)* (uA): the Gram of the 1-jet J = [A | uA] holds
+all three moment matrices as its blocks (`_jet_gram`).  `OnePS.form_at`,
+which does assemble the form, loses positivity to roundoff once
+e^{2 spread t} nears 1/eps; the factor does not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -80,12 +84,15 @@ class OnePS:
     vectors: np.ndarray
     rows: Optional[np.ndarray] = None
 
-    @property
+    @cached_property
     def eigenvalues(self) -> np.ndarray:
-        """The weight of each eigenvector column."""
-        return np.concatenate(
+        """The weight of each eigenvector column, read-only and computed
+        once per OnePS."""
+        lam = np.concatenate(
             [np.full(s.stop - s.start, w) for w, s in zip(self.weights, self.slices)]
         )
+        lam.setflags(write=False)
+        return lam
 
     def form_at(self, t: float) -> HermitianForm:
         """The path form H(t) = e^{2 zeta t}.
@@ -109,6 +116,19 @@ class OnePS:
         return self.vectors[:, : self.slices[i].stop]
 
 
+def _frame(ps: OnePS) -> np.ndarray:
+    """The rotation V* of the eigenframe, or its row index ``rows`` when
+    V is a permutation."""
+    return ps.vectors.conj().T if ps.rows is None else ps.rows
+
+
+def _rotate(rotation: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """rotation Q per node, (K, r, B) for a node-last chart block, (K, r)
+    for one node's chart: the row gather q[rotation] for an index array,
+    one GEMM for a matrix."""
+    return q[rotation] if rotation.ndim == 1 else kernels.act(rotation, q)
+
+
 def one_ps(zeta: np.ndarray) -> OnePS:
     zeta = np.asarray(zeta, dtype=complex)
     n = zeta.shape[0]
@@ -118,16 +138,16 @@ def one_ps(zeta: np.ndarray) -> OnePS:
     if abs(np.trace(zeta).real) > 1e-12 * n * max(1.0, np.abs(zeta).max()):
         raise ValueError("generator must be trace-free")
     diagonal = np.count_nonzero(zeta) == np.count_nonzero(zeta.diagonal())
-    lam = np.diag(zeta).real if diagonal else np.linalg.eigvalsh(zeta)
+    # one decomposition; rescaling divides its eigenvalues, not zeta's frame
+    lam, vec = (np.diag(zeta).real, None) if diagonal else np.linalg.eigh(zeta)
     norm = np.abs(lam).max()
     if norm > 1.0 + 1e-12:
-        zeta = zeta / norm
+        zeta, lam = zeta / norm, lam / norm
     if diagonal:  # the eigenframe is the stable sort permutation
-        rows = np.argsort(-np.diag(zeta).real, kind="stable")
-        lam, vec = np.diag(zeta).real[rows], np.eye(n, dtype=complex)[:, rows]
+        rows = np.argsort(-lam, kind="stable")
+        lam, vec = lam[rows], np.eye(n, dtype=complex)[:, rows]
     else:
         rows = None
-        lam, vec = np.linalg.eigh(zeta)
         order = np.argsort(-lam)
         lam, vec = lam[order], vec[:, order]
     # cluster numerically equal eigenvalues into one weight
@@ -225,16 +245,26 @@ def weight_filtration(basis: SectionBasis, ps: OnePS, sample_points):
 
 
 # ---------------------------------------------------------------------------
-# Subgeodesic operator identities, on A(t) = sigma(t) Q(x) (see _root)
+# Subgeodesic operator identities, on A(t) = e^{Lambda t} V* Q(x)
 
 # central finite-difference step of subgeodesic_residual's left side
 FD_STEP = 1e-4
 
 
-def _root(ps: OnePS, t: float) -> np.ndarray:
-    """sigma(t) = e^{Lambda t} V*, so that H(t) = sigma* sigma and
-    sigma u = 2 Lambda sigma for u = 2 zeta."""
-    return np.exp(ps.eigenvalues * t)[:, None] * ps.vectors.conj().T
+def _chart_at(basis: SectionBasis, ps: OnePS, x):
+    """Q(x) and V* Q(x), both (N, r), and nodes = [x] for kernels.finite,
+    which names x when a Gram overflows; call it under np.errstate."""
+    nodes = np.asarray([x])
+    q = q_field(basis, nodes)[0]
+    return q, _rotate(_frame(ps), q), nodes
+
+
+def _jet_gram(a: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """J* J for the 1-jet J = [a | u a] of a stack of (N, r) charts, u the
+    real (N, 1) weights: its r x r blocks are a* a, a* u a and, as u is
+    real, (u a)* (u a) = a* u^2 a; shape (..., 2r, 2r)."""
+    j = np.concatenate([a, u * a], axis=-1)
+    return j.conj().swapaxes(-1, -2) @ j
 
 
 def commutator_residual(basis: SectionBasis, ps: OnePS, t: float, x) -> float:
@@ -249,23 +279,25 @@ def commutator_residual(basis: SectionBasis, ps: OnePS, t: float, x) -> float:
     split bundle.  Generators with three or more weights in generic
     position do not commute, and the residual measures the failure.
     The frame is the whitening W of h_ref = Q*Q (SingularGram if Q(x)
-    drops rank); it differs from h_ref^{-1/2} by a unitary, which the
-    normalized commutators do not see.
+    drops rank, NonFiniteChart naming x if h_ref overflows); it differs
+    from h_ref^{-1/2} by a unitary, which the normalized commutators do
+    not see.  With C = e^{Lambda t} V* Q W*, the three matrices are the
+    blocks of the 1-jet Gram of C; the three commutators come from two
+    batched products and all six norms from one call.
     """
-    q_x = q_field(basis, np.asarray([x]))[0]
-    w = kernels.whiten((q_x.conj().T @ q_x)[..., None])[0][..., 0]
-    c = _root(ps, t) @ q_x @ w.conj().T
     u = 2.0 * ps.eigenvalues[:, None]
-    mats = [c.conj().T @ c, c.conj().T @ (u * c), c.conj().T @ (u * u * c)]
-    worst = 0.0
-    for i in range(3):
-        for j in range(i + 1, 3):
-            a, b = mats[i], mats[j]
-            denom = np.linalg.norm(a) * np.linalg.norm(b)
-            if denom == 0:
-                continue
-            worst = max(worst, np.linalg.norm(a @ b - b @ a) / denom)
-    return worst
+    with np.errstate(over="ignore", invalid="ignore"):
+        q, vq, nodes = _chart_at(basis, ps, x)
+        h_ref = q.conj().T @ q
+    w = kernels.whiten(kernels.finite(h_ref[..., None], nodes, slice(0, 1)))[0][..., 0]
+    g = _jet_gram(np.exp(ps.eigenvalues * t)[:, None] * (vq @ w.conj().T), u)
+    r = basis.rank
+    blocks = g.reshape(2, r, 2, r).swapaxes(1, 2).reshape(4, r, r)  # m0, m1, m1*, m2
+    a, b = blocks[[0, 0, 1]], blocks[[1, 3, 3]]
+    norms = np.linalg.norm(np.concatenate([blocks, a @ b - b @ a]), axis=(1, 2))
+    denom = norms[[0, 0, 1]] * norms[[1, 3, 3]]
+    # a zero moment matrix commutes with everything; a NaN is kept
+    return float(np.divide(norms[4:], denom, out=np.zeros(3), where=denom != 0).max())
 
 
 def subgeodesic_residual(basis: SectionBasis, ps: OnePS, t: float, x):
@@ -275,39 +307,40 @@ def subgeodesic_residual(basis: SectionBasis, ps: OnePS, t: float, x):
     identity gives h^{1/2} G' h^{-1/2} = F*F for F = (u A - A G) h^{-1/2};
     the left side is measured by central finite differences and the right
     side is assembled analytically, with the hermitian h^{1/2} and
-    h^{-1/2} from one eigh of h.  Returns (lhs, rhs, residual,
-    min_eig_rhs); raises StepTooLarge when halving the step fails the
-    second-order Richardson check.
+    h^{-1/2} from one eigh of h.  The five times t, t +- s and t +- s/2
+    are one (5, N, r) stack of A: h and A* u A are blocks of its batched
+    1-jet Gram, and G at all five comes from one stacked solve.
+    NonFiniteChart names x if a Gram overflows.  Returns (lhs, rhs,
+    residual, min_eig_rhs); raises StepTooLarge when halving the step
+    fails the second-order Richardson check.
     """
-    q_x = q_field(basis, np.asarray([x]))[0]
     u = 2.0 * ps.eigenvalues[:, None]
+    steps = np.array([FD_STEP, FD_STEP / 2.0])
+    times = t + np.array([0.0, *steps, *-steps])
+    with np.errstate(over="ignore", invalid="ignore"):
+        q, vq, nodes = _chart_at(basis, ps, x)
+        a = np.exp(np.multiply.outer(times, ps.eigenvalues))[..., None] * vq
+        gram = _jet_gram(a, u)
+    kernels.finite(gram[..., None], nodes, slice(0, 1))
+    r = basis.rank
+    g = np.linalg.solve(gram[:, :r, :r], gram[:, :r, r:])
 
-    def a_g(tv: float):
-        a = _root(ps, tv) @ q_x
-        return a, np.linalg.solve(a.conj().T @ a, a.conj().T @ (u * a))
-
-    def lhs_of(step: float) -> np.ndarray:
-        gdot = (a_g(t + step)[1] - a_g(t - step)[1]) / (2.0 * step)
-        return h_half @ gdot @ h_inv_half
-
-    a, g = a_g(t)
-    lam_h, v_h = np.linalg.eigh(a.conj().T @ a)
+    lam_h, v_h = np.linalg.eigh(gram[0, :r, :r])
     h_half = (v_h * np.sqrt(lam_h)) @ v_h.conj().T
     h_inv_half = (v_h / np.sqrt(lam_h)) @ v_h.conj().T
-    f = (u * a - a @ g) @ h_inv_half
+    f = (u * a[0] - a[0] @ g[0]) @ h_inv_half
     rhs = f.conj().T @ f
 
-    lhs = lhs_of(FD_STEP)
-    lhs_half = lhs_of(FD_STEP / 2.0)
-    err_full = np.linalg.norm(lhs - rhs)
-    err_half = np.linalg.norm(lhs_half - rhs)
+    # rows: the full step, then the half step
+    lhs = h_half @ ((g[1:3] - g[3:5]) / (2.0 * steps)[:, None, None]) @ h_inv_half
+    err_full, err_half = np.linalg.norm(lhs - rhs, axis=(1, 2))
     # Roundoff floor of the central difference: g sums terms of size
     # |Q|^2 |S| |u| / lam_min(h), the frame change h^{1/2} (.) h^{-1/2}
     # costs sqrt(cond h), and the quotient divides by the step.  Within a
     # few floors of it the error is noise and its decay says nothing.
     # Frobenius norms are unitarily invariant: |S| = |e^{2 Lambda t}|.
     s_norm = np.linalg.norm(np.exp(2.0 * ps.eigenvalues * t))
-    floor = (np.finfo(float).eps * np.linalg.norm(q_x) ** 2 * s_norm
+    floor = (np.finfo(float).eps * np.linalg.norm(q) ** 2 * s_norm
              * np.linalg.norm(u) * np.sqrt(lam_h[-1] / lam_h[0]) / lam_h[0] / FD_STEP)
     # second-order FD: halving the step should cut the error ~4x
     if err_full > 32.0 * floor and err_half > 0.5 * err_full:
@@ -317,4 +350,4 @@ def subgeodesic_residual(basis: SectionBasis, ps: OnePS, t: float, x):
     scale = 1.0 + np.linalg.norm(rhs)
     residual = float(err_half / scale)
     min_eig = float(np.linalg.eigvalsh(0.5 * (rhs + rhs.conj().T)).min())
-    return lhs_half, rhs, residual, min_eig
+    return lhs[1], rhs, residual, min_eig

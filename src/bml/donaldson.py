@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import bundles, kernels
-from .bergman import HermitianForm, OnePS
+from .bergman import HermitianForm, OnePS, _frame, _rotate
 from .bundles import SectionBasis
 from .quadrature import QuadratureGrid
 
@@ -74,18 +74,6 @@ def m2_along_path(
             h = table.T @ grams  # (r, r, T+1, B)
         vals[:, sl] = kernels.logdet(kernels.finite(h, grid.nodes, sl))
     return np.asarray([grid.integrate(v - vals[0]) / grid.volume for v in vals[1:]])
-
-
-def _frame(ps: OnePS) -> np.ndarray:
-    """The rotation V* of the eigenframe, or its row index ``rows`` when
-    V is a permutation."""
-    return ps.vectors.conj().T if ps.rows is None else ps.rows
-
-
-def _rotate(rotation: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """rotation Q per node, (K, r, B), for a node-last chart block: the
-    row gather q[rotation] for an index array, one GEMM for a matrix."""
-    return q[rotation] if rotation.ndim == 1 else kernels.act(rotation, q)
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,12 @@ class NonFiniteChart(NonFiniteIntegrand):
 
     def __init__(self, index: int, z):
         z = np.asarray(z)
-        u = np.abs(z) ** 2 / (1.0 + np.sum(np.abs(z) ** 2))  # moment map
+        # moment map |z|^2 / (1 + |z|^2), scaled by the largest |z_i| so
+        # that a node far out neither overflows nor warns
+        a = np.abs(z)
+        s = max(1.0, float(a.max()))
+        with np.errstate(invalid="ignore"):  # an infinite z gives u = nan
+            u = (a / s) ** 2 / ((1.0 / s) ** 2 + np.sum((a / s) ** 2))
         ValueError.__init__(self, f"sandwich not finite at node {index}: z = {z}, u = {u}")
         self.index, self.z, self.u = index, z, u
 
@@ -68,11 +73,11 @@ def blocks(basis, nodes, chart=None):
 
 
 def act(mat: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """mat Q(x) per node, shape (K, r, B) for a K x N ``mat``: one GEMM
-    against Q as an N x (r B) matrix.  Row slices are weight groups."""
-    n, r, b = q.shape
+    """mat Q(x) per node, shape (K, r, B) for a K x N ``mat`` ((K, r) for
+    one node's (N, r) chart): one GEMM against Q as an N x (r B) matrix.
+    Row slices are weight groups."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return (mat @ q.reshape(n, -1)).reshape(-1, r, b)
+        return (mat @ q.reshape(len(q), -1)).reshape(-1, *q.shape[1:])
 
 
 def pair(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -187,12 +192,18 @@ def cholesky(h: np.ndarray) -> np.ndarray:
     Further trailing axes, such as (times, nodes), batch alike."""
     r = h.shape[0]
     l = np.zeros_like(h)
-    for j in range(r):
-        d = h[j, j].real - (np.abs(l[j, :j]) ** 2).sum(axis=0)
+    for j in range(r):  # the sums over l[j, :j] are empty at j = 0: skipped
+        d = h[j, j].real
+        if j:
+            d = d - (np.abs(l[j, :j]) ** 2).sum(axis=0)
         if not (d > 0).all():
             raise SingularGram("fibre metric lost positivity")
         l[j, j] = np.sqrt(d)
-        l[j + 1 :, j] = (h[j + 1 :, j] - (l[j + 1 :, :j] * l[j, :j].conj()).sum(axis=1)) / l[j, j]
+        if j + 1 < r:
+            col = h[j + 1 :, j]
+            if j:
+                col = col - (l[j + 1 :, :j] * l[j, :j].conj()).sum(axis=1)
+            l[j + 1 :, j] = col / l[j, j]
     return l
 
 
@@ -202,7 +213,8 @@ def whiten(h: np.ndarray):
     l = cholesky(h)
     w = np.zeros_like(h)
     for i in range(len(l)):
-        w[i, :i] = -(l[i, :i, None] * w[:i, :i]).sum(axis=0) / l[i, i]
+        if i:
+            w[i, :i] = -(l[i, :i, None] * w[:i, :i]).sum(axis=0) / l[i, i]
         w[i, i] = 1.0 / l[i, i]
     return w, l
 

@@ -1,9 +1,13 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from bml import bergman as bg
 from bml import bundles as bd
+from bml import kernels
 
 from test_kernels import counted
 
@@ -53,6 +57,35 @@ def test_one_ps_frame_of_an_off_diagonal_generator(entry):
     ps = bg.one_ps(zeta)
     assert ps.rows is None
     assert np.abs(ps.vectors.conj().T @ ps.vectors - np.eye(5)).max() < 1e-14
+
+
+def test_one_ps_decomposes_a_generator_once(monkeypatch, rng):
+    """A non-diagonal generator costs one eigh, which gives its weights
+    and frame; a rescaled one keeps that frame and divides the weights."""
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(calls, name, getattr(np.linalg, name)))
+    g = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    zeta = g + g.conj().T
+    zeta -= (np.trace(zeta).real / 5) * np.eye(5)
+    ps = bg.one_ps(zeta)
+    assert calls == {"eigh": 1, "eigvalsh": 0}
+    monkeypatch.undo()
+    lam = np.linalg.eigvalsh(zeta)
+    norm = np.abs(lam).max()
+    assert norm > 1.0
+    assert np.allclose(ps.weights, lam[::-1] / norm, rtol=0, atol=1e-14)
+    assert np.abs(ps.generator - zeta / norm).max() < 1e-15
+    # the frame diagonalizes the rescaled generator, in decreasing weight
+    d = ps.vectors.conj().T @ ps.generator @ ps.vectors
+    assert np.abs(d - np.diag(ps.eigenvalues)).max() < 1e-14
+
+
+def test_one_ps_eigenvalues_are_computed_once(rng):
+    for ps in (catalog_ps(), bg.random_two_weight_ps(6, rng)):
+        assert ps.eigenvalues is ps.eigenvalues
+        assert not ps.eigenvalues.flags.writeable
+        assert dataclasses.replace(ps, rows=None).eigenvalues is not ps.eigenvalues
 
 
 def test_form_at_matches_expm(rng):
@@ -261,3 +294,57 @@ def test_subgeodesic_guard_rejects_large_step(monkeypatch):
     monkeypatch.setattr(bg, "FD_STEP", 0.5)
     with pytest.raises(bg.StepTooLarge):
         bg.subgeodesic_residual(basis, ps, t, x)
+
+
+@pytest.mark.parametrize("x", [1e60, 1e80, 1e200, complex(np.nan)], ids=["1e60", "1e80", "1e200", "nan"])
+@pytest.mark.parametrize("identity", [bg.commutator_residual, bg.subgeodesic_residual],
+                         ids=["commutator", "subgeodesic"])
+def test_identities_name_an_overflowing_point(identity, x):
+    """A point too far out for the level is named, without a warning: at
+    1e60 the chart is finite and its Gram overflows, from 1e80 the chart
+    itself does; nan is named the same way."""
+    basis = catalog_basis()
+    ps = bg.random_two_weight_ps(basis.dimension, np.random.default_rng(1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(kernels.NonFiniteChart) as info:
+            identity(basis, ps, 1.0, x)
+    err = info.value
+    assert err.index == 0
+    assert err.z == x or (np.isnan(x) and np.isnan(err.z))
+    if np.isfinite(x):
+        assert err.u == 1.0
+
+
+def test_identities_work_shape(monkeypatch):
+    """Per call, each identity evaluates the chart once, and the five
+    finite-difference times of the subgeodesic share one stacked solve."""
+    calls = {"q_field": 0, "solve": 0}
+    monkeypatch.setattr(bg, "q_field", counted(calls, "q_field", bg.q_field))
+    monkeypatch.setattr(np.linalg, "solve", counted(calls, "solve", np.linalg.solve))
+    for basis, ps, t, x in list(criterion5_draws(5))[:4]:
+        calls.update(q_field=0, solve=0)
+        bg.subgeodesic_residual(basis, ps, t, x)
+        assert calls == {"q_field": 1, "solve": 1}
+        calls.update(q_field=0, solve=0)
+        bg.commutator_residual(basis, ps, t, x)
+        assert calls == {"q_field": 1, "solve": 0}
+
+
+@pytest.mark.parametrize("bundle, k, sub", [((0, 2), 3, [1]), ((1, 1), 2, [0]), ((0, 2), 36, [0])])
+def test_identities_in_a_permutation_frame(bundle, k, sub):
+    """For a two-step 1-PS, V* Q is the row gather Q[rows]; both identities
+    agree with the same generator through the GEMM by V*."""
+    basis = bd.section_basis(bd.split(*bundle), k)
+    n1 = sum(len(basis.summand_rows(c)) for c in sub)
+    ps = bg.two_step_one_ps(basis, sub, (1.0 - n1 / basis.dimension, -n1 / basis.dimension))
+    gemm = dataclasses.replace(ps, rows=None)
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        t, x = float(rng.uniform(0.1, 3.0)), complex(rng.normal(), rng.normal())
+        # normalized commutators are noise of scale one here
+        assert abs(bg.commutator_residual(basis, ps, t, x)
+                   - bg.commutator_residual(basis, gemm, t, x)) <= 1e-14
+        for a, b in zip(bg.subgeodesic_residual(basis, ps, t, x)[:2],
+                        bg.subgeodesic_residual(basis, gemm, t, x)[:2]):
+            assert np.linalg.norm(a - b) <= 1e-14 * np.linalg.norm(b)

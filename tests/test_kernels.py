@@ -349,6 +349,44 @@ def test_fibre_algebra_has_one_factorization(coarse, monkeypatch, rng):
     assert calls == {"slogdet": 0, "inv": 0, "eigvalsh": 0, "eigh": 0}
 
 
+def cholesky_reference(h):
+    """The Cholesky loop with every reduction taken, empty ones included."""
+    r = h.shape[0]
+    l = np.zeros_like(h)
+    for j in range(r):
+        d = h[j, j].real - (np.abs(l[j, :j]) ** 2).sum(axis=0)
+        if not (d > 0).all():
+            raise kernels.SingularGram("fibre metric lost positivity")
+        l[j, j] = np.sqrt(d)
+        l[j + 1 :, j] = (h[j + 1 :, j] - (l[j + 1 :, :j] * l[j, :j].conj()).sum(axis=1)) / l[j, j]
+    return l
+
+
+def whiten_reference(h):
+    l = cholesky_reference(h)
+    w = np.zeros_like(h)
+    for i in range(len(l)):
+        w[i, :i] = -(l[i, :i, None] * w[:i, :i]).sum(axis=0) / l[i, i]
+        w[i, i] = 1.0 / l[i, i]
+    return w, l
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("trailing", [(7,), (3, 5)], ids=["nodes", "times-nodes"])
+def test_factorization_matches_the_full_loop_bytewise(r, trailing, rng):
+    """Skipping the empty reductions changes no byte of L or W, for
+    stacks over nodes and over (times, nodes), at several scales."""
+    g = rng.normal(size=trailing + (r, r)) + 1j * rng.normal(size=trailing + (r, r))
+    h = g @ g.conj().swapaxes(-1, -2) + 1e-3 * np.eye(r)
+    h *= 10.0 ** rng.integers(-6, 7, size=trailing + (1, 1))
+    h = np.moveaxis(h, (-2, -1), (0, 1))  # (r, r, *trailing)
+    want_w, want_l = whiten_reference(h)
+    got_w, got_l = kernels.whiten(h)
+    assert got_l.tobytes() == want_l.tobytes()
+    assert got_w.tobytes() == want_w.tobytes()
+    assert kernels.cholesky(h).tobytes() == want_l.tobytes()
+
+
 @pytest.mark.parametrize("factorize", [kernels.whiten, kernels.logdet], ids=["whiten", "logdet"])
 @pytest.mark.parametrize("node", [0, 4, 9])
 def test_fibre_factorization_names_its_failures(factorize, node, rng):
@@ -425,3 +463,16 @@ def test_overflowing_chart_names_the_node(grid_p1_fine):
     assert err.z == grid_p1_fine.nodes[10208]
     assert err.u == pytest.approx(grid_p1_fine.moment[10208], rel=1e-12)
     assert "10208" in str(err)
+
+
+@pytest.mark.parametrize("z, u", [
+    (1e155, 1.0), (1e200, 1.0), (np.inf, np.nan), (2j, 0.8), (0.0, 0.0),
+    (np.array([1e200, 2.0]), [1.0, 0.0]), (np.array([0.5, 2.0]), [0.25 / 5.25, 4.0 / 5.25]),
+])
+def test_nonfinite_chart_moment_map_far_out(z, u):
+    """The moment map of a named node is computed without overflow, on
+    P^1 and on P^2, however far out the node is."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        err = kernels.NonFiniteChart(0, z)
+    assert np.allclose(err.u, u, rtol=1e-15, atol=0, equal_nan=True)
