@@ -74,8 +74,10 @@ class OnePS:
     eigenspaces, grouped so that columns ``slices[i]`` belong to
     ``weights[i]``.  Construction rescales the generator so its operator
     norm is at most one.  For a diagonal generator ``vectors`` is the
-    permutation matrix of exact unit columns ``rows``, so that V* Q is
-    the row gather Q[rows]; ``rows`` is None for any other generator.
+    permutation matrix of exact unit columns ``rows``, so that weight
+    group i of V* Q is the chart's own rows rows[slices[i]], read as a
+    view where they are consecutive (see _groups); ``rows`` is None for
+    any other generator.
     """
 
     generator: np.ndarray
@@ -127,6 +129,27 @@ def _rotate(rotation: np.ndarray, q: np.ndarray) -> np.ndarray:
     for one node's chart: the row gather q[rotation] for an index array,
     one GEMM for a matrix."""
     return q[rotation] if rotation.ndim == 1 else kernels.act(rotation, q)
+
+
+def _selector(rows: np.ndarray):
+    """rows as a selector of chart rows: a slice when they are an
+    ascending run of consecutive rows, so that q[sel] is a view of q,
+    else the index array itself."""
+    start = int(rows[0])
+    if np.array_equal(rows, np.arange(start, start + len(rows))):
+        return slice(start, start + len(rows))
+    return rows
+
+
+def _groups(rotation: np.ndarray, slices, q: np.ndarray) -> list:
+    """The row groups ``slices`` of rotation Q, one (K_d, r, B) stack each,
+    for a node-last chart block q: for an index array (OnePS.rows) q read
+    at the _selector of rotation[s], a view where those rows are
+    consecutive; for a matrix a row slice of one GEMM."""
+    if rotation.ndim == 1:
+        return [q[_selector(rotation[s])] for s in slices]
+    vq = kernels.act(rotation, q)
+    return [vq[s] for s in slices]
 
 
 def one_ps(zeta: np.ndarray) -> OnePS:
@@ -281,16 +304,18 @@ def commutator_residual(basis: SectionBasis, ps: OnePS, t: float, x) -> float:
     The frame is the whitening W of h_ref = Q*Q (SingularGram if Q(x)
     drops rank, NonFiniteChart naming x if h_ref overflows); it differs
     from h_ref^{-1/2} by a unitary, which the normalized commutators do
-    not see.  With C = e^{Lambda t} V* Q W*, the three matrices are the
-    blocks of the 1-jet Gram of C; the three commutators come from two
-    batched products and all six norms from one call.
+    not see.  With C = e^{(Lambda - w_max) t} V* Q W*, the three matrices
+    are the blocks of the 1-jet Gram of C; the three commutators come from
+    two batched products and all six norms from one call.  The scalar
+    e^{-w_max t}, which no normalized commutator sees, keeps every row
+    factor at most one, so no time overflows.
     """
     u = 2.0 * ps.eigenvalues[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
         q, vq, nodes = _chart_at(basis, ps, x)
         h_ref = q.conj().T @ q
     w = kernels.whiten(kernels.finite(h_ref[..., None], nodes, slice(0, 1)))[0][..., 0]
-    g = _jet_gram(np.exp(ps.eigenvalues * t)[:, None] * (vq @ w.conj().T), u)
+    g = _jet_gram(np.exp((ps.eigenvalues - ps.weights[0]) * t)[:, None] * (vq @ w.conj().T), u)
     r = basis.rank
     blocks = g.reshape(2, r, 2, r).swapaxes(1, 2).reshape(4, r, r)  # m0, m1, m1*, m2
     a, b = blocks[[0, 0, 1]], blocks[[1, 3, 3]]

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import bundles, kernels
-from .bergman import HermitianForm, OnePS, _frame, _rotate
+from .bergman import HermitianForm, OnePS, _frame, _groups
 from .bundles import SectionBasis
 from .quadrature import QuadratureGrid
 
@@ -53,12 +53,13 @@ def m2_along_path(
         h(t) = sum_d e^{2 w_d t} G_d,    h_ref = Q*Q = sum_d G_d
 
     (V is unitary).  Per block of the chart, which arrives node-last from
-    `bundles.q_field`, V* Q is formed once: a permutation frame (that of
-    every diagonal generator, OnePS.rows) is the row gather Q[rows], any
-    other frame one GEMM (see _rotate).  The D Gram blocks follow, and
-    every h(t_j), with h_ref as t_0 = 0, comes from the (D, T+1) table
-    e^{2 w_d t_j} in one GEMM per matrix entry; one Cholesky pass gives
-    all their log-dets.  Each G_d is bounded by h_ref, so a block
+    `bundles.q_field`, the weight groups V_d* Q are read by _groups: for a
+    permutation frame (that of every diagonal generator, OnePS.rows) each
+    is a selector of the chart's own rows, a view where they are
+    consecutive; any other frame costs one GEMM.  The D Gram blocks
+    follow, one kernels.gram each, and every h(t_j), with h_ref as
+    t_0 = 0, comes from the (D, T+1) table e^{2 w_d t_j} in one GEMM per
+    matrix entry; one Cholesky pass gives all their log-dets.  Each G_d is bounded by h_ref, so a block
     overflows only where the reference or a path metric does:
     NonFiniteChart names it.
     """
@@ -68,8 +69,7 @@ def m2_along_path(
     frame = _frame(ps)
     vals = np.empty((len(times), len(grid.nodes)))
     for sl, q in kernels.blocks(basis, grid.nodes):
-        vq = _rotate(frame, q)
-        grams = np.stack([kernels.pair(vq[s], vq[s]) for s in ps.slices], axis=2)
+        grams = np.stack([kernels.gram(b) for b in _groups(frame, ps.slices, q)], axis=2)
         with np.errstate(over="ignore", invalid="ignore"):
             h = table.T @ grams  # (r, r, T+1, B)
         vals[:, sl] = kernels.logdet(kernels.finite(h, grid.nodes, sl))
@@ -143,8 +143,9 @@ def _curvature_frame(level: int, z, h, a, c):
 
 def _path_jets(basis: SectionBasis, grid: QuadratureGrid, rotation, slices) -> list:
     """The per-weight 1-jet blocks of the chart, per node block, for the
-    rows ``slices`` of a ``rotation`` R, a matrix or a row index (see
-    _rotate).
+    rows ``slices`` of a ``rotation`` R, a matrix or a row index, read as
+    by _groups: selectors of the rows of Q and dQ/dz themselves for a row
+    index, row slices of one GEMM each for a matrix.
 
     Along a 1-PS R = V* and the slices are its weight groups: with V_d
     the eigenvectors of weight w_d, B_d = V_d* Q and D_d = V_d* dQ/dz,
@@ -154,8 +155,9 @@ def _path_jets(basis: SectionBasis, grid: QuadratureGrid, rotation, slices) -> l
         h = sum_d e^{2 w_d t} G_d,   hdot = sum_d 2 w_d e^{2 w_d t} G_d,
         a = sum_d e^{2 w_d t} A_d,   c = sum_d e^{2 w_d t} C_d.
 
-    Returns (slice, stack) per node block, the stack of shape
-    (D, 3, r, r, B) holding G_d, A_d, C_d with the node index last.
+    G_d and C_d are kernels.gram blocks.  Returns (slice, stack) per node
+    block, the stack of shape (D, 3, r, r, B) holding G_d, A_d, C_d with
+    the node index last.
     """
     if grid.space_tag != "P1":
         raise NotImplementedError("curvature implemented on the P1 catalog")
@@ -163,14 +165,14 @@ def _path_jets(basis: SectionBasis, grid: QuadratureGrid, rotation, slices) -> l
     r = basis.rank
     jets = []
     for sl, q in kernels.blocks(basis, z):
-        vq = _rotate(rotation, q)
-        vd = _rotate(rotation, kernels.node_last(bundles.dq_dz_field(basis, z[sl])))
+        dq = kernels.node_last(bundles.dq_dz_field(basis, z[sl]))
+        groups = zip(_groups(rotation, slices, q), _groups(rotation, slices, dq))
+        del dq  # a GEMM frame holds only its product
         stack = np.empty((len(slices), 3, r, r, q.shape[-1]), dtype=complex)
-        for i, s in enumerate(slices):
-            b, db = vq[s], vd[s]
-            stack[i, 0] = kernels.pair(b, b)
+        for i, (b, db) in enumerate(groups):
+            stack[i, 0] = kernels.gram(b)
             stack[i, 1] = kernels.pair(b, db)
-            stack[i, 2] = kernels.pair(db, db)
+            stack[i, 2] = kernels.gram(db)
         jets.append((sl, stack))
     return jets
 

@@ -3,8 +3,10 @@
 `bench/run.py --trace 1` wraps every name in `tracing.TRACED`, and each
 workload constructor makes one warm-up call per kernel it times, so a
 renamed or deleted function shows up here rather than only in a traced
-benchmark run.  The tracer itself is not installed: it would rebind the
-traced functions for the rest of the session.
+benchmark run.  One round of each workload runs its oracle checks, so
+a change that breaks one fails here too.  The tracer itself is not
+installed: it would rebind the traced functions for the rest of the
+session.
 """
 
 import importlib
@@ -32,6 +34,14 @@ def test_traced_names_resolve(bench_path):
 
 
 def test_workloads_construct(bench_path):
+    """Each workload constructs, and one round of it, timed as
+    `bench/run.py` times it, passes every oracle check with no failed
+    operation."""
     workloads = importlib.import_module("workloads")
+    calibrate = importlib.import_module("calibrate")
     for name, make in workloads.WORKLOADS.items():
-        assert make(np.random.default_rng(0)) is not None, name
+        work = make(np.random.default_rng(0))
+        ops = workloads.Ops(calibrate.ScaledClock(work.CALIBRATION))
+        work.round(ops)
+        assert ops.failed == 0, (name, ops.wrong + ops.errors)
+        assert ops.wrong == [], name

@@ -280,6 +280,15 @@ def test_commutator_past_the_form_positivity_limit():
     assert bg.commutator_residual(basis, ps, 12.0, 0.6 + 0.2j) < 1e-10
 
 
+@pytest.mark.parametrize("t", [180.0, 300.0, 1000.0])
+def test_commutator_far_along_the_path(t):
+    # e^{Lambda t} alone overflows from t ~ 180 at this spread; the rows
+    # are scaled by e^{(Lambda - w_max) t}, which no commutator sees
+    basis = bd.section_basis(bd.split(0, 2), 3)
+    ps = bg.random_two_weight_ps(basis.dimension, np.random.default_rng(1))
+    assert bg.commutator_residual(basis, ps, t, 0.6 + 0.2j) < 1e-10
+
+
 def test_subgeodesic_guard_ignores_roundoff_floor():
     # draw 196 of this seed has a finite-difference error of 4e-9 at the
     # default step, all of it roundoff, which does not halve with the step

@@ -174,23 +174,56 @@ def test_m2_along_path_work_shape(grid_p1, monkeypatch, rng):
     basis = bd.section_basis(bd.split(0, 2), 3)
     ps = weight_kind_ps("three", basis.dimension, rng)
     n_blocks = -(-grid_p1.nodes.size // kernels.BLOCK)
-    calls = {"q_field": 0, "pair": 0}
+    calls = {"q_field": 0, "gram": 0}
     monkeypatch.setattr(bd, "q_field", counted(calls, "q_field", bd.q_field))
-    monkeypatch.setattr(kernels, "pair", counted(calls, "pair", kernels.pair))
+    monkeypatch.setattr(kernels, "gram", counted(calls, "gram", kernels.gram))
     for ts in ([1.0], np.linspace(0.5, 12.0, 24)):
-        calls.update(q_field=0, pair=0)
+        calls.update(q_field=0, gram=0)
         don.m2_along_path(basis, grid_p1, ps, ts)
-        assert calls == {"q_field": n_blocks, "pair": n_blocks * len(ps.weights)}
+        assert calls == {"q_field": n_blocks, "gram": n_blocks * len(ps.weights)}
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 10, 76])
+def test_gram_is_the_self_pair(n, r, rng):
+    """gram(x) is pair(x, x) from its upper triangle: exactly hermitian,
+    with an exactly real diagonal."""
+    x = rng.normal(size=(n, r, 50)) + 1j * rng.normal(size=(n, r, 50))
+    got = kernels.gram(x)
+    assert rel(got, kernels.pair(x, x)) <= 4e-15
+    assert np.array_equal(got, kernels.ct(got))
+    assert not np.diagonal(got, axis1=0, axis2=1).imag.any()
 
 
 @pytest.mark.parametrize("k", [3, 36])
-def test_permutation_frame_is_a_row_gather(k, grid_p1, monkeypatch):
-    """For a diagonal generator V* Q is the row gather Q[rows]: M2 and the
-    jet blocks agree with the GEMM by V*, and kernels.act is not called;
-    without rows it is called once per node block for Q (and once more
-    for dQ/dz in the jets)."""
+def test_two_step_groups_are_views_of_the_chart(k, grid_p1):
+    """Each weight group of a two-step 1-PS of a split bundle is a run of
+    consecutive chart rows, read as a view of the chart block."""
     basis = bd.section_basis(bd.split(0, 2), k)
     ps = bg.two_step_one_ps(basis, [1], ((k + 1) / (k + 3), -1.0))
+    assert all(isinstance(bg._selector(ps.rows[s]), slice) for s in ps.slices)
+    for _, q in kernels.blocks(basis, grid_p1.nodes):
+        groups = bg._groups(ps.rows, ps.slices, q)
+        assert all(np.shares_memory(b, q) for b in groups)
+        assert sum(len(b) for b in groups) == len(q)
+
+
+@pytest.mark.parametrize("k, diag", [(3, None), (36, None), (2, (0.5, -1.0, 0.5))],
+                         ids=["3", "36", "O(0)-k2"])
+def test_permutation_frame_is_a_row_gather(k, diag, grid_p1, monkeypatch):
+    """For a diagonal generator the weight groups of V* Q are read from
+    the rows of Q: M2 and the jet blocks agree with the GEMM by V*, and
+    kernels.act is not called; without rows it is called once per node
+    block for Q (and once more for dQ/dz in the jets).  The two-step 1-PS
+    of O(0)+O(2) has consecutive groups, diag(1/2, -1, 1/2) on O(0) one
+    that is not."""
+    if diag is None:
+        basis = bd.section_basis(bd.split(0, 2), k)
+        ps = bg.two_step_one_ps(basis, [1], ((k + 1) / (k + 3), -1.0))
+    else:
+        basis = bd.section_basis(bd.split(0), k, orthonormal=False)
+        ps = bg.one_ps(np.diag(diag))
+        assert not isinstance(bg._selector(ps.rows[ps.slices[0]]), slice)
     gemm = dataclasses.replace(ps, rows=None)
     n_blocks = -(-grid_p1.nodes.size // kernels.BLOCK)
     calls = {"act": 0}
