@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import kernels
+from . import bundles, kernels
 from .bundles import SectionBasis, q_field
 from .quadrature import QuadratureGrid
 
@@ -131,25 +131,32 @@ def _rotate(rotation: np.ndarray, q: np.ndarray) -> np.ndarray:
     return q[rotation] if rotation.ndim == 1 else kernels.act(rotation, q)
 
 
-def _selector(rows: np.ndarray):
-    """rows as a selector of chart rows: a slice when they are an
-    ascending run of consecutive rows, so that q[sel] is a view of q,
-    else the index array itself."""
-    start = int(rows[0])
-    if np.array_equal(rows, np.arange(start, start + len(rows))):
-        return slice(start, start + len(rows))
-    return rows
-
-
-def _groups(rotation: np.ndarray, slices, q: np.ndarray) -> list:
-    """The row groups ``slices`` of rotation Q, one (K_d, r, B) stack each,
-    for a node-last chart block q: for an index array (OnePS.rows) q read
-    at the _selector of rotation[s], a view where those rows are
-    consecutive; for a matrix a row slice of one GEMM."""
+def _columns(basis: SectionBasis, rotation: np.ndarray, slices) -> list:
+    """Per row group ``slices`` of rotation Q, the fibre columns it can be
+    nonzero in: for an index array (OnePS.rows) bundles.columns of its
+    rows, a slice where they are consecutive; for a matrix, whose rows mix
+    the sections, every column."""
     if rotation.ndim == 1:
-        return [q[_selector(rotation[s])] for s in slices]
+        return [bundles.columns(basis, rotation[s]) for s in slices]
+    return [slice(None)] * len(slices)
+
+
+def _groups(rotation: np.ndarray, slices, q: np.ndarray, columns) -> list:
+    """The row groups ``slices`` of rotation Q, one (K_d, c_d, B) stack each,
+    for a node-last chart block q, narrowed to the fibre columns
+    ``columns`` (from _columns): for an index array (OnePS.rows) q read at
+    the bundles.selector of rotation[s] and at those columns, a view where
+    both are consecutive; for a matrix a row slice of one GEMM."""
+    if rotation.ndim == 1:
+        return [q[bundles.selector(rotation[s])][:, c] for s, c in zip(slices, columns)]
     vq = kernels.act(rotation, q)
-    return [vq[s] for s in slices]
+    return [vq[s][:, c] for s, c in zip(slices, columns)]
+
+
+def _block(cols):
+    """The index of the cols x cols block of an (r, r, ...) stack, cols a
+    slice or an index array from _columns."""
+    return np.ix_(cols, cols) if isinstance(cols, np.ndarray) else (cols, cols)
 
 
 def one_ps(zeta: np.ndarray) -> OnePS:
@@ -334,17 +341,20 @@ def subgeodesic_residual(basis: SectionBasis, ps: OnePS, t: float, x):
     side is assembled analytically, with the hermitian h^{1/2} and
     h^{-1/2} from one eigh of h.  The five times t, t +- s and t +- s/2
     are one (5, N, r) stack of A: h and A* u A are blocks of its batched
-    1-jet Gram, and G at all five comes from one stacked solve.
-    NonFiniteChart names x if a Gram overflows.  Returns (lhs, rhs,
-    residual, min_eig_rhs); raises StepTooLarge when halving the step
-    fails the second-order Richardson check.
+    1-jet Gram, and G at all five comes from one stacked solve.  A is
+    taken as e^{(Lambda - w_max) t} V* Q, which keeps every row factor at
+    most one: G, F and F*F do not see the scalar e^{-w_max t}, so no time
+    overflows.  NonFiniteChart names x if a Gram overflows.  Returns
+    (lhs, rhs, residual, min_eig_rhs); raises StepTooLarge when halving
+    the step fails the second-order Richardson check.
     """
     u = 2.0 * ps.eigenvalues[:, None]
+    shifted = ps.eigenvalues - ps.weights[0]  # Lambda - w_max <= 0
     steps = np.array([FD_STEP, FD_STEP / 2.0])
     times = t + np.array([0.0, *steps, *-steps])
     with np.errstate(over="ignore", invalid="ignore"):
         q, vq, nodes = _chart_at(basis, ps, x)
-        a = np.exp(np.multiply.outer(times, ps.eigenvalues))[..., None] * vq
+        a = np.exp(np.multiply.outer(times, shifted))[..., None] * vq
         gram = _jet_gram(a, u)
     kernels.finite(gram[..., None], nodes, slice(0, 1))
     r = basis.rank
@@ -363,8 +373,9 @@ def subgeodesic_residual(basis: SectionBasis, ps: OnePS, t: float, x):
     # |Q|^2 |S| |u| / lam_min(h), the frame change h^{1/2} (.) h^{-1/2}
     # costs sqrt(cond h), and the quotient divides by the step.  Within a
     # few floors of it the error is noise and its decay says nothing.
-    # Frobenius norms are unitarily invariant: |S| = |e^{2 Lambda t}|.
-    s_norm = np.linalg.norm(np.exp(2.0 * ps.eigenvalues * t))
+    # Frobenius norms are unitarily invariant, and S is scaled as h is:
+    # |S| = |e^{2 (Lambda - w_max) t}|.
+    s_norm = np.linalg.norm(np.exp(2.0 * shifted * t))
     floor = (np.finfo(float).eps * np.linalg.norm(q) ** 2 * s_norm
              * np.linalg.norm(u) * np.sqrt(lam_h[-1] / lam_h[0]) / lam_h[0] / FD_STEP)
     # second-order FD: halving the step should cut the error ~4x

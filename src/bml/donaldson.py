@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import bundles, kernels
-from .bergman import HermitianForm, OnePS, _frame, _groups
+from .bergman import HermitianForm, OnePS, _block, _columns, _frame, _groups
 from .bundles import SectionBasis
 from .quadrature import QuadratureGrid
 
@@ -55,11 +55,15 @@ def m2_along_path(
     (V is unitary).  Per block of the chart, which arrives node-last from
     `bundles.q_field`, the weight groups V_d* Q are read by _groups: for a
     permutation frame (that of every diagonal generator, OnePS.rows) each
-    is a selector of the chart's own rows, a view where they are
-    consecutive; any other frame costs one GEMM.  The D Gram blocks
-    follow, one kernels.gram each, and every h(t_j), with h_ref as
-    t_0 = 0, comes from the (D, T+1) table e^{2 w_d t_j} in one GEMM per
-    matrix entry; one Cholesky pass gives all their log-dets.  Each G_d is bounded by h_ref, so a block
+    is a selector of the chart's own rows, narrowed to the fibre columns
+    those rows can be nonzero in (_columns), a view where both are
+    consecutive; any other frame costs one GEMM and keeps every column.
+    One kernels.gram per group fills the columns x columns block of G_d,
+    and every other entry is an exact zero: a weight group of a two-step
+    1-PS of a split bundle is one summand's sections, so its Gram is one
+    entry.  Every h(t_j), with h_ref as t_0 = 0, comes from the (D, T+1)
+    table e^{2 w_d t_j} in one GEMM per matrix entry; one Cholesky pass
+    gives all their log-dets.  Each G_d is bounded by h_ref, so a block
     overflows only where the reference or a path metric does:
     NonFiniteChart names it.
     """
@@ -67,9 +71,13 @@ def m2_along_path(
     with np.errstate(over="ignore"):
         table = np.exp(2.0 * np.outer(ps.weights, times))
     frame = _frame(ps)
+    cols = _columns(basis, frame, ps.slices)
+    r = basis.rank
     vals = np.empty((len(times), len(grid.nodes)))
     for sl, q in kernels.blocks(basis, grid.nodes):
-        grams = np.stack([kernels.gram(b) for b in _groups(frame, ps.slices, q)], axis=2)
+        grams = np.zeros((r, r, len(cols), q.shape[-1]), dtype=complex)
+        for d, (c, b) in enumerate(zip(cols, _groups(frame, ps.slices, q, cols))):
+            grams[..., d, :][_block(c)] = kernels.gram(b)
         with np.errstate(over="ignore", invalid="ignore"):
             h = table.T @ grams  # (r, r, T+1, B)
         vals[:, sl] = kernels.logdet(kernels.finite(h, grid.nodes, sl))
@@ -144,8 +152,11 @@ def _curvature_frame(level: int, z, h, a, c):
 def _path_jets(basis: SectionBasis, grid: QuadratureGrid, rotation, slices) -> list:
     """The per-weight 1-jet blocks of the chart, per node block, for the
     rows ``slices`` of a ``rotation`` R, a matrix or a row index, read as
-    by _groups: selectors of the rows of Q and dQ/dz themselves for a row
-    index, row slices of one GEMM each for a matrix.
+    by _groups: for a row index, selectors of the rows of Q and dQ/dz
+    themselves at the fibre columns those rows can be nonzero in
+    (_columns), which are the only block of G_d, A_d and C_d filled, the
+    rest left an exact zero; for a matrix, row slices of one GEMM each
+    over every column.
 
     Along a 1-PS R = V* and the slices are its weight groups: with V_d
     the eigenvectors of weight w_d, B_d = V_d* Q and D_d = V_d* dQ/dz,
@@ -163,16 +174,18 @@ def _path_jets(basis: SectionBasis, grid: QuadratureGrid, rotation, slices) -> l
         raise NotImplementedError("curvature implemented on the P1 catalog")
     z = grid.nodes
     r = basis.rank
+    cols = _columns(basis, rotation, slices)
     jets = []
     for sl, q in kernels.blocks(basis, z):
         dq = kernels.node_last(bundles.dq_dz_field(basis, z[sl]))
-        groups = zip(_groups(rotation, slices, q), _groups(rotation, slices, dq))
+        groups = zip(cols, _groups(rotation, slices, q, cols), _groups(rotation, slices, dq, cols))
         del dq  # a GEMM frame holds only its product
-        stack = np.empty((len(slices), 3, r, r, q.shape[-1]), dtype=complex)
-        for i, (b, db) in enumerate(groups):
-            stack[i, 0] = kernels.gram(b)
-            stack[i, 1] = kernels.pair(b, db)
-            stack[i, 2] = kernels.gram(db)
+        stack = np.zeros((len(slices), 3, r, r, q.shape[-1]), dtype=complex)
+        for i, (c, b, db) in enumerate(groups):
+            blk = _block(c)
+            stack[i, 0][blk] = kernels.gram(b)
+            stack[i, 1][blk] = kernels.pair(b, db)
+            stack[i, 2][blk] = kernels.gram(db)
         jets.append((sl, stack))
     return jets
 

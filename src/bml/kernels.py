@@ -13,10 +13,12 @@ one GEMM (`act`); a weight group of a 1-PS is a row slice of that
 product.  When the frame of the 1-PS is a permutation (a diagonal
 generator) no product is formed: each weight group is a selector of the
 chart's own rows, a slice, and so a view, where those rows are
-consecutive, else their index array.  A Gram x* x (`gram`) is reduced
-from its upper triangle in real arithmetic; `pair` forms x* y.  What is
-left per node is r x r algebra whose loops run over the small indices,
-each step one vector operation over the B nodes.  Per-node outputs are
+consecutive, else their index array, read only at the fibre columns
+those rows can be nonzero in (`bundles.columns`), so that the Grams and
+pairs of a group reduce no column of exact zeros.  A Gram x* x (`gram`)
+is reduced from its upper triangle in real arithmetic; `pair` forms
+x* y.  What is left per node is r x r algebra whose loops run over the
+small indices, each step one vector operation over the B nodes.  Per-node outputs are
 written into full-length arrays before any quadrature sum and do not
 depend on the block size; B(H), the one sum over nodes accumulated per
 block, moves in its last bits with BLOCK.

@@ -289,6 +289,18 @@ def test_commutator_far_along_the_path(t):
     assert bg.commutator_residual(basis, ps, t, 0.6 + 0.2j) < 1e-10
 
 
+@pytest.mark.parametrize("t", [180.0, 360.0])
+def test_subgeodesic_far_along_the_path(t):
+    # e^{2 Lambda t} overflows the floor's |S| from t ~ 180 and h itself
+    # from t ~ 355 at this spread, though the chart at x is finite; A is
+    # scaled by e^{(Lambda - w_max) t}, which G and F*F do not see
+    basis = bd.section_basis(bd.split(0, 2), 3)
+    ps = bg.random_two_weight_ps(basis.dimension, np.random.default_rng(1))
+    lhs, rhs, resid, min_eig = bg.subgeodesic_residual(basis, ps, t, 0.6 + 0.2j)
+    assert np.isfinite(lhs).all() and np.isfinite(rhs).all()
+    assert resid < 1e-10 and min_eig > -1e-12
+
+
 def test_subgeodesic_guard_ignores_roundoff_floor():
     # draw 196 of this seed has a finite-difference error of 4e-9 at the
     # default step, all of it roundoff, which does not halve with the step

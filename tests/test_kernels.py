@@ -170,17 +170,25 @@ def counted(calls, name, fn):
 
 def test_m2_along_path_work_shape(grid_p1, monkeypatch, rng):
     """Chart values once and one Gram product per weight per node block,
-    however many times are sampled."""
+    however many times are sampled.  Each Gram reduces a (K_d, r, B)
+    stack in a GEMM frame, and a (K_d, 1, B) one for a two-step 1-PS of
+    O(0)+O(2), whose weight groups are each one summand's sections."""
     basis = bd.section_basis(bd.split(0, 2), 3)
-    ps = weight_kind_ps("three", basis.dimension, rng)
     n_blocks = -(-grid_p1.nodes.size // kernels.BLOCK)
+    sizes = [min(kernels.BLOCK, grid_p1.nodes.size - start) for start in range(0, grid_p1.nodes.size, kernels.BLOCK)]
     calls = {"q_field": 0, "gram": 0}
+    shapes = []
+    gram = kernels.gram
     monkeypatch.setattr(bd, "q_field", counted(calls, "q_field", bd.q_field))
-    monkeypatch.setattr(kernels, "gram", counted(calls, "gram", kernels.gram))
-    for ts in ([1.0], np.linspace(0.5, 12.0, 24)):
-        calls.update(q_field=0, gram=0)
-        don.m2_along_path(basis, grid_p1, ps, ts)
-        assert calls == {"q_field": n_blocks, "gram": n_blocks * len(ps.weights)}
+    monkeypatch.setattr(kernels, "gram", counted(calls, "gram", lambda x: shapes.append(x.shape) or gram(x)))
+    for ps, width in ((weight_kind_ps("three", basis.dimension, rng), basis.rank),
+                      (bg.two_step_one_ps(basis, [1], (4 / 6, -1.0)), 1)):
+        for ts in ([1.0], np.linspace(0.5, 12.0, 24)):
+            calls.update(q_field=0, gram=0)
+            shapes.clear()
+            don.m2_along_path(basis, grid_p1, ps, ts)
+            assert calls == {"q_field": n_blocks, "gram": n_blocks * len(ps.weights)}
+            assert shapes == [(s.stop - s.start, width, b) for b in sizes for s in ps.slices]
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
@@ -201,9 +209,9 @@ def test_two_step_groups_are_views_of_the_chart(k, grid_p1):
     consecutive chart rows, read as a view of the chart block."""
     basis = bd.section_basis(bd.split(0, 2), k)
     ps = bg.two_step_one_ps(basis, [1], ((k + 1) / (k + 3), -1.0))
-    assert all(isinstance(bg._selector(ps.rows[s]), slice) for s in ps.slices)
+    assert all(isinstance(bd.selector(ps.rows[s]), slice) for s in ps.slices)
     for _, q in kernels.blocks(basis, grid_p1.nodes):
-        groups = bg._groups(ps.rows, ps.slices, q)
+        groups = bg._groups(ps.rows, ps.slices, q, bg._columns(basis, ps.rows, ps.slices))
         assert all(np.shares_memory(b, q) for b in groups)
         assert sum(len(b) for b in groups) == len(q)
 
@@ -223,7 +231,7 @@ def test_permutation_frame_is_a_row_gather(k, diag, grid_p1, monkeypatch):
     else:
         basis = bd.section_basis(bd.split(0), k, orthonormal=False)
         ps = bg.one_ps(np.diag(diag))
-        assert not isinstance(bg._selector(ps.rows[ps.slices[0]]), slice)
+        assert not isinstance(bd.selector(ps.rows[ps.slices[0]]), slice)
     gemm = dataclasses.replace(ps, rows=None)
     n_blocks = -(-grid_p1.nodes.size // kernels.BLOCK)
     calls = {"act": 0}
@@ -241,6 +249,82 @@ def test_permutation_frame_is_a_row_gather(k, diag, grid_p1, monkeypatch):
     for (sl, a), (sl_gemm, b) in zip(jets["gather"], jets["gemm"], strict=True):
         assert sl == sl_gemm
         assert rel(a, b) <= 1e-14
+
+
+def dense_groups(rotation, slices, q):
+    """The weight groups of rotation Q over every fibre column."""
+    if rotation.ndim == 1:
+        return [q[bd.selector(rotation[s])] for s in slices]
+    return [kernels.act(rotation, q)[s] for s in slices]
+
+
+def dense_m2(basis, grid, ps, ts):
+    """m2_along_path with every Gram block reduced over every column."""
+    times = np.concatenate([[0.0], ts])
+    table = np.exp(2.0 * np.outer(ps.weights, times))
+    vals = np.empty((len(times), len(grid.nodes)))
+    for sl, q in kernels.blocks(basis, grid.nodes):
+        grams = np.stack([kernels.gram(b) for b in dense_groups(don._frame(ps), ps.slices, q)], axis=2)
+        vals[:, sl] = kernels.logdet(table.T @ grams)
+    return np.asarray([grid.integrate(v - vals[0]) / grid.volume for v in vals[1:]])
+
+
+def dense_jets(basis, grid, ps):
+    """_path_jets with every block reduced over every column."""
+    z, r, frame = grid.nodes, basis.rank, don._frame(ps)
+    jets = []
+    for sl, q in kernels.blocks(basis, z):
+        dq = kernels.node_last(bd.dq_dz_field(basis, z[sl]))
+        stack = np.empty((len(ps.slices), 3, r, r, q.shape[-1]), dtype=complex)
+        for i, (b, db) in enumerate(zip(dense_groups(frame, ps.slices, q), dense_groups(frame, ps.slices, dq))):
+            stack[i] = kernels.gram(b), kernels.pair(b, db), kernels.gram(db)
+        jets.append((sl, stack))
+    return jets
+
+
+def narrow_case(name, k):
+    """(basis, ps, columns of each weight group as tuples) of a named case."""
+    if name == "two-step":
+        basis = bd.section_basis(bd.split(0, 2), k)
+        return basis, bg.two_step_one_ps(basis, [1], ((k + 1) / (k + 3), -1.0)), [(1,), (0,)]
+    if name == "split012-[0,2]":
+        basis = bd.section_basis(bd.split(0, 1, 2), k)
+        n_out = len(basis.summand_rows(1))
+        ps = bg.two_step_one_ps(basis, [0, 2], (n_out, n_out - basis.dimension))
+        return basis, ps, [(0, 2), (1,)]
+    if name == "O(0)":
+        return bd.section_basis(bd.split(0), k, orthonormal=False), bg.one_ps(np.diag([0.5, -1.0, 0.5])), [(0,), (0,)]
+    if name == "T_P2":
+        # weight 1 on the first slot (rows 0..k+1, two runs each) and the
+        # third, -1 on the second: groups of columns {0, 1} and {0}
+        basis = bd.section_basis(bd.euler_tp2(), k)
+        n_slot = (basis.dimension - (k + 2)) // 2
+        lam = np.concatenate([np.ones(k + 2), -np.ones(n_slot), np.ones(n_slot)])
+        return basis, bg.one_ps(np.diag(lam - lam.mean())), [(0, 1), (0,)]
+    basis = bd.section_basis(bd.split(0, 2), k)
+    return basis, bg.random_two_weight_ps(basis.dimension, np.random.default_rng(4)), [(0, 1), (0, 1)]
+
+
+@pytest.mark.parametrize("name, k", [("two-step", 3), ("two-step", 36), ("split012-[0,2]", 3),
+                                     ("O(0)", 2), ("T_P2", 2), ("gemm", 3)],
+                         ids=["two-step-3", "two-step-36", "split012-[0,2]", "O(0)-k2", "T_P2", "gemm"])
+def test_narrow_groups_match_the_dense_algorithm(name, k, grid_p1, grid_p2):
+    """Each weight group is read at the fibre columns it can be nonzero in
+    (every column for a GEMM frame): M2 is bitwise the M2 reduced over
+    every column, and so are the jet blocks, up to the sign of a zero
+    (the dense Gram's lower triangle holds conj(0) = 0 - 0j there)."""
+    basis, ps, want_cols = narrow_case(name, k)
+    cols = bg._columns(basis, don._frame(ps), ps.slices)
+    assert [tuple(np.arange(basis.rank)[c]) for c in cols] == want_cols
+    grid = grid_p2 if name == "T_P2" else grid_p1
+    ts = np.array([0.5, 3.0, 12.0])
+    assert don.m2_along_path(basis, grid, ps, ts).tobytes() == dense_m2(basis, grid, ps, ts).tobytes()
+    if name == "T_P2":
+        return  # the jets are implemented on P^1 only
+    got = don._path_jets(basis, grid, don._frame(ps), ps.slices)
+    for (sl, a), (sl_want, b) in zip(got, dense_jets(basis, grid, ps), strict=True):
+        assert sl == sl_want
+        assert (a + 0.0).tobytes() == (b + 0.0).tobytes()
 
 
 def curvature_reference(basis, H, z):
