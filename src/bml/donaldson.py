@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import bundles, kernels
-from .bergman import HermitianForm, OnePS, _block, _columns, _frame, _groups
+from .bergman import HermitianForm, OnePS, _block, _column_blocks, _frame, _groups
 from .bundles import SectionBasis
 from .quadrature import QuadratureGrid
 
@@ -52,35 +52,37 @@ def m2_along_path(
 
         h(t) = sum_d e^{2 w_d t} G_d,    h_ref = Q*Q = sum_d G_d
 
-    (V is unitary).  Per block of the chart, which arrives node-last from
-    `bundles.q_field`, the weight groups V_d* Q are read by _groups: for a
-    permutation frame (that of every diagonal generator, OnePS.rows) each
-    is a selector of the chart's own rows, narrowed to the fibre columns
-    those rows can be nonzero in (_columns), a view where both are
-    consecutive; any other frame costs one GEMM and keeps every column.
-    One kernels.gram per group fills the columns x columns block of G_d,
-    and every other entry is an exact zero: a weight group of a two-step
-    1-PS of a split bundle is one summand's sections, so its Gram is one
-    entry.  Every h(t_j), with h_ref as t_0 = 0, comes from the (D, T+1)
-    table e^{2 w_d t_j} in one GEMM per matrix entry; one Cholesky pass
-    gives all their log-dets.  Each G_d is bounded by h_ref, so a block
-    overflows only where the reference or a path metric does:
+    (V is unitary).  Every G_d vanishes outside the column blocks of
+    _column_blocks, so h is block-diagonal along them and each block is
+    formed and factored alone.  Per block of the chart, which arrives
+    node-last from `bundles.q_field`, the weight groups V_d* Q of a
+    column block are read by _groups at its columns: for a permutation
+    frame (that of every diagonal generator, OnePS.rows) selectors of
+    the chart's own rows, a view where rows and columns are consecutive;
+    any other frame costs one GEMM and is one block of every column.  A
+    weight group of a two-step 1-PS of a split bundle is one summand's
+    sections, alone in its block, so its Gram is one entry.  Every h(t_j)
+    of a column block, with h_ref as t_0 = 0, comes from the table
+    e^{2 w_d t_j} of its groups in one GEMM per matrix entry; one Cholesky
+    pass per block gives the log L_jj at all times, summed in column
+    order (kernels.block_logdet).  Each G_d is bounded by h_ref, so a
+    block overflows only where the reference or a path metric does:
     NonFiniteChart names it.
     """
     times = np.concatenate([[0.0], np.asarray(ts, dtype=float).ravel()])
     with np.errstate(over="ignore"):
         table = np.exp(2.0 * np.outer(ps.weights, times))
     frame = _frame(ps)
-    cols = _columns(basis, frame, ps.slices)
-    r = basis.rank
+    blocks = _column_blocks(basis, frame, ps.slices)
+    tables = [table[ds].T for _, ds in blocks]
     vals = np.empty((len(times), len(grid.nodes)))
     for sl, q in kernels.blocks(basis, grid.nodes):
-        grams = np.zeros((r, r, len(cols), q.shape[-1]), dtype=complex)
-        for d, (c, b) in enumerate(zip(cols, _groups(frame, ps.slices, q, cols))):
-            grams[..., d, :][_block(c)] = kernels.gram(b)
-        with np.errstate(over="ignore", invalid="ignore"):
-            h = table.T @ grams  # (r, r, T+1, B)
-        vals[:, sl] = kernels.logdet(kernels.finite(h, grid.nodes, sl))
+        hs = []
+        for t_b, groups in zip(tables, _groups(frame, ps.slices, q, blocks)):
+            grams = np.stack([kernels.gram(b) for b in groups], axis=2)  # (r_b, r_b, D_b, B)
+            with np.errstate(over="ignore", invalid="ignore"):
+                hs.append(t_b @ grams)  # (r_b, r_b, T+1, B)
+        vals[:, sl] = kernels.block_logdet(kernels.finite(hs, grid.nodes, sl), [c for c, _ in blocks])
     return np.asarray([grid.integrate(v - vals[0]) / grid.volume for v in vals[1:]])
 
 
@@ -104,27 +106,43 @@ def curvature_field(
     """Chern curvature density of the honest metric, shape (M, r, r), in
     closed form from the holomorphic derivatives of Q (see _curvature_frame).
 
-    h, a and c are the jet blocks of _path_jets for the square root
-    F = Lambda^{1/2} V* of H = V Lambda V* as one weight group (F*F = H).
+    h, a and c are combined from the jet blocks of _path_jets, one column
+    block at a time, as m1_rate combines them.  A diagonal form (that of
+    every diagonal 1-PS, OnePS.form_at) is a permutation frame: its rows
+    stable-sorted by value, one group per value, each group's blocks
+    weighted by that value, with no eigh and no GEMM.  Any other form
+    H = V Lambda V* is one group of the square root F = Lambda^{1/2} V*
+    (F*F = H), one block of every column.  The curvature vanishes off the
+    column blocks.
 
     Normalized as a density against the quadrature measure:
     grid.integrate(trace of the result) equals the degree of E.
     """
     _only_analytic(method)
-    lam, v = np.linalg.eigh(form.matrix)
-    z = np.asarray(grid.nodes)
-    f_t = np.empty((basis.rank, basis.rank, len(z)), dtype=complex)
-    for sl, stack in _path_jets(basis, grid, np.sqrt(lam)[:, None] * v.conj().T, (slice(None),)):
-        w, l, k = _curvature_frame(basis.level, z[sl], *kernels.finite(stack[0], z, sl))
-        f_t[..., sl] = kernels.mul(kernels.mul(kernels.ct(w), k), kernels.ct(l))
-        f_t[..., sl] *= (1.0 + np.abs(z[sl]) ** 2) ** 2
+    m = form.matrix
+    if np.count_nonzero(m) == np.count_nonzero(m.diagonal()):
+        values = m.diagonal().real
+        rotation = np.argsort(-values, kind="stable")
+        cuts = [0, *(np.flatnonzero(np.diff(values[rotation])) + 1), len(values)]
+        slices = tuple(slice(i, j) for i, j in zip(cuts, cuts[1:]))
+        weights = values[rotation[cuts[:-1]]]
+    else:
+        lam, v = np.linalg.eigh(m)
+        rotation, slices, weights = np.sqrt(lam)[:, None] * v.conj().T, (slice(None),), np.ones(1)
+    jets = _path_jets(basis, grid, rotation, slices)
+    f_t = np.zeros((basis.rank, basis.rank, len(grid.nodes)), dtype=complex)
+    for sl, stacks in jets.stacks:
+        twist = jets.twist[sl]
+        frames = _frames(basis.level / twist, jets.blocks, stacks, weights, grid.nodes, sl)
+        for (c, _), (w, l, k) in zip(jets.blocks, frames):
+            f_t[_block(c) + (sl,)] = kernels.mul(kernels.mul(kernels.ct(w), k), kernels.ct(l)) * twist
     return f_t.transpose(2, 1, 0)
 
 
-def _curvature_frame(level: int, z, h, a, c):
+def _curvature_frame(fs, h, a, c):
     """The curvature of the honest metric on one node block, in the frame
     that whitens h, from (r, r, B) stacks of h = Q* H Q, a = Q* H dQ and
-    c = dQ* H dQ.
+    c = dQ* H dQ, and fs = k / (1 + |z|^2)^2 at the nodes.
 
     The honest metric is g = (1 + |z|^2)^k (h^T)^{-1}; its curvature
     density against dx dy is F = (h^{-1} S - fs)^T / pi with the Schur
@@ -135,11 +153,12 @@ def _curvature_frame(level: int, z, h, a, c):
         K = W S W* - fs,    S = c - (W a)* (W a),    pi F^T = W* K L*,
 
     so no inverse of h is formed and (h^T)^{-1} = conj(W* W) exactly.
+    On a column block of a block-diagonal h, a and c it is the block of
+    each factor.
     """
     w, l = kernels.whiten(h)
     wa = kernels.mul(w, a)
     k = kernels.mul(kernels.mul(w, c - kernels.mul(kernels.ct(wa), wa)), kernels.ct(w))
-    fs = level / (1.0 + np.abs(z) ** 2) ** 2
     for i in range(len(k)):
         k[i, i] -= fs
     return w, l, k
@@ -149,14 +168,28 @@ def _curvature_frame(level: int, z, h, a, c):
 # Curvature pairing M1
 
 
-def _path_jets(basis: SectionBasis, grid: QuadratureGrid, rotation, slices) -> list:
-    """The per-weight 1-jet blocks of the chart, per node block, for the
-    rows ``slices`` of a ``rotation`` R, a matrix or a row index, read as
-    by _groups: for a row index, selectors of the rows of Q and dQ/dz
-    themselves at the fibre columns those rows can be nonzero in
-    (_columns), which are the only block of G_d, A_d and C_d filled, the
-    rest left an exact zero; for a matrix, row slices of one GEMM each
-    over every column.
+@dataclass(frozen=True)
+class _Jets:
+    """The 1-jet blocks of _path_jets: the number of weight groups they
+    were formed for, the column blocks (columns, groups) of
+    _column_blocks, (1 + |z|^2)^2 at every node, and per node block
+    (slice, stacks), one (D_b, 3, r_b, r_b, B) stack per column block
+    holding G_d, A_d, C_d of its D_b groups at its r_b columns, node index
+    last."""
+
+    n_weights: int
+    blocks: list
+    twist: np.ndarray
+    stacks: list
+
+
+def _path_jets(basis: SectionBasis, grid: QuadratureGrid, rotation, slices) -> _Jets:
+    """The per-weight 1-jet blocks of the chart, per node block and per
+    column block, for the rows ``slices`` of a ``rotation`` R, a matrix
+    or a row index, read as by _groups: for a row index, selectors of the
+    rows of Q and dQ/dz themselves at the columns of their column block
+    (_column_blocks); for a matrix, row slices of one GEMM each over every
+    column, one block.
 
     Along a 1-PS R = V* and the slices are its weight groups: with V_d
     the eigenvectors of weight w_d, B_d = V_d* Q and D_d = V_d* dQ/dz,
@@ -166,28 +199,47 @@ def _path_jets(basis: SectionBasis, grid: QuadratureGrid, rotation, slices) -> l
         h = sum_d e^{2 w_d t} G_d,   hdot = sum_d 2 w_d e^{2 w_d t} G_d,
         a = sum_d e^{2 w_d t} A_d,   c = sum_d e^{2 w_d t} C_d.
 
-    G_d and C_d are kernels.gram blocks.  Returns (slice, stack) per node
-    block, the stack of shape (D, 3, r, r, B) holding G_d, A_d, C_d with
-    the node index last.
+    Each vanishes outside the column blocks, which are held compact: a
+    two-step 1-PS of O(0)+O(2) holds two (1, 3, 1, 1, B) stacks per node
+    block, where r x r stacks would be three quarters zeros.  G_d and C_d
+    are kernels.gram blocks.
     """
     if grid.space_tag != "P1":
         raise NotImplementedError("curvature implemented on the P1 catalog")
     z = grid.nodes
-    r = basis.rank
-    cols = _columns(basis, rotation, slices)
-    jets = []
+    blocks = _column_blocks(basis, rotation, slices)
+    stacks = []
     for sl, q in kernels.blocks(basis, z):
         dq = kernels.node_last(bundles.dq_dz_field(basis, z[sl]))
-        groups = zip(cols, _groups(rotation, slices, q, cols), _groups(rotation, slices, dq, cols))
+        per_block = zip(_groups(rotation, slices, q, blocks), _groups(rotation, slices, dq, blocks))
         del dq  # a GEMM frame holds only its product
-        stack = np.zeros((len(slices), 3, r, r, q.shape[-1]), dtype=complex)
-        for i, (c, b, db) in enumerate(groups):
-            blk = _block(c)
-            stack[i, 0][blk] = kernels.gram(b)
-            stack[i, 1][blk] = kernels.pair(b, db)
-            stack[i, 2][blk] = kernels.gram(db)
-        jets.append((sl, stack))
-    return jets
+        held = []
+        for bs, dbs in per_block:
+            r_b = bs[0].shape[1]
+            stack = np.empty((len(bs), 3, r_b, r_b, q.shape[-1]), dtype=complex)
+            for i, (b, db) in enumerate(zip(bs, dbs)):
+                stack[i, 0] = kernels.gram(b)
+                stack[i, 1] = kernels.pair(b, db)
+                stack[i, 2] = kernels.gram(db)
+            held.append(stack)
+        stacks.append((sl, held))
+    return _Jets(len(slices), blocks, (1.0 + np.abs(z) ** 2) ** 2, stacks)
+
+
+def _frames(fs, blocks, stacks, e, z, sl: slice) -> list:
+    """(W, L, K) of _curvature_frame per column block on one node block of
+    jets, for h, a and c = sum_d e_d (G_d, A_d, C_d), e the weights of
+    every group; NonFiniteChart names the first node where one of them
+    overflowed."""
+    hac = [_weighted(e[ds], s) for (_, ds), s in zip(blocks, stacks)]
+    return [_curvature_frame(fs, *x) for x in kernels.finite(hac, z, sl)]
+
+
+def _weighted(e, stack):
+    """sum_d e_d stack[d]: one GEMM of e against the stack as a D_b-row
+    matrix."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (e @ stack.reshape(len(stack), -1)).reshape(stack.shape[1:])
 
 
 def m1_rate(
@@ -197,34 +249,32 @@ def m1_rate(
     int_X tr( g^{-1} dg/dt . F[g] ) on the honest metric g.
 
     ``jets`` holds the blocks of _path_jets when the caller keeps them;
-    per node block only a D-term combination and the whitened r x r
-    algebra remain.  Since g^{-1} dg/dt = -(h^{-1} hdot)^T, the integrand
-    is -(1 + |z|^2)^2 tr(X K) with X = W hdot W* and K from
-    _curvature_frame.
+    per node block only a D-term combination and the whitened algebra
+    remain, once per column block of the jets.  Since
+    g^{-1} dg/dt = -(h^{-1} hdot)^T, the integrand is
+    -(1 + |z|^2)^2 tr(X K) with X = W hdot W* and K from
+    _curvature_frame, both block-diagonal.  Jets formed for another
+    number of weight groups than ps has are a ValueError.
     """
     if jets is None:
         jets = _path_jets(basis, grid, _frame(ps), ps.slices)
+    if jets.n_weights != len(ps.weights):
+        raise ValueError(
+            f"jets formed for {jets.n_weights} weight groups, but the 1-PS has {len(ps.weights)}"
+        )
     weights = np.asarray(ps.weights)
     with np.errstate(over="ignore"):
         e = np.exp(2.0 * weights * t)
     e_dot = 2.0 * weights * e
     integrand = np.empty(len(grid.nodes))
-    for sl, stack in jets:
-        integrand[sl] = _rate_block(basis.level, grid.nodes, sl, stack, e, e_dot)
+    for sl, stacks in jets.stacks:
+        twist = jets.twist[sl]
+        frames = _frames(basis.level / twist, jets.blocks, stacks, e, grid.nodes, sl)
+        xs = [kernels.mul(kernels.mul(w, _weighted(e_dot[ds], s[:, 0])), kernels.ct(w))
+              for (_, ds), s, (w, _, _) in zip(jets.blocks, stacks, frames)]
+        trace = kernels.trace_mul(xs, [k for _, _, k in frames], [c for c, _ in jets.blocks])
+        integrand[sl] = -twist * trace.real
     return grid.integrate(integrand)
-
-
-def _rate_block(level: int, z, sl: slice, stack, e, e_dot):
-    """The m1_rate integrand on one node block of jets, for the time
-    factors e = e^{2 w_d t} and e_dot = 2 w_d e^{2 w_d t}."""
-    n_w, _, r, _, b = stack.shape
-    with np.errstate(over="ignore", invalid="ignore"):
-        hac = kernels.finite((e @ stack.reshape(n_w, -1)).reshape(3, r, r, b), z, sl)
-        hdot = (e_dot @ stack[:, 0].reshape(n_w, -1)).reshape(r, r, b)
-    w, _, k = _curvature_frame(level, z[sl], *hac)
-    del hac
-    x = kernels.mul(kernels.mul(w, hdot), kernels.ct(w))
-    return -(1.0 + np.abs(z[sl]) ** 2) ** 2 * kernels.trace_mul(x, k).real
 
 
 def m1_curve(

@@ -188,7 +188,8 @@ def test_m2_along_path_work_shape(grid_p1, monkeypatch, rng):
             shapes.clear()
             don.m2_along_path(basis, grid_p1, ps, ts)
             assert calls == {"q_field": n_blocks, "gram": n_blocks * len(ps.weights)}
-            assert shapes == [(s.stop - s.start, width, b) for b in sizes for s in ps.slices]
+            # in column-block order, which need not be the weight order
+            assert sorted(shapes) == sorted((s.stop - s.start, width, b) for b in sizes for s in ps.slices)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
@@ -211,7 +212,8 @@ def test_two_step_groups_are_views_of_the_chart(k, grid_p1):
     ps = bg.two_step_one_ps(basis, [1], ((k + 1) / (k + 3), -1.0))
     assert all(isinstance(bd.selector(ps.rows[s]), slice) for s in ps.slices)
     for _, q in kernels.blocks(basis, grid_p1.nodes):
-        groups = bg._groups(ps.rows, ps.slices, q, bg._columns(basis, ps.rows, ps.slices))
+        blocks = bg._column_blocks(basis, ps.rows, ps.slices)
+        groups = [b for block in bg._groups(ps.rows, ps.slices, q, blocks) for b in block]
         assert all(np.shares_memory(b, q) for b in groups)
         assert sum(len(b) for b in groups) == len(q)
 
@@ -246,9 +248,23 @@ def test_permutation_frame_is_a_row_gather(k, diag, grid_p1, monkeypatch):
         jets[name] = don._path_jets(basis, grid_p1, don._frame(p), p.slices)
         assert calls == {"act": 3 * acts}
     assert rel(m2["gather"], m2["gemm"]) <= 1e-14
-    for (sl, a), (sl_gemm, b) in zip(jets["gather"], jets["gemm"], strict=True):
+    for (sl, a), (sl_gemm, b) in zip(assembled(jets["gather"], basis.rank),
+                                     assembled(jets["gemm"], basis.rank), strict=True):
         assert sl == sl_gemm
         assert rel(a, b) <= 1e-14
+
+
+def assembled(jets, r):
+    """The jets of _path_jets as (slice, stack) per node block, the
+    column blocks put back into one zero-filled (D, 3, r, r, B) stack."""
+    out = []
+    for sl, stacks in jets.stacks:
+        full = np.zeros((jets.n_weights, 3, r, r, sl.stop - sl.start), dtype=complex)
+        for (c, ds), stack in zip(jets.blocks, stacks):
+            for d, jet in zip(ds, stack, strict=True):
+                full[d][(slice(None),) + bg._block(c)] = jet
+        out.append((sl, full))
+    return out
 
 
 def dense_groups(rotation, slices, q):
@@ -282,49 +298,86 @@ def dense_jets(basis, grid, ps):
     return jets
 
 
+def dense_rate(basis, grid, jets, ps, t):
+    """m1_rate from the dense jets, with the whitened algebra over every
+    r x r entry."""
+    weights = np.asarray(ps.weights)
+    e = np.exp(2.0 * weights * t)
+    e_dot = 2.0 * weights * e
+    z = grid.nodes
+    integrand = np.empty(len(z))
+    for sl, stack in jets:
+        n_w, _, r, _, b = stack.shape
+        hac = (e @ stack.reshape(n_w, -1)).reshape(3, r, r, b)
+        hdot = (e_dot @ stack[:, 0].reshape(n_w, -1)).reshape(r, r, b)
+        w, _, k = don._curvature_frame(basis.level / (1.0 + np.abs(z[sl]) ** 2) ** 2, *hac)
+        x = kernels.mul(kernels.mul(w, hdot), kernels.ct(w))
+        integrand[sl] = -(1.0 + np.abs(z[sl]) ** 2) ** 2 * (x * k.transpose(1, 0, 2)).sum(axis=(0, 1)).real
+    return grid.integrate(integrand)
+
+
 def narrow_case(name, k):
-    """(basis, ps, columns of each weight group as tuples) of a named case."""
+    """(basis, ps, columns of each weight group, column blocks), the
+    columns as tuples, of a named case."""
     if name == "two-step":
         basis = bd.section_basis(bd.split(0, 2), k)
-        return basis, bg.two_step_one_ps(basis, [1], ((k + 1) / (k + 3), -1.0)), [(1,), (0,)]
-    if name == "split012-[0,2]":
-        basis = bd.section_basis(bd.split(0, 1, 2), k)
+        return basis, bg.two_step_one_ps(basis, [1], ((k + 1) / (k + 3), -1.0)), [(1,), (0,)], [(0,), (1,)]
+    if name in ("split012-[0,2]", "split210-[0,2]"):
+        basis = bd.section_basis(bd.split(*map(int, name[5:8])), k)
         n_out = len(basis.summand_rows(1))
         ps = bg.two_step_one_ps(basis, [0, 2], (n_out, n_out - basis.dimension))
-        return basis, ps, [(0, 2), (1,)]
+        return basis, ps, [(0, 2), (1,)], [(0, 2), (1,)]
     if name == "O(0)":
-        return bd.section_basis(bd.split(0), k, orthonormal=False), bg.one_ps(np.diag([0.5, -1.0, 0.5])), [(0,), (0,)]
+        basis = bd.section_basis(bd.split(0), k, orthonormal=False)
+        return basis, bg.one_ps(np.diag([0.5, -1.0, 0.5])), [(0,), (0,)], [(0,)]
     if name == "T_P2":
         # weight 1 on the first slot (rows 0..k+1, two runs each) and the
         # third, -1 on the second: groups of columns {0, 1} and {0}
         basis = bd.section_basis(bd.euler_tp2(), k)
         n_slot = (basis.dimension - (k + 2)) // 2
         lam = np.concatenate([np.ones(k + 2), -np.ones(n_slot), np.ones(n_slot)])
-        return basis, bg.one_ps(np.diag(lam - lam.mean())), [(0, 1), (0,)]
+        return basis, bg.one_ps(np.diag(lam - lam.mean())), [(0, 1), (0,)], [(0, 1)]
     basis = bd.section_basis(bd.split(0, 2), k)
-    return basis, bg.random_two_weight_ps(basis.dimension, np.random.default_rng(4)), [(0, 1), (0, 1)]
+    return basis, bg.random_two_weight_ps(basis.dimension, np.random.default_rng(4)), [(0, 1), (0, 1)], [(0, 1)]
 
 
 @pytest.mark.parametrize("name, k", [("two-step", 3), ("two-step", 36), ("split012-[0,2]", 3),
-                                     ("O(0)", 2), ("T_P2", 2), ("gemm", 3)],
-                         ids=["two-step-3", "two-step-36", "split012-[0,2]", "O(0)-k2", "T_P2", "gemm"])
-def test_narrow_groups_match_the_dense_algorithm(name, k, grid_p1, grid_p2):
-    """Each weight group is read at the fibre columns it can be nonzero in
-    (every column for a GEMM frame): M2 is bitwise the M2 reduced over
-    every column, and so are the jet blocks, up to the sign of a zero
-    (the dense Gram's lower triangle holds conj(0) = 0 - 0j there)."""
-    basis, ps, want_cols = narrow_case(name, k)
-    cols = bg._columns(basis, don._frame(ps), ps.slices)
-    assert [tuple(np.arange(basis.rank)[c]) for c in cols] == want_cols
+                                     ("split210-[0,2]", 3), ("O(0)", 2), ("T_P2", 2), ("gemm", 3)],
+                         ids=["two-step-3", "two-step-36", "split012-[0,2]", "split210-[0,2]", "O(0)-k2",
+                              "T_P2", "gemm"])
+def test_narrow_groups_match_the_dense_algorithm(name, k, grid_p1, grid_p2, rng):
+    """Each weight group is read at the fibre columns of its column block
+    (every column for a GEMM frame), off which h_ref is an exact zero: M2
+    and m1_rate are bitwise those of the algebra over every column, and
+    so are the jet blocks, up to the sign of a zero (the dense Gram's
+    lower triangle holds conj(0) = 0 - 0j there).  The blocks {0, 2} and
+    {1} interleave: their log L_jj and trace terms are added in column
+    order, and split(2, 1, 0), curved in all three columns, shows it."""
+    basis, ps, want_cols, want_blocks = narrow_case(name, k)
+    frame, columns = don._frame(ps), np.arange(basis.rank)
+    assert [tuple(columns[c]) for c in bg._columns(basis, frame, ps.slices)] == want_cols
+    blocks = bg._column_blocks(basis, frame, ps.slices)
+    assert [tuple(columns[c]) for c, _ in blocks] == want_blocks
+    assert sorted(d for _, ds in blocks for d in ds) == list(range(len(ps.slices)))
     grid = grid_p2 if name == "T_P2" else grid_p1
+    z = rng.normal(size=(50,) + grid.nodes.shape[1:] + (2,)) @ [1.0, 1j]
+    h = bd.h_ref_field(basis, dataclasses.replace(grid, nodes=z, weights=np.ones(len(z)), moment=None))
+    on_block = np.zeros((basis.rank, basis.rank), dtype=bool)
+    for c, _ in blocks:
+        on_block[bg._block(c)] = True
+    assert np.isfinite(h).all() and not h[:, ~on_block].any()
     ts = np.array([0.5, 3.0, 12.0])
     assert don.m2_along_path(basis, grid, ps, ts).tobytes() == dense_m2(basis, grid, ps, ts).tobytes()
     if name == "T_P2":
         return  # the jets are implemented on P^1 only
-    got = don._path_jets(basis, grid, don._frame(ps), ps.slices)
-    for (sl, a), (sl_want, b) in zip(got, dense_jets(basis, grid, ps), strict=True):
+    got = don._path_jets(basis, grid, frame, ps.slices)
+    dense = dense_jets(basis, grid, ps)
+    for (sl, a), (sl_want, b) in zip(assembled(got, basis.rank), dense, strict=True):
         assert sl == sl_want
         assert (a + 0.0).tobytes() == (b + 0.0).tobytes()
+    for t in ts:
+        assert np.float64(don.m1_rate(basis, grid, ps, t, jets=got)).tobytes() == \
+            np.float64(dense_rate(basis, grid, dense, ps, t)).tobytes()
 
 
 def curvature_reference(basis, H, z):
@@ -372,13 +425,19 @@ def check_curvature_and_m1_rate(basis, grid, ps, t):
 
 def test_curvature_outer_ring(split_basis, grid_p1, rng):
     """curvature_field against the FS measure, node by node: there the
-    entries at the outer ring are the largest, not 1e-15 of them."""
-    H = bg.random_two_weight_ps(split_basis.dimension, rng).form_at(0.8).matrix
+    entries at the outer ring are the largest, not 1e-15 of them.  The
+    two-step form is diagonal, so its frame is read from the diagonal,
+    with no eigh and no GEMM."""
+    k = split_basis.level
     z = grid_p1.nodes
-    got = don.curvature_field(split_basis, grid_p1, bg.HermitianForm(H))
-    want = np.pi * (1.0 + np.abs(z) ** 2)[:, None, None] ** 2 * curvature_reference(split_basis, H, z)
-    err = np.abs(got - want).max(axis=(1, 2)) / np.abs(want).max(axis=(1, 2))
-    assert err.max() < 1e-7
+    for ps in (bg.random_two_weight_ps(split_basis.dimension, rng),
+               bg.two_step_one_ps(split_basis, [1], ((k + 1) / (k + 3), -1.0))):
+        H = ps.form_at(0.8).matrix
+        got = don.curvature_field(split_basis, grid_p1, bg.HermitianForm(H))
+        want = np.pi * (1.0 + np.abs(z) ** 2)[:, None, None] ** 2 * curvature_reference(split_basis, H, z)
+        err = np.abs(got - want).max(axis=(1, 2)) / np.abs(want).max(axis=(1, 2))
+        assert err.max() < 1e-7
+    assert np.count_nonzero(H) == split_basis.dimension
 
 
 def test_curvature_and_m1_rate(split_basis, grid, rng):
@@ -392,19 +451,44 @@ def test_curvature_and_m1_rate_weight_kinds(kind, split_basis, grid, rng):
 
 def test_m1_curve_work_shape(grid_p1, monkeypatch, rng):
     """Chart values and their derivatives once per node block, whatever
-    the number of Gauss nodes, one rate per Gauss node, and no H(t)."""
+    the number of Gauss nodes, one rate per Gauss node, and no H(t).  The
+    held jets are one compact stack per column block: (1, 3, 1, 1, B) for
+    each of the two summands of O(0)+O(2) along a two-step 1-PS, and one
+    (D, 3, 2, 2, B) stack in a GEMM frame."""
     basis = bd.section_basis(bd.split(0, 2), 3)
-    ps = weight_kind_ps("three", basis.dimension, rng)
     n_blocks = -(-grid_p1.nodes.size // kernels.BLOCK)
+    sizes = [min(kernels.BLOCK, grid_p1.nodes.size - start) for start in range(0, grid_p1.nodes.size, kernels.BLOCK)]
     calls = {"q_field": 0, "dq_dz_field": 0, "m1_rate": 0, "form_at": 0}
+    held = []
+    path_jets = don._path_jets
     monkeypatch.setattr(bd, "q_field", counted(calls, "q_field", bd.q_field))
     monkeypatch.setattr(bd, "dq_dz_field", counted(calls, "dq_dz_field", bd.dq_dz_field))
     monkeypatch.setattr(don, "m1_rate", counted(calls, "m1_rate", don.m1_rate))
     monkeypatch.setattr(bg.OnePS, "form_at", counted(calls, "form_at", bg.OnePS.form_at))
-    for ts, n_path, n_gauss in (([2.0], 4, 4), ([1.0, 3.0], 24, 24)):
-        calls.update(q_field=0, dq_dz_field=0, m1_rate=0, form_at=0)
-        don.m1_curve(basis, grid_p1, ps, ts, n_path=n_path)
-        assert calls == {"q_field": n_blocks, "dq_dz_field": n_blocks, "m1_rate": n_gauss, "form_at": 0}
+    monkeypatch.setattr(don, "_path_jets", lambda *args: held.append(path_jets(*args)) or held[-1])
+    for ps, layout in ((weight_kind_ps("three", basis.dimension, rng), [(3, 3, 2, 2)]),
+                       (bg.two_step_one_ps(basis, [1], (4 / 6, -1.0)), [(1, 3, 1, 1)] * 2),
+                       (bg.random_two_weight_ps(basis.dimension, rng), [(2, 3, 2, 2)])):
+        for ts, n_path, n_gauss in (([2.0], 4, 4), ([1.0, 3.0], 24, 24)):
+            calls.update(q_field=0, dq_dz_field=0, m1_rate=0, form_at=0)
+            held.clear()
+            don.m1_curve(basis, grid_p1, ps, ts, n_path=n_path)
+            assert calls == {"q_field": n_blocks, "dq_dz_field": n_blocks, "m1_rate": n_gauss, "form_at": 0}
+            [jets] = held
+            assert [[s.shape for s in stacks] for _, stacks in jets.stacks] == \
+                [[shape + (b,) for shape in layout] for b in sizes]
+
+
+def test_m1_rate_names_jets_of_another_1ps(coarse, rng):
+    """Jets formed for one 1-PS and handed to m1_rate with another of a
+    different number of weight groups are a ValueError naming both."""
+    basis = bd.section_basis(bd.split(0, 2), 3)
+    ps2 = bg.random_two_weight_ps(basis.dimension, rng)
+    ps4 = bg.one_ps(np.diag(np.repeat([1.5, 0.5, -0.5, -1.5], [2, 3, 3, 2])))
+    assert len(ps2.weights) == 2 and len(ps4.weights) == 4
+    jets = don._path_jets(basis, coarse, don._frame(ps2), ps2.slices)
+    with pytest.raises(ValueError, match=r"2 weight groups.* has 4"):
+        don.m1_rate(basis, coarse, ps4, 1.0, jets=jets)
 
 
 def test_b_matrix_p_field_and_m2_value(split_basis, grid, rng):
