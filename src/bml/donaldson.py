@@ -17,10 +17,17 @@ is why the combined energy reads M1 + mu(E) * M2 in terms of the
 raw log-det.  Along a degeneration generated by a rational weight
 matrix, the combined energy grows linearly with the exact rational slope
 computed in exactsheaf, which is what the slope-fit helpers verify.
+
+Along a diagonal 1-PS on P^1 (the Bergman 1-PS of a filtration of a split
+bundle) every pointwise term of M2 and M1 depends on |z| alone, so
+m2_along_path, m1_curve and m1_rate integrate over one node per torus
+orbit of the grid (_orbit_grid); curvature_field, a per-node field, and
+every other 1-PS or space keep the whole grid.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -30,11 +37,39 @@ import numpy as np
 from . import bundles, kernels
 from .bergman import HermitianForm, OnePS, _block, _column_blocks, _frame, _groups
 from .bundles import SectionBasis
-from .quadrature import QuadratureGrid
+from .quadrature import NonFiniteIntegrand, QuadratureGrid
 
 
 class InsufficientSamples(ValueError):
     pass
+
+
+def _orbit_grid(grid: QuadratureGrid, ps: OnePS) -> QuadratureGrid:
+    """The node set the integrals along ps run on.  A diagonal 1-PS
+    (OnePS.rows set) has H(t) diagonal in the chart basis.  On P^1 each
+    section is a monomial c z^m, so Q(e^{i theta} z) = Lambda Q(z) and
+    dQ/dz(e^{i theta} z) = e^{-i theta} Lambda dQ/dz(z) for a diagonal
+    unitary Lambda(theta), which commutes with H(t): h, c and a* h^{-1} a,
+    and with them the M2 and M1 integrands, are functions of |z|, and the
+    torus-orbit quotient grid.orbits integrates them over one node per
+    ring.  Any other 1-PS, and P^2, run on grid: there a diagonal
+    generator's M2 integrand on mixed columns spreads between the nodes of
+    one orbit well above roundoff at large t, and the full grid averages
+    that spread."""
+    return grid.orbits if ps.rows is not None and grid.space_tag == "P1" else grid
+
+
+@contextmanager
+def _full_grid_names(grid: QuadratureGrid):
+    """A NonFiniteIntegrand raised inside at node i of ``grid`` is raised
+    again at node grid.parent[i] of the grid it was reduced from, the same
+    node, when ``grid`` is a quotient."""
+    try:
+        yield
+    except NonFiniteIntegrand as err:
+        if grid.parent is None:
+            raise
+        raise err.at(int(grid.parent[err.index])) from err
 
 
 # ---------------------------------------------------------------------------
@@ -67,8 +102,10 @@ def m2_along_path(
     pass per block gives the log L_jj at all times, summed in column
     order (kernels.block_logdet).  Each G_d is bounded by h_ref, so a
     block overflows only where the reference or a path metric does:
-    NonFiniteChart names it.
+    NonFiniteChart names it, by its index in ``grid``.  For a diagonal
+    1-PS on P^1 the nodes are those of grid.orbits (_orbit_grid).
     """
+    grid = _orbit_grid(grid, ps)
     times = np.concatenate([[0.0], np.asarray(ts, dtype=float).ravel()])
     with np.errstate(over="ignore"):
         table = np.exp(2.0 * np.outer(ps.weights, times))
@@ -76,14 +113,15 @@ def m2_along_path(
     blocks = _column_blocks(basis, frame, ps.slices)
     tables = [table[ds].T for _, ds in blocks]
     vals = np.empty((len(times), len(grid.nodes)))
-    for sl, q in kernels.blocks(basis, grid.nodes):
-        hs = []
-        for t_b, groups in zip(tables, _groups(frame, ps.slices, q, blocks)):
-            grams = np.stack([kernels.gram(b) for b in groups], axis=2)  # (r_b, r_b, D_b, B)
-            with np.errstate(over="ignore", invalid="ignore"):
-                hs.append(t_b @ grams)  # (r_b, r_b, T+1, B)
-        vals[:, sl] = kernels.block_logdet(kernels.finite(hs, grid.nodes, sl), [c for c, _ in blocks])
-    return np.asarray([grid.integrate(v - vals[0]) / grid.volume for v in vals[1:]])
+    with _full_grid_names(grid):
+        for sl, q in kernels.blocks(basis, grid.nodes):
+            hs = []
+            for t_b, groups in zip(tables, _groups(frame, ps.slices, q, blocks)):
+                grams = np.stack([kernels.gram(b) for b in groups], axis=2)  # (r_b, r_b, D_b, B)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    hs.append(t_b @ grams)  # (r_b, r_b, T+1, B)
+            vals[:, sl] = kernels.block_logdet(kernels.finite(hs, grid.nodes, sl), [c for c, _ in blocks])
+        return np.asarray([grid.integrate(v - vals[0]) / grid.volume for v in vals[1:]])
 
 
 # ---------------------------------------------------------------------------
@@ -172,13 +210,14 @@ def _curvature_frame(fs, h, a, c):
 class _Jets:
     """The 1-jet blocks of _path_jets: the number of weight groups they
     were formed for, the column blocks (columns, groups) of
-    _column_blocks, (1 + |z|^2)^2 at every node, and per node block
-    (slice, stacks), one (D_b, 3, r_b, r_b, B) stack per column block
-    holding G_d, A_d, C_d of its D_b groups at its r_b columns, node index
-    last."""
+    _column_blocks, the grid whose nodes they were formed on,
+    (1 + |z|^2)^2 at every node, and per node block (slice, stacks), one
+    (D_b, 3, r_b, r_b, B) stack per column block holding G_d, A_d, C_d of
+    its D_b groups at its r_b columns, node index last."""
 
     n_weights: int
     blocks: list
+    grid: QuadratureGrid
     twist: np.ndarray
     stacks: list
 
@@ -223,7 +262,7 @@ def _path_jets(basis: SectionBasis, grid: QuadratureGrid, rotation, slices) -> _
                 stack[i, 2] = kernels.gram(db)
             held.append(stack)
         stacks.append((sl, held))
-    return _Jets(len(slices), blocks, (1.0 + np.abs(z) ** 2) ** 2, stacks)
+    return _Jets(len(slices), blocks, grid, (1.0 + np.abs(z) ** 2) ** 2, stacks)
 
 
 def _frames(fs, blocks, stacks, e, z, sl: slice) -> list:
@@ -250,31 +289,35 @@ def m1_rate(
 
     ``jets`` holds the blocks of _path_jets when the caller keeps them;
     per node block only a D-term combination and the whitened algebra
-    remain, once per column block of the jets.  Since
-    g^{-1} dg/dt = -(h^{-1} hdot)^T, the integrand is
-    -(1 + |z|^2)^2 tr(X K) with X = W hdot W* and K from
+    remain, once per column block of the jets.  The integral runs over
+    the grid the jets were formed on, jets.grid; without ``jets`` they
+    are formed on _orbit_grid, grid.orbits for a diagonal 1-PS on P^1 and
+    ``grid`` otherwise.  Since g^{-1} dg/dt = -(h^{-1} hdot)^T, the
+    integrand is -(1 + |z|^2)^2 tr(X K) with X = W hdot W* and K from
     _curvature_frame, both block-diagonal.  Jets formed for another
     number of weight groups than ps has are a ValueError.
     """
     if jets is None:
-        jets = _path_jets(basis, grid, _frame(ps), ps.slices)
+        jets = _path_jets(basis, _orbit_grid(grid, ps), _frame(ps), ps.slices)
     if jets.n_weights != len(ps.weights):
         raise ValueError(
             f"jets formed for {jets.n_weights} weight groups, but the 1-PS has {len(ps.weights)}"
         )
+    grid = jets.grid
     weights = np.asarray(ps.weights)
     with np.errstate(over="ignore"):
         e = np.exp(2.0 * weights * t)
     e_dot = 2.0 * weights * e
     integrand = np.empty(len(grid.nodes))
-    for sl, stacks in jets.stacks:
-        twist = jets.twist[sl]
-        frames = _frames(basis.level / twist, jets.blocks, stacks, e, grid.nodes, sl)
-        xs = [kernels.mul(kernels.mul(w, _weighted(e_dot[ds], s[:, 0])), kernels.ct(w))
-              for (_, ds), s, (w, _, _) in zip(jets.blocks, stacks, frames)]
-        trace = kernels.trace_mul(xs, [k for _, _, k in frames], [c for c, _ in jets.blocks])
-        integrand[sl] = -twist * trace.real
-    return grid.integrate(integrand)
+    with _full_grid_names(grid):
+        for sl, stacks in jets.stacks:
+            twist = jets.twist[sl]
+            frames = _frames(basis.level / twist, jets.blocks, stacks, e, grid.nodes, sl)
+            xs = [kernels.mul(kernels.mul(w, _weighted(e_dot[ds], s[:, 0])), kernels.ct(w))
+                  for (_, ds), s, (w, _, _) in zip(jets.blocks, stacks, frames)]
+            trace = kernels.trace_mul(xs, [k for _, _, k in frames], [c for c, _ in jets.blocks])
+            integrand[sl] = -twist * trace.real
+        return grid.integrate(integrand)
 
 
 def m1_curve(
@@ -288,13 +331,14 @@ def m1_curve(
     """M1 at each requested time, in the order given, as the cumulative
     t-integral of the rate over a shared Gauss-Legendre subdivision of
     [0, max(ts)] at the sorted times, n_path // (distinct times) nodes per
-    segment.  The jet blocks are formed once and dropped on return."""
+    segment.  The jet blocks are formed once, on _orbit_grid, and dropped
+    on return."""
     _only_analytic(method)
     ts = np.asarray(ts, dtype=float).ravel()
     if (ts < 0).any():
         raise ValueError("path time must be nonnegative")
     x, w = np.polynomial.legendre.leggauss(max(4, n_path // max(1, len(np.unique(ts)))))
-    jets = _path_jets(basis, grid, _frame(ps), ps.slices) if (ts > 0).any() else None
+    jets = _path_jets(basis, _orbit_grid(grid, ps), _frame(ps), ps.slices) if (ts > 0).any() else None
     out = np.empty(len(ts))
     total = 0.0
     lo = 0.0

@@ -63,6 +63,9 @@ class NonFiniteChart(NonFiniteIntegrand):
         ValueError.__init__(self, f"sandwich not finite at node {index}: z = {z}, u = {u}")
         self.index, self.z, self.u = index, z, u
 
+    def at(self, index: int) -> "NonFiniteChart":
+        return NonFiniteChart(index, self.z)
+
 
 def node_last(x: np.ndarray) -> np.ndarray:
     """Chart values or their z-derivatives, (B, N, r) as `bundles` gives

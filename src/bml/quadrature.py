@@ -11,13 +11,26 @@ better than 1e-6.
 
 The total mass is Vol_L = 1 on P^1 and 1/2 on P^2, i.e. int omega^n/n!
 for omega in c1(O(1)).
+
+Each ring of a tensor grid (every angle at one moment) is one orbit of
+the torus rotating the chart coordinates.  `QuadratureGrid.orbits` keeps
+one node per orbit with the orbit's total weight; an integrand that the
+torus leaves invariant, a function of the |z_i| alone, integrates to the
+same value on it up to roundoff.  Which integrals may run there is the
+caller's decision (`donaldson` makes it for M2 and M1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Optional
 
 import numpy as np
+
+# largest difference between a grid's moment coordinates and the moment
+# map of its nodes that still counts as roundoff
+MOMENT_TOL = 16 * np.finfo(float).eps
 
 
 class InvalidResolution(ValueError):
@@ -28,6 +41,11 @@ class NonFiniteIntegrand(ValueError):
     def __init__(self, index):
         super().__init__(f"integrand not finite at node {index}")
         self.index = index
+
+    def at(self, index: int) -> "NonFiniteIntegrand":
+        """The same failure named at ``index``, the node's index in the
+        grid that the failing one was reduced from."""
+        return NonFiniteIntegrand(index)
 
 
 def pairwise_sum(values: np.ndarray) -> float:
@@ -65,13 +83,16 @@ class QuadratureGrid:
 
     nodes: complex array of shape (M,) on P^1 or (M, 2) on P^2.
     moment: the torus moment-map coordinates of each node, shape (M,) on
-        P^1 (u = |z|^2/(1+|z|^2)) or (M, 2) on P^2.
+        P^1 (u = |z|^2/(1+|z|^2)) or (M, 2) on P^2, or None.
+    parent: on a quotient (`orbits`), the index of each node in the grid
+        it was reduced from; None on a grid that was built.
     """
 
     space_tag: str
     nodes: np.ndarray
     weights: np.ndarray
-    moment: np.ndarray
+    moment: Optional[np.ndarray]
+    parent: Optional[np.ndarray] = None
 
     @property
     def volume(self) -> float:
@@ -86,6 +107,36 @@ class QuadratureGrid:
         if bad.any():
             raise NonFiniteIntegrand(int(np.argmax(bad)))
         return pairwise_sum(values * self.weights)
+
+    @cached_property
+    def orbits(self) -> "QuadratureGrid":
+        """The torus-orbit quotient: per run of consecutive nodes with
+        equal ``moment`` (a ring of a tensor grid), the run's first node
+        carrying the sum of the run's weights, with ``parent`` the index
+        of each kept node here.  ``moment`` counts only where it agrees,
+        to roundoff (MOMENT_TOL), with the moment map computed from the
+        nodes themselves, so a stale or missing ``moment`` gives no
+        reduction: the grid itself is returned then, and when no run holds
+        two nodes.  Held on the instance, computed once."""
+        if self.moment is None:
+            return self
+        z = self.nodes.reshape(len(self.nodes), -1)
+        m = self.moment.reshape(len(self.moment), -1)
+        with np.errstate(over="ignore", invalid="ignore"):  # a far node gives u = nan: no match
+            a = np.abs(z) ** 2
+            u = a / (1.0 + a.sum(axis=1, keepdims=True))
+        if u.shape != m.shape or not (np.abs(u - m) <= MOMENT_TOL).all():
+            return self
+        starts = np.flatnonzero(np.concatenate([[True], (m[1:] != m[:-1]).any(axis=1)]))
+        if len(starts) == len(m):
+            return self
+        return QuadratureGrid(
+            space_tag=self.space_tag,
+            nodes=self.nodes[starts],
+            weights=np.add.reduceat(self.weights, starts),
+            moment=self.moment[starts],
+            parent=starts,
+        )
 
 
 def build_grid_p1(n_radial: int = 8, n_angular: int = 32, depth: int = 20) -> QuadratureGrid:

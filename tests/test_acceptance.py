@@ -2,9 +2,11 @@
 
 import os
 
+import numpy as np
 import pytest
 
 from bml import acceptance as ac
+from bml import kernels
 
 
 def _report(res):
@@ -34,6 +36,19 @@ def test_criterion_05_subgeodesic_positivity():
 
 def test_criterion_06_commutation():
     _report(ac.criterion_6())
+
+
+def test_criterion_06_fails_without_the_whitening(monkeypatch):
+    """W = I in place of h_ref^{-1/2} up to a unitary leaves the moment
+    matrices of a rank-2 Haar-frame draw non-commuting, which criterion 6
+    must see; the 1 x 1 and diagonal draws alone cannot."""
+    def unwhitened(h):
+        return np.broadcast_to(np.eye(len(h))[:, :, None], h.shape).astype(complex), kernels.cholesky(h)
+
+    monkeypatch.setattr(kernels, "whiten", unwhitened)
+    res = ac.criterion_6()
+    assert not res.passed, res.detail
+    assert "0.00e+00 over 1000 draws" in res.detail
 
 
 def test_criterion_07_balanced_existence():

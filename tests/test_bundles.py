@@ -1,11 +1,14 @@
 import ast
+import dataclasses
 from math import factorial, sqrt
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bml import bergman as bg
 from bml import bundles as bd
+from bml import donaldson as don
 from bml import exactsheaf as xs
 from bml import kernels
 from bml.quadrature import build_grid_p2
@@ -283,3 +286,38 @@ def test_only_bundles_reads_the_section_table():
             if isinstance(node, ast.Attribute) and node.attr == "data" and isinstance(node.ctx, ast.Load):
                 readers.append(f"{path.parent.name}/{path.name}:{node.lineno}")
     assert readers == []
+
+
+@pytest.mark.parametrize("degrees", [(0,), (2,), (0, 2), (0, 1, 2), (-1, 1), (-2, 0, 3)])
+@pytest.mark.parametrize("orthonormal", [True, False])
+def test_p1_charts_are_torus_eigenbases(degrees, orthonormal, grid_p1, rng):
+    """Q(e^{i theta} z) = Lambda(theta) Q(z) and dQ/dz(e^{i theta} z) =
+    e^{-i theta} Lambda(theta) dQ/dz(z), Lambda diagonal, unitary and the
+    same at every z: a diagonal form commutes with Lambda, so its fibre
+    metric and curvature depend on |z| alone, which is what lets M2 and
+    M1 along a diagonal 1-PS run on one node per torus orbit.  Grids
+    whose moment does not describe their nodes are not reduced."""
+    bundle = bd.split(*degrees)
+    z = rng.normal(size=40) + 1j * rng.normal(size=40)
+    for k in (bundle.regularity(), bundle.regularity() + 3):
+        basis = bd.section_basis(bundle, k, orthonormal=orthonormal)
+        q, dq = bd.q_field(basis, z), bd.dq_dz_field(basis, z)
+        rows = q.transpose(1, 0, 2).reshape(basis.dimension, -1)  # per section: every (node, column)
+        at = (np.arange(basis.dimension), np.abs(rows).argmax(axis=1))
+        for theta in rng.uniform(0.0, 2.0 * np.pi, 3):
+            turn = np.exp(1j * theta)
+            got_q, got_dq = bd.q_field(basis, turn * z), bd.dq_dz_field(basis, turn * z)
+            lam = got_q.transpose(1, 0, 2).reshape(basis.dimension, -1)[at] / rows[at]
+            assert np.abs(np.abs(lam) - 1.0).max() < 1e-14
+            for f, got in ((q, got_q), (dq / turn, got_dq)):
+                err = np.abs(got - lam[None, :, None] * f).max(axis=(0, 2))
+                assert (err <= 1e-13 * np.abs(f).max(axis=(0, 2))).all()
+
+    assert len(grid_p1.orbits.nodes) * 16 == len(grid_p1.nodes)
+    ps = bg.one_ps(np.diag([1.0, -1.0]))
+    assert don._orbit_grid(grid_p1, ps) is grid_p1.orbits
+    stale = dataclasses.replace(grid_p1, nodes=rng.normal(size=grid_p1.nodes.size) + 0j)
+    missing = dataclasses.replace(grid_p1, moment=None)
+    for grid in (stale, missing):
+        assert grid.orbits is grid
+        assert don._orbit_grid(grid, ps) is grid

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,67 @@ def test_m1_curve_keeps_the_callers_order(grid_p1):
     assert np.array_equal(with_zero, [0.0, forward[1], 0.0, forward[0]])
     with pytest.raises(ValueError, match="nonnegative"):
         don.m1_curve(basis, grid_p1, ps, [1.0, -0.5])
+
+
+def orbit_case(name):
+    """(basis, ps, M2 times, M1 times) of a diagonal 1-PS: the paths of
+    criteria 2-4, split(0,1,2) with a generic diagonal generator and the
+    k = 36 path of the level sweep."""
+    if name == "criterion-2":
+        basis, ps = line_pair()
+        return basis, ps, np.concatenate([[0.5, 1.0, 2.0, 5.0, 10.0], np.linspace(1.0, 10.0, 10)]), [1.0, 5.0]
+    if name in ("criterion-3", "criterion-4"):
+        basis, ps = catalog_pair()
+        return basis, ps, np.linspace(1.25, 15.0, 12), np.linspace(1.5, 15.0, 10)
+    if name == "criterion-4-trivial":
+        basis = bd.section_basis(bd.split(0), 2, orthonormal=False)
+        return basis, bg.one_ps(np.diag([0.5, -1.0, 0.5])), [2.0, 20.0], np.linspace(0.0, 20.0, 9)
+    if name == "split012-generic":
+        basis = bd.section_basis(bd.split(0, 1, 2), 2)
+        lam = np.random.default_rng(21).normal(size=basis.dimension)
+        ps = bg.one_ps(np.diag(lam - lam.mean()))
+        assert len(ps.weights) == basis.dimension
+        return basis, ps, [0.5, 3.0, 12.0], [0.5, 3.0]
+    basis = bd.section_basis(bd.split(0, 2), 36)
+    return basis, bg.two_step_one_ps(basis, [1], (37 / 39, -1.0)), np.linspace(1.25, 15.0, 6), [1.25, 4.0]
+
+
+# M1 on one node per orbit keeps the roundoff of each ring's integrand,
+# which the full grid averages over 32 angles: on the trivial-saturation
+# path (M1 <= 0.12) the two differ by 2.1e-13 of M1; at k = 36 the rates,
+# whose Schur complement c - a* h^{-1} a cancels about 9 digits at the
+# outer rings, scatter by up to 1.4e-12 about the exact -148/39 over the
+# choice of node per ring, and by 1.7e-13 on the full grid
+M1_TOL = {"criterion-4-trivial": 5e-13, "level-sweep-k36": 4e-12}
+
+
+@pytest.mark.parametrize("name", ["criterion-2", "criterion-3", "criterion-4", "criterion-4-trivial",
+                                  "split012-generic", "level-sweep-k36"])
+def test_orbits_match_the_full_grid(name, grid_p1_fine):
+    """Along a diagonal 1-PS, M2 and M1 on one node per torus orbit agree
+    with the whole grid (no moment, so no reduction) to roundoff, and
+    they are what m2_along_path, m1_curve and m1_rate give on the grid."""
+    basis, ps, ts, ts_m1 = orbit_case(name)
+    orbits = grid_p1_fine.orbits
+    full = dataclasses.replace(grid_p1_fine, moment=None)
+    assert len(orbits.nodes) == len(grid_p1_fine.nodes) // 32 and full.orbits is full
+    tol = M1_TOL.get(name, 1e-13)
+
+    def rel(a, b):
+        return np.abs(np.asarray(a) - b).max() / np.abs(b).max()
+
+    m2 = don.m2_along_path(basis, orbits, ps, ts)
+    assert rel(m2, don.m2_along_path(basis, full, ps, ts)) <= 1e-13
+    assert m2.tobytes() == don.m2_along_path(basis, grid_p1_fine, ps, ts).tobytes()
+    if name.startswith("criterion-4"):
+        m1 = don.m1_curve(basis, orbits, ps, ts_m1, n_path=64)
+        assert rel(m1, don.m1_curve(basis, full, ps, ts_m1, n_path=64)) <= tol
+        assert m1.tobytes() == don.m1_curve(basis, grid_p1_fine, ps, ts_m1, n_path=64).tobytes()
+    rates = [don.m1_rate(basis, orbits, ps, t) for t in ts_m1]
+    assert rel(rates, [don.m1_rate(basis, full, ps, t) for t in ts_m1]) <= tol
+    assert rates == [don.m1_rate(basis, grid_p1_fine, ps, t) for t in ts_m1]
+    if name == "level-sweep-k36":  # each summand's block is constant along the path
+        assert rel(rates, -148 / 39) <= tol
 
 
 def test_curvature_requires_p1(grid_p2):

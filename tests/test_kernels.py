@@ -168,21 +168,28 @@ def counted(calls, name, fn):
     return wrapper
 
 
+def node_blocks(grid):
+    """The number of node blocks of a grid and the size of each."""
+    m = grid.nodes.size
+    return -(-m // kernels.BLOCK), [min(kernels.BLOCK, m - start) for start in range(0, m, kernels.BLOCK)]
+
+
 def test_m2_along_path_work_shape(grid_p1, monkeypatch, rng):
-    """Chart values once and one Gram product per weight per node block,
-    however many times are sampled.  Each Gram reduces a (K_d, r, B)
-    stack in a GEMM frame, and a (K_d, 1, B) one for a two-step 1-PS of
-    O(0)+O(2), whose weight groups are each one summand's sections."""
+    """Chart values once and one Gram product per weight per node block
+    of the nodes integrated over, however many times are sampled: the
+    whole grid in a GEMM frame, one node per torus orbit for the diagonal
+    two-step 1-PS.  Each Gram reduces a (K_d, r, B) stack in a GEMM frame,
+    and a (K_d, 1, B) one for a two-step 1-PS of O(0)+O(2), whose weight
+    groups are each one summand's sections."""
     basis = bd.section_basis(bd.split(0, 2), 3)
-    n_blocks = -(-grid_p1.nodes.size // kernels.BLOCK)
-    sizes = [min(kernels.BLOCK, grid_p1.nodes.size - start) for start in range(0, grid_p1.nodes.size, kernels.BLOCK)]
     calls = {"q_field": 0, "gram": 0}
     shapes = []
     gram = kernels.gram
     monkeypatch.setattr(bd, "q_field", counted(calls, "q_field", bd.q_field))
     monkeypatch.setattr(kernels, "gram", counted(calls, "gram", lambda x: shapes.append(x.shape) or gram(x)))
-    for ps, width in ((weight_kind_ps("three", basis.dimension, rng), basis.rank),
-                      (bg.two_step_one_ps(basis, [1], (4 / 6, -1.0)), 1)):
+    for ps, width, grid in ((weight_kind_ps("three", basis.dimension, rng), basis.rank, grid_p1),
+                            (bg.two_step_one_ps(basis, [1], (4 / 6, -1.0)), 1, grid_p1.orbits)):
+        n_blocks, sizes = node_blocks(grid)
         for ts in ([1.0], np.linspace(0.5, 12.0, 24)):
             calls.update(q_field=0, gram=0)
             shapes.clear()
@@ -367,7 +374,9 @@ def test_narrow_groups_match_the_dense_algorithm(name, k, grid_p1, grid_p2, rng)
         on_block[bg._block(c)] = True
     assert np.isfinite(h).all() and not h[:, ~on_block].any()
     ts = np.array([0.5, 3.0, 12.0])
-    assert don.m2_along_path(basis, grid, ps, ts).tobytes() == dense_m2(basis, grid, ps, ts).tobytes()
+    # a diagonal 1-PS on P^1 integrates M2 over one node per torus orbit
+    m2_grid = grid.orbits if name not in ("T_P2", "gemm") else grid
+    assert don.m2_along_path(basis, grid, ps, ts).tobytes() == dense_m2(basis, m2_grid, ps, ts).tobytes()
     if name == "T_P2":
         return  # the jets are implemented on P^1 only
     got = don._path_jets(basis, grid, frame, ps.slices)
@@ -454,10 +463,10 @@ def test_m1_curve_work_shape(grid_p1, monkeypatch, rng):
     the number of Gauss nodes, one rate per Gauss node, and no H(t).  The
     held jets are one compact stack per column block: (1, 3, 1, 1, B) for
     each of the two summands of O(0)+O(2) along a two-step 1-PS, and one
-    (D, 3, 2, 2, B) stack in a GEMM frame."""
+    (D, 3, 2, 2, B) stack in a GEMM frame.  Node blocks are those of the
+    nodes integrated over: one node per torus orbit for the diagonal
+    two-step 1-PS, the whole grid in a GEMM frame."""
     basis = bd.section_basis(bd.split(0, 2), 3)
-    n_blocks = -(-grid_p1.nodes.size // kernels.BLOCK)
-    sizes = [min(kernels.BLOCK, grid_p1.nodes.size - start) for start in range(0, grid_p1.nodes.size, kernels.BLOCK)]
     calls = {"q_field": 0, "dq_dz_field": 0, "m1_rate": 0, "form_at": 0}
     held = []
     path_jets = don._path_jets
@@ -466,15 +475,17 @@ def test_m1_curve_work_shape(grid_p1, monkeypatch, rng):
     monkeypatch.setattr(don, "m1_rate", counted(calls, "m1_rate", don.m1_rate))
     monkeypatch.setattr(bg.OnePS, "form_at", counted(calls, "form_at", bg.OnePS.form_at))
     monkeypatch.setattr(don, "_path_jets", lambda *args: held.append(path_jets(*args)) or held[-1])
-    for ps, layout in ((weight_kind_ps("three", basis.dimension, rng), [(3, 3, 2, 2)]),
-                       (bg.two_step_one_ps(basis, [1], (4 / 6, -1.0)), [(1, 3, 1, 1)] * 2),
-                       (bg.random_two_weight_ps(basis.dimension, rng), [(2, 3, 2, 2)])):
+    for ps, layout, grid in ((weight_kind_ps("three", basis.dimension, rng), [(3, 3, 2, 2)], grid_p1),
+                             (bg.two_step_one_ps(basis, [1], (4 / 6, -1.0)), [(1, 3, 1, 1)] * 2, grid_p1.orbits),
+                             (bg.random_two_weight_ps(basis.dimension, rng), [(2, 3, 2, 2)], grid_p1)):
+        n_blocks, sizes = node_blocks(grid)
         for ts, n_path, n_gauss in (([2.0], 4, 4), ([1.0, 3.0], 24, 24)):
             calls.update(q_field=0, dq_dz_field=0, m1_rate=0, form_at=0)
             held.clear()
             don.m1_curve(basis, grid_p1, ps, ts, n_path=n_path)
             assert calls == {"q_field": n_blocks, "dq_dz_field": n_blocks, "m1_rate": n_gauss, "form_at": 0}
             [jets] = held
+            assert jets.grid is grid
             assert [[s.shape for s in stacks] for _, stacks in jets.stacks] == \
                 [[shape + (b,) for shape in layout] for b in sizes]
 
@@ -505,6 +516,22 @@ def test_b_matrix_p_field_and_m2_value(split_basis, grid, rng):
     ld0 = np.linalg.slogdet(h_ref(q))[1]
     m2 = grid.integrate(np.linalg.slogdet(h)[1] - ld0) / grid.volume
     assert rel(bl.m2_value(split_basis, grid, H), m2) < TOL
+
+
+@pytest.mark.parametrize("bundle, k", [(bd.split(0, 1, 2), 2), (bd.split(-1, 0, 1, 3), 1)],
+                         ids=["split012", "split-1013"])
+def test_p_field_beyond_rank_two(bundle, k, coarse, rng):
+    """Y = Q W* reads the whole lower triangle of W, which only a fibre
+    rank of three or more shows: at rank two the row W[1, :2] is the
+    whole triangle below the diagonal."""
+    basis = bd.section_basis(bundle, k)
+    H = positive_form(basis.dimension, rng)
+    q = bd.q_field(basis, coarse.nodes)
+    h = herm(sandwich(q, H, q))
+    p = np.einsum("mni,mij,mkj->mnk", q, np.linalg.inv(h), q.conj())
+    b, _, wh = bl._b_matrix(basis, coarse, H)
+    assert rel(kernels.p_field(q.transpose(1, 2, 0), wh), p.transpose(1, 2, 0)) < TOL
+    assert rel(b, herm(np.einsum("m,mnk->nk", coarse.weights / coarse.volume, p))) < TOL
 
 
 def test_lm_b_derivatives(grid, rng):

@@ -68,3 +68,30 @@ def test_refinement_converges():
     a = coarse.integrate(f(coarse.nodes))
     b = fine.integrate(f(fine.nodes))
     assert a == pytest.approx(b, rel=1e-7)
+
+
+@pytest.mark.parametrize("grid, per_orbit", [
+    (build_grid_p1(), 32), (build_grid_p1(n_radial=6, n_angular=16, depth=12), 16),
+    (build_grid_p2(n_simplex=4, n_angular=8, depth=5), 64),
+], ids=["p1-default", "p1-light", "p2"])
+def test_orbits_keep_one_node_per_ring(grid, per_orbit):
+    """The quotient keeps the first node of each ring with the ring's
+    total weight, maps it back to its index in the grid, is computed
+    once, and integrates a torus-invariant function as the grid does."""
+    orbits = grid.orbits
+    assert orbits is grid.orbits and orbits.orbits is orbits and grid.parent is None
+    assert np.array_equal(orbits.parent, np.arange(0, len(grid.nodes), per_orbit))
+    assert np.array_equal(orbits.nodes, grid.nodes[orbits.parent])
+    assert np.array_equal(orbits.moment, grid.moment[orbits.parent])
+    assert orbits.weights == pytest.approx(grid.weights.reshape(-1, per_orbit).sum(axis=1), rel=1e-15)
+    assert orbits.volume == grid.volume
+    assert orbits.weights.sum() == pytest.approx(grid.volume, rel=1e-14)
+    s = (np.abs(grid.nodes) ** 2).reshape(len(grid.nodes), -1).sum(axis=1)
+    s_orbits = s[orbits.parent]
+    for f in (lambda s: (1.0 + s) ** -3, lambda s: np.log1p(s) / (1.0 + s)):
+        assert orbits.integrate(f(s_orbits)) == pytest.approx(grid.integrate(f(s)), rel=1e-14)
+
+
+def test_nonfinite_integrand_names_the_node_of_the_full_grid():
+    err = NonFiniteIntegrand(3).at(96)
+    assert type(err) is NonFiniteIntegrand and err.index == 96 and "96" in str(err)

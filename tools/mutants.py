@@ -1,0 +1,116 @@
+"""Mutation check: does tier-1 or `bml verify` catch each bug of a list?
+
+    python3 tools/mutants.py [NAME ...]
+
+Run from the repository root.  Each mutant is one edit (file, old text,
+new text) whose old text must occur exactly once in the file.  Per
+mutant, the repository (without .git and caches) is copied to a
+temporary directory, the edit is applied there, and `bml verify` and
+tier-1 (`python -m pytest`, stopping at the first failure) run in the
+copy with one BLAS thread.  A mutant that both pass *survives*: no check
+sees that bug.  The script prints one line per mutant, lists the
+survivors and exits with status 1 if there are any.  Tier-1 does not run
+it (about 25 s per mutant); a survivor calls for a new test, never for a
+looser bound.  NAME arguments select mutants by name.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 900
+
+# (name, file, old text, new text)
+MUTANTS = (
+    ("whiten-identity", "src/bml/kernels.py",
+     "        w[i, i] = 1.0 / l[i, i]\n    return w, l\n",
+     "        w[i, i] = 1.0 / l[i, i]\n"
+     "    return np.eye(len(w)).reshape(w.shape[:2] + (1,) * (w.ndim - 2)) + 0 * w, l\n"),
+    ("orbits-for-any-1ps", "src/bml/donaldson.py",
+     'return grid.orbits if ps.rows is not None and grid.space_tag == "P1" else grid',
+     'return grid.orbits if grid.space_tag == "P1" else grid'),
+    ("orbit-weights-not-summed", "src/bml/quadrature.py",
+     "weights=np.add.reduceat(self.weights, starts),",
+     "weights=self.weights[starts],"),
+    ("pair-without-conj", "src/bml/kernels.py",
+     "    xc = x.conj()\n",
+     "    xc = x\n"),
+    ("curvature-fs-sign", "src/bml/donaldson.py",
+     "        k[i, i] -= fs\n",
+     "        k[i, i] += fs\n"),
+    ("p-root-transposed-w", "src/bml/kernels.py",
+     "y[:, i] += w[i, j].conj() * q[:, j]",
+     "y[:, i] += w[j, i].conj() * q[:, j]"),
+    ("block-logdet-in-block-order", "src/bml/kernels.py",
+     "for b, p in _places(columns, sum(map(len, hs))))",
+     "for b in range(len(ls)) for p in range(len(ls[b])))"),
+    ("commutator-unshifted", "src/bml/bergman.py",
+     "np.exp((ps.eigenvalues - ps.weights[0]) * t)",
+     "np.exp(ps.eigenvalues * t)"),
+)
+
+ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
+       "PYTHONDONTWRITEBYTECODE": "1"}
+
+
+def apply(copy: Path, file: str, old: str, new: str) -> None:
+    path = copy / file
+    text = path.read_text()
+    if text.count(old) != 1:
+        raise SystemExit(f"{file}: the old text occurs {text.count(old)} times, not once:\n{old}")
+    path.write_text(text.replace(old, new))
+
+
+def first_failure(output: str) -> str:
+    for line in output.splitlines():
+        if line.startswith(("FAILED", "ERROR")):
+            return line
+    return output.strip().splitlines()[-1] if output.strip() else "no output"
+
+
+def run(copy: Path) -> str | None:
+    """What kills the mutant in ``copy``, or None if it survives."""
+    env = {**os.environ, **ENV, "PYTHONPATH": str(copy / "src")}
+    verify = subprocess.run(
+        [sys.executable, "-m", "bml.cli", "verify", "--out", str(copy / "verify-out")],
+        cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+    if verify.returncode != 0:
+        failed = [line for line in verify.stdout.splitlines() if "[FAIL]" in line]
+        return "bml verify: " + (failed[0] if failed else first_failure(verify.stdout + verify.stderr))
+    tests = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         "--continue-on-collection-errors"],
+        cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+    if tests.returncode != 0:
+        return "tier-1: " + first_failure(tests.stdout)
+    return None
+
+
+def main(argv: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not argv or m[0] in argv]
+    unknown = set(argv) - {m[0] for m in MUTANTS}
+    if unknown:
+        raise SystemExit(f"unknown mutants: {sorted(unknown)}")
+    survivors = []
+    for name, file, old, new in chosen:
+        with tempfile.TemporaryDirectory(prefix="bml-mutant-") as tmp:
+            copy = Path(tmp) / "repo"
+            shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
+                ".git", "__pycache__", ".pytest_cache", ".hypothesis", "verify.json"))
+            apply(copy, file, old, new)
+            killed = run(copy)
+        print(f"{name}: {'SURVIVED' if killed is None else 'killed by ' + killed}", flush=True)
+        if killed is None:
+            survivors.append(name)
+    print(f"survivors: {', '.join(survivors) if survivors else 'none'}")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
