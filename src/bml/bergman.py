@@ -18,7 +18,10 @@ assembled and nothing is inverted.  V* Q(x) is formed once per call
 real, A* u^2 A = (uA)* (uA): the Gram of the 1-jet J = [A | uA] holds
 all three moment matrices as its blocks (`_jet_gram`).  `OnePS.form_at`,
 which does assemble the form, loses positivity to roundoff once
-e^{2 spread t} nears 1/eps; the factor does not.
+e^{2 spread t} nears 1/eps; the factor does not.  On a node block of
+the chart, `_groups` gives donaldson the weight groups of V* Q over
+every fibre column: rows of the chart itself for a permutation frame,
+one GEMM otherwise.
 """
 
 from __future__ import annotations
@@ -131,52 +134,16 @@ def _rotate(rotation: np.ndarray, q: np.ndarray) -> np.ndarray:
     return q[rotation] if rotation.ndim == 1 else kernels.act(rotation, q)
 
 
-def _columns(basis: SectionBasis, rotation: np.ndarray, slices) -> list:
-    """Per row group ``slices`` of rotation Q, the fibre columns it can be
-    nonzero in: for an index array (OnePS.rows) bundles.columns of its
-    rows, a slice where they are consecutive; for a matrix, whose rows mix
-    the sections, every column."""
+def _groups(rotation: np.ndarray, slices, q: np.ndarray) -> list:
+    """The row groups ``slices`` of rotation Q, one (K_d, r, B) stack
+    each, for a node-last chart block q, over every fibre column: for an
+    index array (OnePS.rows) q at the bundles.selector of rotation[s], a
+    view where those rows are consecutive; for a matrix a row slice of
+    one GEMM."""
     if rotation.ndim == 1:
-        return [bundles.columns(basis, rotation[s]) for s in slices]
-    return [slice(None)] * len(slices)
-
-
-def _column_blocks(basis: SectionBasis, rotation: np.ndarray, slices) -> list:
-    """The fibre column blocks of the row groups ``slices`` of rotation Q:
-    the connected components of the groups' column sets (_columns), in
-    the order of their first column, each as (columns, groups), the
-    bundles.selector of its columns and the ascending indices of the
-    groups whose columns lie in it.  Every per-node value summed from the
-    groups is block-diagonal along them.  Two summands of a split bundle
-    are two blocks when no group holds sections of both; a group spanning
-    several columns (a T_P2 first-slot group) joins them, and a matrix
-    gives one block of every column."""
-    cols = [np.arange(basis.rank)[c].tolist() for c in _columns(basis, rotation, slices)]
-    label = list(range(basis.rank))  # each column's smallest connected column
-    for c in cols:
-        joined = {label[j] for j in c}
-        label = [min(joined) if v in joined else v for v in label]
-    return [(bundles.selector(np.flatnonzero(np.equal(label, v))),
-             [d for d, c in enumerate(cols) if label[c[0]] == v]) for v in sorted(set(label))]
-
-
-def _groups(rotation: np.ndarray, slices, q: np.ndarray, blocks) -> list:
-    """Per column block of ``blocks`` (from _column_blocks), its row
-    groups of rotation Q, one (K_d, r_b, B) stack each, for a node-last
-    chart block q read at the block's columns: for an index array
-    (OnePS.rows) q at the bundles.selector of rotation[s], a view where
-    rows and columns are consecutive; for a matrix a row slice of one
-    GEMM."""
-    if rotation.ndim == 1:
-        return [[q[bundles.selector(rotation[slices[d]])][:, c] for d in groups] for c, groups in blocks]
+        return [q[bundles.selector(rotation[s])] for s in slices]
     vq = kernels.act(rotation, q)
-    return [[vq[slices[d]][:, c] for d in groups] for c, groups in blocks]
-
-
-def _block(cols):
-    """The index of the cols x cols block of an (r, r, ...) stack, cols a
-    slice or an index array from _column_blocks."""
-    return np.ix_(cols, cols) if isinstance(cols, np.ndarray) else (cols, cols)
+    return [vq[s] for s in slices]
 
 
 def one_ps(zeta: np.ndarray) -> OnePS:

@@ -47,8 +47,7 @@ class SectionBasis:
     (0,); the optional orthonormalization makes the basis L2-orthonormal
     for the standard Fubini-Study metric, so H = identity is the
     symmetric configuration.  T_P2: see _euler_basis.  Only this module
-    reads ``data``; a summand's rows come from `summand_rows`, and the
-    fibre columns a set of rows can be nonzero in from `columns`."""
+    reads ``data``; a summand's rows come from `summand_rows`."""
 
     bundle: xs.SheafData
     level: int
@@ -159,16 +158,6 @@ def selector(idx: np.ndarray):
     if np.array_equal(idx, np.arange(start, start + len(idx))):
         return slice(start, start + len(idx))
     return idx
-
-
-def columns(basis: SectionBasis, rows: np.ndarray):
-    """The fibre columns in which the section rows ``rows`` can be nonzero,
-    in Q and in dQ/dz alike: those of every run that holds one of the
-    rows, ascending, as a `selector`."""
-    held = np.zeros((basis.dimension, basis.rank), dtype=bool)
-    for offset, coeffs, _, col in basis.data:
-        held[offset : offset + coeffs.size, col] = True
-    return selector(np.flatnonzero(held[rows].any(axis=0)))
 
 
 def q_field(basis: SectionBasis, nodes: np.ndarray) -> np.ndarray:

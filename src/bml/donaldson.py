@@ -21,8 +21,10 @@ computed in exactsheaf, which is what the slope-fit helpers verify.
 Along a diagonal 1-PS on P^1 (the Bergman 1-PS of a filtration of a split
 bundle) every pointwise term of M2 and M1 depends on |z| alone, so
 m2_along_path, m1_curve and m1_rate integrate over one node per torus
-orbit of the grid (_orbit_grid); curvature_field, a per-node field, and
-every other 1-PS or space keep the whole grid.
+orbit of the grid (_orbit_grid).  The curvature of a diagonal form on
+P^1, such as every form of such a path, is computed there too and
+repeated over each ring.  Every other 1-PS or form, and P^2, keep the
+whole grid.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import bundles, kernels
-from .bergman import HermitianForm, OnePS, _block, _column_blocks, _frame, _groups
+from .bergman import HermitianForm, OnePS, _frame, _groups
 from .bundles import SectionBasis
 from .quadrature import NonFiniteIntegrand, QuadratureGrid
 
@@ -44,19 +46,21 @@ class InsufficientSamples(ValueError):
     pass
 
 
-def _orbit_grid(grid: QuadratureGrid, ps: OnePS) -> QuadratureGrid:
-    """The node set the integrals along ps run on.  A diagonal 1-PS
-    (OnePS.rows set) has H(t) diagonal in the chart basis.  On P^1 each
+def _orbit_grid(grid: QuadratureGrid, frame: np.ndarray) -> QuadratureGrid:
+    """The node set that the integrals and fields of forms with the
+    eigenframe ``frame`` (bergman._frame) run on.  A row index (OnePS.rows
+    of a diagonal 1-PS, or the sorted rows of a diagonal form) means each
+    form H(t) is diagonal in the chart basis.  On P^1 each
     section is a monomial c z^m, so Q(e^{i theta} z) = Lambda Q(z) and
     dQ/dz(e^{i theta} z) = e^{-i theta} Lambda dQ/dz(z) for a diagonal
     unitary Lambda(theta), which commutes with H(t): h, c and a* h^{-1} a,
-    and with them the M2 and M1 integrands, are functions of |z|, and the
-    torus-orbit quotient grid.orbits integrates them over one node per
-    ring.  Any other 1-PS, and P^2, run on grid: there a diagonal
-    generator's M2 integrand on mixed columns spreads between the nodes of
-    one orbit well above roundoff at large t, and the full grid averages
-    that spread."""
-    return grid.orbits if ps.rows is not None and grid.space_tag == "P1" else grid
+    and with them the M2 and M1 integrands and the curvature, are
+    functions of |z|, and the torus-orbit quotient grid.orbits holds one
+    node per ring.  A frame matrix runs on grid, and so does P^2, where a
+    diagonal generator's M2 integrand on mixed columns spreads between the
+    nodes of one orbit well above roundoff at large t, and the full grid
+    averages that spread."""
+    return grid.orbits if frame.ndim == 1 and grid.space_tag == "P1" else grid
 
 
 @contextmanager
@@ -87,40 +91,29 @@ def m2_along_path(
 
         h(t) = sum_d e^{2 w_d t} G_d,    h_ref = Q*Q = sum_d G_d
 
-    (V is unitary).  Every G_d vanishes outside the column blocks of
-    _column_blocks, so h is block-diagonal along them and each block is
-    formed and factored alone.  Per block of the chart, which arrives
-    node-last from `bundles.q_field`, the weight groups V_d* Q of a
-    column block are read by _groups at its columns: for a permutation
-    frame (that of every diagonal generator, OnePS.rows) selectors of
-    the chart's own rows, a view where rows and columns are consecutive;
-    any other frame costs one GEMM and is one block of every column.  A
-    weight group of a two-step 1-PS of a split bundle is one summand's
-    sections, alone in its block, so its Gram is one entry.  Every h(t_j)
-    of a column block, with h_ref as t_0 = 0, comes from the table
-    e^{2 w_d t_j} of its groups in one GEMM per matrix entry; one Cholesky
-    pass per block gives the log L_jj at all times, summed in column
-    order (kernels.block_logdet).  Each G_d is bounded by h_ref, so a
-    block overflows only where the reference or a path metric does:
-    NonFiniteChart names it, by its index in ``grid``.  For a diagonal
-    1-PS on P^1 the nodes are those of grid.orbits (_orbit_grid).
+    (V is unitary).  Per block of the chart, which arrives node-last from
+    `bundles.q_field`, the weight groups V_d* Q are read by _groups: for a
+    permutation frame (that of every diagonal generator, OnePS.rows)
+    selectors of the chart's own rows, a view where they are consecutive;
+    any other frame costs one GEMM.  Every h(t_j), with h_ref as t_0 = 0,
+    comes from the table e^{2 w_d t_j} in one GEMM per matrix entry, and
+    one Cholesky pass gives all their log-dets.  Each G_d is bounded by
+    h_ref, so a block overflows only where the reference or a path metric
+    does: NonFiniteChart names it, by its index in ``grid``.  For a
+    diagonal 1-PS on P^1 the nodes are those of grid.orbits (_orbit_grid).
     """
-    grid = _orbit_grid(grid, ps)
+    frame = _frame(ps)
+    grid = _orbit_grid(grid, frame)
     times = np.concatenate([[0.0], np.asarray(ts, dtype=float).ravel()])
     with np.errstate(over="ignore"):
         table = np.exp(2.0 * np.outer(ps.weights, times))
-    frame = _frame(ps)
-    blocks = _column_blocks(basis, frame, ps.slices)
-    tables = [table[ds].T for _, ds in blocks]
     vals = np.empty((len(times), len(grid.nodes)))
     with _full_grid_names(grid):
         for sl, q in kernels.blocks(basis, grid.nodes):
-            hs = []
-            for t_b, groups in zip(tables, _groups(frame, ps.slices, q, blocks)):
-                grams = np.stack([kernels.gram(b) for b in groups], axis=2)  # (r_b, r_b, D_b, B)
-                with np.errstate(over="ignore", invalid="ignore"):
-                    hs.append(t_b @ grams)  # (r_b, r_b, T+1, B)
-            vals[:, sl] = kernels.block_logdet(kernels.finite(hs, grid.nodes, sl), [c for c, _ in blocks])
+            grams = np.stack([kernels.gram(b) for b in _groups(frame, ps.slices, q)], axis=2)
+            with np.errstate(over="ignore", invalid="ignore"):
+                h = table.T @ grams  # (r, r, T+1, B)
+            vals[:, sl] = kernels.logdet(kernels.finite(h, grid.nodes, sl))
         return np.asarray([grid.integrate(v - vals[0]) / grid.volume for v in vals[1:]])
 
 
@@ -144,14 +137,14 @@ def curvature_field(
     """Chern curvature density of the honest metric, shape (M, r, r), in
     closed form from the holomorphic derivatives of Q (see _curvature_frame).
 
-    h, a and c are combined from the jet blocks of _path_jets, one column
-    block at a time, as m1_rate combines them.  A diagonal form (that of
-    every diagonal 1-PS, OnePS.form_at) is a permutation frame: its rows
-    stable-sorted by value, one group per value, each group's blocks
-    weighted by that value, with no eigh and no GEMM.  Any other form
-    H = V Lambda V* is one group of the square root F = Lambda^{1/2} V*
-    (F*F = H), one block of every column.  The curvature vanishes off the
-    column blocks.
+    h, a and c are combined from the jet blocks of _path_jets, as m1_rate
+    combines them.  A diagonal form (that of every diagonal 1-PS,
+    OnePS.form_at) is a permutation frame: its rows stable-sorted by
+    value, one group per value, each group's blocks weighted by that
+    value, with no eigh and no GEMM.  On P^1 its curvature is a function
+    of |z|: it is computed on grid.orbits (_orbit_grid) and repeated over
+    each ring.  Any other form H = V Lambda V* is one group of the square
+    root F = Lambda^{1/2} V* (F*F = H), on every node of ``grid``.
 
     Normalized as a density against the quadrature measure:
     grid.integrate(trace of the result) equals the degree of E.
@@ -167,13 +160,15 @@ def curvature_field(
     else:
         lam, v = np.linalg.eigh(m)
         rotation, slices, weights = np.sqrt(lam)[:, None] * v.conj().T, (slice(None),), np.ones(1)
-    jets = _path_jets(basis, grid, rotation, slices)
-    f_t = np.zeros((basis.rank, basis.rank, len(grid.nodes)), dtype=complex)
-    for sl, stacks in jets.stacks:
-        twist = jets.twist[sl]
-        frames = _frames(basis.level / twist, jets.blocks, stacks, weights, grid.nodes, sl)
-        for (c, _), (w, l, k) in zip(jets.blocks, frames):
-            f_t[_block(c) + (sl,)] = kernels.mul(kernels.mul(kernels.ct(w), k), kernels.ct(l)) * twist
+    jets = _path_jets(basis, _orbit_grid(grid, rotation), rotation, slices)
+    f_t = np.empty((basis.rank, basis.rank, len(jets.grid.nodes)), dtype=complex)
+    with _full_grid_names(jets.grid):
+        for sl, stack in jets.stacks:
+            twist = jets.twist[sl]
+            w, l, k = _frame_block(basis.level / twist, stack, weights, jets.grid.nodes, sl)
+            f_t[..., sl] = kernels.mul(kernels.mul(kernels.ct(w), k), kernels.ct(l)) * twist
+    if jets.grid is not grid:  # one node per ring: repeat it over the ring
+        f_t = np.repeat(f_t, np.diff(jets.grid.parent, append=len(grid.nodes)), axis=-1)
     return f_t.transpose(2, 1, 0)
 
 
@@ -191,8 +186,6 @@ def _curvature_frame(fs, h, a, c):
         K = W S W* - fs,    S = c - (W a)* (W a),    pi F^T = W* K L*,
 
     so no inverse of h is formed and (h^T)^{-1} = conj(W* W) exactly.
-    On a column block of a block-diagonal h, a and c it is the block of
-    each factor.
     """
     w, l = kernels.whiten(h)
     wa = kernels.mul(w, a)
@@ -209,26 +202,22 @@ def _curvature_frame(fs, h, a, c):
 @dataclass(frozen=True)
 class _Jets:
     """The 1-jet blocks of _path_jets: the number of weight groups they
-    were formed for, the column blocks (columns, groups) of
-    _column_blocks, the grid whose nodes they were formed on,
-    (1 + |z|^2)^2 at every node, and per node block (slice, stacks), one
-    (D_b, 3, r_b, r_b, B) stack per column block holding G_d, A_d, C_d of
-    its D_b groups at its r_b columns, node index last."""
+    were formed for, the grid whose nodes they were formed on,
+    (1 + |z|^2)^2 at every node, and per node block (slice, stack), the
+    (D, 3, r, r, B) stack holding G_d, A_d, C_d of the D groups, node
+    index last."""
 
     n_weights: int
-    blocks: list
     grid: QuadratureGrid
     twist: np.ndarray
     stacks: list
 
 
 def _path_jets(basis: SectionBasis, grid: QuadratureGrid, rotation, slices) -> _Jets:
-    """The per-weight 1-jet blocks of the chart, per node block and per
-    column block, for the rows ``slices`` of a ``rotation`` R, a matrix
-    or a row index, read as by _groups: for a row index, selectors of the
-    rows of Q and dQ/dz themselves at the columns of their column block
-    (_column_blocks); for a matrix, row slices of one GEMM each over every
-    column, one block.
+    """The per-weight 1-jet blocks of the chart, per node block, for the
+    rows ``slices`` of a ``rotation`` R, a matrix or a row index, read as
+    by _groups: for a row index, selectors of the rows of Q and dQ/dz
+    themselves; for a matrix, row slices of one GEMM each.
 
     Along a 1-PS R = V* and the slices are its weight groups: with V_d
     the eigenvectors of weight w_d, B_d = V_d* Q and D_d = V_d* dQ/dz,
@@ -238,44 +227,33 @@ def _path_jets(basis: SectionBasis, grid: QuadratureGrid, rotation, slices) -> _
         h = sum_d e^{2 w_d t} G_d,   hdot = sum_d 2 w_d e^{2 w_d t} G_d,
         a = sum_d e^{2 w_d t} A_d,   c = sum_d e^{2 w_d t} C_d.
 
-    Each vanishes outside the column blocks, which are held compact: a
-    two-step 1-PS of O(0)+O(2) holds two (1, 3, 1, 1, B) stacks per node
-    block, where r x r stacks would be three quarters zeros.  G_d and C_d
-    are kernels.gram blocks.
+    G_d and C_d are kernels.gram blocks.  The nodes are those of
+    ``grid``; the callers choose it with _orbit_grid.
     """
     if grid.space_tag != "P1":
         raise NotImplementedError("curvature implemented on the P1 catalog")
-    z = grid.nodes
-    blocks = _column_blocks(basis, rotation, slices)
+    z, r = grid.nodes, basis.rank
     stacks = []
     for sl, q in kernels.blocks(basis, z):
         dq = kernels.node_last(bundles.dq_dz_field(basis, z[sl]))
-        per_block = zip(_groups(rotation, slices, q, blocks), _groups(rotation, slices, dq, blocks))
+        groups = zip(_groups(rotation, slices, q), _groups(rotation, slices, dq))
         del dq  # a GEMM frame holds only its product
-        held = []
-        for bs, dbs in per_block:
-            r_b = bs[0].shape[1]
-            stack = np.empty((len(bs), 3, r_b, r_b, q.shape[-1]), dtype=complex)
-            for i, (b, db) in enumerate(zip(bs, dbs)):
-                stack[i, 0] = kernels.gram(b)
-                stack[i, 1] = kernels.pair(b, db)
-                stack[i, 2] = kernels.gram(db)
-            held.append(stack)
-        stacks.append((sl, held))
-    return _Jets(len(slices), blocks, grid, (1.0 + np.abs(z) ** 2) ** 2, stacks)
+        stack = np.empty((len(slices), 3, r, r, q.shape[-1]), dtype=complex)
+        for i, (b, db) in enumerate(groups):
+            stack[i] = kernels.gram(b), kernels.pair(b, db), kernels.gram(db)
+        stacks.append((sl, stack))
+    return _Jets(len(slices), grid, (1.0 + np.abs(z) ** 2) ** 2, stacks)
 
 
-def _frames(fs, blocks, stacks, e, z, sl: slice) -> list:
-    """(W, L, K) of _curvature_frame per column block on one node block of
-    jets, for h, a and c = sum_d e_d (G_d, A_d, C_d), e the weights of
-    every group; NonFiniteChart names the first node where one of them
-    overflowed."""
-    hac = [_weighted(e[ds], s) for (_, ds), s in zip(blocks, stacks)]
-    return [_curvature_frame(fs, *x) for x in kernels.finite(hac, z, sl)]
+def _frame_block(fs, stack, e, z, sl: slice):
+    """(W, L, K) of _curvature_frame on one node block of jets, for h, a
+    and c = sum_d e_d (G_d, A_d, C_d); NonFiniteChart names the first node
+    where one of them overflowed."""
+    return _curvature_frame(fs, *kernels.finite(_weighted(e, stack), z, sl))
 
 
 def _weighted(e, stack):
-    """sum_d e_d stack[d]: one GEMM of e against the stack as a D_b-row
+    """sum_d e_d stack[d]: one GEMM of e against the stack as a D-row
     matrix."""
     with np.errstate(over="ignore", invalid="ignore"):
         return (e @ stack.reshape(len(stack), -1)).reshape(stack.shape[1:])
@@ -288,17 +266,18 @@ def m1_rate(
     int_X tr( g^{-1} dg/dt . F[g] ) on the honest metric g.
 
     ``jets`` holds the blocks of _path_jets when the caller keeps them;
-    per node block only a D-term combination and the whitened algebra
-    remain, once per column block of the jets.  The integral runs over
-    the grid the jets were formed on, jets.grid; without ``jets`` they
-    are formed on _orbit_grid, grid.orbits for a diagonal 1-PS on P^1 and
-    ``grid`` otherwise.  Since g^{-1} dg/dt = -(h^{-1} hdot)^T, the
-    integrand is -(1 + |z|^2)^2 tr(X K) with X = W hdot W* and K from
-    _curvature_frame, both block-diagonal.  Jets formed for another
-    number of weight groups than ps has are a ValueError.
+    per node block only a D-term combination and the whitened r x r
+    algebra remain.  The integral runs over the grid the jets were formed
+    on, jets.grid; without ``jets`` they are formed on _orbit_grid,
+    grid.orbits for a diagonal 1-PS on P^1 and ``grid`` otherwise.  Since
+    g^{-1} dg/dt = -(h^{-1} hdot)^T, the integrand is
+    -(1 + |z|^2)^2 tr(X K) with X = W hdot W* and K from
+    _curvature_frame.  Jets formed for another number of weight groups
+    than ps has are a ValueError.
     """
     if jets is None:
-        jets = _path_jets(basis, _orbit_grid(grid, ps), _frame(ps), ps.slices)
+        frame = _frame(ps)
+        jets = _path_jets(basis, _orbit_grid(grid, frame), frame, ps.slices)
     if jets.n_weights != len(ps.weights):
         raise ValueError(
             f"jets formed for {jets.n_weights} weight groups, but the 1-PS has {len(ps.weights)}"
@@ -310,13 +289,11 @@ def m1_rate(
     e_dot = 2.0 * weights * e
     integrand = np.empty(len(grid.nodes))
     with _full_grid_names(grid):
-        for sl, stacks in jets.stacks:
+        for sl, stack in jets.stacks:
             twist = jets.twist[sl]
-            frames = _frames(basis.level / twist, jets.blocks, stacks, e, grid.nodes, sl)
-            xs = [kernels.mul(kernels.mul(w, _weighted(e_dot[ds], s[:, 0])), kernels.ct(w))
-                  for (_, ds), s, (w, _, _) in zip(jets.blocks, stacks, frames)]
-            trace = kernels.trace_mul(xs, [k for _, _, k in frames], [c for c, _ in jets.blocks])
-            integrand[sl] = -twist * trace.real
+            w, _, k = _frame_block(basis.level / twist, stack, e, grid.nodes, sl)
+            x = kernels.mul(kernels.mul(w, _weighted(e_dot, stack[:, 0])), kernels.ct(w))
+            integrand[sl] = -twist * (x * k.transpose(1, 0, 2)).sum(axis=(0, 1)).real  # tr(X K)
         return grid.integrate(integrand)
 
 
@@ -338,7 +315,8 @@ def m1_curve(
     if (ts < 0).any():
         raise ValueError("path time must be nonnegative")
     x, w = np.polynomial.legendre.leggauss(max(4, n_path // max(1, len(np.unique(ts)))))
-    jets = _path_jets(basis, _orbit_grid(grid, ps), _frame(ps), ps.slices) if (ts > 0).any() else None
+    frame = _frame(ps)
+    jets = _path_jets(basis, _orbit_grid(grid, frame), frame, ps.slices) if (ts > 0).any() else None
     out = np.empty(len(ts))
     total = 0.0
     lo = 0.0

@@ -13,20 +13,15 @@ one GEMM (`act`); a weight group of a 1-PS is a row slice of that
 product.  When the frame of the 1-PS is a permutation (a diagonal
 generator) no product is formed: each weight group is a selector of the
 chart's own rows, a slice, and so a view, where those rows are
-consecutive, else their index array.  The fibre columns the groups can
-be nonzero in (`bundles.columns`) split into column blocks, along which
-every sum of their Grams is block-diagonal; each group is read only at
-the columns of its block, so that its Grams and pairs reduce no column
-of exact zeros.  A Gram x* x (`gram`) is reduced from its upper triangle
-in real arithmetic; `pair` forms x* y.  What is left per node is
-r_b x r_b algebra per column block (r x r in one block for a GEMM
-frame), whose loops run over the small indices, each step one vector
-operation over the B nodes; `block_logdet` and `trace_mul` give the
-log-det and the trace of a block-diagonal value from its blocks, adding
-their terms in the order a sum over the whole matrix adds them.
-Per-node outputs are written into full-length arrays before any
-quadrature sum and do not depend on the block size; B(H), the one sum
-over nodes accumulated per block, moves in its last bits with BLOCK.
+consecutive, else their index array.  A Gram x* x (`gram`) is reduced
+from its upper triangle in real arithmetic; `pair` forms x* y.  What is
+left per node is r x r algebra, whose loops run over the small indices,
+each step one vector operation over the B nodes.  The core does not
+choose its nodes: `donaldson` hands it one node per torus orbit for the
+integrals and fields of a diagonal path on P^1.  Per-node outputs are
+written into full-length arrays before any quadrature sum and do not
+depend on the block size; B(H), the one sum over nodes accumulated per
+block, moves in its last bits with BLOCK.
 
 The fibre metric has one factorization, the Cholesky h = L L* of
 `cholesky`, with W = L^{-1} from `whiten`: log det h = 2 sum_j log L_jj,
@@ -132,14 +127,10 @@ def sandwich(a: np.ndarray, mat: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def finite(x, nodes, sl: slice):
-    """x, a stack of per-node values with the node index last or a list
-    of them (the column blocks of one value), unchanged when every entry
-    is finite; otherwise NonFiniteChart names the first node with an
-    overflowed entry in any of them."""
-    first, *rest = x if isinstance(x, list) else [x]
-    ok = np.isfinite(first).reshape(-1, first.shape[-1]).all(axis=0)
-    for p in rest:
-        ok &= np.isfinite(p).reshape(-1, p.shape[-1]).all(axis=0)
+    """x, a stack of per-node values with the node index last, unchanged
+    when every entry is finite; otherwise NonFiniteChart names the first
+    node with an overflowed entry."""
+    ok = np.isfinite(x).reshape(-1, x.shape[-1]).all(axis=0)
     if not ok.all():
         i = sl.start + int(np.argmin(ok))
         raise NonFiniteChart(i, nodes[i])
@@ -218,27 +209,6 @@ def ct(x: np.ndarray) -> np.ndarray:
     return x.conj().transpose(1, 0, 2)
 
 
-def trace_mul(xs, ys, columns) -> np.ndarray:
-    """tr(x y) per node for block-diagonal x and y given by their (r_b, r_b,
-    B) column blocks xs[b], ys[b] at the fibre columns ``columns[b]``
-    (selectors that partition them): the products x_ij y_ji within the
-    blocks, added in the row-major order of the whole r x r matrix, the
-    order of a sum over every entry, whose other terms are exact zeros."""
-    at = _places(columns, sum(map(len, xs)))
-    terms = [xs[b][p, q] * ys[b][q, p] for b, p in at for b2, q in at if b2 == b]
-    return sum(terms[1:], terms[0])
-
-
-def _places(columns, r: int) -> list:
-    """Per fibre column, in order, (its column block, its position there)
-    for the blocks at the selectors ``columns`` that partition range(r)."""
-    at = [None] * r
-    for b, c in enumerate(columns):
-        for p, i in enumerate(np.arange(r)[c]):
-            at[i] = (b, p)
-    return at
-
-
 def cholesky(h: np.ndarray) -> np.ndarray:
     """Cholesky factor per node of an (r, r, B) stack of hermitian
     matrices, read from their lower triangles: L lower triangular with
@@ -281,12 +251,3 @@ def logdet(h: np.ndarray) -> np.ndarray:
     """log det per node of an (r, r, B) stack, from its Cholesky factor."""
     return _logdet(cholesky(h))
 
-
-def block_logdet(hs, columns) -> np.ndarray:
-    """logdet of a block-diagonal stack given by its (r_b, r_b, ...)
-    column blocks hs[b] at the fibre columns ``columns[b]`` (selectors
-    that partition them): each block is factored alone, and the log L_jj
-    are summed in column order, as _logdet sums those of the whole
-    factor, whose diagonal is theirs."""
-    ls = [cholesky(h) for h in hs]
-    return 2.0 * sum(np.log(ls[b][p, p].real) for b, p in _places(columns, sum(map(len, hs))))

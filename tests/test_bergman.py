@@ -176,6 +176,27 @@ def test_commutator_large_for_three_generic_weights(rng):
     assert res > 1e-4
 
 
+def test_commutator_negative_control_for_generic_generators():
+    """The negative control of criterion 6: on the bases of its draws a
+    generic generator (Haar frame, N distinct trace-free Gaussian
+    weights) gives a residual far from zero.  Over these 900 draws the
+    smallest is 3.8e-3 and the median 8e-2; two-weight draws give at
+    most 1e-15."""
+    rng = np.random.default_rng(6)
+    for basis in (bd.section_basis(bd.split(0, 2), 3), bd.section_basis(bd.split(0, 1), 2),
+                  bd.section_basis(bd.split(1, 1), 2)):
+        n = basis.dimension
+        residuals = []
+        for _ in range(300):
+            u = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+            lam = rng.normal(size=n)
+            ps = bg.one_ps((u * (lam - lam.mean())) @ u.conj().T)
+            assert len(ps.weights) == n
+            t, x = float(rng.uniform(0.1, 2.0)), complex(rng.normal(), rng.normal())
+            residuals.append(bg.commutator_residual(basis, ps, t, x))
+        assert min(residuals) > 1e-4, basis.bundle.label
+
+
 def test_subgeodesic_residual_catalog(rng):
     basis = catalog_basis()
     for _ in range(10):

@@ -251,27 +251,6 @@ def test_euler_dq_dz_is_the_last_coordinate_derivative():
     assert np.abs(bd.dq_dz_field(basis, z) - fd).max() < 1e-7
 
 
-@pytest.mark.parametrize("bundle", [bd.split(1), bd.split(0, 2), bd.split(-1, 0, 2), bd.euler_tp2()],
-                         ids=["O(1)", "O(0)+O(2)", "O(-1)+O(0)+O(2)", "T_P2"])
-def test_columns_are_the_nonzero_pattern_of_the_chart(bundle):
-    """bundles.columns of a set of section rows is the set of fibre columns
-    in which Q is nonzero on those rows at random nodes, a slice exactly
-    when it is consecutive; dQ/dz is nonzero in no other column."""
-    basis = bd.section_basis(bundle, 2)
-    n, r = basis.dimension, basis.rank
-    rng = np.random.default_rng(7)
-    shape = (20,) if bundle.space_tag == "P1" else (20, 2)
-    z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    q, dq = bd.q_field(basis, z) != 0, bd.dq_dz_field(basis, z) != 0
-    subsets = [[i] for i in range(n)] + [np.sort(rng.choice(n, size=m, replace=False)) for m in (2, 3, n // 2)]
-    for rows in subsets + [rng.permutation(n)[: n // 3], np.arange(n)]:
-        want = np.flatnonzero(q[:, rows].any(axis=(0, 1)))
-        got = bd.columns(basis, np.asarray(rows))
-        assert np.arange(r)[got].tolist() == want.tolist()
-        assert isinstance(got, slice) == (want[-1] - want[0] == len(want) - 1)
-        assert not dq[:, rows][..., np.setdiff1d(np.arange(r), want)].any()
-
-
 def test_only_bundles_reads_the_section_table():
     """The run table is the format of `bundles` alone: no other module of
     the package and no demo reads a ``.data`` attribute."""
@@ -315,9 +294,10 @@ def test_p1_charts_are_torus_eigenbases(degrees, orthonormal, grid_p1, rng):
 
     assert len(grid_p1.orbits.nodes) * 16 == len(grid_p1.nodes)
     ps = bg.one_ps(np.diag([1.0, -1.0]))
-    assert don._orbit_grid(grid_p1, ps) is grid_p1.orbits
+    assert don._orbit_grid(grid_p1, ps.rows) is grid_p1.orbits
+    assert don._orbit_grid(grid_p1, ps.vectors.conj().T) is grid_p1
     stale = dataclasses.replace(grid_p1, nodes=rng.normal(size=grid_p1.nodes.size) + 0j)
     missing = dataclasses.replace(grid_p1, moment=None)
     for grid in (stale, missing):
         assert grid.orbits is grid
-        assert don._orbit_grid(grid, ps) is grid
+        assert don._orbit_grid(grid, ps.rows) is grid

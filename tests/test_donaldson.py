@@ -171,7 +171,11 @@ M1_TOL = {"criterion-4-trivial": 5e-13, "level-sweep-k36": 4e-12}
 def test_orbits_match_the_full_grid(name, grid_p1_fine):
     """Along a diagonal 1-PS, M2 and M1 on one node per torus orbit agree
     with the whole grid (no moment, so no reduction) to roundoff, and
-    they are what m2_along_path, m1_curve and m1_rate give on the grid."""
+    they are what m2_along_path, m1_curve and m1_rate give on the grid.
+    The curvature of a path form, computed per orbit and repeated over
+    its ring, differs from the whole grid's at each node by no more than
+    the whole grid's own spread over that ring, entry by entry; that of a
+    form in a non-diagonal frame is not reduced."""
     basis, ps, ts, ts_m1 = orbit_case(name)
     orbits = grid_p1_fine.orbits
     full = dataclasses.replace(grid_p1_fine, moment=None)
@@ -193,6 +197,18 @@ def test_orbits_match_the_full_grid(name, grid_p1_fine):
     assert rates == [don.m1_rate(basis, grid_p1_fine, ps, t) for t in ts_m1]
     if name == "level-sweep-k36":  # each summand's block is constant along the path
         assert rel(rates, -148 / 39) <= tol
+
+    def rings(f):  # (orbits, nodes per orbit, r, r)
+        return f.reshape(len(orbits.nodes), -1, *f.shape[1:])
+
+    form = ps.form_at(ts_m1[-1])
+    f_orbits = rings(don.curvature_field(basis, grid_p1_fine, form))
+    f_full = rings(don.curvature_field(basis, full, form))
+    for part in (np.real, np.imag):
+        assert (np.abs(part(f_orbits) - part(f_full)) <= np.ptp(part(f_full), axis=1, keepdims=True)).all()
+    mixed = bg.random_two_weight_ps(basis.dimension, np.random.default_rng(5)).form_at(0.5)
+    assert don.curvature_field(basis, grid_p1_fine, mixed).tobytes() == \
+        don.curvature_field(basis, full, mixed).tobytes()
 
 
 def test_curvature_requires_p1(grid_p2):

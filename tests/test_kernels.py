@@ -178,25 +178,23 @@ def test_m2_along_path_work_shape(grid_p1, monkeypatch, rng):
     """Chart values once and one Gram product per weight per node block
     of the nodes integrated over, however many times are sampled: the
     whole grid in a GEMM frame, one node per torus orbit for the diagonal
-    two-step 1-PS.  Each Gram reduces a (K_d, r, B) stack in a GEMM frame,
-    and a (K_d, 1, B) one for a two-step 1-PS of O(0)+O(2), whose weight
-    groups are each one summand's sections."""
+    two-step 1-PS.  Each Gram reduces a (K_d, r, B) stack over every fibre
+    column, in weight order."""
     basis = bd.section_basis(bd.split(0, 2), 3)
     calls = {"q_field": 0, "gram": 0}
     shapes = []
     gram = kernels.gram
     monkeypatch.setattr(bd, "q_field", counted(calls, "q_field", bd.q_field))
     monkeypatch.setattr(kernels, "gram", counted(calls, "gram", lambda x: shapes.append(x.shape) or gram(x)))
-    for ps, width, grid in ((weight_kind_ps("three", basis.dimension, rng), basis.rank, grid_p1),
-                            (bg.two_step_one_ps(basis, [1], (4 / 6, -1.0)), 1, grid_p1.orbits)):
+    for ps, grid in ((weight_kind_ps("three", basis.dimension, rng), grid_p1),
+                     (bg.two_step_one_ps(basis, [1], (4 / 6, -1.0)), grid_p1.orbits)):
         n_blocks, sizes = node_blocks(grid)
         for ts in ([1.0], np.linspace(0.5, 12.0, 24)):
             calls.update(q_field=0, gram=0)
             shapes.clear()
             don.m2_along_path(basis, grid_p1, ps, ts)
             assert calls == {"q_field": n_blocks, "gram": n_blocks * len(ps.weights)}
-            # in column-block order, which need not be the weight order
-            assert sorted(shapes) == sorted((s.stop - s.start, width, b) for b in sizes for s in ps.slices)
+            assert shapes == [(s.stop - s.start, basis.rank, b) for b in sizes for s in ps.slices]
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
@@ -219,8 +217,7 @@ def test_two_step_groups_are_views_of_the_chart(k, grid_p1):
     ps = bg.two_step_one_ps(basis, [1], ((k + 1) / (k + 3), -1.0))
     assert all(isinstance(bd.selector(ps.rows[s]), slice) for s in ps.slices)
     for _, q in kernels.blocks(basis, grid_p1.nodes):
-        blocks = bg._column_blocks(basis, ps.rows, ps.slices)
-        groups = [b for block in bg._groups(ps.rows, ps.slices, q, blocks) for b in block]
+        groups = bg._groups(ps.rows, ps.slices, q)
         assert all(np.shares_memory(b, q) for b in groups)
         assert sum(len(b) for b in groups) == len(q)
 
@@ -255,34 +252,21 @@ def test_permutation_frame_is_a_row_gather(k, diag, grid_p1, monkeypatch):
         jets[name] = don._path_jets(basis, grid_p1, don._frame(p), p.slices)
         assert calls == {"act": 3 * acts}
     assert rel(m2["gather"], m2["gemm"]) <= 1e-14
-    for (sl, a), (sl_gemm, b) in zip(assembled(jets["gather"], basis.rank),
-                                     assembled(jets["gemm"], basis.rank), strict=True):
+    for (sl, a), (sl_gemm, b) in zip(jets["gather"].stacks, jets["gemm"].stacks, strict=True):
         assert sl == sl_gemm
         assert rel(a, b) <= 1e-14
 
 
-def assembled(jets, r):
-    """The jets of _path_jets as (slice, stack) per node block, the
-    column blocks put back into one zero-filled (D, 3, r, r, B) stack."""
-    out = []
-    for sl, stacks in jets.stacks:
-        full = np.zeros((jets.n_weights, 3, r, r, sl.stop - sl.start), dtype=complex)
-        for (c, ds), stack in zip(jets.blocks, stacks):
-            for d, jet in zip(ds, stack, strict=True):
-                full[d][(slice(None),) + bg._block(c)] = jet
-        out.append((sl, full))
-    return out
-
-
 def dense_groups(rotation, slices, q):
-    """The weight groups of rotation Q over every fibre column."""
+    """The weight groups of rotation Q over every fibre column, each a
+    row selection or a row slice of one GEMM."""
     if rotation.ndim == 1:
         return [q[bd.selector(rotation[s])] for s in slices]
     return [kernels.act(rotation, q)[s] for s in slices]
 
 
 def dense_m2(basis, grid, ps, ts):
-    """m2_along_path with every Gram block reduced over every column."""
+    """m2_along_path as a plain loop over node blocks."""
     times = np.concatenate([[0.0], ts])
     table = np.exp(2.0 * np.outer(ps.weights, times))
     vals = np.empty((len(times), len(grid.nodes)))
@@ -293,7 +277,7 @@ def dense_m2(basis, grid, ps, ts):
 
 
 def dense_jets(basis, grid, ps):
-    """_path_jets with every block reduced over every column."""
+    """_path_jets as a plain loop over node blocks."""
     z, r, frame = grid.nodes, basis.rank, don._frame(ps)
     jets = []
     for sl, q in kernels.blocks(basis, z):
@@ -306,8 +290,8 @@ def dense_jets(basis, grid, ps):
 
 
 def dense_rate(basis, grid, jets, ps, t):
-    """m1_rate from the dense jets, with the whitened algebra over every
-    r x r entry."""
+    """m1_rate from the dense jets, with the whitened algebra written out
+    and the trace as a sum over every r x r entry."""
     weights = np.asarray(ps.weights)
     e = np.exp(2.0 * weights * t)
     e_dot = 2.0 * weights * e
@@ -324,66 +308,49 @@ def dense_rate(basis, grid, jets, ps, t):
 
 
 def narrow_case(name, k):
-    """(basis, ps, columns of each weight group, column blocks), the
-    columns as tuples, of a named case."""
+    """(basis, ps) of a named case."""
     if name == "two-step":
         basis = bd.section_basis(bd.split(0, 2), k)
-        return basis, bg.two_step_one_ps(basis, [1], ((k + 1) / (k + 3), -1.0)), [(1,), (0,)], [(0,), (1,)]
+        return basis, bg.two_step_one_ps(basis, [1], ((k + 1) / (k + 3), -1.0))
     if name in ("split012-[0,2]", "split210-[0,2]"):
         basis = bd.section_basis(bd.split(*map(int, name[5:8])), k)
         n_out = len(basis.summand_rows(1))
-        ps = bg.two_step_one_ps(basis, [0, 2], (n_out, n_out - basis.dimension))
-        return basis, ps, [(0, 2), (1,)], [(0, 2), (1,)]
+        return basis, bg.two_step_one_ps(basis, [0, 2], (n_out, n_out - basis.dimension))
     if name == "O(0)":
         basis = bd.section_basis(bd.split(0), k, orthonormal=False)
-        return basis, bg.one_ps(np.diag([0.5, -1.0, 0.5])), [(0,), (0,)], [(0,)]
+        return basis, bg.one_ps(np.diag([0.5, -1.0, 0.5]))
     if name == "T_P2":
         # weight 1 on the first slot (rows 0..k+1, two runs each) and the
-        # third, -1 on the second: groups of columns {0, 1} and {0}
+        # third, -1 on the second
         basis = bd.section_basis(bd.euler_tp2(), k)
         n_slot = (basis.dimension - (k + 2)) // 2
         lam = np.concatenate([np.ones(k + 2), -np.ones(n_slot), np.ones(n_slot)])
-        return basis, bg.one_ps(np.diag(lam - lam.mean())), [(0, 1), (0,)], [(0, 1)]
+        return basis, bg.one_ps(np.diag(lam - lam.mean()))
     basis = bd.section_basis(bd.split(0, 2), k)
-    return basis, bg.random_two_weight_ps(basis.dimension, np.random.default_rng(4)), [(0, 1), (0, 1)], [(0, 1)]
+    return basis, bg.random_two_weight_ps(basis.dimension, np.random.default_rng(4))
 
 
 @pytest.mark.parametrize("name, k", [("two-step", 3), ("two-step", 36), ("split012-[0,2]", 3),
                                      ("split210-[0,2]", 3), ("O(0)", 2), ("T_P2", 2), ("gemm", 3)],
                          ids=["two-step-3", "two-step-36", "split012-[0,2]", "split210-[0,2]", "O(0)-k2",
                               "T_P2", "gemm"])
-def test_narrow_groups_match_the_dense_algorithm(name, k, grid_p1, grid_p2, rng):
-    """Each weight group is read at the fibre columns of its column block
-    (every column for a GEMM frame), off which h_ref is an exact zero: M2
-    and m1_rate are bitwise those of the algebra over every column, and
-    so are the jet blocks, up to the sign of a zero (the dense Gram's
-    lower triangle holds conj(0) = 0 - 0j there).  The blocks {0, 2} and
-    {1} interleave: their log L_jj and trace terms are added in column
-    order, and split(2, 1, 0), curved in all three columns, shows it."""
-    basis, ps, want_cols, want_blocks = narrow_case(name, k)
-    frame, columns = don._frame(ps), np.arange(basis.rank)
-    assert [tuple(columns[c]) for c in bg._columns(basis, frame, ps.slices)] == want_cols
-    blocks = bg._column_blocks(basis, frame, ps.slices)
-    assert [tuple(columns[c]) for c, _ in blocks] == want_blocks
-    assert sorted(d for _, ds in blocks for d in ds) == list(range(len(ps.slices)))
+def test_narrow_groups_match_the_dense_algorithm(name, k, grid_p1, grid_p2):
+    """M2, the jet blocks and m1_rate are bitwise those of the plain
+    algorithm over every fibre column (dense_m2, dense_jets, dense_rate),
+    for consecutive and scattered weight groups, a GEMM frame and T_P2."""
+    basis, ps = narrow_case(name, k)
     grid = grid_p2 if name == "T_P2" else grid_p1
-    z = rng.normal(size=(50,) + grid.nodes.shape[1:] + (2,)) @ [1.0, 1j]
-    h = bd.h_ref_field(basis, dataclasses.replace(grid, nodes=z, weights=np.ones(len(z)), moment=None))
-    on_block = np.zeros((basis.rank, basis.rank), dtype=bool)
-    for c, _ in blocks:
-        on_block[bg._block(c)] = True
-    assert np.isfinite(h).all() and not h[:, ~on_block].any()
     ts = np.array([0.5, 3.0, 12.0])
     # a diagonal 1-PS on P^1 integrates M2 over one node per torus orbit
     m2_grid = grid.orbits if name not in ("T_P2", "gemm") else grid
     assert don.m2_along_path(basis, grid, ps, ts).tobytes() == dense_m2(basis, m2_grid, ps, ts).tobytes()
     if name == "T_P2":
         return  # the jets are implemented on P^1 only
-    got = don._path_jets(basis, grid, frame, ps.slices)
+    got = don._path_jets(basis, grid, don._frame(ps), ps.slices)
     dense = dense_jets(basis, grid, ps)
-    for (sl, a), (sl_want, b) in zip(assembled(got, basis.rank), dense, strict=True):
+    for (sl, a), (sl_want, b) in zip(got.stacks, dense, strict=True):
         assert sl == sl_want
-        assert (a + 0.0).tobytes() == (b + 0.0).tobytes()
+        assert a.tobytes() == b.tobytes()
     for t in ts:
         assert np.float64(don.m1_rate(basis, grid, ps, t, jets=got)).tobytes() == \
             np.float64(dense_rate(basis, grid, dense, ps, t)).tobytes()
@@ -461,11 +428,9 @@ def test_curvature_and_m1_rate_weight_kinds(kind, split_basis, grid, rng):
 def test_m1_curve_work_shape(grid_p1, monkeypatch, rng):
     """Chart values and their derivatives once per node block, whatever
     the number of Gauss nodes, one rate per Gauss node, and no H(t).  The
-    held jets are one compact stack per column block: (1, 3, 1, 1, B) for
-    each of the two summands of O(0)+O(2) along a two-step 1-PS, and one
-    (D, 3, 2, 2, B) stack in a GEMM frame.  Node blocks are those of the
-    nodes integrated over: one node per torus orbit for the diagonal
-    two-step 1-PS, the whole grid in a GEMM frame."""
+    held jets are one (D, 3, r, r, B) stack per node block.  Node blocks
+    are those of the nodes integrated over: one node per torus orbit for
+    the diagonal two-step 1-PS, the whole grid in a GEMM frame."""
     basis = bd.section_basis(bd.split(0, 2), 3)
     calls = {"q_field": 0, "dq_dz_field": 0, "m1_rate": 0, "form_at": 0}
     held = []
@@ -475,9 +440,9 @@ def test_m1_curve_work_shape(grid_p1, monkeypatch, rng):
     monkeypatch.setattr(don, "m1_rate", counted(calls, "m1_rate", don.m1_rate))
     monkeypatch.setattr(bg.OnePS, "form_at", counted(calls, "form_at", bg.OnePS.form_at))
     monkeypatch.setattr(don, "_path_jets", lambda *args: held.append(path_jets(*args)) or held[-1])
-    for ps, layout, grid in ((weight_kind_ps("three", basis.dimension, rng), [(3, 3, 2, 2)], grid_p1),
-                             (bg.two_step_one_ps(basis, [1], (4 / 6, -1.0)), [(1, 3, 1, 1)] * 2, grid_p1.orbits),
-                             (bg.random_two_weight_ps(basis.dimension, rng), [(2, 3, 2, 2)], grid_p1)):
+    for ps, grid in ((weight_kind_ps("three", basis.dimension, rng), grid_p1),
+                     (bg.two_step_one_ps(basis, [1], (4 / 6, -1.0)), grid_p1.orbits),
+                     (bg.random_two_weight_ps(basis.dimension, rng), grid_p1)):
         n_blocks, sizes = node_blocks(grid)
         for ts, n_path, n_gauss in (([2.0], 4, 4), ([1.0, 3.0], 24, 24)):
             calls.update(q_field=0, dq_dz_field=0, m1_rate=0, form_at=0)
@@ -486,8 +451,7 @@ def test_m1_curve_work_shape(grid_p1, monkeypatch, rng):
             assert calls == {"q_field": n_blocks, "dq_dz_field": n_blocks, "m1_rate": n_gauss, "form_at": 0}
             [jets] = held
             assert jets.grid is grid
-            assert [[s.shape for s in stacks] for _, stacks in jets.stacks] == \
-                [[shape + (b,) for shape in layout] for b in sizes]
+            assert [stack.shape for _, stack in jets.stacks] == [(len(ps.weights), 3, 2, 2, b) for b in sizes]
 
 
 def test_m1_rate_names_jets_of_another_1ps(coarse, rng):

@@ -33,8 +33,11 @@ MUTANTS = (
      "        w[i, i] = 1.0 / l[i, i]\n"
      "    return np.eye(len(w)).reshape(w.shape[:2] + (1,) * (w.ndim - 2)) + 0 * w, l\n"),
     ("orbits-for-any-1ps", "src/bml/donaldson.py",
-     'return grid.orbits if ps.rows is not None and grid.space_tag == "P1" else grid',
+     'return grid.orbits if frame.ndim == 1 and grid.space_tag == "P1" else grid',
      'return grid.orbits if grid.space_tag == "P1" else grid'),
+    ("curvature-orbits-for-any-form", "src/bml/donaldson.py",
+     "jets = _path_jets(basis, _orbit_grid(grid, rotation), rotation, slices)",
+     "jets = _path_jets(basis, grid.orbits, rotation, slices)"),
     ("orbit-weights-not-summed", "src/bml/quadrature.py",
      "weights=np.add.reduceat(self.weights, starts),",
      "weights=self.weights[starts],"),
@@ -47,9 +50,6 @@ MUTANTS = (
     ("p-root-transposed-w", "src/bml/kernels.py",
      "y[:, i] += w[i, j].conj() * q[:, j]",
      "y[:, i] += w[j, i].conj() * q[:, j]"),
-    ("block-logdet-in-block-order", "src/bml/kernels.py",
-     "for b, p in _places(columns, sum(map(len, hs))))",
-     "for b in range(len(ls)) for p in range(len(ls[b])))"),
     ("commutator-unshifted", "src/bml/bergman.py",
      "np.exp((ps.eigenvalues - ps.weights[0]) * t)",
      "np.exp(ps.eigenvalues * t)"),
