@@ -25,7 +25,7 @@ def main():
     lhs, rhs = xs.weight_sum_identity(filt)
     print(f"weight-sum identity: sum w_i rk(gr_i) = {lhs}, brute-force slope = {rhs} "
           f"(= 2x, exactly)")
-    verdict, witness = xs.slope_stability_verdict(ambient, [sub, xs.line_p1(0)])
+    verdict, witness = xs.slope_stability_verdict(ambient, [sub, xs.split_p1((0,))])
     print(f"slope verdict: {verdict} (witness {witness.label})")
 
 

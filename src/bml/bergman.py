@@ -1,27 +1,27 @@
-"""Fubini-Study metrics, one-parameter degenerations and their filtrations.
+"""Fubini-Study metrics and one-parameter degenerations.
 
 A hermitian form H on the section space induces the fibre metric
 h(x) = Q(x)* H Q(x).  A trace-free hermitian generator zeta drives the
 path H(t) = e^{2 zeta t}; as t grows the path degenerates along the
-weight filtration of zeta, whose generic graded fibre ranks
-weight_filtration measures.  This module also provides the two
-pointwise operator identities that make these paths subgeodesics: the
-pairwise commutation of the sandwiched moment matrices and the
-factorization of the second time-derivative as F*F >= 0.
+weight filtration of zeta, whose exact invariants `exactsheaf` holds.
+This module also provides the two pointwise operator identities that
+make these paths subgeodesics: the pairwise commutation of the
+sandwiched moment matrices and the factorization of the second
+time-derivative as F*F >= 0.
 
 Both identities are computed in the eigenframe of the generator,
 zeta = V Lambda V*, from the square-root factor sigma(t) = e^{Lambda t} V*
 of H(t) = sigma* sigma: with A = sigma Q, h = A*A and
 Q* H(t) u^j Q = A* (2 Lambda)^j A for u = 2 zeta, so the form is never
-assembled and nothing is inverted.  V* Q(x) is formed once per call
-(`_rotate`), and A(t) is its row scaling by e^{Lambda t}.  Since u is
-real, A* u^2 A = (uA)* (uA): the Gram of the 1-jet J = [A | uA] holds
-all three moment matrices as its blocks (`_jet_gram`).  `OnePS.form_at`,
+assembled and nothing is inverted.  `_groups` reads the weight groups
+of V* Q: rows of the chart itself for a permutation frame, one GEMM
+otherwise, over every fibre column.  It gives donaldson those of a node
+block of the chart, and the identities V* Q(x) at one node, whose row
+scaling by e^{Lambda t} is A(t).  Since u is real,
+A* u^2 A = (uA)* (uA): the Gram of the 1-jet J = [A | uA] holds all
+three moment matrices as its blocks (`_jet_gram`).  `OnePS.form_at`,
 which does assemble the form, loses positivity to roundoff once
-e^{2 spread t} nears 1/eps; the factor does not.  On a node block of
-the chart, `_groups` gives donaldson the weight groups of V* Q over
-every fibre column: rows of the chart itself for a permutation frame,
-one GEMM otherwise.
+e^{2 spread t} nears 1/eps; the factor does not.
 """
 
 from __future__ import annotations
@@ -35,10 +35,6 @@ import numpy as np
 from . import bundles, kernels
 from .bundles import SectionBasis, q_field
 from .quadrature import QuadratureGrid
-
-
-class DegenerateSamples(ValueError):
-    pass
 
 
 class StepTooLarge(ValueError):
@@ -116,10 +112,6 @@ class OnePS:
                 f"(-ln eps = {-np.log(np.finfo(float).eps):.4g})"
             ) from err
 
-    def flag_basis(self, i: int) -> np.ndarray:
-        """Columns spanning the flag step of the first i+1 weight groups."""
-        return self.vectors[:, : self.slices[i].stop]
-
 
 def _frame(ps: OnePS) -> np.ndarray:
     """The rotation V* of the eigenframe, or its row index ``rows`` when
@@ -127,19 +119,12 @@ def _frame(ps: OnePS) -> np.ndarray:
     return ps.vectors.conj().T if ps.rows is None else ps.rows
 
 
-def _rotate(rotation: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """rotation Q per node, (K, r, B) for a node-last chart block, (K, r)
-    for one node's chart: the row gather q[rotation] for an index array,
-    one GEMM for a matrix."""
-    return q[rotation] if rotation.ndim == 1 else kernels.act(rotation, q)
-
-
 def _groups(rotation: np.ndarray, slices, q: np.ndarray) -> list:
     """The row groups ``slices`` of rotation Q, one (K_d, r, B) stack
-    each, for a node-last chart block q, over every fibre column: for an
-    index array (OnePS.rows) q at the bundles.selector of rotation[s], a
-    view where those rows are consecutive; for a matrix a row slice of
-    one GEMM."""
+    each, for a node-last chart block q ((K_d, r) for one node's (N, r)
+    chart), over every fibre column: for an index array (OnePS.rows) q at
+    the bundles.selector of rotation[s], a view where those rows are
+    consecutive; for a matrix a row slice of one GEMM."""
     if rotation.ndim == 1:
         return [q[bundles.selector(rotation[s])] for s in slices]
     vq = kernels.act(rotation, q)
@@ -226,42 +211,6 @@ def fs_metric(basis: SectionBasis, grid: QuadratureGrid, form: HermitianForm) ->
 
 
 # ---------------------------------------------------------------------------
-# Weight filtrations
-
-# relative singular-value cutoff of a numeric fibre rank
-_SVD_TOL = 1e-8
-
-
-def weight_filtration(basis: SectionBasis, ps: OnePS, sample_points):
-    """Generic fibre ranks of the flag steps of the weight filtration.
-
-    For each weight level the sections in the flag step are evaluated at
-    the sample points; the rank of the spanned fibre subspace is the max
-    numeric rank over samples.  Returns (ranks, v_dims, surviving), where
-    surviving lists the levels whose graded rank is positive.
-    """
-    pts = np.asarray(sample_points)
-    if pts.shape[0] < 5:
-        raise ValueError("need at least a handful of sample points")
-    q = q_field(basis, pts)  # (M, N, r)
-    ranks = []
-    for i in range(len(ps.weights)):
-        # singular values of the fibre images of the flag sections
-        s = np.linalg.svd(q.transpose(0, 2, 1) @ ps.flag_basis(i), compute_uv=False)
-        per_sample = (s > _SVD_TOL * np.maximum(s[:, :1], 1e-300)).sum(axis=1)
-        top = int(per_sample.max())
-        if (per_sample == top).sum() < 0.25 * len(per_sample):
-            raise DegenerateSamples(
-                f"generic rank attained at too few samples for level {i}"
-            )
-        ranks.append(top)
-    v_dims = [s.stop for s in ps.slices]
-    graded = [ranks[0]] + [b - a for a, b in zip(ranks, ranks[1:])]
-    surviving = tuple(i for i, g in enumerate(graded) if g > 0)
-    return ranks, v_dims, surviving
-
-
-# ---------------------------------------------------------------------------
 # Subgeodesic operator identities, on A(t) = e^{Lambda t} V* Q(x)
 
 # central finite-difference step of subgeodesic_residual's left side
@@ -273,7 +222,7 @@ def _chart_at(basis: SectionBasis, ps: OnePS, x):
     which names x when a Gram overflows; call it under np.errstate."""
     nodes = np.asarray([x])
     q = q_field(basis, nodes)[0]
-    return q, _rotate(_frame(ps), q), nodes
+    return q, _groups(_frame(ps), (slice(None),), q)[0], nodes
 
 
 def _jet_gram(a: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -31,7 +31,7 @@ def split(*degrees: int) -> xs.SheafData:
 
 
 def euler_tp2() -> xs.SheafData:
-    return xs.tangent_p2()
+    return xs.SheafData("euler_tp2")
 
 
 # ---------------------------------------------------------------------------

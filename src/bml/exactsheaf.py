@@ -104,16 +104,8 @@ class SheafData:
         return max(-d for d in self.degrees) if self.kind == "split_p1" else -1
 
 
-def line_p1(d: int) -> SheafData:
-    return SheafData("split_p1", (d,))
-
-
 def split_p1(degrees: Sequence[int]) -> SheafData:
     return SheafData("split_p1", degrees)
-
-
-def tangent_p2() -> SheafData:
-    return SheafData("euler_tp2")
 
 
 def mu(sheaf: SheafData) -> Fraction:
@@ -281,13 +273,6 @@ def slope_stability_verdict(ambient: SheafData, candidates: Sequence[SheafData])
     if top == mu_e:
         return "semistable", witness
     return "stable", witness
-
-
-def f_max_split(degrees: Sequence[int]) -> SheafData:
-    """Maximal destabilizing subsheaf of a split bundle on P^1: the direct
-    sum of all summands of maximal degree (maximal slope, then rank)."""
-    d = max(degrees)
-    return split_p1([a for a in degrees if a == d])
 
 
 # ---------------------------------------------------------------------------

@@ -121,11 +121,6 @@ def gram(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def sandwich(a: np.ndarray, mat: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a(x)* mat b(x) per node, (r, r, B), for chart blocks a, b."""
-    return pair(a, act(mat, b))
-
-
 def finite(x, nodes, sl: slice):
     """x, a stack of per-node values with the node index last, unchanged
     when every entry is finite; otherwise NonFiniteChart names the first
@@ -143,7 +138,7 @@ def field(basis, nodes, mat=None, chart=None) -> np.ndarray:
     NonFiniteChart names the first node whose sandwich overflowed."""
     out = np.empty((basis.rank, basis.rank, len(nodes)), dtype=complex)
     for sl, qb in blocks(basis, nodes, chart):
-        h = pair(qb, qb) if mat is None else sandwich(qb, mat, qb)
+        h = pair(qb, qb if mat is None else act(mat, qb))
         out[..., sl] = 0.5 * (finite(h, nodes, sl) + ct(h))
     return out
 
@@ -158,7 +153,7 @@ def b_matrix(basis, nodes, w, H, chart=None):
     ld = np.empty(len(nodes))
     wh = np.empty((r, r, len(nodes)), dtype=complex)
     for sl, qb in blocks(basis, nodes, chart):
-        wh[..., sl], l = whiten(finite(sandwich(qb, H, qb), nodes, sl))
+        wh[..., sl], l = whiten(finite(pair(qb, act(H, qb)), nodes, sl))
         ld[sl] = _logdet(l)
         y = p_root(qb, wh[..., sl])
         b += (y * w[sl]).reshape(n, -1) @ y.reshape(n, -1).conj().T

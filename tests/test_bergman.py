@@ -143,16 +143,6 @@ def test_fs_metric_positive_hermitian(grid_p1):
     assert np.abs(h - np.conj(np.swapaxes(h, -1, -2))).max() < 1e-14
 
 
-def test_weight_filtration_catalog(rng):
-    basis = catalog_basis()
-    ps = catalog_ps(basis)
-    pts = rng.normal(size=16) + 1j * rng.normal(size=16)
-    ranks, v_dims, surviving = bg.weight_filtration(basis, ps, pts)
-    assert ranks == [1, 2]
-    assert v_dims == [6, 10]
-    assert surviving == (0, 1)
-
-
 def test_commutator_small_for_two_weights(rng):
     basis = catalog_basis()
     worst = 0.0

@@ -195,8 +195,14 @@ def test_readme_command_lines_parse():
 
 
 def test_import_does_not_load_scipy():
-    """scipy is a test-only dependency: the package itself runs on numpy."""
+    """scipy is a test-only dependency: the package itself runs on numpy.
+    `import bml` loads no module of the package, so each is imported."""
     src = Path(__file__).resolve().parents[1] / "src"
-    code = "import sys, bml; assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)"
+    code = ("import importlib, pkgutil, sys, bml\n"
+            "names = [m.name for m in pkgutil.iter_modules(bml.__path__)]\n"
+            "assert names, bml.__path__\n"
+            "for name in names:\n"
+            "    importlib.import_module('bml.' + name)\n"
+            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)")
     env = {**os.environ, "PYTHONPATH": str(src)}
     subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -7,6 +7,7 @@ from bml import balance as bl
 from bml import bergman as bg
 from bml import bundles as bd
 from bml import donaldson as don
+from bml import quadrature as qd
 
 
 def closed_form(t: float) -> float:
@@ -35,6 +36,26 @@ def test_m2_closed_form(grid_p1_fine):
     vals = don.m2_along_path(basis, grid_p1_fine, ps, ts)
     for t, v in zip(ts, vals):
         assert v == pytest.approx(closed_form(t), abs=1e-8)
+
+
+def test_m2_intercept_of_a_singular_limit(grid_p1_fine):
+    """An oracle the quadrature can miss: on O(2) at level 2 (O(4), the
+    Bernstein basis |s_m|^2 = C(4, m) u^m (1-u)^(4-m) of the moment u)
+    the top weight 0.6 sits on z and z^2, which both vanish at z = 0, so
+    the limit metric is singular there and at z = infinity.  M2(t) - 1.2t
+    tends to int_0^1 log(u (1-u)^2 (4 + 2u)) du = -4 + 3 log 3 - log 2,
+    up to O(t e^{-2t}); the log layers at both ends of [0, 1] are what
+    the graded panels of the grid resolve, to the 1e-6 the quadrature
+    states (2.5e-8 at the default depth 20, 2.5e-11 at depth 30)."""
+    limit = -4.0 + 3.0 * np.log(3.0) - np.log(2.0)
+    basis = bd.section_basis(bd.split(2), 2)
+    ps = bg.one_ps(np.diag(0.6 * np.array([-2.0 / 3.0, 1.0, 1.0, -2.0 / 3.0, -2.0 / 3.0])))
+    ts = np.array([40.0, 200.0])
+    default = don.m2_along_path(basis, grid_p1_fine, ps, ts) - 1.2 * ts
+    deep = don.m2_along_path(basis, qd.build_grid_p1(depth=30), ps, ts) - 1.2 * ts
+    assert np.abs(default - limit).max() <= 1e-6
+    assert abs(default[1] - default[0]) <= 1e-10
+    assert np.abs(deep - limit).max() <= 1e-9
 
 
 def test_m1_closed_form(grid_p1_fine):

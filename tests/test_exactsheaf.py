@@ -12,7 +12,7 @@ from bml import exactsheaf as xs
 def catalog_filtration() -> xs.FiltrationSpec:
     """O(0)+O(2) at level 3, destabilized by the O(2) summand."""
     ambient = xs.split_p1([0, 2])
-    sub = xs.line_p1(2)
+    sub = xs.split_p1((2,))
     return xs.FiltrationSpec(
         weights=(Fraction(2, 3), Fraction(-1)),
         steps=(sub, ambient),
@@ -32,8 +32,8 @@ def test_h0_counts():
 
 def test_slopes():
     assert xs.mu(xs.split_p1([0, 2])) == 1
-    assert xs.mu(xs.line_p1(2)) == 2
-    assert xs.mu(xs.tangent_p2()) == Fraction(3, 2)
+    assert xs.mu(xs.split_p1((2,))) == 2
+    assert xs.mu(bd.euler_tp2()) == Fraction(3, 2)
 
 
 def test_catalog_invariants():
@@ -63,7 +63,7 @@ def test_trivial_filtration_vanishes():
 
 def test_filtration_validation():
     ambient = xs.split_p1([0, 2])
-    sub = xs.line_p1(2)
+    sub = xs.split_p1((2,))
     with pytest.raises(ValueError, match="decreasing"):
         xs.FiltrationSpec(
             weights=(Fraction(-1), Fraction(2, 3)),
@@ -168,30 +168,25 @@ def test_step_sums_equal_grade_sums():
 
 def test_stability_verdicts():
     ambient = xs.split_p1([0, 2])
-    sub = xs.line_p1(2)
+    sub = xs.split_p1((2,))
     assert xs.le_potier_verdict(sub, ambient, 3) == 1
-    verdict, witness = xs.slope_stability_verdict(ambient, [sub, xs.line_p1(0)])
+    verdict, witness = xs.slope_stability_verdict(ambient, [sub, xs.split_p1((0,))])
     assert verdict == "unstable" and witness.label == "O(2)"
-    verdict, _ = xs.slope_stability_verdict(xs.split_p1([1, 1]), [xs.line_p1(1)])
+    verdict, _ = xs.slope_stability_verdict(xs.split_p1([1, 1]), [xs.split_p1((1,))])
     assert verdict == "semistable"
     with pytest.raises(xs.EmptyCandidates):
         xs.slope_stability_verdict(ambient, [])
-
-
-def test_f_max_split():
-    f = xs.f_max_split([0, 2, 2, -1])
-    assert f.rank == 2 and f.degree == 4
 
 
 def test_sheaf_data():
     """One catalog-bundle type: the bundles constructors and the
     exactsheaf ones build the same value, and everything derives from
     (kind, degrees)."""
-    pair, tangent = xs.split_p1([0, 2]), xs.tangent_p2()
-    assert bd.split(0, 2) == pair and bd.euler_tp2() == tangent
-    assert xs.line_p1(2) == xs.split_p1((2,)) == bd.split(2)
+    pair, tangent = xs.split_p1([0, 2]), bd.euler_tp2()
+    assert bd.split(0, 2) == pair and tangent == xs.SheafData("euler_tp2")
+    assert xs.SheafData("split_p1", (2,)) == xs.split_p1((2,)) == bd.split(2)
     assert pair.regularity() == 0
-    assert xs.line_p1(2).regularity() == -2
+    assert xs.split_p1((2,)).regularity() == -2
     assert tangent.regularity() == -1
     assert (pair.rank, pair.degree, pair.space_tag, pair.label) == (2, 2, "P1", "O(0)+O(2)")
     assert (tangent.rank, tangent.degree, tangent.space_tag, tangent.label) == (2, 3, "P2", "T_P2")
@@ -211,5 +206,5 @@ def test_frac_str_roundtrip(x):
 
 def test_catalog_h0_closed_form():
     assert xs.split_p1([0, 2]).h0_at(40) == 84
-    assert xs.line_p1(2).h0_at(-9) == 0
-    assert xs.tangent_p2().h0_at(30) == xs.h0_tangent_p2(30)
+    assert xs.split_p1((2,)).h0_at(-9) == 0
+    assert bd.euler_tp2().h0_at(30) == xs.h0_tangent_p2(30)

@@ -7,8 +7,10 @@ new text) whose old text must occur exactly once in the file.  Per
 mutant, the repository (without .git and caches) is copied to a
 temporary directory, the edit is applied there, and `bml verify` and
 tier-1 (`python -m pytest`, stopping at the first failure) run in the
-copy with one BLAS thread.  A mutant that both pass *survives*: no check
-sees that bug.  The script prints one line per mutant, lists the
+copy with one BLAS thread.  Tier-1 there leaves out tests/test_mutants.py,
+which checks that each old text is present and so fails in every
+mutated copy by construction.  A mutant that both pass *survives*: no
+check sees that bug.  The script prints one line per mutant, lists the
 survivors and exits with status 1 if there are any.  Tier-1 does not run
 it (about 25 s per mutant); a survivor calls for a new test, never for a
 looser bound.  NAME arguments select mutants by name.
@@ -38,6 +40,9 @@ MUTANTS = (
     ("curvature-orbits-for-any-form", "src/bml/donaldson.py",
      "jets = _path_jets(basis, _orbit_grid(grid, rotation), rotation, slices)",
      "jets = _path_jets(basis, grid.orbits, rotation, slices)"),
+    ("left-panels-ungraded", "src/bml/quadrature.py",
+     "left = [2.0 ** (-j) for j in range(depth, 1, -1)]",
+     "left = [0.5 * i / depth for i in range(1, depth)]"),
     ("orbit-weights-not-summed", "src/bml/quadrature.py",
      "weights=np.add.reduceat(self.weights, starts),",
      "weights=self.weights[starts],"),
@@ -85,7 +90,7 @@ def run(copy: Path) -> str | None:
         return "bml verify: " + (failed[0] if failed else first_failure(verify.stdout + verify.stderr))
     tests = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-         "--continue-on-collection-errors"],
+         "--continue-on-collection-errors", "--ignore=tests/test_mutants.py"],
         cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
     if tests.returncode != 0:
         return "tier-1: " + first_failure(tests.stdout)
