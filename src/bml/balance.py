@@ -112,13 +112,6 @@ def _det_normalize(H: np.ndarray) -> np.ndarray:
     return H * np.exp(-logdet / n)
 
 
-def _b_matrix(basis: SectionBasis, grid: QuadratureGrid, H: np.ndarray, chart=None):
-    """B(H) = (1/Vol_L) int Q h_H^{-1} Q* dV, so that balance reads
-    B(H) = (r/N) H^{-1}; with it log det h_H and the whitening W of h_H
-    (h_H^{-1} = W* W) at every node."""
-    return kernels.b_matrix(basis, grid.nodes, grid.weights / grid.volume, H, chart)
-
-
 def center_of_mass(basis: SectionBasis, grid: QuadratureGrid, H: np.ndarray) -> np.ndarray:
     """M(H) = sigma B(H) sigma* with sigma = H^{1/2}; trace r exactly."""
     n = basis.dimension
@@ -136,7 +129,7 @@ def _sqrtm_psd(H: np.ndarray):
 def m2_value(basis: SectionBasis, grid: QuadratureGrid, H: np.ndarray) -> float:
     """Log-determinant energy of h_H against the reference h_ref = Q*Q."""
     H = HermitianForm(np.asarray(H, dtype=complex)).matrix
-    ld = [kernels.logdet(kernels.field(basis, grid.nodes, mat)) for mat in (H, None)]
+    ld = [kernels.logdet(kernels.field(basis, grid, mat)) for mat in (H, None)]
     return grid.integrate(ld[0] - ld[1]) / grid.volume
 
 
@@ -156,7 +149,7 @@ class _Iterate(NamedTuple):
 def _solver_parts(basis, grid, H, ld0, chart=None) -> _Iterate:
     """The iterate at the form H from one pass over the node blocks, with
     m2 against the reference log-dets ld0."""
-    b, ld, wh = _b_matrix(basis, grid, H, chart)
+    b, ld, wh = kernels.b_matrix(basis, grid, H, chart)
     eig = _sqrtm_psd(H)
     n = basis.dimension
     s = eig[2] @ b @ eig[2] - (basis.rank / n) * np.eye(n)
@@ -175,7 +168,7 @@ def t_operator(
     """
     r, n = basis.rank, basis.dimension
     if b is None:
-        b = _b_matrix(basis, grid, H)[0]
+        b = kernels.b_matrix(basis, grid, H)[0]
     lam = np.linalg.eigvalsh(b)
     if lam.min() <= 1e-300:
         raise SingularGram("center-of-mass Gram matrix is singular")
@@ -213,7 +206,7 @@ def _solve(basis, grid, H0, tol, max_iter, step, damping):
     decrease), max_iter, or stalled when no step was found.
     """
     chart = list(kernels.blocks(basis, grid.nodes))
-    ld0 = kernels.logdet(kernels.field(basis, grid.nodes, chart=chart))
+    ld0 = kernels.logdet(kernels.field(basis, grid, chart=chart))
 
     def evaluate(H):
         return _solver_parts(basis, grid, H, ld0, chart)
@@ -570,7 +563,7 @@ def donaldson_value_line(basis: SectionBasis, grid: QuadratureGrid, H: np.ndarra
     if basis.bundle.kind != "split_p1" or basis.rank != 1:
         raise MissingHE("endpoint formula implemented for line bundles on P1")
     mu = float(basis.bundle.degree)
-    h_raw = kernels.field(basis, grid.nodes, np.asarray(H, dtype=complex)).real[0, 0]
+    h_raw = kernels.field(basis, grid, np.asarray(H, dtype=complex)).real[0, 0]
     h_he_raw = h_he.real[:, 0, 0]
     v = -(np.log(h_raw) - np.log(h_he_raw))
     f1 = don.curvature_field(

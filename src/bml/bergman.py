@@ -131,6 +131,16 @@ def _groups(rotation: np.ndarray, slices, q: np.ndarray) -> list:
     return [vq[s] for s in slices]
 
 
+def _diagonal_frame(m: np.ndarray):
+    """For a diagonal m, (rows, values): the stable sort of its real
+    diagonal in decreasing order as the row index that _groups reads, and
+    the diagonal in that order; None for any other m."""
+    if np.count_nonzero(m) == np.count_nonzero(m.diagonal()):
+        rows = np.argsort(-m.diagonal().real, kind="stable")
+        return rows, m.diagonal().real[rows]
+    return None
+
+
 def one_ps(zeta: np.ndarray) -> OnePS:
     zeta = np.asarray(zeta, dtype=complex)
     n = zeta.shape[0]
@@ -139,15 +149,14 @@ def one_ps(zeta: np.ndarray) -> OnePS:
     zeta = 0.5 * (zeta + zeta.conj().T)
     if abs(np.trace(zeta).real) > 1e-12 * n * max(1.0, np.abs(zeta).max()):
         raise ValueError("generator must be trace-free")
-    diagonal = np.count_nonzero(zeta) == np.count_nonzero(zeta.diagonal())
+    diagonal = _diagonal_frame(zeta)
     # one decomposition; rescaling divides its eigenvalues, not zeta's frame
-    lam, vec = (np.diag(zeta).real, None) if diagonal else np.linalg.eigh(zeta)
+    lam, vec = (diagonal[1], None) if diagonal else np.linalg.eigh(zeta)
     norm = np.abs(lam).max()
     if norm > 1.0 + 1e-12:
         zeta, lam = zeta / norm, lam / norm
     if diagonal:  # the eigenframe is the stable sort permutation
-        rows = np.argsort(-lam, kind="stable")
-        lam, vec = lam[rows], np.eye(n, dtype=complex)[:, rows]
+        rows, vec = diagonal[0], np.eye(n, dtype=complex)[:, diagonal[0]]
     else:
         rows = None
         order = np.argsort(-lam)
@@ -205,7 +214,7 @@ def random_two_weight_ps(n: int, rng: np.random.Generator) -> OnePS:
 def fs_metric(basis: SectionBasis, grid: QuadratureGrid, form: HermitianForm) -> np.ndarray:
     """Fibrewise metric h(x) = Q(x)* H Q(x), shape (M, r, r), checked
     positive by cholesky."""
-    h = kernels.field(basis, grid.nodes, form.matrix)
+    h = kernels.field(basis, grid, form.matrix)
     kernels.cholesky(h)
     return h.transpose(2, 0, 1)
 
@@ -218,11 +227,9 @@ FD_STEP = 1e-4
 
 
 def _chart_at(basis: SectionBasis, ps: OnePS, x):
-    """Q(x) and V* Q(x), both (N, r), and nodes = [x] for kernels.finite,
-    which names x when a Gram overflows; call it under np.errstate."""
-    nodes = np.asarray([x])
-    q = q_field(basis, nodes)[0]
-    return q, _groups(_frame(ps), (slice(None),), q)[0], nodes
+    """Q(x) and V* Q(x), both (N, r); call it under np.errstate."""
+    q = q_field(basis, np.asarray([x]))[0]
+    return q, _groups(_frame(ps), (slice(None),), q)[0]
 
 
 def _jet_gram(a: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -255,9 +262,11 @@ def commutator_residual(basis: SectionBasis, ps: OnePS, t: float, x) -> float:
     """
     u = 2.0 * ps.eigenvalues[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        q, vq, nodes = _chart_at(basis, ps, x)
+        q, vq = _chart_at(basis, ps, x)
         h_ref = q.conj().T @ q
-    w = kernels.whiten(kernels.finite(h_ref[..., None], nodes, slice(0, 1)))[0][..., 0]
+    if not np.isfinite(h_ref).all():
+        raise kernels.NonFiniteChart(0, x)
+    w = kernels.whiten(h_ref[..., None])[0][..., 0]
     g = _jet_gram(np.exp((ps.eigenvalues - ps.weights[0]) * t)[:, None] * (vq @ w.conj().T), u)
     r = basis.rank
     blocks = g.reshape(2, r, 2, r).swapaxes(1, 2).reshape(4, r, r)  # m0, m1, m1*, m2
@@ -289,10 +298,11 @@ def subgeodesic_residual(basis: SectionBasis, ps: OnePS, t: float, x):
     steps = np.array([FD_STEP, FD_STEP / 2.0])
     times = t + np.array([0.0, *steps, *-steps])
     with np.errstate(over="ignore", invalid="ignore"):
-        q, vq, nodes = _chart_at(basis, ps, x)
+        q, vq = _chart_at(basis, ps, x)
         a = np.exp(np.multiply.outer(times, shifted))[..., None] * vq
         gram = _jet_gram(a, u)
-    kernels.finite(gram[..., None], nodes, slice(0, 1))
+    if not np.isfinite(gram).all():
+        raise kernels.NonFiniteChart(0, x)
     r = basis.rank
     g = np.linalg.solve(gram[:, :r, :r], gram[:, :r, r:])
 

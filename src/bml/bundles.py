@@ -153,9 +153,10 @@ def _evaluate(basis: SectionBasis, runs, nodes) -> np.ndarray:
 def selector(idx: np.ndarray):
     """An integer index array as a selector along one axis: a slice when
     it is an ascending run of consecutive integers, so that indexing by
-    it gives a view, else the array itself."""
+    it gives a view, else the array itself.  The ends are compared first,
+    so a scattered index (a permutation frame) costs no full comparison."""
     start = int(idx[0])
-    if np.array_equal(idx, np.arange(start, start + len(idx))):
+    if idx[-1] - start == len(idx) - 1 and np.array_equal(idx, np.arange(start, start + len(idx))):
         return slice(start, start + len(idx))
     return idx
 
@@ -179,4 +180,4 @@ def dq_dz_field(basis: SectionBasis, nodes: np.ndarray) -> np.ndarray:
 
 def h_ref_field(basis: SectionBasis, grid: QuadratureGrid) -> np.ndarray:
     """Reference metric h_ref(x) = Q(x)* Q(x) at every node, (M, r, r)."""
-    return kernels.field(basis, grid.nodes).transpose(2, 0, 1)
+    return kernels.field(basis, grid).transpose(2, 0, 1)

@@ -125,6 +125,8 @@ def _parse_ps(raw) -> PSSpec:
         raise ConfigError("ps.weights", "two-step generator needs exactly two weights")
     if not sub:
         raise ConfigError("ps.sub", "two-step generator needs summand indices")
+    if len(set(sub)) < len(sub):
+        raise ConfigError("ps.sub", f"summand indices {list(sub)} repeat")
     return PSSpec(type=kind, weights=weights, sub=sub)
 
 

@@ -24,12 +24,11 @@ m2_along_path, m1_curve and m1_rate integrate over one node per torus
 orbit of the grid (_orbit_grid).  The curvature of a diagonal form on
 P^1, such as every form of such a path, is computed there too and
 repeated over each ring.  Every other 1-PS or form, and P^2, keep the
-whole grid.
+whole grid.  A failure on the quotient names its node in the full grid.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -37,9 +36,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import bundles, kernels
-from .bergman import HermitianForm, OnePS, _frame, _groups
+from .bergman import HermitianForm, OnePS, _diagonal_frame, _frame, _groups
 from .bundles import SectionBasis
-from .quadrature import NonFiniteIntegrand, QuadratureGrid
+from .quadrature import QuadratureGrid
 
 
 class InsufficientSamples(ValueError):
@@ -56,24 +55,9 @@ def _orbit_grid(grid: QuadratureGrid, frame: np.ndarray) -> QuadratureGrid:
     unitary Lambda(theta), which commutes with H(t): h, c and a* h^{-1} a,
     and with them the M2 and M1 integrands and the curvature, are
     functions of |z|, and the torus-orbit quotient grid.orbits holds one
-    node per ring.  A frame matrix runs on grid, and so does P^2, where a
-    diagonal generator's M2 integrand on mixed columns spreads between the
-    nodes of one orbit well above roundoff at large t, and the full grid
-    averages that spread."""
-    return grid.orbits if frame.ndim == 1 and grid.space_tag == "P1" else grid
-
-
-@contextmanager
-def _full_grid_names(grid: QuadratureGrid):
-    """A NonFiniteIntegrand raised inside at node i of ``grid`` is raised
-    again at node grid.parent[i] of the grid it was reduced from, the same
-    node, when ``grid`` is a quotient."""
-    try:
-        yield
-    except NonFiniteIntegrand as err:
-        if grid.parent is None:
-            raise
-        raise err.at(int(grid.parent[err.index])) from err
+    node per ring.  A frame matrix runs on grid; a P^2 grid is its own
+    quotient (see build_grid_p2)."""
+    return grid.orbits if frame.ndim == 1 else grid
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +84,7 @@ def m2_along_path(
     one Cholesky pass gives all their log-dets.  Each G_d is bounded by
     h_ref, so a block overflows only where the reference or a path metric
     does: NonFiniteChart names it, by its index in ``grid``.  For a
-    diagonal 1-PS on P^1 the nodes are those of grid.orbits (_orbit_grid).
+    diagonal 1-PS the nodes are those of grid.orbits (_orbit_grid).
     """
     frame = _frame(ps)
     grid = _orbit_grid(grid, frame)
@@ -108,13 +92,12 @@ def m2_along_path(
     with np.errstate(over="ignore"):
         table = np.exp(2.0 * np.outer(ps.weights, times))
     vals = np.empty((len(times), len(grid.nodes)))
-    with _full_grid_names(grid):
-        for sl, q in kernels.blocks(basis, grid.nodes):
-            grams = np.stack([kernels.gram(b) for b in _groups(frame, ps.slices, q)], axis=2)
-            with np.errstate(over="ignore", invalid="ignore"):
-                h = table.T @ grams  # (r, r, T+1, B)
-            vals[:, sl] = kernels.logdet(kernels.finite(h, grid.nodes, sl))
-        return np.asarray([grid.integrate(v - vals[0]) / grid.volume for v in vals[1:]])
+    for sl, q in kernels.blocks(basis, grid.nodes):
+        grams = np.stack([kernels.gram(b) for b in _groups(frame, ps.slices, q)], axis=2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = table.T @ grams  # (r, r, T+1, B)
+        vals[:, sl] = kernels.logdet(kernels.finite(h, grid, sl))
+    return np.asarray([grid.integrate(v - vals[0]) / grid.volume for v in vals[1:]])
 
 
 # ---------------------------------------------------------------------------
@@ -139,36 +122,34 @@ def curvature_field(
 
     h, a and c are combined from the jet blocks of _path_jets, as m1_rate
     combines them.  A diagonal form (that of every diagonal 1-PS,
-    OnePS.form_at) is a permutation frame: its rows stable-sorted by
-    value, one group per value, each group's blocks weighted by that
-    value, with no eigh and no GEMM.  On P^1 its curvature is a function
-    of |z|: it is computed on grid.orbits (_orbit_grid) and repeated over
-    each ring.  Any other form H = V Lambda V* is one group of the square
-    root F = Lambda^{1/2} V* (F*F = H), on every node of ``grid``.
+    OnePS.form_at) is a permutation frame (bergman._diagonal_frame), one
+    group per value, each group's blocks weighted by that value, with no
+    eigh and no GEMM.  On P^1 its curvature is a function of |z|: it is
+    computed on grid.orbits (_orbit_grid) and repeated grid.ring times.
+    Any other form H = V Lambda V* is one group of the square root
+    F = Lambda^{1/2} V* (F*F = H), on every node of ``grid``.
 
     Normalized as a density against the quadrature measure:
     grid.integrate(trace of the result) equals the degree of E.
     """
     _only_analytic(method)
-    m = form.matrix
-    if np.count_nonzero(m) == np.count_nonzero(m.diagonal()):
-        values = m.diagonal().real
-        rotation = np.argsort(-values, kind="stable")
-        cuts = [0, *(np.flatnonzero(np.diff(values[rotation])) + 1), len(values)]
+    diagonal = _diagonal_frame(form.matrix)
+    if diagonal:
+        rotation, values = diagonal
+        cuts = [0, *(np.flatnonzero(np.diff(values)) + 1), len(values)]
         slices = tuple(slice(i, j) for i, j in zip(cuts, cuts[1:]))
-        weights = values[rotation[cuts[:-1]]]
+        weights = values[cuts[:-1]]
     else:
-        lam, v = np.linalg.eigh(m)
+        lam, v = np.linalg.eigh(form.matrix)
         rotation, slices, weights = np.sqrt(lam)[:, None] * v.conj().T, (slice(None),), np.ones(1)
     jets = _path_jets(basis, _orbit_grid(grid, rotation), rotation, slices)
     f_t = np.empty((basis.rank, basis.rank, len(jets.grid.nodes)), dtype=complex)
-    with _full_grid_names(jets.grid):
-        for sl, stack in jets.stacks:
-            twist = jets.twist[sl]
-            w, l, k = _frame_block(basis.level / twist, stack, weights, jets.grid.nodes, sl)
-            f_t[..., sl] = kernels.mul(kernels.mul(kernels.ct(w), k), kernels.ct(l)) * twist
+    for sl, stack in jets.stacks:
+        twist = jets.twist[sl]
+        w, l, k = _frame_block(basis.level / twist, stack, weights, jets.grid, sl)
+        f_t[..., sl] = kernels.mul(kernels.mul(kernels.ct(w), k), kernels.ct(l)) * twist
     if jets.grid is not grid:  # one node per ring: repeat it over the ring
-        f_t = np.repeat(f_t, np.diff(jets.grid.parent, append=len(grid.nodes)), axis=-1)
+        f_t = np.repeat(f_t, grid.ring, axis=-1)
     return f_t.transpose(2, 1, 0)
 
 
@@ -245,11 +226,11 @@ def _path_jets(basis: SectionBasis, grid: QuadratureGrid, rotation, slices) -> _
     return _Jets(len(slices), grid, (1.0 + np.abs(z) ** 2) ** 2, stacks)
 
 
-def _frame_block(fs, stack, e, z, sl: slice):
-    """(W, L, K) of _curvature_frame on one node block of jets, for h, a
-    and c = sum_d e_d (G_d, A_d, C_d); NonFiniteChart names the first node
-    where one of them overflowed."""
-    return _curvature_frame(fs, *kernels.finite(_weighted(e, stack), z, sl))
+def _frame_block(fs, stack, e, grid, sl: slice):
+    """(W, L, K) of _curvature_frame on the node block ``sl`` of ``grid``,
+    for h, a and c = sum_d e_d (G_d, A_d, C_d) from its jets;
+    NonFiniteChart names the first node where one of them overflowed."""
+    return _curvature_frame(fs, *kernels.finite(_weighted(e, stack), grid, sl))
 
 
 def _weighted(e, stack):
@@ -288,13 +269,12 @@ def m1_rate(
         e = np.exp(2.0 * weights * t)
     e_dot = 2.0 * weights * e
     integrand = np.empty(len(grid.nodes))
-    with _full_grid_names(grid):
-        for sl, stack in jets.stacks:
-            twist = jets.twist[sl]
-            w, _, k = _frame_block(basis.level / twist, stack, e, grid.nodes, sl)
-            x = kernels.mul(kernels.mul(w, _weighted(e_dot, stack[:, 0])), kernels.ct(w))
-            integrand[sl] = -twist * (x * k.transpose(1, 0, 2)).sum(axis=(0, 1)).real  # tr(X K)
-        return grid.integrate(integrand)
+    for sl, stack in jets.stacks:
+        twist = jets.twist[sl]
+        w, _, k = _frame_block(basis.level / twist, stack, e, grid, sl)
+        x = kernels.mul(kernels.mul(w, _weighted(e_dot, stack[:, 0])), kernels.ct(w))
+        integrand[sl] = -twist * (x * k.transpose(1, 0, 2)).sum(axis=(0, 1)).real  # tr(X K)
+    return grid.integrate(integrand)
 
 
 def m1_curve(

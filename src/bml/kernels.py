@@ -26,7 +26,8 @@ block, moves in its last bits with BLOCK.
 The fibre metric has one factorization, the Cholesky h = L L* of
 `cholesky`, with W = L^{-1} from `whiten`: log det h = 2 sum_j log L_jj,
 P = Q h^{-1} Q* = Y Y* with Y = Q W*, and SingularGram on loss of
-positivity.  `finite` names an overflowed node before any factorization.
+positivity.  `finite` names an overflowed node before any factorization,
+on a quotient by its index in the full grid (`QuadratureGrid.name`).
 """
 
 from __future__ import annotations
@@ -57,9 +58,6 @@ class NonFiniteChart(NonFiniteIntegrand):
             u = (a / s) ** 2 / ((1.0 / s) ** 2 + np.sum((a / s) ** 2))
         ValueError.__init__(self, f"sandwich not finite at node {index}: z = {z}, u = {u}")
         self.index, self.z, self.u = index, z, u
-
-    def at(self, index: int) -> "NonFiniteChart":
-        return NonFiniteChart(index, self.z)
 
 
 def node_last(x: np.ndarray) -> np.ndarray:
@@ -121,39 +119,43 @@ def gram(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def finite(x, nodes, sl: slice):
-    """x, a stack of per-node values with the node index last, unchanged
-    when every entry is finite; otherwise NonFiniteChart names the first
-    node with an overflowed entry."""
+def finite(x, grid, sl: slice):
+    """x, a stack of per-node values over the nodes ``sl`` of ``grid``
+    with the node index last, unchanged when every entry is finite;
+    otherwise NonFiniteChart names the first node with an overflowed
+    entry, by its index in the grid a quotient was reduced from."""
     ok = np.isfinite(x).reshape(-1, x.shape[-1]).all(axis=0)
     if not ok.all():
         i = sl.start + int(np.argmin(ok))
-        raise NonFiniteChart(i, nodes[i])
+        raise NonFiniteChart(grid.name(i), grid.nodes[i])
     return x
 
 
-def field(basis, nodes, mat=None, chart=None) -> np.ndarray:
-    """Q* mat Q at every node, hermitian, shape (r, r, M); Q*Q without
-    ``mat``.  ``chart`` holds the blocks when the caller keeps them;
-    NonFiniteChart names the first node whose sandwich overflowed."""
-    out = np.empty((basis.rank, basis.rank, len(nodes)), dtype=complex)
-    for sl, qb in blocks(basis, nodes, chart):
+def field(basis, grid, mat=None, chart=None) -> np.ndarray:
+    """Q* mat Q at every node of ``grid``, hermitian, shape (r, r, M);
+    Q*Q without ``mat``.  ``chart`` holds the blocks when the caller
+    keeps them; NonFiniteChart names the first node whose sandwich
+    overflowed."""
+    out = np.empty((basis.rank, basis.rank, len(grid.nodes)), dtype=complex)
+    for sl, qb in blocks(basis, grid.nodes, chart):
         h = pair(qb, qb if mat is None else act(mat, qb))
-        out[..., sl] = 0.5 * (finite(h, nodes, sl) + ct(h))
+        out[..., sl] = 0.5 * (finite(h, grid, sl) + ct(h))
     return out
 
 
-def b_matrix(basis, nodes, w, H, chart=None):
-    """sum_x w(x) Y Y* (see p_root), one GEMM of Y as an N x (r B)
-    matrix per block; with it log det h and W at every node, (M,) and
-    (r, r, M).  ``chart`` holds the blocks if kept.  The sum is
-    accumulated per block, so it moves in its last bits with BLOCK."""
+def b_matrix(basis, grid, H, chart=None):
+    """B(H) = (1/Vol_L) int Y Y* dV (see p_root), so that balance reads
+    B(H) = (r/N) H^{-1}: one GEMM of Y as an N x (r B) matrix per block,
+    accumulated per block, so it moves in its last bits with BLOCK.  With
+    it log det h_H and W at every node, (M,) and (r, r, M).  ``chart``
+    holds the blocks if kept."""
     n, r = basis.dimension, basis.rank
+    w = grid.weights / grid.volume
     b = np.zeros((n, n), dtype=complex)
-    ld = np.empty(len(nodes))
-    wh = np.empty((r, r, len(nodes)), dtype=complex)
-    for sl, qb in blocks(basis, nodes, chart):
-        wh[..., sl], l = whiten(finite(pair(qb, act(H, qb)), nodes, sl))
+    ld = np.empty(len(grid.nodes))
+    wh = np.empty((r, r, len(grid.nodes)), dtype=complex)
+    for sl, qb in blocks(basis, grid.nodes, chart):
+        wh[..., sl], l = whiten(finite(pair(qb, act(H, qb)), grid, sl))
         ld[sl] = _logdet(l)
         y = p_root(qb, wh[..., sl])
         b += (y * w[sl]).reshape(n, -1) @ y.reshape(n, -1).conj().T

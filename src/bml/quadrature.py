@@ -12,12 +12,14 @@ better than 1e-6.
 The total mass is Vol_L = 1 on P^1 and 1/2 on P^2, i.e. int omega^n/n!
 for omega in c1(O(1)).
 
-Each ring of a tensor grid (every angle at one moment) is one orbit of
-the torus rotating the chart coordinates.  `QuadratureGrid.orbits` keeps
-one node per orbit with the orbit's total weight; an integrand that the
-torus leaves invariant, a function of the |z_i| alone, integrates to the
-same value on it up to roundoff.  Which integrals may run there is the
-caller's decision (`donaldson` makes it for M2 and M1).
+Each ring of the P^1 grid (every angle at one radius) is one orbit of
+the torus rotating the chart coordinate, laid out as ``ring`` consecutive
+nodes.  `QuadratureGrid.orbits` keeps one node per orbit with the orbit's
+total weight; an integrand that the torus leaves invariant, a function
+of |z| alone, integrates to the same value on it up to roundoff.  Which
+integrals may run there is the caller's decision (`donaldson` makes it
+for M2 and M1).  A quotient names a node by its index in the grid it was
+reduced from, so a failure reads the same on either.
 """
 
 from __future__ import annotations
@@ -28,11 +30,6 @@ from typing import Optional
 
 import numpy as np
 
-# largest difference between a grid's moment coordinates and the moment
-# map of its nodes that still counts as roundoff
-MOMENT_TOL = 16 * np.finfo(float).eps
-
-
 class InvalidResolution(ValueError):
     pass
 
@@ -41,11 +38,6 @@ class NonFiniteIntegrand(ValueError):
     def __init__(self, index):
         super().__init__(f"integrand not finite at node {index}")
         self.index = index
-
-    def at(self, index: int) -> "NonFiniteIntegrand":
-        """The same failure named at ``index``, the node's index in the
-        grid that the failing one was reduced from."""
-        return NonFiniteIntegrand(index)
 
 
 def pairwise_sum(values: np.ndarray) -> float:
@@ -82,8 +74,8 @@ class QuadratureGrid:
     """Nodes on the affine chart plus positive weights summing to Vol_L.
 
     nodes: complex array of shape (M,) on P^1 or (M, 2) on P^2.
-    moment: the torus moment-map coordinates of each node, shape (M,) on
-        P^1 (u = |z|^2/(1+|z|^2)) or (M, 2) on P^2, or None.
+    ring: the number of consecutive nodes that make up one torus orbit;
+        1 on a grid with no quotient.
     parent: on a quotient (`orbits`), the index of each node in the grid
         it was reduced from; None on a grid that was built.
     """
@@ -91,12 +83,16 @@ class QuadratureGrid:
     space_tag: str
     nodes: np.ndarray
     weights: np.ndarray
-    moment: Optional[np.ndarray]
+    ring: int
     parent: Optional[np.ndarray] = None
 
     @property
     def volume(self) -> float:
         return 1.0 if self.space_tag == "P1" else 0.5
+
+    def name(self, i: int) -> int:
+        """Node i by its index in the grid this one was reduced from."""
+        return i if self.parent is None else int(self.parent[i])
 
     def integrate(self, values) -> float:
         """Weighted sum of per-node integrand values."""
@@ -105,36 +101,23 @@ class QuadratureGrid:
             raise ValueError("integrand values must be one scalar per node")
         bad = ~np.isfinite(values)
         if bad.any():
-            raise NonFiniteIntegrand(int(np.argmax(bad)))
+            raise NonFiniteIntegrand(self.name(int(np.argmax(bad))))
         return pairwise_sum(values * self.weights)
 
     @cached_property
     def orbits(self) -> "QuadratureGrid":
-        """The torus-orbit quotient: per run of consecutive nodes with
-        equal ``moment`` (a ring of a tensor grid), the run's first node
-        carrying the sum of the run's weights, with ``parent`` the index
-        of each kept node here.  ``moment`` counts only where it agrees,
-        to roundoff (MOMENT_TOL), with the moment map computed from the
-        nodes themselves, so a stale or missing ``moment`` gives no
-        reduction: the grid itself is returned then, and when no run holds
-        two nodes.  Held on the instance, computed once."""
-        if self.moment is None:
+        """The torus-orbit quotient: per ring, the first node carrying
+        the sum of the ring's weights, with ``parent`` the index of each
+        kept node here; the grid itself when a ring is one node.  Held on
+        the instance, computed once."""
+        if self.ring == 1:
             return self
-        z = self.nodes.reshape(len(self.nodes), -1)
-        m = self.moment.reshape(len(self.moment), -1)
-        with np.errstate(over="ignore", invalid="ignore"):  # a far node gives u = nan: no match
-            a = np.abs(z) ** 2
-            u = a / (1.0 + a.sum(axis=1, keepdims=True))
-        if u.shape != m.shape or not (np.abs(u - m) <= MOMENT_TOL).all():
-            return self
-        starts = np.flatnonzero(np.concatenate([[True], (m[1:] != m[:-1]).any(axis=1)]))
-        if len(starts) == len(m):
-            return self
+        starts = np.arange(0, len(self.nodes), self.ring)
         return QuadratureGrid(
             space_tag=self.space_tag,
             nodes=self.nodes[starts],
             weights=np.add.reduceat(self.weights, starts),
-            moment=self.moment[starts],
+            ring=1,
             parent=starts,
         )
 
@@ -153,14 +136,8 @@ def build_grid_p1(n_radial: int = 8, n_angular: int = 32, depth: int = 20) -> Qu
     theta = 2.0 * np.pi * np.arange(n_angular) / n_angular
     r = np.sqrt(u / (1.0 - u))
     z = (r[:, None] * np.exp(1j * theta)[None, :]).ravel()
-    um = np.repeat(u, n_angular)
     w = np.repeat(wu, n_angular) / n_angular
-    return QuadratureGrid(
-        space_tag="P1",
-        nodes=z,
-        weights=w,
-        moment=um,
-    )
+    return QuadratureGrid(space_tag="P1", nodes=z, weights=w, ring=n_angular)
 
 
 def build_grid_p2(n_simplex: int = 6, n_angular: int = 12, depth: int = 8) -> QuadratureGrid:
@@ -171,7 +148,10 @@ def build_grid_p2(n_simplex: int = 6, n_angular: int = 12, depth: int = 8) -> Qu
     with s = 1 + |z1|^2 + |z2|^2.  The simplex carries a collapsed
     (Duffy) Gauss product rule, symmetrized under v1 <-> v2 so that the
     node set is invariant under swapping the two chart coordinates; the
-    angles carry the uniform trapezoid rule.
+    angles carry the uniform trapezoid rule.  It records no ring: along
+    a diagonal 1-PS at large t the M2 integrand on mixed columns spreads
+    between the nodes of one orbit well above roundoff, and only the
+    whole orbit averages that spread.
     """
     if n_simplex < 2 or n_angular < 4:
         raise InvalidResolution("need n_simplex >= 2 and n_angular >= 4")
@@ -197,17 +177,9 @@ def build_grid_p2(n_simplex: int = 6, n_angular: int = 12, depth: int = 8) -> Qu
     z1 = (r1[:, None] * np.exp(1j * th1)[None, :]).ravel()
     z2 = (r2[:, None] * np.exp(1j * th2)[None, :]).ravel()
     nodes = np.stack([z1, z2], axis=-1)
-    moment = np.stack(
-        [np.repeat(v1s, th1.size), np.repeat(v2s, th1.size)], axis=-1
-    )
     # Simplex weights sum to 1/2 = Vol_L; the torus factor is averaged.
     w = np.repeat(wvs, th1.size) / (n_angular * n_angular)
-    return QuadratureGrid(
-        space_tag="P2",
-        nodes=nodes,
-        weights=w,
-        moment=moment,
-    )
+    return QuadratureGrid(space_tag="P2", nodes=nodes, weights=w, ring=1)
 
 
 def build_grid(space: str, **kwargs) -> QuadratureGrid:

@@ -274,8 +274,8 @@ def test_p1_charts_are_torus_eigenbases(degrees, orthonormal, grid_p1, rng):
     e^{-i theta} Lambda(theta) dQ/dz(z), Lambda diagonal, unitary and the
     same at every z: a diagonal form commutes with Lambda, so its fibre
     metric and curvature depend on |z| alone, which is what lets M2 and
-    M1 along a diagonal 1-PS run on one node per torus orbit.  Grids
-    whose moment does not describe their nodes are not reduced."""
+    M1 along a diagonal 1-PS run on one node per torus orbit.  A grid
+    whose ring is one node is not reduced."""
     bundle = bd.split(*degrees)
     z = rng.normal(size=40) + 1j * rng.normal(size=40)
     for k in (bundle.regularity(), bundle.regularity() + 3):
@@ -296,8 +296,6 @@ def test_p1_charts_are_torus_eigenbases(degrees, orthonormal, grid_p1, rng):
     ps = bg.one_ps(np.diag([1.0, -1.0]))
     assert don._orbit_grid(grid_p1, ps.rows) is grid_p1.orbits
     assert don._orbit_grid(grid_p1, ps.vectors.conj().T) is grid_p1
-    stale = dataclasses.replace(grid_p1, nodes=rng.normal(size=grid_p1.nodes.size) + 0j)
-    missing = dataclasses.replace(grid_p1, moment=None)
-    for grid in (stale, missing):
-        assert grid.orbits is grid
-        assert don._orbit_grid(grid, ps.rows) is grid
+    unringed = dataclasses.replace(grid_p1, ring=1)
+    assert unringed.orbits is unringed
+    assert don._orbit_grid(unringed, ps.rows) is unringed

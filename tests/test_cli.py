@@ -155,15 +155,16 @@ def test_inline_ps_parsing():
         ({"kind": "slope", "grid": {"n_simplex": 4}, "ps": "two_step:1:2/3,-1"}, [], "grid.n_simplex"),
         ({"kind": "mna", "bundle": "euler_tp2", "grid": {"n_radial": 4}}, [], "grid.n_radial"),
         ({"kind": "mna", "grid": {"n_rings": 4}}, [], "grid.n_rings"),
+        (None, ["--ps", "two_step:1,1:2/3,-1"], "ps.sub"),
     ],
 )
 def test_bad_config_input_exits_one(tmp_path, capsys, raw, argv, field):
     """An unknown key, a null value, an unreadable flag or grid size, a
     fractional or boolean integer or a boolean number (which would be
-    truncated or read as 1), a summand index out of range, a non-finite
-    time or tolerance, a field `bml verify` does not read, and a grid key
-    of the other space or of none each exit 1 with a ConfigError naming
-    the field."""
+    truncated or read as 1), a summand index out of range or repeated, a
+    non-finite time or tolerance, a field `bml verify` does not read, and
+    a grid key of the other space or of none each exit 1 with a
+    ConfigError naming the field."""
     kind = (raw or {}).get("kind", "mna")
     if raw is not None:
         argv = ["--config", write_cfg(tmp_path, raw)] + argv

@@ -191,7 +191,7 @@ M1_TOL = {"criterion-4-trivial": 5e-13, "level-sweep-k36": 4e-12}
                                   "split012-generic", "level-sweep-k36"])
 def test_orbits_match_the_full_grid(name, grid_p1_fine):
     """Along a diagonal 1-PS, M2 and M1 on one node per torus orbit agree
-    with the whole grid (no moment, so no reduction) to roundoff, and
+    with the whole grid (ring 1, so no reduction) to roundoff, and
     they are what m2_along_path, m1_curve and m1_rate give on the grid.
     The curvature of a path form, computed per orbit and repeated over
     its ring, differs from the whole grid's at each node by no more than
@@ -199,7 +199,7 @@ def test_orbits_match_the_full_grid(name, grid_p1_fine):
     form in a non-diagonal frame is not reduced."""
     basis, ps, ts, ts_m1 = orbit_case(name)
     orbits = grid_p1_fine.orbits
-    full = dataclasses.replace(grid_p1_fine, moment=None)
+    full = dataclasses.replace(grid_p1_fine, ring=1)
     assert len(orbits.nodes) == len(grid_p1_fine.nodes) // 32 and full.orbits is full
     tol = M1_TOL.get(name, 1e-13)
 

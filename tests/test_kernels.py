@@ -473,7 +473,7 @@ def test_b_matrix_p_field_and_m2_value(split_basis, grid, rng):
     p = np.einsum("mni,mij,mkj->mnk", q, np.linalg.inv(h), q.conj())
     b_want = herm(np.einsum("m,mnk->nk", grid.weights / grid.volume, p))
     for chart in (None, list(kernels.blocks(split_basis, grid.nodes))):
-        b, ld, wh = bl._b_matrix(split_basis, grid, H, chart)
+        b, ld, wh = kernels.b_matrix(split_basis, grid, H, chart)
         assert rel(b, b_want) < TOL
         assert rel(ld, np.linalg.slogdet(h)[1]) < TOL
         assert rel(kernels.p_field(q.transpose(1, 2, 0), wh), p.transpose(1, 2, 0)) < TOL
@@ -493,7 +493,7 @@ def test_p_field_beyond_rank_two(bundle, k, coarse, rng):
     q = bd.q_field(basis, coarse.nodes)
     h = herm(sandwich(q, H, q))
     p = np.einsum("mni,mij,mkj->mnk", q, np.linalg.inv(h), q.conj())
-    b, _, wh = bl._b_matrix(basis, coarse, H)
+    b, _, wh = kernels.b_matrix(basis, coarse, H)
     assert rel(kernels.p_field(q.transpose(1, 2, 0), wh), p.transpose(1, 2, 0)) < TOL
     assert rel(b, herm(np.einsum("m,mnk->nk", coarse.weights / coarse.volume, p))) < TOL
 
@@ -535,7 +535,7 @@ def test_fibre_algebra_has_one_factorization(coarse, monkeypatch, rng):
     don.curvature_field(basis, coarse, form)
     bg.fs_metric(basis, coarse, form)
     bl.m2_value(basis, coarse, form.matrix)
-    bl._b_matrix(basis, coarse, form.matrix)
+    kernels.b_matrix(basis, coarse, form.matrix)
     bl.t_iterate(basis, coarse, np.eye(n), max_iter=2)
     bl.lm_minimize(basis, coarse, np.eye(n), max_iter=2)
     assert calls == {"slogdet": 0, "inv": 0, "eigvalsh": 0, "eigh": 0}
@@ -586,19 +586,19 @@ def test_fibre_factorization_names_its_failures(factorize, node, rng):
     named by the finite check that precedes every factorization."""
     g = rng.normal(size=(10, 2, 2)) + 1j * rng.normal(size=(10, 2, 2))
     h = g @ g.conj().transpose(0, 2, 1) + np.eye(2)
-    nodes = rng.normal(size=120) + 1j * rng.normal(size=120)
+    grid = build_grid_p1(n_radial=2, n_angular=4, depth=8)  # 128 nodes
     sl = slice(100, 110)
-    factorize(kernels.finite(h.transpose(1, 2, 0), nodes, sl))
+    factorize(kernels.finite(h.transpose(1, 2, 0), grid, sl))
     singular = h.copy()
     singular[node] = [[1.0, 2.0], [2.0, 4.0]]  # rank one, exactly
     with pytest.raises(kernels.SingularGram):
-        factorize(kernels.finite(singular.transpose(1, 2, 0), nodes, sl))
+        factorize(kernels.finite(singular.transpose(1, 2, 0), grid, sl))
     overflowed = h.copy()
     overflowed[node, 1, 0] = np.inf
     with pytest.raises(kernels.NonFiniteChart) as info:
-        factorize(kernels.finite(overflowed.transpose(1, 2, 0), nodes, sl))
+        factorize(kernels.finite(overflowed.transpose(1, 2, 0), grid, sl))
     assert info.value.index == 100 + node
-    assert info.value.z == nodes[100 + node]
+    assert info.value.z == grid.nodes[100 + node]
 
 
 def test_block_size_does_not_move_results(grid_p1, monkeypatch, rng):
@@ -609,7 +609,7 @@ def test_block_size_does_not_move_results(grid_p1, monkeypatch, rng):
     form = ps.form_at(1.0)
 
     def outputs():
-        b, ld, wh = bl._b_matrix(basis, grid_p1, form.matrix)
+        b, ld, wh = kernels.b_matrix(basis, grid_p1, form.matrix)
         per_node = [
             don.m2_along_path(basis, grid_p1, ps, [0.5, 2.0]),
             don.m1_curve(basis, grid_p1, ps, [1.0], n_path=4),
@@ -635,8 +635,8 @@ def test_repeated_calls_are_byte_identical(grid_p1, rng):
     first = don.m2_along_path(basis, grid_p1, ps, [1.0, 4.0])
     assert first.tobytes() == don.m2_along_path(basis, grid_p1, ps, [1.0, 4.0]).tobytes()
     H = ps.form_at(0.7).matrix
-    b = bl._b_matrix(basis, grid_p1, H)[0]
-    assert b.tobytes() == bl._b_matrix(basis, grid_p1, H)[0].tobytes()
+    b = kernels.b_matrix(basis, grid_p1, H)[0]
+    assert b.tobytes() == kernels.b_matrix(basis, grid_p1, H)[0].tobytes()
     rate = don.m1_rate(basis, grid_p1, ps, 0.7)
     assert rate == don.m1_rate(basis, grid_p1, ps, 0.7)
 
@@ -653,7 +653,8 @@ def test_overflowing_chart_names_the_node(grid_p1_fine):
     assert isinstance(err, NonFiniteIntegrand)
     assert err.index == 10208
     assert err.z == grid_p1_fine.nodes[10208]
-    assert err.u == pytest.approx(grid_p1_fine.moment[10208], rel=1e-12)
+    a = np.abs(grid_p1_fine.nodes[10208]) ** 2
+    assert err.u == pytest.approx(a / (1.0 + a), rel=1e-12)
     assert "10208" in str(err)
 
 

@@ -72,17 +72,16 @@ def test_refinement_converges():
 
 @pytest.mark.parametrize("grid, per_orbit", [
     (build_grid_p1(), 32), (build_grid_p1(n_radial=6, n_angular=16, depth=12), 16),
-    (build_grid_p2(n_simplex=4, n_angular=8, depth=5), 64),
-], ids=["p1-default", "p1-light", "p2"])
+], ids=["p1-default", "p1-light"])
 def test_orbits_keep_one_node_per_ring(grid, per_orbit):
     """The quotient keeps the first node of each ring with the ring's
     total weight, maps it back to its index in the grid, is computed
     once, and integrates a torus-invariant function as the grid does."""
     orbits = grid.orbits
     assert orbits is grid.orbits and orbits.orbits is orbits and grid.parent is None
+    assert grid.ring == per_orbit and orbits.ring == 1
     assert np.array_equal(orbits.parent, np.arange(0, len(grid.nodes), per_orbit))
     assert np.array_equal(orbits.nodes, grid.nodes[orbits.parent])
-    assert np.array_equal(orbits.moment, grid.moment[orbits.parent])
     assert orbits.weights == pytest.approx(grid.weights.reshape(-1, per_orbit).sum(axis=1), rel=1e-15)
     assert orbits.volume == grid.volume
     assert orbits.weights.sum() == pytest.approx(grid.volume, rel=1e-14)
@@ -92,6 +91,18 @@ def test_orbits_keep_one_node_per_ring(grid, per_orbit):
         assert orbits.integrate(f(s_orbits)) == pytest.approx(grid.integrate(f(s)), rel=1e-14)
 
 
+def test_p2_grid_is_its_own_quotient():
+    """The P^2 grid records no ring (see build_grid_p2)."""
+    grid = build_grid_p2(n_simplex=4, n_angular=8, depth=5)
+    assert grid.ring == 1 and grid.orbits is grid and grid.parent is None
+
+
 def test_nonfinite_integrand_names_the_node_of_the_full_grid():
-    err = NonFiniteIntegrand(3).at(96)
-    assert type(err) is NonFiniteIntegrand and err.index == 96 and "96" in str(err)
+    """A quotient names a failing node by its index in the grid it was
+    reduced from: node 3 of the orbits is node 3 * 32 of the grid."""
+    orbits = build_grid_p1().orbits
+    values = np.ones(len(orbits.nodes))
+    values[3] = np.nan
+    with pytest.raises(NonFiniteIntegrand) as info:
+        orbits.integrate(values)
+    assert type(info.value) is NonFiniteIntegrand and info.value.index == 96 and "96" in str(info.value)

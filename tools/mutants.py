@@ -35,14 +35,20 @@ MUTANTS = (
      "        w[i, i] = 1.0 / l[i, i]\n"
      "    return np.eye(len(w)).reshape(w.shape[:2] + (1,) * (w.ndim - 2)) + 0 * w, l\n"),
     ("orbits-for-any-1ps", "src/bml/donaldson.py",
-     'return grid.orbits if frame.ndim == 1 and grid.space_tag == "P1" else grid',
-     'return grid.orbits if grid.space_tag == "P1" else grid'),
+     "return grid.orbits if frame.ndim == 1 else grid",
+     "return grid.orbits"),
     ("curvature-orbits-for-any-form", "src/bml/donaldson.py",
      "jets = _path_jets(basis, _orbit_grid(grid, rotation), rotation, slices)",
      "jets = _path_jets(basis, grid.orbits, rotation, slices)"),
     ("left-panels-ungraded", "src/bml/quadrature.py",
      "left = [2.0 ** (-j) for j in range(depth, 1, -1)]",
      "left = [0.5 * i / depth for i in range(1, depth)]"),
+    ("orbit-ring-doubled", "src/bml/quadrature.py",
+     'QuadratureGrid(space_tag="P1", nodes=z, weights=w, ring=n_angular)',
+     'QuadratureGrid(space_tag="P1", nodes=z, weights=w, ring=2 * n_angular)'),
+    ("quotient-index-not-mapped", "src/bml/quadrature.py",
+     "return i if self.parent is None else int(self.parent[i])",
+     "return i"),
     ("orbit-weights-not-summed", "src/bml/quadrature.py",
      "weights=np.add.reduceat(self.weights, starts),",
      "weights=self.weights[starts],"),
