@@ -25,7 +25,7 @@ def main():
 
     basis = bd.section_basis(bd.split(2), 1)
     he = bl.hermitian_einstein_catalog(basis, grid)
-    st, _ = bl.t_iterate(basis, grid, np.eye(basis.dimension), tol=1e-12)
+    st, _ = bl.t_iterate(basis, grid, np.eye(basis.dimension), tol=1e-12, max_iter=300)
     print(f"balanced solve: {st.flag}, residual {st.residual:.2e}")
     h_bal = bg.fs_metric(basis, grid, bg.HermitianForm(matrix=st.H.astype(complex)))
     diag = bl.delta_diagnostic(h_bal, he, grid, spectral_c=c)

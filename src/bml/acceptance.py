@@ -345,7 +345,7 @@ def criterion_8() -> CriterionResult:
         runs.append(don.m2_along_path(basis, grid, bg.one_ps(z), ts))
     runs.append(np.zeros(10))
     for values in runs:
-        worst = min(worst, bl.convexity_monitor(values).min_second_difference)
+        worst = min(worst, bl.convexity_monitor(values))
     passed = worst >= -1e-8
     detail = f"min second difference {worst:.2e} over {len(runs)} paths"
     return CriterionResult(8, "energy convexity along paths", passed, detail, time.perf_counter() - t0)

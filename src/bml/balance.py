@@ -59,7 +59,7 @@ class BalanceState:
     residual: float
     m2: float
     spread: float  # log(lambda_max / lambda_min) of H
-    flag: str = "running"  # running | converged | diverged | max_iter | stalled
+    flag: str  # running | converged | diverged | max_iter | stalled
 
     @property
     def spread_ratio(self) -> float:
@@ -89,13 +89,6 @@ class DeltaDiagnostic:
     v_norm2: float
     spectral_constant: float
     lower_bound: float
-
-
-@dataclass(frozen=True)
-class ConvexityReport:
-    min_second_difference: float
-    n_samples: int
-    passed: bool
 
 
 # ---------------------------------------------------------------------------
@@ -156,19 +149,15 @@ def _solver_parts(basis, grid, H, ld0, chart=None) -> _Iterate:
     return _Iterate(H, wh, b, eig, 0.5 * (s + s.conj().T), grid.integrate(ld - ld0) / grid.volume)
 
 
-def t_operator(
-    basis: SectionBasis, grid: QuadratureGrid, H: np.ndarray, *, b: np.ndarray | None = None,
-) -> np.ndarray:
-    """One step of the balancing fixed-point map.
+def t_operator(basis: SectionBasis, b: np.ndarray) -> np.ndarray:
+    """One step of the balancing fixed-point map, from b = B(H) (kernels.b_matrix).
 
     The Gram matrix of the sections in h_H is inverted (the form lives on
     the dual section space) so that fixed points solve B(H) = (r/N) H^{-1},
     i.e. are exactly the zeros of the m2 gradient; the result is
-    det-normalized.  ``b`` is B(H) when the caller has computed it already.
+    det-normalized.
     """
     r, n = basis.rank, basis.dimension
-    if b is None:
-        b = kernels.b_matrix(basis, grid, H)[0]
     lam = np.linalg.eigvalsh(b)
     if lam.min() <= 1e-300:
         raise SingularGram("center-of-mass Gram matrix is singular")
@@ -235,20 +224,15 @@ def _solve(basis, grid, H0, tol, max_iter, step, damping):
             return replace(state, iteration=it + 1, flag="stalled"), history
 
 
-def t_iterate(
-    basis: SectionBasis,
-    grid: QuadratureGrid,
-    H0: np.ndarray,
-    tol: float = 1e-10,
-    max_iter: int = 300,
-):
+def t_iterate(basis: SectionBasis, grid: QuadratureGrid, H0: np.ndarray, tol: float = 1e-10, *,
+              max_iter: int):
     """Run the T-operator to convergence or divergence.
 
     Returns (final BalanceState, history) where history rows carry
     (iter, residual, m2, spread, step, rejected, damping).
     """
     def step(x, history, evaluate, trial, chart):
-        return "t", 0, 0.0, evaluate(t_operator(basis, grid, x.H, b=x.b))
+        return "t", 0, 0.0, evaluate(t_operator(basis, x.b))
 
     return _solve(basis, grid, H0, tol, max_iter, step, 0.0)
 
@@ -306,13 +290,8 @@ def _expm_herm(a: np.ndarray) -> np.ndarray:
     return (v * np.exp(lam)) @ v.conj().T
 
 
-def lm_minimize(
-    basis: SectionBasis,
-    grid: QuadratureGrid,
-    H0: np.ndarray,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-):
+def lm_minimize(basis: SectionBasis, grid: QuadratureGrid, H0: np.ndarray, tol: float = 1e-10, *,
+                max_iter: int):
     """Damped least-squares minimization of the center-of-mass residual.
 
     The iterate is re-centered each accepted step through the congruence
@@ -407,15 +386,14 @@ def _state_from(basis, iteration, x: _Iterate) -> BalanceState:
 # Monitors and verdicts
 
 
-def convexity_monitor(values) -> ConvexityReport:
-    """Second-difference check for uniformly spaced energy samples, with
-    a roundoff allowance of 1e-8."""
+def convexity_monitor(values) -> float:
+    """The smallest second difference of uniformly spaced energy samples,
+    nonnegative up to roundoff for a convex energy."""
     v = np.asarray(values, dtype=float)
     if v.size < 3:
         raise ValueError("need at least 3 uniformly spaced samples")
     second = v[2:] - 2.0 * v[1:-1] + v[:-2]
-    mn = float(second.min())
-    return ConvexityReport(min_second_difference=mn, n_samples=v.size, passed=mn >= -1e-8)
+    return float(second.min())
 
 
 def divergence_detect(history) -> str:

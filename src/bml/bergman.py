@@ -56,6 +56,8 @@ class HermitianForm:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
+        if not np.isfinite(m).all():
+            raise NotPositiveDefinite("form has non-finite entries")
         if np.abs(m - m.conj().T).max() > 1e-13 * max(1.0, np.abs(m).max()):
             raise ValueError("form must be hermitian")
         m = 0.5 * (m + m.conj().T)
@@ -99,11 +101,15 @@ class OnePS:
         """The path form H(t) = e^{2 zeta t}.
 
         In a frame that mixes the weight groups H(t) stops being
-        numerically positive definite once e^{2 spread t} nears 1/eps.
+        numerically positive definite once e^{2 spread t} nears 1/eps, and
+        in any frame once e^{2 w t} leaves the float range: either is
+        NotPositiveDefinite, naming t and 2 spread t.
         """
-        m = (self.vectors * np.exp(2.0 * self.eigenvalues * t)) @ self.vectors.conj().T
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = (self.vectors * np.exp(2.0 * self.eigenvalues * t)) @ self.vectors.conj().T
+            m = 0.5 * (m + m.conj().T)
         try:
-            return HermitianForm(0.5 * (m + m.conj().T))
+            return HermitianForm(m)
         except NotPositiveDefinite as err:
             spread = self.weights[0] - self.weights[-1]
             raise NotPositiveDefinite(

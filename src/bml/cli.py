@@ -21,7 +21,8 @@ from . import bergman as bg
 from . import donaldson as don
 from . import exactsheaf as xs
 from . import reporting as rep
-from .config import ConfigError, ExperimentConfig, config_to_dict, parse_config, read_config
+from .config import (SUBGEODESIC_T_MIN, ConfigError, ExperimentConfig, config_to_dict, parse_config,
+                     read_config)
 
 
 class ExperimentFailed(RuntimeError):
@@ -29,13 +30,10 @@ class ExperimentFailed(RuntimeError):
 
 
 def _two_step_filtration(cfg: ExperimentConfig) -> xs.FiltrationSpec:
-    bundle = cfg.catalog_bundle()
-    if bundle.kind != "split_p1" or cfg.ps.type != "two_step":
-        raise ExperimentFailed("exact slope predictions need a two-step split-bundle path")
-    if all(i in cfg.ps.sub for i in range(bundle.rank)):
-        raise ExperimentFailed("two-step path must leave a complementary block")
-    sub_degrees = [bundle.degrees[i] for i in cfg.ps.sub]
-    return xs.two_step_filtration(sub_degrees, bundle.degrees, cfg.k, cfg.ps.weights)
+    filt = cfg.two_step_filtration()
+    if filt is None:
+        raise ExperimentFailed("exact predictions need a two-step split-bundle path with a complement")
+    return filt
 
 
 def _out_path(cfg: ExperimentConfig, out_dir, name: str) -> str:
@@ -51,12 +49,13 @@ def _summary(cfg: ExperimentConfig, out_dir, experiment: str, **fields) -> dict:
 
 def _path_setup(cfg: ExperimentConfig):
     """(basis, grid, 1-PS, two-step filtration, sample times) of a path experiment."""
+    filt = _two_step_filtration(cfg)
     basis = cfg.section_basis()
     ts = np.linspace(cfg.t_end / cfg.samples, cfg.t_end, cfg.samples)
-    return basis, cfg.build_grid(), cfg.ps.build(basis), _two_step_filtration(cfg), ts
+    return basis, cfg.build_grid(), cfg.ps.build(basis), filt, ts
 
 
-def run_slope(cfg: ExperimentConfig, out_dir=None) -> dict:
+def run_slope(cfg: ExperimentConfig, out_dir) -> dict:
     basis, grid, ps, filt, ts = _path_setup(cfg)
     predicted = xs.m2_slope_prediction(filt)
     m2 = don.m2_along_path(basis, grid, ps, ts)
@@ -64,7 +63,7 @@ def run_slope(cfg: ExperimentConfig, out_dir=None) -> dict:
     rep.write_csv(
         _out_path(cfg, out_dir, "slope.csv"),
         rep.SLOPE_COLUMNS,
-        rep.slope_rows(ts, m2=m2, prediction=predicted),
+        rep.slope_rows(ts, m2, predicted),
     )
     ok = abs(fit.slope - float(predicted)) <= cfg.tol * max(1.0, abs(float(predicted)))
     return _summary(
@@ -76,7 +75,7 @@ def run_slope(cfg: ExperimentConfig, out_dir=None) -> dict:
     )
 
 
-def run_mna(cfg: ExperimentConfig, out_dir=None) -> dict:
+def run_mna(cfg: ExperimentConfig, out_dir) -> dict:
     filt = _two_step_filtration(cfg)
     ambient = filt.ambient
     grading = xs.weight_grading(filt)
@@ -98,7 +97,7 @@ def run_mna(cfg: ExperimentConfig, out_dir=None) -> dict:
     )
 
 
-def run_asymptote(cfg: ExperimentConfig, out_dir=None) -> dict:
+def run_asymptote(cfg: ExperimentConfig, out_dir) -> dict:
     basis, grid, ps, filt, ts = _path_setup(cfg)
     m_na = xs.m_na(filt)
     m2_pred = xs.m2_slope_prediction(filt)
@@ -111,7 +110,7 @@ def run_asymptote(cfg: ExperimentConfig, out_dir=None) -> dict:
     rep.write_csv(
         _out_path(cfg, out_dir, "asymptote.csv"),
         rep.SLOPE_COLUMNS,
-        rep.slope_rows(ts, m1=m1, m2=m2, mdon=mdon, prediction=m_na),
+        rep.slope_rows(ts, m2, m_na, m1=m1, mdon=mdon),
     )
     ok = abs(fit_don.slope - float(m_na)) <= cfg.tol * max(1.0, abs(float(m_na)))
     return _summary(
@@ -131,7 +130,7 @@ def _polystable_decoration(bundle: xs.SheafData) -> str:
     return "converged (stable)"
 
 
-def run_balance(cfg: ExperimentConfig, out_dir=None) -> dict:
+def run_balance(cfg: ExperimentConfig, out_dir) -> dict:
     basis = cfg.section_basis()
     grid = cfg.build_grid()
     H0 = np.eye(basis.dimension)
@@ -160,14 +159,14 @@ def run_balance(cfg: ExperimentConfig, out_dir=None) -> dict:
     )
 
 
-def run_subgeodesic(cfg: ExperimentConfig, out_dir=None) -> dict:
+def run_subgeodesic(cfg: ExperimentConfig, out_dir) -> dict:
     basis = cfg.section_basis()
     rng = np.random.default_rng(cfg.seed)
     worst = 0.0
     min_eig = np.inf
     for _ in range(cfg.samples):
         ps = bg.random_two_weight_ps(basis.dimension, rng)
-        t = float(rng.uniform(0.1, min(cfg.t_end, 3.0)))
+        t = float(rng.uniform(SUBGEODESIC_T_MIN, min(cfg.t_end, 3.0)))
         x = complex(rng.normal(), rng.normal())
         lhs, rhs, resid, eig = bg.subgeodesic_residual(basis, ps, t, x)
         worst = max(worst, resid)
@@ -181,7 +180,7 @@ def run_subgeodesic(cfg: ExperimentConfig, out_dir=None) -> dict:
     )
 
 
-def run_verify(cfg: ExperimentConfig, out_dir=None) -> dict:
+def run_verify(cfg: ExperimentConfig, out_dir) -> dict:
     from . import acceptance
 
     results = acceptance.run_all()

@@ -240,25 +240,18 @@ def _weighted(e, stack):
         return (e @ stack.reshape(len(stack), -1)).reshape(stack.shape[1:])
 
 
-def m1_rate(
-    basis: SectionBasis, grid: QuadratureGrid, ps: OnePS, t: float, *, jets=None
-) -> float:
+def m1_rate(basis: SectionBasis, ps: OnePS, t: float, jets: _Jets) -> float:
     """d/dt of the curvature-pairing energy at path time t:
     int_X tr( g^{-1} dg/dt . F[g] ) on the honest metric g.
 
-    ``jets`` holds the blocks of _path_jets when the caller keeps them;
-    per node block only a D-term combination and the whitened r x r
-    algebra remain.  The integral runs over the grid the jets were formed
-    on, jets.grid; without ``jets`` they are formed on _orbit_grid,
-    grid.orbits for a diagonal 1-PS on P^1 and ``grid`` otherwise.  Since
-    g^{-1} dg/dt = -(h^{-1} hdot)^T, the integrand is
-    -(1 + |z|^2)^2 tr(X K) with X = W hdot W* and K from
+    ``jets`` holds the blocks of _path_jets for ps, which m1_curve forms
+    once on _orbit_grid; per node block only a D-term combination and the
+    whitened r x r algebra remain.  The integral runs over the grid the
+    jets were formed on, jets.grid.  Since g^{-1} dg/dt = -(h^{-1} hdot)^T,
+    the integrand is -(1 + |z|^2)^2 tr(X K) with X = W hdot W* and K from
     _curvature_frame.  Jets formed for another number of weight groups
     than ps has are a ValueError.
     """
-    if jets is None:
-        frame = _frame(ps)
-        jets = _path_jets(basis, _orbit_grid(grid, frame), frame, ps.slices)
     if jets.n_weights != len(ps.weights):
         raise ValueError(
             f"jets formed for {jets.n_weights} weight groups, but the 1-PS has {len(ps.weights)}"
@@ -304,7 +297,7 @@ def m1_curve(
         t = ts[i]
         if t > lo:
             nodes = 0.5 * (t - lo) * (x + 1.0) + lo
-            rates = [m1_rate(basis, grid, ps, tv, jets=jets) for tv in nodes]
+            rates = [m1_rate(basis, ps, tv, jets) for tv in nodes]
             total += 0.5 * (t - lo) * float(np.dot(w, rates))
             lo = t
         out[i] = total
@@ -317,12 +310,9 @@ def m1_curve(
 
 @dataclass(frozen=True)
 class SlopeFit:
-    times: np.ndarray
-    values: np.ndarray
     slope: float
-    intercept: float
     residual: float
-    predicted: Optional[Fraction] = None
+    predicted: Optional[Fraction]
 
     @property
     def relative_error(self) -> Optional[float]:
@@ -345,10 +335,7 @@ def asymptotic_slope_fit(
     coef, res, _, _ = np.linalg.lstsq(a, vv, rcond=None)
     fitted = a @ coef
     return SlopeFit(
-        times=tt,
-        values=vv,
         slope=float(coef[0]),
-        intercept=float(coef[1]),
         residual=float(np.sqrt(np.mean((fitted - vv) ** 2))),
         predicted=predicted,
     )

@@ -143,12 +143,12 @@ def field(basis, grid, mat=None, chart=None) -> np.ndarray:
     return out
 
 
-def b_matrix(basis, grid, H, chart=None):
+def b_matrix(basis, grid, H, chart):
     """B(H) = (1/Vol_L) int Y Y* dV (see p_root), so that balance reads
     B(H) = (r/N) H^{-1}: one GEMM of Y as an N x (r B) matrix per block,
     accumulated per block, so it moves in its last bits with BLOCK.  With
     it log det h_H and W at every node, (M,) and (r, r, M).  ``chart``
-    holds the blocks if kept."""
+    holds the blocks when the caller keeps them, else None."""
     n, r = basis.dimension, basis.rank
     w = grid.weights / grid.volume
     b = np.zeros((n, n), dtype=complex)

@@ -181,10 +181,3 @@ def build_grid_p2(n_simplex: int = 6, n_angular: int = 12, depth: int = 8) -> Qu
     w = np.repeat(wvs, th1.size) / (n_angular * n_angular)
     return QuadratureGrid(space_tag="P2", nodes=nodes, weights=w, ring=1)
 
-
-def build_grid(space: str, **kwargs) -> QuadratureGrid:
-    if space == "P1":
-        return build_grid_p1(**kwargs)
-    if space == "P2":
-        return build_grid_p2(**kwargs)
-    raise InvalidResolution(f"unknown space {space!r}")

@@ -67,20 +67,17 @@ def write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
-def slope_rows(ts, m1=None, m2=None, mdon=None, prediction: Fraction | None = None):
+def slope_rows(ts, m2, prediction: Fraction, m1=None, mdon=None):
     """Assemble rows for the slope-experiment table; absent series leave
     blank cells, the exact predicted slope repeats as p/q columns."""
-    n = len(ts)
-    num = prediction.numerator if prediction is not None else None
-    den = prediction.denominator if prediction is not None else None
-    for i in range(n):
+    for i in range(len(ts)):
         yield (
             float(ts[i]),
             None if m1 is None else float(m1[i]),
-            None if m2 is None else float(m2[i]),
+            float(m2[i]),
             None if mdon is None else float(mdon[i]),
-            num,
-            den,
+            prediction.numerator,
+            prediction.denominator,
         )
 
 

@@ -113,6 +113,20 @@ def test_form_at_names_loss_of_definiteness():
         bg.HermitianForm(np.diag([1.0, -1.0]))
 
 
+def test_form_past_the_float_range_is_named():
+    """Once e^{2 w t} leaves the float range, in a permutation frame or a
+    random one, H(t) is NotPositiveDefinite naming t and 2 spread t, as
+    is a matrix with a NaN entry, with no warning on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(bg.NotPositiveDefinite, match=r"at t=1100.0: .* 2\*spread\*t = 3667"):
+            catalog_ps().form_at(1100.0)
+        with pytest.raises(bg.NotPositiveDefinite, match=r"at t=400.0: .* 2\*spread\*t = 1600"):
+            bg.random_two_weight_ps(10, np.random.default_rng(1)).form_at(400.0)
+        with pytest.raises(bg.NotPositiveDefinite, match="non-finite"):
+            bg.HermitianForm(np.full((3, 3), np.nan))
+
+
 def test_two_step_requires_trace_free():
     basis = catalog_basis()
     with pytest.raises(ValueError, match="trace-free"):

@@ -126,11 +126,10 @@ def test_json_output_deterministic(tmp_path):
 
 
 def test_inline_ps_parsing():
-    assert cf._parse_ps_flag("none") == {"type": "none"}
     assert cf._parse_ps_flag("two_step:1:2/3,-1") == {
         "type": "two_step", "sub": [1], "weights": ["2/3", "-1"],
     }
-    for text in ("spiral:1", "diag:1,-1"):
+    for text in ("none", "spiral:1", "diag:1,-1"):
         with pytest.raises(cf.ConfigError):
             cf._parse_ps_flag(text)
 
@@ -139,33 +138,44 @@ def test_inline_ps_parsing():
     "raw, argv, field",
     [
         ({"kind": "mna", "tee_end": 3}, [], "tee_end"),
-        ({"kind": "mna", "samples": None}, [], "samples"),
-        ({"kind": "mna", "grid": {"n_radial": "x"}}, [], "grid"),
+        ({"kind": "subgeodesic", "samples": None}, [], "samples"),
+        ({"kind": "balance", "grid": {"n_radial": "x"}}, [], "grid"),
         (None, ["--k", "abc"], "k"),
         (None, ["--ps", "two_step:5:2/3,-1"], "ps.sub"),
         (None, ["--t-end", "nan"], "t_end"),
         ({"kind": "subgeodesic"}, ["--tol", "inf"], "tol"),
         ({"kind": "verify"}, ["--k", "7", "--bundle", "split_p1:1,1"], "bundle"),
-        ({"kind": "mna", "grid": {"n_radial": 2.7}}, [], "grid"),
+        ({"kind": "balance", "grid": {"n_radial": 2.7}}, [], "grid"),
         ({"kind": "mna", "k": 3.9}, [], "k"),
         ({"kind": "mna", "k": True}, [], "k"),
-        ({"kind": "mna", "samples": 12.5}, [], "samples"),
-        ({"kind": "mna", "seed": 1.5}, [], "seed"),
+        ({"kind": "subgeodesic", "samples": 12.5}, [], "samples"),
+        ({"kind": "subgeodesic", "seed": 1.5}, [], "seed"),
         ({"kind": "subgeodesic", "tol": True}, [], "tol"),
         ({"kind": "slope", "grid": {"n_simplex": 4}, "ps": "two_step:1:2/3,-1"}, [], "grid.n_simplex"),
-        ({"kind": "mna", "bundle": "euler_tp2", "grid": {"n_radial": 4}}, [], "grid.n_radial"),
-        ({"kind": "mna", "grid": {"n_rings": 4}}, [], "grid.n_rings"),
+        ({"kind": "balance", "bundle": "euler_tp2", "grid": {"n_radial": 4}}, [], "grid.n_radial"),
+        ({"kind": "balance", "grid": {"n_rings": 4}}, [], "grid.n_rings"),
         (None, ["--ps", "two_step:1,1:2/3,-1"], "ps.sub"),
+        ({"kind": "subgeodesic"}, ["--t-end", "0.05"], "t_end"),
+        ({"kind": "subgeodesic"}, ["--bundle", "euler_tp2"], "bundle"),
+        ({"kind": "balance"}, ["--tol", "0.5"], "tol"),
+        ({"kind": "subgeodesic"}, ["--ps", "two_step:1:2/3,-1"], "ps"),
+        ({"kind": "mna"}, ["--seed", "4"], "seed"),
+        ({"kind": "mna", "grid": {"n_radial": 4}}, [], "grid"),
+        (None, ["--k", "4", "--ps", "two_step:1:2/3,-1"], "ps.weights"),
+        ({"kind": "mna"}, ["--ps", "two_step:1:4/3,-2"], "ps.weights"),
     ],
 )
 def test_bad_config_input_exits_one(tmp_path, capsys, raw, argv, field):
     """An unknown key, a null value, an unreadable flag or grid size, a
     fractional or boolean integer or a boolean number (which would be
     truncated or read as 1), a summand index out of range or repeated, a
-    non-finite time or tolerance, a field `bml verify` does not read, and
-    a grid key of the other space or of none each exit 1 with a
-    ConfigError naming the field."""
-    kind = (raw or {}).get("kind", "mna")
+    non-finite time or tolerance, a field the experiment does not read, a
+    grid key of the other space or of none, two-step weights that are not
+    trace-free at the level or exceed 1, and a subgeodesic end time below
+    its draw window or bundle off P1 each exit 1 with a ConfigError naming
+    the field.  Each value is checked under a kind that reads its field;
+    without a config, under slope, which reads every field of mna."""
+    kind = (raw or {}).get("kind", "slope")
     if raw is not None:
         argv = ["--config", write_cfg(tmp_path, raw)] + argv
     assert cli.main([kind, "--out", str(tmp_path)] + argv) == 1

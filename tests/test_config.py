@@ -18,7 +18,6 @@ def sample_raw():
         "t_end": 12.0,
         "samples": 10,
         "tol": 0.01,
-        "seed": 3,
         "out": None,
     }
 
@@ -31,19 +30,34 @@ def test_parse_and_roundtrip():
     assert again == cfg
 
 
+# a value away from its default for every config field but kind
+AWAY = {
+    "bundle": "split_p1:1,1", "k": 2, "grid": {"n_radial": 4}, "ps": "two_step:0:1/2,-1/2",
+    "t_end": 9.5, "samples": 7, "tol": 0.5, "seed": 4, "out": "runs",
+}
+
+
 def test_every_field_roundtrips():
-    """A config with every field away from its default survives
-    config_to_dict -> parse_config, and every CLI flag is a config field."""
+    """Per kind, a config with every field the experiment reads away from
+    its default survives config_to_dict -> parse_config, the echo lists
+    exactly kind, out and the fields read, and any other field is a
+    ConfigError naming it.  Every field is read by some kind, and every
+    CLI flag is a config field."""
     fields = {f.name: f for f in dataclasses.fields(cf.ExperimentConfig)}
-    cfg = cf.parse_config({
-        "kind": "asymptote", "bundle": "split_p1:1,1", "k": 2,
-        "grid": {"n_radial": 4}, "ps": "two_step:0:1/2,-1/2", "t_end": 9.5,
-        "samples": 7, "tol": 0.5, "seed": 4, "out": "runs",
-    })
-    for name, f in fields.items():
-        default = f.default_factory() if f.default_factory is not dataclasses.MISSING else f.default
-        assert getattr(cfg, name) != default, name
-    assert cf.parse_config(cf.config_to_dict(cfg)) == cfg
+    for kind, reads in cf.EXPERIMENT_KINDS.items():
+        cfg = cf.parse_config({"kind": kind, **{name: AWAY[name] for name in ("out", *reads)}})
+        for name in ("out", *reads):
+            f = fields[name]
+            default = f.default_factory() if f.default_factory is not dataclasses.MISSING else f.default
+            assert getattr(cfg, name) != default, (kind, name)
+        echo = cf.config_to_dict(cfg)
+        assert set(echo) == {"kind", "out", *reads}, kind
+        assert cf.parse_config(echo) == cfg, kind
+        for name in set(fields) - set(echo):
+            with pytest.raises(cf.ConfigError) as err:
+                cf.parse_config({"kind": kind, name: AWAY[name]})
+            assert err.value.field_name == name, (kind, name)
+    assert {"kind", "out"}.union(*cf.EXPERIMENT_KINDS.values()) == set(fields)
     flags = {a.dest for a in cli.build_parser()._subparsers._group_actions[0].choices["slope"]._actions}
     assert flags - {"help", "config"} <= set(fields)
 
@@ -52,7 +66,7 @@ def test_defaults():
     cfg = cf.parse_config({"kind": "mna"})
     assert cfg.bundle == "split_p1:0,2"
     assert cfg.k == 3
-    assert cfg.ps.type == "none"
+    assert cfg.ps is None
 
 
 def test_bundle_parsing():
@@ -70,13 +84,13 @@ def test_validation_errors():
     with pytest.raises(cf.ConfigError, match="regularity"):
         cf.parse_config({"kind": "mna", "bundle": "split_p1:-4", "k": 2})
     with pytest.raises(cf.ConfigError, match="tol"):
-        cf.parse_config({"kind": "mna", "tol": -1})
+        cf.parse_config({"kind": "slope", "tol": -1})
     with pytest.raises(cf.ConfigError, match="t_end"):
-        cf.parse_config({"kind": "mna", "t_end": 0})
+        cf.parse_config({"kind": "slope", "t_end": 0})
     with pytest.raises(cf.ConfigError, match="samples"):
-        cf.parse_config({"kind": "mna", "samples": 1})
+        cf.parse_config({"kind": "slope", "samples": 1})
     with pytest.raises(cf.ConfigError, match="grid"):
-        cf.parse_config({"kind": "mna", "grid": {"spacing": 2}})
+        cf.parse_config({"kind": "balance", "grid": {"spacing": 2}})
 
 
 def test_ps_validation():

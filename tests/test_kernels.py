@@ -33,6 +33,12 @@ def h_ref(q):
     return herm(np.einsum("mni,mnj->mij", q.conj(), q))
 
 
+def orbit_jets(basis, grid, ps):
+    """The jet blocks m1_curve forms for ps, on _orbit_grid of ``grid``."""
+    frame = don._frame(ps)
+    return don._path_jets(basis, don._orbit_grid(grid, frame), frame, ps.slices)
+
+
 def positive_form(n, rng):
     g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     h = g @ g.conj().T + n * np.eye(n)
@@ -352,7 +358,7 @@ def test_narrow_groups_match_the_dense_algorithm(name, k, grid_p1, grid_p2):
         assert sl == sl_want
         assert a.tobytes() == b.tobytes()
     for t in ts:
-        assert np.float64(don.m1_rate(basis, grid, ps, t, jets=got)).tobytes() == \
+        assert np.float64(don.m1_rate(basis, ps, t, got)).tobytes() == \
             np.float64(dense_rate(basis, grid, dense, ps, t)).tobytes()
 
 
@@ -391,12 +397,12 @@ def check_curvature_and_m1_rate(basis, grid, ps, t):
     assert rel(f / jacobian, curvature_reference(basis, H, z)) < TOL
 
     want, scale = m1_rate_reference(basis, grid, ps, t)
-    got = don.m1_rate(basis, grid, ps, t)
+    got = don.m1_rate(basis, ps, t, orbit_jets(basis, grid, ps))
     # a single weight has hdot = 0: both rates vanish and scale is 0
     assert abs(got - want) <= TOL * scale
     # held jet blocks give the very same number
     jets = don._path_jets(basis, grid, ps.vectors.conj().T, ps.slices)
-    assert don.m1_rate(basis, grid, ps, t, jets=jets) == got
+    assert don.m1_rate(basis, ps, t, jets) == got
 
 
 def test_curvature_outer_ring(split_basis, grid_p1, rng):
@@ -463,7 +469,7 @@ def test_m1_rate_names_jets_of_another_1ps(coarse, rng):
     assert len(ps2.weights) == 2 and len(ps4.weights) == 4
     jets = don._path_jets(basis, coarse, don._frame(ps2), ps2.slices)
     with pytest.raises(ValueError, match=r"2 weight groups.* has 4"):
-        don.m1_rate(basis, coarse, ps4, 1.0, jets=jets)
+        don.m1_rate(basis, ps4, 1.0, jets)
 
 
 def test_b_matrix_p_field_and_m2_value(split_basis, grid, rng):
@@ -493,7 +499,7 @@ def test_p_field_beyond_rank_two(bundle, k, coarse, rng):
     q = bd.q_field(basis, coarse.nodes)
     h = herm(sandwich(q, H, q))
     p = np.einsum("mni,mij,mkj->mnk", q, np.linalg.inv(h), q.conj())
-    b, _, wh = kernels.b_matrix(basis, coarse, H)
+    b, _, wh = kernels.b_matrix(basis, coarse, H, None)
     assert rel(kernels.p_field(q.transpose(1, 2, 0), wh), p.transpose(1, 2, 0)) < TOL
     assert rel(b, herm(np.einsum("m,mnk->nk", coarse.weights / coarse.volume, p))) < TOL
 
@@ -535,7 +541,7 @@ def test_fibre_algebra_has_one_factorization(coarse, monkeypatch, rng):
     don.curvature_field(basis, coarse, form)
     bg.fs_metric(basis, coarse, form)
     bl.m2_value(basis, coarse, form.matrix)
-    kernels.b_matrix(basis, coarse, form.matrix)
+    kernels.b_matrix(basis, coarse, form.matrix, None)
     bl.t_iterate(basis, coarse, np.eye(n), max_iter=2)
     bl.lm_minimize(basis, coarse, np.eye(n), max_iter=2)
     assert calls == {"slogdet": 0, "inv": 0, "eigvalsh": 0, "eigh": 0}
@@ -609,7 +615,7 @@ def test_block_size_does_not_move_results(grid_p1, monkeypatch, rng):
     form = ps.form_at(1.0)
 
     def outputs():
-        b, ld, wh = kernels.b_matrix(basis, grid_p1, form.matrix)
+        b, ld, wh = kernels.b_matrix(basis, grid_p1, form.matrix, None)
         per_node = [
             don.m2_along_path(basis, grid_p1, ps, [0.5, 2.0]),
             don.m1_curve(basis, grid_p1, ps, [1.0], n_path=4),
@@ -635,10 +641,10 @@ def test_repeated_calls_are_byte_identical(grid_p1, rng):
     first = don.m2_along_path(basis, grid_p1, ps, [1.0, 4.0])
     assert first.tobytes() == don.m2_along_path(basis, grid_p1, ps, [1.0, 4.0]).tobytes()
     H = ps.form_at(0.7).matrix
-    b = kernels.b_matrix(basis, grid_p1, H)[0]
-    assert b.tobytes() == kernels.b_matrix(basis, grid_p1, H)[0].tobytes()
-    rate = don.m1_rate(basis, grid_p1, ps, 0.7)
-    assert rate == don.m1_rate(basis, grid_p1, ps, 0.7)
+    b = kernels.b_matrix(basis, grid_p1, H, None)[0]
+    assert b.tobytes() == kernels.b_matrix(basis, grid_p1, H, None)[0].tobytes()
+    rate = don.m1_rate(basis, ps, 0.7, orbit_jets(basis, grid_p1, ps))
+    assert rate == don.m1_rate(basis, ps, 0.7, orbit_jets(basis, grid_p1, ps))
 
 
 def test_overflowing_chart_names_the_node(grid_p1_fine):

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from bml.config import parse_config
 from bml.quadrature import (
     NonFiniteIntegrand,
-    build_grid,
     build_grid_p1,
     build_grid_p2,
     pairwise_sum,
@@ -55,10 +55,16 @@ def test_nonfinite_integrand_rejected(grid_p1):
 
 
 def test_build_grid_dispatch():
-    assert build_grid("P1", n_radial=4, n_angular=8, depth=6).space_tag == "P1"
-    assert build_grid("P2", n_simplex=3, n_angular=6, depth=4).space_tag == "P2"
-    with pytest.raises(ValueError):
-        build_grid("P3")
+    """A config builds the grid of its bundle's space from its grid keys."""
+    for bundle, keys, build in (
+        ("split_p1:0,2", {"n_radial": 4, "n_angular": 8, "depth": 6}, build_grid_p1),
+        ("euler_tp2", {"n_simplex": 3, "n_angular": 6, "depth": 4}, build_grid_p2),
+    ):
+        grid = parse_config({"kind": "balance", "bundle": bundle, "grid": keys}).build_grid()
+        want = build(**keys)
+        assert grid.space_tag == want.space_tag
+        assert grid.nodes.tobytes() == want.nodes.tobytes()
+        assert grid.weights.tobytes() == want.weights.tobytes()
 
 
 def test_refinement_converges():

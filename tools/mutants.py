@@ -64,6 +64,13 @@ MUTANTS = (
     ("commutator-unshifted", "src/bml/bergman.py",
      "np.exp((ps.eigenvalues - ps.weights[0]) * t)",
      "np.exp(ps.eigenvalues * t)"),
+    ("kind-reads-every-field", "src/bml/config.py",
+     'if key not in ("kind", "out", *EXPERIMENT_KINDS[kind]):',
+     "if False:"),
+    ("form-finiteness-unchecked", "src/bml/bergman.py",
+     "        if not np.isfinite(m).all():\n"
+     "            raise NotPositiveDefinite(\"form has non-finite entries\")\n",
+     ""),
 )
 
 ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
