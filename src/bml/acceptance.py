@@ -1,10 +1,14 @@
 """End-to-end acceptance checks.
 
-Each criterion is an independent callable returning a CriterionResult;
-``run_all`` executes them in order.  The checks combine exact rational
-oracles (identities that must hold bit-for-bit) with fitted asymptotics
-at fixed tolerances, and they are the backing for both the test suite
-and the ``bml verify`` subcommand.
+Each criterion is a row ``(index, name, check)`` of ``ROWS``, where
+``check()`` returns ``(passed, detail)``; ``run(index)`` times one row
+as a CriterionResult.  The checks combine exact rational oracles
+(identities that must hold bit-for-bit) with fitted asymptotics at fixed
+tolerances, and they are the backing for both the test suite and the
+``bml verify`` subcommand.  Criteria 3 and 4 are ``bml slope`` and
+``bml asymptote`` runs: their checks read the summaries of
+``cli.run_slope`` and ``cli.run_asymptote`` on the configs ``SLOPE`` and
+``ASYMPTOTE``, so each number is reproduced by one command.
 """
 
 from __future__ import annotations
@@ -20,9 +24,19 @@ import numpy as np
 from . import balance as bl
 from . import bergman as bg
 from . import bundles as bd
+from . import cli
 from . import donaldson as don
 from . import exactsheaf as xs
+from .config import parse_config
 from .quadrature import build_grid_p1, build_grid_p2
+
+# the catalog path: O(0)+O(2) at k = 3 along its destabilizing two-step
+# 1-PS, on the default grid
+CATALOG_PATH = {"bundle": "split_p1:0,2", "k": 3, "ps": "two_step:1:2/3,-1", "t_end": 15.0}
+SLOPE = parse_config({**CATALOG_PATH, "kind": "slope", "samples": 12, "tol": 0.01 * (2.0 / 3.0)})
+ASYMPTOTE = parse_config({**CATALOG_PATH, "kind": "asymptote", "samples": 10, "tol": 0.02})
+
+STRETCH = 10  # the one criterion that does not gate
 
 
 @dataclass(frozen=True)
@@ -32,7 +46,7 @@ class CriterionResult:
     passed: bool
     detail: str
     seconds: float
-    gating: bool = True
+    gating: bool
 
 
 def format_line(res: CriterionResult) -> str:
@@ -52,10 +66,6 @@ def _grid_light():
 
 def _closed_form_m2(t: float) -> float:
     return 2.0 * t / np.tanh(2.0 * t) - 1.0 if t > 0 else 0.0
-
-
-# ---------------------------------------------------------------------------
-# 1. exact identity suite
 
 
 def _random_filtration(rng: np.random.Generator) -> xs.FiltrationSpec:
@@ -99,8 +109,7 @@ def _random_filtration(rng: np.random.Generator) -> xs.FiltrationSpec:
             continue
 
 
-def criterion_1() -> CriterionResult:
-    t0 = time.perf_counter()
+def _exact_identities():
     rng = np.random.default_rng(20260823)
     worst = None
     for _ in range(1000):
@@ -125,19 +134,12 @@ def criterion_1() -> CriterionResult:
         if xs.m_na(filt) != closed:
             two_step_ok = False
             break
-    passed = worst is None and two_step_ok
-    detail = "1000 weight-sum identities and 200 two-step closed forms exact"
-    if not passed:
-        detail = "identity failure on a randomized filtration"
-    return CriterionResult(1, "exact identity suite", passed, detail, time.perf_counter() - t0)
+    if worst is None and two_step_ok:
+        return True, "1000 weight-sum identities and 200 two-step closed forms exact"
+    return False, "identity failure on a randomized filtration"
 
 
-# ---------------------------------------------------------------------------
-# 2. closed-form log-det energy
-
-
-def criterion_2() -> CriterionResult:
-    t0 = time.perf_counter()
+def _closed_form_energy():
     grid = _grid_default()
     basis = bd.section_basis(bd.split(0), 1)
     ps = bg.one_ps(np.diag([1.0, -1.0]))
@@ -148,71 +150,34 @@ def criterion_2() -> CriterionResult:
     fit_m2 = don.m2_along_path(basis, grid, ps, fit_ts)
     fit = don.asymptotic_slope_fit(fit_ts, fit_m2, t_min=6.0, predicted=2.0)
     passed = max(errs) <= 1e-6 and abs(fit.slope - 2.0) <= 1e-4
-    detail = f"max closed-form error {max(errs):.2e}, fitted slope {fit.slope:.6f}"
-    return CriterionResult(2, "closed-form log-det energy", passed, detail, time.perf_counter() - t0)
+    return passed, f"max closed-form error {max(errs):.2e}, fitted slope {fit.slope:.6f}"
 
 
-# ---------------------------------------------------------------------------
-# 3. log-det slope on the destabilized pair
+def _logdet_slope():
+    fields, _ = cli.run_slope(SLOPE)
+    return fields["passed"], (f"fitted slope {fields['fitted_slope']:.8f} "
+                              f"vs {xs.frac_str(fields['predicted_slope'])}")
 
 
-@lru_cache(maxsize=1)
-def _catalog_pair():
-    basis = bd.section_basis(bd.split(0, 2), 3)
-    ps = bg.two_step_one_ps(basis, [1], (2.0 / 3.0, -1.0))
-    return basis, ps
+def _trivial_saturation_sup() -> float:
+    """sup |M1 + M2| along a rank-one bundle's path whose leading
+    eigenspace already generates every fibre: the filtration saturates
+    trivially and the combined energy must stay bounded."""
+    basis = bd.section_basis(bd.split(0), 2, orthonormal=False)
+    ps = bg.one_ps(np.diag([0.5, -1.0, 0.5]))
+    mdon = don.m1_curve(basis, _grid_default(), ps, np.linspace(0.0, 20.0, 9), n_path=64)
+    return float(np.abs(mdon).max())
 
 
-def criterion_3() -> CriterionResult:
-    t0 = time.perf_counter()
-    basis, ps = _catalog_pair()
-    grid = _grid_default()
-    ts = np.linspace(1.25, 15.0, 12)
-    m2 = don.m2_along_path(basis, grid, ps, ts)
-    fit = don.asymptotic_slope_fit(ts, m2, t_min=9.0, predicted=-2.0 / 3.0)
-    passed = abs(fit.slope + 2.0 / 3.0) <= 0.01 * (2.0 / 3.0)
-    detail = f"fitted slope {fit.slope:.8f} vs -2/3"
-    return CriterionResult(3, "log-det slope, destabilized pair", passed, detail, time.perf_counter() - t0)
+def _combined_energy():
+    fields, _ = cli.run_asymptote(ASYMPTOTE)
+    sup = _trivial_saturation_sup()
+    detail = (f"fitted slope {fields['fitted_mdon_slope']:.6f} vs {xs.frac_str(fields['m_na'])}; "
+              f"trivial-saturation sup {sup:.4f} <= 1")
+    return fields["passed"] and sup <= 1.0, detail
 
 
-# ---------------------------------------------------------------------------
-# 4. combined-energy slope and zero-slope boundedness
-
-
-def criterion_4() -> CriterionResult:
-    t0 = time.perf_counter()
-    basis, ps = _catalog_pair()
-    grid = _grid_default()
-    mu_e = 1.0
-    ts = np.linspace(1.5, 15.0, 10)
-    m1 = don.m1_curve(basis, grid, ps, ts, n_path=64)
-    m2 = don.m2_along_path(basis, grid, ps, ts)
-    mdon = m1 + mu_e * m2
-    fit = don.asymptotic_slope_fit(ts, mdon, t_min=9.0, predicted=-10.0 / 3.0)
-    slope_ok = abs(fit.slope + 10.0 / 3.0) <= 0.02 * (10.0 / 3.0)
-
-    # rank-one bundle with a generator whose leading eigenspace already
-    # generates every fibre: the filtration saturates trivially and the
-    # combined energy must stay bounded
-    basis0 = bd.section_basis(bd.split(0), 2, orthonormal=False)
-    ps0 = bg.one_ps(np.diag([0.5, -1.0, 0.5]))
-    ts0 = np.linspace(0.0, 20.0, 9)
-    mdon0 = don.m1_curve(basis0, grid, ps0, ts0, n_path=64)
-    bounded_ok = float(np.abs(mdon0).max()) <= 1.0
-    passed = slope_ok and bounded_ok
-    detail = (
-        f"fitted slope {fit.slope:.6f} vs -10/3; trivial-saturation sup "
-        f"{float(np.abs(mdon0).max()):.4f} <= 1"
-    )
-    return CriterionResult(4, "combined-energy slope and boundedness", passed, detail, time.perf_counter() - t0)
-
-
-# ---------------------------------------------------------------------------
-# 5. subgeodesic positivity
-
-
-def criterion_5() -> CriterionResult:
-    t0 = time.perf_counter()
+def _subgeodesic_positivity():
     rng = np.random.default_rng(5)
     cases = [
         bd.section_basis(bd.split(0), 1),
@@ -230,16 +195,10 @@ def criterion_5() -> CriterionResult:
         worst = max(worst, resid)
         min_eig = min(min_eig, eig)
     passed = worst <= 1e-5 and min_eig >= -1e-12
-    detail = f"max residual {worst:.2e}, min eigenvalue {min_eig:.2e}"
-    return CriterionResult(5, "subgeodesic positivity", passed, detail, time.perf_counter() - t0)
+    return passed, f"max residual {worst:.2e}, min eigenvalue {min_eig:.2e}"
 
 
-# ---------------------------------------------------------------------------
-# 6. compressed-multiplication commutation
-
-
-def criterion_6() -> CriterionResult:
-    t0 = time.perf_counter()
+def _commutation():
     rng = np.random.default_rng(6)
     split_cases = [
         (bd.section_basis(bd.split(0, 2), 3), [1]),
@@ -275,15 +234,10 @@ def criterion_6() -> CriterionResult:
     passed = max(worst, worst_haar) <= 1e-10
     detail = (f"max normalized commutator {worst:.2e} over 1000 draws, "
               f"{worst_haar:.2e} over 600 rank-2 Haar-frame draws")
-    return CriterionResult(6, "compressed-multiplication commutation", passed, detail, time.perf_counter() - t0)
+    return passed, detail
 
 
-# ---------------------------------------------------------------------------
-# 7. balanced existence / nonexistence
-
-
-def criterion_7() -> CriterionResult:
-    t0 = time.perf_counter()
+def _balanced_existence():
     grid = _grid_light()
     rng = np.random.default_rng(7)
     agree, conv_ok = [], []
@@ -318,20 +272,16 @@ def criterion_7() -> CriterionResult:
         f"stable residuals < 1e-10, solver agreement {max(agree):.2e}, "
         f"divergent spreads {st_dt.spread_ratio:.1e}/{st_dl.spread_ratio:.1e}"
     )
-    return CriterionResult(7, "balanced existence and nonexistence", passed, detail, time.perf_counter() - t0)
+    return passed, detail
 
 
-# ---------------------------------------------------------------------------
-# 8. convexity along executed paths
-
-
-def criterion_8() -> CriterionResult:
-    t0 = time.perf_counter()
+def _convexity():
     grid = _grid_light()
     rng = np.random.default_rng(8)
     worst = np.inf
     runs = []
-    basis, ps = _catalog_pair()
+    basis = SLOPE.section_basis()
+    ps = SLOPE.ps.build(basis)
     ts = np.linspace(0.0, 6.0, 25)
     runs.append(don.m2_along_path(basis, grid, ps, ts))
     basis0 = bd.section_basis(bd.split(0), 1)
@@ -346,17 +296,10 @@ def criterion_8() -> CriterionResult:
     runs.append(np.zeros(10))
     for values in runs:
         worst = min(worst, bl.convexity_monitor(values))
-    passed = worst >= -1e-8
-    detail = f"min second difference {worst:.2e} over {len(runs)} paths"
-    return CriterionResult(8, "energy convexity along paths", passed, detail, time.perf_counter() - t0)
+    return worst >= -1e-8, f"min second difference {worst:.2e} over {len(runs)} paths"
 
 
-# ---------------------------------------------------------------------------
-# 9. pinch diagnostics inequality
-
-
-def criterion_9() -> CriterionResult:
-    t0 = time.perf_counter()
+def _pinch_inequality():
     grid = _grid_light()
     c = bl.spectral_constant(grid)[0]
     c_ok = abs(c - 4.0 * np.pi) <= 0.02 * 4.0 * np.pi
@@ -377,21 +320,12 @@ def criterion_9() -> CriterionResult:
         dp = bl.delta_diagnostic(hp, he, grid, spectral_c=c)
         margins.append(bl.donaldson_value_line(basis, grid, H, he) - dp.lower_bound)
     passed = c_ok and min(margins) >= -1e-9
-    detail = f"spectral constant {c:.6f}, min inequality margin {min(margins):.2e}"
-    return CriterionResult(9, "pinch diagnostics inequality", passed, detail, time.perf_counter() - t0)
+    return passed, f"spectral constant {c:.6f}, min inequality margin {min(margins):.2e}"
 
 
-# ---------------------------------------------------------------------------
-# 10. stretch: tangent-bundle balance on the surface grid (non-gating)
-
-
-def criterion_10() -> CriterionResult:
-    t0 = time.perf_counter()
+def _stretch_balance():
     if os.environ.get("BML_RUN_STRETCH") != "1":
-        return CriterionResult(
-            10, "tangent-bundle balance (stretch)", True,
-            "skipped (set BML_RUN_STRETCH=1 to run)", 0.0, gating=False,
-        )
+        return True, "skipped (set BML_RUN_STRETCH=1 to run)"
     grid = build_grid_p2(n_simplex=4, n_angular=8, depth=5)
     ok, resids = True, []
     for k in (1, 2):
@@ -399,23 +333,26 @@ def criterion_10() -> CriterionResult:
         st, _ = bl.lm_minimize(basis, grid, np.eye(basis.dimension), tol=1e-6, max_iter=60)
         resids.append(st.residual)
         ok = ok and st.flag == "converged"
-    detail = f"residuals {', '.join(f'{r:.2e}' for r in resids)}"
-    return CriterionResult(10, "tangent-bundle balance (stretch)", ok, detail,
-                           time.perf_counter() - t0, gating=False)
+    return ok, f"residuals {', '.join(f'{r:.2e}' for r in resids)}"
 
 
-ALL = (
-    criterion_1,
-    criterion_2,
-    criterion_3,
-    criterion_4,
-    criterion_5,
-    criterion_6,
-    criterion_7,
-    criterion_8,
-    criterion_9,
+ROWS = (
+    (1, "exact identity suite", _exact_identities),
+    (2, "closed-form log-det energy", _closed_form_energy),
+    (3, "log-det slope, destabilized pair", _logdet_slope),
+    (4, "combined-energy slope and boundedness", _combined_energy),
+    (5, "subgeodesic positivity", _subgeodesic_positivity),
+    (6, "compressed-multiplication commutation", _commutation),
+    (7, "balanced existence and nonexistence", _balanced_existence),
+    (8, "energy convexity along paths", _convexity),
+    (9, "pinch diagnostics inequality", _pinch_inequality),
+    (STRETCH, "tangent-bundle balance (stretch)", _stretch_balance),
 )
 
 
-def run_all():
-    return [fn() for fn in ALL] + [criterion_10()]
+def run(index: int) -> CriterionResult:
+    """Criterion ``index``, timed."""
+    _, name, check = ROWS[index - 1]
+    t0 = time.perf_counter()
+    passed, detail = check()
+    return CriterionResult(index, name, passed, detail, time.perf_counter() - t0, index != STRETCH)

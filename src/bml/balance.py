@@ -397,7 +397,10 @@ def convexity_monitor(values) -> float:
 
 
 def divergence_detect(history) -> str:
-    """Classify a solver history: converged / unstable-like / semistable-like."""
+    """Classify a solver history: converged, or unstable-like when the
+    spread ratio exceeds SPREAD_RATIO_LIMIT while m2 decreases; anything
+    else is Inconclusive (a semistable bundle on P^1 splits into summands
+    of one degree and is balanced, so no lab input diverges with flat m2)."""
     if len(history) < 20:
         raise Inconclusive("need at least 20 iterations of history")
     last = history[-1]
@@ -409,8 +412,6 @@ def divergence_detect(history) -> str:
     decreasing = _m2_decreasing(list(tail))
     if ratio > SPREAD_RATIO_LIMIT and decreasing:
         return "unstable-like"
-    if ratio > SPREAD_RATIO_LIMIT and abs(tail[-1] - tail[0]) < 1e-6 * max(1.0, abs(tail[0])):
-        return "semistable-like"
     raise Inconclusive("history matches neither convergence nor divergence pattern")
 
 

@@ -4,7 +4,9 @@ Subcommands: verify | slope | mna | asymptote | balance | subgeodesic.
 Each reads a JSON config (optionally overridden by inline flags), runs
 the named experiment, writes CSV/JSON artifacts plus a human-readable
 summary, and exits 0 on success, 2 when a numeric assertion fails, and 1
-on configuration or runtime errors.
+on configuration or runtime errors.  A runner ``run_<kind>(cfg)`` writes
+no file: it returns ``(fields, tables)``, the summary fields and the CSV
+tables by file name as ``(columns, rows)``, and ``main`` writes both.
 """
 
 from __future__ import annotations
@@ -36,17 +38,6 @@ def _two_step_filtration(cfg: ExperimentConfig) -> xs.FiltrationSpec:
     return filt
 
 
-def _out_path(cfg: ExperimentConfig, out_dir, name: str) -> str:
-    return os.path.join(out_dir or cfg.out or ".", name)
-
-
-def _summary(cfg: ExperimentConfig, out_dir, experiment: str, **fields) -> dict:
-    """The summary of a run with its config, also written to <experiment>.json."""
-    summary = {"experiment": experiment, "config": config_to_dict(cfg), **fields}
-    rep.write_json(_out_path(cfg, out_dir, f"{experiment}.json"), summary)
-    return summary
-
-
 def _path_setup(cfg: ExperimentConfig):
     """(basis, grid, 1-PS, two-step filtration, sample times) of a path experiment."""
     filt = _two_step_filtration(cfg)
@@ -55,35 +46,29 @@ def _path_setup(cfg: ExperimentConfig):
     return basis, cfg.build_grid(), cfg.ps.build(basis), filt, ts
 
 
-def run_slope(cfg: ExperimentConfig, out_dir) -> dict:
+def run_slope(cfg: ExperimentConfig):
     basis, grid, ps, filt, ts = _path_setup(cfg)
     predicted = xs.m2_slope_prediction(filt)
     m2 = don.m2_along_path(basis, grid, ps, ts)
     fit = don.asymptotic_slope_fit(ts, m2, t_min=0.6 * cfg.t_end, predicted=float(predicted))
-    rep.write_csv(
-        _out_path(cfg, out_dir, "slope.csv"),
-        rep.SLOPE_COLUMNS,
-        rep.slope_rows(ts, m2, predicted),
-    )
     ok = abs(fit.slope - float(predicted)) <= cfg.tol * max(1.0, abs(float(predicted)))
-    return _summary(
-        cfg, out_dir, "slope",
+    fields = dict(
         predicted_slope=predicted,
         fitted_slope=fit.slope,
         fit_residual=fit.residual,
         passed=bool(ok),
     )
+    return fields, {"slope.csv": (rep.SLOPE_COLUMNS, rep.slope_rows(ts, m2, predicted))}
 
 
-def run_mna(cfg: ExperimentConfig, out_dir) -> dict:
+def run_mna(cfg: ExperimentConfig):
     filt = _two_step_filtration(cfg)
     ambient = filt.ambient
     grading = xs.weight_grading(filt)
     lhs, rhs = xs.weight_sum_identity(filt)
     candidates = [filt.steps[0]]
     verdict, witness = xs.slope_stability_verdict(ambient, candidates)
-    return _summary(
-        cfg, out_dir, "mna",
+    fields = dict(
         m_na=xs.m_na(filt),
         j_na=xs.j_na(grading, filt.weights),
         m2_slope_prediction=xs.m2_slope_prediction(filt),
@@ -95,9 +80,10 @@ def run_mna(cfg: ExperimentConfig, out_dir) -> dict:
         slope_verdict=verdict,
         passed=bool(rhs == 2 * lhs),
     )
+    return fields, {}
 
 
-def run_asymptote(cfg: ExperimentConfig, out_dir) -> dict:
+def run_asymptote(cfg: ExperimentConfig):
     basis, grid, ps, filt, ts = _path_setup(cfg)
     m_na = xs.m_na(filt)
     m2_pred = xs.m2_slope_prediction(filt)
@@ -107,14 +93,8 @@ def run_asymptote(cfg: ExperimentConfig, out_dir) -> dict:
     mdon = m1 + float(mu_e) * m2
     fit_don = don.asymptotic_slope_fit(ts, mdon, t_min=0.6 * cfg.t_end, predicted=float(m_na))
     fit_m2 = don.asymptotic_slope_fit(ts, m2, t_min=0.6 * cfg.t_end, predicted=float(m2_pred))
-    rep.write_csv(
-        _out_path(cfg, out_dir, "asymptote.csv"),
-        rep.SLOPE_COLUMNS,
-        rep.slope_rows(ts, m2, m_na, m1=m1, mdon=mdon),
-    )
     ok = abs(fit_don.slope - float(m_na)) <= cfg.tol * max(1.0, abs(float(m_na)))
-    return _summary(
-        cfg, out_dir, "asymptote",
+    fields = dict(
         m_na=m_na,
         m2_slope_prediction=m2_pred,
         fitted_mdon_slope=fit_don.slope,
@@ -122,6 +102,7 @@ def run_asymptote(cfg: ExperimentConfig, out_dir) -> dict:
         empirical_intercept_bound=float(np.min(mdon - float(m_na) * ts)),
         passed=bool(ok),
     )
+    return fields, {"asymptote.csv": (rep.SLOPE_COLUMNS, rep.slope_rows(ts, m2, m_na, m1=m1, mdon=mdon))}
 
 
 def _polystable_decoration(bundle: xs.SheafData) -> str:
@@ -130,14 +111,12 @@ def _polystable_decoration(bundle: xs.SheafData) -> str:
     return "converged (stable)"
 
 
-def run_balance(cfg: ExperimentConfig, out_dir) -> dict:
+def run_balance(cfg: ExperimentConfig):
     basis = cfg.section_basis()
     grid = cfg.build_grid()
     H0 = np.eye(basis.dimension)
     state_t, hist_t = bl.t_iterate(basis, grid, H0, tol=1e-10, max_iter=300)
     state_lm, hist_lm = bl.lm_minimize(basis, grid, H0, tol=1e-10, max_iter=200)
-    rep.write_csv(_out_path(cfg, out_dir, "balance_t.csv"), rep.BALANCE_COLUMNS, rep.balance_rows(hist_t))
-    rep.write_csv(_out_path(cfg, out_dir, "balance_lm.csv"), rep.BALANCE_COLUMNS, rep.balance_rows(hist_lm))
     try:
         verdict = bl.divergence_detect(hist_t)
     except bl.Inconclusive:
@@ -146,8 +125,7 @@ def run_balance(cfg: ExperimentConfig, out_dir) -> dict:
         verdict = "converged" if state_t.flag == "converged" else "inconclusive"
     if verdict == "converged":
         verdict = _polystable_decoration(cfg.catalog_bundle())
-    return _summary(
-        cfg, out_dir, "balance",
+    fields = dict(
         verdict=verdict,
         t_flag=state_t.flag,
         t_residual=state_t.residual,
@@ -157,9 +135,12 @@ def run_balance(cfg: ExperimentConfig, out_dir) -> dict:
         final_H=[[repr(complex(v)) for v in row] for row in state_t.H],
         passed=state_t.flag in ("converged", "diverged"),
     )
+    tables = {"balance_t.csv": (rep.BALANCE_COLUMNS, rep.balance_rows(hist_t)),
+              "balance_lm.csv": (rep.BALANCE_COLUMNS, rep.balance_rows(hist_lm))}
+    return fields, tables
 
 
-def run_subgeodesic(cfg: ExperimentConfig, out_dir) -> dict:
+def run_subgeodesic(cfg: ExperimentConfig):
     basis = cfg.section_basis()
     rng = np.random.default_rng(cfg.seed)
     worst = 0.0
@@ -172,28 +153,26 @@ def run_subgeodesic(cfg: ExperimentConfig, out_dir) -> dict:
         worst = max(worst, resid)
         min_eig = min(min_eig, eig)
     ok = worst <= cfg.tol and min_eig >= -1e-12
-    return _summary(
-        cfg, out_dir, "subgeodesic",
-        max_residual=worst,
-        min_eigenvalue=float(min_eig),
-        passed=bool(ok),
-    )
+    return dict(max_residual=worst, min_eigenvalue=float(min_eig), passed=bool(ok)), {}
 
 
-def run_verify(cfg: ExperimentConfig, out_dir) -> dict:
+def run_verify(cfg: ExperimentConfig):
+    """Every acceptance criterion in order, each printed as it finishes:
+    its console line carries the wall time, which no artifact does."""
     from . import acceptance
 
-    results = acceptance.run_all()
-    for res in results:
-        print(acceptance.format_line(res))
-    return _summary(
-        cfg, out_dir, "verify",
+    results = []
+    for index, _, _ in acceptance.ROWS:
+        results.append(acceptance.run(index))
+        print(acceptance.format_line(results[-1]), flush=True)
+    fields = dict(
         results=[
             {"index": r.index, "name": r.name, "passed": r.passed, "detail": r.detail}
             for r in results
         ],
         passed=all(r.passed for r in results if r.gating),
     )
+    return fields, {}
 
 
 RUNNERS = {
@@ -235,7 +214,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
-        summary = RUNNERS[args.kind](cfg, out_dir=args.out)
+        fields, tables = RUNNERS[args.kind](cfg)
+        out_dir = args.out or cfg.out or "."
+        for name, (columns, rows) in tables.items():
+            rep.write_csv(os.path.join(out_dir, name), columns, rows)
+        summary = {"experiment": args.kind, "config": config_to_dict(cfg), **fields}
+        rep.write_json(os.path.join(out_dir, f"{args.kind}.json"), summary)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -222,6 +222,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("t_end", "path end time must be positive and finite")
     if cfg.samples < 2:
         raise ConfigError("samples", "need at least two samples")
+    if cfg.seed < 0:
+        raise ConfigError("seed", "seeds must be non-negative")
     if kind == "subgeodesic" and cfg.t_end < SUBGEODESIC_T_MIN:
         raise ConfigError("t_end", f"path times are drawn from [{SUBGEODESIC_T_MIN}, min(t_end, 3))")
     if kind == "subgeodesic" and bundle.space_tag != "P1":

@@ -1,12 +1,18 @@
 """One test per acceptance criterion; each prints a single pass/fail line."""
 
+import json
 import os
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bml import acceptance as ac
+from bml import cli
 from bml import kernels
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _report(res):
@@ -15,27 +21,27 @@ def _report(res):
 
 
 def test_criterion_01_exact_identity_suite():
-    _report(ac.criterion_1())
+    _report(ac.run(1))
 
 
 def test_criterion_02_closed_form_energy():
-    _report(ac.criterion_2())
+    _report(ac.run(2))
 
 
 def test_criterion_03_logdet_slope():
-    _report(ac.criterion_3())
+    _report(ac.run(3))
 
 
 def test_criterion_04_combined_energy():
-    _report(ac.criterion_4())
+    _report(ac.run(4))
 
 
 def test_criterion_05_subgeodesic_positivity():
-    _report(ac.criterion_5())
+    _report(ac.run(5))
 
 
 def test_criterion_06_commutation():
-    _report(ac.criterion_6())
+    _report(ac.run(6))
 
 
 def test_criterion_06_fails_without_the_whitening(monkeypatch):
@@ -46,21 +52,21 @@ def test_criterion_06_fails_without_the_whitening(monkeypatch):
         return np.broadcast_to(np.eye(len(h))[:, :, None], h.shape).astype(complex), kernels.cholesky(h)
 
     monkeypatch.setattr(kernels, "whiten", unwhitened)
-    res = ac.criterion_6()
+    res = ac.run(6)
     assert not res.passed, res.detail
     assert "0.00e+00 over 1000 draws" in res.detail
 
 
 def test_criterion_07_balanced_existence():
-    _report(ac.criterion_7())
+    _report(ac.run(7))
 
 
 def test_criterion_08_convexity():
-    _report(ac.criterion_8())
+    _report(ac.run(8))
 
 
 def test_criterion_09_pinch_inequality():
-    _report(ac.criterion_9())
+    _report(ac.run(9))
 
 
 @pytest.mark.skipif(
@@ -68,12 +74,31 @@ def test_criterion_09_pinch_inequality():
     reason="long-running surface-grid check; set BML_RUN_STRETCH=1 to enable",
 )
 def test_criterion_10_stretch_surface_balance():
-    _report(ac.criterion_10())
+    _report(ac.run(10))
 
 
 def test_criterion_registry_shape():
-    assert len(ac.ALL) == 9
-    skipped = ac.criterion_10()
+    assert [index for index, _, _ in ac.ROWS] == list(range(1, 11))
+    assert ac.run(9).gating
+    skipped = ac.run(10)
     assert skipped.index == 10
     assert not skipped.gating
     assert "skipped" in skipped.detail or os.environ.get("BML_RUN_STRETCH") == "1"
+
+
+@pytest.mark.parametrize("index, config, line, key, spec", [
+    (3, ac.SLOPE, "bml slope --bundle split_p1:0,2 --k 3 --ps two_step:1:2/3,-1 --t-end 15 "
+     "--samples 12 --tol 0.006666666666666666", "fitted_slope", ".8f"),
+    (4, ac.ASYMPTOTE, "bml asymptote --bundle split_p1:0,2 --k 3 --ps two_step:1:2/3,-1 --t-end 15 "
+     "--samples 10 --tol 0.02", "fitted_mdon_slope", ".6f"),
+])
+def test_verify_agrees_with_the_cli(tmp_path, index, config, line, key, spec):
+    """Criteria 3 and 4 are the README's `bml slope` and `bml asymptote`
+    commands: the same config, and the slope the command writes is the
+    one the criterion reports."""
+    assert line in README.read_text(encoding="utf-8")
+    argv = shlex.split(line)[1:]
+    assert cli._config_from_args(cli.build_parser().parse_args(argv)) == config
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / f"{argv[0]}.json").read_text())
+    assert format(summary[key], spec) in ac.run(index).detail

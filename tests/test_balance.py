@@ -188,6 +188,21 @@ def test_divergence_detect_needs_history():
         bl.divergence_detect([])
 
 
+def test_divergence_detect_needs_m2_decrease():
+    """A spread ratio e^10 > SPREAD_RATIO_LIMIT with flat m2 is no
+    divergence pattern."""
+    history = [bl.HistoryRow(iteration=i, residual=1e-3, m2=-1.0, spread=10.0) for i in range(60)]
+    with pytest.raises(bl.Inconclusive):
+        bl.divergence_detect(history)
+
+
+def test_pinch_coefficient():
+    ln2 = np.log(2.0)
+    assert abs(bl._pinch_coefficient(0.5) - (ln2 - 0.5) / ln2**2) <= 1e-15
+    assert bl._pinch_coefficient(1.0) == 0.5
+    assert bl._pinch_coefficient(1.0 - 1e-4) == pytest.approx(0.5, abs=2e-5)
+
+
 def test_spectral_constant(grid_p1):
     c, spectrum = bl.spectral_constant(grid_p1)
     assert c == pytest.approx(4.0 * np.pi, rel=1e-10)

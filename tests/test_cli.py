@@ -163,6 +163,7 @@ def test_inline_ps_parsing():
         ({"kind": "mna", "grid": {"n_radial": 4}}, [], "grid"),
         (None, ["--k", "4", "--ps", "two_step:1:2/3,-1"], "ps.weights"),
         ({"kind": "mna"}, ["--ps", "two_step:1:4/3,-2"], "ps.weights"),
+        ({"kind": "subgeodesic"}, ["--seed", "-1"], "seed"),
     ],
 )
 def test_bad_config_input_exits_one(tmp_path, capsys, raw, argv, field):
@@ -171,10 +172,11 @@ def test_bad_config_input_exits_one(tmp_path, capsys, raw, argv, field):
     truncated or read as 1), a summand index out of range or repeated, a
     non-finite time or tolerance, a field the experiment does not read, a
     grid key of the other space or of none, two-step weights that are not
-    trace-free at the level or exceed 1, and a subgeodesic end time below
-    its draw window or bundle off P1 each exit 1 with a ConfigError naming
-    the field.  Each value is checked under a kind that reads its field;
-    without a config, under slope, which reads every field of mna."""
+    trace-free at the level or exceed 1, a subgeodesic end time below its
+    draw window or bundle off P1, and a negative seed each exit 1 with a
+    ConfigError naming the field.  Each value is checked under a kind that
+    reads its field; without a config, under slope, which reads every
+    field of mna."""
     kind = (raw or {}).get("kind", "slope")
     if raw is not None:
         argv = ["--config", write_cfg(tmp_path, raw)] + argv

@@ -176,6 +176,13 @@ def test_stability_verdicts():
     assert verdict == "semistable"
     with pytest.raises(xs.EmptyCandidates):
         xs.slope_stability_verdict(ambient, [])
+    # borderline: O(1) in O(1)+O(1) has the ambient's h0/rank at every level
+    for k in range(4):
+        assert xs.le_potier_verdict(xs.split_p1((1,)), xs.split_p1([1, 1]), k) == 0
+    # on a slope tie the witness is the candidate of larger rank
+    pair = xs.split_p1([1, 1])
+    verdict, witness = xs.slope_stability_verdict(xs.split_p1([1, 1, 0]), [xs.split_p1((1,)), pair])
+    assert verdict == "unstable" and witness == pair
 
 
 def test_sheaf_data():

@@ -71,6 +71,18 @@ MUTANTS = (
      "        if not np.isfinite(m).all():\n"
      "            raise NotPositiveDefinite(\"form has non-finite entries\")\n",
      ""),
+    ("pinch-coefficient-constant", "src/bml/balance.py",
+     "    return float((delta - 1.0 - ld) / ld**2)\n",
+     "    return 0.5\n"),
+    ("le-potier-tie-positive", "src/bml/exactsheaf.py",
+     "return (diff > 0) - (diff < 0)",
+     "return (diff >= 0) - (diff < 0)"),
+    ("slope-tie-smaller-rank", "src/bml/exactsheaf.py",
+     "key=lambda c: (mu(c), c.rank)",
+     "key=lambda c: (mu(c), -c.rank)"),
+    ("divergence-ignores-m2", "src/bml/balance.py",
+     "if ratio > SPREAD_RATIO_LIMIT and decreasing:",
+     "if ratio > SPREAD_RATIO_LIMIT:"),
 )
 
 ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
