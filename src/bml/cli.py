@@ -117,14 +117,10 @@ def run_balance(cfg: ExperimentConfig):
     H0 = np.eye(basis.dimension)
     state_t, hist_t = bl.t_iterate(basis, grid, H0, tol=1e-10, max_iter=300)
     state_lm, hist_lm = bl.lm_minimize(basis, grid, H0, tol=1e-10, max_iter=200)
-    try:
-        verdict = bl.divergence_detect(hist_t)
-    except bl.Inconclusive:
-        # fast convergence can finish before the classifier has enough
-        # history; the solver flag is then authoritative
-        verdict = "converged" if state_t.flag == "converged" else "inconclusive"
-    if verdict == "converged":
+    if state_t.flag == "converged":
         verdict = _polystable_decoration(cfg.catalog_bundle())
+    else:
+        verdict = "unstable-like" if state_t.flag == "diverged" else "inconclusive"
     fields = dict(
         verdict=verdict,
         t_flag=state_t.flag,

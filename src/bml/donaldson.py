@@ -182,13 +182,11 @@ def _curvature_frame(fs, h, a, c):
 
 @dataclass(frozen=True)
 class _Jets:
-    """The 1-jet blocks of _path_jets: the number of weight groups they
-    were formed for, the grid whose nodes they were formed on,
-    (1 + |z|^2)^2 at every node, and per node block (slice, stack), the
-    (D, 3, r, r, B) stack holding G_d, A_d, C_d of the D groups, node
-    index last."""
+    """The 1-jet blocks of _path_jets: the grid whose nodes they were
+    formed on, (1 + |z|^2)^2 at every node, and per node block (slice,
+    stack), the (D, 3, r, r, B) stack holding G_d, A_d, C_d of the D
+    groups, node index last."""
 
-    n_weights: int
     grid: QuadratureGrid
     twist: np.ndarray
     stacks: list
@@ -223,7 +221,7 @@ def _path_jets(basis: SectionBasis, grid: QuadratureGrid, rotation, slices) -> _
         for i, (b, db) in enumerate(groups):
             stack[i] = kernels.gram(b), kernels.pair(b, db), kernels.gram(db)
         stacks.append((sl, stack))
-    return _Jets(len(slices), grid, (1.0 + np.abs(z) ** 2) ** 2, stacks)
+    return _Jets(grid, (1.0 + np.abs(z) ** 2) ** 2, stacks)
 
 
 def _frame_block(fs, stack, e, grid, sl: slice):
@@ -249,13 +247,8 @@ def m1_rate(basis: SectionBasis, ps: OnePS, t: float, jets: _Jets) -> float:
     whitened r x r algebra remain.  The integral runs over the grid the
     jets were formed on, jets.grid.  Since g^{-1} dg/dt = -(h^{-1} hdot)^T,
     the integrand is -(1 + |z|^2)^2 tr(X K) with X = W hdot W* and K from
-    _curvature_frame.  Jets formed for another number of weight groups
-    than ps has are a ValueError.
+    _curvature_frame.
     """
-    if jets.n_weights != len(ps.weights):
-        raise ValueError(
-            f"jets formed for {jets.n_weights} weight groups, but the 1-PS has {len(ps.weights)}"
-        )
     grid = jets.grid
     weights = np.asarray(ps.weights)
     with np.errstate(over="ignore"):

@@ -83,7 +83,29 @@ def test_criterion_registry_shape():
     skipped = ac.run(10)
     assert skipped.index == 10
     assert not skipped.gating
-    assert "skipped" in skipped.detail or os.environ.get("BML_RUN_STRETCH") == "1"
+    if os.environ.get("BML_RUN_STRETCH") != "1":
+        # verify.json records the skip as passed; the console line says SKIP
+        assert skipped.passed and skipped.detail.startswith("skipped")
+        assert ac.format_line(skipped).startswith("criterion 10 [SKIP] tangent-bundle balance")
+
+
+def test_a_raising_criterion_is_a_failed_row(tmp_path, capsys, monkeypatch):
+    """A check that raises fails its own row, named by the error; the rows
+    after it still run, verify.json is written and the exit code is 2."""
+    def raises():
+        raise kernels.SingularGram("fibre metric lost positivity")
+
+    monkeypatch.setattr(ac, "ROWS", (
+        (1, "before", lambda: (True, "ran")),
+        (2, "raising", raises),
+        (3, "after", lambda: (True, "ran")),
+    ))
+    assert cli.main(["verify", "--out", str(tmp_path)]) == 2
+    assert "criterion 2 [FAIL] raising: raised SingularGram: fibre metric lost positivity" in (
+        capsys.readouterr().out)
+    results = json.loads((tmp_path / "verify.json").read_text())["results"]
+    assert [(r["index"], r["passed"]) for r in results] == [(1, True), (2, False), (3, True)]
+    assert results[1]["detail"] == "raised SingularGram: fibre metric lost positivity"
 
 
 @pytest.mark.parametrize("index, config, line, key, spec", [

@@ -196,6 +196,18 @@ def test_divergence_detect_needs_m2_decrease():
         bl.divergence_detect(history)
 
 
+def test_divergence_detect_is_the_solver_rule():
+    """A history is unstable-like exactly when the solvers stop on it as
+    diverged: 30 rows of spread ratio e^10 with m2 falling are shorter
+    than the M2_DECREASE_RUN window, 51 rows are not."""
+    history = [bl.HistoryRow(iteration=i, residual=1e-3, m2=-0.01 * i, spread=10.0) for i in range(60)]
+    assert not bl._divergence_hit(history[:30])
+    with pytest.raises(bl.Inconclusive):
+        bl.divergence_detect(history[:30])
+    assert bl._divergence_hit(history[:bl.M2_DECREASE_RUN + 1])
+    assert bl.divergence_detect(history[:bl.M2_DECREASE_RUN + 1]) == "unstable-like"
+
+
 def test_pinch_coefficient():
     ln2 = np.log(2.0)
     assert abs(bl._pinch_coefficient(0.5) - (ln2 - 0.5) / ln2**2) <= 1e-15
@@ -232,6 +244,39 @@ def test_delta_inequality_perturbed(grid_p1):
     value = bl.donaldson_value_line(basis, grid_p1, H, he)
     assert diag.lower_bound > 0
     assert value >= diag.lower_bound - 1e-9
+
+
+def test_delta_is_the_smallest_pinch_over_nodes(grid_p1, rng):
+    """On a rank-2 bundle the eigenvalue ratio of h_min h_HE^{-1} varies
+    over the nodes, and delta is its infimum."""
+    basis = bd.section_basis(bd.split(0, 2), 3)
+    he = bl.hermitian_einstein_catalog(basis, grid_p1)
+    H = random_form(basis.dimension, rng)
+    h = bg.fs_metric(basis, grid_p1, bg.HermitianForm(matrix=H))
+    lam = np.sort(np.linalg.eigvals(np.linalg.solve(he, h)).real, axis=-1)
+    ratio = lam[:, 0] / lam[:, -1]
+    assert ratio.max() - ratio.min() > 0.1
+    diag = bl.delta_diagnostic(h, he, grid_p1, spectral_c=bl.spectral_constant(grid_p1)[0])
+    assert diag.delta == pytest.approx(ratio.min(), rel=1e-10)
+
+
+def test_t_step_inverts_the_dense_b(grid_p1, rng):
+    """One T-step from a non-real form is (r/N) B(H)^{-1}, det-normalized,
+    with B(H) = (1/Vol) int Q h^{-1} Q* formed densely here."""
+    basis = bd.section_basis(bd.split(0, 2), 3)
+    n = basis.dimension
+    H = random_form(n, rng)
+    H /= np.exp(np.linalg.slogdet(H)[1] / n)
+    assert np.abs(H.imag).max() > 0.1
+    q = bd.q_field(basis, grid_p1.nodes)
+    h = np.einsum("mni,nk,mkj->mij", q.conj(), H, q)
+    p = np.einsum("mni,mij,mkj->mnk", q, np.linalg.inv(h), q.conj())
+    b = np.einsum("m,mnk->nk", grid_p1.weights / grid_p1.volume, p)
+    want = (basis.rank / n) * np.linalg.inv(b)
+    want /= np.exp(np.linalg.slogdet(want)[1] / n)
+    state, _ = bl.t_iterate(basis, grid_p1, H, max_iter=1)
+    assert state.flag == "max_iter" and state.iteration == 1
+    assert np.abs(state.H - want).max() <= 1e-10 * np.abs(want).max()
 
 
 def test_missing_he_raises(grid_p2):

@@ -96,6 +96,25 @@ def test_balance_stable_bundle(tmp_path, capsys):
     assert (tmp_path / "balance_lm.csv").exists()
 
 
+def test_balance_verdict_is_the_t_flag(tmp_path, capsys, monkeypatch):
+    """`bml balance` reads its verdict from the T-solve's flag alone: a
+    diverged solve is unstable-like, and a solve stopped at max_iter is
+    inconclusive even when its residual is below 1e-8."""
+    cfg = write_cfg(tmp_path, {"kind": "balance", "grid": LIGHT_GRID})
+    args = ["balance", "--config", cfg, "--out", str(tmp_path)]
+    assert cli.main(args + ["--bundle", "split_p1:0,2", "--k", "3"]) == 0
+    assert "t_flag: diverged\n" in capsys.readouterr().out
+    assert json.loads((tmp_path / "balance.json").read_text())["verdict"] == "unstable-like"
+
+    t_iterate = cli.bl.t_iterate
+    monkeypatch.setattr(cli.bl, "t_iterate", lambda basis, grid, H0, tol, max_iter: t_iterate(
+        basis, grid, H0, tol=0.0, max_iter=30))
+    assert cli.main(args + ["--bundle", "split_p1:2", "--k", "1"]) == 2
+    summary = json.loads((tmp_path / "balance.json").read_text())
+    assert summary["t_flag"] == "max_iter" and summary["t_residual"] < 1e-8
+    assert summary["verdict"] == "inconclusive"
+
+
 def test_non_object_config_exits_one(tmp_path, capsys):
     cfg = tmp_path / "list.json"
     cfg.write_text("[1, 2]")

@@ -460,18 +460,6 @@ def test_m1_curve_work_shape(grid_p1, monkeypatch, rng):
             assert [stack.shape for _, stack in jets.stacks] == [(len(ps.weights), 3, 2, 2, b) for b in sizes]
 
 
-def test_m1_rate_names_jets_of_another_1ps(coarse, rng):
-    """Jets formed for one 1-PS and handed to m1_rate with another of a
-    different number of weight groups are a ValueError naming both."""
-    basis = bd.section_basis(bd.split(0, 2), 3)
-    ps2 = bg.random_two_weight_ps(basis.dimension, rng)
-    ps4 = bg.one_ps(np.diag(np.repeat([1.5, 0.5, -0.5, -1.5], [2, 3, 3, 2])))
-    assert len(ps2.weights) == 2 and len(ps4.weights) == 4
-    jets = don._path_jets(basis, coarse, don._frame(ps2), ps2.slices)
-    with pytest.raises(ValueError, match=r"2 weight groups.* has 4"):
-        don.m1_rate(basis, ps4, 1.0, jets)
-
-
 def test_b_matrix_p_field_and_m2_value(split_basis, grid, rng):
     H = positive_form(split_basis.dimension, rng)
     q = bd.q_field(split_basis, grid.nodes)

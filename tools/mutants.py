@@ -81,8 +81,17 @@ MUTANTS = (
      "key=lambda c: (mu(c), c.rank)",
      "key=lambda c: (mu(c), -c.rank)"),
     ("divergence-ignores-m2", "src/bml/balance.py",
-     "if ratio > SPREAD_RATIO_LIMIT and decreasing:",
-     "if ratio > SPREAD_RATIO_LIMIT:"),
+     "    return _m2_decreasing([row.m2 for row in history[-(M2_DECREASE_RUN + 1):]])\n",
+     "    return True\n"),
+    ("m2-decrease-no-net-drop", "src/bml/balance.py",
+     "    return ties_ok and (m2[0] - m2[-1]) > 1e-8\n",
+     "    return ties_ok\n"),
+    ("delta-max", "src/bml/balance.py",
+     "delta = float((lam[:, 0] / lam[:, -1]).min())",
+     "delta = float((lam[:, 0] / lam[:, -1]).max())"),
+    ("t-map-conjugated", "src/bml/balance.py",
+     "return _det_normalize((r / n) * np.linalg.inv(b))",
+     "return _det_normalize((r / n) * np.linalg.inv(b).T)"),
 )
 
 ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
