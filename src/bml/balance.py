@@ -11,7 +11,8 @@ equation of the log-determinant energy m2.  Two solvers are provided: a
 fixed-point T-operator iteration and a damped least-squares
 (Levenberg-Marquardt) minimization of the center-of-mass residual, both
 recording a per-iteration history suitable for convexity and divergence
-diagnostics.  The delta diagnostic quantifies the distance from a
+diagnostics; from a torus-invariant start on P^1 both run on one node
+per orbit (_solve).  The delta diagnostic quantifies the distance from a
 computed minimizer to the Hermitian-Einstein reference through the
 eigenvalue pinch delta and a spectral constant of the Laplacian.
 """
@@ -19,6 +20,7 @@ eigenvalue pinch delta and a spectral constant of the Laplacian.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -39,6 +41,10 @@ class MissingHE(ValueError):
     pass
 
 
+class LMMemoryExceeded(ValueError):
+    pass
+
+
 # Divergence thresholds: the spread is stored as log(lmax/lmin); the
 # ratio threshold 1e3 converts to log(1e3) on the stored field.
 SPREAD_RATIO_LIMIT = 1.0e3
@@ -47,6 +53,8 @@ M2_DECREASE_RUN = 50
 # lm_minimize): steps and probes that move only roundoff are not taken.
 LM_DECREASE_MARGIN = 1e-9
 LM_STATIONARY = 1e-10
+# The most memory, in bytes, that one LM Jacobian may need (lm_minimize).
+LM_MEMORY_BUDGET = 2**30
 
 
 @dataclass(frozen=True)
@@ -136,10 +144,13 @@ class _Iterate(NamedTuple):
     m2: float
 
 
-def _solver_parts(basis, grid, H, ld0, chart=None) -> _Iterate:
+def _solver_parts(basis, grid, H, ld0, chart=None, mask=True) -> _Iterate:
     """The iterate at the form H from one pass over the node blocks, with
-    m2 against the reference log-dets ld0."""
+    m2 against the reference log-dets ld0; H and B(H) keep the entries of
+    ``mask``, on the orbit quotient the character mask (_torus_mask)."""
+    H = H * mask
     b, ld, wh = kernels.b_matrix(basis, grid, H, chart)
+    b = b * mask
     eig = _sqrtm_psd(H)
     n = basis.dimension
     s = eig[2] @ b @ eig[2] - (basis.rank / n) * np.eye(n)
@@ -182,22 +193,37 @@ def _divergence_hit(history) -> bool:
     return _m2_decreasing([row.m2 for row in history[-(M2_DECREASE_RUN + 1):]])
 
 
-def _solve(basis, grid, H0, tol, max_iter, step, damping):
-    """The loop of both solvers over one chart of the grid, held for the
-    whole solve.  From the iterate x, ``step(x, history, evaluate, trial,
-    chart)`` returns (kind, rejected, damping, next iterate), the last
-    None when no step was found; ``evaluate(H)`` is the iterate at H and
-    ``trial(H)`` that at H det-normalized, or None when it is rejected.
+def _torus_mask(basis, grid) -> np.ndarray:
+    """m_i = m_j over the section characters m (SectionBasis.characters),
+    outside which a torus-invariant form is 0; all True without rings."""
+    m = basis.characters if grid.ring > 1 else np.zeros(basis.dimension)
+    return m[:, None] == m[None, :]
+
+
+def _solve(basis, grid, H0, tol, max_iter, make_step, damping):
+    """The loop of both solvers over one chart of its node set, held for
+    the whole solve: grid.orbits (donaldson._orbit_grid), with every H
+    and B(H) masked, when H0 is 0 outside _torus_mask, else grid.
+    ``make_step(nodes, mask)`` gives ``step(x, history, evaluate, trial,
+    chart)``, which returns (kind, rejected, damping, next iterate) from
+    the iterate x, the last None when no step was found; ``evaluate(H)``
+    is the iterate at H and ``trial(H)`` that at H det-normalized, or
+    None when it is rejected.
 
     Returns (final BalanceState, history): converged below ``tol``,
     diverged (spread ratio past threshold with a long monotone m2
     decrease), max_iter, or stalled when no step was found.
     """
-    chart = list(kernels.blocks(basis, grid.nodes))
-    ld0 = kernels.logdet(kernels.field(basis, grid, chart=chart))
+    H0 = np.asarray(H0, dtype=complex)
+    mask = _torus_mask(basis, grid)
+    nodes = don._orbit_grid(grid, not H0[~mask].any())
+    mask |= nodes is grid  # the whole grid keeps every entry
+    step = make_step(nodes, mask)
+    chart = list(kernels.blocks(basis, nodes.nodes))
+    ld0 = kernels.logdet(kernels.field(basis, nodes, chart=chart))
 
     def evaluate(H):
-        return _solver_parts(basis, grid, H, ld0, chart)
+        return _solver_parts(basis, nodes, H, ld0, chart, mask)
 
     def trial(H):
         # A singular or overflowing trial form is rejected, not raised.
@@ -206,7 +232,7 @@ def _solve(basis, grid, H0, tol, max_iter, step, damping):
         except (SingularGram, kernels.NonFiniteChart):
             return None
 
-    x = evaluate(_det_normalize(np.asarray(H0, dtype=complex)))
+    x = evaluate(_det_normalize(H0))
     history = []
     for it in range(max_iter + 1):
         row = HistoryRow(it, float(np.linalg.norm(x.s, "fro")), float(x.m2),
@@ -240,28 +266,21 @@ def t_iterate(basis: SectionBasis, grid: QuadratureGrid, H0: np.ndarray, tol: fl
     def step(x, history, evaluate, trial, chart):
         return "t", 0, 0.0, evaluate(t_operator(basis, x.b))
 
-    return _solve(basis, grid, H0, tol, max_iter, step, 0.0)
+    return _solve(basis, grid, H0, tol, max_iter, lambda nodes, mask: step, 0.0)
 
 
-def _herm_basis(n: int):
-    """Real basis of trace-free hermitian n x n matrices (n^2 - 1)."""
-    out = []
-    s = 1.0 / np.sqrt(2.0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            e = np.zeros((n, n), dtype=complex)
-            e[i, j] = s
-            e[j, i] = s
-            out.append(e)
-            e = np.zeros((n, n), dtype=complex)
-            e[i, j] = 1j * s
-            e[j, i] = -1j * s
-            out.append(e)
-    for a in range(n - 1):
-        e = np.zeros((n, n), dtype=complex)
-        e[a, a] = s
-        e[a + 1, a + 1] = -s
-        out.append(e)
+def _herm_basis(mask: np.ndarray) -> np.ndarray:
+    """Real basis of the trace-free hermitian n x n matrices with no entry
+    outside the symmetric (n, n) bool ``mask`` whose diagonal is True, as
+    a (D, n, n) stack: D = n^2 - 1 for a full mask, sum_m n_m^2 - 1 for a
+    character mask with n_m rows of character m."""
+    n = len(mask)
+    i, j = np.nonzero(np.triu(mask, 1))
+    k, a, s = np.arange(len(i)), np.arange(n - 1), 1.0 / np.sqrt(2.0)
+    out = np.zeros((2 * len(i) + n - 1, n, n), dtype=complex)
+    out[2 * k, i, j] = out[2 * k, j, i] = s
+    out[2 * k + 1, i, j], out[2 * k + 1, j, i] = 1j * s, -1j * s
+    out[2 * len(i) + a, a, a], out[2 * len(i) + a, a + 1, a + 1] = s, -s
     return out
 
 
@@ -301,9 +320,11 @@ def lm_minimize(basis: SectionBasis, grid: QuadratureGrid, H0: np.ndarray, tol: 
     """Damped least-squares minimization of the center-of-mass residual.
 
     The iterate is re-centered each accepted step through the congruence
-    H <- e^{A/2} H e^{A/2} with A hermitian trace-free, so the Jacobian is
-    only ever needed at A = 0 where it is available in closed form:
-    dB = -(1/Vol) int P dH P with P = Q h^{-1} Q*.
+    H <- e^{A/2} H e^{A/2} with A hermitian trace-free, 0 outside the
+    mask of _solve (sum_m n_m^2 - 1 directions on the orbits, else
+    N^2 - 1), so the Jacobian is only ever needed at A = 0 where it is
+    available in closed form: dB = -(1/Vol) int P dH P with P = Q h^{-1}
+    Q*.  Past LM_MEMORY_BUDGET it raises LMMemoryExceeded up front.
 
     A trial step is accepted only when it cuts the Frobenius residual by
     more than the relative margin LM_DECREASE_MARGIN without raising m2,
@@ -316,9 +337,18 @@ def lm_minimize(basis: SectionBasis, grid: QuadratureGrid, H0: np.ndarray, tol: 
     threshold with a long monotone m2 decrease) is flagged, not raised.
     """
     n = basis.dimension
-    directions = np.asarray(_herm_basis(n))
 
-    def step(x, history, evaluate, trial, chart):
+    def make_step(nodes, mask):
+        # Stated before the D directions are built: complex N^4 (t4) twice, N^2 B
+        # (a block's P-field) twice, D N^2 ten times (dH, dB, dS, J...), real J^T J.
+        d, block = int(mask.sum()) - 1, min(kernels.BLOCK, len(nodes.nodes))
+        need = 16 * (2 * n**4 + 2 * n * n * block + 10 * d * n * n) + 8 * d * d
+        if need > LM_MEMORY_BUDGET:
+            raise LMMemoryExceeded(f"an LM Jacobian at N = {n} with {d} directions needs "
+                                   f"{need >> 20} MiB, past the budget of {LM_MEMORY_BUDGET >> 20} MiB")
+        return partial(step, nodes, mask, _herm_basis(mask))
+
+    def step(nodes, mask, directions, x, history, evaluate, trial, chart):
         lam_damp = history[-1].damping
         lamH, vH, sq = x.eig
         # After a run of fallback steps the least-squares model is known
@@ -327,7 +357,7 @@ def lm_minimize(basis: SectionBasis, grid: QuadratureGrid, H0: np.ndarray, tol: 
         tries = 0
         if not (stuck and history[-1].iteration % 10 != 0):
             dh = 0.5 * (directions @ x.H + x.H @ directions)
-            db = _b_derivatives(basis, grid, chart, x.wh, dh)
+            db = _b_derivatives(basis, nodes, chart, x.wh, dh) * mask
             dsq = _sqrt_frechet(lamH, vH, dh)
             ds = (dsq @ x.b @ sq + sq @ db @ sq + sq @ x.b @ dsq).reshape(len(dh), -1)
             jac = np.concatenate([ds.real, ds.imag], axis=1).T
@@ -370,7 +400,7 @@ def lm_minimize(basis: SectionBasis, grid: QuadratureGrid, H0: np.ndarray, tol: 
                 return "fallback", tries, lam_damp, y
         return "none", tries, lam_damp, None
 
-    return _solve(basis, grid, H0, tol, max_iter, step, 1e-3)
+    return _solve(basis, grid, H0, tol, max_iter, make_step, 1e-3)
 
 
 # ---------------------------------------------------------------------------

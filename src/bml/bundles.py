@@ -66,6 +66,15 @@ class SectionBasis:
             raise ValueError(f"summand {c} is outside [0, {self.rank}) for {self.bundle.label}")
         return range(self.data[c][0], self.data[c][0] + self.data[c][1].size)
 
+    @property
+    def characters(self) -> np.ndarray:
+        """The torus character m of each section row on P^1, z^(exponent + i)
+        for row offset + i of a run: Q(e^{i theta} z) = diag(e^{i m theta})
+        Q(z).  T_P2's torus also moves its fibre frame: not recorded."""
+        if self.bundle.space_tag != "P1":
+            raise ValueError(f"{self.bundle.label}: torus characters are recorded on P^1 only")
+        return np.concatenate([e[-1] + np.arange(c.size) for _, c, e, _ in self.data])
+
 
 def section_basis(bundle: xs.SheafData, k: int, orthonormal: bool = True) -> SectionBasis:
     if k < bundle.regularity():

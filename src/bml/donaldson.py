@@ -20,11 +20,11 @@ computed in exactsheaf, which is what the slope-fit helpers verify.
 
 Along a diagonal 1-PS on P^1 (the Bergman 1-PS of a filtration of a split
 bundle) every pointwise term of M2 and M1 depends on |z| alone, so
-m2_along_path, m1_curve and m1_rate integrate over one node per torus
-orbit of the grid (_orbit_grid).  The curvature of a diagonal form on
-P^1, such as every form of such a path, is computed there too and
-repeated over each ring.  Every other 1-PS or form, and P^2, keep the
-whole grid.  A failure on the quotient names its node in the full grid.
+m2_along_path, m1_curve and m1_rate run on one node per torus orbit
+(_orbit_grid, which also places the balance solvers), and so does the
+curvature of a diagonal form, repeated over each ring.  Every other
+1-PS or form, and P^2, keep the whole grid.  A failure on the quotient
+names its node in the full grid.
 """
 
 from __future__ import annotations
@@ -45,19 +45,19 @@ class InsufficientSamples(ValueError):
     pass
 
 
-def _orbit_grid(grid: QuadratureGrid, frame: np.ndarray) -> QuadratureGrid:
-    """The node set that the integrals and fields of forms with the
-    eigenframe ``frame`` (bergman._frame) run on.  A row index (OnePS.rows
-    of a diagonal 1-PS, or the sorted rows of a diagonal form) means each
-    form H(t) is diagonal in the chart basis.  On P^1 each
-    section is a monomial c z^m, so Q(e^{i theta} z) = Lambda Q(z) and
-    dQ/dz(e^{i theta} z) = e^{-i theta} Lambda dQ/dz(z) for a diagonal
-    unitary Lambda(theta), which commutes with H(t): h, c and a* h^{-1} a,
-    and with them the M2 and M1 integrands and the curvature, are
-    functions of |z|, and the torus-orbit quotient grid.orbits holds one
-    node per ring.  A frame matrix runs on grid; a P^2 grid is its own
-    quotient (see build_grid_p2)."""
-    return grid.orbits if frame.ndim == 1 else grid
+def _orbit_grid(grid: QuadratureGrid, invariant: bool) -> QuadratureGrid:
+    """The node set of the integrals and fields of forms that are all
+    ``invariant``: grid.orbits, else grid.  On P^1, Q(e^{i theta} z) =
+    Lambda Q(z) and dQ/dz(e^{i theta} z) = e^{-i theta} Lambda dQ/dz(z)
+    for Lambda = diag(e^{i m theta}), m the section characters.  A form
+    with H_ij = 0 wherever m_i != m_j commutes with Lambda: h, c and
+    a* h^{-1} a, so the M2 and M1 integrands and the curvature, depend
+    on |z| alone, and P = Q h^{-1} Q* at e^{i theta} z is Lambda P(z)
+    Lambda*, whose ring average is one node's value with those entries
+    set to 0 (the balance solvers' mask).  A diagonal 1-PS (eigenframe a
+    row index, bergman._frame) has diagonal forms; a T- or LM-solve from
+    such an H0 stays on them.  A P^2 grid is its own quotient."""
+    return grid.orbits if invariant else grid
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +87,7 @@ def m2_along_path(
     diagonal 1-PS the nodes are those of grid.orbits (_orbit_grid).
     """
     frame = _frame(ps)
-    grid = _orbit_grid(grid, frame)
+    grid = _orbit_grid(grid, frame.ndim == 1)
     times = np.concatenate([[0.0], np.asarray(ts, dtype=float).ravel()])
     with np.errstate(over="ignore"):
         table = np.exp(2.0 * np.outer(ps.weights, times))
@@ -142,7 +142,7 @@ def curvature_field(
     else:
         lam, v = np.linalg.eigh(form.matrix)
         rotation, slices, weights = np.sqrt(lam)[:, None] * v.conj().T, (slice(None),), np.ones(1)
-    jets = _path_jets(basis, _orbit_grid(grid, rotation), rotation, slices)
+    jets = _path_jets(basis, _orbit_grid(grid, rotation.ndim == 1), rotation, slices)
     f_t = np.empty((basis.rank, basis.rank, len(jets.grid.nodes)), dtype=complex)
     for sl, stack in jets.stacks:
         twist = jets.twist[sl]
@@ -282,7 +282,7 @@ def m1_curve(
         raise ValueError("path time must be nonnegative")
     x, w = np.polynomial.legendre.leggauss(max(4, n_path // max(1, len(np.unique(ts)))))
     frame = _frame(ps)
-    jets = _path_jets(basis, _orbit_grid(grid, frame), frame, ps.slices) if (ts > 0).any() else None
+    jets = _path_jets(basis, _orbit_grid(grid, frame.ndim == 1), frame, ps.slices) if (ts > 0).any() else None
     out = np.empty(len(ts))
     total = 0.0
     lo = 0.0

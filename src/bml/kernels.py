@@ -17,8 +17,9 @@ consecutive, else their index array.  A Gram x* x (`gram`) is reduced
 from its upper triangle in real arithmetic; `pair` forms x* y.  What is
 left per node is r x r algebra, whose loops run over the small indices,
 each step one vector operation over the B nodes.  The core does not
-choose its nodes: `donaldson` hands it one node per torus orbit for the
-integrals and fields of a diagonal path on P^1.  Per-node outputs are
+choose its nodes: `donaldson` hands it one node per torus orbit for a
+diagonal path on P^1 and for a balance solve from a torus-invariant
+form, whose B(H) `balance` then masks by character.  Per-node outputs are
 written into full-length arrays before any quadrature sum and do not
 depend on the block size; B(H), the one sum over nodes accumulated per
 block, moves in its last bits with BLOCK.

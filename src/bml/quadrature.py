@@ -17,8 +17,8 @@ the torus rotating the chart coordinate, laid out as ``ring`` consecutive
 nodes.  `QuadratureGrid.orbits` keeps one node per orbit with the orbit's
 total weight; an integrand that the torus leaves invariant, a function
 of |z| alone, integrates to the same value on it up to roundoff.  Which
-integrals may run there is the caller's decision (`donaldson` makes it
-for M2 and M1).  A quotient names a node by its index in the grid it was
+integrals may run there is the caller's decision (`donaldson._orbit_grid`
+makes it for M2, M1 and the balance solvers).  A quotient names a node by its index in the grid it was
 reduced from, so a failure reads the same on either.
 """
 

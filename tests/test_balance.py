@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,125 @@ def test_solve_holds_one_chart(grid_p1, monkeypatch, rng, solver):
     basis = bd.section_basis(bd.split(3), 2)
     solver(basis, grid_p1, random_form(basis.dimension, rng), tol=1e-10, max_iter=3)
     assert len(calls) == -(-grid_p1.nodes.size // kernels.BLOCK)
+
+
+COARSE = dict(n_radial=3, n_angular=8, depth=6)
+LIGHT = dict(n_radial=6, n_angular=16, depth=12)
+
+
+@pytest.mark.parametrize("degrees, k, resolution", [
+    ((0, 2), 3, COARSE), ((1, 1), 2, LIGHT), ((2,), 2, LIGHT), ((0, 2), 36, {})],
+    ids=["split02-k3-coarse", "split11-k2-light", "split2-k2-light", "split02-k36-default"])
+def test_b_on_the_orbits_is_the_ring_average(degrees, k, resolution):
+    """B(H) of a random torus-invariant H on one node per orbit with the
+    character mask against the whole grid.  The trapezoid rule of the
+    whole grid integrates e^{i(m_i - m_j) theta} exactly only for
+    |m_i - m_j| < n_angular: at k = 36 the entries at characters (3, 35)
+    and every other pair 32 apart alias, and the quotient gives their
+    exact 0."""
+    grid = qd.build_grid_p1(**resolution)
+    basis = bd.section_basis(bd.split(*degrees), k)
+    n, m = basis.dimension, basis.characters
+    mask = bl._torus_mask(basis, grid)
+    assert (mask == (m[:, None] == m[None, :])).all()
+    a = np.random.default_rng(15).normal(size=(n, n, 2)) @ [1.0, 1j]
+    H = (a @ a.conj().T / n + np.eye(n)) * mask
+    got = bl._solver_parts(basis, grid.orbits, H, 0.0, None, mask).b
+    full = kernels.b_matrix(basis, grid, H, None)[0]
+    assert np.abs(got - full)[mask].max() <= 1e-15
+    assert (got[~mask] == 0).all()
+    aliased = np.abs(m[:, None] - m[None, :]) == grid.ring
+    assert aliased.any() == (k == 36)
+    assert np.abs(full[~mask & ~aliased]).max() <= 1e-15
+    if k == 36:  # every aliased entry, such as those at characters (3, 35), is far above 1e-15
+        assert aliased[m == 3][:, m == 35].all() and np.abs(full[aliased]).min() > 1e-13
+        assert np.abs(full[m == 3][:, m == 35]).max() > 1e-10
+
+
+@pytest.mark.parametrize("degrees, k, resolution", [
+    ((0, 2), 3, COARSE), ((0, 2), 3, LIGHT), ((1, 1), 2, LIGHT)],
+    ids=["split02-coarse", "split02-light", "split11-light"])
+@pytest.mark.parametrize("solver", [bl.t_iterate, bl.lm_minimize], ids=["T", "LM"])
+def test_invariant_solve_runs_on_the_orbits(degrees, k, resolution, solver, monkeypatch):
+    """A solve from I runs on one node per orbit and takes the steps of
+    the same solve on the whole grid (ring 1): same flag, iteration
+    count, step kinds and rejected tries, m2, spread and residual to
+    1e-12 relative.  Its final H keeps the entries outside the character
+    mask exactly 0, which the whole grid leaks at roundoff."""
+    grid = qd.build_grid_p1(**resolution)
+    basis = bd.section_basis(bd.split(*degrees), k)
+    sizes = []
+    q_field = bd.q_field
+    monkeypatch.setattr(bd, "q_field", lambda b, z: sizes.append(len(z)) or q_field(b, z))
+    state, history = solver(basis, grid, np.eye(basis.dimension), tol=1e-10, max_iter=300)
+    assert sizes == [len(grid.orbits.nodes)]
+    whole, whole_history = solver(basis, dataclasses.replace(grid, ring=1), np.eye(basis.dimension),
+                                  tol=1e-10, max_iter=300)
+    assert (state.flag, state.iteration) == (whole.flag, whole.iteration)
+    assert [(r.step, r.rejected) for r in history] == [(r.step, r.rejected) for r in whole_history]
+    for name in ("m2", "spread", "residual"):
+        assert getattr(state, name) == pytest.approx(getattr(whole, name), rel=1e-12, abs=1e-15)
+    mask = bl._torus_mask(basis, grid)
+    assert (state.H[~mask] == 0).all()
+
+
+@pytest.mark.parametrize("solver", [bl.t_iterate, bl.lm_minimize], ids=["T", "LM"])
+def test_generic_start_keeps_the_whole_grid(solver, rng):
+    """A start with entries outside the character mask runs on every
+    node: the same bits as on the grid with no rings."""
+    grid = qd.build_grid_p1(**COARSE)
+    basis = bd.section_basis(bd.split(0, 2), 3)
+    H0 = random_form(basis.dimension, rng)
+    runs = [solver(basis, g, H0, tol=1e-10, max_iter=60) for g in (grid, dataclasses.replace(grid, ring=1))]
+    (state, history), (whole, whole_history) = runs
+    assert history == whole_history and len(history) > 50
+    for field in dataclasses.fields(bl.BalanceState):
+        a, b = getattr(state, field.name), getattr(whole, field.name)
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def test_herm_basis_inside_the_mask():
+    """The directions are those of the loop over entries (i < j: the real
+    and imaginary off-diagonal pair; then e_a - e_{a+1}), in that order,
+    with the pairs outside the mask left out."""
+    basis = bd.section_basis(bd.split(0, 2), 3)
+    mask = bl._torus_mask(basis, qd.build_grid_p1(**COARSE))
+    n, s = len(mask), 1.0 / np.sqrt(2.0)
+    want = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for value in (s, 1j * s):
+                e = np.zeros((n, n), dtype=complex)
+                e[i, j], e[j, i] = value, np.conj(value)
+                want.append(e)
+    for a in range(n - 1):
+        e = np.zeros((n, n), dtype=complex)
+        e[a, a], e[a + 1, a + 1] = s, -s
+        want.append(e)
+    want = np.asarray(want)
+    assert bl._herm_basis(np.ones((n, n), dtype=bool)).tobytes() == want.tobytes()
+    inside = np.asarray([not e[~mask].any() for e in want])
+    assert inside.sum() == mask.sum() - 1 == 17
+    assert bl._herm_basis(mask).tobytes() == want[inside].tobytes()
+
+
+def test_lm_refuses_past_its_memory_budget(monkeypatch, rng):
+    """At N = 64 a generic start needs all N^2 - 1 = 4095 directions, past
+    LM_MEMORY_BUDGET: refused before the direction stack is built.  An
+    invariant start needs sum_m n_m^2 - 1 = 125 and passes the check
+    (its t4 is still N^4)."""
+    grid = qd.build_grid_p1(n_radial=2, n_angular=4, depth=2)
+    basis = bd.section_basis(bd.split(0, 2), 30)
+    n = basis.dimension
+    assert n == 64
+    herm_basis = bl._herm_basis
+    monkeypatch.setattr(bl, "_herm_basis", lambda mask: pytest.fail("direction stack built"))
+    with pytest.raises(bl.LMMemoryExceeded, match="4095 directions"):
+        bl.lm_minimize(basis, grid, random_form(n, rng), tol=1e-10, max_iter=1)
+    built = []
+    monkeypatch.setattr(bl, "_herm_basis", lambda mask: built.append(len(herm_basis(mask))) or herm_basis(mask))
+    state, _ = bl.lm_minimize(basis, grid, np.eye(n), tol=1e-10, max_iter=0)
+    assert state.flag == "max_iter" and built == [125]
 
 
 def test_unstable_bundle_diverges(grid_p1):

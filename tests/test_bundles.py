@@ -274,8 +274,9 @@ def test_p1_charts_are_torus_eigenbases(degrees, orthonormal, grid_p1, rng):
     e^{-i theta} Lambda(theta) dQ/dz(z), Lambda diagonal, unitary and the
     same at every z: a diagonal form commutes with Lambda, so its fibre
     metric and curvature depend on |z| alone, which is what lets M2 and
-    M1 along a diagonal 1-PS run on one node per torus orbit.  A grid
-    whose ring is one node is not reduced."""
+    M1 along a diagonal 1-PS run on one node per torus orbit.  Lambda is
+    diag(e^{i m theta}) with m the basis's characters, which T_P2 does not
+    record.  A grid whose ring is one node is not reduced."""
     bundle = bd.split(*degrees)
     z = rng.normal(size=40) + 1j * rng.normal(size=40)
     for k in (bundle.regularity(), bundle.regularity() + 3):
@@ -288,14 +289,17 @@ def test_p1_charts_are_torus_eigenbases(degrees, orthonormal, grid_p1, rng):
             got_q, got_dq = bd.q_field(basis, turn * z), bd.dq_dz_field(basis, turn * z)
             lam = got_q.transpose(1, 0, 2).reshape(basis.dimension, -1)[at] / rows[at]
             assert np.abs(np.abs(lam) - 1.0).max() < 1e-14
+            assert np.abs(lam - turn ** basis.characters).max() < 1e-13
             for f, got in ((q, got_q), (dq / turn, got_dq)):
                 err = np.abs(got - lam[None, :, None] * f).max(axis=(0, 2))
                 assert (err <= 1e-13 * np.abs(f).max(axis=(0, 2))).all()
 
     assert len(grid_p1.orbits.nodes) * 16 == len(grid_p1.nodes)
     ps = bg.one_ps(np.diag([1.0, -1.0]))
-    assert don._orbit_grid(grid_p1, ps.rows) is grid_p1.orbits
-    assert don._orbit_grid(grid_p1, ps.vectors.conj().T) is grid_p1
+    assert ps.rows.ndim == 1 and don._orbit_grid(grid_p1, True) is grid_p1.orbits
+    assert don._orbit_grid(grid_p1, False) is grid_p1
     unringed = dataclasses.replace(grid_p1, ring=1)
     assert unringed.orbits is unringed
-    assert don._orbit_grid(unringed, ps.rows) is unringed
+    assert don._orbit_grid(unringed, True) is unringed
+    with pytest.raises(ValueError, match="P\\^1 only"):
+        bd.section_basis(bd.euler_tp2(), 1).characters

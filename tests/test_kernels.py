@@ -36,7 +36,7 @@ def h_ref(q):
 def orbit_jets(basis, grid, ps):
     """The jet blocks m1_curve forms for ps, on _orbit_grid of ``grid``."""
     frame = don._frame(ps)
-    return don._path_jets(basis, don._orbit_grid(grid, frame), frame, ps.slices)
+    return don._path_jets(basis, don._orbit_grid(grid, frame.ndim == 1), frame, ps.slices)
 
 
 def positive_form(n, rng):

@@ -35,10 +35,10 @@ MUTANTS = (
      "        w[i, i] = 1.0 / l[i, i]\n"
      "    return np.eye(len(w)).reshape(w.shape[:2] + (1,) * (w.ndim - 2)) + 0 * w, l\n"),
     ("orbits-for-any-1ps", "src/bml/donaldson.py",
-     "return grid.orbits if frame.ndim == 1 else grid",
+     "return grid.orbits if invariant else grid",
      "return grid.orbits"),
     ("curvature-orbits-for-any-form", "src/bml/donaldson.py",
-     "jets = _path_jets(basis, _orbit_grid(grid, rotation), rotation, slices)",
+     "jets = _path_jets(basis, _orbit_grid(grid, rotation.ndim == 1), rotation, slices)",
      "jets = _path_jets(basis, grid.orbits, rotation, slices)"),
     ("left-panels-ungraded", "src/bml/quadrature.py",
      "left = [2.0 ** (-j) for j in range(depth, 1, -1)]",
@@ -92,6 +92,12 @@ MUTANTS = (
     ("t-map-conjugated", "src/bml/balance.py",
      "return _det_normalize((r / n) * np.linalg.inv(b))",
      "return _det_normalize((r / n) * np.linalg.inv(b).T)"),
+    ("balance-mask-dropped", "src/bml/balance.py",
+     "    b = b * mask\n",
+     ""),
+    ("balance-quotient-any-start", "src/bml/balance.py",
+     "nodes = don._orbit_grid(grid, not H0[~mask].any())",
+     "nodes = don._orbit_grid(grid, True)"),
 )
 
 ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
