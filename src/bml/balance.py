@@ -200,10 +200,29 @@ def _torus_mask(basis, grid) -> np.ndarray:
     return m[:, None] == m[None, :]
 
 
+def _node_set(basis, grid, H0):
+    """(grid.orbits, _torus_mask) if H0 is 0 outside it, else (grid, all)."""
+    mask = _torus_mask(basis, grid)
+    nodes = don._orbit_grid(grid, not H0[~mask].any())
+    return nodes, mask | (nodes is grid)
+
+
+def lm_memory_check(basis: SectionBasis, grid: QuadratureGrid, H0: np.ndarray) -> None:
+    """Raise LMMemoryExceeded if an LM Jacobian from H0, with its D
+    directions on _node_set, needs more than LM_MEMORY_BUDGET: complex N^4
+    (t4) twice, N^2 B (a B-node block's P-field) twice, D N^2 ten times
+    (dH, dB, dS, J...), real J^T J."""
+    nodes, mask = _node_set(basis, grid, np.asarray(H0, dtype=complex))
+    n, d, block = basis.dimension, int(mask.sum()) - 1, min(kernels.BLOCK, len(nodes.nodes))
+    need = 16 * (2 * n**4 + 2 * n * n * block + 10 * d * n * n) + 8 * d * d
+    if need > LM_MEMORY_BUDGET:
+        raise LMMemoryExceeded(f"an LM Jacobian at N = {n} with {d} directions needs "
+                               f"{need >> 20} MiB, past the budget of {LM_MEMORY_BUDGET >> 20} MiB")
+
+
 def _solve(basis, grid, H0, tol, max_iter, make_step, damping):
-    """The loop of both solvers over one chart of its node set, held for
-    the whole solve: grid.orbits (donaldson._orbit_grid), with every H
-    and B(H) masked, when H0 is 0 outside _torus_mask, else grid.
+    """The loop of both solvers over one chart of its node set (_node_set),
+    held for the whole solve, with every H and B(H) masked.
     ``make_step(nodes, mask)`` gives ``step(x, history, evaluate, trial,
     chart)``, which returns (kind, rejected, damping, next iterate) from
     the iterate x, the last None when no step was found; ``evaluate(H)``
@@ -215,9 +234,7 @@ def _solve(basis, grid, H0, tol, max_iter, make_step, damping):
     decrease), max_iter, or stalled when no step was found.
     """
     H0 = np.asarray(H0, dtype=complex)
-    mask = _torus_mask(basis, grid)
-    nodes = don._orbit_grid(grid, not H0[~mask].any())
-    mask |= nodes is grid  # the whole grid keeps every entry
+    nodes, mask = _node_set(basis, grid, H0)
     step = make_step(nodes, mask)
     chart = list(kernels.blocks(basis, nodes.nodes))
     ld0 = kernels.logdet(kernels.field(basis, nodes, chart=chart))
@@ -324,7 +341,7 @@ def lm_minimize(basis: SectionBasis, grid: QuadratureGrid, H0: np.ndarray, tol: 
     mask of _solve (sum_m n_m^2 - 1 directions on the orbits, else
     N^2 - 1), so the Jacobian is only ever needed at A = 0 where it is
     available in closed form: dB = -(1/Vol) int P dH P with P = Q h^{-1}
-    Q*.  Past LM_MEMORY_BUDGET it raises LMMemoryExceeded up front.
+    Q*.  Past LM_MEMORY_BUDGET lm_memory_check refuses it up front.
 
     A trial step is accepted only when it cuts the Frobenius residual by
     more than the relative margin LM_DECREASE_MARGIN without raising m2,
@@ -337,15 +354,9 @@ def lm_minimize(basis: SectionBasis, grid: QuadratureGrid, H0: np.ndarray, tol: 
     threshold with a long monotone m2 decrease) is flagged, not raised.
     """
     n = basis.dimension
+    lm_memory_check(basis, grid, H0)
 
     def make_step(nodes, mask):
-        # Stated before the D directions are built: complex N^4 (t4) twice, N^2 B
-        # (a block's P-field) twice, D N^2 ten times (dH, dB, dS, J...), real J^T J.
-        d, block = int(mask.sum()) - 1, min(kernels.BLOCK, len(nodes.nodes))
-        need = 16 * (2 * n**4 + 2 * n * n * block + 10 * d * n * n) + 8 * d * d
-        if need > LM_MEMORY_BUDGET:
-            raise LMMemoryExceeded(f"an LM Jacobian at N = {n} with {d} directions needs "
-                                   f"{need >> 20} MiB, past the budget of {LM_MEMORY_BUDGET >> 20} MiB")
         return partial(step, nodes, mask, _herm_basis(mask))
 
     def step(nodes, mask, directions, x, history, evaluate, trial, chart):
@@ -563,6 +574,5 @@ def donaldson_value_line(basis: SectionBasis, grid: QuadratureGrid, H: np.ndarra
         basis, grid, HermitianForm(matrix=np.asarray(H, dtype=complex))
     ).real[:, 0, 0]
     f0 = mu  # constant curvature density of the HE metric, exact
-    m1 = 0.5 * grid.integrate(v * (f0 + f1))
-    m2 = grid.integrate(v) / grid.volume
-    return float(m1 - mu * m2)
+    pairing, log_det = grid.integrate(np.stack([v * (f0 + f1), v]))
+    return float(0.5 * pairing - mu * (log_det / grid.volume))

@@ -115,6 +115,7 @@ def run_balance(cfg: ExperimentConfig):
     basis = cfg.section_basis()
     grid = cfg.build_grid()
     H0 = np.eye(basis.dimension)
+    bl.lm_memory_check(basis, grid, H0)  # refuse before either solve runs
     state_t, hist_t = bl.t_iterate(basis, grid, H0, tol=1e-10, max_iter=300)
     state_lm, hist_lm = bl.lm_minimize(basis, grid, H0, tol=1e-10, max_iter=200)
     if state_t.flag == "converged":

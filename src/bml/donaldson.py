@@ -38,7 +38,7 @@ import numpy as np
 from . import bundles, kernels
 from .bergman import HermitianForm, OnePS, _diagonal_frame, _frame, _groups
 from .bundles import SectionBasis
-from .quadrature import QuadratureGrid
+from .quadrature import QuadratureGrid, gauss_rule
 
 
 class InsufficientSamples(ValueError):
@@ -80,11 +80,12 @@ def m2_along_path(
     permutation frame (that of every diagonal generator, OnePS.rows)
     selectors of the chart's own rows, a view where they are consecutive;
     any other frame costs one GEMM.  Every h(t_j), with h_ref as t_0 = 0,
-    comes from the table e^{2 w_d t_j} in one GEMM per matrix entry, and
-    one Cholesky pass gives all their log-dets.  Each G_d is bounded by
-    h_ref, so a block overflows only where the reference or a path metric
-    does: NonFiniteChart names it, by its index in ``grid``.  For a
-    diagonal 1-PS the nodes are those of grid.orbits (_orbit_grid).
+    comes from the table e^{2 w_d t_j} in one GEMM per matrix entry, one
+    Cholesky pass gives all their log-dets and one integrate call all
+    their integrals.  Each G_d is bounded by h_ref, so a block overflows
+    only where the reference or a path metric does: NonFiniteChart names
+    it, by its index in ``grid``.  For a diagonal 1-PS the nodes are those
+    of grid.orbits (_orbit_grid).
     """
     frame = _frame(ps)
     grid = _orbit_grid(grid, frame.ndim == 1)
@@ -97,7 +98,7 @@ def m2_along_path(
         with np.errstate(over="ignore", invalid="ignore"):
             h = table.T @ grams  # (r, r, T+1, B)
         vals[:, sl] = kernels.logdet(kernels.finite(h, grid, sl))
-    return np.asarray([grid.integrate(v - vals[0]) / grid.volume for v in vals[1:]])
+    return grid.integrate(vals[1:] - vals[0]) / grid.volume
 
 
 # ---------------------------------------------------------------------------
@@ -274,13 +275,13 @@ def m1_curve(
     """M1 at each requested time, in the order given, as the cumulative
     t-integral of the rate over a shared Gauss-Legendre subdivision of
     [0, max(ts)] at the sorted times, n_path // (distinct times) nodes per
-    segment.  The jet blocks are formed once, on _orbit_grid, and dropped
-    on return."""
+    segment, a rule built once per size (gauss_rule).  The jet blocks are
+    formed once, on _orbit_grid, and dropped on return."""
     _only_analytic(method)
     ts = np.asarray(ts, dtype=float).ravel()
     if (ts < 0).any():
         raise ValueError("path time must be nonnegative")
-    x, w = np.polynomial.legendre.leggauss(max(4, n_path // max(1, len(np.unique(ts)))))
+    x, w = gauss_rule(max(4, n_path // max(1, len(np.unique(ts)))))
     frame = _frame(ps)
     jets = _path_jets(basis, _orbit_grid(grid, frame.ndim == 1), frame, ps.slices) if (ts > 0).any() else None
     out = np.empty(len(ts))

@@ -25,7 +25,7 @@ reduced from, so a failure reads the same on either.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional
 
 import numpy as np
@@ -40,16 +40,24 @@ class NonFiniteIntegrand(ValueError):
         self.index = index
 
 
-def pairwise_sum(values: np.ndarray) -> float:
-    """Fixed-order pairwise summation (deterministic regardless of how
-    the integrand values were produced)."""
-    v = np.asarray(values, dtype=float).ravel().copy()
-    n = v.size
+def pairwise_sum(values: np.ndarray):
+    """Fixed-order pairwise summation along the last axis (deterministic
+    however the values were produced): a float for one row."""
+    v = np.array(values, dtype=float, ndmin=1)
+    n = v.shape[-1]
     while n > 1:
         m = n // 2
-        v[:m] += v[n - m : n]
+        v[..., :m] += v[..., n - m : n]
         n -= m
-    return float(v[0]) if v.size else 0.0
+    return v[..., 0] if v.ndim > 1 else float(v[0]) if v.size else 0.0
+
+
+@cache
+def gauss_rule(n: int):
+    """The read-only n-node Gauss-Legendre rule on [-1, 1], once per n."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def _graded_panels(depth: int) -> list[float]:
@@ -60,7 +68,7 @@ def _graded_panels(depth: int) -> list[float]:
 
 
 def _composite_gauss(npp: int, depth: int):
-    x, w = np.polynomial.legendre.leggauss(npp)
+    x, w = gauss_rule(npp)
     bps = _graded_panels(depth)
     nodes, weights = [], []
     for a, b in zip(bps[:-1], bps[1:]):
@@ -94,14 +102,14 @@ class QuadratureGrid:
         """Node i by its index in the grid this one was reduced from."""
         return i if self.parent is None else int(self.parent[i])
 
-    def integrate(self, values) -> float:
-        """Weighted sum of per-node integrand values."""
+    def integrate(self, values):
+        """Weighted sum of per-node values, over the last axis of a stack."""
         values = np.asarray(values, dtype=float)
-        if values.shape != self.weights.shape:
+        if values.shape[-1:] != self.weights.shape:
             raise ValueError("integrand values must be one scalar per node")
         bad = ~np.isfinite(values)
         if bad.any():
-            raise NonFiniteIntegrand(self.name(int(np.argmax(bad))))
+            raise NonFiniteIntegrand(self.name(int(np.argmax(bad)) % len(self.weights)))
         return pairwise_sum(values * self.weights)
 
     @cached_property
@@ -156,7 +164,7 @@ def build_grid_p2(n_simplex: int = 6, n_angular: int = 12, depth: int = 8) -> Qu
     if n_simplex < 2 or n_angular < 4:
         raise InvalidResolution("need n_simplex >= 2 and n_angular >= 4")
     xi, wxi = _composite_gauss(n_simplex, depth)
-    eta, weta = np.polynomial.legendre.leggauss(n_simplex)
+    eta, weta = gauss_rule(n_simplex)
     eta = 0.5 * (eta + 1.0)
     weta = 0.5 * weta
     # Duffy map of the unit square onto the simplex, Jacobian (1 - xi).

@@ -115,6 +115,17 @@ def test_balance_verdict_is_the_t_flag(tmp_path, capsys, monkeypatch):
     assert summary["verdict"] == "inconclusive"
 
 
+def test_balance_refuses_an_lm_run_past_its_budget_before_solving(tmp_path, capsys, monkeypatch):
+    """At k = 36 on O(0)+O(2) (N = 76) even the torus-invariant start's
+    LM Jacobian needs more than LM_MEMORY_BUDGET (t4 is N^4): `bml
+    balance` refuses before the T-solve runs and writes nothing."""
+    monkeypatch.setattr(cli.bl, "t_iterate", lambda *args, **kwargs: pytest.fail("T-solve ran"))
+    code = cli.main(["balance", "--bundle", "split_p1:0,2", "--k", "36", "--out", str(tmp_path)])
+    assert code == 1
+    assert "LMMemoryExceeded" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_non_object_config_exits_one(tmp_path, capsys):
     cfg = tmp_path / "list.json"
     cfg.write_text("[1, 2]")

@@ -12,7 +12,7 @@ from bml import bergman as bg
 from bml import bundles as bd
 from bml import donaldson as don
 from bml import kernels
-from bml.quadrature import NonFiniteIntegrand, build_grid_p1
+from bml.quadrature import NonFiniteIntegrand, QuadratureGrid, build_grid_p1, gauss_rule
 
 TOL = 1e-12
 
@@ -185,21 +185,22 @@ def test_m2_along_path_work_shape(grid_p1, monkeypatch, rng):
     of the nodes integrated over, however many times are sampled: the
     whole grid in a GEMM frame, one node per torus orbit for the diagonal
     two-step 1-PS.  Each Gram reduces a (K_d, r, B) stack over every fibre
-    column, in weight order."""
+    column, in weight order.  One integrate call folds every time."""
     basis = bd.section_basis(bd.split(0, 2), 3)
-    calls = {"q_field": 0, "gram": 0}
+    calls = {"q_field": 0, "gram": 0, "integrate": 0}
     shapes = []
     gram = kernels.gram
     monkeypatch.setattr(bd, "q_field", counted(calls, "q_field", bd.q_field))
     monkeypatch.setattr(kernels, "gram", counted(calls, "gram", lambda x: shapes.append(x.shape) or gram(x)))
+    monkeypatch.setattr(QuadratureGrid, "integrate", counted(calls, "integrate", QuadratureGrid.integrate))
     for ps, grid in ((weight_kind_ps("three", basis.dimension, rng), grid_p1),
                      (bg.two_step_one_ps(basis, [1], (4 / 6, -1.0)), grid_p1.orbits)):
         n_blocks, sizes = node_blocks(grid)
         for ts in ([1.0], np.linspace(0.5, 12.0, 24)):
-            calls.update(q_field=0, gram=0)
+            calls.update(q_field=0, gram=0, integrate=0)
             shapes.clear()
             don.m2_along_path(basis, grid_p1, ps, ts)
-            assert calls == {"q_field": n_blocks, "gram": n_blocks * len(ps.weights)}
+            assert calls == {"q_field": n_blocks, "gram": n_blocks * len(ps.weights), "integrate": 1}
             assert shapes == [(s.stop - s.start, basis.rank, b) for b in sizes for s in ps.slices]
 
 
@@ -458,6 +459,15 @@ def test_m1_curve_work_shape(grid_p1, monkeypatch, rng):
             [jets] = held
             assert jets.grid is grid
             assert [stack.shape for _, stack in jets.stacks] == [(len(ps.weights), 3, 2, 2, b) for b in sizes]
+    # The Gauss-Legendre rule is built once per size, read-only.
+    rules = {"leggauss": 0}
+    gauss_rule.cache_clear()
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        counted(rules, "leggauss", np.polynomial.legendre.leggauss))
+    for ts in ([1.0, 3.0], [2.0, 5.0]):
+        don.m1_curve(basis, grid_p1, ps, ts, n_path=24)
+    assert rules == {"leggauss": 1}
+    assert not any(a.flags.writeable for a in gauss_rule(12))
 
 
 def test_b_matrix_p_field_and_m2_value(split_basis, grid, rng):

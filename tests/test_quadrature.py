@@ -6,6 +6,7 @@ import pytest
 from bml.config import parse_config
 from bml.quadrature import (
     NonFiniteIntegrand,
+    QuadratureGrid,
     build_grid_p1,
     build_grid_p2,
     pairwise_sum,
@@ -112,3 +113,38 @@ def test_nonfinite_integrand_names_the_node_of_the_full_grid():
     with pytest.raises(NonFiniteIntegrand) as info:
         orbits.integrate(values)
     assert type(info.value) is NonFiniteIntegrand and info.value.index == 96 and "96" in str(info.value)
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 320, 2304])
+def test_a_stack_integrates_as_its_rows_one_by_one(m, rows, rng):
+    """A (T, M) stack is folded in one pass, and each row's sum is bit for
+    bit that of the row alone, which is a float."""
+    grid = QuadratureGrid(space_tag="P1", nodes=np.zeros(m, dtype=complex),
+                          weights=rng.uniform(0.5, 1.5, m), ring=1)
+    stack = rng.normal(size=(rows, m)) * 10.0 ** rng.integers(-8, 8, size=(rows, m))
+    one_by_one = [grid.integrate(row) for row in stack]
+    assert all(type(v) is float for v in one_by_one)
+    assert grid.integrate(stack).tobytes() == np.asarray(one_by_one).tobytes()
+    assert pairwise_sum(stack).tobytes() == np.asarray([pairwise_sum(row) for row in stack]).tobytes()
+
+
+def test_pairwise_sum_of_nothing_is_zero():
+    total = pairwise_sum(np.array([]))
+    assert type(total) is float and total == 0.0
+
+
+def test_nonfinite_entry_of_a_stack_names_its_node_of_the_full_grid():
+    """One scan of a whole stack on a quotient names the node of the
+    non-finite entry by its index in the full grid, whatever its row."""
+    orbits = build_grid_p1().orbits
+    values = np.ones((3, len(orbits.nodes)))
+    values[2, 5] = np.inf
+    with pytest.raises(NonFiniteIntegrand) as info:
+        orbits.integrate(values)
+    assert info.value.index == orbits.name(5) == 160
+
+
+def test_a_stack_runs_over_the_nodes_along_its_last_axis(grid_p1):
+    with pytest.raises(ValueError, match="one scalar per node"):
+        grid_p1.integrate(np.ones((grid_p1.nodes.size, 3)))

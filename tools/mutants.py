@@ -98,6 +98,9 @@ MUTANTS = (
     ("balance-quotient-any-start", "src/bml/balance.py",
      "nodes = don._orbit_grid(grid, not H0[~mask].any())",
      "nodes = don._orbit_grid(grid, True)"),
+    ("stack-fold-wrong-axis", "src/bml/quadrature.py",
+     "v[..., :m] += v[..., n - m : n]",
+     "v[:m] += v[n - m : n]"),
 )
 
 ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
