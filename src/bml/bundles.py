@@ -142,20 +142,22 @@ def _powers(z: np.ndarray, n: int) -> np.ndarray:
 def _evaluate(basis: SectionBasis, runs, nodes) -> np.ndarray:
     """The runs at every node as the (M, N, r) transpose of an (N, r, M)
     array: per run, coeffs times a slice of the z_last powers of _powers
-    times a row of the other coordinates' powers."""
+    times a row of the other coordinates' powers.  An overflow is left
+    inf or nan, unwarned: every consumer names the node."""
     z = np.asarray(nodes)
     zs = z.T if z.ndim > 1 else z[None]  # one row per chart coordinate
     if len(zs) != len(runs[0][2]):
         raise ValueError(f"nodes with {len(zs)} coordinates for a chart on {basis.bundle.space_tag}")
     top = [1 + max(e[j] for _, _, e, _ in runs) for j in range(len(zs) - 1)]
     top.append(max(e[-1] + c.size for _, c, e, _ in runs))
-    pw = [_powers(zs[j], n) for j, n in enumerate(top)]
     out = np.zeros((basis.dimension, basis.rank, len(z)), dtype=complex)
-    for offset, coeffs, e, col in runs:
-        dst = out[offset : offset + coeffs.size, col]
-        np.multiply(coeffs[:, None], pw[-1][e[-1] : e[-1] + coeffs.size], out=dst)
-        for p, m in zip(pw, e[:-1]):
-            dst *= p[m]
+    with np.errstate(over="ignore", invalid="ignore"):
+        pw = [_powers(zs[j], n) for j, n in enumerate(top)]
+        for offset, coeffs, e, col in runs:
+            dst = out[offset : offset + coeffs.size, col]
+            np.multiply(coeffs[:, None], pw[-1][e[-1] : e[-1] + coeffs.size], out=dst)
+            for p, m in zip(pw, e[:-1]):
+                dst *= p[m]
     return out.transpose(2, 0, 1)
 
 

@@ -85,11 +85,14 @@ def m2_along_path(
     their integrals.  Each G_d is bounded by h_ref, so a block overflows
     only where the reference or a path metric does: NonFiniteChart names
     it, by its index in ``grid``.  For a diagonal 1-PS the nodes are those
-    of grid.orbits (_orbit_grid).
+    of grid.orbits (_orbit_grid), and on a split bundle h(t) is diagonal
+    and needs no factorization (_m2_columns).
     """
     frame = _frame(ps)
     grid = _orbit_grid(grid, frame.ndim == 1)
     times = np.concatenate([[0.0], np.asarray(ts, dtype=float).ravel()])
+    if frame.ndim == 1 and basis.bundle.kind == "split_p1":
+        return _m2_columns(basis, grid, ps, times)
     with np.errstate(over="ignore"):
         table = np.exp(2.0 * np.outer(ps.weights, times))
     vals = np.empty((len(times), len(grid.nodes)))
@@ -99,6 +102,29 @@ def m2_along_path(
             h = table.T @ grams  # (r, r, T+1, B)
         vals[:, sl] = kernels.logdet(kernels.finite(h, grid, sl))
     return grid.integrate(vals[1:] - vals[0]) / grid.volume
+
+
+def _m2_columns(basis: SectionBasis, grid: QuadratureGrid, ps: OnePS, times: np.ndarray) -> np.ndarray:
+    """m2_along_path at ``times`` (times[0] = 0) for a diagonal 1-PS of a
+    split bundle, whose row i lives in the fibre column c of
+    basis.summand_rows(c): h(t) is diagonal, h_c(t) = e^{2 top_c t} sum_i
+    e^{2 (lam_i - top_c) t} |Q_ic|^2 with lam_i the weight of row i and
+    top_c the largest in column c, one real GEMM per column against a
+    table no entry of which exceeds 1.  M2(t) = 2 t sum_c top_c plus the
+    integral of sum_c log(h_c(t) / h_c(0)); kernels.finite names an
+    overflowed |Q_ic|^2, integrate an h_c(t) that underflowed to 0."""
+    lam = np.empty(basis.dimension)
+    lam[ps.rows] = ps.eigenvalues
+    runs = [slice(rows.start, rows.stop) for rows in map(basis.summand_rows, range(basis.rank))]
+    tops = np.array([lam[s].max() for s in runs])
+    tables = [np.exp(2.0 * np.outer(times, lam[s] - top)) for s, top in zip(runs, tops)]
+    vals = np.empty((len(times) - 1, len(grid.nodes)))
+    for sl, q in kernels.blocks(basis, grid.nodes):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            rho = q.real ** 2 + q.imag ** 2
+            h = np.stack([tab @ rho[s, c] for c, (s, tab) in enumerate(zip(runs, tables))])
+            vals[:, sl] = np.log(kernels.finite(h, grid, sl)[:, 1:] / h[:, :1]).sum(axis=0)
+    return 2.0 * times[1:] * tops.sum() + grid.integrate(vals) / grid.volume
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,9 @@ block, moves in its last bits with BLOCK.
 The fibre metric has one factorization, the Cholesky h = L L* of
 `cholesky`, with W = L^{-1} from `whiten`: log det h = 2 sum_j log L_jj,
 P = Q h^{-1} Q* = Y Y* with Y = Q W*, and SingularGram on loss of
-positivity.  `finite` names an overflowed node before any factorization,
-on a quotient by its index in the full grid (`QuadratureGrid.name`).
+positivity; a diagonal one needs none (its entries are positive sums).
+`finite` names an overflowed node before any factorization, on a
+quotient by its index in the full grid (`QuadratureGrid.name`).
 """
 
 from __future__ import annotations

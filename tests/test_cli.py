@@ -4,6 +4,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -72,6 +73,19 @@ def test_invalid_bundle_exits_one(capsys):
 def test_slope_without_path_exits_one(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"kind": "slope", "grid": LIGHT_GRID})
     assert cli.main(["slope", "--config", cfg, "--out", str(tmp_path)]) == 1
+
+
+def test_overflowing_chart_exits_one_without_warnings(tmp_path, capsys):
+    """Past the level ceiling of the default grid the chart overflows:
+    slope names the node and exits 1, and chart evaluation prints no
+    RuntimeWarning before it."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        code = cli.main(["slope", "--bundle", "split_p1:0,2", "--k", "80",
+                         "--ps", "two_step:1:81/83,-1", "--out", str(tmp_path)])
+    assert code == 1
+    assert "NonFiniteChart" in capsys.readouterr().err
+    assert [w for w in seen if issubclass(w.category, RuntimeWarning)] == []
 
 
 def test_subgeodesic_runs(tmp_path, capsys):

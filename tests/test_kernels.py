@@ -181,11 +181,12 @@ def node_blocks(grid):
 
 
 def test_m2_along_path_work_shape(grid_p1, monkeypatch, rng):
-    """Chart values once and one Gram product per weight per node block
-    of the nodes integrated over, however many times are sampled: the
-    whole grid in a GEMM frame, one node per torus orbit for the diagonal
-    two-step 1-PS.  Each Gram reduces a (K_d, r, B) stack over every fibre
-    column, in weight order.  One integrate call folds every time."""
+    """Chart values once per node block of the nodes integrated over,
+    however many times are sampled, and one integrate call folding every
+    time.  In a GEMM frame, on the whole grid, one Gram product per weight
+    per block, each reducing a (K_d, r, B) stack over every fibre column,
+    in weight order.  The diagonal two-step 1-PS, on one node per torus
+    orbit, forms no Gram: its h(t) is diagonal, one sum per column."""
     basis = bd.section_basis(bd.split(0, 2), 3)
     calls = {"q_field": 0, "gram": 0, "integrate": 0}
     shapes = []
@@ -200,8 +201,11 @@ def test_m2_along_path_work_shape(grid_p1, monkeypatch, rng):
             calls.update(q_field=0, gram=0, integrate=0)
             shapes.clear()
             don.m2_along_path(basis, grid_p1, ps, ts)
-            assert calls == {"q_field": n_blocks, "gram": n_blocks * len(ps.weights), "integrate": 1}
-            assert shapes == [(s.stop - s.start, basis.rank, b) for b in sizes for s in ps.slices]
+            if grid is grid_p1.orbits:
+                assert calls == {"q_field": n_blocks, "gram": 0, "integrate": 1}
+            else:
+                assert calls == {"q_field": n_blocks, "gram": n_blocks * len(ps.weights), "integrate": 1}
+                assert shapes == [(s.stop - s.start, basis.rank, b) for b in sizes for s in ps.slices]
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
@@ -283,6 +287,28 @@ def dense_m2(basis, grid, ps, ts):
     return np.asarray([grid.integrate(v - vals[0]) / grid.volume for v in vals[1:]])
 
 
+def dense_column_m2(basis, grid, ps, ts):
+    """m2_along_path of a diagonal 1-PS of a split bundle as a plain loop
+    over fibre columns c and node blocks: h_c(t) = sum_i e^{2 (lam_i -
+    top_c) t} |Q_ic|^2 over the rows of summand c, and M2(t) = 2 t sum_c
+    top_c + int sum_c log(h_c(t) / h_c(0)) / Vol, one time at a time."""
+    times = np.concatenate([[0.0], ts])
+    lam = np.empty(basis.dimension)
+    lam[ps.rows] = ps.eigenvalues
+    vals = np.zeros((len(ts), len(grid.nodes)))
+    shift = 0.0
+    for c in range(basis.rank):
+        rows = basis.summand_rows(c)
+        top = lam[rows].max()
+        shift += top
+        table = np.exp(2.0 * np.outer(times, lam[rows] - top))
+        for sl, q in kernels.blocks(basis, grid.nodes):
+            x = q[rows.start : rows.stop, c]
+            h = table @ (x.real ** 2 + x.imag ** 2)
+            vals[:, sl] += np.log(h[1:] / h[0])
+    return 2.0 * ts * shift + np.asarray([grid.integrate(v) for v in vals]) / grid.volume
+
+
 def dense_jets(basis, grid, ps):
     """_path_jets as a plain loop over node blocks."""
     z, r, frame = grid.nodes, basis.rank, don._frame(ps)
@@ -344,13 +370,20 @@ def narrow_case(name, k):
 def test_narrow_groups_match_the_dense_algorithm(name, k, grid_p1, grid_p2):
     """M2, the jet blocks and m1_rate are bitwise those of the plain
     algorithm over every fibre column (dense_m2, dense_jets, dense_rate),
-    for consecutive and scattered weight groups, a GEMM frame and T_P2."""
+    for consecutive and scattered weight groups, a GEMM frame and T_P2.
+    A diagonal 1-PS of a split bundle has a diagonal h(t): its M2 is
+    bitwise that of the plain per-column loop (dense_column_m2), and the
+    Gram route agrees with it to roundoff."""
     basis, ps = narrow_case(name, k)
     grid = grid_p2 if name == "T_P2" else grid_p1
     ts = np.array([0.5, 3.0, 12.0])
-    # a diagonal 1-PS on P^1 integrates M2 over one node per torus orbit
-    m2_grid = grid.orbits if name not in ("T_P2", "gemm") else grid
-    assert don.m2_along_path(basis, grid, ps, ts).tobytes() == dense_m2(basis, m2_grid, ps, ts).tobytes()
+    got = don.m2_along_path(basis, grid, ps, ts)
+    if name in ("T_P2", "gemm"):
+        assert got.tobytes() == dense_m2(basis, grid, ps, ts).tobytes()
+    else:  # a diagonal 1-PS on P^1 integrates M2 over one node per torus orbit
+        assert got.tobytes() == dense_column_m2(basis, grid.orbits, ps, ts).tobytes()
+        # relative to M2 or 1: on the [0,2] cases each column has one weight and M2 = 0
+        assert np.abs(got - dense_m2(basis, grid.orbits, ps, ts)).max() <= 1e-13 * max(1.0, np.abs(got).max())
     if name == "T_P2":
         return  # the jets are implemented on P^1 only
     got = don._path_jets(basis, grid, don._frame(ps), ps.slices)
@@ -518,9 +551,11 @@ def test_lm_b_derivatives(grid, rng):
 
 
 def test_fibre_algebra_has_one_factorization(coarse, monkeypatch, rng):
-    """Every per-node log-det, inverse and positivity check of the fibre
-    metric goes through kernels.whiten: no stacked (ndim >= 3) call of a
-    LAPACK factorization is left; N x N calls do not count."""
+    """Every per-node log-det, inverse and positivity check of a fibre
+    metric that is not diagonal goes through kernels.whiten: no stacked
+    (ndim >= 3) call of a LAPACK factorization is left; N x N calls do
+    not count.  A diagonal one (M2 along a diagonal 1-PS of a split
+    bundle) needs no factorization at all."""
     basis = bd.section_basis(bd.split(0, 2), 3)
     n = basis.dimension
     ps = bg.random_two_weight_ps(n, rng)
@@ -646,20 +681,52 @@ def test_repeated_calls_are_byte_identical(grid_p1, rng):
 
 
 def test_overflowing_chart_names_the_node(grid_p1_fine):
-    # from k = 37 the sandwich at the outermost ring (|z| = 7267) overflows
+    """At the outermost ring (|z| = 7267) the Gram sandwich of a GEMM
+    frame overflows from k = 37, the per-column sums |Q_ic|^2 of the
+    diagonal route from k = 38; both name the node."""
+    for k, gemm in ((37, True), (38, False)):
+        basis = bd.section_basis(bd.split(0, 2), k)
+        ps = bg.two_step_one_ps(basis, [1], ((k + 1) / (k + 3), -1.0))
+        if gemm:
+            ps = dataclasses.replace(ps, rows=None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(kernels.NonFiniteChart) as info:
+                don.m2_along_path(basis, grid_p1_fine, ps, np.linspace(1.25, 15.0, 12))
+        err = info.value
+        assert isinstance(err, NonFiniteIntegrand)
+        assert err.index == 10208
+        assert err.z == grid_p1_fine.nodes[10208]
+        a = np.abs(grid_p1_fine.nodes[10208]) ** 2
+        assert err.u == pytest.approx(a / (1.0 + a), rel=1e-12)
+        assert "10208" in str(err)
+    # one level below its ceiling the diagonal route is exact
     basis = bd.section_basis(bd.split(0, 2), 37)
     ps = bg.two_step_one_ps(basis, [1], (38 / 40, -1.0))
+    ts = np.linspace(1.25, 15.0, 12)
+    assert rel(don.m2_along_path(basis, grid_p1_fine, ps, ts), 2.0 * ts * sum(ps.weights)) <= 1e-13
+
+
+def test_diagonal_m2_far_along_the_path(grid_p1_fine):
+    """The column route scales its table by each column's top weight, so
+    M2 of a diagonal 1-PS of a split bundle neither overflows nor loses
+    positivity far along the path.  On the two-step path of O(0)+O(2)
+    each column has one weight and M2 = 2t (w_1 + w_2); on O(0), k = 1,
+    diag(1, -1), M2 = 2t coth 2t - 1 up to a quadrature error that is
+    settled by t = 10 and stays put."""
+    ts = np.array([100.0, 400.0, 1000.0])
     with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(kernels.NonFiniteChart) as info:
-            don.m2_along_path(basis, grid_p1_fine, ps, np.linspace(1.25, 15.0, 12))
-    err = info.value
-    assert isinstance(err, NonFiniteIntegrand)
-    assert err.index == 10208
-    assert err.z == grid_p1_fine.nodes[10208]
-    a = np.abs(grid_p1_fine.nodes[10208]) ** 2
-    assert err.u == pytest.approx(a / (1.0 + a), rel=1e-12)
-    assert "10208" in str(err)
+        warnings.simplefilter("error")
+        basis = bd.section_basis(bd.split(0, 2), 3)
+        ps = bg.two_step_one_ps(basis, [1], (4 / 6, -1.0))
+        exact = 2.0 * ts * sum(ps.weights)
+        assert rel(don.m2_along_path(basis, grid_p1_fine, ps, ts), exact) <= 1e-13
+        basis = bd.section_basis(bd.split(0), 1)
+        ps = bg.one_ps(np.diag([1.0, -1.0]))
+        ts = np.concatenate([[10.0], ts])
+        err = don.m2_along_path(basis, grid_p1_fine, ps, ts) - (2.0 * ts / np.tanh(2.0 * ts) - 1.0)
+    assert 8e-9 < err[0] < 9e-9
+    assert np.abs(err[1:] - err[0]).max() <= 1e-12
 
 
 @pytest.mark.parametrize("z, u", [

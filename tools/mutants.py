@@ -101,6 +101,12 @@ MUTANTS = (
     ("stack-fold-wrong-axis", "src/bml/quadrature.py",
      "v[..., :m] += v[..., n - m : n]",
      "v[:m] += v[n - m : n]"),
+    ("m2-columns-no-top-shift", "src/bml/donaldson.py",
+     "tops = np.array([lam[s].max() for s in runs])",
+     "tops = np.zeros(len(runs))"),
+    ("m2-columns-wrong-column", "src/bml/donaldson.py",
+     "tab @ rho[s, c]",
+     "tab @ rho[s, 0]"),
 )
 
 ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
