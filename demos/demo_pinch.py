@@ -4,8 +4,10 @@ For a line bundle on P^1 the combined energy of any metric against the
 HE reference dominates a pinch-weighted L2 distance: the coefficient is
 (delta - 1 - log delta)/(log delta)^2 / C with C the first nonzero
 Laplace eigenvalue (computed here by an exact Galerkin eigensolve, C =
-4 pi).  The demo evaluates both sides at the balanced metric (both are
-zero) and at deliberately unbalanced forms (a strict inequality).
+4 pi).  The energy is M1 + mu M2 at the end of the path from I to the
+form (donaldson.form_energy).  The demo evaluates both sides at the
+balanced metric (both are zero) and at deliberately unbalanced forms (a
+strict inequality).
 """
 
 import numpy as np
@@ -13,6 +15,7 @@ import numpy as np
 from bml import balance as bl
 from bml import bergman as bg
 from bml import bundles as bd
+from bml import donaldson as don
 from bml.quadrature import build_grid_p1
 
 
@@ -29,7 +32,7 @@ def main():
     print(f"balanced solve: {st.flag}, residual {st.residual:.2e}")
     h_bal = bg.fs_metric(basis, grid, bg.HermitianForm(matrix=st.H.astype(complex)))
     diag = bl.delta_diagnostic(h_bal, he, grid, spectral_c=c)
-    val = bl.donaldson_value_line(basis, grid, st.H, he)
+    val = don.form_energy(basis, grid, st.H)
     print(f"at the balanced form: delta = {diag.delta:.6f}, "
           f"energy = {val:.2e} >= bound = {diag.lower_bound:.2e}\n")
 
@@ -40,7 +43,7 @@ def main():
         H = np.diag(np.exp(w - w.mean()))
         h = bg.fs_metric(basis, grid, bg.HermitianForm(matrix=H.astype(complex)))
         d = bl.delta_diagnostic(h, he, grid, spectral_c=c)
-        v = bl.donaldson_value_line(basis, grid, H, he)
+        v = don.form_energy(basis, grid, H)
         print(f"  amp {amp:4.1f}:  delta = {d.delta:.4f}   energy = {v:.6f}   "
               f"bound = {d.lower_bound:.6f}   margin = {v - d.lower_bound:+.6f}")
 

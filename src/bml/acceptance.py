@@ -153,9 +153,10 @@ def _logdet_slope():
 
 
 def _trivial_saturation_sup() -> float:
-    """sup |M1 + M2| along a rank-one bundle's path whose leading
-    eigenspace already generates every fibre: the filtration saturates
-    trivially and the combined energy must stay bounded."""
+    """sup |M1| along a rank-one bundle's path whose leading eigenspace
+    already generates every fibre: the filtration saturates trivially and
+    the combined energy M1 + mu M2, which on O(0) (mu = 0) is M1 alone,
+    must stay bounded."""
     basis = bd.section_basis(bd.split(0), 2, orthonormal=False)
     ps = bg.one_ps(np.diag([0.5, -1.0, 0.5]))
     mdon = don.m1_curve(basis, _grid_default(), ps, np.linspace(0.0, 20.0, 9), n_path=64)
@@ -303,7 +304,7 @@ def _pinch_inequality():
         st, _ = bl.t_iterate(basis, grid, np.eye(basis.dimension), tol=1e-12, max_iter=60)
         hmin = bg.fs_metric(basis, grid, bg.HermitianForm(matrix=st.H.astype(complex)))
         diag = bl.delta_diagnostic(hmin, he, grid, spectral_c=c)
-        val = bl.donaldson_value_line(basis, grid, st.H, he)
+        val = don.form_energy(basis, grid, st.H)
         margins.append(val - diag.lower_bound)
         # non-vacuous version on a deliberately unbalanced form
         n = basis.dimension
@@ -311,7 +312,7 @@ def _pinch_inequality():
         H = np.diag(np.exp(w - w.mean()))
         hp = bg.fs_metric(basis, grid, bg.HermitianForm(matrix=H.astype(complex)))
         dp = bl.delta_diagnostic(hp, he, grid, spectral_c=c)
-        margins.append(bl.donaldson_value_line(basis, grid, H, he) - dp.lower_bound)
+        margins.append(don.form_energy(basis, grid, H) - dp.lower_bound)
     passed = c_ok and min(margins) >= -1e-9
     return passed, f"spectral constant {c:.6f}, min inequality margin {min(margins):.2e}"
 

@@ -461,12 +461,12 @@ def iterate_slope(history, weight_range: float):
 def hermitian_einstein_catalog(basis: SectionBasis, grid: QuadratureGrid) -> np.ndarray:
     """Catalog Hermitian-Einstein reference at the working level.
 
-    For direct sums of line bundles on P^1 the L2-orthonormal reference
-    h_ref = Q*Q is itself the (projectively) Hermitian-Einstein metric,
-    since each summand has constant curvature.  Other bundles raise
-    MissingHE.
+    For a direct sum of line bundles of one degree on P^1 the
+    L2-orthonormal reference h_ref = Q*Q is itself Hermitian-Einstein:
+    its curvature is mu I omega.  Unequal degrees (h_ref of O(0)+O(2) has
+    curvature diag(0, 2) omega) and other bundles raise MissingHE.
     """
-    if basis.bundle.kind != "split_p1":
+    if basis.bundle.kind != "split_p1" or len(set(basis.bundle.degrees)) > 1:
         raise MissingHE("no catalog Hermitian-Einstein metric for this bundle")
     return h_ref_field(basis, grid)
 
@@ -551,28 +551,3 @@ def delta_diagnostic(h_min: np.ndarray, h_he: np.ndarray, grid: QuadratureGrid,
     v_norm2 = grid.integrate(((logs - v_bar) ** 2).sum(axis=-1))
     bound = _pinch_coefficient(delta) * v_norm2 / spectral_c
     return DeltaDiagnostic(delta=delta, lower_bound=float(bound))
-
-
-def donaldson_value_line(basis: SectionBasis, grid: QuadratureGrid, H: np.ndarray,
-                         h_he: np.ndarray) -> float:
-    """Combined energy of the FS metric h_H against the HE reference, for
-    a line bundle on P^1.
-
-    Uses the endpoint formula: with v the honest log-ratio of the two
-    metrics, the curvature pairing is (1/2) int v (F_0 + F_1) and the
-    log-det term is int v; the HE curvature density is the exact constant
-    deg.  The raw forms are dual metrics, so the honest log-ratio is
-    minus the raw one.
-    """
-    if basis.bundle.kind != "split_p1" or basis.rank != 1:
-        raise MissingHE("endpoint formula implemented for line bundles on P1")
-    mu = float(basis.bundle.degree)
-    h_raw = kernels.field(basis, grid, np.asarray(H, dtype=complex)).real[0, 0]
-    h_he_raw = h_he.real[:, 0, 0]
-    v = -(np.log(h_raw) - np.log(h_he_raw))
-    f1 = don.curvature_field(
-        basis, grid, HermitianForm(matrix=np.asarray(H, dtype=complex))
-    ).real[:, 0, 0]
-    f0 = mu  # constant curvature density of the HE metric, exact
-    pairing, log_det = grid.integrate(np.stack([v * (f0 + f1), v]))
-    return float(0.5 * pairing - mu * (log_det / grid.volume))

@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import bundles, kernels
+from . import kernels
 from .bundles import SectionBasis, q_field
 from .quadrature import QuadratureGrid
 
@@ -76,9 +76,8 @@ class OnePS:
     ``weights[i]``.  Construction rescales the generator so its operator
     norm is at most one.  For a diagonal generator ``vectors`` is the
     permutation matrix of exact unit columns ``rows``, so that weight
-    group i of V* Q is the chart's own rows rows[slices[i]], read as a
-    view where they are consecutive (see _groups); ``rows`` is None for
-    any other generator.
+    group i of V* Q is the chart's own rows rows[slices[i]] (see
+    _groups); ``rows`` is None for any other generator.
     """
 
     generator: np.ndarray
@@ -128,11 +127,10 @@ def _frame(ps: OnePS) -> np.ndarray:
 def _groups(rotation: np.ndarray, slices, q: np.ndarray) -> list:
     """The row groups ``slices`` of rotation Q, one (K_d, r, B) stack
     each, for a node-last chart block q ((K_d, r) for one node's (N, r)
-    chart), over every fibre column: for an index array (OnePS.rows) q at
-    the bundles.selector of rotation[s], a view where those rows are
-    consecutive; for a matrix a row slice of one GEMM."""
+    chart), over every fibre column: for an index array (OnePS.rows) the
+    gather q[rotation[s]], a copy; for a matrix a row slice of one GEMM."""
     if rotation.ndim == 1:
-        return [q[bundles.selector(rotation[s])] for s in slices]
+        return [q[rotation[s]] for s in slices]
     vq = kernels.act(rotation, q)
     return [vq[s] for s in slices]
 

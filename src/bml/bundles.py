@@ -161,17 +161,6 @@ def _evaluate(basis: SectionBasis, runs, nodes) -> np.ndarray:
     return out.transpose(2, 0, 1)
 
 
-def selector(idx: np.ndarray):
-    """An integer index array as a selector along one axis: a slice when
-    it is an ascending run of consecutive integers, so that indexing by
-    it gives a view, else the array itself.  The ends are compared first,
-    so a scattered index (a permutation frame) costs no full comparison."""
-    start = int(idx[0])
-    if idx[-1] - start == len(idx) - 1 and np.array_equal(idx, np.arange(start, start + len(idx))):
-        return slice(start, start + len(idx))
-    return idx
-
-
 def q_field(basis: SectionBasis, nodes: np.ndarray) -> np.ndarray:
     """Evaluation matrices Q(x) for every node, shape (M, N, r), built
     node-last: `kernels.node_last` reads them back without a copy."""

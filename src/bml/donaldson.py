@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import bundles, kernels
-from .bergman import HermitianForm, OnePS, _diagonal_frame, _frame, _groups
+from .bergman import HermitianForm, OnePS, _diagonal_frame, _frame, _groups, one_ps
 from .bundles import SectionBasis
 from .quadrature import QuadratureGrid, gauss_rule
 
@@ -77,12 +77,11 @@ def m2_along_path(
 
     (V is unitary).  Per block of the chart, which arrives node-last from
     `bundles.q_field`, the weight groups V_d* Q are read by _groups: for a
-    permutation frame (that of every diagonal generator, OnePS.rows)
-    selectors of the chart's own rows, a view where they are consecutive;
-    any other frame costs one GEMM.  Every h(t_j), with h_ref as t_0 = 0,
-    comes from the table e^{2 w_d t_j} in one GEMM per matrix entry, one
-    Cholesky pass gives all their log-dets and one integrate call all
-    their integrals.  Each G_d is bounded by h_ref, so a block overflows
+    permutation frame (that of every diagonal generator, OnePS.rows) a
+    gather of the chart's own rows; any other frame costs one GEMM.
+    Every h(t_j), with h_ref as t_0 = 0, comes from the table
+    e^{2 w_d t_j} in one GEMM per matrix entry, one Cholesky pass gives
+    all their log-dets and one integrate call all their integrals.  Each G_d is bounded by h_ref, so a block overflows
     only where the reference or a path metric does: NonFiniteChart names
     it, by its index in ``grid``.  For a diagonal 1-PS the nodes are those
     of grid.orbits (_orbit_grid), and on a split bundle h(t) is diagonal
@@ -97,7 +96,7 @@ def m2_along_path(
         table = np.exp(2.0 * np.outer(ps.weights, times))
     vals = np.empty((len(times), len(grid.nodes)))
     for sl, q in kernels.blocks(basis, grid.nodes):
-        grams = np.stack([kernels.gram(b) for b in _groups(frame, ps.slices, q)], axis=2)
+        grams = np.stack([kernels.pair(b, b) for b in _groups(frame, ps.slices, q)], axis=2)
         with np.errstate(over="ignore", invalid="ignore"):
             h = table.T @ grams  # (r, r, T+1, B)
         vals[:, sl] = kernels.logdet(kernels.finite(h, grid, sl))
@@ -142,7 +141,7 @@ def curvature_field(
     basis: SectionBasis,
     grid: QuadratureGrid,
     form: HermitianForm,
-    method: str = "analytic",
+    method: str,
 ) -> np.ndarray:
     """Chern curvature density of the honest metric, shape (M, r, r), in
     closed form from the holomorphic derivatives of Q (see _curvature_frame).
@@ -222,8 +221,8 @@ class _Jets:
 def _path_jets(basis: SectionBasis, grid: QuadratureGrid, rotation, slices) -> _Jets:
     """The per-weight 1-jet blocks of the chart, per node block, for the
     rows ``slices`` of a ``rotation`` R, a matrix or a row index, read as
-    by _groups: for a row index, selectors of the rows of Q and dQ/dz
-    themselves; for a matrix, row slices of one GEMM each.
+    by _groups: for a row index, a gather of the rows of Q and dQ/dz;
+    for a matrix, row slices of one GEMM each.
 
     Along a 1-PS R = V* and the slices are its weight groups: with V_d
     the eigenvectors of weight w_d, B_d = V_d* Q and D_d = V_d* dQ/dz,
@@ -233,8 +232,8 @@ def _path_jets(basis: SectionBasis, grid: QuadratureGrid, rotation, slices) -> _
         h = sum_d e^{2 w_d t} G_d,   hdot = sum_d 2 w_d e^{2 w_d t} G_d,
         a = sum_d e^{2 w_d t} A_d,   c = sum_d e^{2 w_d t} C_d.
 
-    G_d and C_d are kernels.gram blocks.  The nodes are those of
-    ``grid``; the callers choose it with _orbit_grid.
+    The nodes are those of ``grid``; the callers choose it with
+    _orbit_grid.
     """
     if grid.space_tag != "P1":
         raise NotImplementedError("curvature implemented on the P1 catalog")
@@ -246,7 +245,7 @@ def _path_jets(basis: SectionBasis, grid: QuadratureGrid, rotation, slices) -> _
         del dq  # a GEMM frame holds only its product
         stack = np.empty((len(slices), 3, r, r, q.shape[-1]), dtype=complex)
         for i, (b, db) in enumerate(groups):
-            stack[i] = kernels.gram(b), kernels.pair(b, db), kernels.gram(db)
+            stack[i] = kernels.pair(b, b), kernels.pair(b, db), kernels.pair(db, db)
         stacks.append((sl, stack))
     return _Jets(grid, (1.0 + np.abs(z) ** 2) ** 2, stacks)
 
@@ -322,6 +321,20 @@ def m1_curve(
             lo = t
         out[i] = total
     return out
+
+
+def form_energy(basis: SectionBasis, grid: QuadratureGrid, H: np.ndarray) -> float:
+    """M1 + mu M2 of h_H against h_ref, mu = deg / rank: the combined
+    energy at the end of the 1-PS from I through H / det(H)^{1/N}, whose
+    trace-free generator zeta = (1/2) log H one_ps scales to operator
+    norm at most 1, so that the end is t = max(1, ||zeta||)."""
+    H = np.asarray(H, dtype=complex)
+    lam, v = (H.diagonal().real, np.eye(len(H))) if _diagonal_frame(H) else np.linalg.eigh(H)
+    logs = 0.5 * (np.log(lam) - np.log(lam).mean())
+    ps = one_ps((v * logs) @ v.conj().T)
+    t = [max(1.0, float(np.abs(logs).max()))]
+    mu = float(basis.bundle.degree / basis.rank)
+    return float(m1_curve(basis, grid, ps, t)[0] + mu * m2_along_path(basis, grid, ps, t)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,8 @@ layout and returns it as its (B, N, r) transpose, so `node_last` gets
 it back without a copy.  An N x N form acts on every node of a block in
 one GEMM (`act`); a weight group of a 1-PS is a row slice of that
 product.  When the frame of the 1-PS is a permutation (a diagonal
-generator) no product is formed: each weight group is a selector of the
-chart's own rows, a slice, and so a view, where those rows are
-consecutive, else their index array.  A Gram x* x (`gram`) is reduced
-from its upper triangle in real arithmetic; `pair` forms x* y.  What is
+generator) no product is formed: each weight group is a gather of the
+chart's own rows.  `pair` forms x* y, a Gram as pair(x, x).  What is
 left per node is r x r algebra, whose loops run over the small indices,
 each step one vector operation over the B nodes.  The core does not
 choose its nodes: `donaldson` hands it one node per torus orbit for a
@@ -91,33 +89,16 @@ def act(mat: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 def pair(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """x(x)* y(x) per node, shape (r, r, B), for stacked factors of shape
-    (K, r, B): one vector reduction over the section index per entry."""
+    (K, r, B): one vector reduction over the section index per entry.
+    A Gram pair(x, x) is hermitian only to roundoff (its diagonal keeps
+    an imaginary part of order eps); its consumers read the lower
+    triangle and the real diagonal (cholesky) or take the real part."""
     xc = x.conj()
     out = np.empty((x.shape[1], y.shape[1], x.shape[2]), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(out.shape[0]):
             for j in range(out.shape[1]):
                 out[i, j] = (xc[:, i] * y[:, j]).sum(axis=0)
-    return out
-
-
-def gram(x: np.ndarray) -> np.ndarray:
-    """pair(x, x), x(x)* x(x) per node, from its upper triangle: each entry
-    is real reductions over the section index of the real and imaginary
-    parts of x, with no (K, B) product temporary.  The diagonal is exactly
-    real and out[j, i] = conj(out[i, j])."""
-    def dot(a, b):  # sum over the section index, per node
-        return np.einsum("nb,nb->b", a, b)
-
-    re, im = x.real, x.imag
-    out = np.empty((x.shape[1], x.shape[1], x.shape[2]), dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(len(out)):
-            out[i, i] = dot(re[:, i], re[:, i]) + dot(im[:, i], im[:, i])
-            for j in range(i + 1, len(out)):
-                out[i, j].real = dot(re[:, i], re[:, j]) + dot(im[:, i], im[:, j])
-                out[i, j].imag = dot(re[:, i], im[:, j]) - dot(im[:, i], re[:, j])
-                out[j, i] = out[i, j].conj()
     return out
 
 

@@ -6,6 +6,7 @@ import pytest
 from bml import balance as bl
 from bml import bergman as bg
 from bml import bundles as bd
+from bml import donaldson as don
 from bml import kernels
 from bml import quadrature as qd
 
@@ -362,7 +363,7 @@ def test_delta_inequality_perturbed(grid_p1):
     H = np.diag(np.exp(w - w.mean()))
     h = bg.fs_metric(basis, grid_p1, bg.HermitianForm(matrix=H.astype(complex)))
     diag = bl.delta_diagnostic(h, he, grid_p1, spectral_c=bl.spectral_constant(grid_p1)[0])
-    value = bl.donaldson_value_line(basis, grid_p1, H, he)
+    value = don.form_energy(basis, grid_p1, H)
     assert diag.lower_bound > 0
     assert value >= diag.lower_bound - 1e-9
 
@@ -371,7 +372,7 @@ def test_delta_is_the_smallest_pinch_over_nodes(grid_p1, rng):
     """On a rank-2 bundle the eigenvalue ratio of h_min h_HE^{-1} varies
     over the nodes, and delta is its infimum."""
     basis = bd.section_basis(bd.split(0, 2), 3)
-    he = bl.hermitian_einstein_catalog(basis, grid_p1)
+    he = bd.h_ref_field(basis, grid_p1)
     H = random_form(basis.dimension, rng)
     h = bg.fs_metric(basis, grid_p1, bg.HermitianForm(matrix=H))
     lam = np.sort(np.linalg.eigvals(np.linalg.solve(he, h)).real, axis=-1)
@@ -406,8 +407,10 @@ def test_missing_he_raises(grid_p2):
         bl.hermitian_einstein_catalog(basis, grid_p2)
 
 
-def test_donaldson_value_line_requires_rank_one(grid_p1):
-    basis = bd.section_basis(bd.split(0, 2), 3)
-    he = bl.hermitian_einstein_catalog(basis, grid_p1)
+def test_he_catalog_needs_equal_degrees(grid_p1):
+    """h_ref of O(0)+O(2) has curvature diag(0, 2) omega, not mu I omega:
+    no catalog HE metric.  On O(1)+O(1) h_ref is one."""
     with pytest.raises(bl.MissingHE):
-        bl.donaldson_value_line(basis, grid_p1, np.eye(basis.dimension), he)
+        bl.hermitian_einstein_catalog(bd.section_basis(bd.split(0, 2), 3), grid_p1)
+    basis = bd.section_basis(bd.split(1, 1), 2)
+    assert np.array_equal(bl.hermitian_einstein_catalog(basis, grid_p1), bd.h_ref_field(basis, grid_p1))

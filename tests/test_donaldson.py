@@ -7,6 +7,7 @@ from bml import balance as bl
 from bml import bergman as bg
 from bml import bundles as bd
 from bml import donaldson as don
+from bml import kernels
 from bml import quadrature as qd
 
 from test_kernels import orbit_jets
@@ -71,7 +72,7 @@ def test_m1_closed_form(grid_p1_fine):
 
 def test_curvature_degree_analytic(grid_p1):
     basis, _ = catalog_pair()
-    f = don.curvature_field(basis, grid_p1, bg.HermitianForm(np.eye(basis.dimension)))
+    f = don.curvature_field(basis, grid_p1, bg.HermitianForm(np.eye(basis.dimension)), method="analytic")
     deg = grid_p1.integrate(np.trace(f, axis1=1, axis2=2).real)
     assert deg == pytest.approx(2.0, abs=1e-9)
 
@@ -116,7 +117,7 @@ def fd_reference(grid_p1):
 
 def test_curvature_fd_matches_analytic(grid_p1, fd_reference):
     basis, ps, H, ff = fd_reference
-    fa = don.curvature_field(basis, grid_p1, ps.form_at(0.5))
+    fa = don.curvature_field(basis, grid_p1, ps.form_at(0.5), method="analytic")
     assert np.abs(fa - ff).max() < 1e-4 * np.abs(fa).max()
 
 
@@ -225,19 +226,59 @@ def test_orbits_match_the_full_grid(name, grid_p1_fine):
         return f.reshape(len(orbits.nodes), -1, *f.shape[1:])
 
     form = ps.form_at(ts_m1[-1])
-    f_orbits = rings(don.curvature_field(basis, grid_p1_fine, form))
-    f_full = rings(don.curvature_field(basis, full, form))
+    f_orbits = rings(don.curvature_field(basis, grid_p1_fine, form, method="analytic"))
+    f_full = rings(don.curvature_field(basis, full, form, method="analytic"))
     for part in (np.real, np.imag):
         assert (np.abs(part(f_orbits) - part(f_full)) <= np.ptp(part(f_full), axis=1, keepdims=True)).all()
     mixed = bg.random_two_weight_ps(basis.dimension, np.random.default_rng(5)).form_at(0.5)
-    assert don.curvature_field(basis, grid_p1_fine, mixed).tobytes() == \
-        don.curvature_field(basis, full, mixed).tobytes()
+    assert don.curvature_field(basis, grid_p1_fine, mixed, method="analytic").tobytes() == \
+        don.curvature_field(basis, full, mixed, method="analytic").tobytes()
 
 
 def test_curvature_requires_p1(grid_p2):
     basis = bd.section_basis(bd.euler_tp2(), 1)
     with pytest.raises(NotImplementedError):
-        don.curvature_field(basis, grid_p2, bg.HermitianForm(np.eye(basis.dimension)))
+        don.curvature_field(basis, grid_p2, bg.HermitianForm(np.eye(basis.dimension)), method="analytic")
+
+
+def endpoint_energy(basis, grid, H):
+    """The combined energy of a line bundle in closed form at the end of
+    the path: with v = log(h_ref / h_H) per node (the honest log-ratio)
+    and F_0, F_1 the curvature densities of h_ref and h_H, M1 is
+    (1/2) int v (F_0 + F_1) and mu M2 is -mu int v / Vol."""
+    mu = float(basis.bundle.degree)
+    v = np.log(kernels.field(basis, grid).real[0, 0]) - np.log(kernels.field(basis, grid, H).real[0, 0])
+    f0, f1 = (don.curvature_field(basis, grid, bg.HermitianForm(m), method="analytic").real[:, 0, 0]
+              for m in (np.eye(len(H)), H))
+    pairing, log_ratio = grid.integrate(np.stack([v * (f0 + f1), v]))
+    return 0.5 * pairing - mu * log_ratio / grid.volume
+
+
+@pytest.mark.parametrize("degree", [0, 2])
+@pytest.mark.parametrize("amp", [0.6, 1.0, 3.0, 6.0])
+def test_form_energy_is_the_endpoint_formula_on_line_bundles(degree, amp, grid_p1_fine):
+    """form_energy against the endpoint formula on O(d) at k = 1, for
+    H = diag(e^{w - mean w}), w = linspace(amp, -amp): amp 3 and 6 give
+    ||zeta|| > 1, so their path is rescaled and ends at t = ||zeta||.
+    Measured to 4.3e-13 relative.  The light grid is not fine enough
+    for amp 6 on O(0) (both formulas are off by about 10% there)."""
+    basis = bd.section_basis(bd.split(degree), 1)
+    w = np.linspace(amp, -amp, basis.dimension)
+    H = np.diag(np.exp(w - w.mean())).astype(complex)
+    want = endpoint_energy(basis, grid_p1_fine, H)
+    assert don.form_energy(basis, grid_p1_fine, H) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("s", [0.05, 0.2])
+def test_form_energy_vanishes_at_automorphisms_of_rank_two(k, s, grid_p1):
+    """On O(1)+O(1), H = diag(e^{2s} I, e^{-2s} I) over the two summands'
+    sections is a constant gauge of the bundle: balanced, with combined
+    energy 0 (measured to 8.5e-17)."""
+    basis = bd.section_basis(bd.split(1, 1), k)
+    d = np.empty(basis.dimension)
+    d[basis.summand_rows(0)], d[basis.summand_rows(1)] = np.exp(2.0 * s), np.exp(-2.0 * s)
+    assert abs(don.form_energy(basis, grid_p1, np.diag(d))) <= 1e-15
 
 
 def test_m2_slope_catalog(grid_p1):

@@ -188,49 +188,24 @@ def test_m2_along_path_work_shape(grid_p1, monkeypatch, rng):
     in weight order.  The diagonal two-step 1-PS, on one node per torus
     orbit, forms no Gram: its h(t) is diagonal, one sum per column."""
     basis = bd.section_basis(bd.split(0, 2), 3)
-    calls = {"q_field": 0, "gram": 0, "integrate": 0}
+    calls = {"q_field": 0, "pair": 0, "integrate": 0}
     shapes = []
-    gram = kernels.gram
+    pair = kernels.pair
     monkeypatch.setattr(bd, "q_field", counted(calls, "q_field", bd.q_field))
-    monkeypatch.setattr(kernels, "gram", counted(calls, "gram", lambda x: shapes.append(x.shape) or gram(x)))
+    monkeypatch.setattr(kernels, "pair", counted(calls, "pair", lambda x, y: shapes.append(x.shape) or pair(x, y)))
     monkeypatch.setattr(QuadratureGrid, "integrate", counted(calls, "integrate", QuadratureGrid.integrate))
     for ps, grid in ((weight_kind_ps("three", basis.dimension, rng), grid_p1),
                      (bg.two_step_one_ps(basis, [1], (4 / 6, -1.0)), grid_p1.orbits)):
         n_blocks, sizes = node_blocks(grid)
         for ts in ([1.0], np.linspace(0.5, 12.0, 24)):
-            calls.update(q_field=0, gram=0, integrate=0)
+            calls.update(q_field=0, pair=0, integrate=0)
             shapes.clear()
             don.m2_along_path(basis, grid_p1, ps, ts)
             if grid is grid_p1.orbits:
-                assert calls == {"q_field": n_blocks, "gram": 0, "integrate": 1}
+                assert calls == {"q_field": n_blocks, "pair": 0, "integrate": 1}
             else:
-                assert calls == {"q_field": n_blocks, "gram": n_blocks * len(ps.weights), "integrate": 1}
+                assert calls == {"q_field": n_blocks, "pair": n_blocks * len(ps.weights), "integrate": 1}
                 assert shapes == [(s.stop - s.start, basis.rank, b) for b in sizes for s in ps.slices]
-
-
-@pytest.mark.parametrize("r", [1, 2, 3])
-@pytest.mark.parametrize("n", [1, 10, 76])
-def test_gram_is_the_self_pair(n, r, rng):
-    """gram(x) is pair(x, x) from its upper triangle: exactly hermitian,
-    with an exactly real diagonal."""
-    x = rng.normal(size=(n, r, 50)) + 1j * rng.normal(size=(n, r, 50))
-    got = kernels.gram(x)
-    assert rel(got, kernels.pair(x, x)) <= 4e-15
-    assert np.array_equal(got, kernels.ct(got))
-    assert not np.diagonal(got, axis1=0, axis2=1).imag.any()
-
-
-@pytest.mark.parametrize("k", [3, 36])
-def test_two_step_groups_are_views_of_the_chart(k, grid_p1):
-    """Each weight group of a two-step 1-PS of a split bundle is a run of
-    consecutive chart rows, read as a view of the chart block."""
-    basis = bd.section_basis(bd.split(0, 2), k)
-    ps = bg.two_step_one_ps(basis, [1], ((k + 1) / (k + 3), -1.0))
-    assert all(isinstance(bd.selector(ps.rows[s]), slice) for s in ps.slices)
-    for _, q in kernels.blocks(basis, grid_p1.nodes):
-        groups = bg._groups(ps.rows, ps.slices, q)
-        assert all(np.shares_memory(b, q) for b in groups)
-        assert sum(len(b) for b in groups) == len(q)
 
 
 @pytest.mark.parametrize("k, diag", [(3, None), (36, None), (2, (0.5, -1.0, 0.5))],
@@ -248,7 +223,6 @@ def test_permutation_frame_is_a_row_gather(k, diag, grid_p1, monkeypatch):
     else:
         basis = bd.section_basis(bd.split(0), k, orthonormal=False)
         ps = bg.one_ps(np.diag(diag))
-        assert not isinstance(bd.selector(ps.rows[ps.slices[0]]), slice)
     gemm = dataclasses.replace(ps, rows=None)
     n_blocks = -(-grid_p1.nodes.size // kernels.BLOCK)
     calls = {"act": 0}
@@ -270,9 +244,9 @@ def test_permutation_frame_is_a_row_gather(k, diag, grid_p1, monkeypatch):
 
 def dense_groups(rotation, slices, q):
     """The weight groups of rotation Q over every fibre column, each a
-    row selection or a row slice of one GEMM."""
+    row gather or a row slice of one GEMM."""
     if rotation.ndim == 1:
-        return [q[bd.selector(rotation[s])] for s in slices]
+        return [q[rotation[s]] for s in slices]
     return [kernels.act(rotation, q)[s] for s in slices]
 
 
@@ -282,7 +256,7 @@ def dense_m2(basis, grid, ps, ts):
     table = np.exp(2.0 * np.outer(ps.weights, times))
     vals = np.empty((len(times), len(grid.nodes)))
     for sl, q in kernels.blocks(basis, grid.nodes):
-        grams = np.stack([kernels.gram(b) for b in dense_groups(don._frame(ps), ps.slices, q)], axis=2)
+        grams = np.stack([kernels.pair(b, b) for b in dense_groups(don._frame(ps), ps.slices, q)], axis=2)
         vals[:, sl] = kernels.logdet(table.T @ grams)
     return np.asarray([grid.integrate(v - vals[0]) / grid.volume for v in vals[1:]])
 
@@ -317,7 +291,7 @@ def dense_jets(basis, grid, ps):
         dq = kernels.node_last(bd.dq_dz_field(basis, z[sl]))
         stack = np.empty((len(ps.slices), 3, r, r, q.shape[-1]), dtype=complex)
         for i, (b, db) in enumerate(zip(dense_groups(frame, ps.slices, q), dense_groups(frame, ps.slices, dq))):
-            stack[i] = kernels.gram(b), kernels.pair(b, db), kernels.gram(db)
+            stack[i] = kernels.pair(b, b), kernels.pair(b, db), kernels.pair(db, db)
         jets.append((sl, stack))
     return jets
 
@@ -426,7 +400,7 @@ def check_curvature_and_m1_rate(basis, grid, ps, t):
     # the FS measure the entries at the outer nodes grow like (1 + |z|^2)^2
     # and one-ulp changes of h, a or c move them by about 1e-10 of the
     # largest, in either algebra
-    f = don.curvature_field(basis, grid, bg.HermitianForm(H))
+    f = don.curvature_field(basis, grid, bg.HermitianForm(H), method="analytic")
     jacobian = np.pi * (1.0 + np.abs(z) ** 2)[:, None, None] ** 2
     assert rel(f / jacobian, curvature_reference(basis, H, z)) < TOL
 
@@ -449,7 +423,7 @@ def test_curvature_outer_ring(split_basis, grid_p1, rng):
     for ps in (bg.random_two_weight_ps(split_basis.dimension, rng),
                bg.two_step_one_ps(split_basis, [1], ((k + 1) / (k + 3), -1.0))):
         H = ps.form_at(0.8).matrix
-        got = don.curvature_field(split_basis, grid_p1, bg.HermitianForm(H))
+        got = don.curvature_field(split_basis, grid_p1, bg.HermitianForm(H), method="analytic")
         want = np.pi * (1.0 + np.abs(z) ** 2)[:, None, None] ** 2 * curvature_reference(split_basis, H, z)
         err = np.abs(got - want).max(axis=(1, 2)) / np.abs(want).max(axis=(1, 2))
         assert err.max() < 1e-7
@@ -571,7 +545,7 @@ def test_fibre_algebra_has_one_factorization(coarse, monkeypatch, rng):
         monkeypatch.setattr(np.linalg, name, stacked_only(name, getattr(np.linalg, name)))
     don.m2_along_path(basis, coarse, ps, [0.5, 2.0])
     don.m1_curve(basis, coarse, ps, [1.0], n_path=4)
-    don.curvature_field(basis, coarse, form)
+    don.curvature_field(basis, coarse, form, method="analytic")
     bg.fs_metric(basis, coarse, form)
     bl.m2_value(basis, coarse, form.matrix)
     kernels.b_matrix(basis, coarse, form.matrix, None)
@@ -652,7 +626,7 @@ def test_block_size_does_not_move_results(grid_p1, monkeypatch, rng):
         per_node = [
             don.m2_along_path(basis, grid_p1, ps, [0.5, 2.0]),
             don.m1_curve(basis, grid_p1, ps, [1.0], n_path=4),
-            don.curvature_field(basis, grid_p1, form),
+            don.curvature_field(basis, grid_p1, form, method="analytic"),
             bg.fs_metric(basis, grid_p1, form),
             bd.h_ref_field(basis, grid_p1),
             ld,

@@ -107,6 +107,12 @@ MUTANTS = (
     ("m2-columns-wrong-column", "src/bml/donaldson.py",
      "tab @ rho[s, c]",
      "tab @ rho[s, 0]"),
+    ("form-energy-end-at-one", "src/bml/donaldson.py",
+     "    t = [max(1.0, float(np.abs(logs).max()))]\n",
+     "    t = [1.0]\n"),
+    ("form-energy-no-mu", "src/bml/donaldson.py",
+     "m1_curve(basis, grid, ps, t)[0] + mu * m2_along_path(basis, grid, ps, t)[0]",
+     "m1_curve(basis, grid, ps, t)[0]"),
 )
 
 ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
