@@ -22,9 +22,13 @@ Along a diagonal 1-PS on P^1 (the Bergman 1-PS of a filtration of a split
 bundle) every pointwise term of M2 and M1 depends on |z| alone, so
 m2_along_path, m1_curve and m1_rate run on one node per torus orbit
 (_orbit_grid, which also places the balance solvers), and so does the
-curvature of a diagonal form, repeated over each ring.  Every other
-1-PS or form, and P^2, keep the whole grid.  A failure on the quotient
-names its node in the full grid.
+curvature of a diagonal form, repeated over each ring.  There h, a and c
+are diagonal and all three read one real table |Q_ic|^2 (_columns): M2
+as one positive sum per column, M1 and the curvature as per-column
+weight statistics (_column_terms), with no jets, no Cholesky and no
+overflow in t.  Every other 1-PS or form keeps the Gram and jet blocks
+on the whole grid, and so does P^2.  A failure on the quotient names its
+node in the full grid.
 """
 
 from __future__ import annotations
@@ -105,25 +109,19 @@ def m2_along_path(
 
 def _m2_columns(basis: SectionBasis, grid: QuadratureGrid, ps: OnePS, times: np.ndarray) -> np.ndarray:
     """m2_along_path at ``times`` (times[0] = 0) for a diagonal 1-PS of a
-    split bundle, whose row i lives in the fibre column c of
-    basis.summand_rows(c): h(t) is diagonal, h_c(t) = e^{2 top_c t} sum_i
-    e^{2 (lam_i - top_c) t} |Q_ic|^2 with lam_i the weight of row i and
-    top_c the largest in column c, one real GEMM per column against a
-    table no entry of which exceeds 1.  M2(t) = 2 t sum_c top_c plus the
-    integral of sum_c log(h_c(t) / h_c(0)); kernels.finite names an
-    overflowed |Q_ic|^2, integrate an h_c(t) that underflowed to 0."""
-    lam = np.empty(basis.dimension)
-    lam[ps.rows] = ps.eigenvalues
-    runs = [slice(rows.start, rows.stop) for rows in map(basis.summand_rows, range(basis.rank))]
-    tops = np.array([lam[s].max() for s in runs])
-    tables = [np.exp(2.0 * np.outer(times, lam[s] - top)) for s, top in zip(runs, tops)]
+    split bundle, from its column table (_columns): h(t) is diagonal,
+    h_c(t) = e^{2 top_c t} sum_i e^{2 (lam_i - top_c) t} |Q_ic|^2 over the
+    rows i of column c, one real GEMM per column against a table no entry
+    of which exceeds 1, and M2(t) = 2 t sum_c top_c + int sum_c
+    log(h_c(t) / h_c(0)) / Vol."""
+    cols = _columns(basis, grid, ps.eigenvalues[np.argsort(ps.rows)])
+    tables = [np.exp(np.outer(times, shift)) for _, _, shift, _ in cols.runs]
     vals = np.empty((len(times) - 1, len(grid.nodes)))
-    for sl, q in kernels.blocks(basis, grid.nodes):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            rho = q.real ** 2 + q.imag ** 2
-            h = np.stack([tab @ rho[s, c] for c, (s, tab) in enumerate(zip(runs, tables))])
-            vals[:, sl] = np.log(kernels.finite(h, grid, sl)[:, 1:] / h[:, :1]).sum(axis=0)
-    return 2.0 * times[1:] * tops.sum() + grid.integrate(vals) / grid.volume
+    for sl, rho in cols.blocks:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            h = np.stack([tab @ rho_c for rho_c, tab in zip(rho, tables)])
+            vals[:, sl] = np.log(h[:, 1:] / h[:, :1]).sum(axis=0)
+    return 2.0 * times[1:] * sum(top for _, top, _, _ in cols.runs) + grid.integrate(vals) / grid.volume
 
 
 # ---------------------------------------------------------------------------
@@ -146,36 +144,30 @@ def curvature_field(
     """Chern curvature density of the honest metric, shape (M, r, r), in
     closed form from the holomorphic derivatives of Q (see _curvature_frame).
 
-    h, a and c are combined from the jet blocks of _path_jets, as m1_rate
-    combines them.  A diagonal form (that of every diagonal 1-PS,
-    OnePS.form_at) is a permutation frame (bergman._diagonal_frame), one
-    group per value, each group's blocks weighted by that value, with no
-    eigh and no GEMM.  On P^1 its curvature is a function of |z|: it is
-    computed on grid.orbits (_orbit_grid) and repeated grid.ring times.
-    Any other form H = V Lambda V* is one group of the square root
-    F = Lambda^{1/2} V* (F*F = H), on every node of ``grid``.
+    A diagonal form of a split bundle on P^1 (every OnePS.form_at of a
+    diagonal generator) reads the column table (_column_terms): its
+    curvature is diagonal, a function of |z| on grid.orbits (_orbit_grid)
+    repeated grid.ring times.  Any other form H = V Lambda V* is the one
+    group of F = Lambda^{1/2} V* (F*F = H) in the jet blocks of
+    _path_jets, on every node of ``grid``.
 
     Normalized as a density against the quadrature measure:
     grid.integrate(trace of the result) equals the degree of E.
     """
     _only_analytic(method)
-    diagonal = _diagonal_frame(form.matrix)
-    if diagonal:
-        rotation, values = diagonal
-        cuts = [0, *(np.flatnonzero(np.diff(values)) + 1), len(values)]
-        slices = tuple(slice(i, j) for i, j in zip(cuts, cuts[1:]))
-        weights = values[cuts[:-1]]
-    else:
-        lam, v = np.linalg.eigh(form.matrix)
-        rotation, slices, weights = np.sqrt(lam)[:, None] * v.conj().T, (slice(None),), np.ones(1)
-    jets = _path_jets(basis, _orbit_grid(grid, rotation.ndim == 1), rotation, slices)
-    f_t = np.empty((basis.rank, basis.rank, len(jets.grid.nodes)), dtype=complex)
-    for sl, stack in jets.stacks:
+    if _diagonal_frame(form.matrix) and basis.bundle.kind == "split_p1":
+        cols = _columns(basis, _orbit_grid(grid, True), 0.5 * np.log(form.matrix.diagonal().real))
+        f = np.zeros((len(cols.grid.nodes), basis.rank, basis.rank), dtype=complex)
+        for sl, terms in _column_terms(basis, cols, 1.0):
+            f[sl, range(basis.rank), range(basis.rank)] = np.stack([f_c for _, f_c in terms], axis=-1)
+        return np.repeat(f, grid.ring, axis=0)
+    lam, v = np.linalg.eigh(form.matrix)
+    jets = _path_jets(basis, grid, np.sqrt(lam)[:, None] * v.conj().T, (slice(None),))
+    f_t = np.empty((basis.rank, basis.rank, len(grid.nodes)), dtype=complex)
+    for sl, stack in jets.blocks:
         twist = jets.twist[sl]
-        w, l, k = _frame_block(basis.level / twist, stack, weights, jets.grid, sl)
+        w, l, k = _curvature_frame(basis.level / twist, *kernels.finite(stack[0], grid, sl))
         f_t[..., sl] = kernels.mul(kernels.mul(kernels.ct(w), k), kernels.ct(l)) * twist
-    if jets.grid is not grid:  # one node per ring: repeat it over the ring
-        f_t = np.repeat(f_t, grid.ring, axis=-1)
     return f_t.transpose(2, 1, 0)
 
 
@@ -207,22 +199,25 @@ def _curvature_frame(fs, h, a, c):
 
 
 @dataclass(frozen=True)
-class _Jets:
-    """The 1-jet blocks of _path_jets: the grid whose nodes they were
-    formed on, (1 + |z|^2)^2 at every node, and per node block (slice,
-    stack), the (D, 3, r, r, B) stack holding G_d, A_d, C_d of the D
-    groups, node index last."""
+class _Table:
+    """What m1_rate reads (_path_table): a grid, a factor per node and per
+    node block (slice, x), node index last.  Jet blocks (_path_jets):
+    twist (1 + |z|^2)^2, x the (D, 3, r, r, B) stack of G_d, A_d, C_d of
+    the D groups.  Column table (_columns): twist (1 + |z|^2)^2 / |z|^2,
+    x the list over columns c of |Q_ic|^2 on the rows i of c, (K_c, B)
+    each, and per column ``runs`` (rows, top_c, 2 (lam - top_c),
+    (m_i - m_j)^2 for i < j, else 0)."""
 
     grid: QuadratureGrid
     twist: np.ndarray
-    stacks: list
+    blocks: list
+    runs: Optional[list] = None
 
 
-def _path_jets(basis: SectionBasis, grid: QuadratureGrid, rotation, slices) -> _Jets:
+def _path_jets(basis: SectionBasis, grid: QuadratureGrid, rotation: np.ndarray, slices) -> _Table:
     """The per-weight 1-jet blocks of the chart, per node block, for the
-    rows ``slices`` of a ``rotation`` R, a matrix or a row index, read as
-    by _groups: for a row index, a gather of the rows of Q and dQ/dz;
-    for a matrix, row slices of one GEMM each.
+    row slices ``slices`` of one GEMM of a matrix ``rotation`` R against
+    Q and one against dQ/dz.
 
     Along a 1-PS R = V* and the slices are its weight groups: with V_d
     the eigenvectors of weight w_d, B_d = V_d* Q and D_d = V_d* dQ/dz,
@@ -231,30 +226,19 @@ def _path_jets(basis: SectionBasis, grid: QuadratureGrid, rotation, slices) -> _
 
         h = sum_d e^{2 w_d t} G_d,   hdot = sum_d 2 w_d e^{2 w_d t} G_d,
         a = sum_d e^{2 w_d t} A_d,   c = sum_d e^{2 w_d t} C_d.
-
-    The nodes are those of ``grid``; the callers choose it with
-    _orbit_grid.
     """
     if grid.space_tag != "P1":
         raise NotImplementedError("curvature implemented on the P1 catalog")
     z, r = grid.nodes, basis.rank
     stacks = []
     for sl, q in kernels.blocks(basis, z):
-        dq = kernels.node_last(bundles.dq_dz_field(basis, z[sl]))
-        groups = zip(_groups(rotation, slices, q), _groups(rotation, slices, dq))
-        del dq  # a GEMM frame holds only its product
+        vq = kernels.act(rotation, q)
+        vdq = kernels.act(rotation, kernels.node_last(bundles.dq_dz_field(basis, z[sl])))
         stack = np.empty((len(slices), 3, r, r, q.shape[-1]), dtype=complex)
-        for i, (b, db) in enumerate(groups):
-            stack[i] = kernels.pair(b, b), kernels.pair(b, db), kernels.pair(db, db)
+        for i, s in enumerate(slices):
+            stack[i] = kernels.pair(vq[s], vq[s]), kernels.pair(vq[s], vdq[s]), kernels.pair(vdq[s], vdq[s])
         stacks.append((sl, stack))
-    return _Jets(grid, (1.0 + np.abs(z) ** 2) ** 2, stacks)
-
-
-def _frame_block(fs, stack, e, grid, sl: slice):
-    """(W, L, K) of _curvature_frame on the node block ``sl`` of ``grid``,
-    for h, a and c = sum_d e_d (G_d, A_d, C_d) from its jets;
-    NonFiniteChart names the first node where one of them overflowed."""
-    return _curvature_frame(fs, *kernels.finite(_weighted(e, stack), grid, sl))
+    return _Table(grid, (1.0 + np.abs(z) ** 2) ** 2, stacks)
 
 
 def _weighted(e, stack):
@@ -264,26 +248,73 @@ def _weighted(e, stack):
         return (e @ stack.reshape(len(stack), -1)).reshape(stack.shape[1:])
 
 
-def m1_rate(basis: SectionBasis, ps: OnePS, t: float, jets: _Jets) -> float:
-    """d/dt of the curvature-pairing energy at path time t:
-    int_X tr( g^{-1} dg/dt . F[g] ) on the honest metric g.
+def _columns(basis: SectionBasis, grid: QuadratureGrid, lam: np.ndarray) -> _Table:
+    """The |Q|^2 table of a split bundle on ``grid`` for the forms
+    e^{2 lam t}, lam a weight per section row; kernels.finite names an
+    overflowed |Q_ic|^2.  Row i of Q is one monomial c_i z^{m_i} in its
+    column (m = SectionBasis.characters): dQ_i / Q_i = m_i / z exactly."""
+    m, rows = basis.characters, [slice(r.start, r.stop) for r in map(basis.summand_rows, range(basis.rank))]
+    with np.errstate(over="ignore", invalid="ignore"):
+        blocks = [(sl, [kernels.finite(q[s, c].real ** 2 + q[s, c].imag ** 2, grid, sl) for c, s in enumerate(rows)])
+                  for sl, q in kernels.blocks(basis, grid.nodes)]
+    runs = [(s, lam[s].max(), 2.0 * (lam[s] - lam[s].max()), np.triu(np.subtract.outer(m[s], m[s]) ** 2.0))
+            for s in rows]
+    a = np.abs(grid.nodes) ** 2
+    return _Table(grid, (1.0 + a) ** 2 / a, blocks, runs)
 
-    ``jets`` holds the blocks of _path_jets for ps, which m1_curve forms
-    once on _orbit_grid; per node block only a D-term combination and the
-    whitened r x r algebra remain.  The integral runs over the grid the
-    jets were formed on, jets.grid.  Since g^{-1} dg/dt = -(h^{-1} hdot)^T,
-    the integrand is -(1 + |z|^2)^2 tr(X K) with X = W hdot W* and K from
-    _curvature_frame.
-    """
-    grid = jets.grid
+
+def _column_terms(basis: SectionBasis, cols: _Table, t: float):
+    """Per node block of ``cols``, (slice, [(p, F_c) per column c]) at
+    time t.  h, a and c are diagonal; with p_i = e^{2 (lam_i - top_c) t}
+    rho_i over its sum on the rows of c (p <= 1, sum p = 1), the Lagrange
+    identity S_c / h_c = (c_c h_c - |a_c|^2) / h_c^2 = sum_{i<j} p_i p_j
+    (m_i - m_j)^2 / |z|^2 sums non-negative terms (one K_c x K_c product
+    per column): nothing cancels.  F_c = (1 + |z|^2)^2 S_c / h_c - k is
+    the curvature density of column c against the quadrature measure."""
+    scales = [np.exp(shift * t) for _, _, shift, _ in cols.runs]
+    for sl, rho in cols.blocks:
+        terms = []
+        for (_, _, _, d), e, rho_c in zip(cols.runs, scales, rho):
+            w = e[:, None] * rho_c
+            p = w / w.sum(axis=0)
+            terms.append((p, cols.twist[sl] * (p * (d @ p)).sum(axis=0) - basis.level))
+        yield sl, terms
+
+
+def _path_table(basis: SectionBasis, grid: QuadratureGrid, ps: OnePS):
+    """What m1_rate reads for ps: along a diagonal 1-PS of a split bundle
+    the column table on grid.orbits (_orbit_grid), else the jet blocks of
+    the weight groups of V* on ``grid``."""
+    if ps.rows is not None and basis.bundle.kind == "split_p1":
+        return _columns(basis, _orbit_grid(grid, True), ps.eigenvalues[np.argsort(ps.rows)])
+    return _path_jets(basis, grid, ps.vectors.conj().T, ps.slices)
+
+
+def m1_rate(basis: SectionBasis, ps: OnePS, t: float, table: _Table) -> float:
+    """d/dt of the curvature-pairing energy at path time t:
+    int_X tr( g^{-1} dg/dt . F[g] ) on the honest metric g, over
+    table.grid, ``table`` the one _path_table forms for ps.  Since
+    g^{-1} dg/dt = -(h^{-1} hdot)^T, the integrand is
+    -(1 + |z|^2)^2 tr(h^{-1} hdot K).  On a column table (runs set) it is
+    -sum_c (2 top_c + sum_i p_i 2 (lam_i - top_c)) F_c with p and F_c of
+    _column_terms: no jets, no Cholesky and no overflow in t.  On jet
+    blocks, a D-term combination and the whitened r x r algebra per node
+    block: X = W hdot W* and K from _curvature_frame."""
+    grid = table.grid
+    if table.runs is not None:
+        integrand = np.zeros(len(grid.nodes))
+        for sl, terms in _column_terms(basis, table, t):
+            for (_, top, shift, _), (p, f) in zip(table.runs, terms):
+                integrand[sl] -= (2.0 * top + shift @ p) * f
+        return grid.integrate(integrand)
     weights = np.asarray(ps.weights)
     with np.errstate(over="ignore"):
         e = np.exp(2.0 * weights * t)
     e_dot = 2.0 * weights * e
     integrand = np.empty(len(grid.nodes))
-    for sl, stack in jets.stacks:
-        twist = jets.twist[sl]
-        w, _, k = _frame_block(basis.level / twist, stack, e, grid, sl)
+    for sl, stack in table.blocks:
+        twist = table.twist[sl]
+        w, _, k = _curvature_frame(basis.level / twist, *kernels.finite(_weighted(e, stack), grid, sl))
         x = kernels.mul(kernels.mul(w, _weighted(e_dot, stack[:, 0])), kernels.ct(w))
         integrand[sl] = -twist * (x * k.transpose(1, 0, 2)).sum(axis=(0, 1)).real  # tr(X K)
     return grid.integrate(integrand)
@@ -300,15 +331,14 @@ def m1_curve(
     """M1 at each requested time, in the order given, as the cumulative
     t-integral of the rate over a shared Gauss-Legendre subdivision of
     [0, max(ts)] at the sorted times, n_path // (distinct times) nodes per
-    segment, a rule built once per size (gauss_rule).  The jet blocks are
-    formed once, on _orbit_grid, and dropped on return."""
+    segment, a rule built once per size (gauss_rule).  The table the rates
+    read (_path_table) is formed once and dropped on return."""
     _only_analytic(method)
     ts = np.asarray(ts, dtype=float).ravel()
     if (ts < 0).any():
         raise ValueError("path time must be nonnegative")
     x, w = gauss_rule(max(4, n_path // max(1, len(np.unique(ts)))))
-    frame = _frame(ps)
-    jets = _path_jets(basis, _orbit_grid(grid, frame.ndim == 1), frame, ps.slices) if (ts > 0).any() else None
+    table = _path_table(basis, grid, ps) if (ts > 0).any() else None
     out = np.empty(len(ts))
     total = 0.0
     lo = 0.0
@@ -316,7 +346,7 @@ def m1_curve(
         t = ts[i]
         if t > lo:
             nodes = 0.5 * (t - lo) * (x + 1.0) + lo
-            rates = [m1_rate(basis, ps, tv, jets) for tv in nodes]
+            rates = [m1_rate(basis, ps, tv, table) for tv in nodes]
             total += 0.5 * (t - lo) * float(np.dot(w, rates))
             lo = t
         out[i] = total

@@ -10,9 +10,9 @@ sandwich is an (r, r, B) stack.  `bundles` builds the chart in that
 layout and returns it as its (B, N, r) transpose, so `node_last` gets
 it back without a copy.  An N x N form acts on every node of a block in
 one GEMM (`act`); a weight group of a 1-PS is a row slice of that
-product.  When the frame of the 1-PS is a permutation (a diagonal
-generator) no product is formed: each weight group is a gather of the
-chart's own rows.  `pair` forms x* y, a Gram as pair(x, x).  What is
+product.  A diagonal generator forms no product: on T_P2 a weight group
+is a gather of the chart's own rows, on a split bundle `donaldson` reads
+|Q_ic|^2 per column.  `pair` forms x* y, a Gram as pair(x, x).  What is
 left per node is r x r algebra, whose loops run over the small indices,
 each step one vector operation over the B nodes.  The core does not
 choose its nodes: `donaldson` hands it one node per torus orbit for a

@@ -10,8 +10,6 @@ from bml import donaldson as don
 from bml import kernels
 from bml import quadrature as qd
 
-from test_kernels import orbit_jets
-
 
 def closed_form(t: float) -> float:
     """Log-det energy of the weight-(1, -1) path on O at level one."""
@@ -129,7 +127,7 @@ def test_m1_rate_fd_matches_analytic(grid_p1, fd_reference):
     # tr(g^{-1} dg/dt F) = -tr(h^{-1} hdot F^T) for the honest g = (h^T)^{-1}
     integrand = -np.einsum("mij,mij->m", np.linalg.solve(h, hdot), ff).real
     want = grid_p1.integrate(integrand)
-    assert don.m1_rate(basis, ps, 0.5, orbit_jets(basis, grid_p1, ps)) == pytest.approx(want, rel=1e-6)
+    assert don.m1_rate(basis, ps, 0.5, don._path_table(basis, grid_p1, ps)) == pytest.approx(want, rel=1e-6)
 
 
 def test_curvature_method_accepts_only_analytic(grid_p1):
@@ -181,15 +179,6 @@ def orbit_case(name):
     return basis, bg.two_step_one_ps(basis, [1], (37 / 39, -1.0)), np.linspace(1.25, 15.0, 6), [1.25, 4.0]
 
 
-# M1 on one node per orbit keeps the roundoff of each ring's integrand,
-# which the full grid averages over 32 angles: on the trivial-saturation
-# path (M1 <= 0.12) the two differ by 2.1e-13 of M1; at k = 36 the rates,
-# whose Schur complement c - a* h^{-1} a cancels about 9 digits at the
-# outer rings, scatter by up to 1.4e-12 about the exact -148/39 over the
-# choice of node per ring, and by 1.7e-13 on the full grid
-M1_TOL = {"criterion-4-trivial": 5e-13, "level-sweep-k36": 4e-12}
-
-
 @pytest.mark.parametrize("name", ["criterion-2", "criterion-3", "criterion-4", "criterion-4-trivial",
                                   "split012-generic", "level-sweep-k36"])
 def test_orbits_match_the_full_grid(name, grid_p1_fine):
@@ -204,7 +193,10 @@ def test_orbits_match_the_full_grid(name, grid_p1_fine):
     orbits = grid_p1_fine.orbits
     full = dataclasses.replace(grid_p1_fine, ring=1)
     assert len(orbits.nodes) == len(grid_p1_fine.nodes) // 32 and full.orbits is full
-    tol = M1_TOL.get(name, 1e-13)
+    # M1 reads the column table, whose per-column sums have no
+    # cancellation: measured to 2.2e-15 (the trivial-saturation curve)
+    # and to 1.4e-15 against the exact -148/39
+    tol = 1e-14
 
     def rel(a, b):
         return np.abs(np.asarray(a) - b).max() / np.abs(b).max()
@@ -216,9 +208,9 @@ def test_orbits_match_the_full_grid(name, grid_p1_fine):
         m1 = don.m1_curve(basis, orbits, ps, ts_m1, n_path=64)
         assert rel(m1, don.m1_curve(basis, full, ps, ts_m1, n_path=64)) <= tol
         assert m1.tobytes() == don.m1_curve(basis, grid_p1_fine, ps, ts_m1, n_path=64).tobytes()
-    rates = [don.m1_rate(basis, ps, t, orbit_jets(basis, orbits, ps)) for t in ts_m1]
-    assert rel(rates, [don.m1_rate(basis, ps, t, orbit_jets(basis, full, ps)) for t in ts_m1]) <= tol
-    assert rates == [don.m1_rate(basis, ps, t, orbit_jets(basis, grid_p1_fine, ps)) for t in ts_m1]
+    rates = [don.m1_rate(basis, ps, t, don._path_table(basis, orbits, ps)) for t in ts_m1]
+    assert rel(rates, [don.m1_rate(basis, ps, t, don._path_table(basis, full, ps)) for t in ts_m1]) <= tol
+    assert rates == [don.m1_rate(basis, ps, t, don._path_table(basis, grid_p1_fine, ps)) for t in ts_m1]
     if name == "level-sweep-k36":  # each summand's block is constant along the path
         assert rel(rates, -148 / 39) <= tol
 

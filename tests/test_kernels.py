@@ -33,12 +33,6 @@ def h_ref(q):
     return herm(np.einsum("mni,mnj->mij", q.conj(), q))
 
 
-def orbit_jets(basis, grid, ps):
-    """The jet blocks m1_curve forms for ps, on _orbit_grid of ``grid``."""
-    frame = don._frame(ps)
-    return don._path_jets(basis, don._orbit_grid(grid, frame.ndim == 1), frame, ps.slices)
-
-
 def positive_form(n, rng):
     g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     h = g @ g.conj().T + n * np.eye(n)
@@ -211,12 +205,10 @@ def test_m2_along_path_work_shape(grid_p1, monkeypatch, rng):
 @pytest.mark.parametrize("k, diag", [(3, None), (36, None), (2, (0.5, -1.0, 0.5))],
                          ids=["3", "36", "O(0)-k2"])
 def test_permutation_frame_is_a_row_gather(k, diag, grid_p1, monkeypatch):
-    """For a diagonal generator the weight groups of V* Q are read from
-    the rows of Q: M2 and the jet blocks agree with the GEMM by V*, and
-    kernels.act is not called; without rows it is called once per node
-    block for Q (and once more for dQ/dz in the jets).  The two-step 1-PS
-    of O(0)+O(2) has consecutive groups, diag(1/2, -1, 1/2) on O(0) one
-    that is not."""
+    """For a diagonal generator M2 reads the rows of Q: it agrees with the
+    GEMM by V*, and kernels.act is not called; without rows it is called
+    once per node block.  The two-step 1-PS of O(0)+O(2) has consecutive
+    groups, diag(1/2, -1, 1/2) on O(0) one that is not."""
     if diag is None:
         basis = bd.section_basis(bd.split(0, 2), k)
         ps = bg.two_step_one_ps(basis, [1], ((k + 1) / (k + 3), -1.0))
@@ -229,17 +221,11 @@ def test_permutation_frame_is_a_row_gather(k, diag, grid_p1, monkeypatch):
     monkeypatch.setattr(kernels, "act", counted(calls, "act", kernels.act))
     ts = [1.25, 6.0, 15.0]
     m2 = {}
-    jets = {}
     for name, p, acts in (("gather", ps, 0), ("gemm", gemm, n_blocks)):
         calls.update(act=0)
         m2[name] = don.m2_along_path(basis, grid_p1, p, ts)
         assert calls == {"act": acts}
-        jets[name] = don._path_jets(basis, grid_p1, don._frame(p), p.slices)
-        assert calls == {"act": 3 * acts}
     assert rel(m2["gather"], m2["gemm"]) <= 1e-14
-    for (sl, a), (sl_gemm, b) in zip(jets["gather"].stacks, jets["gemm"].stacks, strict=True):
-        assert sl == sl_gemm
-        assert rel(a, b) <= 1e-14
 
 
 def dense_groups(rotation, slices, q):
@@ -281,6 +267,33 @@ def dense_column_m2(basis, grid, ps, ts):
             h = table @ (x.real ** 2 + x.imag ** 2)
             vals[:, sl] += np.log(h[1:] / h[0])
     return 2.0 * ts * shift + np.asarray([grid.integrate(v) for v in vals]) / grid.volume
+
+
+def dense_column_rate(basis, grid, ps, t):
+    """m1_rate of a diagonal 1-PS of a split bundle as a plain loop over
+    fibre columns c and node blocks: with p_i = e^{2 (lam_i - top_c) t}
+    |Q_ic|^2 normalized over the rows of summand c, the integrand is
+    -sum_c (2 top_c + sum_i p_i 2 (lam_i - top_c)) F_c, where
+    F_c = (1 + |z|^2)^2 / |z|^2 sum_{i<j} p_i p_j (m_i - m_j)^2 - k."""
+    lam = np.empty(basis.dimension)
+    lam[ps.rows] = ps.eigenvalues
+    a = np.abs(grid.nodes) ** 2
+    stretch = (1.0 + a) ** 2 / a
+    integrand = np.zeros(len(grid.nodes))
+    for c in range(basis.rank):
+        rows = basis.summand_rows(c)
+        m = basis.characters[rows.start : rows.stop]
+        top = lam[rows].max()
+        shift = 2.0 * (lam[rows] - top)
+        pairs = np.arange(len(m))[:, None] < np.arange(len(m))
+        d = np.where(pairs, (m[:, None] - m[None, :]) ** 2, 0).astype(float)
+        for sl, q in kernels.blocks(basis, grid.nodes):
+            x = q[rows.start : rows.stop, c]
+            w = np.exp(shift * t)[:, None] * (x.real ** 2 + x.imag ** 2)
+            p = w / w.sum(axis=0)
+            f = stretch[sl] * (p * (d @ p)).sum(axis=0) - basis.level
+            integrand[sl] -= (2.0 * top + shift @ p) * f
+    return grid.integrate(integrand)
 
 
 def dense_jets(basis, grid, ps):
@@ -345,9 +358,10 @@ def test_narrow_groups_match_the_dense_algorithm(name, k, grid_p1, grid_p2):
     """M2, the jet blocks and m1_rate are bitwise those of the plain
     algorithm over every fibre column (dense_m2, dense_jets, dense_rate),
     for consecutive and scattered weight groups, a GEMM frame and T_P2.
-    A diagonal 1-PS of a split bundle has a diagonal h(t): its M2 is
-    bitwise that of the plain per-column loop (dense_column_m2), and the
-    Gram route agrees with it to roundoff."""
+    A diagonal 1-PS of a split bundle has a diagonal h(t): its M2 and
+    m1_rate are bitwise those of the plain per-column loops
+    (dense_column_m2, dense_column_rate), and the Gram and jet routes of
+    the same generator in a GEMM frame agree with them to roundoff."""
     basis, ps = narrow_case(name, k)
     grid = grid_p2 if name == "T_P2" else grid_p1
     ts = np.array([0.5, 3.0, 12.0])
@@ -360,14 +374,25 @@ def test_narrow_groups_match_the_dense_algorithm(name, k, grid_p1, grid_p2):
         assert np.abs(got - dense_m2(basis, grid.orbits, ps, ts)).max() <= 1e-13 * max(1.0, np.abs(got).max())
     if name == "T_P2":
         return  # the jets are implemented on P^1 only
-    got = don._path_jets(basis, grid, don._frame(ps), ps.slices)
-    dense = dense_jets(basis, grid, ps)
-    for (sl, a), (sl_want, b) in zip(got.stacks, dense, strict=True):
-        assert sl == sl_want
-        assert a.tobytes() == b.tobytes()
+    if name == "gemm":
+        got = don._path_table(basis, grid, ps)
+        dense = dense_jets(basis, grid, ps)
+        for (sl, a), (sl_want, b) in zip(got.blocks, dense, strict=True):
+            assert sl == sl_want
+            assert a.tobytes() == b.tobytes()
+        for t in ts:
+            assert np.float64(don.m1_rate(basis, ps, t, got)).tobytes() == \
+                np.float64(dense_rate(basis, grid, dense, ps, t)).tobytes()
+        return
+    table = don._path_table(basis, grid, ps)
+    gemm = dataclasses.replace(ps, rows=None)
+    jets = dense_jets(basis, grid, gemm)
     for t in ts:
-        assert np.float64(don.m1_rate(basis, ps, t, got)).tobytes() == \
-            np.float64(dense_rate(basis, grid, dense, ps, t)).tobytes()
+        rate = don.m1_rate(basis, ps, t, table)
+        assert np.float64(rate).tobytes() == np.float64(dense_column_rate(basis, grid.orbits, ps, t)).tobytes()
+        # the jets' Schur complement cancels digits at the outer rings:
+        # measured up to 2.6e-13 (k = 36), 1.8e-14 elsewhere
+        assert abs(rate - dense_rate(basis, grid, jets, gemm, t)) <= 1e-12 * max(1.0, abs(rate))
 
 
 def curvature_reference(basis, H, z):
@@ -405,7 +430,7 @@ def check_curvature_and_m1_rate(basis, grid, ps, t):
     assert rel(f / jacobian, curvature_reference(basis, H, z)) < TOL
 
     want, scale = m1_rate_reference(basis, grid, ps, t)
-    got = don.m1_rate(basis, ps, t, orbit_jets(basis, grid, ps))
+    got = don.m1_rate(basis, ps, t, don._path_table(basis, grid, ps))
     # a single weight has hdot = 0: both rates vanish and scale is 0
     assert abs(got - want) <= TOL * scale
     # held jet blocks give the very same number
@@ -414,20 +439,34 @@ def check_curvature_and_m1_rate(basis, grid, ps, t):
 
 
 def test_curvature_outer_ring(split_basis, grid_p1, rng):
-    """curvature_field against the FS measure, node by node: there the
-    entries at the outer ring are the largest, not 1e-15 of them.  The
-    two-step form is diagonal, so its frame is read from the diagonal,
-    with no eigh and no GEMM."""
-    k = split_basis.level
+    """curvature_field of a form in a GEMM frame against the FS measure,
+    node by node: there the entries at the outer ring are the largest,
+    not 1e-15 of them.  A diagonal form reads the column table, checked
+    exactly by test_two_step_curvature_is_the_degree_split."""
     z = grid_p1.nodes
-    for ps in (bg.random_two_weight_ps(split_basis.dimension, rng),
-               bg.two_step_one_ps(split_basis, [1], ((k + 1) / (k + 3), -1.0))):
-        H = ps.form_at(0.8).matrix
-        got = don.curvature_field(split_basis, grid_p1, bg.HermitianForm(H), method="analytic")
-        want = np.pi * (1.0 + np.abs(z) ** 2)[:, None, None] ** 2 * curvature_reference(split_basis, H, z)
-        err = np.abs(got - want).max(axis=(1, 2)) / np.abs(want).max(axis=(1, 2))
-        assert err.max() < 1e-7
-    assert np.count_nonzero(H) == split_basis.dimension
+    H = bg.random_two_weight_ps(split_basis.dimension, rng).form_at(0.8).matrix
+    got = don.curvature_field(split_basis, grid_p1, bg.HermitianForm(H), method="analytic")
+    want = np.pi * (1.0 + np.abs(z) ** 2)[:, None, None] ** 2 * curvature_reference(split_basis, H, z)
+    err = np.abs(got - want).max(axis=(1, 2)) / np.abs(want).max(axis=(1, 2))
+    assert err.max() < 1e-7
+
+
+@pytest.mark.parametrize("k", [3, 20, 36])
+def test_two_step_curvature_is_the_degree_split(k, grid_p1_fine):
+    """Along the two-step 1-PS of O(0)+O(2) each column has one weight,
+    so the honest metric is h_ref's, whose curvature against the FS
+    measure is exactly diag(0, 2) at every node: the column table's sum
+    of non-negative terms keeps it to 6.4e-14 (k = 36) at all 10,240
+    nodes of the default grid, the outer ring included."""
+    basis = bd.section_basis(bd.split(0, 2), k)
+    ps = bg.two_step_one_ps(basis, [1], ((k + 1) / (k + 3), -1.0))
+    want = np.zeros((len(grid_p1_fine.nodes), 2, 2))
+    want[:, 1, 1] = 2.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (0.2, 1.0, 3.0):
+            f = don.curvature_field(basis, grid_p1_fine, ps.form_at(t), method="analytic")
+            assert f.shape == want.shape and np.abs(f - want).max() <= 1e-12
 
 
 def test_curvature_and_m1_rate(split_basis, grid, rng):
@@ -440,32 +479,38 @@ def test_curvature_and_m1_rate_weight_kinds(kind, split_basis, grid, rng):
 
 
 def test_m1_curve_work_shape(grid_p1, monkeypatch, rng):
-    """Chart values and their derivatives once per node block, whatever
-    the number of Gauss nodes, one rate per Gauss node, and no H(t).  The
-    held jets are one (D, 3, r, r, B) stack per node block.  Node blocks
-    are those of the nodes integrated over: one node per torus orbit for
-    the diagonal two-step 1-PS, the whole grid in a GEMM frame."""
+    """Chart values once per node block, whatever the number of Gauss
+    nodes, one rate per Gauss node, and no H(t).  In a GEMM frame, on the
+    whole grid, the derivatives once per node block too, and the held
+    table is one (D, 3, r, r, B) jet stack per node block.  The diagonal
+    two-step 1-PS, on one node per torus orbit, forms no derivative: its
+    table is the real |Q_ic|^2 of each column's rows per node block."""
     basis = bd.section_basis(bd.split(0, 2), 3)
     calls = {"q_field": 0, "dq_dz_field": 0, "m1_rate": 0, "form_at": 0}
     held = []
-    path_jets = don._path_jets
+    path_table = don._path_table
     monkeypatch.setattr(bd, "q_field", counted(calls, "q_field", bd.q_field))
     monkeypatch.setattr(bd, "dq_dz_field", counted(calls, "dq_dz_field", bd.dq_dz_field))
     monkeypatch.setattr(don, "m1_rate", counted(calls, "m1_rate", don.m1_rate))
     monkeypatch.setattr(bg.OnePS, "form_at", counted(calls, "form_at", bg.OnePS.form_at))
-    monkeypatch.setattr(don, "_path_jets", lambda *args: held.append(path_jets(*args)) or held[-1])
+    monkeypatch.setattr(don, "_path_table", lambda *args: held.append(path_table(*args)) or held[-1])
     for ps, grid in ((weight_kind_ps("three", basis.dimension, rng), grid_p1),
                      (bg.two_step_one_ps(basis, [1], (4 / 6, -1.0)), grid_p1.orbits),
                      (bg.random_two_weight_ps(basis.dimension, rng), grid_p1)):
         n_blocks, sizes = node_blocks(grid)
+        columns = grid is grid_p1.orbits
         for ts, n_path, n_gauss in (([2.0], 4, 4), ([1.0, 3.0], 24, 24)):
             calls.update(q_field=0, dq_dz_field=0, m1_rate=0, form_at=0)
             held.clear()
             don.m1_curve(basis, grid_p1, ps, ts, n_path=n_path)
-            assert calls == {"q_field": n_blocks, "dq_dz_field": n_blocks, "m1_rate": n_gauss, "form_at": 0}
-            [jets] = held
-            assert jets.grid is grid
-            assert [stack.shape for _, stack in jets.stacks] == [(len(ps.weights), 3, 2, 2, b) for b in sizes]
+            assert calls == {"q_field": n_blocks, "dq_dz_field": 0 if columns else n_blocks,
+                             "m1_rate": n_gauss, "form_at": 0}
+            [table] = held
+            assert table.grid is grid
+            if columns:  # |Q_ic|^2 on the rows of each column c
+                assert [[x.shape for x in rho] for _, rho in table.blocks] == [[(4, b), (6, b)] for b in sizes]
+            else:
+                assert [x.shape for _, x in table.blocks] == [(len(ps.weights), 3, 2, 2, b) for b in sizes]
     # The Gauss-Legendre rule is built once per size, read-only.
     rules = {"leggauss": 0}
     gauss_rule.cache_clear()
@@ -616,10 +661,14 @@ def test_fibre_factorization_names_its_failures(factorize, node, rng):
 
 def test_block_size_does_not_move_results(grid_p1, monkeypatch, rng):
     """Every kernel path gives byte-identical per-node outputs at every
-    block size; B(H), summed over nodes per block, moves in its last bits."""
+    block size, the column table of a generic diagonal 1-PS (144 orbit
+    nodes) included; B(H), summed over nodes per block, moves in its
+    last bits."""
     basis = bd.section_basis(bd.split(0, 2), 3)
     ps = bg.random_two_weight_ps(basis.dimension, rng)
     form = ps.form_at(1.0)
+    lam = rng.normal(size=basis.dimension)
+    diagonal = bg.one_ps(np.diag(lam - lam.mean()))
 
     def outputs():
         b, ld, wh = kernels.b_matrix(basis, grid_p1, form.matrix, None)
@@ -627,6 +676,9 @@ def test_block_size_does_not_move_results(grid_p1, monkeypatch, rng):
             don.m2_along_path(basis, grid_p1, ps, [0.5, 2.0]),
             don.m1_curve(basis, grid_p1, ps, [1.0], n_path=4),
             don.curvature_field(basis, grid_p1, form, method="analytic"),
+            don.m2_along_path(basis, grid_p1, diagonal, [0.5, 2.0]),
+            don.m1_curve(basis, grid_p1, diagonal, [1.0], n_path=4),
+            don.curvature_field(basis, grid_p1, diagonal.form_at(1.0), method="analytic"),
             bg.fs_metric(basis, grid_p1, form),
             bd.h_ref_field(basis, grid_p1),
             ld,
@@ -650,8 +702,8 @@ def test_repeated_calls_are_byte_identical(grid_p1, rng):
     H = ps.form_at(0.7).matrix
     b = kernels.b_matrix(basis, grid_p1, H, None)[0]
     assert b.tobytes() == kernels.b_matrix(basis, grid_p1, H, None)[0].tobytes()
-    rate = don.m1_rate(basis, ps, 0.7, orbit_jets(basis, grid_p1, ps))
-    assert rate == don.m1_rate(basis, ps, 0.7, orbit_jets(basis, grid_p1, ps))
+    rate = don.m1_rate(basis, ps, 0.7, don._path_table(basis, grid_p1, ps))
+    assert rate == don.m1_rate(basis, ps, 0.7, don._path_table(basis, grid_p1, ps))
 
 
 def test_overflowing_chart_names_the_node(grid_p1_fine):
@@ -701,6 +753,23 @@ def test_diagonal_m2_far_along_the_path(grid_p1_fine):
         err = don.m2_along_path(basis, grid_p1_fine, ps, ts) - (2.0 * ts / np.tanh(2.0 * ts) - 1.0)
     assert 8e-9 < err[0] < 9e-9
     assert np.abs(err[1:] - err[0]).max() <= 1e-12
+
+
+def test_diagonal_m1_far_along_the_path(grid_p1_fine):
+    """The column table scales each column by its top weight, so m1_rate
+    of a diagonal 1-PS of a split bundle neither overflows nor loses
+    positivity far along the path.  On the two-step path of O(0)+O(2)
+    each column has one weight and the rate is exactly -2 w_1 deg O(2):
+    -8/3 at k = 3, -148/39 at k = 36 (measured to 1.7e-16 and 1.4e-15)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k, ts in ((3, [0.5, 10.0, 100.0, 400.0, 1000.0]), (36, [1.25, 4.0, 100.0])):
+            basis = bd.section_basis(bd.split(0, 2), k)
+            ps = bg.two_step_one_ps(basis, [1], ((k + 1) / (k + 3), -1.0))
+            table = don._path_table(basis, grid_p1_fine, ps)
+            exact = -4.0 * (k + 1) / (k + 3)
+            for t in ts:
+                assert abs(don.m1_rate(basis, ps, t, table) - exact) <= 1e-14 * abs(exact), (k, t)
 
 
 @pytest.mark.parametrize("z, u", [

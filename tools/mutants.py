@@ -37,9 +37,9 @@ MUTANTS = (
     ("orbits-for-any-1ps", "src/bml/donaldson.py",
      "return grid.orbits if invariant else grid",
      "return grid.orbits"),
-    ("curvature-orbits-for-any-form", "src/bml/donaldson.py",
-     "jets = _path_jets(basis, _orbit_grid(grid, rotation.ndim == 1), rotation, slices)",
-     "jets = _path_jets(basis, grid.orbits, rotation, slices)"),
+    ("curvature-columns-for-any-form", "src/bml/donaldson.py",
+     'if _diagonal_frame(form.matrix) and basis.bundle.kind == "split_p1":',
+     'if basis.bundle.kind == "split_p1":'),
     ("left-panels-ungraded", "src/bml/quadrature.py",
      "left = [2.0 ** (-j) for j in range(depth, 1, -1)]",
      "left = [0.5 * i / depth for i in range(1, depth)]"),
@@ -102,11 +102,18 @@ MUTANTS = (
      "v[..., :m] += v[..., n - m : n]",
      "v[:m] += v[n - m : n]"),
     ("m2-columns-no-top-shift", "src/bml/donaldson.py",
-     "tops = np.array([lam[s].max() for s in runs])",
-     "tops = np.zeros(len(runs))"),
-    ("m2-columns-wrong-column", "src/bml/donaldson.py",
-     "tab @ rho[s, c]",
-     "tab @ rho[s, 0]"),
+     "    tables = [np.exp(np.outer(times, shift)) for _, _, shift, _ in cols.runs]\n",
+     "    tables = [np.exp(np.outer(times, shift + 2.0 * top)) for _, top, shift, _ in cols.runs]\n"
+     "    cols = _Table(cols.grid, cols.twist, cols.blocks, [(s, 0.0, *r) for s, _, *r in cols.runs])\n"),
+    ("columns-wrong-column", "src/bml/donaldson.py",
+     "kernels.finite(q[s, c].real ** 2 + q[s, c].imag ** 2, grid, sl)",
+     "kernels.finite(q[s, 0].real ** 2 + q[s, 0].imag ** 2, grid, sl)"),
+    ("m1-columns-no-top-shift", "src/bml/donaldson.py",
+     "scales = [np.exp(shift * t) for _, _, shift, _ in cols.runs]",
+     "scales = [np.exp((shift + 2.0 * top) * t) for _, top, shift, _ in cols.runs]"),
+    ("m1-columns-characters-off-by-one", "src/bml/donaldson.py",
+     "np.subtract.outer(m[s], m[s])",
+     "np.subtract.outer(m[s], m[s] + 1)"),
     ("form-energy-end-at-one", "src/bml/donaldson.py",
      "    t = [max(1.0, float(np.abs(logs).max()))]\n",
      "    t = [1.0]\n"),
