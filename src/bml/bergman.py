@@ -13,11 +13,9 @@ Both identities are computed in the eigenframe of the generator,
 zeta = V Lambda V*, from the square-root factor sigma(t) = e^{Lambda t} V*
 of H(t) = sigma* sigma: with A = sigma Q, h = A*A and
 Q* H(t) u^j Q = A* (2 Lambda)^j A for u = 2 zeta, so the form is never
-assembled and nothing is inverted.  `_groups` reads the weight groups
-of V* Q: rows of the chart itself for a permutation frame, one GEMM
-otherwise, over every fibre column.  It gives donaldson those of a node
-block of the chart, and the identities V* Q(x) at one node, whose row
-scaling by e^{Lambda t} is A(t).  Since u is real,
+assembled and nothing is inverted.  V* Q(x) is one product at one node,
+a row permutation of Q(x) for a diagonal generator, and its row scaling
+by e^{Lambda t} is A(t).  Since u is real,
 A* u^2 A = (uA)* (uA): the Gram of the 1-jet J = [A | uA] holds all
 three moment matrices as its blocks (`_jet_gram`).  `OnePS.form_at`,
 which does assemble the form, loses positivity to roundoff once
@@ -75,9 +73,9 @@ class OnePS:
     eigenspaces, grouped so that columns ``slices[i]`` belong to
     ``weights[i]``.  Construction rescales the generator so its operator
     norm is at most one.  For a diagonal generator ``vectors`` is the
-    permutation matrix of exact unit columns ``rows``, so that weight
-    group i of V* Q is the chart's own rows rows[slices[i]] (see
-    _groups); ``rows`` is None for any other generator.
+    permutation matrix of exact unit columns ``rows``, so that V* Q is
+    Q[rows] exactly; ``rows`` marks such a generator for donaldson's
+    column route and is None for any other.
     """
 
     generator: np.ndarray
@@ -118,27 +116,10 @@ class OnePS:
             ) from err
 
 
-def _frame(ps: OnePS) -> np.ndarray:
-    """The rotation V* of the eigenframe, or its row index ``rows`` when
-    V is a permutation."""
-    return ps.vectors.conj().T if ps.rows is None else ps.rows
-
-
-def _groups(rotation: np.ndarray, slices, q: np.ndarray) -> list:
-    """The row groups ``slices`` of rotation Q, one (K_d, r, B) stack
-    each, for a node-last chart block q ((K_d, r) for one node's (N, r)
-    chart), over every fibre column: for an index array (OnePS.rows) the
-    gather q[rotation[s]], a copy; for a matrix a row slice of one GEMM."""
-    if rotation.ndim == 1:
-        return [q[rotation[s]] for s in slices]
-    vq = kernels.act(rotation, q)
-    return [vq[s] for s in slices]
-
-
 def _diagonal_frame(m: np.ndarray):
     """For a diagonal m, (rows, values): the stable sort of its real
-    diagonal in decreasing order as the row index that _groups reads, and
-    the diagonal in that order; None for any other m."""
+    diagonal in decreasing order as a row index (OnePS.rows), and the
+    diagonal in that order; None for any other m."""
     if np.count_nonzero(m) == np.count_nonzero(m.diagonal()):
         rows = np.argsort(-m.diagonal().real, kind="stable")
         return rows, m.diagonal().real[rows]
@@ -233,7 +214,7 @@ FD_STEP = 1e-4
 def _chart_at(basis: SectionBasis, ps: OnePS, x):
     """Q(x) and V* Q(x), both (N, r); call it under np.errstate."""
     q = q_field(basis, np.asarray([x]))[0]
-    return q, _groups(_frame(ps), (slice(None),), q)[0]
+    return q, ps.vectors.conj().T @ q
 
 
 def _jet_gram(a: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -26,6 +26,10 @@ class LevelBelowRegularity(ValueError):
     pass
 
 
+class LevelTooLarge(ValueError):
+    """The orthonormal coefficients of the level overflow a float."""
+
+
 def split(*degrees: int) -> xs.SheafData:
     return xs.split_p1(degrees)
 
@@ -81,16 +85,20 @@ def section_basis(bundle: xs.SheafData, k: int, orthonormal: bool = True) -> Sec
         raise LevelBelowRegularity(
             f"level {k} is below the regularity {bundle.regularity()}"
         )
-    if bundle.kind == "split_p1":
+    try:
+        if bundle.kind != "split_p1":
+            return _euler_basis(k, orthonormal)
         runs, n = [], 0
         for col, a in enumerate(bundle.degrees):
             d = a + k
             coeffs = np.array([sqrt((d + 1) * comb(d, m)) for m in range(d + 1)]) if orthonormal else np.ones(d + 1)
             runs.append((n, coeffs, (0,), col))
             n += d + 1
-        assert n == bundle.h0_at(k)
-        return SectionBasis(bundle=bundle, level=k, dimension=n, data=tuple(runs))
-    return _euler_basis(k, orthonormal)
+    except OverflowError as err:
+        raise LevelTooLarge(f"level {k}: the orthonormal basis coefficients of {bundle.label} "
+                            f"overflow a float ({err})") from err
+    assert n == bundle.h0_at(k)
+    return SectionBasis(bundle=bundle, level=k, dimension=n, data=tuple(runs))
 
 
 def _euler_basis(k: int, orthonormal: bool) -> SectionBasis:
@@ -108,12 +116,13 @@ def _euler_basis(k: int, orthonormal: bool) -> SectionBasis:
     the second and third slots are runs over a2 at fixed a1.
     """
     d = k + 1
+    f = [factorial(i) for i in range(k + 5)]
 
     def coefficient(slot, a1, a2):
         # (k+4)! / (square norm), an exact integer ratio rounded once
-        num = factorial(a1) * factorial(a2)
-        num *= k + 3 if slot == 0 else factorial(k + 2 - a1 - a2)
-        return sqrt(factorial(k + 4) / num) if orthonormal else 1.0
+        if not orthonormal:
+            return 1.0
+        return sqrt(f[k + 4] / (f[a1] * f[a2] * (k + 3 if slot == 0 else f[k + 2 - a1 - a2])))
 
     runs = [(a1, np.array([-coefficient(0, a1, d - a1)]), (a1 + 1 - col, d - a1 + col), col)
             for a1 in range(d + 1) for col in (0, 1)]

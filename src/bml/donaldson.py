@@ -40,7 +40,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import bundles, kernels
-from .bergman import HermitianForm, OnePS, _diagonal_frame, _frame, _groups, one_ps
+from .bergman import HermitianForm, OnePS, _diagonal_frame, one_ps
 from .bundles import SectionBasis
 from .quadrature import QuadratureGrid, gauss_rule
 
@@ -59,7 +59,7 @@ def _orbit_grid(grid: QuadratureGrid, invariant: bool) -> QuadratureGrid:
     on |z| alone, and P = Q h^{-1} Q* at e^{i theta} z is Lambda P(z)
     Lambda*, whose ring average is one node's value with those entries
     set to 0 (the balance solvers' mask).  A diagonal 1-PS (eigenframe a
-    row index, bergman._frame) has diagonal forms; a T- or LM-solve from
+    row index, OnePS.rows) has diagonal forms; a T- or LM-solve from
     such an H0 stays on them.  A P^2 grid is its own quotient."""
     return grid.orbits if invariant else grid
 
@@ -80,27 +80,25 @@ def m2_along_path(
         h(t) = sum_d e^{2 w_d t} G_d,    h_ref = Q*Q = sum_d G_d
 
     (V is unitary).  Per block of the chart, which arrives node-last from
-    `bundles.q_field`, the weight groups V_d* Q are read by _groups: for a
-    permutation frame (that of every diagonal generator, OnePS.rows) a
-    gather of the chart's own rows; any other frame costs one GEMM.
-    Every h(t_j), with h_ref as t_0 = 0, comes from the table
+    `bundles.q_field`, the weight groups V_d* Q are row slices of one GEMM
+    by V*.  Every h(t_j), with h_ref as t_0 = 0, comes from the table
     e^{2 w_d t_j} in one GEMM per matrix entry, one Cholesky pass gives
-    all their log-dets and one integrate call all their integrals.  Each G_d is bounded by h_ref, so a block overflows
-    only where the reference or a path metric does: NonFiniteChart names
-    it, by its index in ``grid``.  For a diagonal 1-PS the nodes are those
-    of grid.orbits (_orbit_grid), and on a split bundle h(t) is diagonal
-    and needs no factorization (_m2_columns).
+    all their log-dets and one integrate call all their integrals.  Each
+    G_d is bounded by h_ref, so a block overflows only where the reference
+    or a path metric does: NonFiniteChart names it, by its index in
+    ``grid``.  For a diagonal 1-PS of a split bundle (OnePS.rows) the nodes
+    are those of grid.orbits (_orbit_grid), and h(t) is diagonal and needs
+    no factorization (_m2_columns).
     """
-    frame = _frame(ps)
-    grid = _orbit_grid(grid, frame.ndim == 1)
     times = np.concatenate([[0.0], np.asarray(ts, dtype=float).ravel()])
-    if frame.ndim == 1 and basis.bundle.kind == "split_p1":
-        return _m2_columns(basis, grid, ps, times)
+    if ps.rows is not None and basis.bundle.kind == "split_p1":
+        return _m2_columns(basis, _orbit_grid(grid, True), ps, times)
     with np.errstate(over="ignore"):
         table = np.exp(2.0 * np.outer(ps.weights, times))
     vals = np.empty((len(times), len(grid.nodes)))
     for sl, q in kernels.blocks(basis, grid.nodes):
-        grams = np.stack([kernels.pair(b, b) for b in _groups(frame, ps.slices, q)], axis=2)
+        vq = kernels.act(ps.vectors.conj().T, q)
+        grams = np.stack([kernels.pair(vq[s], vq[s]) for s in ps.slices], axis=2)
         with np.errstate(over="ignore", invalid="ignore"):
             h = table.T @ grams  # (r, r, T+1, B)
         vals[:, sl] = kernels.logdet(kernels.finite(h, grid, sl))
@@ -114,7 +112,7 @@ def _m2_columns(basis: SectionBasis, grid: QuadratureGrid, ps: OnePS, times: np.
     rows i of column c, one real GEMM per column against a table no entry
     of which exceeds 1, and M2(t) = 2 t sum_c top_c + int sum_c
     log(h_c(t) / h_c(0)) / Vol."""
-    cols = _columns(basis, grid, ps.eigenvalues[np.argsort(ps.rows)])
+    cols = _columns(basis, grid, ps.eigenvalues[np.argsort(ps.rows)], False)
     tables = [np.exp(np.outer(times, shift)) for _, _, shift, _ in cols.runs]
     vals = np.empty((len(times) - 1, len(grid.nodes)))
     for sl, rho in cols.blocks:
@@ -156,7 +154,7 @@ def curvature_field(
     """
     _only_analytic(method)
     if _diagonal_frame(form.matrix) and basis.bundle.kind == "split_p1":
-        cols = _columns(basis, _orbit_grid(grid, True), 0.5 * np.log(form.matrix.diagonal().real))
+        cols = _columns(basis, _orbit_grid(grid, True), 0.5 * np.log(form.matrix.diagonal().real), True)
         f = np.zeros((len(cols.grid.nodes), basis.rank, basis.rank), dtype=complex)
         for sl, terms in _column_terms(basis, cols, 1.0):
             f[sl, range(basis.rank), range(basis.rank)] = np.stack([f_c for _, f_c in terms], axis=-1)
@@ -206,7 +204,8 @@ class _Table:
     the D groups.  Column table (_columns): twist (1 + |z|^2)^2 / |z|^2,
     x the list over columns c of |Q_ic|^2 on the rows i of c, (K_c, B)
     each, and per column ``runs`` (rows, top_c, 2 (lam - top_c),
-    (m_i - m_j)^2 for i < j, else 0)."""
+    (m_i - m_j)^2 for i < j, else 0); M2's has neither the twist nor the
+    pair matrices."""
 
     grid: QuadratureGrid
     twist: np.ndarray
@@ -248,19 +247,21 @@ def _weighted(e, stack):
         return (e @ stack.reshape(len(stack), -1)).reshape(stack.shape[1:])
 
 
-def _columns(basis: SectionBasis, grid: QuadratureGrid, lam: np.ndarray) -> _Table:
+def _columns(basis: SectionBasis, grid: QuadratureGrid, lam: np.ndarray, pairs: bool) -> _Table:
     """The |Q|^2 table of a split bundle on ``grid`` for the forms
     e^{2 lam t}, lam a weight per section row; kernels.finite names an
     overflowed |Q_ic|^2.  Row i of Q is one monomial c_i z^{m_i} in its
-    column (m = SectionBasis.characters): dQ_i / Q_i = m_i / z exactly."""
+    column (m = SectionBasis.characters): dQ_i / Q_i = m_i / z exactly.
+    The pair matrices and the node factor, which M1 and the curvature
+    read and M2 does not, are formed only with ``pairs`` (else None)."""
     m, rows = basis.characters, [slice(r.start, r.stop) for r in map(basis.summand_rows, range(basis.rank))]
     with np.errstate(over="ignore", invalid="ignore"):
         blocks = [(sl, [kernels.finite(q[s, c].real ** 2 + q[s, c].imag ** 2, grid, sl) for c, s in enumerate(rows)])
                   for sl, q in kernels.blocks(basis, grid.nodes)]
-    runs = [(s, lam[s].max(), 2.0 * (lam[s] - lam[s].max()), np.triu(np.subtract.outer(m[s], m[s]) ** 2.0))
-            for s in rows]
+    runs = [(s, lam[s].max(), 2.0 * (lam[s] - lam[s].max()),
+             np.triu(np.subtract.outer(m[s], m[s]) ** 2.0) if pairs else None) for s in rows]
     a = np.abs(grid.nodes) ** 2
-    return _Table(grid, (1.0 + a) ** 2 / a, blocks, runs)
+    return _Table(grid, (1.0 + a) ** 2 / a if pairs else None, blocks, runs)
 
 
 def _column_terms(basis: SectionBasis, cols: _Table, t: float):
@@ -286,7 +287,7 @@ def _path_table(basis: SectionBasis, grid: QuadratureGrid, ps: OnePS):
     the column table on grid.orbits (_orbit_grid), else the jet blocks of
     the weight groups of V* on ``grid``."""
     if ps.rows is not None and basis.bundle.kind == "split_p1":
-        return _columns(basis, _orbit_grid(grid, True), ps.eigenvalues[np.argsort(ps.rows)])
+        return _columns(basis, _orbit_grid(grid, True), ps.eigenvalues[np.argsort(ps.rows)], True)
     return _path_jets(basis, grid, ps.vectors.conj().T, ps.slices)
 
 

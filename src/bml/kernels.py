@@ -5,20 +5,19 @@ one block of at most BLOCK nodes at a time and are dropped with the
 block, unless the caller holds the list of blocks, its chart, as a
 balance solve does.  Inside the core every per-node value has one
 layout, the node index last: a block of chart values or of their
-z-derivatives is an (N, r, B) stack, section index first, and a
-sandwich is an (r, r, B) stack.  `bundles` builds the chart in that
-layout and returns it as its (B, N, r) transpose, so `node_last` gets
-it back without a copy.  An N x N form acts on every node of a block in
-one GEMM (`act`); a weight group of a 1-PS is a row slice of that
-product.  A diagonal generator forms no product: on T_P2 a weight group
-is a gather of the chart's own rows, on a split bundle `donaldson` reads
-|Q_ic|^2 per column.  `pair` forms x* y, a Gram as pair(x, x).  What is
-left per node is r x r algebra, whose loops run over the small indices,
-each step one vector operation over the B nodes.  The core does not
-choose its nodes: `donaldson` hands it one node per torus orbit for a
-diagonal path on P^1 and for a balance solve from a torus-invariant
-form, whose B(H) `balance` then masks by character.  Per-node outputs are
-written into full-length arrays before any quadrature sum and do not
+z-derivatives is an (N, r, B) stack, section index first, and a sandwich
+is an (r, r, B) stack.  `bundles` builds the chart in that layout and
+returns it as its (B, N, r) transpose, so `node_last` gets it back
+without a copy.  An N x N form acts on every node of a block in one GEMM
+(`act`); a weight group of a 1-PS is a row slice of that product.  Along
+a diagonal generator of a split bundle `donaldson` forms no product: it
+reads |Q_ic|^2 per column.  `pair` forms x* y, a Gram as pair(x, x).
+What is left per node is r x r algebra, whose loops run over the small
+indices, each step one vector operation over the B nodes.  The core does
+not choose its nodes: `donaldson` hands it one node per torus orbit for
+a diagonal path on P^1 and for a balance solve from a torus-invariant
+form, whose B(H) `balance` then masks by character.  Per-node outputs
+are written into full-length arrays before any quadrature sum and do not
 depend on the block size; B(H), the one sum over nodes accumulated per
 block, moves in its last bits with BLOCK.
 
@@ -80,9 +79,8 @@ def blocks(basis, nodes, chart=None):
 
 
 def act(mat: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """mat Q(x) per node, shape (K, r, B) for a K x N ``mat`` ((K, r) for
-    one node's (N, r) chart): one GEMM against Q as an N x (r B) matrix.
-    Row slices are weight groups."""
+    """mat Q(x) per node, shape (K, r, B) for a K x N ``mat``: one GEMM
+    against Q as an N x (r B) matrix.  Row slices are weight groups."""
     with np.errstate(over="ignore", invalid="ignore"):
         return (mat @ q.reshape(len(q), -1)).reshape(-1, *q.shape[1:])
 

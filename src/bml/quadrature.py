@@ -40,18 +40,6 @@ class NonFiniteIntegrand(ValueError):
         self.index = index
 
 
-def pairwise_sum(values: np.ndarray):
-    """Fixed-order pairwise summation along the last axis (deterministic
-    however the values were produced): a float for one row."""
-    v = np.array(values, dtype=float, ndmin=1)
-    n = v.shape[-1]
-    while n > 1:
-        m = n // 2
-        v[..., :m] += v[..., n - m : n]
-        n -= m
-    return v[..., 0] if v.ndim > 1 else float(v[0]) if v.size else 0.0
-
-
 @cache
 def gauss_rule(n: int):
     """The read-only n-node Gauss-Legendre rule on [-1, 1], once per n."""
@@ -103,14 +91,17 @@ class QuadratureGrid:
         return i if self.parent is None else int(self.parent[i])
 
     def integrate(self, values):
-        """Weighted sum of per-node values, over the last axis of a stack."""
-        values = np.asarray(values, dtype=float)
+        """Weighted sum of per-node values, over the last axis of a stack
+        (a float for one row): one np.add.reduce, which sums each row of a
+        C-ordered stack bit for bit as it sums that row alone."""
+        values = np.asarray(values, dtype=float, order="C")
         if values.shape[-1:] != self.weights.shape:
             raise ValueError("integrand values must be one scalar per node")
         bad = ~np.isfinite(values)
         if bad.any():
             raise NonFiniteIntegrand(self.name(int(np.argmax(bad)) % len(self.weights)))
-        return pairwise_sum(values * self.weights)
+        total = np.add.reduce(values * self.weights, axis=-1)
+        return float(total) if total.ndim == 0 else total
 
     @cached_property
     def orbits(self) -> "QuadratureGrid":

@@ -21,6 +21,19 @@ def test_split_dimensions():
     assert basis.bundle.degree == 2
 
 
+@pytest.mark.parametrize("bundle, k", [(bd.split(0, 2), 1018), (bd.split(0), 1020), (bd.euler_tp2(), 639)],
+                         ids=["O(0)+O(2)", "O(0)", "T_P2"])
+def test_first_level_past_the_coefficient_range_is_named(bundle, k):
+    """At the first level whose orthonormal coefficients overflow a float
+    the basis raises LevelTooLarge naming the level, not an OverflowError;
+    the basis without them still builds."""
+    with pytest.raises(bd.LevelTooLarge, match=f"level {k}:"):
+        bd.section_basis(bundle, k)
+    assert bd.section_basis(bundle, k, orthonormal=False).dimension == bundle.h0_at(k)
+    if bundle.kind == "split_p1":
+        assert bd.section_basis(bundle, k - 1).level == k - 1
+
+
 def test_level_below_regularity_rejected():
     with pytest.raises(bd.LevelBelowRegularity):
         bd.section_basis(bd.split(-3), 2)

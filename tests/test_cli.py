@@ -88,6 +88,15 @@ def test_overflowing_chart_exits_one_without_warnings(tmp_path, capsys):
     assert [w for w in seen if issubclass(w.category, RuntimeWarning)] == []
 
 
+def test_level_past_the_coefficient_range_exits_one(tmp_path, capsys):
+    """A level whose basis coefficients overflow a float ends in one error
+    line naming it, exit status 1, with no traceback."""
+    code = cli.main(["slope", "--k", "1100", "--ps", "two_step:1:1101/1103,-1", "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: LevelTooLarge: level 1100:") and err.count("\n") == 1
+
+
 def test_subgeodesic_runs(tmp_path, capsys):
     code = cli.main(
         ["subgeodesic", "--bundle", "split_p1:0,2", "--k", "3",

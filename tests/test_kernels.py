@@ -228,12 +228,12 @@ def test_permutation_frame_is_a_row_gather(k, diag, grid_p1, monkeypatch):
     assert rel(m2["gather"], m2["gemm"]) <= 1e-14
 
 
-def dense_groups(rotation, slices, q):
-    """The weight groups of rotation Q over every fibre column, each a
-    row gather or a row slice of one GEMM."""
-    if rotation.ndim == 1:
-        return [q[rotation[s]] for s in slices]
-    return [kernels.act(rotation, q)[s] for s in slices]
+def dense_groups(ps, q):
+    """The weight groups of V* Q over every fibre column, each a row
+    gather for a diagonal generator (ps.rows) or a row slice of one GEMM."""
+    if ps.rows is not None:
+        return [q[ps.rows[s]] for s in ps.slices]
+    return [kernels.act(ps.vectors.conj().T, q)[s] for s in ps.slices]
 
 
 def dense_m2(basis, grid, ps, ts):
@@ -242,7 +242,7 @@ def dense_m2(basis, grid, ps, ts):
     table = np.exp(2.0 * np.outer(ps.weights, times))
     vals = np.empty((len(times), len(grid.nodes)))
     for sl, q in kernels.blocks(basis, grid.nodes):
-        grams = np.stack([kernels.pair(b, b) for b in dense_groups(don._frame(ps), ps.slices, q)], axis=2)
+        grams = np.stack([kernels.pair(b, b) for b in dense_groups(ps, q)], axis=2)
         vals[:, sl] = kernels.logdet(table.T @ grams)
     return np.asarray([grid.integrate(v - vals[0]) / grid.volume for v in vals[1:]])
 
@@ -298,12 +298,12 @@ def dense_column_rate(basis, grid, ps, t):
 
 def dense_jets(basis, grid, ps):
     """_path_jets as a plain loop over node blocks."""
-    z, r, frame = grid.nodes, basis.rank, don._frame(ps)
+    z, r = grid.nodes, basis.rank
     jets = []
     for sl, q in kernels.blocks(basis, z):
         dq = kernels.node_last(bd.dq_dz_field(basis, z[sl]))
         stack = np.empty((len(ps.slices), 3, r, r, q.shape[-1]), dtype=complex)
-        for i, (b, db) in enumerate(zip(dense_groups(frame, ps.slices, q), dense_groups(frame, ps.slices, dq))):
+        for i, (b, db) in enumerate(zip(dense_groups(ps, q), dense_groups(ps, dq))):
             stack[i] = kernels.pair(b, b), kernels.pair(b, db), kernels.pair(db, db)
         jets.append((sl, stack))
     return jets

@@ -89,6 +89,9 @@ MUTANTS = (
     ("delta-max", "src/bml/balance.py",
      "delta = float((lam[:, 0] / lam[:, -1]).min())",
      "delta = float((lam[:, 0] / lam[:, -1]).max())"),
+    ("t-map-half-damped", "src/bml/balance.py",
+     "evaluate(t_operator(basis, x.b))",
+     "evaluate(_det_normalize(0.5 * (x.H + t_operator(basis, x.b))))"),
     ("t-map-conjugated", "src/bml/balance.py",
      "return _det_normalize((r / n) * np.linalg.inv(b))",
      "return _det_normalize((r / n) * np.linalg.inv(b).T)"),
@@ -99,8 +102,8 @@ MUTANTS = (
      "nodes = don._orbit_grid(grid, not H0[~mask].any())",
      "nodes = don._orbit_grid(grid, True)"),
     ("stack-fold-wrong-axis", "src/bml/quadrature.py",
-     "v[..., :m] += v[..., n - m : n]",
-     "v[:m] += v[n - m : n]"),
+     "np.add.reduce(values * self.weights, axis=-1)",
+     "np.add.reduce(values * self.weights, axis=0)"),
     ("m2-columns-no-top-shift", "src/bml/donaldson.py",
      "    tables = [np.exp(np.outer(times, shift)) for _, _, shift, _ in cols.runs]\n",
      "    tables = [np.exp(np.outer(times, shift + 2.0 * top)) for _, top, shift, _ in cols.runs]\n"
