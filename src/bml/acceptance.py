@@ -5,10 +5,11 @@ Each criterion is a row ``(index, name, check)`` of ``ROWS``, where
 as a CriterionResult.  The checks combine exact rational oracles
 (identities that must hold bit-for-bit) with fitted asymptotics at fixed
 tolerances, and they are the backing for both the test suite and the
-``bml verify`` subcommand.  Criteria 3 and 4 are ``bml slope`` and
-``bml asymptote`` runs: their checks read the summaries of
-``cli.run_slope`` and ``cli.run_asymptote`` on the configs ``SLOPE`` and
-``ASYMPTOTE``, so each number is reproduced by one command.
+``bml verify`` subcommand.  Criteria 3, 4 and 5 are ``bml slope``,
+``bml asymptote`` and ``bml subgeodesic`` runs: their checks read the
+summaries of ``cli.run_slope``, ``cli.run_asymptote`` and
+``cli.run_subgeodesic`` on the configs ``SLOPE``, ``ASYMPTOTE`` and
+``SUBGEODESIC``, so each number is reproduced by commands.
 """
 
 from __future__ import annotations
@@ -35,6 +36,10 @@ from .quadrature import build_grid_p1, build_grid_p2
 CATALOG_PATH = {"bundle": "split_p1:0,2", "k": 3, "ps": "two_step:1:2/3,-1", "t_end": 15.0}
 SLOPE = parse_config({**CATALOG_PATH, "kind": "slope", "samples": 12, "tol": 0.01 * (2.0 / 3.0)})
 ASYMPTOTE = parse_config({**CATALOG_PATH, "kind": "asymptote", "samples": 10, "tol": 0.02})
+# 50 subgeodesic draws on each of four bundles
+SUBGEODESIC = tuple(parse_config({"kind": "subgeodesic", "bundle": bundle, "k": k, "t_end": 3.0, "samples": 50,
+                                  "tol": 1e-5, "seed": 5})
+                    for bundle, k in (("split_p1:0", 1), ("split_p1:2", 1), ("split_p1:0,2", 3), ("split_p1:1,1", 2)))
 
 STRETCH = 10  # the one criterion that does not gate
 
@@ -172,24 +177,10 @@ def _combined_energy():
 
 
 def _subgeodesic_positivity():
-    rng = np.random.default_rng(5)
-    cases = [
-        bd.section_basis(bd.split(0), 1),
-        bd.section_basis(bd.split(2), 1),
-        bd.section_basis(bd.split(0, 2), 3),
-        bd.section_basis(bd.split(1, 1), 2),
-    ]
-    worst, min_eig = 0.0, np.inf
-    for i in range(200):
-        basis = cases[i % len(cases)]
-        ps = bg.random_two_weight_ps(basis.dimension, rng)
-        t = float(rng.uniform(0.1, 3.0))
-        x = complex(rng.normal(), rng.normal())
-        _, _, resid, eig = bg.subgeodesic_residual(basis, ps, t, x)
-        worst = max(worst, resid)
-        min_eig = min(min_eig, eig)
-    passed = worst <= 1e-5 and min_eig >= -1e-12
-    return passed, f"max residual {worst:.2e}, min eigenvalue {min_eig:.2e}"
+    runs = [cli.run_subgeodesic(cfg)[0] for cfg in SUBGEODESIC]
+    worst = max(fields["max_residual"] for fields in runs)
+    min_eig = min(fields["min_eigenvalue"] for fields in runs)
+    return all(fields["passed"] for fields in runs), f"max residual {worst:.2e}, min eigenvalue {min_eig:.2e}"
 
 
 def _commutation():
@@ -235,20 +226,19 @@ def _balanced_existence():
     grid = _grid_light()
     rng = np.random.default_rng(7)
     agree, conv_ok = [], []
-    for degs, k in (((2,), 2), ((3,), 2)):
-        basis = bd.section_basis(bd.split(*degs), k)
-        n = basis.dimension
+
+    def random_start(n):
         a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        H0 = a @ a.conj().T + 0.5 * np.eye(n)
+        return a @ a.conj().T + 0.5 * np.eye(n)
+
+    # the polystable O(1)+O(1) from I, the stable line bundles from random forms
+    for degs, k, start in (((2,), 2, random_start), ((3,), 2, random_start), ((1, 1), 2, np.eye)):
+        basis = bd.section_basis(bd.split(*degs), k)
+        H0 = start(basis.dimension)
         st_t, _ = bl.t_iterate(basis, grid, H0, tol=1e-10, max_iter=200)
         st_lm, _ = bl.lm_minimize(basis, grid, H0, tol=1e-10, max_iter=100)
         conv_ok.append(st_t.flag == "converged" and st_lm.flag == "converged")
         agree.append(float(np.linalg.norm(st_t.H - st_lm.H)))
-    basis11 = bd.section_basis(bd.split(1, 1), 2)
-    st_t, _ = bl.t_iterate(basis11, grid, np.eye(basis11.dimension), tol=1e-10, max_iter=200)
-    st_lm, _ = bl.lm_minimize(basis11, grid, np.eye(basis11.dimension), tol=1e-10, max_iter=100)
-    conv_ok.append(st_t.flag == "converged" and st_lm.flag == "converged")
-    agree.append(float(np.linalg.norm(st_t.H - st_lm.H)))
 
     basis02 = bd.section_basis(bd.split(0, 2), 3)
     st_dt, h_dt = bl.t_iterate(basis02, grid, np.eye(basis02.dimension), tol=1e-10, max_iter=300)
@@ -272,25 +262,16 @@ def _balanced_existence():
 def _convexity():
     grid = _grid_light()
     rng = np.random.default_rng(8)
-    worst = np.inf
-    runs = []
     basis = SLOPE.section_basis()
-    ps = SLOPE.ps.build(basis)
-    ts = np.linspace(0.0, 6.0, 25)
-    runs.append(don.m2_along_path(basis, grid, ps, ts))
-    basis0 = bd.section_basis(bd.split(0), 1)
-    runs.append(don.m2_along_path(basis0, grid, bg.one_ps(np.diag([1.0, -1.0])), ts))
+    n = basis.dimension
+    paths = [(basis, SLOPE.ps.build(basis)), (bd.section_basis(bd.split(0), 1), bg.one_ps(np.diag([1.0, -1.0])))]
     for _ in range(5):
-        z = rng.normal(size=(basis.dimension, basis.dimension)) + 1j * rng.normal(
-            size=(basis.dimension, basis.dimension)
-        )
+        z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         z = 0.5 * (z + z.conj().T)
-        z -= (np.trace(z).real / basis.dimension) * np.eye(basis.dimension)
-        runs.append(don.m2_along_path(basis, grid, bg.one_ps(z), ts))
-    runs.append(np.zeros(10))
-    for values in runs:
-        worst = min(worst, bl.convexity_monitor(values))
-    return worst >= -1e-8, f"min second difference {worst:.2e} over {len(runs)} paths"
+        paths.append((basis, bg.one_ps(z - (np.trace(z).real / n) * np.eye(n))))
+    ts = np.linspace(0.0, 6.0, 25)
+    worst = min(bl.convexity_monitor(don.m2_along_path(b, grid, ps, ts)) for b, ps in paths)
+    return worst >= -1e-8, f"min second difference {worst:.2e} over {len(paths)} paths"
 
 
 def _pinch_inequality():

@@ -25,7 +25,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import donaldson as don
 from . import kernels
 from .bergman import HermitianForm
 from .bundles import SectionBasis, h_ref_field
@@ -201,9 +200,11 @@ def _torus_mask(basis, grid) -> np.ndarray:
 
 
 def _node_set(basis, grid, H0):
-    """(grid.orbits, _torus_mask) if H0 is 0 outside it, else (grid, all)."""
+    """(grid.orbits, _torus_mask) if H0 is 0 outside the mask, so that
+    the solve stays on torus-invariant forms (QuadratureGrid.orbits), else
+    (grid, all)."""
     mask = _torus_mask(basis, grid)
-    nodes = don._orbit_grid(grid, not H0[~mask].any())
+    nodes = grid if H0[~mask].any() else grid.orbits
     return nodes, mask | (nodes is grid)
 
 

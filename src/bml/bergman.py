@@ -183,6 +183,8 @@ def two_step_one_ps(basis: SectionBasis, sub_columns, weights) -> OnePS:
 def random_two_weight_ps(n: int, rng: np.random.Generator) -> OnePS:
     """Random trace-free generator with exactly two distinct weights and a
     Haar-random eigenframe; operator norm one."""
+    if n < 2:
+        raise ValueError(f"a two-weight generator needs at least 2 sections, got N = {n}")
     m = int(rng.integers(1, n))
     w1, w2 = n - m, -m
     scale = max(abs(w1), abs(w2))

@@ -135,7 +135,7 @@ def _parse_ps(raw) -> Optional[PSSpec]:
         raise ConfigError("ps.type", f"unknown generator type {raw['type']!r}")
     try:
         weights = tuple(Fraction(w) for w in raw["weights"])
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, ZeroDivisionError) as exc:
         raise ConfigError("ps.weights", str(exc)) from exc
     sub = tuple(_integer(i) for i in raw.get("sub", ()))
     if len(weights) != 2:

@@ -21,12 +21,11 @@ computed in exactsheaf, which is what the slope-fit helpers verify.
 Along a diagonal 1-PS on P^1 (the Bergman 1-PS of a filtration of a split
 bundle) every pointwise term of M2 and M1 depends on |z| alone, so
 m2_along_path, m1_curve and m1_rate run on one node per torus orbit
-(_orbit_grid, which also places the balance solvers), and so does the
-curvature of a diagonal form, repeated over each ring.  There h, a and c
-are diagonal and all three read one real table |Q_ic|^2 (_columns): M2
-as one positive sum per column, M1 and the curvature as per-column
-weight statistics (_column_terms), with no jets, no Cholesky and no
-overflow in t.  Every other 1-PS or form keeps the Gram and jet blocks
+(QuadratureGrid.orbits), and so does the curvature of a diagonal form,
+repeated over each ring.  There h, a and c are diagonal and all three
+read one real table |Q_ic|^2 (_columns): M2 as one positive sum per
+column, M1 and the curvature as per-column weight statistics
+(_column_terms), with no jets, no Cholesky and no overflow in t.  Every other 1-PS or form keeps the Gram and jet blocks
 on the whole grid, and so does P^2.  A failure on the quotient names its
 node in the full grid.
 """
@@ -47,21 +46,6 @@ from .quadrature import QuadratureGrid, gauss_rule
 
 class InsufficientSamples(ValueError):
     pass
-
-
-def _orbit_grid(grid: QuadratureGrid, invariant: bool) -> QuadratureGrid:
-    """The node set of the integrals and fields of forms that are all
-    ``invariant``: grid.orbits, else grid.  On P^1, Q(e^{i theta} z) =
-    Lambda Q(z) and dQ/dz(e^{i theta} z) = e^{-i theta} Lambda dQ/dz(z)
-    for Lambda = diag(e^{i m theta}), m the section characters.  A form
-    with H_ij = 0 wherever m_i != m_j commutes with Lambda: h, c and
-    a* h^{-1} a, so the M2 and M1 integrands and the curvature, depend
-    on |z| alone, and P = Q h^{-1} Q* at e^{i theta} z is Lambda P(z)
-    Lambda*, whose ring average is one node's value with those entries
-    set to 0 (the balance solvers' mask).  A diagonal 1-PS (eigenframe a
-    row index, OnePS.rows) has diagonal forms; a T- or LM-solve from
-    such an H0 stays on them.  A P^2 grid is its own quotient."""
-    return grid.orbits if invariant else grid
 
 
 # ---------------------------------------------------------------------------
@@ -87,12 +71,12 @@ def m2_along_path(
     G_d is bounded by h_ref, so a block overflows only where the reference
     or a path metric does: NonFiniteChart names it, by its index in
     ``grid``.  For a diagonal 1-PS of a split bundle (OnePS.rows) the nodes
-    are those of grid.orbits (_orbit_grid), and h(t) is diagonal and needs
-    no factorization (_m2_columns).
+    are those of grid.orbits, its forms being diagonal, and h(t) is
+    diagonal and needs no factorization (_m2_columns).
     """
     times = np.concatenate([[0.0], np.asarray(ts, dtype=float).ravel()])
     if ps.rows is not None and basis.bundle.kind == "split_p1":
-        return _m2_columns(basis, _orbit_grid(grid, True), ps, times)
+        return _m2_columns(basis, grid.orbits, ps, times)
     with np.errstate(over="ignore"):
         table = np.exp(2.0 * np.outer(ps.weights, times))
     vals = np.empty((len(times), len(grid.nodes)))
@@ -144,17 +128,17 @@ def curvature_field(
 
     A diagonal form of a split bundle on P^1 (every OnePS.form_at of a
     diagonal generator) reads the column table (_column_terms): its
-    curvature is diagonal, a function of |z| on grid.orbits (_orbit_grid)
-    repeated grid.ring times.  Any other form H = V Lambda V* is the one
-    group of F = Lambda^{1/2} V* (F*F = H) in the jet blocks of
-    _path_jets, on every node of ``grid``.
+    curvature is diagonal, a function of |z| on grid.orbits repeated
+    grid.ring times.  Any other form H = V Lambda V* is the one group of
+    F = Lambda^{1/2} V* (F*F = H) in the jet blocks of _path_jets, on
+    every node of ``grid``.
 
     Normalized as a density against the quadrature measure:
     grid.integrate(trace of the result) equals the degree of E.
     """
     _only_analytic(method)
     if _diagonal_frame(form.matrix) and basis.bundle.kind == "split_p1":
-        cols = _columns(basis, _orbit_grid(grid, True), 0.5 * np.log(form.matrix.diagonal().real), True)
+        cols = _columns(basis, grid.orbits, 0.5 * np.log(form.matrix.diagonal().real), True)
         f = np.zeros((len(cols.grid.nodes), basis.rank, basis.rank), dtype=complex)
         for sl, terms in _column_terms(basis, cols, 1.0):
             f[sl, range(basis.rank), range(basis.rank)] = np.stack([f_c for _, f_c in terms], axis=-1)
@@ -284,10 +268,10 @@ def _column_terms(basis: SectionBasis, cols: _Table, t: float):
 
 def _path_table(basis: SectionBasis, grid: QuadratureGrid, ps: OnePS):
     """What m1_rate reads for ps: along a diagonal 1-PS of a split bundle
-    the column table on grid.orbits (_orbit_grid), else the jet blocks of
-    the weight groups of V* on ``grid``."""
+    the column table on grid.orbits, its forms being diagonal, else the
+    jet blocks of the weight groups of V* on ``grid``."""
     if ps.rows is not None and basis.bundle.kind == "split_p1":
-        return _columns(basis, _orbit_grid(grid, True), ps.eigenvalues[np.argsort(ps.rows)], True)
+        return _columns(basis, grid.orbits, ps.eigenvalues[np.argsort(ps.rows)], True)
     return _path_jets(basis, grid, ps.vectors.conj().T, ps.slices)
 
 

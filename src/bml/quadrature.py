@@ -17,8 +17,9 @@ the torus rotating the chart coordinate, laid out as ``ring`` consecutive
 nodes.  `QuadratureGrid.orbits` keeps one node per orbit with the orbit's
 total weight; an integrand that the torus leaves invariant, a function
 of |z| alone, integrates to the same value on it up to roundoff.  Which
-integrals may run there is the caller's decision (`donaldson._orbit_grid`
-makes it for M2, M1 and the balance solvers).  A quotient names a node by its index in the grid it was
+integrals may run there is the caller's decision (`donaldson` for M2,
+M1 and the curvature of a diagonal path, `balance._node_set` for the
+solvers).  A quotient names a node by its index in the grid it was
 reduced from, so a failure reads the same on either.
 """
 
@@ -108,7 +109,17 @@ class QuadratureGrid:
         """The torus-orbit quotient: per ring, the first node carrying
         the sum of the ring's weights, with ``parent`` the index of each
         kept node here; the grid itself when a ring is one node.  Held on
-        the instance, computed once."""
+        the instance, computed once.
+
+        It serves forms that commute with the torus.  On P^1,
+        Q(e^{i theta} z) = Lambda Q(z) and dQ/dz(e^{i theta} z) =
+        e^{-i theta} Lambda dQ/dz(z), Lambda = diag(e^{i m theta}) over the
+        section characters m.  A form with H_ij = 0 wherever m_i != m_j
+        commutes with Lambda, so h, c and a* h^{-1} a (the M2 and M1
+        integrands and the curvature) depend on |z| alone, and
+        P = Q h^{-1} Q* has the ring average of one node's value with
+        those entries set to 0 (the balance solvers' mask).  Diagonal 1-PS
+        (OnePS.rows) and T- or LM-solves from such an H0 stay on them."""
         if self.ring == 1:
             return self
         starts = np.arange(0, len(self.nodes), self.ring)
@@ -127,11 +138,14 @@ def build_grid_p1(n_radial: int = 8, n_angular: int = 32, depth: int = 20) -> Qu
     u = |z|^2/(1+|z|^2) carries ``n_radial`` Gauss-Legendre nodes per
     graded panel (2*depth panels), the angle carries the uniform
     trapezoid rule.  The FS measure is du dtheta / (2 pi), so weights
-    are exact products and sum to 1.
+    are exact products and sum to 1.  A depth that puts a node at
+    u = 1, the point at infinity, is refused (from 49 at n_radial 8).
     """
     if n_radial < 2 or n_angular < 4:
         raise InvalidResolution("need n_radial >= 2 and n_angular >= 4")
     u, wu = _composite_gauss(n_radial, depth)
+    if (u >= 1.0).any():
+        raise InvalidResolution(f"depth {depth}: a radial node rounds to u = 1, the point at infinity")
     theta = 2.0 * np.pi * np.arange(n_angular) / n_angular
     r = np.sqrt(u / (1.0 - u))
     z = (r[:, None] * np.exp(1j * theta)[None, :]).ravel()
@@ -150,7 +164,8 @@ def build_grid_p2(n_simplex: int = 6, n_angular: int = 12, depth: int = 8) -> Qu
     angles carry the uniform trapezoid rule.  It records no ring: along
     a diagonal 1-PS at large t the M2 integrand on mixed columns spreads
     between the nodes of one orbit well above roundoff, and only the
-    whole orbit averages that spread.
+    whole orbit averages that spread.  A depth that puts a node at
+    infinity is refused (from 45 at n_simplex 6).
     """
     if n_simplex < 2 or n_angular < 4:
         raise InvalidResolution("need n_simplex >= 2 and n_angular >= 4")
@@ -166,11 +181,13 @@ def build_grid_p2(n_simplex: int = 6, n_angular: int = 12, depth: int = 8) -> Qu
     v1s = np.concatenate([v1, v2])
     v2s = np.concatenate([v2, v1])
     wvs = 0.5 * np.concatenate([wv, wv])
+    s = 1.0 - v1s - v2s
+    if (s <= 0.0).any():
+        raise InvalidResolution(f"depth {depth}: a simplex node rounds onto the edge at infinity")
 
     th = 2.0 * np.pi * np.arange(n_angular) / n_angular
     th1 = np.repeat(th, n_angular)
     th2 = np.tile(th, n_angular)
-    s = 1.0 - v1s - v2s
     r1 = np.sqrt(v1s / s)
     r2 = np.sqrt(v2s / s)
     z1 = (r1[:, None] * np.exp(1j * th1)[None, :]).ravel()

@@ -150,6 +150,11 @@ def test_random_two_weight_ps_properties(rng):
         assert np.abs(np.linalg.eigvalsh(ps.generator)).max() == pytest.approx(1.0)
 
 
+def test_random_two_weight_ps_needs_two_sections(rng):
+    with pytest.raises(ValueError, match="at least 2 sections, got N = 1"):
+        bg.random_two_weight_ps(1, rng)
+
+
 def test_fs_metric_positive_hermitian(grid_p1):
     basis = catalog_basis()
     h = bg.fs_metric(basis, grid_p1, bg.HermitianForm(np.eye(basis.dimension)))

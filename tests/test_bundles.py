@@ -8,7 +8,7 @@ import pytest
 
 from bml import bergman as bg
 from bml import bundles as bd
-from bml import donaldson as don
+from bml import balance as bl
 from bml import exactsheaf as xs
 from bml import kernels
 from bml.quadrature import build_grid_p2
@@ -289,7 +289,9 @@ def test_p1_charts_are_torus_eigenbases(degrees, orthonormal, grid_p1, rng):
     metric and curvature depend on |z| alone, which is what lets M2 and
     M1 along a diagonal 1-PS run on one node per torus orbit.  Lambda is
     diag(e^{i m theta}) with m the basis's characters, which T_P2 does not
-    record.  A grid whose ring is one node is not reduced."""
+    record.  The balance solvers take grid.orbits from a start that is 0
+    off the character mask and the grid from any other start
+    (balance._node_set).  A grid whose ring is one node is not reduced."""
     bundle = bd.split(*degrees)
     z = rng.normal(size=40) + 1j * rng.normal(size=40)
     for k in (bundle.regularity(), bundle.regularity() + 3):
@@ -308,11 +310,15 @@ def test_p1_charts_are_torus_eigenbases(degrees, orthonormal, grid_p1, rng):
                 assert (err <= 1e-13 * np.abs(f).max(axis=(0, 2))).all()
 
     assert len(grid_p1.orbits.nodes) * 16 == len(grid_p1.nodes)
-    ps = bg.one_ps(np.diag([1.0, -1.0]))
-    assert ps.rows.ndim == 1 and don._orbit_grid(grid_p1, True) is grid_p1.orbits
-    assert don._orbit_grid(grid_p1, False) is grid_p1
+    assert bg.one_ps(np.diag([1.0, -1.0])).rows.ndim == 1
+    basis = bd.section_basis(bundle, bundle.regularity() + 1, orthonormal=orthonormal)
+    a = rng.normal(size=(basis.dimension, basis.dimension))
+    generic = a @ a.T + np.eye(basis.dimension)
+    for H0 in (np.eye(basis.dimension), generic * bl._torus_mask(basis, grid_p1)):
+        assert bl._node_set(basis, grid_p1, H0)[0] is grid_p1.orbits
+    assert bl._node_set(basis, grid_p1, generic)[0] is grid_p1
     unringed = dataclasses.replace(grid_p1, ring=1)
     assert unringed.orbits is unringed
-    assert don._orbit_grid(unringed, True) is unringed
+    assert bl._node_set(basis, unringed, generic)[0] is unringed
     with pytest.raises(ValueError, match="P\\^1 only"):
         bd.section_basis(bd.euler_tp2(), 1).characters

@@ -97,6 +97,27 @@ def test_level_past_the_coefficient_range_exits_one(tmp_path, capsys):
     assert err.startswith("error: LevelTooLarge: level 1100:") and err.count("\n") == 1
 
 
+def test_too_deep_a_grid_exits_one_without_warnings(tmp_path, capsys):
+    """A grid depth whose outer nodes round onto the point at infinity is
+    refused while the grid is built: one error line naming the depth, and
+    no RuntimeWarning before it."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        code = cli.main(["balance", "--config", write_cfg(tmp_path, {"kind": "balance", "grid": {"depth": 49}}),
+                         "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: InvalidResolution: depth 49:") and err.count("\n") == 1, err
+    assert seen == []
+
+
+def test_subgeodesic_on_one_section_exits_one(tmp_path, capsys):
+    """N = 1 has no two-weight generator: the error names N."""
+    assert cli.main(["subgeodesic", "--bundle", "split_p1:0", "--k", "0", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: ValueError: a two-weight generator needs at least 2 sections, got N = 1\n"
+
+
 def test_subgeodesic_runs(tmp_path, capsys):
     code = cli.main(
         ["subgeodesic", "--bundle", "split_p1:0,2", "--k", "3",
@@ -217,6 +238,8 @@ def test_inline_ps_parsing():
         (None, ["--k", "4", "--ps", "two_step:1:2/3,-1"], "ps.weights"),
         ({"kind": "mna"}, ["--ps", "two_step:1:4/3,-2"], "ps.weights"),
         ({"kind": "subgeodesic"}, ["--seed", "-1"], "seed"),
+        (None, ["--ps", "two_step:1:2/0,-1"], "ps.weights"),
+        ({"kind": "slope", "ps": {"type": "two_step", "sub": [1], "weights": ["2/0", "-1"]}}, [], "ps.weights"),
     ],
 )
 def test_bad_config_input_exits_one(tmp_path, capsys, raw, argv, field):
@@ -225,17 +248,17 @@ def test_bad_config_input_exits_one(tmp_path, capsys, raw, argv, field):
     truncated or read as 1), a summand index out of range or repeated, a
     non-finite time or tolerance, a field the experiment does not read, a
     grid key of the other space or of none, two-step weights that are not
-    trace-free at the level or exceed 1, a subgeodesic end time below its
-    draw window or bundle off P1, and a negative seed each exit 1 with a
-    ConfigError naming the field.  Each value is checked under a kind that
-    reads its field; without a config, under slope, which reads every
-    field of mna."""
+    trace-free at the level or exceed 1 or have a zero denominator, a
+    subgeodesic end time below its draw window or bundle off P1, and a
+    negative seed each exit 1 with one ConfigError line naming the field.
+    Each value is checked under a kind that reads its field; without a
+    config, under slope, which reads every field of mna."""
     kind = (raw or {}).get("kind", "slope")
     if raw is not None:
         argv = ["--config", write_cfg(tmp_path, raw)] + argv
     assert cli.main([kind, "--out", str(tmp_path)] + argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: config field {field!r}"), err
+    assert err.startswith(f"error: config field {field!r}") and err.count("\n") == 1, err
     assert not (tmp_path / f"{kind}.json").exists()
 
 

@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from bml.config import parse_config
 from bml.quadrature import (
+    InvalidResolution,
     NonFiniteIntegrand,
     QuadratureGrid,
     build_grid_p1,
@@ -85,6 +87,19 @@ def test_build_grid_dispatch():
         assert grid.space_tag == want.space_tag
         assert grid.nodes.tobytes() == want.nodes.tobytes()
         assert grid.weights.tobytes() == want.weights.tobytes()
+
+
+@pytest.mark.parametrize("build, last", [(build_grid_p1, 48), (build_grid_p2, 44)])
+def test_a_depth_that_reaches_infinity_is_refused(build, last):
+    """At the default other resolutions the outermost node of depth
+    last + 1 rounds onto the point at infinity: the builder names the
+    depth before any arithmetic warns, and depth ``last`` builds finite
+    nodes."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(build(depth=last).nodes).all()
+        with pytest.raises(InvalidResolution, match=f"depth {last + 1}"):
+            build(depth=last + 1)
 
 
 def test_refinement_converges():

@@ -34,9 +34,6 @@ MUTANTS = (
      "        w[i, i] = 1.0 / l[i, i]\n    return w, l\n",
      "        w[i, i] = 1.0 / l[i, i]\n"
      "    return np.eye(len(w)).reshape(w.shape[:2] + (1,) * (w.ndim - 2)) + 0 * w, l\n"),
-    ("orbits-for-any-1ps", "src/bml/donaldson.py",
-     "return grid.orbits if invariant else grid",
-     "return grid.orbits"),
     ("curvature-columns-for-any-form", "src/bml/donaldson.py",
      'if _diagonal_frame(form.matrix) and basis.bundle.kind == "split_p1":',
      'if basis.bundle.kind == "split_p1":'),
@@ -99,8 +96,8 @@ MUTANTS = (
      "    b = b * mask\n",
      ""),
     ("balance-quotient-any-start", "src/bml/balance.py",
-     "nodes = don._orbit_grid(grid, not H0[~mask].any())",
-     "nodes = don._orbit_grid(grid, True)"),
+     "nodes = grid if H0[~mask].any() else grid.orbits",
+     "nodes = grid.orbits"),
     ("stack-fold-wrong-axis", "src/bml/quadrature.py",
      "np.add.reduce(values * self.weights, axis=-1)",
      "np.add.reduce(values * self.weights, axis=0)"),
