@@ -12,9 +12,11 @@ fixed-point T-operator iteration and a damped least-squares
 (Levenberg-Marquardt) minimization of the center-of-mass residual, both
 recording a per-iteration history suitable for convexity and divergence
 diagnostics; from a torus-invariant start on P^1 both run on one node
-per orbit (_solve).  The delta diagnostic quantifies the distance from a
-computed minimizer to the Hermitian-Einstein reference through the
-eigenvalue pinch delta and a spectral constant of the Laplacian.
+per orbit (_solve), and from a diagonal one on the |Q|^2 column table
+with N numbers per step (_column_route).  The delta diagnostic
+quantifies the distance from a computed minimizer to the
+Hermitian-Einstein reference through the eigenvalue pinch delta and a
+spectral constant of the Laplacian.
 """
 
 from __future__ import annotations
@@ -131,16 +133,18 @@ def m2_value(basis: SectionBasis, grid: QuadratureGrid, H: np.ndarray) -> float:
 
 
 class _Iterate(NamedTuple):
-    """A solver iterate: the form H, the whitening W of h_H per node,
-    B(H), _sqrtm_psd(H), the hermitian residual s = M(H) - (r/N) I with
-    M(H) = H^{1/2} B(H) H^{1/2}, and m2."""
+    """A solver iterate: the form H, sq = H^{1/2}, B(H), the hermitian
+    residual s = M(H) - (r/N) I with M(H) = sq B(H) sq, m2, the spread
+    log(lambda_max / lambda_min) of H, and what its route's LM Jacobian
+    reads: (W per node, eigh(H)) masked, (p, int p) on the column route."""
 
     H: np.ndarray
-    wh: np.ndarray
+    sq: np.ndarray
     b: np.ndarray
-    eig: tuple
     s: np.ndarray
     m2: float
+    spread: float
+    parts: tuple
 
 
 def _solver_parts(basis, grid, H, ld0, chart=None, mask=True) -> _Iterate:
@@ -150,10 +154,48 @@ def _solver_parts(basis, grid, H, ld0, chart=None, mask=True) -> _Iterate:
     H = H * mask
     b, ld, wh = kernels.b_matrix(basis, grid, H, chart)
     b = b * mask
-    eig = _sqrtm_psd(H)
+    lam, v, sq = _sqrtm_psd(H)
     n = basis.dimension
-    s = eig[2] @ b @ eig[2] - (basis.rank / n) * np.eye(n)
-    return _Iterate(H, wh, b, eig, 0.5 * (s + s.conj().T), grid.integrate(ld - ld0) / grid.volume)
+    s = sq @ b @ sq - (basis.rank / n) * np.eye(n)
+    return _Iterate(H, sq, b, 0.5 * (s + s.conj().T), grid.integrate(ld - ld0) / grid.volume,
+                    np.log(lam[-1] / lam[0]), (wh, lam, v))
+
+
+def _column_route(basis, nodes):
+    """evaluate(H) and jacobian(x, directions) of the column route
+    (_node_set) on the quotient ``nodes``, for diagonal H.  With rho_i =
+    |Q_ic|^2 (kernels.columns), h_H = diag(h_c), and p_i = H_ii rho_i / h_c
+    is the softmax of log H_ii + log rho_i over the rows of column c:
+    B(H)_ii = int p_i / H_ii, M(H) = diag(int p), m2 = int sum_c log(h_c /
+    h_c^0) and d(int p_i)/d log H_j = int (delta_ij p_i - p_i p_j) within a
+    column.  No sandwich, no Cholesky, no N^4 tensor."""
+    r, n = basis.rank, basis.dimension
+    starts = np.array([basis.summand_rows(c).start for c in range(r)])
+    col = np.repeat(np.arange(r), np.diff(starts, append=n))
+    rho = np.concatenate([np.concatenate(c, axis=1) for c in zip(*(t for _, t in kernels.columns(basis, nodes)))])
+    ld0 = np.log(np.add.reduceat(rho, starts)).sum(axis=0)
+
+    def evaluate(H):
+        h = H.diagonal().real
+        if not (np.isfinite(h) & (h > 0)).all():
+            raise SingularGram("form is not positive definite")
+        logh = np.log(h)
+        top = np.maximum.reduceat(logh, starts)
+        e = np.exp(logh - top[col])[:, None] * rho
+        hc = np.add.reduceat(e, starts)
+        p = e / hc[col]
+        sums = nodes.integrate(np.vstack([p, np.log(hc).sum(axis=0) - ld0])) / nodes.volume
+        mass, m2 = sums[:-1], top.sum() + sums[-1]
+        d = np.zeros((4, n, n), dtype=complex)  # H, sq, B(H), s
+        d[:, range(n), range(n)] = h, np.sqrt(h), mass / h, mass - r / n
+        return _Iterate(*d, m2, logh.max() - logh.min(), (p, mass))
+
+    def jacobian(x, directions):
+        p, mass = x.parts
+        jac = np.diag(mass) - (col[:, None] == col) * ((p * (nodes.weights / nodes.volume)) @ p.T)
+        return jac @ directions.diagonal(axis1=1, axis2=2).real.T, mass - r / n
+
+    return evaluate, jacobian
 
 
 def t_operator(basis: SectionBasis, b: np.ndarray) -> np.ndarray:
@@ -200,9 +242,13 @@ def _torus_mask(basis, grid) -> np.ndarray:
 
 
 def _node_set(basis, grid, H0):
-    """(grid.orbits, _torus_mask) if H0 is 0 outside the mask, so that
-    the solve stays on torus-invariant forms (QuadratureGrid.orbits), else
-    (grid, all)."""
+    """The route of a solve from H0 as (nodes, mask): on a grid with
+    rings, (grid.orbits, None), the column route, if H0 is diagonal, else
+    (grid.orbits, _torus_mask) if H0 is 0 outside the mask, so that the
+    solve stays on torus-invariant forms (QuadratureGrid.orbits); else,
+    and on a grid with ring 1, which has no ring average, (grid, all)."""
+    if grid.ring > 1 and not (H0 - np.diag(H0.diagonal())).any():
+        return grid.orbits, None
     mask = _torus_mask(basis, grid)
     nodes = grid if H0[~mask].any() else grid.orbits
     return nodes, mask | (nodes is grid)
@@ -210,25 +256,30 @@ def _node_set(basis, grid, H0):
 
 def lm_memory_check(basis: SectionBasis, grid: QuadratureGrid, H0: np.ndarray) -> None:
     """Raise LMMemoryExceeded if an LM Jacobian from H0, with its D
-    directions on _node_set, needs more than LM_MEMORY_BUDGET: complex N^4
-    (t4) twice, N^2 B (a B-node block's P-field) twice, D N^2 ten times
-    (dH, dB, dS, J...), real J^T J."""
+    directions on the route of _node_set, needs more than LM_MEMORY_BUDGET.
+    Column route (D = N - 1): complex D N^2 directions, real N M p and w p
+    on M nodes, J and J^T J.  Masked route: complex N^4 (t4) twice, N^2 B
+    (a B-node block's P-field) twice, D N^2 ten times (dH, dB, dS, J...),
+    real J^T J."""
     nodes, mask = _node_set(basis, grid, np.asarray(H0, dtype=complex))
-    n, d, block = basis.dimension, int(mask.sum()) - 1, min(kernels.BLOCK, len(nodes.nodes))
-    need = 16 * (2 * n**4 + 2 * n * n * block + 10 * d * n * n) + 8 * d * d
+    n, m = basis.dimension, len(nodes.nodes)
+    d = n - 1 if mask is None else int(mask.sum()) - 1
+    need = 16 * (d * n * n + n * m + n * n) if mask is None else (
+        16 * (2 * n**4 + 2 * n * n * min(kernels.BLOCK, m) + 10 * d * n * n) + 8 * d * d)
     if need > LM_MEMORY_BUDGET:
         raise LMMemoryExceeded(f"an LM Jacobian at N = {n} with {d} directions needs "
                                f"{need >> 20} MiB, past the budget of {LM_MEMORY_BUDGET >> 20} MiB")
 
 
 def _solve(basis, grid, H0, tol, max_iter, make_step, damping):
-    """The loop of both solvers over one chart of its node set (_node_set),
-    held for the whole solve, with every H and B(H) masked.
-    ``make_step(nodes, mask)`` gives ``step(x, history, evaluate, trial,
-    chart)``, which returns (kind, rejected, damping, next iterate) from
-    the iterate x, the last None when no step was found; ``evaluate(H)``
-    is the iterate at H and ``trial(H)`` that at H det-normalized, or
-    None when it is rejected.
+    """The loop of both solvers on the route of _node_set: the column
+    route (_column_route) or one held chart of the node set with every H
+    and B(H) masked (_solver_parts); only ``evaluate(H)``, the iterate at
+    H, and ``jacobian(x, directions)`` differ.  ``make_step(mask,
+    jacobian)`` gives ``step(x, history, evaluate, trial)``, which returns
+    (kind, rejected, damping, next iterate) from the iterate x, the last
+    None when no step was found; ``trial(H)`` is the iterate at H
+    det-normalized, or None when it is rejected.
 
     Returns (final BalanceState, history): converged below ``tol``,
     diverged (spread ratio past threshold with a long monotone m2
@@ -236,12 +287,14 @@ def _solve(basis, grid, H0, tol, max_iter, make_step, damping):
     """
     H0 = np.asarray(H0, dtype=complex)
     nodes, mask = _node_set(basis, grid, H0)
-    step = make_step(nodes, mask)
-    chart = list(kernels.blocks(basis, nodes.nodes))
-    ld0 = kernels.logdet(kernels.field(basis, nodes, chart=chart))
-
-    def evaluate(H):
-        return _solver_parts(basis, nodes, H, ld0, chart, mask)
+    if mask is None:
+        evaluate, jacobian = _column_route(basis, nodes)
+    else:
+        chart = list(kernels.blocks(basis, nodes.nodes))
+        ld0 = kernels.logdet(kernels.field(basis, nodes, chart=chart))
+        evaluate = partial(_solver_parts, basis, nodes, ld0=ld0, chart=chart, mask=mask)
+        jacobian = partial(_masked_jacobian, basis, nodes, chart, mask)
+    step = make_step(mask, jacobian)
 
     def trial(H):
         # A singular or overflowing trial form is rejected, not raised.
@@ -253,8 +306,7 @@ def _solve(basis, grid, H0, tol, max_iter, make_step, damping):
     x = evaluate(_det_normalize(H0))
     history = []
     for it in range(max_iter + 1):
-        row = HistoryRow(it, float(np.linalg.norm(x.s, "fro")), float(x.m2),
-                         float(np.log(x.eig[0][-1] / x.eig[0][0])), damping=damping)
+        row = HistoryRow(it, float(np.linalg.norm(x.s, "fro")), float(x.m2), float(x.spread), damping=damping)
         history.append(row)
         if row.residual < tol:
             flag = "converged"
@@ -263,7 +315,7 @@ def _solve(basis, grid, H0, tol, max_iter, make_step, damping):
         elif it == max_iter:
             flag = "max_iter"
         else:
-            kind, rejected, damping, y = step(x, history, evaluate, trial, chart)
+            kind, rejected, damping, y = step(x, history, evaluate, trial)
             history[-1] = replace(row, step=kind, rejected=rejected)
             if y is not None:
                 x = y
@@ -281,10 +333,10 @@ def t_iterate(basis: SectionBasis, grid: QuadratureGrid, H0: np.ndarray, tol: fl
     Returns (final BalanceState, history) where history rows carry
     (iter, residual, m2, spread, step, rejected, damping).
     """
-    def step(x, history, evaluate, trial, chart):
+    def step(x, history, evaluate, trial):
         return "t", 0, 0.0, evaluate(t_operator(basis, x.b))
 
-    return _solve(basis, grid, H0, tol, max_iter, lambda nodes, mask: step, 0.0)
+    return _solve(basis, grid, H0, tol, max_iter, lambda mask, jacobian: step, 0.0)
 
 
 def _herm_basis(mask: np.ndarray) -> np.ndarray:
@@ -320,6 +372,18 @@ def _b_derivatives(basis, grid, chart, wh, dh):
     return -(dh.reshape(-1, n * n) @ t4).reshape(dh.shape)
 
 
+def _masked_jacobian(basis, nodes, chart, mask, x, directions):
+    """(J, r) of a masked route at x: the real and imaginary parts of dS
+    per direction dA, dH = (dA H + H dA) / 2, dB from _b_derivatives
+    and dsq from _sqrt_frechet, and those of S."""
+    wh, lam, v = x.parts
+    dh = 0.5 * (directions @ x.H + x.H @ directions)
+    db = _b_derivatives(basis, nodes, chart, wh, dh) * mask
+    dsq = _sqrt_frechet(lam, v, dh)
+    ds = (dsq @ x.b @ x.sq + x.sq @ db @ x.sq + x.sq @ x.b @ dsq).reshape(len(dh), -1)
+    return np.concatenate([ds.real, ds.imag], axis=1).T, np.concatenate([x.s.real.ravel(), x.s.imag.ravel()])
+
+
 def _sqrt_frechet(lam, v, dh):
     """Daleckii-Krein derivative of the hermitian square root."""
     sq = np.sqrt(lam)
@@ -339,10 +403,11 @@ def lm_minimize(basis: SectionBasis, grid: QuadratureGrid, H0: np.ndarray, tol: 
 
     The iterate is re-centered each accepted step through the congruence
     H <- e^{A/2} H e^{A/2} with A hermitian trace-free, 0 outside the
-    mask of _solve (sum_m n_m^2 - 1 directions on the orbits, else
-    N^2 - 1), so the Jacobian is only ever needed at A = 0 where it is
-    available in closed form: dB = -(1/Vol) int P dH P with P = Q h^{-1}
-    Q*.  Past LM_MEMORY_BUDGET lm_memory_check refuses it up front.
+    mask of _solve (sum_m n_m^2 - 1 directions on the orbits, N - 1
+    diagonal ones on the column route, else N^2 - 1), so the Jacobian is
+    only ever needed at A = 0 where it is available in closed form: dB =
+    -(1/Vol) int P dH P with P = Q h^{-1} Q*, or d(int p)/d log H on the
+    column route.  Past LM_MEMORY_BUDGET lm_memory_check refuses it.
 
     A trial step is accepted only when it cuts the Frobenius residual by
     more than the relative margin LM_DECREASE_MARGIN without raising m2,
@@ -357,23 +422,17 @@ def lm_minimize(basis: SectionBasis, grid: QuadratureGrid, H0: np.ndarray, tol: 
     n = basis.dimension
     lm_memory_check(basis, grid, H0)
 
-    def make_step(nodes, mask):
-        return partial(step, nodes, mask, _herm_basis(mask))
+    def make_step(mask, jacobian):
+        return partial(step, jacobian, _herm_basis(np.eye(n, dtype=bool) if mask is None else mask))
 
-    def step(nodes, mask, directions, x, history, evaluate, trial, chart):
+    def step(jacobian, directions, x, history, evaluate, trial):
         lam_damp = history[-1].damping
-        lamH, vH, sq = x.eig
         # After a run of fallback steps the least-squares model is known
         # to be unproductive; only re-probe it occasionally.
         stuck = len(history) > 3 and all(row.step == "fallback" for row in history[-4:-1])
         tries = 0
         if not (stuck and history[-1].iteration % 10 != 0):
-            dh = 0.5 * (directions @ x.H + x.H @ directions)
-            db = _b_derivatives(basis, nodes, chart, x.wh, dh) * mask
-            dsq = _sqrt_frechet(lamH, vH, dh)
-            ds = (dsq @ x.b @ sq + sq @ db @ sq + sq @ x.b @ dsq).reshape(len(dh), -1)
-            jac = np.concatenate([ds.real, ds.imag], axis=1).T
-            rvec = np.concatenate([x.s.real.ravel(), x.s.imag.ravel()])
+            jac, rvec = jacobian(x, directions)
             jtj = jac.T @ jac
             jtr = jac.T @ rvec
             descent = np.isfinite(jtj).all() and np.isfinite(jtr).all() and (
@@ -403,11 +462,11 @@ def lm_minimize(basis: SectionBasis, grid: QuadratureGrid, H0: np.ndarray, tol: 
         # descent of m2 itself: direction -(M - (tr M / N) I) in the
         # sigma-frame.  On stable cases this never fires; on unstable
         # ones it drives the characteristic spread growth.
-        m_now = sq @ x.b @ sq
+        m_now = x.sq @ x.b @ x.sq
         zeta = -(m_now - (np.trace(m_now) / n) * np.eye(n))
         zeta = 0.5 * (zeta + zeta.conj().T)
         for halving in range(20):
-            y = trial(sq @ _expm_herm(0.5**halving * zeta) @ sq)
+            y = trial(x.sq @ _expm_herm(0.5**halving * zeta) @ x.sq)
             if y is not None and y.m2 < x.m2:
                 return "fallback", tries, lam_damp, y
         return "none", tries, lam_damp, None

@@ -23,11 +23,12 @@ bundle) every pointwise term of M2 and M1 depends on |z| alone, so
 m2_along_path, m1_curve and m1_rate run on one node per torus orbit
 (QuadratureGrid.orbits), and so does the curvature of a diagonal form,
 repeated over each ring.  There h, a and c are diagonal and all three
-read one real table |Q_ic|^2 (_columns): M2 as one positive sum per
-column, M1 and the curvature as per-column weight statistics
-(_column_terms), with no jets, no Cholesky and no overflow in t.  Every other 1-PS or form keeps the Gram and jet blocks
-on the whole grid, and so does P^2.  A failure on the quotient names its
-node in the full grid.
+read one real table |Q_ic|^2 (kernels.columns, as the balance solvers'
+column route does): M2 as one positive sum per column, M1 and the
+curvature as per-column weight statistics (_column_terms), with no jets,
+no Cholesky and no overflow in t.  Every other 1-PS or form keeps the
+Gram and jet blocks on the whole grid, and so does P^2.  A failure on
+the quotient names its node in the full grid.
 """
 
 from __future__ import annotations
@@ -232,20 +233,17 @@ def _weighted(e, stack):
 
 
 def _columns(basis: SectionBasis, grid: QuadratureGrid, lam: np.ndarray, pairs: bool) -> _Table:
-    """The |Q|^2 table of a split bundle on ``grid`` for the forms
-    e^{2 lam t}, lam a weight per section row; kernels.finite names an
-    overflowed |Q_ic|^2.  Row i of Q is one monomial c_i z^{m_i} in its
-    column (m = SectionBasis.characters): dQ_i / Q_i = m_i / z exactly.
+    """The |Q|^2 table of a split bundle on ``grid`` (kernels.columns) for
+    the forms e^{2 lam t}, lam a weight per section row.  Row i of Q is
+    one monomial c_i z^{m_i} in its column (m = SectionBasis.characters):
+    dQ_i / Q_i = m_i / z exactly.
     The pair matrices and the node factor, which M1 and the curvature
     read and M2 does not, are formed only with ``pairs`` (else None)."""
     m, rows = basis.characters, [slice(r.start, r.stop) for r in map(basis.summand_rows, range(basis.rank))]
-    with np.errstate(over="ignore", invalid="ignore"):
-        blocks = [(sl, [kernels.finite(q[s, c].real ** 2 + q[s, c].imag ** 2, grid, sl) for c, s in enumerate(rows)])
-                  for sl, q in kernels.blocks(basis, grid.nodes)]
     runs = [(s, lam[s].max(), 2.0 * (lam[s] - lam[s].max()),
              np.triu(np.subtract.outer(m[s], m[s]) ** 2.0) if pairs else None) for s in rows]
     a = np.abs(grid.nodes) ** 2
-    return _Table(grid, (1.0 + a) ** 2 / a if pairs else None, blocks, runs)
+    return _Table(grid, (1.0 + a) ** 2 / a if pairs else None, kernels.columns(basis, grid), runs)
 
 
 def _column_terms(basis: SectionBasis, cols: _Table, t: float):

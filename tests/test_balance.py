@@ -216,6 +216,57 @@ def test_generic_start_keeps_the_whole_grid(solver, rng):
         assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
+@pytest.mark.parametrize("degrees, k", [((0, 2), 3), ((0, 1, 2), 2)], ids=["split02-k3", "split012-k2"])
+def test_column_route_is_the_masked_quotient_at_a_diagonal_form(degrees, k):
+    """At a random positive diagonal H the column route gives B(H), m2 and
+    the LM Jacobian in the N - 1 diagonal directions of the masked
+    quotient (_solver_parts, and _masked_jacobian from _b_derivatives) to
+    1e-13 relative.  The masked Jacobian's rows off the real diagonal
+    vanish.  A grid with ring 1 has no ring average and never takes it."""
+    grid = qd.build_grid_p1(**COARSE)
+    basis = bd.section_basis(bd.split(*degrees), k)
+    n, nodes = basis.dimension, grid.orbits
+    H = np.diag(np.exp(np.random.default_rng(21).normal(size=n))).astype(complex)
+    route = bl._node_set(basis, grid, H)
+    assert route[0] is nodes and route[1] is None
+    assert bl._node_set(basis, dataclasses.replace(grid, ring=1), H)[1] is not None
+    evaluate, jacobian = bl._column_route(basis, nodes)
+    got = evaluate(H)
+    mask = bl._torus_mask(basis, grid)
+    chart = list(kernels.blocks(basis, nodes.nodes))
+    want = bl._solver_parts(basis, nodes, H, kernels.logdet(kernels.field(basis, nodes, chart=chart)), chart, mask)
+    assert np.abs(got.b - want.b).max() <= 1e-13 * np.abs(want.b).max()
+    assert got.m2 == pytest.approx(want.m2, rel=1e-13)
+    directions = bl._herm_basis(np.eye(n, dtype=bool))
+    jac, res = jacobian(got, directions)
+    jac_want, res_want = bl._masked_jacobian(basis, nodes, chart, mask, want, directions)
+    diagonal = np.arange(n) * (n + 1)  # the real parts of the entries (i, i)
+    scale = np.abs(jac).max()
+    assert np.abs(jac - jac_want[diagonal]).max() <= 1e-13 * scale
+    assert np.abs(np.delete(jac_want, diagonal, axis=0)).max() <= 1e-13 * scale
+    assert np.abs(res - res_want[diagonal]).max() <= 1e-13 * np.abs(res).max()
+
+
+@pytest.mark.parametrize("degrees, k", [((0, 2), 3), ((0, 1, 2), 2), ((0, 0, 1), 2)],
+                         ids=["split02-k3", "split012-k2", "split001-k2"])
+def test_divergent_t_run_follows_the_exact_law(degrees, k):
+    """On a split bundle the T-map from I acts on each summand's block
+    alone: the block of O(a_j) balances and is then scaled by r N_j / N
+    per step, N_j = h^0(O(a_j + k)).  So the last step of a divergent run
+    grows the log-spread by log(N_max / N_min) and moves m2 by
+    sum_j log N_j - (r/N) sum_j N_j log N_j, both to 12 digits."""
+    grid = qd.build_grid_p1(6, 16, 12)
+    basis = bd.section_basis(bd.split(*degrees), k)
+    sizes = np.array([a + k + 1 for a in degrees], dtype=float)
+    r, n = len(degrees), basis.dimension
+    state, history = bl.t_iterate(basis, grid, np.eye(n), tol=1e-10, max_iter=300)
+    assert state.flag == "diverged"
+    spread_rate = history[-1].spread - history[-2].spread
+    m2_rate = history[-1].m2 - history[-2].m2
+    assert spread_rate == pytest.approx(np.log(sizes.max() / sizes.min()), rel=1e-12)
+    assert m2_rate == pytest.approx(np.log(sizes).sum() - (r / n) * (sizes * np.log(sizes)).sum(), rel=1e-12)
+
+
 def test_herm_basis_inside_the_mask():
     """The directions are those of the loop over entries (i < j: the real
     and imaginary off-diagonal pair; then e_a - e_{a+1}), in that order,
@@ -243,9 +294,10 @@ def test_herm_basis_inside_the_mask():
 
 def test_lm_refuses_past_its_memory_budget(monkeypatch, rng):
     """At N = 64 a generic start needs all N^2 - 1 = 4095 directions, past
-    LM_MEMORY_BUDGET: refused before the direction stack is built.  An
-    invariant start needs sum_m n_m^2 - 1 = 125 and passes the check
-    (its t4 is still N^4)."""
+    LM_MEMORY_BUDGET: refused before the direction stack is built.  The
+    diagonal start I takes the column route, N - 1 = 63 directions and no
+    N^4 tensor; an invariant start that is not diagonal needs
+    sum_m n_m^2 - 1 = 125 and passes the check too (its t4 is still N^4)."""
     grid = qd.build_grid_p1(n_radial=2, n_angular=4, depth=2)
     basis = bd.section_basis(bd.split(0, 2), 30)
     n = basis.dimension
@@ -256,8 +308,13 @@ def test_lm_refuses_past_its_memory_budget(monkeypatch, rng):
         bl.lm_minimize(basis, grid, random_form(n, rng), tol=1e-10, max_iter=1)
     built = []
     monkeypatch.setattr(bl, "_herm_basis", lambda mask: built.append(len(herm_basis(mask))) or herm_basis(mask))
-    state, _ = bl.lm_minimize(basis, grid, np.eye(n), tol=1e-10, max_iter=0)
-    assert state.flag == "max_iter" and built == [125]
+    invariant = np.eye(n)
+    invariant[0, 31] = invariant[31, 0] = 0.5  # character 0 of either summand
+    assert basis.characters[[0, 31]].tolist() == [0, 0]
+    for H0 in (np.eye(n), invariant):
+        state, _ = bl.lm_minimize(basis, grid, H0, tol=1e-10, max_iter=0)
+        assert state.flag == "max_iter"
+    assert built == [63, 125]
 
 
 def test_unstable_bundle_diverges(grid_p1):

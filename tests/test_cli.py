@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import shlex
@@ -160,14 +161,28 @@ def test_balance_verdict_is_the_t_flag(tmp_path, capsys, monkeypatch):
 
 
 def test_balance_refuses_an_lm_run_past_its_budget_before_solving(tmp_path, capsys, monkeypatch):
-    """At k = 36 on O(0)+O(2) (N = 76) even the torus-invariant start's
-    LM Jacobian needs more than LM_MEMORY_BUDGET (t4 is N^4): `bml
-    balance` refuses before the T-solve runs and writes nothing."""
+    """On T_P2 at k = 5 (N = 63) the start I runs on the full grid, which
+    has no rings, and its LM Jacobian needs about 3 GiB, past
+    LM_MEMORY_BUDGET (t4 is N^4): `bml balance` refuses before the
+    T-solve runs and writes nothing."""
     monkeypatch.setattr(cli.bl, "t_iterate", lambda *args, **kwargs: pytest.fail("T-solve ran"))
-    code = cli.main(["balance", "--bundle", "split_p1:0,2", "--k", "36", "--out", str(tmp_path)])
+    code = cli.main(["balance", "--bundle", "euler_tp2", "--k", "5", "--out", str(tmp_path)])
     assert code == 1
     assert "LMMemoryExceeded" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_balance_of_a_diagonal_start_runs_at_level_36(tmp_path, capsys):
+    """At k = 36 on O(0)+O(2) (N = 76) the start I takes the column route,
+    with no N^4 tensor: the T-solve diverges, and the log-spread of its
+    last step grows by log(N_max / N_min) = log(39/37).  LM stops at
+    max_iter: its m2-descent steps spread H more slowly."""
+    assert cli.main(["balance", "--bundle", "split_p1:0,2", "--k", "36", "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "balance.json").read_text())
+    assert (summary["verdict"], summary["t_flag"], summary["lm_flag"]) == ("unstable-like", "diverged", "max_iter")
+    lines = (tmp_path / "balance_t.csv").read_text().splitlines()
+    spread = [float(line.split(",")[3]) for line in lines[-2:]]
+    assert spread[1] - spread[0] == pytest.approx(math.log(39 / 37), rel=1e-8)
 
 
 def test_non_object_config_exits_one(tmp_path, capsys):

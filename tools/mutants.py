@@ -98,6 +98,12 @@ MUTANTS = (
     ("balance-quotient-any-start", "src/bml/balance.py",
      "nodes = grid if H0[~mask].any() else grid.orbits",
      "nodes = grid.orbits"),
+    ("balance-columns-any-start", "src/bml/balance.py",
+     "if grid.ring > 1 and not (H0 - np.diag(H0.diagonal())).any():",
+     "if grid.ring > 1:"),
+    ("balance-columns-softmax-wrong-column", "src/bml/balance.py",
+     "p = e / hc[col]",
+     "p = e / hc[col[::-1]]"),
     ("stack-fold-wrong-axis", "src/bml/quadrature.py",
      "np.add.reduce(values * self.weights, axis=-1)",
      "np.add.reduce(values * self.weights, axis=0)"),
@@ -105,9 +111,9 @@ MUTANTS = (
      "    tables = [np.exp(np.outer(times, shift)) for _, _, shift, _ in cols.runs]\n",
      "    tables = [np.exp(np.outer(times, shift + 2.0 * top)) for _, top, shift, _ in cols.runs]\n"
      "    cols = _Table(cols.grid, cols.twist, cols.blocks, [(s, 0.0, *r) for s, _, *r in cols.runs])\n"),
-    ("columns-wrong-column", "src/bml/donaldson.py",
-     "kernels.finite(q[s, c].real ** 2 + q[s, c].imag ** 2, grid, sl)",
-     "kernels.finite(q[s, 0].real ** 2 + q[s, 0].imag ** 2, grid, sl)"),
+    ("columns-wrong-column", "src/bml/kernels.py",
+     "finite(q[s, c].real ** 2 + q[s, c].imag ** 2, grid, sl)",
+     "finite(q[s, 0].real ** 2 + q[s, 0].imag ** 2, grid, sl)"),
     ("m1-columns-no-top-shift", "src/bml/donaldson.py",
      "scales = [np.exp(shift * t) for _, _, shift, _ in cols.runs]",
      "scales = [np.exp((shift + 2.0 * top) * t) for _, top, shift, _ in cols.runs]"),
