@@ -11,9 +11,9 @@ equation of the log-determinant energy m2.  Two solvers are provided: a
 fixed-point T-operator iteration and a damped least-squares
 (Levenberg-Marquardt) minimization of the center-of-mass residual, both
 recording a per-iteration history suitable for convexity and divergence
-diagnostics; from a torus-invariant start on P^1 both run on one node
-per orbit (_solve), and from a diagonal one on the |Q|^2 column table
-with N numbers per step (_column_route).  The delta diagnostic
+diagnostics; from a diagonal start on P^1 both run on the |Q|^2 column
+table of one node per torus orbit with N numbers per step
+(_column_route), from any other on the whole grid.  The delta diagnostic
 quantifies the distance from a computed minimizer to the
 Hermitian-Einstein reference through the eigenvalue pinch delta and a
 spectral constant of the Laplacian.
@@ -136,7 +136,7 @@ class _Iterate(NamedTuple):
     """A solver iterate: the form H, sq = H^{1/2}, B(H), the hermitian
     residual s = M(H) - (r/N) I with M(H) = sq B(H) sq, m2, the spread
     log(lambda_max / lambda_min) of H, and what its route's LM Jacobian
-    reads: (W per node, eigh(H)) masked, (p, int p) on the column route."""
+    reads: (W per node, eigh(H)) on the grid, (p, int p) on the columns."""
 
     H: np.ndarray
     sq: np.ndarray
@@ -147,13 +147,10 @@ class _Iterate(NamedTuple):
     parts: tuple
 
 
-def _solver_parts(basis, grid, H, ld0, chart=None, mask=True) -> _Iterate:
+def _solver_parts(basis, grid, H, ld0, chart=None) -> _Iterate:
     """The iterate at the form H from one pass over the node blocks, with
-    m2 against the reference log-dets ld0; H and B(H) keep the entries of
-    ``mask``, on the orbit quotient the character mask (_torus_mask)."""
-    H = H * mask
+    m2 against the reference log-dets ld0."""
     b, ld, wh = kernels.b_matrix(basis, grid, H, chart)
-    b = b * mask
     lam, v, sq = _sqrtm_psd(H)
     n = basis.dimension
     s = sq @ b @ sq - (basis.rank / n) * np.eye(n)
@@ -163,16 +160,16 @@ def _solver_parts(basis, grid, H, ld0, chart=None, mask=True) -> _Iterate:
 
 def _column_route(basis, nodes):
     """evaluate(H) and jacobian(x, directions) of the column route
-    (_node_set) on the quotient ``nodes``, for diagonal H.  With rho_i =
-    |Q_ic|^2 (kernels.columns), h_H = diag(h_c), and p_i = H_ii rho_i / h_c
-    is the softmax of log H_ii + log rho_i over the rows of column c:
-    B(H)_ii = int p_i / H_ii, M(H) = diag(int p), m2 = int sum_c log(h_c /
-    h_c^0) and d(int p_i)/d log H_j = int (delta_ij p_i - p_i p_j) within a
-    column.  No sandwich, no Cholesky, no N^4 tensor."""
+    (_column_start) on the orbit nodes ``nodes``, for diagonal H.  With
+    rho_i = |Q_ic|^2 (kernels.columns), h_H = diag(h_c), and p_i = H_ii
+    rho_i / h_c is the softmax of log H_ii + log rho_i over the rows of
+    column c: B(H)_ii = int p_i / H_ii, M(H) = diag(int p), m2 = int sum_c
+    log(h_c / h_c^0) and d(int p_i)/d log H_j = int (delta_ij p_i - p_i
+    p_j) within a column.  No sandwich, no Cholesky, no N^4 tensor."""
     r, n = basis.rank, basis.dimension
-    starts = np.array([basis.summand_rows(c).start for c in range(r)])
-    col = np.repeat(np.arange(r), np.diff(starts, append=n))
-    rho = np.concatenate([np.concatenate(c, axis=1) for c in zip(*(t for _, t in kernels.columns(basis, nodes)))])
+    rho, rows = kernels.columns(basis, nodes)
+    starts = np.array([s.start for s in rows])
+    col = np.repeat(np.arange(r), [s.stop - s.start for s in rows])
     ld0 = np.log(np.add.reduceat(rho, starts)).sum(axis=0)
 
     def evaluate(H):
@@ -234,37 +231,24 @@ def _divergence_hit(history) -> bool:
     return _m2_decreasing([row.m2 for row in history[-(M2_DECREASE_RUN + 1):]])
 
 
-def _torus_mask(basis, grid) -> np.ndarray:
-    """m_i = m_j over the section characters m (SectionBasis.characters),
-    outside which a torus-invariant form is 0; all True without rings."""
-    m = basis.characters if grid.ring > 1 else np.zeros(basis.dimension)
-    return m[:, None] == m[None, :]
-
-
-def _node_set(basis, grid, H0):
-    """The route of a solve from H0 as (nodes, mask): on a grid with
-    rings, (grid.orbits, None), the column route, if H0 is diagonal, else
-    (grid.orbits, _torus_mask) if H0 is 0 outside the mask, so that the
-    solve stays on torus-invariant forms (QuadratureGrid.orbits); else,
-    and on a grid with ring 1, which has no ring average, (grid, all)."""
-    if grid.ring > 1 and not (H0 - np.diag(H0.diagonal())).any():
-        return grid.orbits, None
-    mask = _torus_mask(basis, grid)
-    nodes = grid if H0[~mask].any() else grid.orbits
-    return nodes, mask | (nodes is grid)
+def _column_start(grid, H0) -> bool:
+    """Whether a solve from H0 takes the column route (_column_route) on
+    grid.orbits: H0 is diagonal, so it commutes with the torus, and the
+    grid has rings.  Every other start runs on the whole grid."""
+    return grid.ring > 1 and not (H0 - np.diag(H0.diagonal())).any()
 
 
 def lm_memory_check(basis: SectionBasis, grid: QuadratureGrid, H0: np.ndarray) -> None:
     """Raise LMMemoryExceeded if an LM Jacobian from H0, with its D
-    directions on the route of _node_set, needs more than LM_MEMORY_BUDGET.
-    Column route (D = N - 1): complex D N^2 directions, real N M p and w p
-    on M nodes, J and J^T J.  Masked route: complex N^4 (t4) twice, N^2 B
-    (a B-node block's P-field) twice, D N^2 ten times (dH, dB, dS, J...),
-    real J^T J."""
-    nodes, mask = _node_set(basis, grid, np.asarray(H0, dtype=complex))
-    n, m = basis.dimension, len(nodes.nodes)
-    d = n - 1 if mask is None else int(mask.sum()) - 1
-    need = 16 * (d * n * n + n * m + n * n) if mask is None else (
+    directions on the route of _column_start, needs more than
+    LM_MEMORY_BUDGET.  Column route (D = N - 1): complex D N^2
+    directions, real N M p and w p on M orbit nodes, J and J^T J.  Whole
+    grid (D = N^2 - 1): complex N^4 (t4) twice, N^2 B (a B-node block's
+    P-field) twice, D N^2 ten times (dH, dB, dS, J...), real J^T J."""
+    n, m = basis.dimension, len(grid.nodes)
+    column = _column_start(grid, np.asarray(H0, dtype=complex))
+    d = n - 1 if column else n * n - 1
+    need = 16 * (d * n * n + n * m // grid.ring + n * n) if column else (
         16 * (2 * n**4 + 2 * n * n * min(kernels.BLOCK, m) + 10 * d * n * n) + 8 * d * d)
     if need > LM_MEMORY_BUDGET:
         raise LMMemoryExceeded(f"an LM Jacobian at N = {n} with {d} directions needs "
@@ -272,29 +256,30 @@ def lm_memory_check(basis: SectionBasis, grid: QuadratureGrid, H0: np.ndarray) -
 
 
 def _solve(basis, grid, H0, tol, max_iter, make_step, damping):
-    """The loop of both solvers on the route of _node_set: the column
-    route (_column_route) or one held chart of the node set with every H
-    and B(H) masked (_solver_parts); only ``evaluate(H)``, the iterate at
-    H, and ``jacobian(x, directions)`` differ.  ``make_step(mask,
-    jacobian)`` gives ``step(x, history, evaluate, trial)``, which returns
-    (kind, rejected, damping, next iterate) from the iterate x, the last
-    None when no step was found; ``trial(H)`` is the iterate at H
-    det-normalized, or None when it is rejected.
+    """The loop of both solvers on the route of _column_start: the column
+    route (_column_route) or one held chart of the whole grid
+    (_solver_parts); only ``evaluate(H)``, the iterate at H, and
+    ``jacobian(x, directions)`` differ.  ``make_step(column, jacobian)``,
+    ``column`` True on the column route, gives ``step(x, history,
+    evaluate, trial)``, which returns (kind, rejected, damping, next
+    iterate) from the iterate x, the last None when no step was found;
+    ``trial(H)`` is the iterate at H det-normalized, or None when it is
+    rejected.
 
     Returns (final BalanceState, history): converged below ``tol``,
     diverged (spread ratio past threshold with a long monotone m2
     decrease), max_iter, or stalled when no step was found.
     """
     H0 = np.asarray(H0, dtype=complex)
-    nodes, mask = _node_set(basis, grid, H0)
-    if mask is None:
-        evaluate, jacobian = _column_route(basis, nodes)
+    column = _column_start(grid, H0)
+    if column:
+        evaluate, jacobian = _column_route(basis, grid.orbits)
     else:
-        chart = list(kernels.blocks(basis, nodes.nodes))
-        ld0 = kernels.logdet(kernels.field(basis, nodes, chart=chart))
-        evaluate = partial(_solver_parts, basis, nodes, ld0=ld0, chart=chart, mask=mask)
-        jacobian = partial(_masked_jacobian, basis, nodes, chart, mask)
-    step = make_step(mask, jacobian)
+        chart = list(kernels.blocks(basis, grid.nodes))
+        ld0 = kernels.logdet(kernels.field(basis, grid, chart=chart))
+        evaluate = partial(_solver_parts, basis, grid, ld0=ld0, chart=chart)
+        jacobian = partial(_grid_jacobian, basis, grid, chart)
+    step = make_step(column, jacobian)
 
     def trial(H):
         # A singular or overflowing trial form is rejected, not raised.
@@ -336,14 +321,13 @@ def t_iterate(basis: SectionBasis, grid: QuadratureGrid, H0: np.ndarray, tol: fl
     def step(x, history, evaluate, trial):
         return "t", 0, 0.0, evaluate(t_operator(basis, x.b))
 
-    return _solve(basis, grid, H0, tol, max_iter, lambda mask, jacobian: step, 0.0)
+    return _solve(basis, grid, H0, tol, max_iter, lambda column, jacobian: step, 0.0)
 
 
 def _herm_basis(mask: np.ndarray) -> np.ndarray:
     """Real basis of the trace-free hermitian n x n matrices with no entry
     outside the symmetric (n, n) bool ``mask`` whose diagonal is True, as
-    a (D, n, n) stack: D = n^2 - 1 for a full mask, sum_m n_m^2 - 1 for a
-    character mask with n_m rows of character m."""
+    a (D, n, n) stack: D = n^2 - 1 for a full mask, n - 1 for the identity."""
     n = len(mask)
     i, j = np.nonzero(np.triu(mask, 1))
     k, a, s = np.arange(len(i)), np.arange(n - 1), 1.0 / np.sqrt(2.0)
@@ -372,13 +356,13 @@ def _b_derivatives(basis, grid, chart, wh, dh):
     return -(dh.reshape(-1, n * n) @ t4).reshape(dh.shape)
 
 
-def _masked_jacobian(basis, nodes, chart, mask, x, directions):
-    """(J, r) of a masked route at x: the real and imaginary parts of dS
+def _grid_jacobian(basis, grid, chart, x, directions):
+    """(J, r) on the whole grid at x: the real and imaginary parts of dS
     per direction dA, dH = (dA H + H dA) / 2, dB from _b_derivatives
     and dsq from _sqrt_frechet, and those of S."""
     wh, lam, v = x.parts
     dh = 0.5 * (directions @ x.H + x.H @ directions)
-    db = _b_derivatives(basis, nodes, chart, wh, dh) * mask
+    db = _b_derivatives(basis, grid, chart, wh, dh)
     dsq = _sqrt_frechet(lam, v, dh)
     ds = (dsq @ x.b @ x.sq + x.sq @ db @ x.sq + x.sq @ x.b @ dsq).reshape(len(dh), -1)
     return np.concatenate([ds.real, ds.imag], axis=1).T, np.concatenate([x.s.real.ravel(), x.s.imag.ravel()])
@@ -402,12 +386,11 @@ def lm_minimize(basis: SectionBasis, grid: QuadratureGrid, H0: np.ndarray, tol: 
     """Damped least-squares minimization of the center-of-mass residual.
 
     The iterate is re-centered each accepted step through the congruence
-    H <- e^{A/2} H e^{A/2} with A hermitian trace-free, 0 outside the
-    mask of _solve (sum_m n_m^2 - 1 directions on the orbits, N - 1
-    diagonal ones on the column route, else N^2 - 1), so the Jacobian is
-    only ever needed at A = 0 where it is available in closed form: dB =
-    -(1/Vol) int P dH P with P = Q h^{-1} Q*, or d(int p)/d log H on the
-    column route.  Past LM_MEMORY_BUDGET lm_memory_check refuses it.
+    H <- e^{A/2} H e^{A/2} with A hermitian trace-free (N - 1 diagonal
+    directions on the column route of _solve, else N^2 - 1), so the
+    Jacobian is only ever needed at A = 0 where it is available in closed
+    form: dB = -(1/Vol) int P dH P with P = Q h^{-1} Q*, or d(int p)/d log
+    H on the column route.  Past LM_MEMORY_BUDGET lm_memory_check refuses it.
 
     A trial step is accepted only when it cuts the Frobenius residual by
     more than the relative margin LM_DECREASE_MARGIN without raising m2,
@@ -422,8 +405,8 @@ def lm_minimize(basis: SectionBasis, grid: QuadratureGrid, H0: np.ndarray, tol: 
     n = basis.dimension
     lm_memory_check(basis, grid, H0)
 
-    def make_step(mask, jacobian):
-        return partial(step, jacobian, _herm_basis(np.eye(n, dtype=bool) if mask is None else mask))
+    def make_step(column, jacobian):
+        return partial(step, jacobian, _herm_basis(np.eye(n, dtype=bool) if column else np.ones((n, n), dtype=bool)))
 
     def step(jacobian, directions, x, history, evaluate, trial):
         lam_damp = history[-1].damping

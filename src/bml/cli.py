@@ -39,18 +39,23 @@ def _two_step_filtration(cfg: ExperimentConfig) -> xs.FiltrationSpec:
 
 
 def _path_setup(cfg: ExperimentConfig):
-    """(basis, grid, 1-PS, two-step filtration, sample times) of a path experiment."""
+    """(basis, grid, 1-PS, two-step filtration, sample times, start of the
+    slope-fit window t >= 0.6 t_end) of a path experiment, refused up front
+    if the window is short."""
     filt = _two_step_filtration(cfg)
     basis = cfg.section_basis()
     ts = np.linspace(cfg.t_end / cfg.samples, cfg.t_end, cfg.samples)
-    return basis, cfg.build_grid(), cfg.ps.build(basis), filt, ts
+    t_min = 0.6 * cfg.t_end
+    if (ts >= t_min).sum() < don.MIN_TAIL_SAMPLES:
+        raise ConfigError("samples", f"fewer than {don.MIN_TAIL_SAMPLES} samples in the fit window t >= {t_min:g}")
+    return basis, cfg.build_grid(), cfg.ps.build(basis), filt, ts, t_min
 
 
 def run_slope(cfg: ExperimentConfig):
-    basis, grid, ps, filt, ts = _path_setup(cfg)
+    basis, grid, ps, filt, ts, t_min = _path_setup(cfg)
     predicted = xs.m2_slope_prediction(filt)
     m2 = don.m2_along_path(basis, grid, ps, ts)
-    fit = don.asymptotic_slope_fit(ts, m2, t_min=0.6 * cfg.t_end, predicted=float(predicted))
+    fit = don.asymptotic_slope_fit(ts, m2, t_min=t_min, predicted=float(predicted))
     ok = abs(fit.slope - float(predicted)) <= cfg.tol * max(1.0, abs(float(predicted)))
     fields = dict(
         predicted_slope=predicted,
@@ -84,15 +89,15 @@ def run_mna(cfg: ExperimentConfig):
 
 
 def run_asymptote(cfg: ExperimentConfig):
-    basis, grid, ps, filt, ts = _path_setup(cfg)
+    basis, grid, ps, filt, ts, t_min = _path_setup(cfg)
     m_na = xs.m_na(filt)
     m2_pred = xs.m2_slope_prediction(filt)
     mu_e = xs.mu(filt.ambient)
     m1 = don.m1_curve(basis, grid, ps, ts)
     m2 = don.m2_along_path(basis, grid, ps, ts)
     mdon = m1 + float(mu_e) * m2
-    fit_don = don.asymptotic_slope_fit(ts, mdon, t_min=0.6 * cfg.t_end, predicted=float(m_na))
-    fit_m2 = don.asymptotic_slope_fit(ts, m2, t_min=0.6 * cfg.t_end, predicted=float(m2_pred))
+    fit_don = don.asymptotic_slope_fit(ts, mdon, t_min=t_min, predicted=float(m_na))
+    fit_m2 = don.asymptotic_slope_fit(ts, m2, t_min=t_min, predicted=float(m2_pred))
     ok = abs(fit_don.slope - float(m_na)) <= cfg.tol * max(1.0, abs(float(m_na)))
     fields = dict(
         m_na=m_na,

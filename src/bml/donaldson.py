@@ -49,6 +49,9 @@ class InsufficientSamples(ValueError):
     pass
 
 
+MIN_TAIL_SAMPLES = 5  # the fewest samples asymptotic_slope_fit takes in its window
+
+
 # ---------------------------------------------------------------------------
 # Log-det energy
 
@@ -77,7 +80,7 @@ def m2_along_path(
     """
     times = np.concatenate([[0.0], np.asarray(ts, dtype=float).ravel()])
     if ps.rows is not None and basis.bundle.kind == "split_p1":
-        return _m2_columns(basis, grid.orbits, ps, times)
+        return _m2_columns(basis, grid, ps, times)
     with np.errstate(over="ignore"):
         table = np.exp(2.0 * np.outer(ps.weights, times))
     vals = np.empty((len(times), len(grid.nodes)))
@@ -92,19 +95,18 @@ def m2_along_path(
 
 def _m2_columns(basis: SectionBasis, grid: QuadratureGrid, ps: OnePS, times: np.ndarray) -> np.ndarray:
     """m2_along_path at ``times`` (times[0] = 0) for a diagonal 1-PS of a
-    split bundle, from its column table (_columns): h(t) is diagonal,
-    h_c(t) = e^{2 top_c t} sum_i e^{2 (lam_i - top_c) t} |Q_ic|^2 over the
-    rows i of column c, one real GEMM per column against a table no entry
-    of which exceeds 1, and M2(t) = 2 t sum_c top_c + int sum_c
-    log(h_c(t) / h_c(0)) / Vol."""
-    cols = _columns(basis, grid, ps.eigenvalues[np.argsort(ps.rows)], False)
-    tables = [np.exp(np.outer(times, shift)) for _, _, shift, _ in cols.runs]
-    vals = np.empty((len(times) - 1, len(grid.nodes)))
-    for sl, rho in cols.blocks:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            h = np.stack([tab @ rho_c for rho_c, tab in zip(rho, tables)])
-            vals[:, sl] = np.log(h[:, 1:] / h[:, :1]).sum(axis=0)
-    return 2.0 * times[1:] * sum(top for _, top, _, _ in cols.runs) + grid.integrate(vals) / grid.volume
+    split bundle, from its column table on grid.orbits (kernels.columns):
+    h(t) is diagonal, h_c(t) = e^{2 top_c t} sum_i e^{2 (lam_i - top_c) t}
+    |Q_ic|^2 over the rows i of column c, one real GEMM per column against
+    a table no entry of which exceeds 1, and M2(t) = 2 t sum_c top_c +
+    int sum_c log(h_c(t) / h_c(0)) / Vol."""
+    rho, rows = kernels.columns(basis, grid.orbits)
+    lam = ps.eigenvalues[np.argsort(ps.rows)]
+    tops = [lam[s].max() for s in rows]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        h = np.stack([np.exp(np.outer(times, 2.0 * (lam[s] - top))) @ rho[s] for s, top in zip(rows, tops)])
+        vals = np.log(h[:, 1:] / h[:, :1]).sum(axis=0)
+    return 2.0 * times[1:] * sum(tops) + grid.orbits.integrate(vals) / grid.volume
 
 
 # ---------------------------------------------------------------------------
@@ -139,10 +141,10 @@ def curvature_field(
     """
     _only_analytic(method)
     if _diagonal_frame(form.matrix) and basis.bundle.kind == "split_p1":
-        cols = _columns(basis, grid.orbits, 0.5 * np.log(form.matrix.diagonal().real), True)
+        cols = _columns(basis, grid, 0.5 * np.log(form.matrix.diagonal().real))
         f = np.zeros((len(cols.grid.nodes), basis.rank, basis.rank), dtype=complex)
-        for sl, terms in _column_terms(basis, cols, 1.0):
-            f[sl, range(basis.rank), range(basis.rank)] = np.stack([f_c for _, f_c in terms], axis=-1)
+        for c, (_, f_c) in enumerate(_column_terms(basis, cols, 1.0)):
+            f[:, c, c] = f_c
         return np.repeat(f, grid.ring, axis=0)
     lam, v = np.linalg.eigh(form.matrix)
     jets = _path_jets(basis, grid, np.sqrt(lam)[:, None] * v.conj().T, (slice(None),))
@@ -183,14 +185,13 @@ def _curvature_frame(fs, h, a, c):
 
 @dataclass(frozen=True)
 class _Table:
-    """What m1_rate reads (_path_table): a grid, a factor per node and per
-    node block (slice, x), node index last.  Jet blocks (_path_jets):
-    twist (1 + |z|^2)^2, x the (D, 3, r, r, B) stack of G_d, A_d, C_d of
-    the D groups.  Column table (_columns): twist (1 + |z|^2)^2 / |z|^2,
-    x the list over columns c of |Q_ic|^2 on the rows i of c, (K_c, B)
-    each, and per column ``runs`` (rows, top_c, 2 (lam - top_c),
-    (m_i - m_j)^2 for i < j, else 0); M2's has neither the twist nor the
-    pair matrices."""
+    """What m1_rate reads (_path_table): a grid, a factor per node and the
+    held chart data, node index last.  Jet blocks (_path_jets): twist
+    (1 + |z|^2)^2, and per node block (slice, x), x the (D, 3, r, r, B)
+    stack of G_d, A_d, C_d of the D groups.  Column table (_columns):
+    twist (1 + |z|^2)^2 / |z|^2, the one real (N, M) array rho_i =
+    |Q_ic|^2 of kernels.columns, and per column ``runs`` (rows, top_c,
+    2 (lam - top_c), (m_i - m_j)^2 for i < j, else 0)."""
 
     grid: QuadratureGrid
     twist: np.ndarray
@@ -232,36 +233,31 @@ def _weighted(e, stack):
         return (e @ stack.reshape(len(stack), -1)).reshape(stack.shape[1:])
 
 
-def _columns(basis: SectionBasis, grid: QuadratureGrid, lam: np.ndarray, pairs: bool) -> _Table:
-    """The |Q|^2 table of a split bundle on ``grid`` (kernels.columns) for
-    the forms e^{2 lam t}, lam a weight per section row.  Row i of Q is
+def _columns(basis: SectionBasis, grid: QuadratureGrid, lam: np.ndarray) -> _Table:
+    """The |Q|^2 table of a split bundle on grid.orbits (kernels.columns)
+    for the forms e^{2 lam t}, lam a weight per section row.  Row i of Q is
     one monomial c_i z^{m_i} in its column (m = SectionBasis.characters):
-    dQ_i / Q_i = m_i / z exactly.
-    The pair matrices and the node factor, which M1 and the curvature
-    read and M2 does not, are formed only with ``pairs`` (else None)."""
-    m, rows = basis.characters, [slice(r.start, r.stop) for r in map(basis.summand_rows, range(basis.rank))]
-    runs = [(s, lam[s].max(), 2.0 * (lam[s] - lam[s].max()),
-             np.triu(np.subtract.outer(m[s], m[s]) ** 2.0) if pairs else None) for s in rows]
-    a = np.abs(grid.nodes) ** 2
-    return _Table(grid, (1.0 + a) ** 2 / a if pairs else None, kernels.columns(basis, grid), runs)
+    dQ_i / Q_i = m_i / z exactly."""
+    grid = grid.orbits
+    rho, rows = kernels.columns(basis, grid)
+    m, a = basis.characters, np.abs(grid.nodes) ** 2
+    runs = [(s, lam[s].max(), 2.0 * (lam[s] - lam[s].max()), np.triu(np.subtract.outer(m[s], m[s]) ** 2.0))
+            for s in rows]
+    return _Table(grid, (1.0 + a) ** 2 / a, rho, runs)
 
 
 def _column_terms(basis: SectionBasis, cols: _Table, t: float):
-    """Per node block of ``cols``, (slice, [(p, F_c) per column c]) at
-    time t.  h, a and c are diagonal; with p_i = e^{2 (lam_i - top_c) t}
-    rho_i over its sum on the rows of c (p <= 1, sum p = 1), the Lagrange
+    """(p, F_c) per column c of ``cols`` at time t, at every node.  h, a
+    and c are diagonal; with p_i = e^{2 (lam_i - top_c) t} rho_i over its
+    sum on the rows of c (p <= 1, sum p = 1), the Lagrange
     identity S_c / h_c = (c_c h_c - |a_c|^2) / h_c^2 = sum_{i<j} p_i p_j
     (m_i - m_j)^2 / |z|^2 sums non-negative terms (one K_c x K_c product
     per column): nothing cancels.  F_c = (1 + |z|^2)^2 S_c / h_c - k is
     the curvature density of column c against the quadrature measure."""
-    scales = [np.exp(shift * t) for _, _, shift, _ in cols.runs]
-    for sl, rho in cols.blocks:
-        terms = []
-        for (_, _, _, d), e, rho_c in zip(cols.runs, scales, rho):
-            w = e[:, None] * rho_c
-            p = w / w.sum(axis=0)
-            terms.append((p, cols.twist[sl] * (p * (d @ p)).sum(axis=0) - basis.level))
-        yield sl, terms
+    for s, _, shift, d in cols.runs:
+        w = np.exp(shift * t)[:, None] * cols.blocks[s]
+        p = w / w.sum(axis=0)
+        yield p, cols.twist * (p * (d @ p)).sum(axis=0) - basis.level
 
 
 def _path_table(basis: SectionBasis, grid: QuadratureGrid, ps: OnePS):
@@ -269,7 +265,7 @@ def _path_table(basis: SectionBasis, grid: QuadratureGrid, ps: OnePS):
     the column table on grid.orbits, its forms being diagonal, else the
     jet blocks of the weight groups of V* on ``grid``."""
     if ps.rows is not None and basis.bundle.kind == "split_p1":
-        return _columns(basis, grid.orbits, ps.eigenvalues[np.argsort(ps.rows)], True)
+        return _columns(basis, grid, ps.eigenvalues[np.argsort(ps.rows)])
     return _path_jets(basis, grid, ps.vectors.conj().T, ps.slices)
 
 
@@ -286,9 +282,8 @@ def m1_rate(basis: SectionBasis, ps: OnePS, t: float, table: _Table) -> float:
     grid = table.grid
     if table.runs is not None:
         integrand = np.zeros(len(grid.nodes))
-        for sl, terms in _column_terms(basis, table, t):
-            for (_, top, shift, _), (p, f) in zip(table.runs, terms):
-                integrand[sl] -= (2.0 * top + shift @ p) * f
+        for (_, top, shift, _), (p, f) in zip(table.runs, _column_terms(basis, table, t)):
+            integrand -= (2.0 * top + shift @ p) * f
         return grid.integrate(integrand)
     weights = np.asarray(ps.weights)
     with np.errstate(over="ignore"):
@@ -374,8 +369,8 @@ def asymptotic_slope_fit(
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     sel = times >= t_min
-    if sel.sum() < 5:
-        raise InsufficientSamples("need at least 5 tail samples")
+    if sel.sum() < MIN_TAIL_SAMPLES:
+        raise InsufficientSamples(f"need at least {MIN_TAIL_SAMPLES} tail samples")
     tt, vv = times[sel], values[sel]
     a = np.stack([tt, np.ones_like(tt)], axis=1)
     coef, res, _, _ = np.linalg.lstsq(a, vv, rcond=None)

@@ -10,18 +10,15 @@ is an (r, r, B) stack.  `bundles` builds the chart in that layout and
 returns it as its (B, N, r) transpose, so `node_last` gets it back
 without a copy.  An N x N form acts on every node of a block in one GEMM
 (`act`); a weight group of a 1-PS is a row slice of that product.  A
-diagonal form of a split bundle needs no product: `columns` gives
-|Q_ic|^2 per column, which `donaldson` reads along a diagonal 1-PS and
-`balance` for a solve from a diagonal start.  `pair` forms x* y, a Gram
-as pair(x, x).
-What is left per node is r x r algebra, whose loops run over the small
-indices, each step one vector operation over the B nodes.  The core does
-not choose its nodes: `donaldson` hands it one node per torus orbit for
-a diagonal path on P^1, and `balance` for a solve from a torus-invariant
-form, whose B(H) it then masks by character.  Per-node outputs
-are written into full-length arrays before any quadrature sum and do not
-depend on the block size; B(H), the one sum over nodes accumulated per
-block, moves in its last bits with BLOCK.
+diagonal form of a split bundle needs no product: `columns` gives the
+real (N, M) table |Q_ic|^2, which `donaldson` reads along a diagonal
+1-PS and `balance` for a solve from a diagonal start, both on one node
+per torus orbit, which they choose.  `pair` forms x* y, a Gram as
+pair(x, x).  What is left per node is r x r algebra, whose loops run
+over the small indices, each step one vector operation over the B nodes.
+Per-node outputs are written into full-length arrays before any
+quadrature sum and do not depend on the block size; B(H), the one sum
+over nodes accumulated per block, moves in its last bits with BLOCK.
 
 The fibre metric has one factorization, the Cholesky h = L L* of
 `cholesky`, with W = L^{-1} from `whiten`: log det h = 2 sum_j log L_jj,
@@ -81,13 +78,17 @@ def blocks(basis, nodes, chart=None):
 
 
 def columns(basis, grid):
-    """The |Q|^2 table of a split bundle on ``grid``, per node block
-    (slice, [rho_c]): rho_c = |Q_ic|^2, real (K_c, B), over the rows i of
-    fibre column c (SectionBasis.summand_rows), 0 in the other columns."""
+    """The |Q|^2 table of a split bundle on ``grid`` as (rho, rows): rho_i =
+    |Q_ic|^2, real (N, M), for row i of fibre column c (Q is 0 in the other
+    columns), filled per node block, and the row slice of each column."""
     rows = [slice(r.start, r.stop) for r in map(basis.summand_rows, range(basis.rank))]
+    rho = np.empty((basis.dimension, len(grid.nodes)))
     with np.errstate(over="ignore", invalid="ignore"):
-        return [(sl, [finite(q[s, c].real ** 2 + q[s, c].imag ** 2, grid, sl) for c, s in enumerate(rows)])
-                for sl, q in blocks(basis, grid.nodes)]
+        for sl, q in blocks(basis, grid.nodes):
+            for c, s in enumerate(rows):
+                rho[s, sl] = q[s, c].real ** 2 + q[s, c].imag ** 2
+            finite(rho[:, sl], grid, sl)
+    return rho, rows
 
 
 def act(mat: np.ndarray, q: np.ndarray) -> np.ndarray:

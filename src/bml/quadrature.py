@@ -16,11 +16,11 @@ Each ring of the P^1 grid (every angle at one radius) is one orbit of
 the torus rotating the chart coordinate, laid out as ``ring`` consecutive
 nodes.  `QuadratureGrid.orbits` keeps one node per orbit with the orbit's
 total weight; an integrand that the torus leaves invariant, a function
-of |z| alone, integrates to the same value on it up to roundoff.  Which
-integrals may run there is the caller's decision (`donaldson` for M2,
-M1 and the curvature of a diagonal path, `balance._node_set` for the
-solvers).  A quotient names a node by its index in the grid it was
-reduced from, so a failure reads the same on either.
+of |z| alone, integrates to the same value on it up to roundoff.  Only
+the |Q|^2 column table of a diagonal form runs there (`donaldson._columns`
+for a diagonal path, `balance._column_route` for a solve from a diagonal
+start).  A quotient names a node by its index in the grid it was reduced
+from, so a failure reads the same on either.
 """
 
 from __future__ import annotations
@@ -111,15 +111,13 @@ class QuadratureGrid:
         kept node here; the grid itself when a ring is one node.  Held on
         the instance, computed once.
 
-        It serves forms that commute with the torus.  On P^1,
+        It serves diagonal forms, which commute with the torus.  On P^1,
         Q(e^{i theta} z) = Lambda Q(z) and dQ/dz(e^{i theta} z) =
         e^{-i theta} Lambda dQ/dz(z), Lambda = diag(e^{i m theta}) over the
-        section characters m.  A form with H_ij = 0 wherever m_i != m_j
-        commutes with Lambda, so h, c and a* h^{-1} a (the M2 and M1
-        integrands and the curvature) depend on |z| alone, and
-        P = Q h^{-1} Q* has the ring average of one node's value with
-        those entries set to 0 (the balance solvers' mask).  Diagonal 1-PS
-        (OnePS.rows) and T- or LM-solves from such an H0 stay on them."""
+        section characters m, so h, c and a* h^{-1} a of a diagonal form
+        (the M2 and M1 integrands, the curvature and the P-field's
+        diagonal) depend on |z| alone.  Diagonal 1-PS (OnePS.rows) and
+        T- or LM-solves from a diagonal H0 stay on them."""
         if self.ring == 1:
             return self
         starts = np.arange(0, len(self.nodes), self.ring)

@@ -149,23 +149,22 @@ LIGHT = dict(n_radial=6, n_angular=16, depth=12)
     ((0, 2), 3, COARSE), ((1, 1), 2, LIGHT), ((2,), 2, LIGHT), ((0, 2), 36, {})],
     ids=["split02-k3-coarse", "split11-k2-light", "split2-k2-light", "split02-k36-default"])
 def test_b_on_the_orbits_is_the_ring_average(degrees, k, resolution):
-    """B(H) of a random torus-invariant H on one node per orbit with the
-    character mask against the whole grid.  The trapezoid rule of the
+    """B(H) of a random torus-invariant H, 0 off equal section characters,
+    on the whole grid: it vanishes to 1e-15 off equal characters, and on
+    them one node per orbit gives it to 1e-15.  The trapezoid rule of the
     whole grid integrates e^{i(m_i - m_j) theta} exactly only for
     |m_i - m_j| < n_angular: at k = 36 the entries at characters (3, 35)
-    and every other pair 32 apart alias, and the quotient gives their
-    exact 0."""
+    and every other pair 32 apart alias.  Their exact 0 is why the column
+    route's exact zeros off the diagonal are the right answer."""
     grid = qd.build_grid_p1(**resolution)
     basis = bd.section_basis(bd.split(*degrees), k)
     n, m = basis.dimension, basis.characters
-    mask = bl._torus_mask(basis, grid)
-    assert (mask == (m[:, None] == m[None, :])).all()
+    mask = m[:, None] == m[None, :]
     a = np.random.default_rng(15).normal(size=(n, n, 2)) @ [1.0, 1j]
     H = (a @ a.conj().T / n + np.eye(n)) * mask
-    got = bl._solver_parts(basis, grid.orbits, H, 0.0, None, mask).b
     full = kernels.b_matrix(basis, grid, H, None)[0]
-    assert np.abs(got - full)[mask].max() <= 1e-15
-    assert (got[~mask] == 0).all()
+    orbits = kernels.b_matrix(basis, grid.orbits, H, None)[0]
+    assert np.abs(orbits - full)[mask].max() <= 1e-15
     aliased = np.abs(m[:, None] - m[None, :]) == grid.ring
     assert aliased.any() == (k == 36)
     assert np.abs(full[~mask & ~aliased]).max() <= 1e-15
@@ -182,8 +181,8 @@ def test_invariant_solve_runs_on_the_orbits(degrees, k, resolution, solver, monk
     """A solve from I runs on one node per orbit and takes the steps of
     the same solve on the whole grid (ring 1): same flag, iteration
     count, step kinds and rejected tries, m2, spread and residual to
-    1e-12 relative.  Its final H keeps the entries outside the character
-    mask exactly 0, which the whole grid leaks at roundoff."""
+    1e-12 relative.  Its final H is exactly diagonal, where the whole grid
+    leaks at roundoff."""
     grid = qd.build_grid_p1(**resolution)
     basis = bd.section_basis(bd.split(*degrees), k)
     sizes = []
@@ -197,8 +196,7 @@ def test_invariant_solve_runs_on_the_orbits(degrees, k, resolution, solver, monk
     assert [(r.step, r.rejected) for r in history] == [(r.step, r.rejected) for r in whole_history]
     for name in ("m2", "spread", "residual"):
         assert getattr(state, name) == pytest.approx(getattr(whole, name), rel=1e-12, abs=1e-15)
-    mask = bl._torus_mask(basis, grid)
-    assert (state.H[~mask] == 0).all()
+    assert (state.H == np.diag(state.H.diagonal())).all()
 
 
 @pytest.mark.parametrize("solver", [bl.t_iterate, bl.lm_minimize], ids=["T", "LM"])
@@ -217,29 +215,27 @@ def test_generic_start_keeps_the_whole_grid(solver, rng):
 
 
 @pytest.mark.parametrize("degrees, k", [((0, 2), 3), ((0, 1, 2), 2)], ids=["split02-k3", "split012-k2"])
-def test_column_route_is_the_masked_quotient_at_a_diagonal_form(degrees, k):
+def test_column_route_is_the_whole_grid_at_a_diagonal_form(degrees, k):
     """At a random positive diagonal H the column route gives B(H), m2 and
-    the LM Jacobian in the N - 1 diagonal directions of the masked
-    quotient (_solver_parts, and _masked_jacobian from _b_derivatives) to
-    1e-13 relative.  The masked Jacobian's rows off the real diagonal
+    the LM Jacobian in the N - 1 diagonal directions of the whole grid
+    with ring 1 (_solver_parts, and _grid_jacobian from _b_derivatives) to
+    1e-13 relative.  The whole grid's Jacobian rows off the real diagonal
     vanish.  A grid with ring 1 has no ring average and never takes it."""
     grid = qd.build_grid_p1(**COARSE)
+    whole = dataclasses.replace(grid, ring=1)
     basis = bd.section_basis(bd.split(*degrees), k)
-    n, nodes = basis.dimension, grid.orbits
+    n = basis.dimension
     H = np.diag(np.exp(np.random.default_rng(21).normal(size=n))).astype(complex)
-    route = bl._node_set(basis, grid, H)
-    assert route[0] is nodes and route[1] is None
-    assert bl._node_set(basis, dataclasses.replace(grid, ring=1), H)[1] is not None
-    evaluate, jacobian = bl._column_route(basis, nodes)
+    assert bl._column_start(grid, H) and not bl._column_start(whole, H)
+    evaluate, jacobian = bl._column_route(basis, grid.orbits)
     got = evaluate(H)
-    mask = bl._torus_mask(basis, grid)
-    chart = list(kernels.blocks(basis, nodes.nodes))
-    want = bl._solver_parts(basis, nodes, H, kernels.logdet(kernels.field(basis, nodes, chart=chart)), chart, mask)
+    chart = list(kernels.blocks(basis, whole.nodes))
+    want = bl._solver_parts(basis, whole, H, kernels.logdet(kernels.field(basis, whole, chart=chart)), chart)
     assert np.abs(got.b - want.b).max() <= 1e-13 * np.abs(want.b).max()
     assert got.m2 == pytest.approx(want.m2, rel=1e-13)
     directions = bl._herm_basis(np.eye(n, dtype=bool))
     jac, res = jacobian(got, directions)
-    jac_want, res_want = bl._masked_jacobian(basis, nodes, chart, mask, want, directions)
+    jac_want, res_want = bl._grid_jacobian(basis, whole, chart, want, directions)
     diagonal = np.arange(n) * (n + 1)  # the real parts of the entries (i, i)
     scale = np.abs(jac).max()
     assert np.abs(jac - jac_want[diagonal]).max() <= 1e-13 * scale
@@ -270,10 +266,10 @@ def test_divergent_t_run_follows_the_exact_law(degrees, k):
 def test_herm_basis_inside_the_mask():
     """The directions are those of the loop over entries (i < j: the real
     and imaginary off-diagonal pair; then e_a - e_{a+1}), in that order,
-    with the pairs outside the mask left out."""
-    basis = bd.section_basis(bd.split(0, 2), 3)
-    mask = bl._torus_mask(basis, qd.build_grid_p1(**COARSE))
-    n, s = len(mask), 1.0 / np.sqrt(2.0)
+    with the pairs outside the mask left out: N^2 - 1 of them for the full
+    mask of the whole grid, N - 1 for the diagonal one of the column
+    route."""
+    n, s = bd.section_basis(bd.split(0, 2), 3).dimension, 1.0 / np.sqrt(2.0)
     want = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -287,17 +283,18 @@ def test_herm_basis_inside_the_mask():
         want.append(e)
     want = np.asarray(want)
     assert bl._herm_basis(np.ones((n, n), dtype=bool)).tobytes() == want.tobytes()
-    inside = np.asarray([not e[~mask].any() for e in want])
-    assert inside.sum() == mask.sum() - 1 == 17
-    assert bl._herm_basis(mask).tobytes() == want[inside].tobytes()
+    assert len(want) == n * n - 1 == 99
+    inside = np.asarray([not e[~np.eye(n, dtype=bool)].any() for e in want])
+    assert inside.sum() == n - 1
+    assert bl._herm_basis(np.eye(n, dtype=bool)).tobytes() == want[inside].tobytes()
 
 
 def test_lm_refuses_past_its_memory_budget(monkeypatch, rng):
     """At N = 64 a generic start needs all N^2 - 1 = 4095 directions, past
     LM_MEMORY_BUDGET: refused before the direction stack is built.  The
     diagonal start I takes the column route, N - 1 = 63 directions and no
-    N^4 tensor; an invariant start that is not diagonal needs
-    sum_m n_m^2 - 1 = 125 and passes the check too (its t4 is still N^4)."""
+    N^4 tensor; a torus-invariant start that is not diagonal runs on the
+    whole grid and is refused like a generic one."""
     grid = qd.build_grid_p1(n_radial=2, n_angular=4, depth=2)
     basis = bd.section_basis(bd.split(0, 2), 30)
     n = basis.dimension
@@ -308,13 +305,14 @@ def test_lm_refuses_past_its_memory_budget(monkeypatch, rng):
         bl.lm_minimize(basis, grid, random_form(n, rng), tol=1e-10, max_iter=1)
     built = []
     monkeypatch.setattr(bl, "_herm_basis", lambda mask: built.append(len(herm_basis(mask))) or herm_basis(mask))
+    state, _ = bl.lm_minimize(basis, grid, np.eye(n), tol=1e-10, max_iter=0)
+    assert state.flag == "max_iter" and built == [63]
     invariant = np.eye(n)
     invariant[0, 31] = invariant[31, 0] = 0.5  # character 0 of either summand
     assert basis.characters[[0, 31]].tolist() == [0, 0]
-    for H0 in (np.eye(n), invariant):
-        state, _ = bl.lm_minimize(basis, grid, H0, tol=1e-10, max_iter=0)
-        assert state.flag == "max_iter"
-    assert built == [63, 125]
+    with pytest.raises(bl.LMMemoryExceeded, match="4095 directions"):
+        bl.lm_minimize(basis, grid, invariant, tol=1e-10, max_iter=0)
+    assert built == [63]
 
 
 def test_unstable_bundle_diverges(grid_p1):

@@ -289,9 +289,10 @@ def test_p1_charts_are_torus_eigenbases(degrees, orthonormal, grid_p1, rng):
     metric and curvature depend on |z| alone, which is what lets M2 and
     M1 along a diagonal 1-PS run on one node per torus orbit.  Lambda is
     diag(e^{i m theta}) with m the basis's characters, which T_P2 does not
-    record.  The balance solvers take grid.orbits from a start that is 0
-    off the character mask and the grid from any other start
-    (balance._node_set).  A grid whose ring is one node is not reduced."""
+    record.  The balance solvers take the column route on grid.orbits
+    from a diagonal start, and the whole grid from any other start, a
+    non-diagonal torus-invariant one included (balance._column_start).  A
+    grid whose ring is one node is not reduced and takes the whole grid."""
     bundle = bd.split(*degrees)
     z = rng.normal(size=40) + 1j * rng.normal(size=40)
     for k in (bundle.regularity(), bundle.regularity() + 3):
@@ -314,11 +315,15 @@ def test_p1_charts_are_torus_eigenbases(degrees, orthonormal, grid_p1, rng):
     basis = bd.section_basis(bundle, bundle.regularity() + 1, orthonormal=orthonormal)
     a = rng.normal(size=(basis.dimension, basis.dimension))
     generic = a @ a.T + np.eye(basis.dimension)
-    for H0 in (np.eye(basis.dimension), generic * bl._torus_mask(basis, grid_p1)):
-        assert bl._node_set(basis, grid_p1, H0)[0] is grid_p1.orbits
-    assert bl._node_set(basis, grid_p1, generic)[0] is grid_p1
+    m = basis.characters
+    invariant = generic * (m[:, None] == m[None, :])  # diagonal when no two sections share a character
+    assert (invariant != np.diag(invariant.diagonal())).any() == (len(degrees) > 1)
+    assert bl._column_start(grid_p1, np.eye(basis.dimension))
+    assert bl._column_start(grid_p1, invariant) == (len(degrees) == 1)
+    assert not bl._column_start(grid_p1, generic)
     unringed = dataclasses.replace(grid_p1, ring=1)
     assert unringed.orbits is unringed
-    assert bl._node_set(basis, unringed, generic)[0] is unringed
+    for H0 in (np.eye(basis.dimension), invariant, generic):
+        assert not bl._column_start(unringed, H0)
     with pytest.raises(ValueError, match="P\\^1 only"):
         bd.section_basis(bd.euler_tp2(), 1).characters

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from bml import bundles as bd
 from bml import cli
 from bml import config as cf
 
@@ -183,6 +184,37 @@ def test_balance_of_a_diagonal_start_runs_at_level_36(tmp_path, capsys):
     lines = (tmp_path / "balance_t.csv").read_text().splitlines()
     spread = [float(line.split(",")[3]) for line in lines[-2:]]
     assert spread[1] - spread[0] == pytest.approx(math.log(39 / 37), rel=1e-8)
+
+
+def test_balance_of_a_diagonal_start_past_the_chart_ceiling_exits_one(tmp_path, capsys):
+    """At k = 100 on O(0)+O(2) the |Q|^2 table of the column route
+    overflows: one error line naming node 7424, the first node of the grid
+    with an overflowed |Q_ic|^2 (ring 232, z = 32.1), exit status 1, no
+    RuntimeWarning before it and nothing written."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        code = cli.main(["balance", "--bundle", "split_p1:0,2", "--k", "100", "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: NonFiniteChart: sandwich not finite at node 7424:") and err.count("\n") == 1, err
+    assert [w for w in seen if issubclass(w.category, RuntimeWarning)] == []
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("kind", ["slope", "asymptote"])
+def test_too_few_fit_samples_exit_one_before_any_chart(tmp_path, capsys, monkeypatch, kind):
+    """With t_end 15, 9 samples put 4 in the fit window t >= 9, one fewer
+    than the fit takes: one config error line naming ``samples`` and exit
+    status 1, before any chart is evaluated.  The 10 samples of criterion
+    4's config put 5 there and pass."""
+    args = [kind, "--bundle", "split_p1:0,2", "--k", "3", "--ps", "two_step:1:2/3,-1", "--out", str(tmp_path)]
+    with monkeypatch.context() as patch:
+        patch.setattr(bd, "q_field", lambda *args: pytest.fail("chart evaluated"))
+        assert cli.main(args + ["--samples", "9"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config field 'samples':") and err.count("\n") == 1, err
+    assert list(tmp_path.iterdir()) == []
+    assert cli.main(args + ["--samples", "10"]) == 0
 
 
 def test_non_object_config_exits_one(tmp_path, capsys):

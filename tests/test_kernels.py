@@ -484,7 +484,8 @@ def test_m1_curve_work_shape(grid_p1, monkeypatch, rng):
     whole grid, the derivatives once per node block too, and the held
     table is one (D, 3, r, r, B) jet stack per node block.  The diagonal
     two-step 1-PS, on one node per torus orbit, forms no derivative: its
-    table is the real |Q_ic|^2 of each column's rows per node block."""
+    table is the real |Q_ic|^2 of every row i as one (N, M) array, with
+    the row slice of each column c."""
     basis = bd.section_basis(bd.split(0, 2), 3)
     calls = {"q_field": 0, "dq_dz_field": 0, "m1_rate": 0, "form_at": 0}
     held = []
@@ -508,7 +509,8 @@ def test_m1_curve_work_shape(grid_p1, monkeypatch, rng):
             [table] = held
             assert table.grid is grid
             if columns:  # |Q_ic|^2 on the rows of each column c
-                assert [[x.shape for x in rho] for _, rho in table.blocks] == [[(4, b), (6, b)] for b in sizes]
+                assert table.blocks.dtype == float and table.blocks.shape == (basis.dimension, sum(sizes))
+                assert [s for s, *_ in table.runs] == [slice(0, 4), slice(4, 10)]
             else:
                 assert [x.shape for _, x in table.blocks] == [(len(ps.weights), 3, 2, 2, b) for b in sizes]
     # The Gauss-Legendre rule is built once per size, read-only.

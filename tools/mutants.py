@@ -92,15 +92,12 @@ MUTANTS = (
     ("t-map-conjugated", "src/bml/balance.py",
      "return _det_normalize((r / n) * np.linalg.inv(b))",
      "return _det_normalize((r / n) * np.linalg.inv(b).T)"),
-    ("balance-mask-dropped", "src/bml/balance.py",
-     "    b = b * mask\n",
-     ""),
-    ("balance-quotient-any-start", "src/bml/balance.py",
-     "nodes = grid if H0[~mask].any() else grid.orbits",
-     "nodes = grid.orbits"),
     ("balance-columns-any-start", "src/bml/balance.py",
-     "if grid.ring > 1 and not (H0 - np.diag(H0.diagonal())).any():",
-     "if grid.ring > 1:"),
+     "return grid.ring > 1 and not (H0 - np.diag(H0.diagonal())).any()",
+     "return grid.ring > 1"),
+    ("balance-columns-any-grid", "src/bml/balance.py",
+     "return grid.ring > 1 and not (H0 - np.diag(H0.diagonal())).any()",
+     "return not (H0 - np.diag(H0.diagonal())).any()"),
     ("balance-columns-softmax-wrong-column", "src/bml/balance.py",
      "p = e / hc[col]",
      "p = e / hc[col[::-1]]"),
@@ -108,15 +105,18 @@ MUTANTS = (
      "np.add.reduce(values * self.weights, axis=-1)",
      "np.add.reduce(values * self.weights, axis=0)"),
     ("m2-columns-no-top-shift", "src/bml/donaldson.py",
-     "    tables = [np.exp(np.outer(times, shift)) for _, _, shift, _ in cols.runs]\n",
-     "    tables = [np.exp(np.outer(times, shift + 2.0 * top)) for _, top, shift, _ in cols.runs]\n"
-     "    cols = _Table(cols.grid, cols.twist, cols.blocks, [(s, 0.0, *r) for s, _, *r in cols.runs])\n"),
+     "np.exp(np.outer(times, 2.0 * (lam[s] - top))) @ rho[s] for s, top in zip(rows, tops)])",
+     "np.exp(np.outer(times, 2.0 * lam[s])) @ rho[s] for s, top in zip(rows, tops)])\n"
+     "        tops = [0.0] * len(tops)"),
     ("columns-wrong-column", "src/bml/kernels.py",
-     "finite(q[s, c].real ** 2 + q[s, c].imag ** 2, grid, sl)",
-     "finite(q[s, 0].real ** 2 + q[s, 0].imag ** 2, grid, sl)"),
+     "rho[s, sl] = q[s, c].real ** 2 + q[s, c].imag ** 2",
+     "rho[s, sl] = q[s, 0].real ** 2 + q[s, 0].imag ** 2"),
+    ("columns-finite-unchecked", "src/bml/kernels.py",
+     "            finite(rho[:, sl], grid, sl)\n",
+     ""),
     ("m1-columns-no-top-shift", "src/bml/donaldson.py",
-     "scales = [np.exp(shift * t) for _, _, shift, _ in cols.runs]",
-     "scales = [np.exp((shift + 2.0 * top) * t) for _, top, shift, _ in cols.runs]"),
+     "    for s, _, shift, d in cols.runs:\n        w = np.exp(shift * t)[:, None] * cols.blocks[s]\n",
+     "    for s, top, shift, d in cols.runs:\n        w = np.exp((shift + 2.0 * top) * t)[:, None] * cols.blocks[s]\n"),
     ("m1-columns-characters-off-by-one", "src/bml/donaldson.py",
      "np.subtract.outer(m[s], m[s])",
      "np.subtract.outer(m[s], m[s] + 1)"),
