@@ -114,7 +114,8 @@ def _det_normalize(H: np.ndarray) -> np.ndarray:
 def center_of_mass(basis: SectionBasis, grid: QuadratureGrid, H: np.ndarray) -> np.ndarray:
     """M(H) = sigma B(H) sigma* with sigma = H^{1/2}; trace r exactly."""
     n = basis.dimension
-    return _solver_parts(basis, grid, H, 0.0).s + (basis.rank / n) * np.eye(n)
+    q = kernels.chart(basis, grid.nodes)
+    return _solver_parts(basis, grid, q, H, 0.0).s + (basis.rank / n) * np.eye(n)
 
 
 def _sqrtm_psd(H: np.ndarray):
@@ -128,7 +129,8 @@ def _sqrtm_psd(H: np.ndarray):
 def m2_value(basis: SectionBasis, grid: QuadratureGrid, H: np.ndarray) -> float:
     """Log-determinant energy of h_H against the reference h_ref = Q*Q."""
     H = HermitianForm(np.asarray(H, dtype=complex)).matrix
-    ld = [kernels.logdet(kernels.field(basis, grid, mat)) for mat in (H, None)]
+    q = kernels.chart(basis, grid.nodes)
+    ld = [kernels.logdet(kernels.field(q, grid, mat)) for mat in (H, None)]
     return grid.integrate(ld[0] - ld[1]) / grid.volume
 
 
@@ -147,10 +149,10 @@ class _Iterate(NamedTuple):
     parts: tuple
 
 
-def _solver_parts(basis, grid, H, ld0, chart=None) -> _Iterate:
-    """The iterate at the form H from one pass over the node blocks, with
-    m2 against the reference log-dets ld0."""
-    b, ld, wh = kernels.b_matrix(basis, grid, H, chart)
+def _solver_parts(basis, grid, q, H, ld0) -> _Iterate:
+    """The iterate at the form H from the chart q of ``grid``, held by the
+    caller, with m2 against the reference log-dets ld0."""
+    b, ld, wh = kernels.b_matrix(q, grid, H)
     lam, v, sq = _sqrtm_psd(H)
     n = basis.dimension
     s = sq @ b @ sq - (basis.rank / n) * np.eye(n)
@@ -243,8 +245,9 @@ def lm_memory_check(basis: SectionBasis, grid: QuadratureGrid, H0: np.ndarray) -
     directions on the route of _column_start, needs more than
     LM_MEMORY_BUDGET.  Column route (D = N - 1): complex D N^2
     directions, real N M p and w p on M orbit nodes, J and J^T J.  Whole
-    grid (D = N^2 - 1): complex N^4 (t4) twice, N^2 B (a B-node block's
-    P-field) twice, D N^2 ten times (dH, dB, dS, J...), real J^T J."""
+    grid (D = N^2 - 1): complex N^4 (t4) twice, N^2 B (the P-field of a
+    block of B = min(BLOCK, M) nodes, _b_derivatives) twice, D N^2 ten
+    times (dH, dB, dS, J...), real J^T J."""
     n, m = basis.dimension, len(grid.nodes)
     column = _column_start(grid, np.asarray(H0, dtype=complex))
     d = n - 1 if column else n * n - 1
@@ -275,10 +278,9 @@ def _solve(basis, grid, H0, tol, max_iter, make_step, damping):
     if column:
         evaluate, jacobian = _column_route(basis, grid.orbits)
     else:
-        chart = list(kernels.blocks(basis, grid.nodes))
-        ld0 = kernels.logdet(kernels.field(basis, grid, chart=chart))
-        evaluate = partial(_solver_parts, basis, grid, ld0=ld0, chart=chart)
-        jacobian = partial(_grid_jacobian, basis, grid, chart)
+        q = kernels.chart(basis, grid.nodes)
+        evaluate = partial(_solver_parts, basis, grid, q, ld0=kernels.logdet(kernels.field(q, grid)))
+        jacobian = partial(_grid_jacobian, basis, grid, q)
     step = make_step(column, jacobian)
 
     def trial(H):
@@ -338,31 +340,34 @@ def _herm_basis(mask: np.ndarray) -> np.ndarray:
     return out
 
 
-def _b_derivatives(basis, grid, chart, wh, dh):
+def _b_derivatives(basis, grid, q, wh, dh):
     """dB = -(1/Vol) int P dH P for a stack dH of shape (D, N, N), with P
-    from the held chart blocks and the whitening W of h per node, an
-    (r, r, M) stack.
+    from the held chart q and the whitening W of h per node, an (r, r, M)
+    stack.
 
     The tensor t4[(i, k), (l, j)] = sum_x w P_ik P_lj is one GEMM per
-    node block, and the contraction with every dH is one more.
+    block of at most kernels.BLOCK nodes, the one node-block loop of the
+    lab: it bounds the (N, N, B) P-field, N^2 B complex numbers
+    (lm_memory_check).  The contraction with every dH is one more GEMM.
     """
     n = basis.dimension
     w = grid.weights / grid.volume
     t4 = np.zeros((n * n, n * n), dtype=complex)
-    for sl, qb in chart:
-        pf = kernels.p_field(qb, wh[..., sl]).reshape(n * n, -1)
+    for start in range(0, len(w), kernels.BLOCK):
+        sl = slice(start, start + kernels.BLOCK)
+        pf = kernels.p_field(q[..., sl], wh[..., sl]).reshape(n * n, -1)
         t4 += (pf * w[sl]) @ pf.T
     t4 = t4.reshape(n, n, n, n).transpose(1, 2, 0, 3).reshape(n * n, n * n)
     return -(dh.reshape(-1, n * n) @ t4).reshape(dh.shape)
 
 
-def _grid_jacobian(basis, grid, chart, x, directions):
+def _grid_jacobian(basis, grid, q, x, directions):
     """(J, r) on the whole grid at x: the real and imaginary parts of dS
     per direction dA, dH = (dA H + H dA) / 2, dB from _b_derivatives
     and dsq from _sqrt_frechet, and those of S."""
     wh, lam, v = x.parts
     dh = 0.5 * (directions @ x.H + x.H @ directions)
-    db = _b_derivatives(basis, grid, chart, wh, dh)
+    db = _b_derivatives(basis, grid, q, wh, dh)
     dsq = _sqrt_frechet(lam, v, dh)
     ds = (dsq @ x.b @ x.sq + x.sq @ db @ x.sq + x.sq @ x.b @ dsq).reshape(len(dh), -1)
     return np.concatenate([ds.real, ds.imag], axis=1).T, np.concatenate([x.s.real.ravel(), x.s.imag.ravel()])

@@ -201,7 +201,7 @@ def random_two_weight_ps(n: int, rng: np.random.Generator) -> OnePS:
 def fs_metric(basis: SectionBasis, grid: QuadratureGrid, form: HermitianForm) -> np.ndarray:
     """Fibrewise metric h(x) = Q(x)* H Q(x), shape (M, r, r), checked
     positive by cholesky."""
-    h = kernels.field(basis, grid, form.matrix)
+    h = kernels.field(kernels.chart(basis, grid.nodes), grid, form.matrix)
     kernels.cholesky(h)
     return h.transpose(2, 0, 1)
 

@@ -189,4 +189,4 @@ def dq_dz_field(basis: SectionBasis, nodes: np.ndarray) -> np.ndarray:
 
 def h_ref_field(basis: SectionBasis, grid: QuadratureGrid) -> np.ndarray:
     """Reference metric h_ref(x) = Q(x)* Q(x) at every node, (M, r, r)."""
-    return kernels.field(basis, grid).transpose(2, 0, 1)
+    return kernels.field(kernels.chart(basis, grid.nodes), grid).transpose(2, 0, 1)

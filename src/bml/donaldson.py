@@ -56,6 +56,14 @@ MIN_TAIL_SAMPLES = 5  # the fewest samples asymptotic_slope_fit takes in its win
 # Log-det energy
 
 
+def _path_times(ts) -> np.ndarray:
+    """The path times as a flat float array, each finite."""
+    ts = np.asarray(ts, dtype=float).ravel()
+    if not np.isfinite(ts).all():
+        raise ValueError(f"path time must be finite, not {ts[~np.isfinite(ts)][0]}")
+    return ts
+
+
 def m2_along_path(
     basis: SectionBasis, grid: QuadratureGrid, ps: OnePS, ts: Sequence[float]
 ) -> np.ndarray:
@@ -67,29 +75,27 @@ def m2_along_path(
 
         h(t) = sum_d e^{2 w_d t} G_d,    h_ref = Q*Q = sum_d G_d
 
-    (V is unitary).  Per block of the chart, which arrives node-last from
-    `bundles.q_field`, the weight groups V_d* Q are row slices of one GEMM
-    by V*.  Every h(t_j), with h_ref as t_0 = 0, comes from the table
+    (V is unitary).  On the chart of ``grid`` (kernels.chart), evaluated
+    once, the weight groups V_d* Q are row slices of one GEMM by V*.
+    Every h(t_j), with h_ref as t_0 = 0, comes from the table
     e^{2 w_d t_j} in one GEMM per matrix entry, one Cholesky pass gives
     all their log-dets and one integrate call all their integrals.  Each
-    G_d is bounded by h_ref, so a block overflows only where the reference
+    G_d is bounded by h_ref, so a node overflows only where the reference
     or a path metric does: NonFiniteChart names it, by its index in
     ``grid``.  For a diagonal 1-PS of a split bundle (OnePS.rows) the nodes
     are those of grid.orbits, its forms being diagonal, and h(t) is
     diagonal and needs no factorization (_m2_columns).
     """
-    times = np.concatenate([[0.0], np.asarray(ts, dtype=float).ravel()])
+    times = np.concatenate([[0.0], _path_times(ts)])
     if ps.rows is not None and basis.bundle.kind == "split_p1":
         return _m2_columns(basis, grid, ps, times)
     with np.errstate(over="ignore"):
         table = np.exp(2.0 * np.outer(ps.weights, times))
-    vals = np.empty((len(times), len(grid.nodes)))
-    for sl, q in kernels.blocks(basis, grid.nodes):
-        vq = kernels.act(ps.vectors.conj().T, q)
-        grams = np.stack([kernels.pair(vq[s], vq[s]) for s in ps.slices], axis=2)
-        with np.errstate(over="ignore", invalid="ignore"):
-            h = table.T @ grams  # (r, r, T+1, B)
-        vals[:, sl] = kernels.logdet(kernels.finite(h, grid, sl))
+    vq = kernels.act(ps.vectors.conj().T, kernels.chart(basis, grid.nodes))
+    grams = np.stack([kernels.pair(vq[s], vq[s]) for s in ps.slices], axis=2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = table.T @ grams  # (r, r, T+1, M)
+    vals = kernels.logdet(kernels.finite(h, grid))
     return grid.integrate(vals[1:] - vals[0]) / grid.volume
 
 
@@ -133,8 +139,8 @@ def curvature_field(
     diagonal generator) reads the column table (_column_terms): its
     curvature is diagonal, a function of |z| on grid.orbits repeated
     grid.ring times.  Any other form H = V Lambda V* is the one group of
-    F = Lambda^{1/2} V* (F*F = H) in the jet blocks of _path_jets, on
-    every node of ``grid``.
+    F = Lambda^{1/2} V* (F*F = H) in the jets of _path_jets, on every
+    node of ``grid``.
 
     Normalized as a density against the quadrature measure:
     grid.integrate(trace of the result) equals the degree of E.
@@ -148,16 +154,12 @@ def curvature_field(
         return np.repeat(f, grid.ring, axis=0)
     lam, v = np.linalg.eigh(form.matrix)
     jets = _path_jets(basis, grid, np.sqrt(lam)[:, None] * v.conj().T, (slice(None),))
-    f_t = np.empty((basis.rank, basis.rank, len(grid.nodes)), dtype=complex)
-    for sl, stack in jets.blocks:
-        twist = jets.twist[sl]
-        w, l, k = _curvature_frame(basis.level / twist, *kernels.finite(stack[0], grid, sl))
-        f_t[..., sl] = kernels.mul(kernels.mul(kernels.ct(w), k), kernels.ct(l)) * twist
-    return f_t.transpose(2, 1, 0)
+    w, l, k = _curvature_frame(basis.level / jets.twist, *kernels.finite(jets.held[0], grid))
+    return (kernels.mul(kernels.mul(kernels.ct(w), k), kernels.ct(l)) * jets.twist).transpose(2, 1, 0)
 
 
 def _curvature_frame(fs, h, a, c):
-    """The curvature of the honest metric on one node block, in the frame
+    """The curvature of the honest metric at every node, in the frame
     that whitens h, from (r, r, B) stacks of h = Q* H Q, a = Q* H dQ and
     c = dQ* H dQ, and fs = k / (1 + |z|^2)^2 at the nodes.
 
@@ -186,23 +188,23 @@ def _curvature_frame(fs, h, a, c):
 @dataclass(frozen=True)
 class _Table:
     """What m1_rate reads (_path_table): a grid, a factor per node and the
-    held chart data, node index last.  Jet blocks (_path_jets): twist
-    (1 + |z|^2)^2, and per node block (slice, x), x the (D, 3, r, r, B)
-    stack of G_d, A_d, C_d of the D groups.  Column table (_columns):
-    twist (1 + |z|^2)^2 / |z|^2, the one real (N, M) array rho_i =
-    |Q_ic|^2 of kernels.columns, and per column ``runs`` (rows, top_c,
-    2 (lam - top_c), (m_i - m_j)^2 for i < j, else 0)."""
+    held chart data, node index last.  Jets (_path_jets): twist
+    (1 + |z|^2)^2 and ``held`` the (D, 3, r, r, M) stack of G_d, A_d, C_d
+    of the D groups.  Column table (_columns): twist (1 + |z|^2)^2 / |z|^2,
+    ``held`` the one real (N, M) array rho_i = |Q_ic|^2 of
+    kernels.columns, and per column ``runs`` (rows, top_c, 2 (lam -
+    top_c), (m_i - m_j)^2 for i < j, else 0)."""
 
     grid: QuadratureGrid
     twist: np.ndarray
-    blocks: list
+    held: np.ndarray
     runs: Optional[list] = None
 
 
 def _path_jets(basis: SectionBasis, grid: QuadratureGrid, rotation: np.ndarray, slices) -> _Table:
-    """The per-weight 1-jet blocks of the chart, per node block, for the
-    row slices ``slices`` of one GEMM of a matrix ``rotation`` R against
-    Q and one against dQ/dz.
+    """The per-weight 1-jet blocks of the chart for the row slices
+    ``slices`` of one GEMM of a matrix ``rotation`` R against Q and one
+    against dQ/dz, at every node of ``grid``.
 
     Along a 1-PS R = V* and the slices are its weight groups: with V_d
     the eigenvectors of weight w_d, B_d = V_d* Q and D_d = V_d* dQ/dz,
@@ -215,15 +217,12 @@ def _path_jets(basis: SectionBasis, grid: QuadratureGrid, rotation: np.ndarray, 
     if grid.space_tag != "P1":
         raise NotImplementedError("curvature implemented on the P1 catalog")
     z, r = grid.nodes, basis.rank
-    stacks = []
-    for sl, q in kernels.blocks(basis, z):
-        vq = kernels.act(rotation, q)
-        vdq = kernels.act(rotation, kernels.node_last(bundles.dq_dz_field(basis, z[sl])))
-        stack = np.empty((len(slices), 3, r, r, q.shape[-1]), dtype=complex)
-        for i, s in enumerate(slices):
-            stack[i] = kernels.pair(vq[s], vq[s]), kernels.pair(vq[s], vdq[s]), kernels.pair(vdq[s], vdq[s])
-        stacks.append((sl, stack))
-    return _Table(grid, (1.0 + np.abs(z) ** 2) ** 2, stacks)
+    vq = kernels.act(rotation, kernels.chart(basis, z))
+    vdq = kernels.act(rotation, kernels.node_last(bundles.dq_dz_field(basis, z)))
+    stack = np.empty((len(slices), 3, r, r, len(z)), dtype=complex)
+    for i, s in enumerate(slices):
+        stack[i] = kernels.pair(vq[s], vq[s]), kernels.pair(vq[s], vdq[s]), kernels.pair(vdq[s], vdq[s])
+    return _Table(grid, (1.0 + np.abs(z) ** 2) ** 2, stack)
 
 
 def _weighted(e, stack):
@@ -255,7 +254,7 @@ def _column_terms(basis: SectionBasis, cols: _Table, t: float):
     per column): nothing cancels.  F_c = (1 + |z|^2)^2 S_c / h_c - k is
     the curvature density of column c against the quadrature measure."""
     for s, _, shift, d in cols.runs:
-        w = np.exp(shift * t)[:, None] * cols.blocks[s]
+        w = np.exp(shift * t)[:, None] * cols.held[s]
         p = w / w.sum(axis=0)
         yield p, cols.twist * (p * (d @ p)).sum(axis=0) - basis.level
 
@@ -263,7 +262,7 @@ def _column_terms(basis: SectionBasis, cols: _Table, t: float):
 def _path_table(basis: SectionBasis, grid: QuadratureGrid, ps: OnePS):
     """What m1_rate reads for ps: along a diagonal 1-PS of a split bundle
     the column table on grid.orbits, its forms being diagonal, else the
-    jet blocks of the weight groups of V* on ``grid``."""
+    jets of the weight groups of V* on ``grid``."""
     if ps.rows is not None and basis.bundle.kind == "split_p1":
         return _columns(basis, grid, ps.eigenvalues[np.argsort(ps.rows)])
     return _path_jets(basis, grid, ps.vectors.conj().T, ps.slices)
@@ -276,9 +275,9 @@ def m1_rate(basis: SectionBasis, ps: OnePS, t: float, table: _Table) -> float:
     g^{-1} dg/dt = -(h^{-1} hdot)^T, the integrand is
     -(1 + |z|^2)^2 tr(h^{-1} hdot K).  On a column table (runs set) it is
     -sum_c (2 top_c + sum_i p_i 2 (lam_i - top_c)) F_c with p and F_c of
-    _column_terms: no jets, no Cholesky and no overflow in t.  On jet
-    blocks, a D-term combination and the whitened r x r algebra per node
-    block: X = W hdot W* and K from _curvature_frame."""
+    _column_terms: no jets, no Cholesky and no overflow in t.  On the
+    jets, a D-term combination and the whitened r x r algebra at every
+    node: X = W hdot W* and K from _curvature_frame."""
     grid = table.grid
     if table.runs is not None:
         integrand = np.zeros(len(grid.nodes))
@@ -289,13 +288,9 @@ def m1_rate(basis: SectionBasis, ps: OnePS, t: float, table: _Table) -> float:
     with np.errstate(over="ignore"):
         e = np.exp(2.0 * weights * t)
     e_dot = 2.0 * weights * e
-    integrand = np.empty(len(grid.nodes))
-    for sl, stack in table.blocks:
-        twist = table.twist[sl]
-        w, _, k = _curvature_frame(basis.level / twist, *kernels.finite(_weighted(e, stack), grid, sl))
-        x = kernels.mul(kernels.mul(w, _weighted(e_dot, stack[:, 0])), kernels.ct(w))
-        integrand[sl] = -twist * (x * k.transpose(1, 0, 2)).sum(axis=(0, 1)).real  # tr(X K)
-    return grid.integrate(integrand)
+    w, _, k = _curvature_frame(basis.level / table.twist, *kernels.finite(_weighted(e, table.held), grid))
+    x = kernels.mul(kernels.mul(w, _weighted(e_dot, table.held[:, 0])), kernels.ct(w))
+    return grid.integrate(-table.twist * (x * k.transpose(1, 0, 2)).sum(axis=(0, 1)).real)  # tr(X K)
 
 
 def m1_curve(
@@ -312,7 +307,7 @@ def m1_curve(
     segment, a rule built once per size (gauss_rule).  The table the rates
     read (_path_table) is formed once and dropped on return."""
     _only_analytic(method)
-    ts = np.asarray(ts, dtype=float).ravel()
+    ts = _path_times(ts)
     if (ts < 0).any():
         raise ValueError("path time must be nonnegative")
     x, w = gauss_rule(max(4, n_path // max(1, len(np.unique(ts)))))

@@ -1,24 +1,25 @@
 """The evaluation core of the fibre sandwich h = Q* H Q on a node set.
 
-Chart values Q(x), an N x r matrix per node, come from `bundles.q_field`
-one block of at most BLOCK nodes at a time and are dropped with the
-block, unless the caller holds the list of blocks, its chart, as a
-balance solve does.  Inside the core every per-node value has one
-layout, the node index last: a block of chart values or of their
-z-derivatives is an (N, r, B) stack, section index first, and a sandwich
-is an (r, r, B) stack.  `bundles` builds the chart in that layout and
-returns it as its (B, N, r) transpose, so `node_last` gets it back
-without a copy.  An N x N form acts on every node of a block in one GEMM
+Chart values Q(x), an N x r matrix per node, are evaluated once per call
+for the node set it integrates over, as one array, the chart (`chart`),
+which a caller that evaluates several forms, as a balance solve does,
+holds and passes on.  A held chart is N r M complex numbers: 25 MB at
+N = 76 on the 10,240 nodes of the default grid.  Inside the core every
+per-node value has one layout, the node index last: chart values or
+their z-derivatives are an (N, r, M) stack, section index first, and a
+sandwich is an (r, r, M) stack.  `bundles` builds the chart in that
+layout and returns it as its (M, N, r) transpose, so `node_last` gets it
+back without a copy.  An N x N form acts on every node in one GEMM
 (`act`); a weight group of a 1-PS is a row slice of that product.  A
 diagonal form of a split bundle needs no product: `columns` gives the
 real (N, M) table |Q_ic|^2, which `donaldson` reads along a diagonal
 1-PS and `balance` for a solve from a diagonal start, both on one node
 per torus orbit, which they choose.  `pair` forms x* y, a Gram as
 pair(x, x).  What is left per node is r x r algebra, whose loops run
-over the small indices, each step one vector operation over the B nodes.
-Per-node outputs are written into full-length arrays before any
-quadrature sum and do not depend on the block size; B(H), the one sum
-over nodes accumulated per block, moves in its last bits with BLOCK.
+over the small indices, each step one vector operation over the nodes.
+B(H) is one GEMM of Y over all nodes (`b_matrix`).  BLOCK bounds one
+thing only: the nodes per (N, N, B) P-field of the LM Jacobian
+(`balance._b_derivatives`).
 
 The fibre metric has one factorization, the Cholesky h = L L* of
 `cholesky`, with W = L^{-1} from `whiten`: log det h = 2 sum_j log L_jj,
@@ -65,30 +66,22 @@ def node_last(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x.transpose(1, 2, 0))
 
 
-def blocks(basis, nodes, chart=None):
-    """(slice, Q) for consecutive blocks of at most BLOCK nodes, Q of
-    shape (N, r, B) evaluated per block; ``chart``, the list of them from
-    an earlier call that the caller holds, is yielded unchanged."""
-    if chart is not None:
-        yield from chart
-        return
-    for start in range(0, len(nodes), BLOCK):
-        sl = slice(start, min(start + BLOCK, len(nodes)))
-        yield sl, node_last(bundles.q_field(basis, nodes[sl]))
+def chart(basis, nodes) -> np.ndarray:
+    """Q at every node of ``nodes``, shape (N, r, M), node index last."""
+    return node_last(bundles.q_field(basis, nodes))
 
 
 def columns(basis, grid):
     """The |Q|^2 table of a split bundle on ``grid`` as (rho, rows): rho_i =
     |Q_ic|^2, real (N, M), for row i of fibre column c (Q is 0 in the other
-    columns), filled per node block, and the row slice of each column."""
+    columns), and the row slice of each column."""
     rows = [slice(r.start, r.stop) for r in map(basis.summand_rows, range(basis.rank))]
+    q = chart(basis, grid.nodes)
     rho = np.empty((basis.dimension, len(grid.nodes)))
     with np.errstate(over="ignore", invalid="ignore"):
-        for sl, q in blocks(basis, grid.nodes):
-            for c, s in enumerate(rows):
-                rho[s, sl] = q[s, c].real ** 2 + q[s, c].imag ** 2
-            finite(rho[:, sl], grid, sl)
-    return rho, rows
+        for c, s in enumerate(rows):
+            rho[s] = q[s, c].real ** 2 + q[s, c].imag ** 2
+    return finite(rho, grid), rows
 
 
 def act(mat: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -113,47 +106,36 @@ def pair(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def finite(x, grid, sl: slice):
-    """x, a stack of per-node values over the nodes ``sl`` of ``grid``
-    with the node index last, unchanged when every entry is finite;
-    otherwise NonFiniteChart names the first node with an overflowed
-    entry, by its index in the grid a quotient was reduced from."""
+def finite(x, grid):
+    """x, a stack of values at every node of ``grid`` with the node index
+    last, unchanged when every entry is finite; otherwise NonFiniteChart
+    names the first node with an overflowed entry, by its index in the
+    grid a quotient was reduced from."""
     ok = np.isfinite(x).reshape(-1, x.shape[-1]).all(axis=0)
     if not ok.all():
-        i = sl.start + int(np.argmin(ok))
+        i = int(np.argmin(ok))
         raise NonFiniteChart(grid.name(i), grid.nodes[i])
     return x
 
 
-def field(basis, grid, mat=None, chart=None) -> np.ndarray:
-    """Q* mat Q at every node of ``grid``, hermitian, shape (r, r, M);
-    Q*Q without ``mat``.  ``chart`` holds the blocks when the caller
-    keeps them; NonFiniteChart names the first node whose sandwich
-    overflowed."""
-    out = np.empty((basis.rank, basis.rank, len(grid.nodes)), dtype=complex)
-    for sl, qb in blocks(basis, grid.nodes, chart):
-        h = pair(qb, qb if mat is None else act(mat, qb))
-        out[..., sl] = 0.5 * (finite(h, grid, sl) + ct(h))
-    return out
+def field(q, grid, mat=None) -> np.ndarray:
+    """Q* mat Q at every node of ``grid``, hermitian, shape (r, r, M), from
+    its chart q; Q*Q without ``mat``.  NonFiniteChart names the first node
+    whose sandwich overflowed."""
+    h = finite(pair(q, q if mat is None else act(mat, q)), grid)
+    return 0.5 * (h + ct(h))
 
 
-def b_matrix(basis, grid, H, chart):
-    """B(H) = (1/Vol_L) int Y Y* dV (see p_root), so that balance reads
-    B(H) = (r/N) H^{-1}: one GEMM of Y as an N x (r B) matrix per block,
-    accumulated per block, so it moves in its last bits with BLOCK.  With
-    it log det h_H and W at every node, (M,) and (r, r, M).  ``chart``
-    holds the blocks when the caller keeps them, else None."""
-    n, r = basis.dimension, basis.rank
-    w = grid.weights / grid.volume
-    b = np.zeros((n, n), dtype=complex)
-    ld = np.empty(len(grid.nodes))
-    wh = np.empty((r, r, len(grid.nodes)), dtype=complex)
-    for sl, qb in blocks(basis, grid.nodes, chart):
-        wh[..., sl], l = whiten(finite(pair(qb, act(H, qb)), grid, sl))
-        ld[sl] = _logdet(l)
-        y = p_root(qb, wh[..., sl])
-        b += (y * w[sl]).reshape(n, -1) @ y.reshape(n, -1).conj().T
-    return 0.5 * (b + b.conj().T), ld, wh
+def b_matrix(q, grid, H):
+    """B(H) = (1/Vol_L) int Y Y* dV (see p_root) from the chart q of
+    ``grid``, so that balance reads B(H) = (r/N) H^{-1}: one GEMM of Y as
+    an N x (r M) matrix.  With it log det h_H and W at every node, (M,)
+    and (r, r, M)."""
+    n = len(q)
+    wh, l = whiten(finite(pair(q, act(H, q)), grid))
+    y = p_root(q, wh)
+    b = (y * (grid.weights / grid.volume)).reshape(n, -1) @ y.reshape(n, -1).conj().T
+    return 0.5 * (b + b.conj().T), _logdet(l), wh
 
 
 def p_root(q: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -37,7 +37,8 @@ def test_t_convention_on_symmetric_configuration():
     grid = qd.build_grid_p1(n_radial=4, n_angular=8, depth=6)
     basis = bd.section_basis(bd.split(2), 0)
     H = np.eye(basis.dimension)
-    assert np.linalg.norm(bl.t_operator(basis, kernels.b_matrix(basis, grid, H, None)[0]) - H) < 1e-10
+    b = kernels.b_matrix(kernels.chart(basis, grid.nodes), grid, H)[0]
+    assert np.linalg.norm(bl.t_operator(basis, b) - H) < 1e-10
     zeta = np.diag([1.0, 0.0, -1.0])
     assert abs(first_variation(basis, grid, H, zeta)) < 1e-10
 
@@ -45,7 +46,7 @@ def test_t_convention_on_symmetric_configuration():
 def test_t_operator_fixes_balanced_point(grid_p1):
     basis = bd.section_basis(bd.split(2), 1)
     n = basis.dimension
-    out = bl.t_operator(basis, kernels.b_matrix(basis, grid_p1, np.eye(n), None)[0])
+    out = bl.t_operator(basis, kernels.b_matrix(kernels.chart(basis, grid_p1.nodes), grid_p1, np.eye(n))[0])
     assert np.abs(out - np.eye(n)).max() < 1e-12
 
 
@@ -131,14 +132,15 @@ def test_lm_stalls_when_no_step_moves(grid_p1, monkeypatch):
 
 @pytest.mark.parametrize("solver", [bl.t_iterate, bl.lm_minimize], ids=["T", "LM"])
 def test_solve_holds_one_chart(grid_p1, monkeypatch, rng, solver):
-    """A solve brings the chart values to the node-last layout once per
-    node block, however many forms it evaluates."""
+    """A solve evaluates the chart values of its grid and brings them to
+    the node-last layout once, however many forms it evaluates."""
     calls = []
-    node_last = kernels.node_last
-    monkeypatch.setattr(kernels, "node_last", lambda x: calls.append(1) or node_last(x))
+    q_field, node_last = bd.q_field, kernels.node_last
+    monkeypatch.setattr(bd, "q_field", lambda *args: calls.append("q_field") or q_field(*args))
+    monkeypatch.setattr(kernels, "node_last", lambda x: calls.append("node_last") or node_last(x))
     basis = bd.section_basis(bd.split(3), 2)
     solver(basis, grid_p1, random_form(basis.dimension, rng), tol=1e-10, max_iter=3)
-    assert len(calls) == -(-grid_p1.nodes.size // kernels.BLOCK)
+    assert calls == ["q_field", "node_last"]
 
 
 COARSE = dict(n_radial=3, n_angular=8, depth=6)
@@ -162,8 +164,8 @@ def test_b_on_the_orbits_is_the_ring_average(degrees, k, resolution):
     mask = m[:, None] == m[None, :]
     a = np.random.default_rng(15).normal(size=(n, n, 2)) @ [1.0, 1j]
     H = (a @ a.conj().T / n + np.eye(n)) * mask
-    full = kernels.b_matrix(basis, grid, H, None)[0]
-    orbits = kernels.b_matrix(basis, grid.orbits, H, None)[0]
+    full = kernels.b_matrix(kernels.chart(basis, grid.nodes), grid, H)[0]
+    orbits = kernels.b_matrix(kernels.chart(basis, grid.orbits.nodes), grid.orbits, H)[0]
     assert np.abs(orbits - full)[mask].max() <= 1e-15
     aliased = np.abs(m[:, None] - m[None, :]) == grid.ring
     assert aliased.any() == (k == 36)
@@ -229,13 +231,13 @@ def test_column_route_is_the_whole_grid_at_a_diagonal_form(degrees, k):
     assert bl._column_start(grid, H) and not bl._column_start(whole, H)
     evaluate, jacobian = bl._column_route(basis, grid.orbits)
     got = evaluate(H)
-    chart = list(kernels.blocks(basis, whole.nodes))
-    want = bl._solver_parts(basis, whole, H, kernels.logdet(kernels.field(basis, whole, chart=chart)), chart)
+    q = kernels.chart(basis, whole.nodes)
+    want = bl._solver_parts(basis, whole, q, H, kernels.logdet(kernels.field(q, whole)))
     assert np.abs(got.b - want.b).max() <= 1e-13 * np.abs(want.b).max()
     assert got.m2 == pytest.approx(want.m2, rel=1e-13)
     directions = bl._herm_basis(np.eye(n, dtype=bool))
     jac, res = jacobian(got, directions)
-    jac_want, res_want = bl._grid_jacobian(basis, whole, chart, want, directions)
+    jac_want, res_want = bl._grid_jacobian(basis, whole, q, want, directions)
     diagonal = np.arange(n) * (n + 1)  # the real parts of the entries (i, i)
     scale = np.abs(jac).max()
     assert np.abs(jac - jac_want[diagonal]).max() <= 1e-13 * scale
@@ -474,9 +476,9 @@ def test_b_derivative_at_the_balanced_form_is_the_berezin_operator(degrees, k, g
     basis = bd.section_basis(bd.split(*degrees), k)
     n, r = basis.dimension, basis.rank
     dirs = np.concatenate([bl._herm_basis(np.ones((n, n), dtype=bool)), np.eye(n)[None] / np.sqrt(n)])
-    chart = list(kernels.blocks(basis, grid_p1_fine.nodes))
-    wh = kernels.whiten(kernels.field(basis, grid_p1_fine, chart=chart))[0]
-    db = bl._b_derivatives(basis, grid_p1_fine, chart, wh, dirs)
+    q = kernels.chart(basis, grid_p1_fine.nodes)
+    wh = kernels.whiten(kernels.field(q, grid_p1_fine))[0]
+    db = bl._b_derivatives(basis, grid_p1_fine, q, wh, dirs)
     pairing = lambda x, y: (x.conj().reshape(len(x), -1) @ y.reshape(len(y), -1).T).real
     spectrum = np.linalg.eigvals(-(n / r) * np.linalg.solve(pairing(dirs, dirs), pairing(dirs, db)))
     level = degrees[0] + k

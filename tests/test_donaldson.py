@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -156,6 +157,22 @@ def test_m1_curve_keeps_the_callers_order(grid_p1):
         don.m1_curve(basis, grid_p1, ps, [1.0, -0.5])
 
 
+@pytest.mark.parametrize("ts", [[np.nan], [1.0, np.nan], [np.inf], [2.0, -np.inf]],
+                         ids=["nan", "1-nan", "inf", "2-minus-inf"])
+def test_non_finite_path_time_is_refused(ts, grid_p1, monkeypatch):
+    """m1_curve and m2_along_path refuse a non-finite path time up front,
+    naming it, before any chart is evaluated and with no warning: a NaN
+    would otherwise take M1's running total and an infinity warn."""
+    basis, ps = catalog_pair()
+    monkeypatch.setattr(bd, "q_field", lambda *args: pytest.fail("chart evaluated"))
+    bad = next(t for t in ts if not np.isfinite(t))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for energy in (don.m1_curve, don.m2_along_path):
+            with pytest.raises(ValueError, match=f"path time must be finite, not {bad}"):
+                energy(basis, grid_p1, ps, ts)
+
+
 def orbit_case(name):
     """(basis, ps, M2 times, M1 times) of a diagonal 1-PS: the paths of
     criteria 2-4, split(0,1,2) with a generic diagonal generator and the
@@ -239,7 +256,8 @@ def endpoint_energy(basis, grid, H):
     and F_0, F_1 the curvature densities of h_ref and h_H, M1 is
     (1/2) int v (F_0 + F_1) and mu M2 is -mu int v / Vol."""
     mu = float(basis.bundle.degree)
-    v = np.log(kernels.field(basis, grid).real[0, 0]) - np.log(kernels.field(basis, grid, H).real[0, 0])
+    q = kernels.chart(basis, grid.nodes)
+    v = np.log(kernels.field(q, grid).real[0, 0]) - np.log(kernels.field(q, grid, H).real[0, 0])
     f0, f1 = (don.curvature_field(basis, grid, bg.HermitianForm(m), method="analytic").real[:, 0, 0]
               for m in (np.eye(len(H)), H))
     pairing, log_ratio = grid.integrate(np.stack([v * (f0 + f1), v]))

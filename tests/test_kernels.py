@@ -72,16 +72,20 @@ def test_fs_metric_and_h_ref(split_basis, grid, rng):
 @pytest.mark.parametrize("bundle, k", [(bd.split(0, 2), 3), (bd.euler_tp2(), 1), (bd.euler_tp2(), 2)],
                          ids=["split-k3", "euler-k1", "euler-k2"])
 def test_chart_blocks_slice_the_whole_grid(grid_p1, grid_p2, bundle, k):
-    """Chart values evaluated one block at a time are the bytes of those
-    evaluated on the whole grid, so a held chart moves no result."""
+    """kernels.chart is the bytes of node_last(q_field), (N, r, M) and
+    C-ordered, and the chart of each block of BLOCK nodes is the bytes of
+    the whole grid's chart at those nodes: per-node values do not depend
+    on the node set they are evaluated with."""
     grid = grid_p1 if bundle.kind == "split_p1" else grid_p2
     basis = bd.section_basis(bundle, k)
-    whole = kernels.node_last(bd.q_field(basis, grid.nodes))
-    chart = list(kernels.blocks(basis, grid.nodes))
-    assert len(chart) == -(-len(grid.nodes) // kernels.BLOCK) > 1
-    for sl, qb in chart:
-        assert qb.tobytes() == whole[..., sl].tobytes()
-    assert list(kernels.blocks(basis, grid.nodes, chart)) == chart
+    whole = kernels.chart(basis, grid.nodes)
+    assert whole.tobytes() == kernels.node_last(bd.q_field(basis, grid.nodes)).tobytes()
+    assert whole.shape == (basis.dimension, basis.rank, len(grid.nodes)) and whole.flags.c_contiguous
+    starts = range(0, len(grid.nodes), kernels.BLOCK)
+    assert len(starts) > 1
+    for start in starts:
+        sl = slice(start, start + kernels.BLOCK)
+        assert kernels.chart(basis, grid.nodes[sl]).tobytes() == whole[..., sl].tobytes()
 
 
 def test_euler_basis(grid_p2, rng):
@@ -168,19 +172,13 @@ def counted(calls, name, fn):
     return wrapper
 
 
-def node_blocks(grid):
-    """The number of node blocks of a grid and the size of each."""
-    m = grid.nodes.size
-    return -(-m // kernels.BLOCK), [min(kernels.BLOCK, m - start) for start in range(0, m, kernels.BLOCK)]
-
-
 def test_m2_along_path_work_shape(grid_p1, monkeypatch, rng):
-    """Chart values once per node block of the nodes integrated over,
-    however many times are sampled, and one integrate call folding every
-    time.  In a GEMM frame, on the whole grid, one Gram product per weight
-    per block, each reducing a (K_d, r, B) stack over every fibre column,
-    in weight order.  The diagonal two-step 1-PS, on one node per torus
-    orbit, forms no Gram: its h(t) is diagonal, one sum per column."""
+    """Chart values once, on the nodes integrated over, however many
+    times are sampled, and one integrate call folding every time.  In a
+    GEMM frame, on the whole grid, one Gram product per weight, each
+    reducing a (K_d, r, M) stack over every fibre column, in weight
+    order.  The diagonal two-step 1-PS, on one node per torus orbit,
+    forms no Gram: its h(t) is diagonal, one sum per column."""
     basis = bd.section_basis(bd.split(0, 2), 3)
     calls = {"q_field": 0, "pair": 0, "integrate": 0}
     shapes = []
@@ -190,16 +188,15 @@ def test_m2_along_path_work_shape(grid_p1, monkeypatch, rng):
     monkeypatch.setattr(QuadratureGrid, "integrate", counted(calls, "integrate", QuadratureGrid.integrate))
     for ps, grid in ((weight_kind_ps("three", basis.dimension, rng), grid_p1),
                      (bg.two_step_one_ps(basis, [1], (4 / 6, -1.0)), grid_p1.orbits)):
-        n_blocks, sizes = node_blocks(grid)
         for ts in ([1.0], np.linspace(0.5, 12.0, 24)):
             calls.update(q_field=0, pair=0, integrate=0)
             shapes.clear()
             don.m2_along_path(basis, grid_p1, ps, ts)
             if grid is grid_p1.orbits:
-                assert calls == {"q_field": n_blocks, "pair": 0, "integrate": 1}
+                assert calls == {"q_field": 1, "pair": 0, "integrate": 1}
             else:
-                assert calls == {"q_field": n_blocks, "pair": n_blocks * len(ps.weights), "integrate": 1}
-                assert shapes == [(s.stop - s.start, basis.rank, b) for b in sizes for s in ps.slices]
+                assert calls == {"q_field": 1, "pair": len(ps.weights), "integrate": 1}
+                assert shapes == [(s.stop - s.start, basis.rank, len(grid.nodes)) for s in ps.slices]
 
 
 @pytest.mark.parametrize("k, diag", [(3, None), (36, None), (2, (0.5, -1.0, 0.5))],
@@ -207,8 +204,8 @@ def test_m2_along_path_work_shape(grid_p1, monkeypatch, rng):
 def test_permutation_frame_is_a_row_gather(k, diag, grid_p1, monkeypatch):
     """For a diagonal generator M2 reads the rows of Q: it agrees with the
     GEMM by V*, and kernels.act is not called; without rows it is called
-    once per node block.  The two-step 1-PS of O(0)+O(2) has consecutive
-    groups, diag(1/2, -1, 1/2) on O(0) one that is not."""
+    once.  The two-step 1-PS of O(0)+O(2) has consecutive groups,
+    diag(1/2, -1, 1/2) on O(0) one that is not."""
     if diag is None:
         basis = bd.section_basis(bd.split(0, 2), k)
         ps = bg.two_step_one_ps(basis, [1], ((k + 1) / (k + 3), -1.0))
@@ -216,12 +213,11 @@ def test_permutation_frame_is_a_row_gather(k, diag, grid_p1, monkeypatch):
         basis = bd.section_basis(bd.split(0), k, orthonormal=False)
         ps = bg.one_ps(np.diag(diag))
     gemm = dataclasses.replace(ps, rows=None)
-    n_blocks = -(-grid_p1.nodes.size // kernels.BLOCK)
     calls = {"act": 0}
     monkeypatch.setattr(kernels, "act", counted(calls, "act", kernels.act))
     ts = [1.25, 6.0, 15.0]
     m2 = {}
-    for name, p, acts in (("gather", ps, 0), ("gemm", gemm, n_blocks)):
+    for name, p, acts in (("gather", ps, 0), ("gemm", gemm, 1)):
         calls.update(act=0)
         m2[name] = don.m2_along_path(basis, grid_p1, p, ts)
         assert calls == {"act": acts}
@@ -237,24 +233,23 @@ def dense_groups(ps, q):
 
 
 def dense_m2(basis, grid, ps, ts):
-    """m2_along_path as a plain loop over node blocks."""
+    """m2_along_path as the plain algorithm, one time at a time."""
     times = np.concatenate([[0.0], ts])
     table = np.exp(2.0 * np.outer(ps.weights, times))
-    vals = np.empty((len(times), len(grid.nodes)))
-    for sl, q in kernels.blocks(basis, grid.nodes):
-        grams = np.stack([kernels.pair(b, b) for b in dense_groups(ps, q)], axis=2)
-        vals[:, sl] = kernels.logdet(table.T @ grams)
+    grams = np.stack([kernels.pair(b, b) for b in dense_groups(ps, kernels.chart(basis, grid.nodes))], axis=2)
+    vals = kernels.logdet(table.T @ grams)
     return np.asarray([grid.integrate(v - vals[0]) / grid.volume for v in vals[1:]])
 
 
 def dense_column_m2(basis, grid, ps, ts):
     """m2_along_path of a diagonal 1-PS of a split bundle as a plain loop
-    over fibre columns c and node blocks: h_c(t) = sum_i e^{2 (lam_i -
-    top_c) t} |Q_ic|^2 over the rows of summand c, and M2(t) = 2 t sum_c
-    top_c + int sum_c log(h_c(t) / h_c(0)) / Vol, one time at a time."""
+    over fibre columns c: h_c(t) = sum_i e^{2 (lam_i - top_c) t} |Q_ic|^2
+    over the rows of summand c, and M2(t) = 2 t sum_c top_c + int sum_c
+    log(h_c(t) / h_c(0)) / Vol, one time at a time."""
     times = np.concatenate([[0.0], ts])
     lam = np.empty(basis.dimension)
     lam[ps.rows] = ps.eigenvalues
+    q = kernels.chart(basis, grid.nodes)
     vals = np.zeros((len(ts), len(grid.nodes)))
     shift = 0.0
     for c in range(basis.rank):
@@ -262,23 +257,23 @@ def dense_column_m2(basis, grid, ps, ts):
         top = lam[rows].max()
         shift += top
         table = np.exp(2.0 * np.outer(times, lam[rows] - top))
-        for sl, q in kernels.blocks(basis, grid.nodes):
-            x = q[rows.start : rows.stop, c]
-            h = table @ (x.real ** 2 + x.imag ** 2)
-            vals[:, sl] += np.log(h[1:] / h[0])
+        x = q[rows.start : rows.stop, c]
+        h = table @ (x.real ** 2 + x.imag ** 2)
+        vals += np.log(h[1:] / h[0])
     return 2.0 * ts * shift + np.asarray([grid.integrate(v) for v in vals]) / grid.volume
 
 
 def dense_column_rate(basis, grid, ps, t):
     """m1_rate of a diagonal 1-PS of a split bundle as a plain loop over
-    fibre columns c and node blocks: with p_i = e^{2 (lam_i - top_c) t}
-    |Q_ic|^2 normalized over the rows of summand c, the integrand is
+    fibre columns c: with p_i = e^{2 (lam_i - top_c) t} |Q_ic|^2
+    normalized over the rows of summand c, the integrand is
     -sum_c (2 top_c + sum_i p_i 2 (lam_i - top_c)) F_c, where
     F_c = (1 + |z|^2)^2 / |z|^2 sum_{i<j} p_i p_j (m_i - m_j)^2 - k."""
     lam = np.empty(basis.dimension)
     lam[ps.rows] = ps.eigenvalues
     a = np.abs(grid.nodes) ** 2
     stretch = (1.0 + a) ** 2 / a
+    q = kernels.chart(basis, grid.nodes)
     integrand = np.zeros(len(grid.nodes))
     for c in range(basis.rank):
         rows = basis.summand_rows(c)
@@ -287,26 +282,22 @@ def dense_column_rate(basis, grid, ps, t):
         shift = 2.0 * (lam[rows] - top)
         pairs = np.arange(len(m))[:, None] < np.arange(len(m))
         d = np.where(pairs, (m[:, None] - m[None, :]) ** 2, 0).astype(float)
-        for sl, q in kernels.blocks(basis, grid.nodes):
-            x = q[rows.start : rows.stop, c]
-            w = np.exp(shift * t)[:, None] * (x.real ** 2 + x.imag ** 2)
-            p = w / w.sum(axis=0)
-            f = stretch[sl] * (p * (d @ p)).sum(axis=0) - basis.level
-            integrand[sl] -= (2.0 * top + shift @ p) * f
+        x = q[rows.start : rows.stop, c]
+        w = np.exp(shift * t)[:, None] * (x.real ** 2 + x.imag ** 2)
+        p = w / w.sum(axis=0)
+        f = stretch * (p * (d @ p)).sum(axis=0) - basis.level
+        integrand -= (2.0 * top + shift @ p) * f
     return grid.integrate(integrand)
 
 
 def dense_jets(basis, grid, ps):
-    """_path_jets as a plain loop over node blocks."""
+    """_path_jets as the plain algorithm, one weight group at a time."""
     z, r = grid.nodes, basis.rank
-    jets = []
-    for sl, q in kernels.blocks(basis, z):
-        dq = kernels.node_last(bd.dq_dz_field(basis, z[sl]))
-        stack = np.empty((len(ps.slices), 3, r, r, q.shape[-1]), dtype=complex)
-        for i, (b, db) in enumerate(zip(dense_groups(ps, q), dense_groups(ps, dq))):
-            stack[i] = kernels.pair(b, b), kernels.pair(b, db), kernels.pair(db, db)
-        jets.append((sl, stack))
-    return jets
+    q, dq = kernels.chart(basis, z), kernels.node_last(bd.dq_dz_field(basis, z))
+    stack = np.empty((len(ps.slices), 3, r, r, len(z)), dtype=complex)
+    for i, (b, db) in enumerate(zip(dense_groups(ps, q), dense_groups(ps, dq))):
+        stack[i] = kernels.pair(b, b), kernels.pair(b, db), kernels.pair(db, db)
+    return stack
 
 
 def dense_rate(basis, grid, jets, ps, t):
@@ -315,16 +306,13 @@ def dense_rate(basis, grid, jets, ps, t):
     weights = np.asarray(ps.weights)
     e = np.exp(2.0 * weights * t)
     e_dot = 2.0 * weights * e
-    z = grid.nodes
-    integrand = np.empty(len(z))
-    for sl, stack in jets:
-        n_w, _, r, _, b = stack.shape
-        hac = (e @ stack.reshape(n_w, -1)).reshape(3, r, r, b)
-        hdot = (e_dot @ stack[:, 0].reshape(n_w, -1)).reshape(r, r, b)
-        w, _, k = don._curvature_frame(basis.level / (1.0 + np.abs(z[sl]) ** 2) ** 2, *hac)
-        x = kernels.mul(kernels.mul(w, hdot), kernels.ct(w))
-        integrand[sl] = -(1.0 + np.abs(z[sl]) ** 2) ** 2 * (x * k.transpose(1, 0, 2)).sum(axis=(0, 1)).real
-    return grid.integrate(integrand)
+    twist = (1.0 + np.abs(grid.nodes) ** 2) ** 2
+    n_w, _, r, _, m = jets.shape
+    hac = (e @ jets.reshape(n_w, -1)).reshape(3, r, r, m)
+    hdot = (e_dot @ jets[:, 0].reshape(n_w, -1)).reshape(r, r, m)
+    w, _, k = don._curvature_frame(basis.level / twist, *hac)
+    x = kernels.mul(kernels.mul(w, hdot), kernels.ct(w))
+    return grid.integrate(-twist * (x * k.transpose(1, 0, 2)).sum(axis=(0, 1)).real)
 
 
 def narrow_case(name, k):
@@ -377,9 +365,7 @@ def test_narrow_groups_match_the_dense_algorithm(name, k, grid_p1, grid_p2):
     if name == "gemm":
         got = don._path_table(basis, grid, ps)
         dense = dense_jets(basis, grid, ps)
-        for (sl, a), (sl_want, b) in zip(got.blocks, dense, strict=True):
-            assert sl == sl_want
-            assert a.tobytes() == b.tobytes()
+        assert got.held.tobytes() == dense.tobytes()
         for t in ts:
             assert np.float64(don.m1_rate(basis, ps, t, got)).tobytes() == \
                 np.float64(dense_rate(basis, grid, dense, ps, t)).tobytes()
@@ -433,7 +419,7 @@ def check_curvature_and_m1_rate(basis, grid, ps, t):
     got = don.m1_rate(basis, ps, t, don._path_table(basis, grid, ps))
     # a single weight has hdot = 0: both rates vanish and scale is 0
     assert abs(got - want) <= TOL * scale
-    # held jet blocks give the very same number
+    # held jets give the very same number
     jets = don._path_jets(basis, grid, ps.vectors.conj().T, ps.slices)
     assert don.m1_rate(basis, ps, t, jets) == got
 
@@ -479,13 +465,12 @@ def test_curvature_and_m1_rate_weight_kinds(kind, split_basis, grid, rng):
 
 
 def test_m1_curve_work_shape(grid_p1, monkeypatch, rng):
-    """Chart values once per node block, whatever the number of Gauss
-    nodes, one rate per Gauss node, and no H(t).  In a GEMM frame, on the
-    whole grid, the derivatives once per node block too, and the held
-    table is one (D, 3, r, r, B) jet stack per node block.  The diagonal
-    two-step 1-PS, on one node per torus orbit, forms no derivative: its
-    table is the real |Q_ic|^2 of every row i as one (N, M) array, with
-    the row slice of each column c."""
+    """Chart values once, whatever the number of Gauss nodes, one rate per
+    Gauss node, and no H(t).  In a GEMM frame, on the whole grid, the
+    derivatives once too, and the held table is one (D, 3, r, r, M) jet
+    stack.  The diagonal two-step 1-PS, on one node per torus orbit, forms
+    no derivative: its table is the real |Q_ic|^2 of every row i as one
+    (N, M) array, with the row slice of each column c."""
     basis = bd.section_basis(bd.split(0, 2), 3)
     calls = {"q_field": 0, "dq_dz_field": 0, "m1_rate": 0, "form_at": 0}
     held = []
@@ -498,21 +483,19 @@ def test_m1_curve_work_shape(grid_p1, monkeypatch, rng):
     for ps, grid in ((weight_kind_ps("three", basis.dimension, rng), grid_p1),
                      (bg.two_step_one_ps(basis, [1], (4 / 6, -1.0)), grid_p1.orbits),
                      (bg.random_two_weight_ps(basis.dimension, rng), grid_p1)):
-        n_blocks, sizes = node_blocks(grid)
         columns = grid is grid_p1.orbits
         for ts, n_path, n_gauss in (([2.0], 4, 4), ([1.0, 3.0], 24, 24)):
             calls.update(q_field=0, dq_dz_field=0, m1_rate=0, form_at=0)
             held.clear()
             don.m1_curve(basis, grid_p1, ps, ts, n_path=n_path)
-            assert calls == {"q_field": n_blocks, "dq_dz_field": 0 if columns else n_blocks,
-                             "m1_rate": n_gauss, "form_at": 0}
+            assert calls == {"q_field": 1, "dq_dz_field": 0 if columns else 1, "m1_rate": n_gauss, "form_at": 0}
             [table] = held
             assert table.grid is grid
             if columns:  # |Q_ic|^2 on the rows of each column c
-                assert table.blocks.dtype == float and table.blocks.shape == (basis.dimension, sum(sizes))
+                assert table.held.dtype == float and table.held.shape == (basis.dimension, len(grid.nodes))
                 assert [s for s, *_ in table.runs] == [slice(0, 4), slice(4, 10)]
             else:
-                assert [x.shape for _, x in table.blocks] == [(len(ps.weights), 3, 2, 2, b) for b in sizes]
+                assert table.held.shape == (len(ps.weights), 3, 2, 2, len(grid.nodes))
     # The Gauss-Legendre rule is built once per size, read-only.
     rules = {"leggauss": 0}
     gauss_rule.cache_clear()
@@ -530,11 +513,10 @@ def test_b_matrix_p_field_and_m2_value(split_basis, grid, rng):
     h = herm(sandwich(q, H, q))
     p = np.einsum("mni,mij,mkj->mnk", q, np.linalg.inv(h), q.conj())
     b_want = herm(np.einsum("m,mnk->nk", grid.weights / grid.volume, p))
-    for chart in (None, list(kernels.blocks(split_basis, grid.nodes))):
-        b, ld, wh = kernels.b_matrix(split_basis, grid, H, chart)
-        assert rel(b, b_want) < TOL
-        assert rel(ld, np.linalg.slogdet(h)[1]) < TOL
-        assert rel(kernels.p_field(q.transpose(1, 2, 0), wh), p.transpose(1, 2, 0)) < TOL
+    b, ld, wh = kernels.b_matrix(kernels.chart(split_basis, grid.nodes), grid, H)
+    assert rel(b, b_want) < TOL
+    assert rel(ld, np.linalg.slogdet(h)[1]) < TOL
+    assert rel(kernels.p_field(q.transpose(1, 2, 0), wh), p.transpose(1, 2, 0)) < TOL
     ld0 = np.linalg.slogdet(h_ref(q))[1]
     m2 = grid.integrate(np.linalg.slogdet(h)[1] - ld0) / grid.volume
     assert rel(bl.m2_value(split_basis, grid, H), m2) < TOL
@@ -551,7 +533,7 @@ def test_p_field_beyond_rank_two(bundle, k, coarse, rng):
     q = bd.q_field(basis, coarse.nodes)
     h = herm(sandwich(q, H, q))
     p = np.einsum("mni,mij,mkj->mnk", q, np.linalg.inv(h), q.conj())
-    b, _, wh = kernels.b_matrix(basis, coarse, H, None)
+    b, _, wh = kernels.b_matrix(kernels.chart(basis, coarse.nodes), coarse, H)
     assert rel(kernels.p_field(q.transpose(1, 2, 0), wh), p.transpose(1, 2, 0)) < TOL
     assert rel(b, herm(np.einsum("m,mnk->nk", coarse.weights / coarse.volume, p))) < TOL
 
@@ -567,8 +549,7 @@ def test_lm_b_derivatives(grid, rng):
     dh = np.asarray([positive_form(n, rng) for _ in range(5)])
     want = -np.einsum("ijkl,dkl->dij", t4, dh)
     wh = kernels.whiten(herm(sandwich(q, H, q)).transpose(1, 2, 0))[0]
-    chart = list(kernels.blocks(basis, grid.nodes))
-    assert rel(bl._b_derivatives(basis, grid, chart, wh, dh), want) < TOL
+    assert rel(bl._b_derivatives(basis, grid, kernels.chart(basis, grid.nodes), wh, dh), want) < TOL
 
 
 def test_fibre_algebra_has_one_factorization(coarse, monkeypatch, rng):
@@ -595,7 +576,7 @@ def test_fibre_algebra_has_one_factorization(coarse, monkeypatch, rng):
     don.curvature_field(basis, coarse, form, method="analytic")
     bg.fs_metric(basis, coarse, form)
     bl.m2_value(basis, coarse, form.matrix)
-    kernels.b_matrix(basis, coarse, form.matrix, None)
+    kernels.b_matrix(kernels.chart(basis, coarse.nodes), coarse, form.matrix)
     bl.t_iterate(basis, coarse, np.eye(n), max_iter=2)
     bl.lm_minimize(basis, coarse, np.eye(n), max_iter=2)
     assert calls == {"slogdet": 0, "inv": 0, "eigvalsh": 0, "eigh": 0}
@@ -643,38 +624,43 @@ def test_factorization_matches_the_full_loop_bytewise(r, trailing, rng):
 @pytest.mark.parametrize("node", [0, 4, 9])
 def test_fibre_factorization_names_its_failures(factorize, node, rng):
     """A rank-deficient node raises SingularGram; an overflowed one is
-    named by the finite check that precedes every factorization."""
-    g = rng.normal(size=(10, 2, 2)) + 1j * rng.normal(size=(10, 2, 2))
+    named by the finite check that precedes every factorization, on a
+    quotient by its index in the full grid."""
+    grid = build_grid_p1(n_radial=2, n_angular=4, depth=8)  # 128 nodes, rings of 4
+    orbits = grid.orbits  # 32 nodes
+    g = rng.normal(size=(len(orbits.nodes), 2, 2)) + 1j * rng.normal(size=(len(orbits.nodes), 2, 2))
     h = g @ g.conj().transpose(0, 2, 1) + np.eye(2)
-    grid = build_grid_p1(n_radial=2, n_angular=4, depth=8)  # 128 nodes
-    sl = slice(100, 110)
-    factorize(kernels.finite(h.transpose(1, 2, 0), grid, sl))
+    factorize(kernels.finite(h.transpose(1, 2, 0), orbits))
     singular = h.copy()
     singular[node] = [[1.0, 2.0], [2.0, 4.0]]  # rank one, exactly
     with pytest.raises(kernels.SingularGram):
-        factorize(kernels.finite(singular.transpose(1, 2, 0), grid, sl))
+        factorize(kernels.finite(singular.transpose(1, 2, 0), orbits))
     overflowed = h.copy()
     overflowed[node, 1, 0] = np.inf
     with pytest.raises(kernels.NonFiniteChart) as info:
-        factorize(kernels.finite(overflowed.transpose(1, 2, 0), grid, sl))
-    assert info.value.index == 100 + node
-    assert info.value.z == grid.nodes[100 + node]
+        factorize(kernels.finite(overflowed.transpose(1, 2, 0), orbits))
+    assert info.value.index == grid.ring * node
+    assert info.value.z == grid.nodes[grid.ring * node]
 
 
 def test_block_size_does_not_move_results(grid_p1, monkeypatch, rng):
-    """Every kernel path gives byte-identical per-node outputs at every
-    block size, the column table of a generic diagonal 1-PS (144 orbit
-    nodes) included; B(H), summed over nodes per block, moves in its
-    last bits."""
+    """BLOCK bounds the P-field of the LM Jacobian alone: every other
+    kernel path, the column table of a generic diagonal 1-PS (144 orbit
+    nodes) and B(H) included, gives byte-identical outputs at every
+    block size, and the derivatives of B(H), summed over nodes per
+    block, move in their last bits."""
     basis = bd.section_basis(bd.split(0, 2), 3)
     ps = bg.random_two_weight_ps(basis.dimension, rng)
     form = ps.form_at(1.0)
     lam = rng.normal(size=basis.dimension)
     diagonal = bg.one_ps(np.diag(lam - lam.mean()))
+    q = kernels.chart(basis, grid_p1.nodes)
+    dh = np.asarray([positive_form(basis.dimension, rng) for _ in range(3)])
 
     def outputs():
-        b, ld, wh = kernels.b_matrix(basis, grid_p1, form.matrix, None)
-        per_node = [
+        b, ld, wh = kernels.b_matrix(q, grid_p1, form.matrix)
+        values = [
+            b,
             don.m2_along_path(basis, grid_p1, ps, [0.5, 2.0]),
             don.m1_curve(basis, grid_p1, ps, [1.0], n_path=4),
             don.curvature_field(basis, grid_p1, form, method="analytic"),
@@ -686,14 +672,14 @@ def test_block_size_does_not_move_results(grid_p1, monkeypatch, rng):
             ld,
             wh,
         ]
-        return b, [x.tobytes() for x in per_node]
+        return bl._b_derivatives(basis, grid_p1, q, wh, dh), [x.tobytes() for x in values]
 
-    b, whole = outputs()
+    db, whole = outputs()
     for block in (100, 700, 4096):
         monkeypatch.setattr(kernels, "BLOCK", block)
-        b_block, per_node = outputs()
-        assert per_node == whole, block
-        assert rel(b_block, b) < 1e-14, block
+        db_block, values = outputs()
+        assert values == whole, block
+        assert rel(db_block, db) < 1e-14, block
 
 
 def test_repeated_calls_are_byte_identical(grid_p1, rng):
@@ -702,8 +688,9 @@ def test_repeated_calls_are_byte_identical(grid_p1, rng):
     first = don.m2_along_path(basis, grid_p1, ps, [1.0, 4.0])
     assert first.tobytes() == don.m2_along_path(basis, grid_p1, ps, [1.0, 4.0]).tobytes()
     H = ps.form_at(0.7).matrix
-    b = kernels.b_matrix(basis, grid_p1, H, None)[0]
-    assert b.tobytes() == kernels.b_matrix(basis, grid_p1, H, None)[0].tobytes()
+    q = kernels.chart(basis, grid_p1.nodes)
+    b = kernels.b_matrix(q, grid_p1, H)[0]
+    assert b.tobytes() == kernels.b_matrix(q, grid_p1, H)[0].tobytes()
     rate = don.m1_rate(basis, ps, 0.7, don._path_table(basis, grid_p1, ps))
     assert rate == don.m1_rate(basis, ps, 0.7, don._path_table(basis, grid_p1, ps))
 

@@ -109,14 +109,17 @@ MUTANTS = (
      "np.exp(np.outer(times, 2.0 * lam[s])) @ rho[s] for s, top in zip(rows, tops)])\n"
      "        tops = [0.0] * len(tops)"),
     ("columns-wrong-column", "src/bml/kernels.py",
-     "rho[s, sl] = q[s, c].real ** 2 + q[s, c].imag ** 2",
-     "rho[s, sl] = q[s, 0].real ** 2 + q[s, 0].imag ** 2"),
+     "rho[s] = q[s, c].real ** 2 + q[s, c].imag ** 2",
+     "rho[s] = q[s, 0].real ** 2 + q[s, 0].imag ** 2"),
     ("columns-finite-unchecked", "src/bml/kernels.py",
-     "            finite(rho[:, sl], grid, sl)\n",
-     ""),
+     "    return finite(rho, grid), rows\n",
+     "    return rho, rows\n"),
+    ("b-derivatives-one-block", "src/bml/balance.py",
+     "for start in range(0, len(w), kernels.BLOCK):",
+     "for start in range(0, len(w), kernels.BLOCK)[:1]:"),
     ("m1-columns-no-top-shift", "src/bml/donaldson.py",
-     "    for s, _, shift, d in cols.runs:\n        w = np.exp(shift * t)[:, None] * cols.blocks[s]\n",
-     "    for s, top, shift, d in cols.runs:\n        w = np.exp((shift + 2.0 * top) * t)[:, None] * cols.blocks[s]\n"),
+     "    for s, _, shift, d in cols.runs:\n        w = np.exp(shift * t)[:, None] * cols.held[s]\n",
+     "    for s, top, shift, d in cols.runs:\n        w = np.exp((shift + 2.0 * top) * t)[:, None] * cols.held[s]\n"),
     ("m1-columns-characters-off-by-one", "src/bml/donaldson.py",
      "np.subtract.outer(m[s], m[s])",
      "np.subtract.outer(m[s], m[s] + 1)"),
