@@ -12,8 +12,9 @@ fixed-point T-operator iteration and a damped least-squares
 (Levenberg-Marquardt) minimization of the center-of-mass residual, both
 recording a per-iteration history suitable for convexity and divergence
 diagnostics; from a diagonal start on P^1 both run on the |Q|^2 column
-table of one node per torus orbit with N numbers per step
-(_column_route), from any other on the whole grid.  The delta diagnostic
+table of one node per torus orbit (_column_route), where a T-step is N
+reciprocals and a mean of logs and LM moves along N - 1 real
+directions, from any other on the whole grid.  The delta diagnostic
 quantifies the distance from a computed minimizer to the
 Hermitian-Einstein reference through the eigenvalue pinch delta and a
 spectral constant of the Laplacian.
@@ -102,9 +103,14 @@ class DeltaDiagnostic:
 
 
 def _det_normalize(H: np.ndarray) -> np.ndarray:
+    """H at determinant one; a diagonal held as a vector, at mean log 0."""
     n = H.shape[0]
     if not np.isfinite(H).all():
         raise SingularGram("form overflowed")
+    if H.ndim == 1:
+        if not (H > 0).all():
+            raise SingularGram("form is not positive definite")
+        return H * np.exp(-np.log(H).mean())
     sign, logdet = np.linalg.slogdet(H)
     if sign <= 0:
         raise SingularGram("form is not positive definite")
@@ -138,7 +144,8 @@ class _Iterate(NamedTuple):
     """A solver iterate: the form H, sq = H^{1/2}, B(H), the hermitian
     residual s = M(H) - (r/N) I with M(H) = sq B(H) sq, m2, the spread
     log(lambda_max / lambda_min) of H, and what its route's LM Jacobian
-    reads: (W per node, eigh(H)) on the grid, (p, int p) on the columns."""
+    reads: (W per node, eigh(H)) on the grid, (p, int p) on the columns,
+    where H, sq, B(H) and s are diagonal and held as their diagonals."""
 
     H: np.ndarray
     sq: np.ndarray
@@ -161,21 +168,21 @@ def _solver_parts(basis, grid, q, H, ld0) -> _Iterate:
 
 
 def _column_route(basis, nodes):
-    """evaluate(H) and jacobian(x, directions) of the column route
-    (_column_start) on the orbit nodes ``nodes``, for diagonal H.  With
-    rho_i = |Q_ic|^2 (kernels.columns), h_H = diag(h_c), and p_i = H_ii
-    rho_i / h_c is the softmax of log H_ii + log rho_i over the rows of
-    column c: B(H)_ii = int p_i / H_ii, M(H) = diag(int p), m2 = int sum_c
-    log(h_c / h_c^0) and d(int p_i)/d log H_j = int (delta_ij p_i - p_i
-    p_j) within a column.  No sandwich, no Cholesky, no N^4 tensor."""
+    """evaluate(h) and jacobian(x, directions) of the column route
+    (_column_start) on the orbit nodes ``nodes``, for H = diag(h), h a
+    real N-vector.  With rho_i = |Q_ic|^2 (kernels.columns), h_H =
+    diag(h_c), and p_i = h_i rho_i / h_c is the softmax of log h_i + log
+    rho_i over the rows of column c: B(H)_ii = int p_i / h_i, M(H) =
+    diag(int p), m2 = int sum_c log(h_c / h_c^0) and d(int p_i)/d log h_j
+    = int (delta_ij p_i - p_i p_j) within a column, read along the real
+    (D, N) ``directions``.  No sandwich, no Cholesky, no N^4 tensor."""
     r, n = basis.rank, basis.dimension
     rho, rows = kernels.columns(basis, nodes)
     starts = np.array([s.start for s in rows])
     col = np.repeat(np.arange(r), [s.stop - s.start for s in rows])
     ld0 = np.log(np.add.reduceat(rho, starts)).sum(axis=0)
 
-    def evaluate(H):
-        h = H.diagonal().real
+    def evaluate(h):
         if not (np.isfinite(h) & (h > 0)).all():
             raise SingularGram("form is not positive definite")
         logh = np.log(h)
@@ -185,14 +192,12 @@ def _column_route(basis, nodes):
         p = e / hc[col]
         sums = nodes.integrate(np.vstack([p, np.log(hc).sum(axis=0) - ld0])) / nodes.volume
         mass, m2 = sums[:-1], top.sum() + sums[-1]
-        d = np.zeros((4, n, n), dtype=complex)  # H, sq, B(H), s
-        d[:, range(n), range(n)] = h, np.sqrt(h), mass / h, mass - r / n
-        return _Iterate(*d, m2, logh.max() - logh.min(), (p, mass))
+        return _Iterate(h, np.sqrt(h), mass / h, mass - r / n, m2, logh.max() - logh.min(), (p, mass))
 
     def jacobian(x, directions):
         p, mass = x.parts
         jac = np.diag(mass) - (col[:, None] == col) * ((p * (nodes.weights / nodes.volume)) @ p.T)
-        return jac @ directions.diagonal(axis1=1, axis2=2).real.T, mass - r / n
+        return jac @ directions.T, x.s
 
     return evaluate, jacobian
 
@@ -203,12 +208,15 @@ def t_operator(basis: SectionBasis, b: np.ndarray) -> np.ndarray:
     The Gram matrix of the sections in h_H is inverted (the form lives on
     the dual section space) so that fixed points solve B(H) = (r/N) H^{-1},
     i.e. are exactly the zeros of the m2 gradient; the result is
-    det-normalized.
+    det-normalized.  On the column route b is the diagonal of B(H), a
+    vector, and so is the result: (r/N) / b.
     """
     r, n = basis.rank, basis.dimension
-    lam = np.linalg.eigvalsh(b)
+    lam = b if b.ndim == 1 else np.linalg.eigvalsh(b)
     if lam.min() <= 1e-300:
         raise SingularGram("center-of-mass Gram matrix is singular")
+    if b.ndim == 1:
+        return _det_normalize((r / n) / b)
     return _det_normalize((r / n) * np.linalg.inv(b))
 
 
@@ -243,15 +251,16 @@ def _column_start(grid, H0) -> bool:
 def lm_memory_check(basis: SectionBasis, grid: QuadratureGrid, H0: np.ndarray) -> None:
     """Raise LMMemoryExceeded if an LM Jacobian from H0, with its D
     directions on the route of _column_start, needs more than
-    LM_MEMORY_BUDGET.  Column route (D = N - 1): complex D N^2
-    directions, real N M p and w p on M orbit nodes, J and J^T J.  Whole
-    grid (D = N^2 - 1): complex N^4 (t4) twice, N^2 B (the P-field of a
-    block of B = min(BLOCK, M) nodes, _b_derivatives) twice, D N^2 ten
-    times (dH, dB, dS, J...), real J^T J."""
+    LM_MEMORY_BUDGET.  Column route (D = N - 1), all real: the (D, N)
+    directions, p and w p on the M / ring orbit nodes, the N x N d(int
+    p)/d log h, J (N x D) and J^T J.  Whole grid (D = N^2 - 1): complex
+    N^4 (t4) twice, N^2 B (the P-field of a block of B = min(BLOCK, M)
+    nodes, _b_derivatives) twice, D N^2 ten times (dH, dB, dS, J...),
+    real J^T J."""
     n, m = basis.dimension, len(grid.nodes)
     column = _column_start(grid, np.asarray(H0, dtype=complex))
     d = n - 1 if column else n * n - 1
-    need = 16 * (d * n * n + n * m // grid.ring + n * n) if column else (
+    need = 8 * (2 * d * n + 2 * n * m // grid.ring + n * n + d * d) if column else (
         16 * (2 * n**4 + 2 * n * n * min(kernels.BLOCK, m) + 10 * d * n * n) + 8 * d * d)
     if need > LM_MEMORY_BUDGET:
         raise LMMemoryExceeded(f"an LM Jacobian at N = {n} with {d} directions needs "
@@ -260,14 +269,14 @@ def lm_memory_check(basis: SectionBasis, grid: QuadratureGrid, H0: np.ndarray) -
 
 def _solve(basis, grid, H0, tol, max_iter, make_step, damping):
     """The loop of both solvers on the route of _column_start: the column
-    route (_column_route) or one held chart of the whole grid
-    (_solver_parts); only ``evaluate(H)``, the iterate at H, and
-    ``jacobian(x, directions)`` differ.  ``make_step(column, jacobian)``,
-    ``column`` True on the column route, gives ``step(x, history,
-    evaluate, trial)``, which returns (kind, rejected, damping, next
-    iterate) from the iterate x, the last None when no step was found;
-    ``trial(H)`` is the iterate at H det-normalized, or None when it is
-    rejected.
+    route (_column_route), whose forms are their diagonals until the exit,
+    or one held chart of the whole grid (_solver_parts); only
+    ``evaluate(H)``, the iterate at H, and ``jacobian(x, directions)``
+    differ.  ``make_step(column, jacobian)``, ``column`` True on the
+    column route, gives ``step(x, history, evaluate, trial)``, which
+    returns (kind, rejected, damping, next iterate) from the iterate x,
+    the last None when no step was found; ``trial(H)`` is the iterate at
+    H det-normalized, or None when it is rejected.
 
     Returns (final BalanceState, history): converged below ``tol``,
     diverged (spread ratio past threshold with a long monotone m2
@@ -277,6 +286,7 @@ def _solve(basis, grid, H0, tol, max_iter, make_step, damping):
     column = _column_start(grid, H0)
     if column:
         evaluate, jacobian = _column_route(basis, grid.orbits)
+        H0 = H0.diagonal().real
     else:
         q = kernels.chart(basis, grid.nodes)
         evaluate = partial(_solver_parts, basis, grid, q, ld0=kernels.logdet(kernels.field(q, grid)))
@@ -293,7 +303,7 @@ def _solve(basis, grid, H0, tol, max_iter, make_step, damping):
     x = evaluate(_det_normalize(H0))
     history = []
     for it in range(max_iter + 1):
-        row = HistoryRow(it, float(np.linalg.norm(x.s, "fro")), float(x.m2), float(x.spread), damping=damping)
+        row = HistoryRow(it, float(np.linalg.norm(x.s)), float(x.m2), float(x.spread), damping=damping)
         history.append(row)
         if row.residual < tol:
             flag = "converged"
@@ -309,7 +319,8 @@ def _solve(basis, grid, H0, tol, max_iter, make_step, damping):
                 continue
             flag, it = "stalled", it + 1  # the state counts the step not found
         n = basis.dimension
-        return BalanceState(x.H, it, x.s + (basis.rank / n) * np.eye(n), row.residual, row.m2,
+        H, s = (np.diag(v).astype(complex) for v in (x.H, x.s)) if column else (x.H, x.s)
+        return BalanceState(H, it, s + (basis.rank / n) * np.eye(n), row.residual, row.m2,
                             row.spread, flag), history
 
 
@@ -326,18 +337,22 @@ def t_iterate(basis: SectionBasis, grid: QuadratureGrid, H0: np.ndarray, tol: fl
     return _solve(basis, grid, H0, tol, max_iter, lambda column, jacobian: step, 0.0)
 
 
-def _herm_basis(mask: np.ndarray) -> np.ndarray:
-    """Real basis of the trace-free hermitian n x n matrices with no entry
-    outside the symmetric (n, n) bool ``mask`` whose diagonal is True, as
-    a (D, n, n) stack: D = n^2 - 1 for a full mask, n - 1 for the identity."""
-    n = len(mask)
-    i, j = np.nonzero(np.triu(mask, 1))
+def _herm_basis(n: int) -> np.ndarray:
+    """Real basis of the trace-free hermitian n x n matrices, the LM
+    directions of the whole grid, as an (n^2 - 1, n, n) stack."""
+    i, j = np.triu_indices(n, 1)
     k, a, s = np.arange(len(i)), np.arange(n - 1), 1.0 / np.sqrt(2.0)
     out = np.zeros((2 * len(i) + n - 1, n, n), dtype=complex)
     out[2 * k, i, j] = out[2 * k, j, i] = s
     out[2 * k + 1, i, j], out[2 * k + 1, j, i] = 1j * s, -1j * s
     out[2 * len(i) + a, a, a], out[2 * len(i) + a, a + 1, a + 1] = s, -s
     return out
+
+
+def _diagonal_directions(n: int) -> np.ndarray:
+    """The column route's directions (e_a - e_{a+1}) / sqrt 2, the diagonals
+    of the last N - 1 of _herm_basis(N), as a real (N - 1, N) matrix."""
+    return (np.eye(n - 1, n) - np.eye(n - 1, n, 1)) / np.sqrt(2.0)
 
 
 def _b_derivatives(basis, grid, q, wh, dh):
@@ -386,16 +401,20 @@ def _expm_herm(a: np.ndarray) -> np.ndarray:
     return (v * np.exp(lam)) @ v.conj().T
 
 
+_expm_diagonal = np.exp  # the column route's exponential map: e^A of a diagonal A, as a vector
+
+
 def lm_minimize(basis: SectionBasis, grid: QuadratureGrid, H0: np.ndarray, tol: float = 1e-10, *,
                 max_iter: int):
     """Damped least-squares minimization of the center-of-mass residual.
 
     The iterate is re-centered each accepted step through the congruence
-    H <- e^{A/2} H e^{A/2} with A hermitian trace-free (N - 1 diagonal
-    directions on the column route of _solve, else N^2 - 1), so the
-    Jacobian is only ever needed at A = 0 where it is available in closed
-    form: dB = -(1/Vol) int P dH P with P = Q h^{-1} Q*, or d(int p)/d log
-    H on the column route.  Past LM_MEMORY_BUDGET lm_memory_check refuses it.
+    H <- e^{A/2} H e^{A/2} with A hermitian trace-free (N^2 - 1
+    directions; on the column route of _solve the N - 1 diagonal ones,
+    where it is H e^A), so the Jacobian is only ever needed at A = 0
+    where it is available in closed form: dB = -(1/Vol) int P dH P with
+    P = Q h^{-1} Q*, or d(int p)/d log H on the column route.  Past
+    LM_MEMORY_BUDGET lm_memory_check refuses it.
 
     A trial step is accepted only when it cuts the Frobenius residual by
     more than the relative margin LM_DECREASE_MARGIN without raising m2,
@@ -411,9 +430,10 @@ def lm_minimize(basis: SectionBasis, grid: QuadratureGrid, H0: np.ndarray, tol: 
     lm_memory_check(basis, grid, H0)
 
     def make_step(column, jacobian):
-        return partial(step, jacobian, _herm_basis(np.eye(n, dtype=bool) if column else np.ones((n, n), dtype=bool)))
+        directions = _diagonal_directions(n) if column else _herm_basis(n)
+        return partial(step, column, jacobian, directions)
 
-    def step(jacobian, directions, x, history, evaluate, trial):
+    def step(column, jacobian, directions, x, history, evaluate, trial):
         lam_damp = history[-1].damping
         # After a run of fallback steps the least-squares model is known
         # to be unproductive; only re-probe it occasionally.
@@ -434,14 +454,17 @@ def lm_minimize(basis: SectionBasis, grid: QuadratureGrid, H0: np.ndarray, tol: 
             except np.linalg.LinAlgError:
                 delta = None
             if delta is not None and np.isfinite(delta).all():
-                expa = _expm_herm(0.5 * np.tensordot(delta, directions, axes=1))
-                y = trial(expa @ x.H @ expa)
+                if column:
+                    y = trial(x.H * _expm_diagonal(delta @ directions))
+                else:
+                    expa = _expm_herm(0.5 * np.tensordot(delta, directions, axes=1))
+                    y = trial(expa @ x.H @ expa)
             if y is None:
                 lam_damp = min(lam_damp * 10.0, 1e12)
                 continue
             # Accept only steps that also do not increase the energy, so
             # runs without a balanced form keep a monotone m2 signature.
-            if np.linalg.norm(y.s, "fro") < (1.0 - LM_DECREASE_MARGIN) * np.linalg.norm(x.s, "fro") and (
+            if np.linalg.norm(y.s) < (1.0 - LM_DECREASE_MARGIN) * np.linalg.norm(x.s) and (
                     y.m2 <= x.m2 + 1e-13 * (1.0 + abs(x.m2))):
                 return "lm", tried, max(lam_damp / 3.0, 1e-12), y
             lam_damp = min(lam_damp * 4.0, 1e12)
@@ -449,12 +472,18 @@ def lm_minimize(basis: SectionBasis, grid: QuadratureGrid, H0: np.ndarray, tol: 
         # (no balanced form exists there), so fall back to steepest
         # descent of m2 itself: direction -(M - (tr M / N) I) in the
         # sigma-frame.  On stable cases this never fires; on unstable
-        # ones it drives the characteristic spread growth.
-        m_now = x.sq @ x.b @ x.sq
-        zeta = -(m_now - (np.trace(m_now) / n) * np.eye(n))
-        zeta = 0.5 * (zeta + zeta.conj().T)
+        # ones it drives the characteristic spread growth.  On the column
+        # route M = diag(int p) and the step is sq e^zeta sq = H e^zeta.
+        if column:
+            mass = x.parts[1]
+            zeta = -(mass - mass.mean())
+        else:
+            m_now = x.sq @ x.b @ x.sq
+            zeta = -(m_now - (np.trace(m_now) / n) * np.eye(n))
+            zeta = 0.5 * (zeta + zeta.conj().T)
         for halving in range(20):
-            y = trial(x.sq @ _expm_herm(0.5**halving * zeta) @ x.sq)
+            y = trial(x.sq * _expm_diagonal(0.5**halving * zeta) * x.sq if column else
+                      x.sq @ _expm_herm(0.5**halving * zeta) @ x.sq)
             if y is not None and y.m2 < x.m2:
                 return "fallback", tries, lam_damp, y
         return "none", tries, lam_damp, None

@@ -17,13 +17,13 @@ real (N, M) table |Q_ic|^2, which `donaldson` reads along a diagonal
 per torus orbit, which they choose.  `pair` forms x* y, a Gram as
 pair(x, x).  What is left per node is r x r algebra, whose loops run
 over the small indices, each step one vector operation over the nodes.
-B(H) is one GEMM of Y over all nodes (`b_matrix`).  BLOCK bounds one
-thing only: the nodes per (N, N, B) P-field of the LM Jacobian
-(`balance._b_derivatives`).
+B(H) is one GEMM of Z = Q h^{-1} against Q.conj() (`b_matrix`).  BLOCK
+bounds one thing only: the nodes per (N, N, B) P-field of the LM
+Jacobian (`balance._b_derivatives`, the one reader of `p_root`).
 
 The fibre metric has one factorization, the Cholesky h = L L* of
 `cholesky`, with W = L^{-1} from `whiten`: log det h = 2 sum_j log L_jj,
-P = Q h^{-1} Q* = Y Y* with Y = Q W*, and SingularGram on loss of
+h^{-1} = W* W, P = Y Y* with Y = Q W*, and SingularGram on loss of
 positivity; a diagonal one needs none (its entries are positive sums).
 `finite` names an overflowed node before any factorization, on a
 quotient by its index in the full grid (`QuadratureGrid.name`).
@@ -127,14 +127,14 @@ def field(q, grid, mat=None) -> np.ndarray:
 
 
 def b_matrix(q, grid, H):
-    """B(H) = (1/Vol_L) int Y Y* dV (see p_root) from the chart q of
-    ``grid``, so that balance reads B(H) = (r/N) H^{-1}: one GEMM of Y as
-    an N x (r M) matrix.  With it log det h_H and W at every node, (M,)
-    and (r, r, M)."""
+    """B(H) = (1/Vol_L) int Q h_H^{-1} Q* dV from the chart q of ``grid``,
+    so that balance reads B(H) = (r/N) H^{-1}: one GEMM of Z = Q w W* W
+    (whiten; w = weights / Vol_L) against Q.conj(), as N x (r M)
+    matrices.  With it log det h_H and W at every node, (M,), (r, r, M)."""
     n = len(q)
     wh, l = whiten(finite(pair(q, act(H, q)), grid))
-    y = p_root(q, wh)
-    b = (y * (grid.weights / grid.volume)).reshape(n, -1) @ y.reshape(n, -1).conj().T
+    z = mul(q, mul(ct(wh), wh) * (grid.weights / grid.volume))
+    b = z.reshape(n, -1) @ q.conj().reshape(n, -1).T
     return 0.5 * (b + b.conj().T), _logdet(l), wh
 
 
@@ -170,7 +170,7 @@ def p_field(q: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x y per node for (r, r, B) stacks."""
+    """x y per node for (r, r, B) stacks; x may be an (N, r, B) chart."""
     out = x[:, :1] * y[None, 0]
     for k in range(1, x.shape[1]):
         out += x[:, k : k + 1] * y[None, k]

@@ -117,10 +117,11 @@ def test_solver_stops_at_max_iter(grid_p1, rng, solver):
 
 
 def test_lm_stalls_when_no_step_moves(grid_p1, monkeypatch):
-    """With the exponential map pinned to the identity no trial moves the
-    form: one fallback step gains roundoff, then the run stalls, and its
-    last row records the rejected tries and the damping they raised."""
-    monkeypatch.setattr(bl, "_expm_herm", lambda a: np.eye(len(a), dtype=complex))
+    """With the exponential map of the column route, which a diagonal
+    start takes, pinned to the identity no trial moves the form: one
+    fallback step gains roundoff, then the run stalls, and its last row
+    records the rejected tries and the damping they raised."""
+    monkeypatch.setattr(bl, "_expm_diagonal", np.ones_like)
     basis = bd.section_basis(bd.split(3), 2)
     H0 = np.diag(np.exp(np.linspace(0.3, -0.3, basis.dimension)))
     state, history = bl.lm_minimize(basis, grid_p1, H0, max_iter=200)
@@ -217,32 +218,44 @@ def test_generic_start_keeps_the_whole_grid(solver, rng):
 
 
 @pytest.mark.parametrize("degrees, k", [((0, 2), 3), ((0, 1, 2), 2)], ids=["split02-k3", "split012-k2"])
-def test_column_route_is_the_whole_grid_at_a_diagonal_form(degrees, k):
-    """At a random positive diagonal H the column route gives B(H), m2 and
-    the LM Jacobian in the N - 1 diagonal directions of the whole grid
-    with ring 1 (_solver_parts, and _grid_jacobian from _b_derivatives) to
-    1e-13 relative.  The whole grid's Jacobian rows off the real diagonal
-    vanish.  A grid with ring 1 has no ring average and never takes it."""
+def test_column_route_is_the_whole_grid_at_a_diagonal_form(degrees, k, monkeypatch):
+    """At a random positive diagonal H the column route's vectors H, sq,
+    B(H) and s, its m2 and its LM Jacobian in the N - 1 diagonal
+    directions are the diagonals of those of the whole grid with ring 1
+    (_solver_parts, and _grid_jacobian from _b_derivatives) to 1e-13
+    relative, whose entries and Jacobian rows off the real diagonal
+    vanish; so are one T-step and one fallback step (LM with its model
+    switched off) from H.  A grid with ring 1 has no ring average and
+    never takes it."""
     grid = qd.build_grid_p1(**COARSE)
     whole = dataclasses.replace(grid, ring=1)
     basis = bd.section_basis(bd.split(*degrees), k)
     n = basis.dimension
-    H = np.diag(np.exp(np.random.default_rng(21).normal(size=n))).astype(complex)
+    h = np.exp(np.random.default_rng(21).normal(size=n))
+    H = np.diag(h).astype(complex)
     assert bl._column_start(grid, H) and not bl._column_start(whole, H)
     evaluate, jacobian = bl._column_route(basis, grid.orbits)
-    got = evaluate(H)
+    got = evaluate(h)
     q = kernels.chart(basis, whole.nodes)
     want = bl._solver_parts(basis, whole, q, H, kernels.logdet(kernels.field(q, whole)))
-    assert np.abs(got.b - want.b).max() <= 1e-13 * np.abs(want.b).max()
+    for name in ("H", "sq", "b", "s"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == (n,) and np.abs(np.diag(a) - b).max() <= 1e-13 * np.abs(b).max(), name
     assert got.m2 == pytest.approx(want.m2, rel=1e-13)
-    directions = bl._herm_basis(np.eye(n, dtype=bool))
-    jac, res = jacobian(got, directions)
+    jac, res = jacobian(got, bl._diagonal_directions(n))
+    directions = np.zeros((n - 1, n, n), dtype=complex)
+    directions[:, range(n), range(n)] = bl._diagonal_directions(n)
     jac_want, res_want = bl._grid_jacobian(basis, whole, q, want, directions)
     diagonal = np.arange(n) * (n + 1)  # the real parts of the entries (i, i)
     scale = np.abs(jac).max()
     assert np.abs(jac - jac_want[diagonal]).max() <= 1e-13 * scale
     assert np.abs(np.delete(jac_want, diagonal, axis=0)).max() <= 1e-13 * scale
     assert np.abs(res - res_want[diagonal]).max() <= 1e-13 * np.abs(res).max()
+    monkeypatch.setattr(bl, "LM_STATIONARY", np.inf)
+    for solver, kind in ((bl.t_iterate, "t"), (bl.lm_minimize, "fallback")):
+        (a, rows), (b, whole_rows) = (solver(basis, g, H, tol=1e-10, max_iter=1) for g in (grid, whole))
+        assert rows[0].step == whole_rows[0].step == kind
+        assert np.abs(a.H - b.H).max() <= 1e-13 * np.abs(b.H).max()
 
 
 @pytest.mark.parametrize("degrees, k", [((0, 2), 3), ((0, 1, 2), 2), ((0, 0, 1), 2)],
@@ -265,12 +278,31 @@ def test_divergent_t_run_follows_the_exact_law(degrees, k):
     assert m2_rate == pytest.approx(np.log(sizes).sum() - (r / n) * (sizes * np.log(sizes)).sum(), rel=1e-12)
 
 
+@pytest.mark.parametrize("solver", [bl.t_iterate, bl.lm_minimize], ids=["T", "LM"])
+def test_column_route_solves_in_n_numbers(solver, monkeypatch):
+    """A divergent solve from I on the column route (O(0)+O(2), k = 3,
+    coarse grid) calls no dense eigensolver, inverse or determinant: its
+    forms are N-vectors.  Its last step still follows the exact law of a
+    split bundle, whose blocks O(a_j) balance alone with masses 1/N_j,
+    N_j = 4 and 6: a T-step grows the log-spread by log(6/4) = log(3/2), a
+    fallback step by the mass spread 1/4 - 1/6, both to 12 digits."""
+    grid = qd.build_grid_p1(**COARSE)
+    basis = bd.section_basis(bd.split(0, 2), 3)
+    calls = []
+    for name in ("eigh", "eigvalsh", "inv", "slogdet"):
+        monkeypatch.setattr(np.linalg, name, lambda *a, name=name, **k: calls.append(name))
+    state, history = solver(basis, grid, np.eye(basis.dimension), tol=1e-10, max_iter=300)
+    assert calls == []
+    assert state.flag == "diverged" and history[-2].step == ("t" if solver is bl.t_iterate else "fallback")
+    rate = history[-1].spread - history[-2].spread
+    assert rate == pytest.approx(np.log(1.5) if solver is bl.t_iterate else 1.0 / 12.0, rel=1e-12)
+
+
 def test_herm_basis_inside_the_mask():
     """The directions are those of the loop over entries (i < j: the real
-    and imaginary off-diagonal pair; then e_a - e_{a+1}), in that order,
-    with the pairs outside the mask left out: N^2 - 1 of them for the full
-    mask of the whole grid, N - 1 for the diagonal one of the column
-    route."""
+    and imaginary off-diagonal pair; then e_a - e_{a+1}), in that order:
+    N^2 - 1 of them for the whole grid.  The N - 1 diagonal ones are
+    the column route's, held as a real (N - 1, N) matrix."""
     n, s = bd.section_basis(bd.split(0, 2), 3).dimension, 1.0 / np.sqrt(2.0)
     want = []
     for i in range(n):
@@ -284,29 +316,31 @@ def test_herm_basis_inside_the_mask():
         e[a, a], e[a + 1, a + 1] = s, -s
         want.append(e)
     want = np.asarray(want)
-    assert bl._herm_basis(np.ones((n, n), dtype=bool)).tobytes() == want.tobytes()
+    assert bl._herm_basis(n).tobytes() == want.tobytes()
     assert len(want) == n * n - 1 == 99
     inside = np.asarray([not e[~np.eye(n, dtype=bool)].any() for e in want])
     assert inside.sum() == n - 1
-    assert bl._herm_basis(np.eye(n, dtype=bool)).tobytes() == want[inside].tobytes()
+    assert np.array_equal(bl._diagonal_directions(n), want[inside].diagonal(axis1=1, axis2=2))
 
 
 def test_lm_refuses_past_its_memory_budget(monkeypatch, rng):
     """At N = 64 a generic start needs all N^2 - 1 = 4095 directions, past
     LM_MEMORY_BUDGET: refused before the direction stack is built.  The
-    diagonal start I takes the column route, N - 1 = 63 directions and no
-    N^4 tensor; a torus-invariant start that is not diagonal runs on the
-    whole grid and is refused like a generic one."""
+    diagonal start I takes the column route, N - 1 = 63 real directions,
+    no hermitian direction stack and no N^4 tensor; a torus-invariant
+    start that is not diagonal runs on the whole grid and is refused like
+    a generic one."""
     grid = qd.build_grid_p1(n_radial=2, n_angular=4, depth=2)
     basis = bd.section_basis(bd.split(0, 2), 30)
     n = basis.dimension
     assert n == 64
-    herm_basis = bl._herm_basis
-    monkeypatch.setattr(bl, "_herm_basis", lambda mask: pytest.fail("direction stack built"))
+    diagonal_directions = bl._diagonal_directions
+    monkeypatch.setattr(bl, "_herm_basis", lambda n: pytest.fail("direction stack built"))
     with pytest.raises(bl.LMMemoryExceeded, match="4095 directions"):
         bl.lm_minimize(basis, grid, random_form(n, rng), tol=1e-10, max_iter=1)
     built = []
-    monkeypatch.setattr(bl, "_herm_basis", lambda mask: built.append(len(herm_basis(mask))) or herm_basis(mask))
+    monkeypatch.setattr(bl, "_diagonal_directions", lambda n: built.append(len(diagonal_directions(n)))
+                        or diagonal_directions(n))
     state, _ = bl.lm_minimize(basis, grid, np.eye(n), tol=1e-10, max_iter=0)
     assert state.flag == "max_iter" and built == [63]
     invariant = np.eye(n)
@@ -475,7 +509,7 @@ def test_b_derivative_at_the_balanced_form_is_the_berezin_operator(degrees, k, g
     diagonal directions are not orthogonal) has the spectrum beta_l."""
     basis = bd.section_basis(bd.split(*degrees), k)
     n, r = basis.dimension, basis.rank
-    dirs = np.concatenate([bl._herm_basis(np.ones((n, n), dtype=bool)), np.eye(n)[None] / np.sqrt(n)])
+    dirs = np.concatenate([bl._herm_basis(n), np.eye(n)[None] / np.sqrt(n)])
     q = kernels.chart(basis, grid_p1_fine.nodes)
     wh = kernels.whiten(kernels.field(q, grid_p1_fine))[0]
     db = bl._b_derivatives(basis, grid_p1_fine, q, wh, dirs)

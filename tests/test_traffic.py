@@ -39,7 +39,6 @@ UNREACHED = {
     "donaldson._path_jets": _JETS,
     "donaldson._weighted": _JETS,
     "donaldson._curvature_frame": _JETS,
-    "kernels.mul": _JETS,
     "bundles.dq_dz_field": _JETS,
     "quadrature.build_grid_p2": _P2,
     "bundles.euler_tp2": _P2,

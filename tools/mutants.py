@@ -92,6 +92,12 @@ MUTANTS = (
     ("t-map-conjugated", "src/bml/balance.py",
      "return _det_normalize((r / n) * np.linalg.inv(b))",
      "return _det_normalize((r / n) * np.linalg.inv(b).T)"),
+    ("t-map-columns-unnormalized", "src/bml/balance.py",
+     "return _det_normalize((r / n) / b)",
+     "return (r / n) / b"),
+    ("balance-columns-fallback-ascends", "src/bml/balance.py",
+     "zeta = -(mass - mass.mean())",
+     "zeta = mass - mass.mean()"),
     ("balance-columns-any-start", "src/bml/balance.py",
      "return grid.ring > 1 and not (H0 - np.diag(H0.diagonal())).any()",
      "return grid.ring > 1"),
