@@ -14,7 +14,11 @@ recording a per-iteration history suitable for convexity and divergence
 diagnostics; from a diagonal start on P^1 both run on the |Q|^2 column
 table of one node per torus orbit (_column_route), where a T-step is N
 reciprocals and a mean of logs and LM moves along N - 1 real
-directions, from any other on the whole grid.  The delta diagnostic
+directions, from any other on the whole grid, where a T-step is one
+eigh of B(H).  There, on P^1, B(H) is evaluated ring by ring from the
+orbit chart (kernels.rings) and no chart of the whole grid is held but
+the one the LM Jacobian reads, per node; on P^2 a solve holds the
+whole chart (kernels.b_matrix).  The delta diagnostic
 quantifies the distance from a computed minimizer to the
 Hermitian-Einstein reference through the eigenvalue pinch delta and a
 spectral constant of the Laplacian.
@@ -23,7 +27,7 @@ spectral constant of the Laplacian.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -120,8 +124,8 @@ def _det_normalize(H: np.ndarray) -> np.ndarray:
 def center_of_mass(basis: SectionBasis, grid: QuadratureGrid, H: np.ndarray) -> np.ndarray:
     """M(H) = sigma B(H) sigma* with sigma = H^{1/2}; trace r exactly."""
     n = basis.dimension
-    q = kernels.chart(basis, grid.nodes)
-    return _solver_parts(basis, grid, q, H, 0.0).s + (basis.rank / n) * np.eye(n)
+    b_matrix = partial(kernels.b_matrix, kernels.chart(basis, grid.nodes), grid)
+    return _solver_parts(basis, grid, b_matrix, H, 0.0).s + (basis.rank / n) * np.eye(n)
 
 
 def _sqrtm_psd(H: np.ndarray):
@@ -156,10 +160,11 @@ class _Iterate(NamedTuple):
     parts: tuple
 
 
-def _solver_parts(basis, grid, q, H, ld0) -> _Iterate:
-    """The iterate at the form H from the chart q of ``grid``, held by the
-    caller, with m2 against the reference log-dets ld0."""
-    b, ld, wh = kernels.b_matrix(q, grid, H)
+def _solver_parts(basis, grid, b_matrix, H, ld0) -> _Iterate:
+    """The iterate at the form H from ``b_matrix(H)``, B(H) with log det h
+    and W at every node of ``grid`` (kernels.rings, or kernels.b_matrix on
+    a chart the caller holds), with m2 against the reference log-dets ld0."""
+    b, ld, wh = b_matrix(H)
     lam, v, sq = _sqrtm_psd(H)
     n = basis.dimension
     s = sq @ b @ sq - (basis.rank / n) * np.eye(n)
@@ -208,16 +213,20 @@ def t_operator(basis: SectionBasis, b: np.ndarray) -> np.ndarray:
     The Gram matrix of the sections in h_H is inverted (the form lives on
     the dual section space) so that fixed points solve B(H) = (r/N) H^{-1},
     i.e. are exactly the zeros of the m2 gradient; the result is
-    det-normalized.  On the column route b is the diagonal of B(H), a
-    vector, and so is the result: (r/N) / b.
+    det-normalized.  A dense b takes one eigh, b = V diag(lam) V*: the
+    result is V diag(e^{mean log lam} / lam) V*.  On the column route b is
+    the diagonal of B(H), a vector, and so is the result: (r/N) / b.
     """
     r, n = basis.rank, basis.dimension
-    lam = b if b.ndim == 1 else np.linalg.eigvalsh(b)
+    lam, v = (b, None) if b.ndim == 1 else np.linalg.eigh(b)
     if lam.min() <= 1e-300:
         raise SingularGram("center-of-mass Gram matrix is singular")
     if b.ndim == 1:
         return _det_normalize((r / n) / b)
-    return _det_normalize((r / n) * np.linalg.inv(b))
+    out = (v * (np.exp(np.log(lam).mean()) / lam)) @ v.conj().T
+    if not np.isfinite(out).all():
+        raise SingularGram("form overflowed")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +257,13 @@ def _column_start(grid, H0) -> bool:
     return grid.ring > 1 and not (H0 - np.diag(H0.diagonal())).any()
 
 
+def _ring_start(basis, grid) -> bool:
+    """Whether a whole-grid solve evaluates B(H) ring by ring
+    (kernels.rings): a split bundle on a grid with rings.  Otherwise, on
+    P^2 or a grid with ring 1, it holds the chart (kernels.b_matrix)."""
+    return basis.bundle.kind == "split_p1" and grid.ring > 1
+
+
 def lm_memory_check(basis: SectionBasis, grid: QuadratureGrid, H0: np.ndarray) -> None:
     """Raise LMMemoryExceeded if an LM Jacobian from H0, with its D
     directions on the route of _column_start, needs more than
@@ -256,12 +272,15 @@ def lm_memory_check(basis: SectionBasis, grid: QuadratureGrid, H0: np.ndarray) -
     p)/d log h, J (N x D) and J^T J.  Whole grid (D = N^2 - 1): complex
     N^4 (t4) twice, N^2 B (the P-field of a block of B = min(BLOCK, M)
     nodes, _b_derivatives) twice, D N^2 ten times (dH, dB, dS, J...),
-    real J^T J."""
+    the N r M chart, real J^T J, and on a grid with rings
+    (_ring_start) the real N^2 (M / ring) pair products of kernels.rings."""
     n, m = basis.dimension, len(grid.nodes)
     column = _column_start(grid, np.asarray(H0, dtype=complex))
     d = n - 1 if column else n * n - 1
+    pairs = n * n * m // grid.ring if _ring_start(basis, grid) else 0
     need = 8 * (2 * d * n + 2 * n * m // grid.ring + n * n + d * d) if column else (
-        16 * (2 * n**4 + 2 * n * n * min(kernels.BLOCK, m) + 10 * d * n * n) + 8 * d * d)
+        16 * (2 * n**4 + 2 * n * n * min(kernels.BLOCK, m) + 10 * d * n * n + n * basis.rank * m)
+        + 8 * (d * d + pairs))
     if need > LM_MEMORY_BUDGET:
         raise LMMemoryExceeded(f"an LM Jacobian at N = {n} with {d} directions needs "
                                f"{need >> 20} MiB, past the budget of {LM_MEMORY_BUDGET >> 20} MiB")
@@ -270,10 +289,13 @@ def lm_memory_check(basis: SectionBasis, grid: QuadratureGrid, H0: np.ndarray) -
 def _solve(basis, grid, H0, tol, max_iter, make_step, damping):
     """The loop of both solvers on the route of _column_start: the column
     route (_column_route), whose forms are their diagonals until the exit,
-    or one held chart of the whole grid (_solver_parts); only
-    ``evaluate(H)``, the iterate at H, and ``jacobian(x, directions)``
-    differ.  ``make_step(column, jacobian)``, ``column`` True on the
-    column route, gives ``step(x, history, evaluate, trial)``, which
+    or the whole grid (_solver_parts), where B(H) comes from the ring
+    table (kernels.rings) if _ring_start holds and from a held chart
+    otherwise; only ``evaluate(H)``, the iterate at H, and ``jacobian(x,
+    directions)`` differ.  The whole grid's Jacobian reads the chart,
+    which next to the ring table is built at its first call, so a T
+    solve holds none.  ``make_step(column, jacobian)``, ``column`` True
+    on the column route, gives ``step(x, history, evaluate, trial)``, which
     returns (kind, rejected, damping, next iterate) from the iterate x,
     the last None when no step was found; ``trial(H)`` is the iterate at
     H det-normalized, or None when it is rejected.
@@ -288,9 +310,16 @@ def _solve(basis, grid, H0, tol, max_iter, make_step, damping):
         evaluate, jacobian = _column_route(basis, grid.orbits)
         H0 = H0.diagonal().real
     else:
-        q = kernels.chart(basis, grid.nodes)
-        evaluate = partial(_solver_parts, basis, grid, q, ld0=kernels.logdet(kernels.field(q, grid)))
-        jacobian = partial(_grid_jacobian, basis, grid, q)
+        if _ring_start(basis, grid):
+            b_matrix = kernels.rings(basis, grid)
+            ld0 = b_matrix(np.eye(len(H0)))[1]
+            chart = cache(partial(kernels.chart, basis, grid.nodes))
+        else:
+            q = kernels.chart(basis, grid.nodes)
+            b_matrix, chart = partial(kernels.b_matrix, q, grid), lambda: q
+            ld0 = kernels.logdet(kernels.field(q, grid))
+        evaluate = partial(_solver_parts, basis, grid, b_matrix, ld0=ld0)
+        jacobian = lambda x, directions: _grid_jacobian(basis, grid, chart(), x, directions)
     step = make_step(column, jacobian)
 
     def trial(H):
@@ -473,7 +502,7 @@ def lm_minimize(basis: SectionBasis, grid: QuadratureGrid, H0: np.ndarray, tol: 
         # descent of m2 itself: direction -(M - (tr M / N) I) in the
         # sigma-frame.  On stable cases this never fires; on unstable
         # ones it drives the characteristic spread growth.  On the column
-        # route M = diag(int p) and the step is sq e^zeta sq = H e^zeta.
+        # route M = diag(int p) and the step is H e^zeta.
         if column:
             mass = x.parts[1]
             zeta = -(mass - mass.mean())
@@ -482,7 +511,7 @@ def lm_minimize(basis: SectionBasis, grid: QuadratureGrid, H0: np.ndarray, tol: 
             zeta = -(m_now - (np.trace(m_now) / n) * np.eye(n))
             zeta = 0.5 * (zeta + zeta.conj().T)
         for halving in range(20):
-            y = trial(x.sq * _expm_diagonal(0.5**halving * zeta) * x.sq if column else
+            y = trial(x.H * _expm_diagonal(0.5**halving * zeta) if column else
                       x.sq @ _expm_herm(0.5**halving * zeta) @ x.sq)
             if y is not None and y.m2 < x.m2:
                 return "fallback", tries, lam_damp, y

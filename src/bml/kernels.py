@@ -10,16 +10,23 @@ their z-derivatives are an (N, r, M) stack, section index first, and a
 sandwich is an (r, r, M) stack.  `bundles` builds the chart in that
 layout and returns it as its (M, N, r) transpose, so `node_last` gets it
 back without a copy.  An N x N form acts on every node in one GEMM
-(`act`); a weight group of a 1-PS is a row slice of that product.  A
-diagonal form of a split bundle needs no product: `columns` gives the
-real (N, M) table |Q_ic|^2, which `donaldson` reads along a diagonal
-1-PS and `balance` for a solve from a diagonal start, both on one node
-per torus orbit, which they choose.  `pair` forms x* y, a Gram as
-pair(x, x).  What is left per node is r x r algebra, whose loops run
-over the small indices, each step one vector operation over the nodes.
-B(H) is one GEMM of Z = Q h^{-1} against Q.conj() (`b_matrix`).  BLOCK
-bounds one thing only: the nodes per (N, N, B) P-field of the LM
-Jacobian (`balance._b_derivatives`, the one reader of `p_root`).
+(`act`); a weight group of a 1-PS is a row slice of that product.
+`pair` forms x* y, a Gram as pair(x, x).  What is left per node is
+r x r algebra, whose loops run over the small indices, each step one
+vector operation over the nodes.
+
+On P^1 a split bundle's chart is fixed by its values on one node per
+torus orbit, so the core works on three node sets.  On the K orbit
+nodes, a diagonal form needs no product: `columns` gives the real
+(N, K) table |Q_ic|^2, which `donaldson` reads along a diagonal 1-PS and
+`balance` for a solve from a diagonal start, on the nodes they choose.
+Ring by ring, `rings` gives B(H), log det h and W of any form at every
+node from the orbit chart and one DFT per ring, for the whole-grid
+balance solves.  On the whole chart, `b_matrix` forms B(H) as one GEMM
+of Z = Q h^{-1} against Q.conj(): P^2, grids with ring 1 and the tests'
+reference.  BLOCK bounds one thing only: the nodes per (N, N, B)
+P-field of the LM Jacobian (`balance._b_derivatives`, the one reader of
+`p_root`), which reads the whole chart.
 
 The fibre metric has one factorization, the Cholesky h = L L* of
 `cholesky`, with W = L^{-1} from `whiten`: log det h = 2 sum_j log L_jj,
@@ -82,6 +89,64 @@ def columns(basis, grid):
         for c, s in enumerate(rows):
             rho[s] = q[s, c].real ** 2 + q[s, c].imag ** 2
     return finite(rho, grid), rows
+
+
+def rings(basis, grid):
+    """b_matrix of a split bundle on a P^1 ``grid`` with rings, ring by ring
+    from the orbit chart, as a function of a hermitian H alone, with the
+    same returns.
+
+    Row i of the chart lives in fibre column c_i with character m_i, and
+    Q_i(e^{i theta} z) = e^{i m_i theta} q_i(|z|) with q_i real at the
+    first node of each ring.  So h_ab = sum_d c_{ab,d} e^{i d theta} on a
+    ring, c_{ab,d} = sum H_ij q_i q_j over the pairs of slot (c_i, c_j,
+    d = m_j - m_i), then one GEMM against the phases e^{i d theta_t}.
+    Back, g_{ab,d} = sum_t e^{-i d theta_t} (w W* W)_ab is one GEMM
+    against their conjugates, and B_ij = sum_k q_i q_j g_{c_i c_j, m_j -
+    m_i}.  Slot (b, a, -d) holds the transposed pairs of slot (a, b, d),
+    so its c and B are their conjugates: the table holds one slot of each
+    such pair, its pair products q_i q_j zero-padded to the longest slot,
+    (S, L, K) real, about N^2 K numbers over the K orbit nodes, and both
+    sums over a slot's pairs are one batched GEMM.  These are the grid's
+    own sums, its trapezoid aliasing included."""
+    r, n, ring = basis.rank, basis.dimension, grid.ring
+    col = np.repeat(np.arange(r), [len(basis.summand_rows(c)) for c in range(r)])
+    m = basis.characters
+    top = int(m.max() - m.min())  # d = m_j - m_i runs over [-top, top]
+    key = (col[:, None] * r + col) * (2 * top + 1) + m[None, :] - m[:, None] + top
+    i, j = np.nonzero(key <= key.T)  # the slots that come before their transposes
+    slots, seg, counts = np.unique(key[i, j], return_inverse=True, return_counts=True)
+    order = np.argsort(seg, kind="stable")
+    i, j, seg = i[order], j[order], seg[order]
+    pos = np.arange(len(seg)) - np.repeat(np.cumsum(counts) - counts, counts)
+    pad, mirror = np.full((2, len(slots), counts.max()), n * n)  # n * n: a padding entry
+    pad[seg, pos], mirror[seg, pos] = i * n + j, j * n + i
+    ab, dd = np.divmod(slots, 2 * top + 1)
+    q = chart(basis, grid.orbits.nodes)[np.arange(n), col].real
+    pairs = np.zeros((len(slots), counts.max(), q.shape[1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        pairs[seg, pos] = q[i] * q[j]
+    phase = np.exp(2j * np.pi / ring * (np.outer(np.arange(-top, top + 1), np.arange(ring)) % ring))
+    w = grid.weights / grid.volume
+
+    def b_matrix(H):
+        hp = np.append(H.ravel(), 0.0)[pad]
+        c = np.zeros((r * r, q.shape[1], len(phase)), dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = np.stack([hp.real, hp.imag], axis=1) @ pairs
+            c[ab % r * r + ab // r, :, 2 * top - dd] = x[:, 0] - 1j * x[:, 1]
+            c[ab, :, dd] = x[:, 0] + 1j * x[:, 1]
+            h = finite((c.reshape(-1, len(phase)) @ phase).reshape(r, r, -1), grid)
+        wh, l = whiten(h)
+        g = ((mul(ct(wh), wh) * w).reshape(-1, ring) @ phase.conj().T).reshape(c.shape)[ab, :, dd]
+        y = pairs @ np.stack([g.real, g.imag], axis=-1)
+        b = np.zeros(n * n + 1, dtype=complex)
+        b[mirror] = y[..., 0] - 1j * y[..., 1]
+        b[pad] = y[..., 0] + 1j * y[..., 1]
+        b = b[:-1].reshape(n, n)
+        return 0.5 * (b + b.conj().T), _logdet(l), wh
+
+    return b_matrix
 
 
 def act(mat: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -19,7 +19,8 @@ total weight; an integrand that the torus leaves invariant, a function
 of |z| alone, integrates to the same value on it up to roundoff.  Only
 the |Q|^2 column table of a diagonal form runs there (`donaldson._columns`
 for a diagonal path, `balance._column_route` for a solve from a diagonal
-start).  A quotient names a node by its index in the grid it was reduced
+start); `kernels.rings` reads the chart there and spreads it over every
+ring by the section characters.  A quotient names a node by its index in the grid it was reduced
 from, so a failure reads the same on either.
 """
 

@@ -34,6 +34,8 @@ _JETS = "the jet route: the tests' reference for the column route (ROADMAP items
 _P2 = "P^2: criterion 10 is opt-in and no workload touches P^2 (ROADMAP items 9-11)"
 _TRACED = "wrapped by the traced benchmark, called by no run (ROADMAP item 6)"
 _ERROR = "reached only on an error path"
+_CHART = ("B(H) on a held chart: P^2 (criterion 10, opt-in) and grids with ring 1; "
+          "the tests' reference for the ring table (kernels.rings)")
 
 UNREACHED = {
     "donaldson._path_jets": _JETS,
@@ -46,6 +48,7 @@ UNREACHED = {
     "bundles._euler_basis.coefficient": _P2,
     "exactsheaf.h0_p2": _P2,
     "exactsheaf.h0_tangent_p2": _P2,
+    "kernels.b_matrix": _CHART,
     "balance.center_of_mass": _TRACED,
     "balance.m2_value": _TRACED,
     "quadrature.QuadratureGrid.name": _ERROR,

@@ -90,8 +90,8 @@ MUTANTS = (
      "evaluate(t_operator(basis, x.b))",
      "evaluate(_det_normalize(0.5 * (x.H + t_operator(basis, x.b))))"),
     ("t-map-conjugated", "src/bml/balance.py",
-     "return _det_normalize((r / n) * np.linalg.inv(b))",
-     "return _det_normalize((r / n) * np.linalg.inv(b).T)"),
+     "out = (v * (np.exp(np.log(lam).mean()) / lam)) @ v.conj().T\n",
+     "out = ((v * (np.exp(np.log(lam).mean()) / lam)) @ v.conj().T).T\n"),
     ("t-map-columns-unnormalized", "src/bml/balance.py",
      "return _det_normalize((r / n) / b)",
      "return (r / n) / b"),
@@ -120,6 +120,9 @@ MUTANTS = (
     ("columns-finite-unchecked", "src/bml/kernels.py",
      "    return finite(rho, grid), rows\n",
      "    return rho, rows\n"),
+    ("ring-gather-frequency-sign", "src/bml/kernels.py",
+     ".reshape(c.shape)[ab, :, dd]",
+     ".reshape(c.shape)[ab, :, 2 * top - dd]"),
     ("b-derivatives-one-block", "src/bml/balance.py",
      "for start in range(0, len(w), kernels.BLOCK):",
      "for start in range(0, len(w), kernels.BLOCK)[:1]:"),
