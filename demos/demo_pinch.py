@@ -2,10 +2,10 @@
 
 For a line bundle on P^1 the combined energy of any metric against the
 HE reference dominates a pinch-weighted L2 distance: the coefficient is
-(delta - 1 - log delta)/(log delta)^2 / C with C the first nonzero
-Laplace eigenvalue (computed here by an exact Galerkin eigensolve, C =
-4 pi).  The energy is M1 + mu M2 at the end of the path from I to the
-form (donaldson.form_energy).  The demo evaluates both sides at the
+(delta - 1 - log delta)/(log delta)^2 / C with C = 4 pi the first
+nonzero Laplace eigenvalue (balance.SPECTRAL_CONSTANT).  The energy is
+M1 + mu M2 at the end of the path from I to the form
+(donaldson.form_energy).  The demo evaluates both sides at the
 balanced metric (both are zero) and at deliberately unbalanced forms (a
 strict inequality).
 """
@@ -21,10 +21,8 @@ from bml.quadrature import build_grid_p1
 
 def main():
     grid = build_grid_p1(n_radial=6, n_angular=16, depth=12)
-    c, spectrum = bl.spectral_constant(grid)
-    lows = sorted(spectrum)[:9]
-    print(f"Laplace spectrum head: {[f'{v / np.pi:.3f}' for v in lows]} (units of pi)")
-    print(f"spectral constant C = {c:.10f} = 4 pi to machine precision\n")
+    c = bl.SPECTRAL_CONSTANT
+    print(f"spectral constant C = 4 pi = {c:.10f}, the first nonzero Laplace eigenvalue\n")
 
     basis = bd.section_basis(bd.split(2), 1)
     he = bl.hermitian_einstein_catalog(basis, grid)

@@ -15,13 +15,13 @@ diagnostics; from a diagonal start on P^1 both run on the |Q|^2 column
 table of one node per torus orbit (_column_route), where a T-step is N
 reciprocals and a mean of logs and LM moves along N - 1 real
 directions, from any other on the whole grid, where a T-step is one
-eigh of B(H).  There, on P^1, B(H) is evaluated ring by ring from the
-orbit chart (kernels.rings) and no chart of the whole grid is held but
-the one the LM Jacobian reads, per node; on P^2 a solve holds the
-whole chart (kernels.b_matrix).  The delta diagnostic
-quantifies the distance from a computed minimizer to the
-Hermitian-Einstein reference through the eigenvalue pinch delta and a
-spectral constant of the Laplacian.
+eigh of B(H), whose eigenpairs give the next iterate's H^{1/2}.  There,
+on P^1, B(H) is evaluated ring by ring from the orbit chart
+(kernels.rings) and no chart of the whole grid is held but the one the
+LM Jacobian reads, per node; on P^2 a solve holds the whole chart
+(kernels.b_matrix).  The delta diagnostic quantifies the distance from
+a computed minimizer to the Hermitian-Einstein reference through the
+eigenvalue pinch delta and the spectral constant of the Laplacian.
 """
 
 from __future__ import annotations
@@ -128,14 +128,6 @@ def center_of_mass(basis: SectionBasis, grid: QuadratureGrid, H: np.ndarray) -> 
     return _solver_parts(basis, grid, b_matrix, H, 0.0).s + (basis.rank / n) * np.eye(n)
 
 
-def _sqrtm_psd(H: np.ndarray):
-    """Eigen-decomposition (lam, v) and square root of H."""
-    lam, v = np.linalg.eigh(H)
-    if lam.min() <= 0:
-        raise SingularGram("form is not positive definite")
-    return lam, v, (v * np.sqrt(lam)) @ v.conj().T
-
-
 def m2_value(basis: SectionBasis, grid: QuadratureGrid, H: np.ndarray) -> float:
     """Log-determinant energy of h_H against the reference h_ref = Q*Q."""
     H = HermitianForm(np.asarray(H, dtype=complex)).matrix
@@ -148,8 +140,9 @@ class _Iterate(NamedTuple):
     """A solver iterate: the form H, sq = H^{1/2}, B(H), the hermitian
     residual s = M(H) - (r/N) I with M(H) = sq B(H) sq, m2, the spread
     log(lambda_max / lambda_min) of H, and what its route's LM Jacobian
-    reads: (W per node, eigh(H)) on the grid, (p, int p) on the columns,
-    where H, sq, B(H) and s are diagonal and held as their diagonals."""
+    reads: (W per node, eigenpairs of H) on the grid, (p, int p) on the
+    columns, where H, sq, B(H) and s are diagonal and held as their
+    diagonals."""
 
     H: np.ndarray
     sq: np.ndarray
@@ -160,16 +153,22 @@ class _Iterate(NamedTuple):
     parts: tuple
 
 
-def _solver_parts(basis, grid, b_matrix, H, ld0) -> _Iterate:
+def _solver_parts(basis, grid, b_matrix, H, ld0, eig=None) -> _Iterate:
     """The iterate at the form H from ``b_matrix(H)``, B(H) with log det h
     and W at every node of ``grid`` (kernels.rings, or kernels.b_matrix on
-    a chart the caller holds), with m2 against the reference log-dets ld0."""
+    a chart the caller holds), with m2 against the reference log-dets ld0.
+    sq = V diag(sqrt lam) V* and the spread come from the eigenpairs
+    ``eig`` = (lam, V) of H, which a T-step gives with its form
+    (t_operator); without them, from one eigh of H."""
     b, ld, wh = b_matrix(H)
-    lam, v, sq = _sqrtm_psd(H)
+    lam, v = np.linalg.eigh(H) if eig is None else eig
+    if lam.min() <= 0:
+        raise SingularGram("form is not positive definite")
+    sq = (v * np.sqrt(lam)) @ v.conj().T
     n = basis.dimension
     s = sq @ b @ sq - (basis.rank / n) * np.eye(n)
     return _Iterate(H, sq, b, 0.5 * (s + s.conj().T), grid.integrate(ld - ld0) / grid.volume,
-                    np.log(lam[-1] / lam[0]), (wh, lam, v))
+                    np.log(lam.max() / lam.min()), (wh, lam, v))
 
 
 def _column_route(basis, nodes):
@@ -187,7 +186,7 @@ def _column_route(basis, nodes):
     col = np.repeat(np.arange(r), [s.stop - s.start for s in rows])
     ld0 = np.log(np.add.reduceat(rho, starts)).sum(axis=0)
 
-    def evaluate(h):
+    def evaluate(h, eig=None):
         if not (np.isfinite(h) & (h > 0)).all():
             raise SingularGram("form is not positive definite")
         logh = np.log(h)
@@ -207,26 +206,30 @@ def _column_route(basis, nodes):
     return evaluate, jacobian
 
 
-def t_operator(basis: SectionBasis, b: np.ndarray) -> np.ndarray:
-    """One step of the balancing fixed-point map, from b = B(H) (kernels.b_matrix).
+def t_operator(basis: SectionBasis, b: np.ndarray):
+    """One step of the balancing fixed-point map, from b = B(H) (kernels.b_matrix),
+    as (H', eigenpairs of H').
 
     The Gram matrix of the sections in h_H is inverted (the form lives on
     the dual section space) so that fixed points solve B(H) = (r/N) H^{-1},
     i.e. are exactly the zeros of the m2 gradient; the result is
     det-normalized.  A dense b takes one eigh, b = V diag(lam) V*: the
-    result is V diag(e^{mean log lam} / lam) V*.  On the column route b is
-    the diagonal of B(H), a vector, and so is the result: (r/N) / b.
+    result is H' = V diag(mu) V*, mu = e^{mean log lam} / lam, whose
+    eigenpairs (mu, V) the next iterate reads (_solver_parts), so a
+    T-step takes one eigh.  On the column route b is the diagonal of
+    B(H), a vector, and so is H' = (r/N) / b, with eigenpairs None.
     """
     r, n = basis.rank, basis.dimension
     lam, v = (b, None) if b.ndim == 1 else np.linalg.eigh(b)
     if lam.min() <= 1e-300:
         raise SingularGram("center-of-mass Gram matrix is singular")
     if b.ndim == 1:
-        return _det_normalize((r / n) / b)
-    out = (v * (np.exp(np.log(lam).mean()) / lam)) @ v.conj().T
+        return _det_normalize((r / n) / b), None
+    mu = np.exp(np.log(lam).mean()) / lam
+    out = (v * mu) @ v.conj().T
     if not np.isfinite(out).all():
         raise SingularGram("form overflowed")
-    return out
+    return out, (mu, v)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +294,9 @@ def _solve(basis, grid, H0, tol, max_iter, make_step, damping):
     route (_column_route), whose forms are their diagonals until the exit,
     or the whole grid (_solver_parts), where B(H) comes from the ring
     table (kernels.rings) if _ring_start holds and from a held chart
-    otherwise; only ``evaluate(H)``, the iterate at H, and ``jacobian(x,
+    otherwise; only ``evaluate(H, eig)``, the iterate at H (from the
+    eigenpairs ``eig`` of H a T-step gives, or from one eigh of H without
+    them, as at the start and every LM trial), and ``jacobian(x,
     directions)`` differ.  The whole grid's Jacobian reads the chart,
     which next to the ring table is built at its first call, so a T
     solve holds none.  ``make_step(column, jacobian)``, ``column`` True
@@ -318,7 +323,7 @@ def _solve(basis, grid, H0, tol, max_iter, make_step, damping):
             q = kernels.chart(basis, grid.nodes)
             b_matrix, chart = partial(kernels.b_matrix, q, grid), lambda: q
             ld0 = kernels.logdet(kernels.field(q, grid))
-        evaluate = partial(_solver_parts, basis, grid, b_matrix, ld0=ld0)
+        evaluate = lambda H, eig=None: _solver_parts(basis, grid, b_matrix, H, ld0, eig)
         jacobian = lambda x, directions: _grid_jacobian(basis, grid, chart(), x, directions)
     step = make_step(column, jacobian)
 
@@ -361,7 +366,7 @@ def t_iterate(basis: SectionBasis, grid: QuadratureGrid, H0: np.ndarray, tol: fl
     (iter, residual, m2, spread, step, rejected, damping).
     """
     def step(x, history, evaluate, trial):
-        return "t", 0, 0.0, evaluate(t_operator(basis, x.b))
+        return "t", 0, 0.0, evaluate(*t_operator(basis, x.b))
 
     return _solve(basis, grid, H0, tol, max_iter, lambda column, jacobian: step, 0.0)
 
@@ -577,46 +582,7 @@ def hermitian_einstein_catalog(basis: SectionBasis, grid: QuadratureGrid) -> np.
     return h_ref_field(basis, grid)
 
 
-def spectral_constant(grid: QuadratureGrid):
-    """First nonzero eigenvalue of the Laplacian on functions on P^1.
-
-    Galerkin generalized eigensolve over the span of z^a zbar^b / (1+|z|^2)^d,
-    a, b <= d = 3, which contains the low spherical harmonics exactly; the
-    Fubini-Study form is normalized to unit volume.  Returns (C, spectrum).
-    """
-    if grid.space_tag != "P1":
-        raise ValueError("spectral constant implemented for P1 grids")
-    z = grid.nodes
-    s = np.abs(z) ** 2
-    d = 3
-    phi, dphi = [], []
-    base = (1.0 + s) ** (-d)
-    for a in range(d + 1):
-        for bb in range(d + 1):
-            za = z**a
-            zb = np.conj(z) ** bb
-            phi.append(za * zb * base)
-            der = -d * za * zb * np.conj(z) * (1.0 + s) ** (-d - 1)
-            if a > 0:
-                der = der + a * z ** (a - 1) * zb * base
-            dphi.append(der)
-    phi = np.stack(phi, axis=-1)
-    dphi = np.stack(dphi, axis=-1)
-    wt = grid.weights
-    mass = np.einsum("m,mi,mj->ij", wt, np.conj(phi), phi)
-    stiff = 2.0 * np.pi * np.einsum(
-        "m,m,mi,mj->ij", wt, (1.0 + s) ** 2, np.conj(dphi), dphi
-    )
-    mass = 0.5 * (mass + mass.conj().T)
-    stiff = 0.5 * (stiff + stiff.conj().T)
-    # Drop near-null mass directions before the generalized solve.
-    lam, v = np.linalg.eigh(mass)
-    keep = lam > 1e-12 * lam.max()
-    basis_ok = v[:, keep] / np.sqrt(lam[keep])
-    a_red = basis_ok.conj().T @ stiff @ basis_ok
-    ev = np.linalg.eigvalsh(0.5 * (a_red + a_red.conj().T))
-    nonzero = ev[ev > 1e-6 * max(1.0, ev.max())]
-    return float(nonzero[0]), ev
+SPECTRAL_CONSTANT = 4.0 * np.pi  # first nonzero Laplace eigenvalue of P^1, FS form of volume 1 (l = 1)
 
 
 def _pinch_coefficient(delta: float) -> float:
@@ -637,8 +603,8 @@ def delta_diagnostic(h_min: np.ndarray, h_he: np.ndarray, grid: QuadratureGrid,
     delta is the infimum over nodes of lambda_min/lambda_max of
     h_min h_HE^{-1}; v is the matrix logarithm of the symmetrized ratio,
     v_bar its trace average, and the lower bound is
-    pinch(delta) * C^{-1} * ||v - v_bar||^2 with C = ``spectral_c``, the
-    first value of spectral_constant(grid).
+    pinch(delta) * C^{-1} * ||v - v_bar||^2 with C = ``spectral_c``,
+    SPECTRAL_CONSTANT on P^1.
     """
     lamb, vb = np.linalg.eigh(h_he)
     if lamb.min() <= 0:

@@ -22,16 +22,18 @@ nodes, a diagonal form needs no product: `columns` gives the real
 `balance` for a solve from a diagonal start, on the nodes they choose.
 Ring by ring, `rings` gives B(H), log det h and W of any form at every
 node from the orbit chart and one DFT per ring, for the whole-grid
-balance solves.  On the whole chart, `b_matrix` forms B(H) as one GEMM
-of Z = Q h^{-1} against Q.conj(): P^2, grids with ring 1 and the tests'
-reference.  BLOCK bounds one thing only: the nodes per (N, N, B)
+balance solves; it builds its tables, phases and buffers once and each
+call only fills them.  On the whole chart, `b_matrix` forms B(H) as one
+GEMM of Z = Q h^{-1} against Q.conj(): P^2, grids with ring 1 and the
+tests' reference.  BLOCK bounds one thing only: the nodes per (N, N, B)
 P-field of the LM Jacobian (`balance._b_derivatives`, the one reader of
 `p_root`), which reads the whole chart.
 
 The fibre metric has one factorization, the Cholesky h = L L* of
 `cholesky`, with W = L^{-1} from `whiten`: log det h = 2 sum_j log L_jj,
 h^{-1} = W* W, P = Y Y* with Y = Q W*, and SingularGram on loss of
-positivity; a diagonal one needs none (its entries are positive sums).
+positivity; a diagonal one needs none (its entries are positive sums),
+and a rank-one one is one operation each: L = sqrt(h), W = 1/L.
 `finite` names an overflowed node before any factorization, on a
 quotient by its index in the full grid (`QuadratureGrid.name`).
 """
@@ -108,7 +110,10 @@ def rings(basis, grid):
     such pair, its pair products q_i q_j zero-padded to the longest slot,
     (S, L, K) real, about N^2 K numbers over the K orbit nodes, and both
     sums over a slot's pairs are one batched GEMM.  These are the grid's
-    own sums, its trapezoid aliasing included."""
+    own sums, its trapezoid aliasing included.  The phases, their
+    conjugates and two buffers are built here, once: H padded with a 0,
+    gathered through its real view as the (Re, Im) pairs of each slot,
+    and c, whose entries every call rewrites; no return aliases them."""
     r, n, ring = basis.rank, basis.dimension, grid.ring
     col = np.repeat(np.arange(r), [len(basis.summand_rows(c)) for c in range(r)])
     m = basis.characters
@@ -127,19 +132,22 @@ def rings(basis, grid):
     with np.errstate(over="ignore", invalid="ignore"):
         pairs[seg, pos] = q[i] * q[j]
     phase = np.exp(2j * np.pi / ring * (np.outer(np.arange(-top, top + 1), np.arange(ring)) % ring))
-    w = grid.weights / grid.volume
+    back, w = phase.conj().T, grid.weights / grid.volume
+    # held between calls: each call rewrites every entry it reads
+    held = np.zeros(n * n + 1, dtype=complex)
+    c = np.zeros((r * r, q.shape[1], len(phase)), dtype=complex)
+    reim = 2 * pad[:, None] + np.arange(2)[:, None]
 
     def b_matrix(H):
-        hp = np.append(H.ravel(), 0.0)[pad]
-        c = np.zeros((r * r, q.shape[1], len(phase)), dtype=complex)
+        held[:-1] = H.ravel()
         with np.errstate(over="ignore", invalid="ignore"):
-            x = np.stack([hp.real, hp.imag], axis=1) @ pairs
+            x = held.view(float)[reim] @ pairs
             c[ab % r * r + ab // r, :, 2 * top - dd] = x[:, 0] - 1j * x[:, 1]
             c[ab, :, dd] = x[:, 0] + 1j * x[:, 1]
             h = finite((c.reshape(-1, len(phase)) @ phase).reshape(r, r, -1), grid)
         wh, l = whiten(h)
-        g = ((mul(ct(wh), wh) * w).reshape(-1, ring) @ phase.conj().T).reshape(c.shape)[ab, :, dd]
-        y = pairs @ np.stack([g.real, g.imag], axis=-1)
+        g = ((mul(ct(wh), wh) * w).reshape(-1, ring) @ back).reshape(c.shape)[ab, :, dd]
+        y = pairs @ g.view(float).reshape(*g.shape, 2)
         b = np.zeros(n * n + 1, dtype=complex)
         b[mirror] = y[..., 0] - 1j * y[..., 1]
         b[pad] = y[..., 0] + 1j * y[..., 1]
@@ -253,6 +261,10 @@ def cholesky(h: np.ndarray) -> np.ndarray:
     h = L L*; SingularGram if some h is not numerically positive.
     Further trailing axes, such as (times, nodes), batch alike."""
     r = h.shape[0]
+    if r == 1:  # a rank-one fibre: L = sqrt(h), one operation
+        if not (h.real > 0).all():
+            raise SingularGram("fibre metric lost positivity")
+        return np.sqrt(h.real).astype(h.dtype)
     l = np.zeros_like(h)
     for j in range(r):  # the sums over l[j, :j] are empty at j = 0: skipped
         d = h[j, j].real
@@ -273,6 +285,8 @@ def whiten(h: np.ndarray):
     """(W, L) per node with L = cholesky(h) and W = L^{-1}, both lower
     triangular, so that W h W* = 1 and h^{-1} = W* W."""
     l = cholesky(h)
+    if len(l) == 1:
+        return 1.0 / l, l
     w = np.zeros_like(h)
     for i in range(len(l)):
         if i:
@@ -282,7 +296,7 @@ def whiten(h: np.ndarray):
 
 
 def _logdet(l: np.ndarray) -> np.ndarray:  # log det h = 2 sum_j log L_jj, h = L L*
-    return 2.0 * sum(np.log(l[j, j].real) for j in range(len(l)))
+    return 2.0 * sum((np.log(l[j, j].real) for j in range(1, len(l))), np.log(l[0, 0].real))
 
 
 def logdet(h: np.ndarray) -> np.ndarray:

@@ -40,16 +40,64 @@ def test_t_convention_on_symmetric_configuration():
     basis = bd.section_basis(bd.split(2), 0)
     H = np.eye(basis.dimension)
     b = kernels.b_matrix(kernels.chart(basis, grid.nodes), grid, H)[0]
-    assert np.linalg.norm(bl.t_operator(basis, b) - H) < 1e-10
+    assert np.linalg.norm(bl.t_operator(basis, b)[0] - H) < 1e-10
     zeta = np.diag([1.0, 0.0, -1.0])
     assert abs(first_variation(basis, grid, H, zeta)) < 1e-10
 
 
 def test_t_operator_fixes_balanced_point(grid_p1):
+    """T(I) = I at the balanced form I of O(2), k = 1, with the eigenpairs
+    (mu, V) of the result: mu = 1 and V unitary."""
     basis = bd.section_basis(bd.split(2), 1)
     n = basis.dimension
-    out = bl.t_operator(basis, kernels.b_matrix(kernels.chart(basis, grid_p1.nodes), grid_p1, np.eye(n))[0])
+    out, (mu, v) = bl.t_operator(basis, kernels.b_matrix(kernels.chart(basis, grid_p1.nodes), grid_p1, np.eye(n))[0])
     assert np.abs(out - np.eye(n)).max() < 1e-12
+    assert np.abs(mu - 1.0).max() < 1e-12 and np.abs(v.conj().T @ v - np.eye(n)).max() < 1e-12
+
+
+@pytest.mark.parametrize("b", [np.diag([0.0, 1.0, 2.0]).astype(complex), np.array([0.0, 1.0, 2.0])],
+                         ids=["dense", "columns"])
+def test_t_operator_refuses_a_zero_eigenvalue(b):
+    """A B(H) with an eigenvalue 0, dense or the column route's vector, is
+    refused as singular before any log or reciprocal is taken."""
+    basis = bd.section_basis(bd.split(2), 0)
+    with pytest.raises(kernels.SingularGram, match="center-of-mass Gram matrix is singular"):
+        bl.t_operator(basis, b)
+
+
+@pytest.mark.parametrize("rings", [True, False], ids=["rings", "ring-1"])
+def test_t_step_takes_one_eigh(rings, grid_p1, monkeypatch, rng):
+    """A whole-grid T-solve calls np.linalg.eigh once per T-step, on B(H)
+    in t_operator, whose eigenpairs (mu, V) of the next form give that
+    iterate's square root and spread: the start alone takes its own."""
+    grid = grid_p1 if rings else dataclasses.replace(grid_p1, ring=1)
+    basis = bd.section_basis(bd.split(0, 2), 3)
+    shapes, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: shapes.append(a.shape) or eigh(a, *args, **kw))
+    state, history = bl.t_iterate(basis, grid, random_form(basis.dimension, rng), tol=1e-10, max_iter=8)
+    assert state.flag == "max_iter" and [row.step for row in history] == ["t"] * 8 + ["none"]
+    assert shapes == [(basis.dimension, basis.dimension)] * 9
+
+
+@pytest.mark.parametrize("degrees, k", [((2,), 2), ((0, 2), 3)], ids=["O2-k2", "split02-k3"])
+def test_t_step_eigenpairs_are_those_of_the_next_form(degrees, k, grid_p1, rng):
+    """t_operator's H' is V diag(mu) V* in eigh's column order, byte for
+    byte, and (mu, V) are its eigenpairs: the iterate at H' from them
+    holds the H' and B(H') of the iterate that takes its own eigh, and
+    its square root, spread and residual to 1e-13 relative."""
+    basis = bd.section_basis(bd.split(*degrees), k)
+    n = basis.dimension
+    table = kernels.rings(basis, grid_p1)
+    ld0 = table(np.eye(n))[1]
+    out, (mu, v) = bl.t_operator(basis, table(bl._det_normalize(random_form(n, rng)))[0])
+    assert out.tobytes() == ((v * mu) @ v.conj().T).tobytes()
+    assert np.abs(out @ v - v * mu).max() <= 1e-13 * mu.max()
+    got, want = (bl._solver_parts(basis, grid_p1, table, out, ld0, eig) for eig in ((mu, v), None))
+    assert got.H.tobytes() == want.H.tobytes() and got.b.tobytes() == want.b.tobytes()
+    assert np.abs(got.sq @ got.sq - out).max() <= 1e-13 * np.abs(out).max()
+    assert np.abs(got.sq - want.sq).max() <= 1e-13 * np.abs(want.sq).max()
+    assert got.spread == pytest.approx(want.spread, rel=1e-13)
+    assert np.abs(got.s - want.s).max() <= 1e-13 * np.abs(want.s).max()
 
 
 def test_t_iterate_converges_line_bundle(grid_p1, rng):
@@ -299,6 +347,25 @@ def test_column_route_is_the_whole_grid_at_a_diagonal_form(degrees, k, monkeypat
         assert np.abs(a.H - b.H).max() <= 1e-13 * np.abs(b.H).max()
 
 
+def test_column_route_shifts_by_the_column_top():
+    """The column route's softmax subtracts each column's largest log h:
+    at a form whose columns are scaled by e^{700} and e^{-700}, past
+    where e^{log h} over- and underflows, the iterate stays finite, with
+    the mass int p of the unscaled form to 1e-13 and m2 unmoved by the
+    scales, whose logs sum to 0."""
+    grid = qd.build_grid_p1(**COARSE)
+    basis = bd.section_basis(bd.split(0, 2), 3)
+    evaluate, _ = bl._column_route(basis, grid.orbits)
+    h = np.exp(np.random.default_rng(4).normal(size=basis.dimension))
+    rows = basis.summand_rows(0)
+    scale = np.full(basis.dimension, -700.0)
+    scale[rows.start:rows.stop] = 700.0
+    x, y = evaluate(h), evaluate(h * np.exp(scale))
+    assert np.isfinite(y.s).all() and np.isfinite(y.m2) and np.isfinite(y.parts[0]).all()
+    assert np.abs(y.parts[1] - x.parts[1]).max() <= 1e-13
+    assert y.m2 == pytest.approx(x.m2, abs=1e-10)
+
+
 @pytest.mark.parametrize("degrees, k", [((0, 2), 3), ((0, 1, 2), 2), ((0, 0, 1), 2)],
                          ids=["split02-k3", "split012-k2", "split001-k2"])
 def test_divergent_t_run_follows_the_exact_law(degrees, k):
@@ -392,6 +459,17 @@ def test_lm_refuses_past_its_memory_budget(monkeypatch, rng):
     assert built == [63]
 
 
+def test_lm_memory_check_charges_the_ring_table():
+    """On the default grid a generic start at N = 64 is charged the real
+    N^2 (M / ring) pair products of the ring table beside the Jacobian:
+    3485 MiB, 10 MiB of them the table's."""
+    grid = qd.build_grid_p1()
+    basis = bd.section_basis(bd.split(0, 2), 30)
+    assert bl._ring_start(basis, grid) and basis.dimension * basis.dimension * len(grid.nodes) // grid.ring * 8 >> 20 == 10
+    with pytest.raises(bl.LMMemoryExceeded, match="N = 64 with 4095 directions needs 3485 MiB"):
+        bl.lm_memory_check(basis, grid, random_form(basis.dimension, np.random.default_rng(0)))
+
+
 def test_unstable_bundle_diverges(grid_p1):
     basis = bd.section_basis(bd.split(0, 2), 3)
     state, history = bl.t_iterate(basis, grid_p1, np.eye(basis.dimension), tol=1e-10, max_iter=300)
@@ -471,8 +549,38 @@ def test_pinch_coefficient():
 
 
 def test_spectral_constant(grid_p1):
-    c, spectrum = bl.spectral_constant(grid_p1)
-    assert c == pytest.approx(4.0 * np.pi, rel=1e-10)
+    """SPECTRAL_CONSTANT is the first nonzero eigenvalue of the Laplacian
+    on functions on P^1, the Fubini-Study form normalized to unit volume:
+    a Galerkin generalized eigensolve over the span of z^a zbar^b /
+    (1+|z|^2)^d, a, b <= d = 3, which contains the low spherical harmonics
+    exactly, gives it to 1e-10 with multiplicity 3, and 0 and 12 pi with
+    multiplicities 1 and 5."""
+    z = grid_p1.nodes
+    s = np.abs(z) ** 2
+    d = 3
+    base = (1.0 + s) ** (-d)
+    phi, dphi = [], []
+    for a in range(d + 1):
+        for b in range(d + 1):
+            za, zb = z**a, np.conj(z) ** b
+            phi.append(za * zb * base)
+            der = -d * za * zb * np.conj(z) * (1.0 + s) ** (-d - 1)
+            if a > 0:
+                der = der + a * z ** (a - 1) * zb * base
+            dphi.append(der)
+    phi, dphi = np.stack(phi, axis=-1), np.stack(dphi, axis=-1)
+    wt = grid_p1.weights
+    mass = np.einsum("m,mi,mj->ij", wt, np.conj(phi), phi)
+    stiff = 2.0 * np.pi * np.einsum("m,m,mi,mj->ij", wt, (1.0 + s) ** 2, np.conj(dphi), dphi)
+    mass, stiff = 0.5 * (mass + mass.conj().T), 0.5 * (stiff + stiff.conj().T)
+    # drop near-null mass directions before the generalized solve
+    lam, v = np.linalg.eigh(mass)
+    keep = lam > 1e-12 * lam.max()
+    reduced = v[:, keep] / np.sqrt(lam[keep])
+    spectrum = np.linalg.eigvalsh(reduced.conj().T @ stiff @ reduced)
+    c = spectrum[spectrum > 1e-6 * max(1.0, spectrum.max())][0]
+    assert c == pytest.approx(bl.SPECTRAL_CONSTANT, rel=1e-10)
+    assert bl.SPECTRAL_CONSTANT == 4.0 * np.pi
     # multiplicities of the first spherical-harmonic levels
     near = lambda v: int(np.sum(np.abs(spectrum - v) < 1e-6))
     assert near(0.0) == 1
@@ -483,7 +591,7 @@ def test_spectral_constant(grid_p1):
 def test_delta_diagnostic_trivial(grid_p1):
     basis = bd.section_basis(bd.split(2), 1)
     he = bl.hermitian_einstein_catalog(basis, grid_p1)
-    diag = bl.delta_diagnostic(he, he, grid_p1, spectral_c=bl.spectral_constant(grid_p1)[0])
+    diag = bl.delta_diagnostic(he, he, grid_p1, spectral_c=bl.SPECTRAL_CONSTANT)
     assert diag.delta == pytest.approx(1.0, abs=1e-12)
     assert diag.lower_bound == pytest.approx(0.0, abs=1e-12)
 
@@ -495,7 +603,7 @@ def test_delta_inequality_perturbed(grid_p1):
     w = np.linspace(0.5, -0.5, n)
     H = np.diag(np.exp(w - w.mean()))
     h = bg.fs_metric(basis, grid_p1, bg.HermitianForm(matrix=H.astype(complex)))
-    diag = bl.delta_diagnostic(h, he, grid_p1, spectral_c=bl.spectral_constant(grid_p1)[0])
+    diag = bl.delta_diagnostic(h, he, grid_p1, spectral_c=bl.SPECTRAL_CONSTANT)
     value = don.form_energy(basis, grid_p1, H)
     assert diag.lower_bound > 0
     assert value >= diag.lower_bound - 1e-9
@@ -511,7 +619,7 @@ def test_delta_is_the_smallest_pinch_over_nodes(grid_p1, rng):
     lam = np.sort(np.linalg.eigvals(np.linalg.solve(he, h)).real, axis=-1)
     ratio = lam[:, 0] / lam[:, -1]
     assert ratio.max() - ratio.min() > 0.1
-    diag = bl.delta_diagnostic(h, he, grid_p1, spectral_c=bl.spectral_constant(grid_p1)[0])
+    diag = bl.delta_diagnostic(h, he, grid_p1, spectral_c=bl.SPECTRAL_CONSTANT)
     assert diag.delta == pytest.approx(ratio.min(), rel=1e-10)
 
 

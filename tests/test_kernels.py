@@ -575,6 +575,25 @@ def test_ring_table_is_the_chart_route(degrees, k, resolution, coarse, grid_p1, 
             assert abs(m2[1] - m2[0]) <= 2e-15
 
 
+@pytest.mark.parametrize("degrees, k", [((2,), 2), ((0, 1, 2), 2)], ids=["O2-k2", "split012-k2"])
+def test_ring_table_calls_share_no_output(degrees, k, grid_p1, rng):
+    """The ring table holds its padded H and slot table between calls:
+    the outputs of table(H1) are unchanged by later calls, an overflowing
+    one included, and table(H2) is byte-equal to a freshly built
+    table's."""
+    basis = bd.section_basis(bd.split(*degrees), k)
+    n = basis.dimension
+    table = kernels.rings(basis, grid_p1)
+    first = table(positive_form(n, rng))
+    kept = [x.copy() for x in first]
+    H2 = positive_form(n, rng)
+    with pytest.raises(kernels.NonFiniteChart):
+        table(1e300 * H2)
+    second = table(H2)
+    assert [x.tobytes() for x in first] == [x.tobytes() for x in kept]
+    assert [x.tobytes() for x in second] == [x.tobytes() for x in kernels.rings(basis, grid_p1)(H2)]
+
+
 def test_lm_b_derivatives(grid, rng):
     basis = bd.section_basis(bd.split(0, 2), 1)
     n = basis.dimension
@@ -655,6 +674,25 @@ def test_factorization_matches_the_full_loop_bytewise(r, trailing, rng):
     assert got_l.tobytes() == want_l.tobytes()
     assert got_w.tobytes() == want_w.tobytes()
     assert kernels.cholesky(h).tobytes() == want_l.tobytes()
+
+
+def test_rank_one_fibre_factors_in_one_operation(rng):
+    """For r = 1, L = sqrt(h), W = 1/L and log det h = 2 log L are
+    byte-equal to the r x r loops, written out here, on a random (1, 1, M)
+    stack; an entry h <= 0 still raises SingularGram."""
+    h = (10.0 ** rng.uniform(-6, 6, size=(1, 1, 2304))).astype(complex)
+    want_w, want_l = whiten_reference(h)
+    want_ld = 2.0 * sum(np.log(want_l[j, j].real) for j in range(len(want_l)))
+    got_w, got_l = kernels.whiten(h)
+    assert kernels.cholesky(h).tobytes() == got_l.tobytes() == want_l.tobytes()
+    assert got_w.tobytes() == want_w.tobytes()
+    assert kernels._logdet(got_l).tobytes() == kernels.logdet(h).tobytes() == want_ld.tobytes()
+    for bad in (0.0, -1.0):
+        singular = h.copy()
+        singular[0, 0, 7] = bad
+        for factorize in (kernels.cholesky, kernels.whiten, kernels.logdet):
+            with pytest.raises(kernels.SingularGram):
+                factorize(singular)
 
 
 @pytest.mark.parametrize("factorize", [kernels.whiten, kernels.logdet], ids=["whiten", "logdet"])

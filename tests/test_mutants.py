@@ -1,6 +1,6 @@
-"""The mutant list of tools/mutants.py stays applicable: each edit's old
-text occurs exactly once in its file, as `apply` requires.  The list is
-imported and no mutant is run."""
+"""The mutant lists of tools/mutants.py, MUTANTS and EQUIVALENT, stay
+applicable: each edit's old text occurs exactly once in its file, as
+`apply` requires.  The lists are imported and no mutant is run."""
 
 import importlib.util
 from pathlib import Path
@@ -14,11 +14,12 @@ _spec.loader.exec_module(mutants)
 
 
 def test_mutant_names_are_distinct():
-    names = [name for name, *_ in mutants.MUTANTS]
+    names = [name for name, *_ in mutants.MUTANTS + mutants.EQUIVALENT]
     assert len(set(names)) == len(names)
 
 
-@pytest.mark.parametrize("name, file, old, new", mutants.MUTANTS, ids=[m[0] for m in mutants.MUTANTS])
+@pytest.mark.parametrize("name, file, old, new", [m[:4] for m in mutants.MUTANTS + mutants.EQUIVALENT],
+                         ids=[m[0] for m in mutants.MUTANTS + mutants.EQUIVALENT])
 def test_mutant_old_text_occurs_once(name, file, old, new):
     assert old != new
     assert (ROOT / file).read_text().count(old) == 1

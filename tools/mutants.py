@@ -13,7 +13,9 @@ mutated copy by construction.  A mutant that both pass *survives*: no
 check sees that bug.  The script prints one line per mutant, lists the
 survivors and exits with status 1 if there are any.  Tier-1 does not run
 it (about 25 s per mutant); a survivor calls for a new test, never for a
-looser bound.  NAME arguments select mutants by name.
+looser bound.  NAME arguments select mutants by name.  EQUIVALENT lists
+the edits found to change no result, each with its reason; they are not
+run.
 """
 
 from __future__ import annotations
@@ -87,11 +89,23 @@ MUTANTS = (
      "delta = float((lam[:, 0] / lam[:, -1]).min())",
      "delta = float((lam[:, 0] / lam[:, -1]).max())"),
     ("t-map-half-damped", "src/bml/balance.py",
-     "evaluate(t_operator(basis, x.b))",
-     "evaluate(_det_normalize(0.5 * (x.H + t_operator(basis, x.b))))"),
+     "evaluate(*t_operator(basis, x.b))",
+     "evaluate(_det_normalize(0.5 * (x.H + t_operator(basis, x.b)[0])))"),
     ("t-map-conjugated", "src/bml/balance.py",
-     "out = (v * (np.exp(np.log(lam).mean()) / lam)) @ v.conj().T\n",
-     "out = ((v * (np.exp(np.log(lam).mean()) / lam)) @ v.conj().T).T\n"),
+     "    out = (v * mu) @ v.conj().T\n",
+     "    out = ((v * mu) @ v.conj().T).T\n"),
+    ("t-step-sqrt-of-b", "src/bml/balance.py",
+     "    return out, (mu, v)\n",
+     "    return out, (lam, v)\n"),
+    ("t-map-singular-at-zero", "src/bml/balance.py",
+     "if lam.min() <= 1e-300:",
+     "if lam.min() < 0:"),
+    ("column-route-no-top-shift", "src/bml/balance.py",
+     "        top = np.maximum.reduceat(logh, starts)\n",
+     "        top = 0.0 * np.maximum.reduceat(logh, starts)\n"),
+    ("lm-memory-no-ring-pairs", "src/bml/balance.py",
+     "    pairs = n * n * m // grid.ring if _ring_start(basis, grid) else 0\n",
+     "    pairs = 0\n"),
     ("t-map-columns-unnormalized", "src/bml/balance.py",
      "return _det_normalize((r / n) / b)",
      "return (r / n) / b"),
@@ -138,6 +152,15 @@ MUTANTS = (
     ("form-energy-no-mu", "src/bml/donaldson.py",
      "m1_curve(basis, grid, ps, t)[0] + mu * m2_along_path(basis, grid, ps, t)[0]",
      "m1_curve(basis, grid, ps, t)[0]"),
+)
+
+# (name, file, old text, new text, why no check can see it)
+EQUIVALENT = (
+    ("ring-b-not-symmetrized", "src/bml/kernels.py",
+     "        return 0.5 * (b + b.conj().T), _logdet(l), wh\n\n    return b_matrix\n",
+     "        return b, _logdet(l), wh\n\n    return b_matrix\n",
+     "B is hermitian to roundoff: the ring table writes B_ji as the conjugate of B_ij, so its "
+     "hermitian part moves only roundoff in the imaginary parts of the diagonal"),
 )
 
 ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
