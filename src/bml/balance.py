@@ -6,22 +6,18 @@ metric h_H = Q* H Q.  Its center of mass
     M(H) = (1/Vol_L) int sigma Q h_H^{-1} Q* sigma* dV,   sigma = H^{1/2},
 
 is hermitian positive semidefinite with trace exactly r, and H is
-*balanced* when M(H) = (r/N) I, which is precisely the critical-point
-equation of the log-determinant energy m2.  Two solvers are provided: a
-fixed-point T-operator iteration and a damped least-squares
-(Levenberg-Marquardt) minimization of the center-of-mass residual, both
-recording a per-iteration history suitable for convexity and divergence
-diagnostics; from a diagonal start on P^1 both run on the |Q|^2 column
-table of one node per torus orbit (_column_route), where a T-step is N
-reciprocals and a mean of logs and LM moves along N - 1 real
-directions, from any other on the whole grid, where a T-step is one
-eigh of B(H), whose eigenpairs give the next iterate's H^{1/2}.  There,
-on P^1, B(H) is evaluated ring by ring from the orbit chart
-(kernels.rings) and no chart of the whole grid is held but the one the
-LM Jacobian reads, per node; on P^2 a solve holds the whole chart
-(kernels.b_matrix).  The delta diagnostic quantifies the distance from
-a computed minimizer to the Hermitian-Einstein reference through the
-eigenvalue pinch delta and the spectral constant of the Laplacian.
+*balanced* when M(H) = (r/N) I, the critical-point equation of the
+log-determinant energy m2.  Two solvers, a fixed-point T-operator
+iteration and a damped least-squares (Levenberg-Marquardt) minimization
+of the center-of-mass residual, record a per-iteration history for
+convexity and divergence diagnostics.  From a diagonal start on P^1 both
+run on the |Q|^2 column table of one node per torus orbit
+(_column_route); from any other on the whole grid, where a T-step is one
+eigh of B(H), B(H) comes ring by ring from the orbit chart on P^1
+(kernels.rings) and from the held whole chart on P^2 (kernels.b_matrix).
+The delta diagnostic bounds the distance from a computed minimizer to
+the Hermitian-Einstein reference by the eigenvalue pinch delta and the
+spectral constant of the Laplacian.
 """
 
 from __future__ import annotations
@@ -139,10 +135,9 @@ def m2_value(basis: SectionBasis, grid: QuadratureGrid, H: np.ndarray) -> float:
 class _Iterate(NamedTuple):
     """A solver iterate: the form H, sq = H^{1/2}, B(H), the hermitian
     residual s = M(H) - (r/N) I with M(H) = sq B(H) sq, m2, the spread
-    log(lambda_max / lambda_min) of H, and what its route's LM Jacobian
-    reads: (W per node, eigenpairs of H) on the grid, (p, int p) on the
-    columns, where H, sq, B(H) and s are diagonal and held as their
-    diagonals."""
+    log(lambda_max / lambda_min) of H, and what the LM Jacobian reads:
+    (W per node, eigenpairs of H) on the grid, (p, int p) on the columns,
+    where H, sq, B(H) and s are held as their diagonals."""
 
     H: np.ndarray
     sq: np.ndarray
@@ -156,10 +151,9 @@ class _Iterate(NamedTuple):
 def _solver_parts(basis, grid, b_matrix, H, ld0, eig=None) -> _Iterate:
     """The iterate at the form H from ``b_matrix(H)``, B(H) with log det h
     and W at every node of ``grid`` (kernels.rings, or kernels.b_matrix on
-    a chart the caller holds), with m2 against the reference log-dets ld0.
-    sq = V diag(sqrt lam) V* and the spread come from the eigenpairs
-    ``eig`` = (lam, V) of H, which a T-step gives with its form
-    (t_operator); without them, from one eigh of H."""
+    a held chart), with m2 against the reference log-dets ld0.  sq = V
+    diag(sqrt lam) V* and the spread come from the eigenpairs ``eig`` =
+    (lam, V) of H a T-step gives (t_operator), or from one eigh of H."""
     b, ld, wh = b_matrix(H)
     lam, v = np.linalg.eigh(H) if eig is None else eig
     if lam.min() <= 0:
@@ -207,18 +201,14 @@ def _column_route(basis, nodes):
 
 
 def t_operator(basis: SectionBasis, b: np.ndarray):
-    """One step of the balancing fixed-point map, from b = B(H) (kernels.b_matrix),
-    as (H', eigenpairs of H').
-
-    The Gram matrix of the sections in h_H is inverted (the form lives on
-    the dual section space) so that fixed points solve B(H) = (r/N) H^{-1},
-    i.e. are exactly the zeros of the m2 gradient; the result is
-    det-normalized.  A dense b takes one eigh, b = V diag(lam) V*: the
-    result is H' = V diag(mu) V*, mu = e^{mean log lam} / lam, whose
-    eigenpairs (mu, V) the next iterate reads (_solver_parts), so a
-    T-step takes one eigh.  On the column route b is the diagonal of
-    B(H), a vector, and so is H' = (r/N) / b, with eigenpairs None.
-    """
+    """One step of the balancing fixed-point map, from b = B(H), as (H',
+    eigenpairs of H').  The Gram matrix of the sections in h_H is inverted
+    (the form lives on the dual section space), so fixed points solve B(H)
+    = (r/N) H^{-1}, the zeros of the m2 gradient; H' is det-normalized.
+    A dense b takes one eigh, b = V diag(lam) V*, and H' = V diag(mu) V*,
+    mu = e^{mean log lam} / lam, whose eigenpairs (mu, V) the next
+    iterate reads (_solver_parts).  On the column route b is the diagonal
+    of B(H), a vector, and so is H' = (r/N) / b, with eigenpairs None."""
     r, n = basis.rank, basis.dimension
     lam, v = (b, None) if b.ndim == 1 else np.linalg.eigh(b)
     if lam.min() <= 1e-300:
@@ -272,18 +262,18 @@ def lm_memory_check(basis: SectionBasis, grid: QuadratureGrid, H0: np.ndarray) -
     directions on the route of _column_start, needs more than
     LM_MEMORY_BUDGET.  Column route (D = N - 1), all real: the (D, N)
     directions, p and w p on the M / ring orbit nodes, the N x N d(int
-    p)/d log h, J (N x D) and J^T J.  Whole grid (D = N^2 - 1): complex
-    N^4 (t4) twice, N^2 B (the P-field of a block of B = min(BLOCK, M)
-    nodes, _b_derivatives) twice, D N^2 ten times (dH, dB, dS, J...),
-    the N r M chart, real J^T J, and on a grid with rings
-    (_ring_start) the real N^2 (M / ring) pair products of kernels.rings."""
+    p)/d log h, J (N x D) and J^T J.  Whole grid (D = N^2 - 1), complex:
+    t4, D N^2 ten times (dH, dB, dS, J...) and the N r M chart; real: N^4
+    three times (S and two terms of t4, _b_derivatives), the N^2 B
+    coordinates of P on B = min(BLOCK, M) nodes, J^T J and on a grid with
+    rings (_ring_start) the N^2 (M / ring) pair products of kernels.rings."""
     n, m = basis.dimension, len(grid.nodes)
     column = _column_start(grid, np.asarray(H0, dtype=complex))
     d = n - 1 if column else n * n - 1
     pairs = n * n * m // grid.ring if _ring_start(basis, grid) else 0
     need = 8 * (2 * d * n + 2 * n * m // grid.ring + n * n + d * d) if column else (
-        16 * (2 * n**4 + 2 * n * n * min(kernels.BLOCK, m) + 10 * d * n * n + n * basis.rank * m)
-        + 8 * (d * d + pairs))
+        16 * (n**4 + 10 * d * n * n + n * basis.rank * m)
+        + 8 * (3 * n**4 + n * n * min(kernels.BLOCK, m) + d * d + pairs))
     if need > LM_MEMORY_BUDGET:
         raise LMMemoryExceeded(f"an LM Jacobian at N = {n} with {d} directions needs "
                                f"{need >> 20} MiB, past the budget of {LM_MEMORY_BUDGET >> 20} MiB")
@@ -292,18 +282,15 @@ def lm_memory_check(basis: SectionBasis, grid: QuadratureGrid, H0: np.ndarray) -
 def _solve(basis, grid, H0, tol, max_iter, make_step, damping):
     """The loop of both solvers on the route of _column_start: the column
     route (_column_route), whose forms are their diagonals until the exit,
-    or the whole grid (_solver_parts), where B(H) comes from the ring
-    table (kernels.rings) if _ring_start holds and from a held chart
-    otherwise; only ``evaluate(H, eig)``, the iterate at H (from the
-    eigenpairs ``eig`` of H a T-step gives, or from one eigh of H without
-    them, as at the start and every LM trial), and ``jacobian(x,
-    directions)`` differ.  The whole grid's Jacobian reads the chart,
-    which next to the ring table is built at its first call, so a T
-    solve holds none.  ``make_step(column, jacobian)``, ``column`` True
-    on the column route, gives ``step(x, history, evaluate, trial)``, which
-    returns (kind, rejected, damping, next iterate) from the iterate x,
-    the last None when no step was found; ``trial(H)`` is the iterate at
-    H det-normalized, or None when it is rejected.
+    or the whole grid (_solver_parts), with B(H) from the ring table if
+    _ring_start holds and from a held chart otherwise.  Only ``evaluate(H,
+    eig)``, the iterate at H (from the eigenpairs ``eig`` a T-step gives,
+    or from one eigh of H), and ``jacobian(x, directions)`` differ; next
+    to the ring table the Jacobian's chart is built at its first call.
+    ``make_step(column, jacobian)`` gives ``step(x, history, evaluate,
+    trial)``, which returns (kind, rejected, damping, next iterate or
+    None); ``trial(H)`` is the iterate at H det-normalized, or None when
+    it is rejected.
 
     Returns (final BalanceState, history): converged below ``tol``,
     diverged (spread ratio past threshold with a long monotone m2
@@ -391,23 +378,31 @@ def _diagonal_directions(n: int) -> np.ndarray:
 
 def _b_derivatives(basis, grid, q, wh, dh):
     """dB = -(1/Vol) int P dH P for a stack dH of shape (D, N, N), with P
-    from the held chart q and the whitening W of h per node, an (r, r, M)
-    stack.
-
-    The tensor t4[(i, k), (l, j)] = sum_x w P_ik P_lj is one GEMM per
-    block of at most kernels.BLOCK nodes, the one node-block loop of the
-    lab: it bounds the (N, N, B) P-field, N^2 B complex numbers
-    (lm_memory_check).  The contraction with every dH is one more GEMM.
-    """
-    n = basis.dimension
-    w = grid.weights / grid.volume
-    t4 = np.zeros((n * n, n * n), dtype=complex)
+    from the held chart q and the whitening W of h, an (r, r, M) stack.
+    t4[(k, l), (i, j)] = sum_x w P_ik P_lj is C S C^T, gathered from the
+    real moments S = sum_x w p p^T of the coordinates p of P
+    (kernels.p_coordinates), as each P_ik reads one coordinate or two.
+    S is one real syrk per block of at most kernels.BLOCK nodes, the one
+    node-block loop of the lab, which bounds the (N^2, B) coordinates
+    (lm_memory_check), of w^(1/2) P from W w^(1/4).  The contraction with
+    every dH is one more GEMM."""
+    n, w = basis.dimension, grid.weights / grid.volume
+    s = np.zeros((n * n, n * n))
     for start in range(0, len(w), kernels.BLOCK):
         sl = slice(start, start + kernels.BLOCK)
-        pf = kernels.p_field(q[..., sl], wh[..., sl]).reshape(n * n, -1)
-        t4 += (pf * w[sl]) @ pf.T
-    t4 = t4.reshape(n, n, n, n).transpose(1, 2, 0, 3).reshape(n * n, n * n)
-    return -(dh.reshape(-1, n * n) @ t4).reshape(dh.shape)
+        p = kernels.p_coordinates(q[..., sl], wh[..., sl] * w[sl] ** 0.25)
+        s += p @ p.T
+    # P_ik = a_ik p_u + i b_ik p_v: u the diagonal or Re coordinate of P_ik, v its Im one
+    i, j = np.triu_indices(n, 1)
+    u = np.diag(np.arange(n))
+    u[i, j] = u[j, i] = n + np.arange(len(i))
+    b = np.sqrt(0.5) * np.sign(np.arange(n) - np.arange(n)[:, None])
+    a, v = np.where(b == 0, 1.0, np.sqrt(0.5)), np.where(b == 0, u, u + len(i))
+    ik, lj = (lambda x: x.T[:, None, :, None]), (lambda x: x[None, :, None, :])  # at [k, l, i, j]
+    t4 = np.empty((n, n, n, n), dtype=complex)
+    t4.real = s[ik(u), lj(u)] * ik(a) * lj(a) - s[ik(v), lj(v)] * ik(b) * lj(b)
+    t4.imag = s[ik(u), lj(v)] * ik(a) * lj(b) + s[ik(v), lj(u)] * ik(b) * lj(a)
+    return -(dh.reshape(-1, n * n) @ t4.reshape(n * n, n * n)).reshape(dh.shape)
 
 
 def _grid_jacobian(basis, grid, q, x, directions):
@@ -442,20 +437,19 @@ def lm_minimize(basis: SectionBasis, grid: QuadratureGrid, H0: np.ndarray, tol: 
                 max_iter: int):
     """Damped least-squares minimization of the center-of-mass residual.
 
-    The iterate is re-centered each accepted step through the congruence
-    H <- e^{A/2} H e^{A/2} with A hermitian trace-free (N^2 - 1
-    directions; on the column route of _solve the N - 1 diagonal ones,
-    where it is H e^A), so the Jacobian is only ever needed at A = 0
-    where it is available in closed form: dB = -(1/Vol) int P dH P with
-    P = Q h^{-1} Q*, or d(int p)/d log H on the column route.  Past
-    LM_MEMORY_BUDGET lm_memory_check refuses it.
+    Each accepted step re-centers the iterate, H <- e^{A/2} H e^{A/2}
+    with A hermitian trace-free (N^2 - 1 directions; H e^A along the N - 1
+    diagonal ones on the column route), so the Jacobian is needed at A =
+    0 alone, in closed form: dB = -(1/Vol) int P dH P with P = Q h^{-1}
+    Q*, or d(int p)/d log H on the column route.  Past LM_MEMORY_BUDGET
+    lm_memory_check refuses it.
 
     A trial step is accepted only when it cuts the Frobenius residual by
     more than the relative margin LM_DECREASE_MARGIN without raising m2,
     so steps that move roundoff alone are rejected.  When the model has
     no descent direction, |J^T r| <= LM_STATIONARY |J|_F |r|, the damping
-    ladder is skipped and the iteration goes straight to the m2 descent
-    fallback, as it does after every trial was rejected.
+    ladder is skipped for the m2 descent fallback, as after every
+    rejected trial.
 
     Returns (final BalanceState, history); divergence (spread ratio past
     threshold with a long monotone m2 decrease) is flagged, not raised.

@@ -1,33 +1,28 @@
 """The evaluation core of the fibre sandwich h = Q* H Q on a node set.
 
 Chart values Q(x), an N x r matrix per node, are evaluated once per call
-for the node set it integrates over, as one array, the chart (`chart`),
-which a caller that evaluates several forms, as a balance solve does,
-holds and passes on.  A held chart is N r M complex numbers: 25 MB at
-N = 76 on the 10,240 nodes of the default grid.  Inside the core every
-per-node value has one layout, the node index last: chart values or
-their z-derivatives are an (N, r, M) stack, section index first, and a
-sandwich is an (r, r, M) stack.  `bundles` builds the chart in that
-layout and returns it as its (M, N, r) transpose, so `node_last` gets it
-back without a copy.  An N x N form acts on every node in one GEMM
-(`act`); a weight group of a 1-PS is a row slice of that product.
-`pair` forms x* y, a Gram as pair(x, x).  What is left per node is
-r x r algebra, whose loops run over the small indices, each step one
-vector operation over the nodes.
+for its node set, as one array (`chart`) that a caller evaluating
+several forms holds and passes on: N r M complex numbers, 25 MB at N =
+76 on the default grid.  Every per-node value has the node index last:
+chart values or their z-derivatives are an (N, r, M) stack, a sandwich
+an (r, r, M) stack; `node_last` undoes the (M, N, r) transpose that
+`bundles` returns without a copy.  An N x N form acts on every node in
+one GEMM (`act`; a weight group of a 1-PS is a row slice), `pair` forms
+x* y, and the rest is r x r algebra, one vector operation over nodes.
 
 On P^1 a split bundle's chart is fixed by its values on one node per
 torus orbit, so the core works on three node sets.  On the K orbit
-nodes, a diagonal form needs no product: `columns` gives the real
-(N, K) table |Q_ic|^2, which `donaldson` reads along a diagonal 1-PS and
-`balance` for a solve from a diagonal start, on the nodes they choose.
-Ring by ring, `rings` gives B(H), log det h and W of any form at every
-node from the orbit chart and one DFT per ring, for the whole-grid
-balance solves; it builds its tables, phases and buffers once and each
-call only fills them.  On the whole chart, `b_matrix` forms B(H) as one
-GEMM of Z = Q h^{-1} against Q.conj(): P^2, grids with ring 1 and the
-tests' reference.  BLOCK bounds one thing only: the nodes per (N, N, B)
-P-field of the LM Jacobian (`balance._b_derivatives`, the one reader of
-`p_root`), which reads the whole chart.
+nodes a diagonal form needs no product: `columns` gives the real (N, K)
+table |Q_ic|^2, which `donaldson` reads along a diagonal 1-PS and
+`balance` for a solve from a diagonal start.  Ring by ring, `rings`
+gives B(H), log det h and W of any form at every node from the orbit
+chart, in real coordinates, for the whole-grid balance solves: two real
+GEMMs against one table of cos and sin(d theta) that it builds once.
+On the whole chart, `b_matrix` forms B(H) as one GEMM of Z = Q h^{-1}
+against Q.conj(): P^2, grids with ring 1 and the tests' reference.
+BLOCK bounds one thing only: the nodes per block of the real (N^2, B)
+coordinates of P = Q h^{-1} Q* (`p_coordinates`) that the LM Jacobian
+reads from the whole chart (`balance._b_derivatives`).
 
 The fibre metric has one factorization, the Cholesky h = L L* of
 `cholesky`, with W = L^{-1} from `whiten`: log det h = 2 sum_j log L_jj,
@@ -95,25 +90,27 @@ def columns(basis, grid):
 
 def rings(basis, grid):
     """b_matrix of a split bundle on a P^1 ``grid`` with rings, ring by ring
-    from the orbit chart, as a function of a hermitian H alone, with the
-    same returns.
+    from the orbit chart, as a function of a hermitian H alone.
 
     Row i of the chart lives in fibre column c_i with character m_i, and
-    Q_i(e^{i theta} z) = e^{i m_i theta} q_i(|z|) with q_i real at the
-    first node of each ring.  So h_ab = sum_d c_{ab,d} e^{i d theta} on a
-    ring, c_{ab,d} = sum H_ij q_i q_j over the pairs of slot (c_i, c_j,
-    d = m_j - m_i), then one GEMM against the phases e^{i d theta_t}.
-    Back, g_{ab,d} = sum_t e^{-i d theta_t} (w W* W)_ab is one GEMM
-    against their conjugates, and B_ij = sum_k q_i q_j g_{c_i c_j, m_j -
-    m_i}.  Slot (b, a, -d) holds the transposed pairs of slot (a, b, d),
-    so its c and B are their conjugates: the table holds one slot of each
-    such pair, its pair products q_i q_j zero-padded to the longest slot,
-    (S, L, K) real, about N^2 K numbers over the K orbit nodes, and both
-    sums over a slot's pairs are one batched GEMM.  These are the grid's
-    own sums, its trapezoid aliasing included.  The phases, their
-    conjugates and two buffers are built here, once: H padded with a 0,
-    gathered through its real view as the (Re, Im) pairs of each slot,
-    and c, whose entries every call rewrites; no return aliases them."""
+    Q_i(e^{i theta} z) = e^{i m_i theta} q_i(|z|), q_i real at the first
+    node of each ring.  So h_ab = sum_d c_{ab,d} e^{i d theta} on a ring,
+    c_{ab,d} = sum H_ij q_i q_j over the pairs of slot (c_i, c_j, d = m_j -
+    m_i), and c_{ba,-d} is conj c_{ab,d}: the table holds one slot of each
+    such pair, its products q_i q_j zero-padded, (S, L, K) real on the K
+    orbit nodes.  One batched GEMM gives (Re c, Im c) per slot, and one
+    real GEMM against the (2S, r^2 ring) table of cos and sin(d theta_t)
+    the coordinates of h: h_aa, which a slot of a diagonal block enters
+    as 2 Re(c e^{i d theta}) (its d = 0 slot once), then Re and Im of each
+    h_ab above the diagonal.  Back, the transposed table takes those of
+    w h^{-1} = w W* W, doubled above the diagonal, to g = 2 sum_t e^{-i d
+    theta_t} (w W* W)_ab per slot (once at d = 0 of a diagonal block,
+    whose slot holds both orders of its pairs), and B is the hermitian
+    part of sum_k q_i q_j g at the held pairs: the grid's own sums, its
+    trapezoid aliasing included.  Built once with the table: H padded
+    with a 0, h (real with no coordinates above the diagonal, r = 1) and
+    the coordinates of w h^{-1}, whose entries each call rewrites; no
+    return aliases them."""
     r, n, ring = basis.rank, basis.dimension, grid.ring
     col = np.repeat(np.arange(r), [len(basis.summand_rows(c)) for c in range(r)])
     m = basis.characters
@@ -124,33 +121,43 @@ def rings(basis, grid):
     order = np.argsort(seg, kind="stable")
     i, j, seg = i[order], j[order], seg[order]
     pos = np.arange(len(seg)) - np.repeat(np.cumsum(counts) - counts, counts)
-    pad, mirror = np.full((2, len(slots), counts.max()), n * n)  # n * n: a padding entry
-    pad[seg, pos], mirror[seg, pos] = i * n + j, j * n + i
-    ab, dd = np.divmod(slots, 2 * top + 1)
+    pad = np.full((len(slots), counts.max()), n * n)  # n * n: a padding entry
+    pad[seg, pos] = i * n + j
     q = chart(basis, grid.orbits.nodes)[np.arange(n), col].real
     pairs = np.zeros((len(slots), counts.max(), q.shape[1]))
     with np.errstate(over="ignore", invalid="ignore"):
         pairs[seg, pos] = q[i] * q[j]
-    phase = np.exp(2j * np.pi / ring * (np.outer(np.arange(-top, top + 1), np.arange(ring)) % ring))
-    back, w = phase.conj().T, grid.weights / grid.volume
-    # held between calls: each call rewrites every entry it reads
-    held = np.zeros(n * n + 1, dtype=complex)
-    c = np.zeros((r * r, q.shape[1], len(phase)), dtype=complex)
-    reim = 2 * pad[:, None] + np.arange(2)[:, None]
+    iu, diag, k = np.triu_indices(r, 1), np.arange(r), q.shape[1]
+    coord = np.diag(diag)  # of h_ab: a on the diagonal, then (Re, Im) of each entry above it
+    coord[iu] = np.arange(r, r * r, 2)
+    upper = list(zip(*iu, coord[iu]))
+    (ca, cb), d = np.divmod(slots // (2 * top + 1), r), slots % (2 * top + 1) - top
+    angle = 2 * np.pi / ring * (np.outer(d, np.arange(ring)) % ring)
+    cos, sin, s, u, off = np.cos(angle), np.sin(angle), np.arange(len(slots)), coord[ca, cb], ca != cb
+    table = np.zeros((len(slots), 2, r * r, ring))
+    weight = np.where((ca == cb) & (d != 0), 2.0, 1.0)[:, None]
+    table[s, 0, u], table[s, 1, u] = weight * cos, -weight * sin
+    table[s[off], 0, u[off] + 1], table[s[off], 1, u[off] + 1] = sin[off], cos[off]
+    table, w = table.reshape(2 * len(slots), -1), grid.weights / grid.volume
+    held, reim = np.zeros(n * n + 1, dtype=complex), 2 * pad[:, None] + np.arange(2)[:, None]
+    h = np.zeros((r, r, k, ring), dtype=complex if upper else float)
+    gc = np.empty((k, r * r, ring))
 
     def b_matrix(H):
         held[:-1] = H.ravel()
         with np.errstate(over="ignore", invalid="ignore"):
-            x = held.view(float)[reim] @ pairs
-            c[ab % r * r + ab // r, :, 2 * top - dd] = x[:, 0] - 1j * x[:, 1]
-            c[ab, :, dd] = x[:, 0] + 1j * x[:, 1]
-            h = finite((c.reshape(-1, len(phase)) @ phase).reshape(r, r, -1), grid)
-        wh, l = whiten(h)
-        g = ((mul(ct(wh), wh) * w).reshape(-1, ring) @ back).reshape(c.shape)[ab, :, dd]
-        y = pairs @ g.view(float).reshape(*g.shape, 2)
+            hc = ((held.view(float)[reim] @ pairs).reshape(-1, k).T @ table).reshape(k, r * r, ring)
+            h[diag, diag] = hc[:, :r].transpose(1, 0, 2)
+            for a, b, u in upper:
+                h[b, a] = hc[:, u] - 1j * hc[:, u + 1]
+        wh, l = whiten(finite(h.reshape(r, r, -1), grid))
+        g = (mul(ct(wh), wh) * w).reshape(r, r, k, ring)
+        gc[:, :r] = g[diag, diag].real.transpose(1, 0, 2)
+        for a, b, u in upper:
+            gc[:, u], gc[:, u + 1] = 2 * g[a, b].real, 2 * g[a, b].imag
+        y = pairs @ (gc.reshape(k, -1) @ table.T).reshape(k, -1, 2).transpose(1, 0, 2)
         b = np.zeros(n * n + 1, dtype=complex)
-        b[mirror] = y[..., 0] - 1j * y[..., 1]
-        b[pad] = y[..., 0] + 1j * y[..., 1]
+        b[pad] = y.view(complex)[..., 0]
         b = b[:-1].reshape(n, n)
         return 0.5 * (b + b.conj().T), _logdet(l), wh
 
@@ -211,25 +218,24 @@ def b_matrix(q, grid, H):
     return 0.5 * (b + b.conj().T), _logdet(l), wh
 
 
-def p_root(q: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Y = Q W* per node, shape (N, r, B), for chart values q and an
-    (r, r, B) stack W from whiten: since h^{-1} = W* W, the P-field is
-    P = Q h^{-1} Q* = Y Y*."""
-    y = np.empty_like(q)
-    for i in range(len(w)):
-        # W is lower triangular: (Q W*)_{:, i} = sum_{j <= i} Q_{:, j} conj(W_ij)
-        y[:, i] = w[i, 0].conj() * q[:, 0]
-        for j in range(1, i + 1):
-            y[:, i] += w[i, j].conj() * q[:, j]
-    return y
-
-
-def p_field(q: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """P(x) = Q h^{-1} Q* = Y Y* per node, shape (N, N, B) (see p_root)."""
-    y = p_root(q, w)
-    p = y[:, None, 0] * y[None, :, 0].conj()
-    for i in range(1, y.shape[1]):
-        p += y[:, None, i] * y[None, :, i].conj()
+def p_coordinates(q: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The real coordinates of P = Q h^{-1} Q* per node, shape (N^2, B),
+    for chart values q and an (r, r, B) stack W from whiten: the diagonal
+    of P, then sqrt 2 Re and sqrt 2 Im of its entries above the diagonal
+    in np.triu_indices order, so that p . p' is the Frobenius product of
+    P and P'.  As h^{-1} = W* W, P = Y Y* with Y = Q W*, and row i of the
+    triangle, sqrt 2 conj(P_ij) = sum_c sqrt 2 conj(Y_ic) Y_jc over j > i,
+    is one vector operation per fibre column."""
+    y, (n, r) = mul(q, ct(w)), q.shape[:2]
+    p = np.empty((n * n, y.shape[-1]))
+    p[:n] = (y.real**2 + y.imag**2).sum(axis=1)
+    (re, im), yc = np.split(p[n:], 2), np.sqrt(2.0) * y.conj()
+    for i in range(n - 1):
+        z = yc[i, 0] * y[i + 1 :, 0]
+        for c in range(1, r):
+            z += yc[i, c] * y[i + 1 :, c]
+        row = slice(i * n - i * (i + 1) // 2, (i + 1) * n - (i + 1) * (i + 2) // 2)
+        re[row], im[row] = z.real, -z.imag
     return p
 
 

@@ -462,11 +462,11 @@ def test_lm_refuses_past_its_memory_budget(monkeypatch, rng):
 def test_lm_memory_check_charges_the_ring_table():
     """On the default grid a generic start at N = 64 is charged the real
     N^2 (M / ring) pair products of the ring table beside the Jacobian:
-    3485 MiB, 10 MiB of them the table's."""
+    3421 MiB, 10 MiB of them the table's."""
     grid = qd.build_grid_p1()
     basis = bd.section_basis(bd.split(0, 2), 30)
     assert bl._ring_start(basis, grid) and basis.dimension * basis.dimension * len(grid.nodes) // grid.ring * 8 >> 20 == 10
-    with pytest.raises(bl.LMMemoryExceeded, match="N = 64 with 4095 directions needs 3485 MiB"):
+    with pytest.raises(bl.LMMemoryExceeded, match="N = 64 with 4095 directions needs 3421 MiB"):
         bl.lm_memory_check(basis, grid, random_form(basis.dimension, np.random.default_rng(0)))
 
 

@@ -507,6 +507,19 @@ def test_m1_curve_work_shape(grid_p1, monkeypatch, rng):
     assert not any(a.flags.writeable for a in gauss_rule(12))
 
 
+def p_from_coordinates(p):
+    """P per node, shape (N, N, B), rebuilt from its real coordinates
+    (kernels.p_coordinates): the diagonal, then sqrt 2 Re and sqrt 2 Im
+    of the upper triangle."""
+    n = int(round(np.sqrt(len(p))))
+    i, j = np.triu_indices(n, 1)
+    out = np.zeros((n, n, p.shape[1]), dtype=complex)
+    out[np.arange(n), np.arange(n)] = p[:n]
+    out[i, j] = (p[n : n + len(i)] + 1j * p[n + len(i) :]) / np.sqrt(2.0)
+    out[j, i] = out[i, j].conj()
+    return out
+
+
 def test_b_matrix_p_field_and_m2_value(split_basis, grid, rng):
     H = positive_form(split_basis.dimension, rng)
     q = bd.q_field(split_basis, grid.nodes)
@@ -516,7 +529,7 @@ def test_b_matrix_p_field_and_m2_value(split_basis, grid, rng):
     b, ld, wh = kernels.b_matrix(kernels.chart(split_basis, grid.nodes), grid, H)
     assert rel(b, b_want) < TOL
     assert rel(ld, np.linalg.slogdet(h)[1]) < TOL
-    assert rel(kernels.p_field(q.transpose(1, 2, 0), wh), p.transpose(1, 2, 0)) < TOL
+    assert rel(p_from_coordinates(kernels.p_coordinates(q.transpose(1, 2, 0), wh)), p.transpose(1, 2, 0)) < TOL
     ld0 = np.linalg.slogdet(h_ref(q))[1]
     m2 = grid.integrate(np.linalg.slogdet(h)[1] - ld0) / grid.volume
     assert rel(bl.m2_value(split_basis, grid, H), m2) < TOL
@@ -527,14 +540,15 @@ def test_b_matrix_p_field_and_m2_value(split_basis, grid, rng):
 def test_p_field_beyond_rank_two(bundle, k, coarse, rng):
     """Y = Q W* reads the whole lower triangle of W, which only a fibre
     rank of three or more shows: at rank two the row W[1, :2] is the
-    whole triangle below the diagonal."""
+    whole triangle below the diagonal.  P = Y Y* is rebuilt from its real
+    coordinates."""
     basis = bd.section_basis(bundle, k)
     H = positive_form(basis.dimension, rng)
     q = bd.q_field(basis, coarse.nodes)
     h = herm(sandwich(q, H, q))
     p = np.einsum("mni,mij,mkj->mnk", q, np.linalg.inv(h), q.conj())
     b, _, wh = kernels.b_matrix(kernels.chart(basis, coarse.nodes), coarse, H)
-    assert rel(kernels.p_field(q.transpose(1, 2, 0), wh), p.transpose(1, 2, 0)) < TOL
+    assert rel(p_from_coordinates(kernels.p_coordinates(q.transpose(1, 2, 0), wh)), p.transpose(1, 2, 0)) < TOL
     assert rel(b, herm(np.einsum("m,mnk->nk", coarse.weights / coarse.volume, p))) < TOL
 
 
@@ -594,8 +608,17 @@ def test_ring_table_calls_share_no_output(degrees, k, grid_p1, rng):
     assert [x.tobytes() for x in second] == [x.tobytes() for x in kernels.rings(basis, grid_p1)(H2)]
 
 
-def test_lm_b_derivatives(grid, rng):
-    basis = bd.section_basis(bd.split(0, 2), 1)
+@pytest.mark.parametrize("degrees, k, resolution", [
+    ((0, 2), 1, "light"), ((0, 2), 1, "coarse"), ((3,), 2, "light"), ((0, 1, 2), 2, "coarse")],
+    ids=["light", "coarse", "O3-k2-light", "split012-k2-coarse"])
+def test_lm_b_derivatives(degrees, k, resolution, coarse, grid_p1, rng):
+    """_b_derivatives, gathered from the real moments of the coordinates
+    of P, against the einsum of the complex P-field, with W from the ring
+    table as a whole-grid solve reads it: real at rank one (O(3), k = 2,
+    on the light grid, as in balance_flow), complex at ranks two and
+    three."""
+    grid = {"coarse": coarse, "light": grid_p1}[resolution]
+    basis = bd.section_basis(bd.split(*degrees), k)
     n = basis.dimension
     H = positive_form(n, rng)
     q = bd.q_field(basis, grid.nodes)
@@ -604,8 +627,20 @@ def test_lm_b_derivatives(grid, rng):
     t4 = np.einsum("m,mik,mlj->ijkl", grid.weights / grid.volume, p, p)
     dh = np.asarray([positive_form(n, rng) for _ in range(5)])
     want = -np.einsum("ijkl,dkl->dij", t4, dh)
-    wh = kernels.whiten(herm(sandwich(q, H, q)).transpose(1, 2, 0))[0]
+    wh = kernels.rings(basis, grid)(H)[2]
+    assert wh.dtype == (float if len(degrees) == 1 else complex)
     assert rel(bl._b_derivatives(basis, grid, kernels.chart(basis, grid.nodes), wh, dh), want) < TOL
+
+
+def test_ring_table_is_real_at_rank_one(grid_p1, rng):
+    """A rank-one fibre metric h has no coordinates above its diagonal:
+    the ring table returns log det h and W as real arrays, and B(H) as
+    the chart route's to 1e-15."""
+    basis = bd.section_basis(bd.split(3), 2)
+    H = positive_form(basis.dimension, rng)
+    b, ld, wh = kernels.rings(basis, grid_p1)(H)
+    assert ld.dtype == wh.dtype == float and wh.shape == (1, 1, len(grid_p1.nodes))
+    assert rel(b, kernels.b_matrix(kernels.chart(basis, grid_p1.nodes), grid_p1, H)[0]) <= 1e-15
 
 
 def test_fibre_algebra_has_one_factorization(coarse, monkeypatch, rng):
@@ -719,10 +754,10 @@ def test_fibre_factorization_names_its_failures(factorize, node, rng):
 
 
 def test_block_size_does_not_move_results(grid_p1, monkeypatch, rng):
-    """BLOCK bounds the P-field of the LM Jacobian alone: every other
-    kernel path, the column table of a generic diagonal 1-PS (144 orbit
-    nodes) and B(H) included, gives byte-identical outputs at every
-    block size, and the derivatives of B(H), summed over nodes per
+    """BLOCK bounds the P-field coordinates of the LM Jacobian alone:
+    every other kernel path, the column table of a generic diagonal 1-PS
+    (144 orbit nodes) and B(H) included, gives byte-identical outputs at
+    every block size, and the derivatives of B(H), summed over nodes per
     block, move in their last bits."""
     basis = bd.section_basis(bd.split(0, 2), 3)
     ps = bg.random_two_weight_ps(basis.dimension, rng)

@@ -58,8 +58,8 @@ MUTANTS = (
      "        k[i, i] -= fs\n",
      "        k[i, i] += fs\n"),
     ("p-root-transposed-w", "src/bml/kernels.py",
-     "y[:, i] += w[i, j].conj() * q[:, j]",
-     "y[:, i] += w[j, i].conj() * q[:, j]"),
+     "mul(q, ct(w))",
+     "mul(q, w.conj())"),
     ("commutator-unshifted", "src/bml/bergman.py",
      "np.exp((ps.eigenvalues - ps.weights[0]) * t)",
      "np.exp(ps.eigenvalues * t)"),
@@ -135,8 +135,20 @@ MUTANTS = (
      "    return finite(rho, grid), rows\n",
      "    return rho, rows\n"),
     ("ring-gather-frequency-sign", "src/bml/kernels.py",
-     ".reshape(c.shape)[ab, :, dd]",
-     ".reshape(c.shape)[ab, :, 2 * top - dd]"),
+     "b[pad] = y.view(complex)[..., 0]",
+     "b[pad] = y.view(complex)[..., 0].conj()"),
+    ("ring-b-not-symmetrized", "src/bml/kernels.py",
+     "        return 0.5 * (b + b.conj().T), _logdet(l), wh\n\n    return b_matrix\n",
+     "        return b, _logdet(l), wh\n\n    return b_matrix\n"),
+    ("ring-table-sin-sign", "src/bml/kernels.py",
+     "table[s, 0, u], table[s, 1, u] = weight * cos, -weight * sin",
+     "table[s, 0, u], table[s, 1, u] = weight * cos, weight * sin"),
+    ("ring-table-weight-one", "src/bml/kernels.py",
+     "np.where((ca == cb) & (d != 0), 2.0, 1.0)",
+     "np.where((ca == cb) & (d != 0), 1.0, 1.0)"),
+    ("p-coordinates-no-sqrt2", "src/bml/kernels.py",
+     "np.sqrt(2.0) * y.conj()",
+     "y.conj()"),
     ("b-derivatives-one-block", "src/bml/balance.py",
      "for start in range(0, len(w), kernels.BLOCK):",
      "for start in range(0, len(w), kernels.BLOCK)[:1]:"),
@@ -155,13 +167,7 @@ MUTANTS = (
 )
 
 # (name, file, old text, new text, why no check can see it)
-EQUIVALENT = (
-    ("ring-b-not-symmetrized", "src/bml/kernels.py",
-     "        return 0.5 * (b + b.conj().T), _logdet(l), wh\n\n    return b_matrix\n",
-     "        return b, _logdet(l), wh\n\n    return b_matrix\n",
-     "B is hermitian to roundoff: the ring table writes B_ji as the conjugate of B_ij, so its "
-     "hermitian part moves only roundoff in the imaginary parts of the diagonal"),
-)
+EQUIVALENT = ()
 
 ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
        "PYTHONDONTWRITEBYTECODE": "1"}
