@@ -13,8 +13,9 @@ of the center-of-mass residual, record a per-iteration history for
 convexity and divergence diagnostics.  From a diagonal start on P^1 both
 run on the |Q|^2 column table of one node per torus orbit
 (_column_route); from any other on the whole grid, where a T-step is one
-eigh of B(H), B(H) comes ring by ring from the orbit chart on P^1
-(kernels.rings) and from the held whole chart on P^2 (kernels.b_matrix).
+eigh of B(H), B(H) comes ring by ring from the orbit chart for a line
+bundle on P^1 (kernels.rings) and from the held whole chart otherwise
+(kernels.b_matrix).  A malformed start is refused first (_start_form).
 The delta diagnostic bounds the distance from a computed minimizer to
 the Hermitian-Einstein reference by the eigenvalue pinch delta and the
 spectral constant of the Laplacian.
@@ -252,9 +253,19 @@ def _column_start(grid, H0) -> bool:
 
 def _ring_start(basis, grid) -> bool:
     """Whether a whole-grid solve evaluates B(H) ring by ring
-    (kernels.rings): a split bundle on a grid with rings.  Otherwise, on
-    P^2 or a grid with ring 1, it holds the chart (kernels.b_matrix)."""
-    return basis.bundle.kind == "split_p1" and grid.ring > 1
+    (kernels.rings): a line bundle on a grid with rings.  Otherwise, as
+    at rank 2 or more, it holds the chart (kernels.b_matrix)."""
+    return basis.rank == 1 and grid.ring > 1  # rings: a P^1 grid
+
+
+def _start_form(basis, H0) -> np.ndarray:
+    """H0 as a complex array, unchanged, once it is an N x N form that
+    passes the checks of bergman.HermitianForm."""
+    H0, n = np.asarray(H0, dtype=complex), basis.dimension
+    if H0.shape != (n, n):
+        raise ValueError(f"start form has shape {H0.shape}, not ({n}, {n})")
+    HermitianForm(H0)
+    return H0
 
 
 def lm_memory_check(basis: SectionBasis, grid: QuadratureGrid, H0: np.ndarray) -> None:
@@ -265,10 +276,10 @@ def lm_memory_check(basis: SectionBasis, grid: QuadratureGrid, H0: np.ndarray) -
     p)/d log h, J (N x D) and J^T J.  Whole grid (D = N^2 - 1), complex:
     t4, D N^2 ten times (dH, dB, dS, J...) and the N r M chart; real: N^4
     three times (S and two terms of t4, _b_derivatives), the N^2 B
-    coordinates of P on B = min(BLOCK, M) nodes, J^T J and on a grid with
-    rings (_ring_start) the N^2 (M / ring) pair products of kernels.rings."""
+    coordinates of P on B = min(BLOCK, M) nodes, J^T J and the N^2 (M /
+    ring) pair products of a line bundle's ring table (_ring_start)."""
     n, m = basis.dimension, len(grid.nodes)
-    column = _column_start(grid, np.asarray(H0, dtype=complex))
+    column = _column_start(grid, _start_form(basis, H0))
     d = n - 1 if column else n * n - 1
     pairs = n * n * m // grid.ring if _ring_start(basis, grid) else 0
     need = 8 * (2 * d * n + 2 * n * m // grid.ring + n * n + d * d) if column else (
@@ -296,7 +307,7 @@ def _solve(basis, grid, H0, tol, max_iter, make_step, damping):
     diverged (spread ratio past threshold with a long monotone m2
     decrease), max_iter, or stalled when no step was found.
     """
-    H0 = np.asarray(H0, dtype=complex)
+    H0 = _start_form(basis, H0)
     column = _column_start(grid, H0)
     if column:
         evaluate, jacobian = _column_route(basis, grid.orbits)

@@ -59,7 +59,7 @@ class HermitianForm:
         if np.abs(m - m.conj().T).max() > 1e-13 * max(1.0, np.abs(m).max()):
             raise ValueError("form must be hermitian")
         m = 0.5 * (m + m.conj().T)
-        if np.linalg.eigvalsh(m).min() <= 0:
+        if (np.linalg.eigvalsh(m) if (m - np.diag(m.diagonal())).any() else m.diagonal().real).min() <= 0:
             raise NotPositiveDefinite("form must be positive definite")
         object.__setattr__(self, "matrix", m)
 

@@ -15,11 +15,12 @@ torus orbit, so the core works on three node sets.  On the K orbit
 nodes a diagonal form needs no product: `columns` gives the real (N, K)
 table |Q_ic|^2, which `donaldson` reads along a diagonal 1-PS and
 `balance` for a solve from a diagonal start.  Ring by ring, `rings`
-gives B(H), log det h and W of any form at every node from the orbit
-chart, in real coordinates, for the whole-grid balance solves: two real
-GEMMs against one table of cos and sin(d theta) that it builds once.
-On the whole chart, `b_matrix` forms B(H) as one GEMM of Z = Q h^{-1}
-against Q.conj(): P^2, grids with ring 1 and the tests' reference.
+gives a line bundle's B(H), log det h and W of any form at every node
+from the orbit chart, for its whole-grid balance solves: two real GEMMs
+against one table of cos and sin(d theta) that it builds once.  On the
+whole chart, `b_matrix` forms B(H) as one GEMM of Z = Q h^{-1} against
+Q.conj(): rank 2 or more, P^2, grids with ring 1 and the tests'
+reference.
 BLOCK bounds one thing only: the nodes per block of the real (N^2, B)
 coordinates of P = Q h^{-1} Q* (`p_coordinates`) that the LM Jacobian
 reads from the whole chart (`balance._b_derivatives`).
@@ -89,73 +90,46 @@ def columns(basis, grid):
 
 
 def rings(basis, grid):
-    """b_matrix of a split bundle on a P^1 ``grid`` with rings, ring by ring
-    from the orbit chart, as a function of a hermitian H alone.
+    """b_matrix of a line bundle on a P^1 ``grid`` with rings, ring by ring
+    from the orbit chart, as a function of a hermitian H alone; a basis of
+    rank 2 or more is a ValueError (it takes the held chart).
 
-    Row i of the chart lives in fibre column c_i with character m_i, and
     Q_i(e^{i theta} z) = e^{i m_i theta} q_i(|z|), q_i real at the first
-    node of each ring.  So h_ab = sum_d c_{ab,d} e^{i d theta} on a ring,
-    c_{ab,d} = sum H_ij q_i q_j over the pairs of slot (c_i, c_j, d = m_j -
-    m_i), and c_{ba,-d} is conj c_{ab,d}: the table holds one slot of each
-    such pair, its products q_i q_j zero-padded, (S, L, K) real on the K
-    orbit nodes.  One batched GEMM gives (Re c, Im c) per slot, and one
-    real GEMM against the (2S, r^2 ring) table of cos and sin(d theta_t)
-    the coordinates of h: h_aa, which a slot of a diagonal block enters
-    as 2 Re(c e^{i d theta}) (its d = 0 slot once), then Re and Im of each
-    h_ab above the diagonal.  Back, the transposed table takes those of
-    w h^{-1} = w W* W, doubled above the diagonal, to g = 2 sum_t e^{-i d
-    theta_t} (w W* W)_ab per slot (once at d = 0 of a diagonal block,
-    whose slot holds both orders of its pairs), and B is the hermitian
-    part of sum_k q_i q_j g at the held pairs: the grid's own sums, its
-    trapezoid aliasing included.  Built once with the table: H padded
-    with a 0, h (real with no coordinates above the diagonal, r = 1) and
-    the coordinates of w h^{-1}, whose entries each call rewrites; no
-    return aliases them."""
-    r, n, ring = basis.rank, basis.dimension, grid.ring
-    col = np.repeat(np.arange(r), [len(basis.summand_rows(c)) for c in range(r)])
-    m = basis.characters
-    top = int(m.max() - m.min())  # d = m_j - m_i runs over [-top, top]
-    key = (col[:, None] * r + col) * (2 * top + 1) + m[None, :] - m[:, None] + top
-    i, j = np.nonzero(key <= key.T)  # the slots that come before their transposes
-    slots, seg, counts = np.unique(key[i, j], return_inverse=True, return_counts=True)
+    node of each ring, so h = sum_d c_d e^{i d theta} on a ring, c_d = sum
+    H_ij q_i q_j over the pairs of gap d = m_j - m_i, and c_{-d} = conj
+    c_d.  The table holds the slots d <= 0, their products q_i q_j
+    zero-padded, (S, L, K) real on the K orbit nodes: one batched GEMM
+    gives (Re c, Im c) per slot, one real GEMM against the (2S, ring)
+    table of 2 cos and -2 sin(d theta_t) (once at d = 0) h, (K, ring).
+    Back, the transposed table takes w/h = w W^2 to the slot sums of B,
+    whose hermitian part at the held pairs is B(H): the grid's own sums,
+    its trapezoid aliasing included.  Nothing is held between calls."""
+    if basis.rank != 1:
+        raise ValueError(f"the ring table takes a line bundle, not a bundle of rank {basis.rank}")
+    n, ring, m = basis.dimension, grid.ring, basis.characters
+    gap = m[None, :] - m[:, None]  # d = m_j - m_i at (i, j)
+    i, j = np.nonzero(gap <= 0)  # the pairs that come before their transposes
+    d, seg, counts = np.unique(gap[i, j], return_inverse=True, return_counts=True)
     order = np.argsort(seg, kind="stable")
     i, j, seg = i[order], j[order], seg[order]
     pos = np.arange(len(seg)) - np.repeat(np.cumsum(counts) - counts, counts)
-    pad = np.full((len(slots), counts.max()), n * n)  # n * n: a padding entry
+    pad = np.full((len(d), counts.max()), n * n)  # n * n: a padding entry
     pad[seg, pos] = i * n + j
-    q = chart(basis, grid.orbits.nodes)[np.arange(n), col].real
-    pairs = np.zeros((len(slots), counts.max(), q.shape[1]))
+    q = chart(basis, grid.orbits.nodes)[:, 0].real
+    pairs = np.zeros((len(d), counts.max(), q.shape[1]))
     with np.errstate(over="ignore", invalid="ignore"):
         pairs[seg, pos] = q[i] * q[j]
-    iu, diag, k = np.triu_indices(r, 1), np.arange(r), q.shape[1]
-    coord = np.diag(diag)  # of h_ab: a on the diagonal, then (Re, Im) of each entry above it
-    coord[iu] = np.arange(r, r * r, 2)
-    upper = list(zip(*iu, coord[iu]))
-    (ca, cb), d = np.divmod(slots // (2 * top + 1), r), slots % (2 * top + 1) - top
     angle = 2 * np.pi / ring * (np.outer(d, np.arange(ring)) % ring)
-    cos, sin, s, u, off = np.cos(angle), np.sin(angle), np.arange(len(slots)), coord[ca, cb], ca != cb
-    table = np.zeros((len(slots), 2, r * r, ring))
-    weight = np.where((ca == cb) & (d != 0), 2.0, 1.0)[:, None]
-    table[s, 0, u], table[s, 1, u] = weight * cos, -weight * sin
-    table[s[off], 0, u[off] + 1], table[s[off], 1, u[off] + 1] = sin[off], cos[off]
-    table, w = table.reshape(2 * len(slots), -1), grid.weights / grid.volume
-    held, reim = np.zeros(n * n + 1, dtype=complex), 2 * pad[:, None] + np.arange(2)[:, None]
-    h = np.zeros((r, r, k, ring), dtype=complex if upper else float)
-    gc = np.empty((k, r * r, ring))
+    weight = np.where(d != 0, 2.0, 1.0)[:, None]
+    table = np.stack([weight * np.cos(angle), -weight * np.sin(angle)], axis=1).reshape(-1, ring)
+    reim, k, w = 2 * pad[:, None] + np.arange(2)[:, None], q.shape[1], grid.weights / grid.volume
 
     def b_matrix(H):
-        held[:-1] = H.ravel()
+        held = np.append(np.asarray(H, dtype=complex).ravel(), 0)
         with np.errstate(over="ignore", invalid="ignore"):
-            hc = ((held.view(float)[reim] @ pairs).reshape(-1, k).T @ table).reshape(k, r * r, ring)
-            h[diag, diag] = hc[:, :r].transpose(1, 0, 2)
-            for a, b, u in upper:
-                h[b, a] = hc[:, u] - 1j * hc[:, u + 1]
-        wh, l = whiten(finite(h.reshape(r, r, -1), grid))
-        g = (mul(ct(wh), wh) * w).reshape(r, r, k, ring)
-        gc[:, :r] = g[diag, diag].real.transpose(1, 0, 2)
-        for a, b, u in upper:
-            gc[:, u], gc[:, u + 1] = 2 * g[a, b].real, 2 * g[a, b].imag
-        y = pairs @ (gc.reshape(k, -1) @ table.T).reshape(k, -1, 2).transpose(1, 0, 2)
+            h = (held.view(float)[reim] @ pairs).reshape(-1, k).T @ table
+        wh, l = whiten(finite(h.reshape(1, 1, -1), grid))
+        y = pairs @ ((wh * wh * w).reshape(k, ring) @ table.T).reshape(k, -1, 2).transpose(1, 0, 2)
         b = np.zeros(n * n + 1, dtype=complex)
         b[pad] = y.view(complex)[..., 0]
         b = b[:-1].reshape(n, n)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bml import balance, kernels
 from bml.quadrature import build_grid_p1, build_grid_p2
 
 
@@ -24,3 +25,17 @@ def grid_p2():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture(scope="session")
+def whole_grid_route():
+    """route(basis, grid): the b_matrix(H) a whole-grid solve reads, the
+    ring table of a line bundle on a grid with rings, else the held
+    chart's."""
+    def route(basis, grid):
+        if balance._ring_start(basis, grid):
+            return kernels.rings(basis, grid)
+        q = kernels.chart(basis, grid.nodes)
+        return lambda H: kernels.b_matrix(q, grid, H)
+
+    return route

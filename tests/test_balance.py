@@ -69,9 +69,11 @@ def test_t_operator_refuses_a_zero_eigenvalue(b):
 def test_t_step_takes_one_eigh(rings, grid_p1, monkeypatch, rng):
     """A whole-grid T-solve calls np.linalg.eigh once per T-step, on B(H)
     in t_operator, whose eigenpairs (mu, V) of the next form give that
-    iterate's square root and spread: the start alone takes its own."""
+    iterate's square root and spread: the start alone takes its own.  On
+    the grid with rings a line bundle's B(H) comes from the ring table,
+    on the grid with ring 1 a rank-2 bundle's from the held chart."""
     grid = grid_p1 if rings else dataclasses.replace(grid_p1, ring=1)
-    basis = bd.section_basis(bd.split(0, 2), 3)
+    basis = bd.section_basis(bd.split(3), 2) if rings else bd.section_basis(bd.split(0, 2), 3)
     shapes, eigh = [], np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: shapes.append(a.shape) or eigh(a, *args, **kw))
     state, history = bl.t_iterate(basis, grid, random_form(basis.dimension, rng), tol=1e-10, max_iter=8)
@@ -80,14 +82,15 @@ def test_t_step_takes_one_eigh(rings, grid_p1, monkeypatch, rng):
 
 
 @pytest.mark.parametrize("degrees, k", [((2,), 2), ((0, 2), 3)], ids=["O2-k2", "split02-k3"])
-def test_t_step_eigenpairs_are_those_of_the_next_form(degrees, k, grid_p1, rng):
+def test_t_step_eigenpairs_are_those_of_the_next_form(degrees, k, grid_p1, whole_grid_route, rng):
     """t_operator's H' is V diag(mu) V* in eigh's column order, byte for
     byte, and (mu, V) are its eigenpairs: the iterate at H' from them
     holds the H' and B(H') of the iterate that takes its own eigh, and
-    its square root, spread and residual to 1e-13 relative."""
+    its square root, spread and residual to 1e-13 relative.  B(H) comes
+    from the ring table at rank one and from the held chart at rank 2."""
     basis = bd.section_basis(bd.split(*degrees), k)
     n = basis.dimension
-    table = kernels.rings(basis, grid_p1)
+    table = whole_grid_route(basis, grid_p1)
     ld0 = table(np.eye(n))[1]
     out, (mu, v) = bl.t_operator(basis, table(bl._det_normalize(random_form(n, rng)))[0])
     assert out.tobytes() == ((v * mu) @ v.conj().T).tobytes()
@@ -184,9 +187,10 @@ def test_lm_stalls_when_no_step_moves(grid_p1, monkeypatch):
 def test_solve_holds_one_chart(grid_p1, monkeypatch, rng, solver):
     """A solve evaluates the chart values of each node set it holds once
     and brings them to the node-last layout once, however many forms it
-    evaluates: from a generic start on a grid with rings, the orbit nodes
-    of the ring table (kernels.rings), and for LM also the whole grid,
-    which its Jacobian reads; on a grid with ring 1 the whole grid alone."""
+    evaluates: from a generic start of a line bundle on a grid with rings,
+    the orbit nodes of the ring table (kernels.rings), and for LM also the
+    whole grid, which its Jacobian reads; on a grid with ring 1 the whole
+    grid alone."""
     calls = []
     q_field, node_last = bd.q_field, kernels.node_last
     monkeypatch.setattr(bd, "q_field", lambda b, z: calls.append(len(z)) or q_field(b, z))
@@ -261,41 +265,30 @@ def test_invariant_solve_runs_on_the_orbits(degrees, k, resolution, solver, monk
 
 @pytest.mark.parametrize("solver", [bl.t_iterate, bl.lm_minimize], ids=["T", "LM"])
 def test_generic_start_keeps_the_whole_grid(solver, rng):
-    """A start with entries outside the character mask runs on every
-    node, ring by ring, and takes the steps of the chart route on the grid
-    with no rings: same flag, iteration count, step kinds and rejected
-    tries.  The rows' m2, spread and residual agree to a relative 1e-13
-    (T) or 1e-11 (LM) times the condition number e^spread of the row's
-    H, through which roundoff in B(H) reaches M(H) = H^1/2 B(H) H^1/2,
-    and the final H and center of mass to 1e-14 e^spread relative to
-    their largest entries.  Measured at this seed, in those units: 8.5e-15
-    (T) and 3.4e-12 (LM, whose trials solve the least-squares model) for
-    the rows, at most 7.1e-16 for H and 5.7e-16 for the center of mass."""
+    """A rank-2 start with entries outside the character mask runs on
+    every node from the held chart (kernels.b_matrix), as on the grid
+    with no rings: the two divergent solves, of more than 50 steps, are
+    one, row for row and bit for bit.  The ring table is a line
+    bundle's (test_ring_table_solves_end_at_the_balanced_form)."""
     grid = qd.build_grid_p1(**COARSE)
     basis = bd.section_basis(bd.split(0, 2), 3)
     H0 = random_form(basis.dimension, rng)
     runs = [solver(basis, g, H0, tol=1e-10, max_iter=60) for g in (grid, dataclasses.replace(grid, ring=1))]
     (state, history), (whole, whole_history) = runs
-    bound = {bl.t_iterate: 1e-13, bl.lm_minimize: 1e-11}[solver]
     assert (state.flag, state.iteration) == (whole.flag, whole.iteration) and len(history) > 50
-    assert [(r.iteration, r.step, r.rejected, r.damping) for r in history] == [
-        (r.iteration, r.step, r.rejected, r.damping) for r in whole_history]
-    for row, want in zip(history, whole_history):
-        for name in ("m2", "spread", "residual"):
-            a, b = getattr(row, name), getattr(want, name)
-            assert abs(a - b) <= bound * np.exp(want.spread) * abs(b), (row.iteration, name)
-    for name in ("H", "center_of_mass"):
-        a, b = getattr(state, name), getattr(whole, name)
-        assert np.abs(a - b).max() <= 1e-14 * np.exp(whole.spread) * np.abs(b).max(), name
+    assert history == whole_history
+    assert state.H.tobytes() == whole.H.tobytes()
+    assert state.center_of_mass.tobytes() == whole.center_of_mass.tobytes()
 
 
 @pytest.mark.parametrize("k, node", [(38, 10208), (100, 7424)])
 def test_generic_start_past_the_chart_ceiling_names_the_node(k, node, grid_p1_fine):
-    """Past the level ceiling of the default grid the ring table's h
-    overflows on the outer rings: NonFiniteChart names the first node of
-    the first such ring by its index in the whole grid, the node the chart
-    route names on the grid with ring 1, with no RuntimeWarning."""
-    basis = bd.section_basis(bd.split(0, 2), k)
+    """Past the level ceiling of the default grid the ring table's h of
+    O(2) overflows on the outer rings: NonFiniteChart names the first
+    node of the first such ring by its index in the whole grid, the node
+    the chart route names on the grid with ring 1, with no
+    RuntimeWarning."""
+    basis = bd.section_basis(bd.split(2), k)
     H0 = random_form(basis.dimension, np.random.default_rng(1))
     for grid in (grid_p1_fine, dataclasses.replace(grid_p1_fine, ring=1)):
         with warnings.catch_warnings():
@@ -460,14 +453,91 @@ def test_lm_refuses_past_its_memory_budget(monkeypatch, rng):
 
 
 def test_lm_memory_check_charges_the_ring_table():
-    """On the default grid a generic start at N = 64 is charged the real
-    N^2 (M / ring) pair products of the ring table beside the Jacobian:
-    3421 MiB, 10 MiB of them the table's."""
+    """On the default grid a generic start of a line bundle at N = 64
+    (O(61), k = 2) is charged the real N^2 (M / ring) pair products of
+    the ring table beside the Jacobian: 3411 MiB, 10 MiB of them the
+    table's."""
     grid = qd.build_grid_p1()
-    basis = bd.section_basis(bd.split(0, 2), 30)
+    basis = bd.section_basis(bd.split(61), 2)
     assert bl._ring_start(basis, grid) and basis.dimension * basis.dimension * len(grid.nodes) // grid.ring * 8 >> 20 == 10
-    with pytest.raises(bl.LMMemoryExceeded, match="N = 64 with 4095 directions needs 3421 MiB"):
+    with pytest.raises(bl.LMMemoryExceeded, match="N = 64 with 4095 directions needs 3411 MiB"):
         bl.lm_memory_check(basis, grid, random_form(basis.dimension, np.random.default_rng(0)))
+
+
+def malformed_starts(n):
+    """Starts that are no positive-definite hermitian N x N form, with
+    the error each names: I plus 0.3 on the strict upper triangle (the
+    lower triangle alone is I), a complex diagonal, the wrong shape, a
+    non-finite entry and a negative diagonal entry."""
+    nan = np.eye(n)
+    nan[1, 1] = np.nan
+    return {
+        "upper": (np.eye(n) + 0.3 * np.triu(np.ones((n, n)), 1), ValueError, "form must be hermitian"),
+        "complex-diagonal": (np.diag(np.full(n, 1.0 + 0.5j)), ValueError, "form must be hermitian"),
+        "shape": (np.eye(n + 2), ValueError, rf"shape \({n + 2}, {n + 2}\), not \({n}, {n}\)"),
+        "non-finite": (nan, bg.NotPositiveDefinite, "form has non-finite entries"),
+        "negative-diagonal": (np.diag(np.r_[-1.0, np.ones(n - 1)]), bg.NotPositiveDefinite,
+                              "form must be positive definite"),
+    }
+
+
+@pytest.mark.parametrize("start", ["upper", "complex-diagonal", "shape", "non-finite", "negative-diagonal"])
+@pytest.mark.parametrize("solver", [bl.t_iterate, bl.lm_minimize], ids=["T", "LM"])
+def test_solvers_refuse_a_malformed_start(solver, start, grid_p1, monkeypatch):
+    """split(3), k = 2, on the light grid: each malformed start is a named
+    error before any chart is evaluated.  The ring table and eigh read
+    only the lower triangle: unchecked, the upper-triangle start reports
+    convergence at iteration 0 and is returned as H."""
+    basis = bd.section_basis(bd.split(3), 2)
+    H0, error, message = malformed_starts(basis.dimension)[start]
+    calls = []
+    monkeypatch.setattr(bd, "q_field", lambda *a: calls.append(a))
+    with pytest.raises(error, match=message):
+        solver(basis, grid_p1, H0, max_iter=5)
+    assert calls == []
+
+
+@pytest.mark.parametrize("solver", [bl.t_iterate, bl.lm_minimize], ids=["T", "LM"])
+def test_ring_table_solves_end_at_the_balanced_form(solver, grid_p1):
+    """A line bundle's det-normalized balanced form is I.  Criterion 7's
+    O(2) and O(3) solves (its random starts from default_rng(7), the
+    light grid) run on the ring table and end near I in the Frobenius
+    norm: measured 1.19e-9 and 1.60e-9 (T), 3.22e-12 and 3.88e-10 (LM)."""
+    rng = np.random.default_rng(7)
+    bounds = {bl.t_iterate: (1.5e-9, 2e-9), bl.lm_minimize: (5e-12, 5e-10)}[solver]
+    for degree, bound in zip((2, 3), bounds):
+        basis = bd.section_basis(bd.split(degree), 2)
+        n = basis.dimension
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        assert bl._ring_start(basis, grid_p1)
+        state, _ = solver(basis, grid_p1, a @ a.conj().T + 0.5 * np.eye(n), tol=1e-10,
+                          max_iter={bl.t_iterate: 200, bl.lm_minimize: 100}[solver])
+        assert state.flag == "converged" and np.linalg.norm(state.H - np.eye(n)) <= bound
+
+
+def test_whole_grid_fallback_is_the_sigma_frame_step(grid_p1, monkeypatch):
+    """With its model switched off, LM from a generic rank-2 start takes
+    one m2-descent fallback on the whole grid: sigma e^{2^-j zeta} sigma
+    det-normalized, sigma = H^1/2, zeta = -(M - (tr M / N) I) at the
+    first j that lowers m2, to 1e-13 relative.  Not e^{s zeta / 2} H
+    e^{s zeta / 2}, which agrees with it only where H and zeta commute."""
+    monkeypatch.setattr(bl, "LM_STATIONARY", np.inf)
+    basis = bd.section_basis(bd.split(0, 2), 3)
+    n = basis.dimension
+    H = bl._det_normalize(random_form(n, np.random.default_rng(5)))
+    state, history = bl.lm_minimize(basis, grid_p1, H, max_iter=1)
+    assert history[0].step == "fallback"
+    lam, v = np.linalg.eigh(H)
+    sigma = (v * np.sqrt(lam)) @ v.conj().T
+    m = bl.center_of_mass(basis, grid_p1, H)
+    zeta = -(m - np.trace(m) / n * np.eye(n))
+    m2 = bl.m2_value(basis, grid_p1, H)
+    for j in range(20):
+        lam, v = np.linalg.eigh(0.5**j * zeta)
+        want = bl._det_normalize(sigma @ (v * np.exp(lam)) @ v.conj().T @ sigma)
+        if bl.m2_value(basis, grid_p1, want) < m2:
+            break
+    assert np.abs(state.H - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_unstable_bundle_diverges(grid_p1):

@@ -560,41 +560,47 @@ def test_p_field_beyond_rank_two(bundle, k, coarse, rng):
 def test_ring_table_is_the_chart_route(degrees, k, resolution, coarse, grid_p1, grid_p1_fine):
     """kernels.rings, from the orbit chart and one DFT per ring, gives
     b_matrix's B(H) to 1e-15 (random forms) and 3e-15 (a torus-invariant
-    form, 0 off equal characters, not diagonal from rank 2) and W to
+    form, 0 off equal characters: diagonal for a line bundle) and W to
     1e-15 relative to their largest entries, log det h at every node to
-    3e-13 and m2 (against each route's own log-dets at I) to 2e-15, on
-    split bundles of rank 1 to 4 with a negative degree and on the
-    coarse, light and default grids (aliasing at k = 36 included).  Over
-    seeds 0-2 the two routes differed by at most 7.7e-16 and 2.1e-15
-    (B), 7.6e-16 (W), 2.3e-13 (log det) and 1.3e-15 (m2).  Against B(H) summed in extended
-    precision on four small cases the ring table was within 4.3e-16 and
-    the chart route within 1.4e-15, the most on invariant forms.  B read
-    at the character gap -d in place of d is 6-17% off on random forms."""
+    3e-13 and m2 (against each route's own log-dets at I) to 2e-15.  The
+    table is a line bundle's: each case runs it on every summand O(d) of
+    the split bundle it names, degree -1 to 3, on the coarse, light and
+    default grids (aliasing at k = 36 included).  Over seeds 0-2 the two
+    routes differed by at most 6.7e-16 and 1.6e-15 (B), 7.3e-16 (W),
+    1.1e-13 (log det) and 6.7e-16 (m2)."""
     grid = {"coarse": coarse, "light": grid_p1, "default": grid_p1_fine}[resolution]
-    basis = bd.section_basis(bd.split(*degrees), k)
-    n, m = basis.dimension, basis.characters
-    chart, table = kernels.chart(basis, grid.nodes), kernels.rings(basis, grid)
-    ld0 = [kernels.b_matrix(chart, grid, np.eye(n))[1], table(np.eye(n))[1]]
-    mask = m[:, None] == m[None, :]
-    for seed in range(3):
-        a = np.random.default_rng(seed).normal(size=(n, n, 2)) @ [1.0, 1j]
-        generic = a @ a.conj().T / n + np.eye(n)
-        for H, bound in ((generic, 1e-15), (generic * mask, 3e-15)):
-            assert len(degrees) == 1 or (H != np.diag(H.diagonal())).any()
-            (b, ld, wh), (b_ring, ld_ring, wh_ring) = kernels.b_matrix(chart, grid, H), table(H)
-            assert rel(b_ring, b) <= bound
-            assert rel(wh_ring, wh) <= 1e-15
-            assert np.abs(ld_ring - ld).max() <= 3e-13
-            m2 = [grid.integrate(x - x0) / grid.volume for x, x0 in zip((ld, ld_ring), ld0)]
-            assert abs(m2[1] - m2[0]) <= 2e-15
+    for degree in degrees:
+        basis = bd.section_basis(bd.split(degree), k)
+        n, m = basis.dimension, basis.characters
+        chart, table = kernels.chart(basis, grid.nodes), kernels.rings(basis, grid)
+        ld0 = [kernels.b_matrix(chart, grid, np.eye(n))[1], table(np.eye(n))[1]]
+        mask = m[:, None] == m[None, :]
+        for seed in range(3):
+            a = np.random.default_rng(seed).normal(size=(n, n, 2)) @ [1.0, 1j]
+            generic = a @ a.conj().T / n + np.eye(n)
+            for H, bound in ((generic, 1e-15), (generic * mask, 3e-15)):
+                (b, ld, wh), (b_ring, ld_ring, wh_ring) = kernels.b_matrix(chart, grid, H), table(H)
+                assert rel(b_ring, b) <= bound
+                assert rel(wh_ring, wh) <= 1e-15
+                assert np.abs(ld_ring - ld).max() <= 3e-13
+                m2 = [grid.integrate(x - x0) / grid.volume for x, x0 in zip((ld, ld_ring), ld0)]
+                assert abs(m2[1] - m2[0]) <= 2e-15
 
 
-@pytest.mark.parametrize("degrees, k", [((2,), 2), ((0, 1, 2), 2)], ids=["O2-k2", "split012-k2"])
+def test_ring_table_refuses_rank_two(grid_p1):
+    """The ring table is a line bundle's: a basis of rank 2 is refused by
+    name before any chart is read; its whole-grid solves hold the chart."""
+    basis = bd.section_basis(bd.split(0, 2), 3)
+    with pytest.raises(ValueError, match="the ring table takes a line bundle, not a bundle of rank 2"):
+        kernels.rings(basis, grid_p1)
+    assert not bl._ring_start(basis, grid_p1) and bl._ring_start(bd.section_basis(bd.split(2), 3), grid_p1)
+
+
+@pytest.mark.parametrize("degrees, k", [((2,), 2), ((4,), 3)], ids=["O2-k2", "O4-k3"])
 def test_ring_table_calls_share_no_output(degrees, k, grid_p1, rng):
-    """The ring table holds its padded H and slot table between calls:
-    the outputs of table(H1) are unchanged by later calls, an overflowing
-    one included, and table(H2) is byte-equal to a freshly built
-    table's."""
+    """The ring table holds no buffer between calls: the outputs of
+    table(H1) are unchanged by later calls, an overflowing one included,
+    and table(H2) is byte-equal to a freshly built table's."""
     basis = bd.section_basis(bd.split(*degrees), k)
     n = basis.dimension
     table = kernels.rings(basis, grid_p1)
@@ -611,12 +617,12 @@ def test_ring_table_calls_share_no_output(degrees, k, grid_p1, rng):
 @pytest.mark.parametrize("degrees, k, resolution", [
     ((0, 2), 1, "light"), ((0, 2), 1, "coarse"), ((3,), 2, "light"), ((0, 1, 2), 2, "coarse")],
     ids=["light", "coarse", "O3-k2-light", "split012-k2-coarse"])
-def test_lm_b_derivatives(degrees, k, resolution, coarse, grid_p1, rng):
+def test_lm_b_derivatives(degrees, k, resolution, coarse, grid_p1, whole_grid_route, rng):
     """_b_derivatives, gathered from the real moments of the coordinates
-    of P, against the einsum of the complex P-field, with W from the ring
-    table as a whole-grid solve reads it: real at rank one (O(3), k = 2,
-    on the light grid, as in balance_flow), complex at ranks two and
-    three."""
+    of P, against the einsum of the complex P-field, with W as a
+    whole-grid solve reads it: real from the ring table at rank one
+    (O(3), k = 2, on the light grid, as in balance_flow), complex from
+    the held chart at ranks two and three."""
     grid = {"coarse": coarse, "light": grid_p1}[resolution]
     basis = bd.section_basis(bd.split(*degrees), k)
     n = basis.dimension
@@ -627,15 +633,15 @@ def test_lm_b_derivatives(degrees, k, resolution, coarse, grid_p1, rng):
     t4 = np.einsum("m,mik,mlj->ijkl", grid.weights / grid.volume, p, p)
     dh = np.asarray([positive_form(n, rng) for _ in range(5)])
     want = -np.einsum("ijkl,dkl->dij", t4, dh)
-    wh = kernels.rings(basis, grid)(H)[2]
+    wh = whole_grid_route(basis, grid)(H)[2]
     assert wh.dtype == (float if len(degrees) == 1 else complex)
     assert rel(bl._b_derivatives(basis, grid, kernels.chart(basis, grid.nodes), wh, dh), want) < TOL
 
 
 def test_ring_table_is_real_at_rank_one(grid_p1, rng):
-    """A rank-one fibre metric h has no coordinates above its diagonal:
-    the ring table returns log det h and W as real arrays, and B(H) as
-    the chart route's to 1e-15."""
+    """The ring table's fibre metric h is a real number per node: it
+    returns log det h and W as real arrays, and B(H) as the chart route's
+    to 1e-15."""
     basis = bd.section_basis(bd.split(3), 2)
     H = positive_form(basis.dimension, rng)
     b, ld, wh = kernels.rings(basis, grid_p1)(H)

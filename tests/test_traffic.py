@@ -34,7 +34,8 @@ _JETS = "the jet route: the tests' reference for the column route (ROADMAP items
 _P2 = "P^2: criterion 10 is opt-in and no workload touches P^2 (ROADMAP items 9-11)"
 _TRACED = "wrapped by the traced benchmark, called by no run (ROADMAP item 6)"
 _ERROR = "reached only on an error path"
-_CHART = ("B(H) on a held chart: P^2 (criterion 10, opt-in) and grids with ring 1; "
+_CHART = ("B(H) on a held chart: P^2 (criterion 10, opt-in), grids with ring 1 and generic "
+          "starts of rank 2 or more, which no run makes (ROADMAP items 3, 26 and 27); "
           "the tests' reference for the ring table (kernels.rings)")
 
 UNREACHED = {

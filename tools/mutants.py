@@ -141,11 +141,17 @@ MUTANTS = (
      "        return 0.5 * (b + b.conj().T), _logdet(l), wh\n\n    return b_matrix\n",
      "        return b, _logdet(l), wh\n\n    return b_matrix\n"),
     ("ring-table-sin-sign", "src/bml/kernels.py",
-     "table[s, 0, u], table[s, 1, u] = weight * cos, -weight * sin",
-     "table[s, 0, u], table[s, 1, u] = weight * cos, weight * sin"),
+     "weight * np.cos(angle), -weight * np.sin(angle)",
+     "weight * np.cos(angle), weight * np.sin(angle)"),
     ("ring-table-weight-one", "src/bml/kernels.py",
-     "np.where((ca == cb) & (d != 0), 2.0, 1.0)",
-     "np.where((ca == cb) & (d != 0), 1.0, 1.0)"),
+     "np.where(d != 0, 2.0, 1.0)",
+     "np.where(d != 0, 1.0, 1.0)"),
+    ("ring-route-any-rank", "src/bml/balance.py",
+     "return basis.rank == 1 and grid.ring > 1",
+     "return grid.ring > 1"),
+    ("balance-fallback-second-frame", "src/bml/balance.py",
+     "x.sq @ _expm_herm(0.5**halving * zeta) @ x.sq)",
+     "_expm_herm(0.5**halving * zeta / 2) @ x.H @ _expm_herm(0.5**halving * zeta / 2))"),
     ("p-coordinates-no-sqrt2", "src/bml/kernels.py",
      "np.sqrt(2.0) * y.conj()",
      "y.conj()"),
