@@ -172,7 +172,7 @@ def run_verify(cfg: ExperimentConfig):
             {"index": r.index, "name": r.name, "passed": r.passed, "detail": r.detail}
             for r in results
         ],
-        passed=all(r.passed for r in results if r.gating),
+        passed=all(r.passed for r in results),
     )
     return fields, {}
 

@@ -51,19 +51,16 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if hasattr(obj, "item") and not isinstance(obj, (str, bytes)):
-        # numpy scalars
-        try:
-            return obj.item()
-        except (AttributeError, ValueError):
-            return obj
+    if hasattr(obj, "item"):  # numpy scalars
+        return obj.item()
     return obj
 
 
 def write_json(path: str, obj) -> None:
+    data = _jsonable(obj)
     _ensure_dir(path)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(obj), fh, indent=2, sort_keys=True)
+        json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

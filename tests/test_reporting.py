@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from bml import reporting as rep
 
@@ -34,6 +35,14 @@ def test_write_json_deterministic(tmp_path):
     assert text.endswith("\n")
     # keys sorted
     assert text.index('"a"') < text.index('"nested"') < text.index('"z"')
+
+
+def test_write_json_refuses_an_array(tmp_path):
+    """Only numpy scalars are unwrapped: an array is a named error, raised
+    before the file is opened."""
+    with pytest.raises(ValueError, match="size 1"):
+        rep.write_json(str(tmp_path / "a.json"), {"a": np.array([1.0, 2.0])})
+    assert not (tmp_path / "a.json").exists()
 
 
 def test_slope_rows_blanks():

@@ -1,11 +1,11 @@
 """Every function of `src/bml` that no run of the lab enters is listed with
 its reason.
 
-The runs are `bml verify`, every `bml` example of the README's command
-line, one `--config` file with a grid, one round of each benchmark
-workload (as `tests/test_bench_api.py` runs it) and each demo's `main()`.
-They run in a fresh interpreter, so that no cache of the test session
-hides a call, with `BML_RUN_STRETCH` unset, under `sys.settrace`, which
+The runs are every `bml` example of the README's command line (among
+them `bml verify`, all ten criteria), one `--config` file with a grid,
+one round of each benchmark workload (as `tests/test_bench_api.py` runs
+it) and each demo's `main()`.  They run in a fresh interpreter, so that
+no cache of the test session hides a call, under `sys.settrace`, which
 sees every Python frame entered.  The functions of `src/bml` (every
 `def`, nested ones included) that none of them enters must be exactly
 UNREACHED: code that no run reaches is kept for a stated reason or
@@ -31,25 +31,14 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "bml"
 
 _JETS = "the jet route: the tests' reference for the column route (ROADMAP items 1 and 20)"
-_P2 = "P^2: criterion 10 is opt-in and no workload touches P^2 (ROADMAP items 9-11)"
 _TRACED = "wrapped by the traced benchmark, called by no run (ROADMAP item 6)"
 _ERROR = "reached only on an error path"
-_CHART = ("B(H) on a held chart: P^2 (criterion 10, opt-in), grids with ring 1 and generic "
-          "starts of rank 2 or more, which no run makes (ROADMAP items 3, 26 and 27); "
-          "the tests' reference for the ring table (kernels.rings)")
 
 UNREACHED = {
     "donaldson._path_jets": _JETS,
     "donaldson._weighted": _JETS,
     "donaldson._curvature_frame": _JETS,
     "bundles.dq_dz_field": _JETS,
-    "quadrature.build_grid_p2": _P2,
-    "bundles.euler_tp2": _P2,
-    "bundles._euler_basis": _P2,
-    "bundles._euler_basis.coefficient": _P2,
-    "exactsheaf.h0_p2": _P2,
-    "exactsheaf.h0_tangent_p2": _P2,
-    "kernels.b_matrix": _CHART,
     "balance.center_of_mass": _TRACED,
     "balance.m2_value": _TRACED,
     "quadrature.QuadratureGrid.name": _ERROR,
@@ -104,7 +93,7 @@ def run_the_lab(out: Path) -> None:
     config.write_text(json.dumps({"kind": "balance", "bundle": "split_p1:2", "k": 2,
                                   "grid": {"n_radial": 4, "n_angular": 8, "depth": 8}}))
     with contextlib.redirect_stdout(io.StringIO()):
-        for argv in [["verify"], *_readme_commands(), ["balance", "--config", str(config)]]:
+        for argv in [*_readme_commands(), ["balance", "--config", str(config)]]:
             assert cli.main(argv + ["--out", str(out)]) == 0, argv
         for name, make in workloads.WORKLOADS.items():
             work = make(np.random.default_rng(0))
@@ -121,9 +110,8 @@ def run_the_lab(out: Path) -> None:
 
 
 def test_every_function_no_run_enters_is_listed(tmp_path):
-    env = {key: value for key, value in os.environ.items() if key != "BML_RUN_STRETCH"}
     subprocess.run([sys.executable, "-W", "error::RuntimeWarning", __file__, str(tmp_path)],
-                   cwd=tmp_path, env=env, check=True, timeout=600)
+                   cwd=tmp_path, check=True, timeout=600)
     entered = {tuple(key) for key in json.loads((tmp_path / "entered.json").read_text())}
     never = {name for key, name in defined().items() if key not in entered}
     assert (sorted(never - set(UNREACHED)), sorted(set(UNREACHED) - never)) == ([], [])
