@@ -29,7 +29,7 @@ def main():
     st, _ = bl.t_iterate(basis, grid, np.eye(basis.dimension), tol=1e-12, max_iter=300)
     print(f"balanced solve: {st.flag}, residual {st.residual:.2e}")
     h_bal = bg.fs_metric(basis, grid, bg.HermitianForm(matrix=st.H.astype(complex)))
-    diag = bl.delta_diagnostic(h_bal, he, grid, spectral_c=c)
+    diag = bl.delta_diagnostic(h_bal, he, grid)
     val = don.form_energy(basis, grid, st.H)
     print(f"at the balanced form: delta = {diag.delta:.6f}, "
           f"energy = {val:.2e} >= bound = {diag.lower_bound:.2e}\n")
@@ -40,7 +40,7 @@ def main():
         w = np.linspace(amp, -amp, n)
         H = np.diag(np.exp(w - w.mean()))
         h = bg.fs_metric(basis, grid, bg.HermitianForm(matrix=H.astype(complex)))
-        d = bl.delta_diagnostic(h, he, grid, spectral_c=c)
+        d = bl.delta_diagnostic(h, he, grid)
         v = don.form_energy(basis, grid, H)
         print(f"  amp {amp:4.1f}:  delta = {d.delta:.4f}   energy = {v:.6f}   "
               f"bound = {d.lower_bound:.6f}   margin = {v - d.lower_bound:+.6f}")

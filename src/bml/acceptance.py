@@ -272,14 +272,13 @@ def _convexity():
 
 def _pinch_inequality():
     grid = _grid_light()
-    c = bl.SPECTRAL_CONSTANT
     margins = []
     for a_deg in (0, 2):
         basis = bd.section_basis(bd.split(a_deg), 1)
         he = bl.hermitian_einstein_catalog(basis, grid)
         st, _ = bl.t_iterate(basis, grid, np.eye(basis.dimension), tol=1e-12, max_iter=60)
         hmin = bg.fs_metric(basis, grid, bg.HermitianForm(matrix=st.H.astype(complex)))
-        diag = bl.delta_diagnostic(hmin, he, grid, spectral_c=c)
+        diag = bl.delta_diagnostic(hmin, he, grid)
         val = don.form_energy(basis, grid, st.H)
         margins.append(val - diag.lower_bound)
         # non-vacuous version on a deliberately unbalanced form
@@ -287,10 +286,10 @@ def _pinch_inequality():
         w = np.linspace(0.6, -0.6, n)
         H = np.diag(np.exp(w - w.mean()))
         hp = bg.fs_metric(basis, grid, bg.HermitianForm(matrix=H.astype(complex)))
-        dp = bl.delta_diagnostic(hp, he, grid, spectral_c=c)
+        dp = bl.delta_diagnostic(hp, he, grid)
         margins.append(don.form_energy(basis, grid, H) - dp.lower_bound)
     passed = min(margins) >= -1e-9
-    return passed, f"spectral constant {c:.6f}, min inequality margin {min(margins):.2e}"
+    return passed, f"spectral constant {bl.SPECTRAL_CONSTANT:.6f}, min inequality margin {min(margins):.2e}"
 
 
 def _tangent_balance():

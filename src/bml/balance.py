@@ -12,9 +12,10 @@ iteration and a damped least-squares (Levenberg-Marquardt) minimization
 of the center-of-mass residual, record a per-iteration history for
 convexity and divergence diagnostics.  From a diagonal start on P^1 both
 run on the |Q|^2 column table of one node per torus orbit
-(_column_route); from any other on the whole grid, where a T-step is one
-eigh of B(H), B(H) comes ring by ring from the orbit chart for a line
-bundle on P^1 (kernels.rings) and from the held whole chart otherwise
+(_column_route); from any other on the whole grid (_whole_grid, which
+center_of_mass and m2_value read too): a T-step is one eigh of B(H), and
+B(H) comes ring by ring from the orbit chart for a line bundle on P^1
+(kernels.rings) and from the held whole chart otherwise
 (kernels.b_matrix).  A malformed start is refused first (_start_form).
 The delta diagnostic bounds the distance from a computed minimizer to
 the Hermitian-Einstein reference by the eigenvalue pinch delta and the
@@ -119,18 +120,16 @@ def _det_normalize(H: np.ndarray) -> np.ndarray:
 
 
 def center_of_mass(basis: SectionBasis, grid: QuadratureGrid, H: np.ndarray) -> np.ndarray:
-    """M(H) = sigma B(H) sigma* with sigma = H^{1/2}; trace r exactly."""
+    """M(H) = sigma B(H) sigma* with sigma = H^{1/2}, trace r exactly: the
+    solvers' own (_whole_grid)."""
     n = basis.dimension
-    b_matrix = partial(kernels.b_matrix, kernels.chart(basis, grid.nodes), grid)
-    return _solver_parts(basis, grid, b_matrix, H, 0.0).s + (basis.rank / n) * np.eye(n)
+    return _whole_grid(basis, grid)[0](_start_form(basis, H)).s + (basis.rank / n) * np.eye(n)
 
 
 def m2_value(basis: SectionBasis, grid: QuadratureGrid, H: np.ndarray) -> float:
-    """Log-determinant energy of h_H against the reference h_ref = Q*Q."""
-    H = HermitianForm(np.asarray(H, dtype=complex)).matrix
-    q = kernels.chart(basis, grid.nodes)
-    ld = [kernels.logdet(kernels.field(q, grid, mat)) for mat in (H, None)]
-    return grid.integrate(ld[0] - ld[1]) / grid.volume
+    """Log-determinant energy of h_H against the reference h_ref = Q*Q: the
+    solvers' own (_whole_grid)."""
+    return _whole_grid(basis, grid)[0](_start_form(basis, H)).m2
 
 
 class _Iterate(NamedTuple):
@@ -149,7 +148,7 @@ class _Iterate(NamedTuple):
     parts: tuple
 
 
-def _solver_parts(basis, grid, b_matrix, H, ld0, eig=None) -> _Iterate:
+def _solver_parts(basis, grid, b_matrix, H, ld0, eig) -> _Iterate:
     """The iterate at the form H from ``b_matrix(H)``, B(H) with log det h
     and W at every node of ``grid`` (kernels.rings, or kernels.b_matrix on
     a held chart), with m2 against the reference log-dets ld0.  sq = V
@@ -199,6 +198,20 @@ def _column_route(basis, nodes):
         return jac @ directions.T, x.s
 
     return evaluate, jacobian
+
+
+def _whole_grid(basis, grid):
+    """evaluate(H, eig) and jacobian(x, directions) on the whole grid: the
+    iterate at H (_solver_parts) with B(H) from the ring table if
+    _ring_start holds and from the held chart otherwise, m2 against the
+    same B(H)'s log-dets at H = I, and _grid_jacobian.  The one chart is
+    built at its first use, by the held chart or the LM Jacobian."""
+    chart = cache(partial(kernels.chart, basis, grid.nodes))
+    b_matrix = (kernels.rings(basis, grid) if _ring_start(basis, grid) else
+                partial(kernels.b_matrix, chart(), grid))
+    ld0 = b_matrix(np.eye(basis.dimension))[1]
+    return (lambda H, eig=None: _solver_parts(basis, grid, b_matrix, H, ld0, eig),
+            lambda x, directions: _grid_jacobian(basis, grid, chart(), x, directions))
 
 
 def t_operator(basis: SectionBasis, b: np.ndarray):
@@ -293,11 +306,9 @@ def lm_memory_check(basis: SectionBasis, grid: QuadratureGrid, H0: np.ndarray) -
 def _solve(basis, grid, H0, tol, max_iter, make_step, damping):
     """The loop of both solvers on the route of _column_start: the column
     route (_column_route), whose forms are their diagonals until the exit,
-    or the whole grid (_solver_parts), with B(H) from the ring table if
-    _ring_start holds and from a held chart otherwise.  Only ``evaluate(H,
-    eig)``, the iterate at H (from the eigenpairs ``eig`` a T-step gives,
-    or from one eigh of H), and ``jacobian(x, directions)`` differ; next
-    to the ring table the Jacobian's chart is built at its first call.
+    or the whole grid (_whole_grid).  Only ``evaluate(H, eig)``, the
+    iterate at H (from the eigenpairs ``eig`` a T-step gives, or from one
+    eigh of H), and ``jacobian(x, directions)`` differ between them.
     ``make_step(column, jacobian)`` gives ``step(x, history, evaluate,
     trial)``, which returns (kind, rejected, damping, next iterate or
     None); ``trial(H)`` is the iterate at H det-normalized, or None when
@@ -309,20 +320,7 @@ def _solve(basis, grid, H0, tol, max_iter, make_step, damping):
     """
     H0 = _start_form(basis, H0)
     column = _column_start(grid, H0)
-    if column:
-        evaluate, jacobian = _column_route(basis, grid.orbits)
-        H0 = H0.diagonal().real
-    else:
-        if _ring_start(basis, grid):
-            b_matrix = kernels.rings(basis, grid)
-            ld0 = b_matrix(np.eye(len(H0)))[1]
-            chart = cache(partial(kernels.chart, basis, grid.nodes))
-        else:
-            q = kernels.chart(basis, grid.nodes)
-            b_matrix, chart = partial(kernels.b_matrix, q, grid), lambda: q
-            ld0 = kernels.logdet(kernels.field(q, grid))
-        evaluate = lambda H, eig=None: _solver_parts(basis, grid, b_matrix, H, ld0, eig)
-        jacobian = lambda x, directions: _grid_jacobian(basis, grid, chart(), x, directions)
+    evaluate, jacobian = _column_route(basis, grid.orbits) if column else _whole_grid(basis, grid)
     step = make_step(column, jacobian)
 
     def trial(H):
@@ -332,7 +330,7 @@ def _solve(basis, grid, H0, tol, max_iter, make_step, damping):
         except (SingularGram, kernels.NonFiniteChart):
             return None
 
-    x = evaluate(_det_normalize(H0))
+    x = evaluate(_det_normalize(H0.diagonal().real if column else H0))
     history = []
     for it in range(max_iter + 1):
         row = HistoryRow(it, float(np.linalg.norm(x.s)), float(x.m2), float(x.spread), damping=damping)
@@ -600,16 +598,14 @@ def _pinch_coefficient(delta: float) -> float:
     return float((delta - 1.0 - ld) / ld**2)
 
 
-def delta_diagnostic(h_min: np.ndarray, h_he: np.ndarray, grid: QuadratureGrid,
-                     spectral_c: float) -> DeltaDiagnostic:
+def delta_diagnostic(h_min: np.ndarray, h_he: np.ndarray, grid: QuadratureGrid) -> DeltaDiagnostic:
     """Eigenvalue-pinch diagnostic of a minimizer against the HE reference,
     both per-node metrics of shape (M, r, r).
 
     delta is the infimum over nodes of lambda_min/lambda_max of
     h_min h_HE^{-1}; v is the matrix logarithm of the symmetrized ratio,
     v_bar its trace average, and the lower bound is
-    pinch(delta) * C^{-1} * ||v - v_bar||^2 with C = ``spectral_c``,
-    SPECTRAL_CONSTANT on P^1.
+    pinch(delta) * C^{-1} * ||v - v_bar||^2 with C = SPECTRAL_CONSTANT.
     """
     lamb, vb = np.linalg.eigh(h_he)
     if lamb.min() <= 0:
@@ -626,5 +622,5 @@ def delta_diagnostic(h_min: np.ndarray, h_he: np.ndarray, grid: QuadratureGrid,
     tr_v = logs.sum(axis=-1)
     v_bar = grid.integrate(tr_v) / (r * grid.volume)
     v_norm2 = grid.integrate(((logs - v_bar) ** 2).sum(axis=-1))
-    bound = _pinch_coefficient(delta) * v_norm2 / spectral_c
+    bound = _pinch_coefficient(delta) * v_norm2 / SPECTRAL_CONSTANT
     return DeltaDiagnostic(delta=delta, lower_bound=float(bound))

@@ -94,31 +94,28 @@ def rings(basis, grid):
     from the orbit chart, as a function of a hermitian H alone; a basis of
     rank 2 or more is a ValueError (it takes the held chart).
 
-    Q_i(e^{i theta} z) = e^{i m_i theta} q_i(|z|), q_i real at the first
-    node of each ring, so h = sum_d c_d e^{i d theta} on a ring, c_d = sum
-    H_ij q_i q_j over the pairs of gap d = m_j - m_i, and c_{-d} = conj
-    c_d.  The table holds the slots d <= 0, their products q_i q_j
-    zero-padded, (S, L, K) real on the K orbit nodes: one batched GEMM
-    gives (Re c, Im c) per slot, one real GEMM against the (2S, ring)
-    table of 2 cos and -2 sin(d theta_t) (once at d = 0) h, (K, ring).
-    Back, the transposed table takes w/h = w W^2 to the slot sums of B,
-    whose hermitian part at the held pairs is B(H): the grid's own sums,
-    its trapezoid aliasing included.  Nothing is held between calls."""
+    Q_i(e^{i theta} z) = e^{i m_i theta} q_i(|z|), m_i = i the character
+    of section i, q_i real at the first node of each ring, so h =
+    sum_d c_d e^{i d theta} on a ring, c_d = sum_j H_{j-d,j} q_{j-d} q_j
+    over diagonal d <= 0 of H, and c_{-d} = conj c_d.  Slot s = d + N - 1
+    holds the products of its pairs (j - d, j) in order of j, zero-padded
+    to N, (N, N, K) real on the K orbit nodes: one batched GEMM gives (Re
+    c, Im c) per slot, one real GEMM against the (2N, ring) table of 2
+    cos and -2 sin(d theta_t) (once at d = 0) h, (K, ring).  Back, the
+    transposed table takes w/h = w W^2 to the slot sums of B, whose
+    hermitian part at the held pairs is B(H): the grid's own sums, its
+    trapezoid aliasing included.  Nothing is held between calls."""
     if basis.rank != 1:
         raise ValueError(f"the ring table takes a line bundle, not a bundle of rank {basis.rank}")
-    n, ring, m = basis.dimension, grid.ring, basis.characters
-    gap = m[None, :] - m[:, None]  # d = m_j - m_i at (i, j)
-    i, j = np.nonzero(gap <= 0)  # the pairs that come before their transposes
-    d, seg, counts = np.unique(gap[i, j], return_inverse=True, return_counts=True)
-    order = np.argsort(seg, kind="stable")
-    i, j, seg = i[order], j[order], seg[order]
-    pos = np.arange(len(seg)) - np.repeat(np.cumsum(counts) - counts, counts)
-    pad = np.full((len(d), counts.max()), n * n)  # n * n: a padding entry
-    pad[seg, pos] = i * n + j
+    n, ring = basis.dimension, grid.ring
+    s, j = np.nonzero(np.tri(n, dtype=bool))  # slot s holds j <= s, so i = j - d < n
+    d, i = np.arange(1 - n, 1), j + n - 1 - s
+    pad = np.full((n, n), n * n)  # n * n: a padding entry
+    pad[s, j] = i * n + j
     q = chart(basis, grid.orbits.nodes)[:, 0].real
-    pairs = np.zeros((len(d), counts.max(), q.shape[1]))
+    pairs = np.zeros((n, n, q.shape[1]))
     with np.errstate(over="ignore", invalid="ignore"):
-        pairs[seg, pos] = q[i] * q[j]
+        pairs[s, j] = q[i] * q[j]
     angle = 2 * np.pi / ring * (np.outer(d, np.arange(ring)) % ring)
     weight = np.where(d != 0, 2.0, 1.0)[:, None]
     table = np.stack([weight * np.cos(angle), -weight * np.sin(angle)], axis=1).reshape(-1, ring)

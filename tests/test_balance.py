@@ -33,6 +33,22 @@ def test_center_of_mass_trace(grid_p1, rng):
     assert np.trace(m).real == pytest.approx(basis.rank, rel=1e-12)
 
 
+@pytest.mark.parametrize("degrees, k, rings", [((3,), 2, True), ((0, 2), 3, False)],
+                         ids=["O3-k2-rings", "split02-k3-chart"])
+def test_center_of_mass_and_m2_are_the_solvers_iterate(degrees, k, rings, grid_p1, rng):
+    """center_of_mass and m2_value read the solvers' own whole-grid
+    evaluator (_whole_grid): at the iterate of a solve stopped at its
+    non-diagonal start they give its center of mass and m2 bit for bit,
+    from the ring table (a line bundle on the light grid) and from the
+    held chart (rank 2 on the coarse grid)."""
+    grid = grid_p1 if rings else qd.build_grid_p1(**COARSE)
+    basis = bd.section_basis(bd.split(*degrees), k)
+    state, history = bl.t_iterate(basis, grid, random_form(basis.dimension, rng), max_iter=0)
+    assert bl._ring_start(basis, grid) == rings and not bl._column_start(grid, state.H)
+    assert bl.center_of_mass(basis, grid, state.H).tobytes() == state.center_of_mass.tobytes()
+    assert bl.m2_value(basis, grid, state.H) == history[0].m2
+
+
 def test_t_convention_on_symmetric_configuration():
     """The direction of the T-map: on split(2), k=0, the identity is a
     fixed point of T and a zero of the m2 gradient."""
@@ -319,7 +335,7 @@ def test_column_route_is_the_whole_grid_at_a_diagonal_form(degrees, k, monkeypat
     got = evaluate(h)
     q = kernels.chart(basis, whole.nodes)
     b_matrix = partial(kernels.b_matrix, q, whole)
-    want = bl._solver_parts(basis, whole, b_matrix, H, kernels.logdet(kernels.field(q, whole)))
+    want = bl._solver_parts(basis, whole, b_matrix, H, kernels.logdet(kernels.field(q, whole)), None)
     for name in ("H", "sq", "b", "s"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.shape == (n,) and np.abs(np.diag(a) - b).max() <= 1e-13 * np.abs(b).max(), name
@@ -661,7 +677,7 @@ def test_spectral_constant(grid_p1):
 def test_delta_diagnostic_trivial(grid_p1):
     basis = bd.section_basis(bd.split(2), 1)
     he = bl.hermitian_einstein_catalog(basis, grid_p1)
-    diag = bl.delta_diagnostic(he, he, grid_p1, spectral_c=bl.SPECTRAL_CONSTANT)
+    diag = bl.delta_diagnostic(he, he, grid_p1)
     assert diag.delta == pytest.approx(1.0, abs=1e-12)
     assert diag.lower_bound == pytest.approx(0.0, abs=1e-12)
 
@@ -673,7 +689,7 @@ def test_delta_inequality_perturbed(grid_p1):
     w = np.linspace(0.5, -0.5, n)
     H = np.diag(np.exp(w - w.mean()))
     h = bg.fs_metric(basis, grid_p1, bg.HermitianForm(matrix=H.astype(complex)))
-    diag = bl.delta_diagnostic(h, he, grid_p1, spectral_c=bl.SPECTRAL_CONSTANT)
+    diag = bl.delta_diagnostic(h, he, grid_p1)
     value = don.form_energy(basis, grid_p1, H)
     assert diag.lower_bound > 0
     assert value >= diag.lower_bound - 1e-9
@@ -689,7 +705,7 @@ def test_delta_is_the_smallest_pinch_over_nodes(grid_p1, rng):
     lam = np.sort(np.linalg.eigvals(np.linalg.solve(he, h)).real, axis=-1)
     ratio = lam[:, 0] / lam[:, -1]
     assert ratio.max() - ratio.min() > 0.1
-    diag = bl.delta_diagnostic(h, he, grid_p1, spectral_c=bl.SPECTRAL_CONSTANT)
+    diag = bl.delta_diagnostic(h, he, grid_p1)
     assert diag.delta == pytest.approx(ratio.min(), rel=1e-10)
 
 

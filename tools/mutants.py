@@ -12,7 +12,7 @@ which checks that each old text is present and so fails in every
 mutated copy by construction.  A mutant that both pass *survives*: no
 check sees that bug.  The script prints one line per mutant, lists the
 survivors and exits with status 1 if there are any.  Tier-1 does not run
-it (about 12 s per mutant on 2 cores: 47 mutants in 9.5 min); a survivor
+it (about 12 s per mutant on 2 cores: 49 mutants in 10 min); a survivor
 calls for a new test, never for a looser bound.  NAME arguments select mutants by name.  EQUIVALENT lists
 the edits found to change no result, each with its reason; they are not
 run.
@@ -176,6 +176,12 @@ MUTANTS = (
     ("tangent-balance-ignores-flags", "src/bml/acceptance.py",
      '        ok = ok and st.flag == "converged"\n',
      ""),
+    ("ring-slots-reversed", "src/bml/kernels.py",
+     "d, i = np.arange(1 - n, 1), j + n - 1 - s",
+     "d, i = np.arange(1 - n, 1)[::-1], j + n - 1 - s"),
+    ("whole-grid-reference-at-2i", "src/bml/balance.py",
+     "ld0 = b_matrix(np.eye(basis.dimension))[1]",
+     "ld0 = b_matrix(2 * np.eye(basis.dimension))[1]"),
 )
 
 # (name, file, old text, new text, why no check can see it)
